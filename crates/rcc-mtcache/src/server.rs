@@ -30,10 +30,11 @@ use rcc_semantics::{summarize_template, TemplateSummary};
 use rcc_sql::ast::TemplateDecl;
 use rcc_sql::{parse_statement, Expr, SelectItem, SelectStmt, Statement, TableRef};
 use rcc_storage::{
-    DurableStore, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy, TableStats,
-    WatermarkRecord,
+    DurableStore, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy, Table,
+    TableStats, WatermarkRecord,
 };
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -1989,31 +1990,21 @@ impl MTCache {
             .iter()
             .map(|(c, e)| Ok((meta.schema.resolve(None, c)?, bind_table_expr(&meta, e)?)))
             .collect::<Result<_>>()?;
-        let handle = self.master.table(&meta.name)?;
         let now = self.clock.now().millis();
+        let t = self.master.table(&meta.name)?.snapshot();
         let mut changes = Vec::new();
-        {
-            let t = handle.snapshot();
-            for row in t.iter() {
-                let hit = match &predicate {
-                    Some(p) => p.eval_predicate(row, &schema, now)?,
-                    None => true,
-                };
-                if !hit {
-                    continue;
-                }
-                let mut new_values = row.values().to_vec();
-                for (ord, e) in &assigns {
-                    new_values[*ord] = e.eval(row, &schema, now)?;
-                }
-                changes.push(TableChange::new(
-                    meta.name.clone(),
-                    RowChange::Update {
-                        key: t.key_of(row),
-                        row: Row::new(new_values),
-                    },
-                ));
+        for row in dml_targets(&meta, &t, predicate.as_ref(), &schema, now)? {
+            let mut new_values = row.values().to_vec();
+            for (ord, e) in &assigns {
+                new_values[*ord] = e.eval(row, &schema, now)?;
             }
+            changes.push(TableChange::new(
+                meta.name.clone(),
+                RowChange::Update {
+                    key: t.key_of(row),
+                    row: Row::new(new_values),
+                },
+            ));
         }
         let n = changes.len();
         if !changes.is_empty() {
@@ -2029,24 +2020,14 @@ impl MTCache {
         let meta = self.catalog.table(table)?;
         let schema = meta.schema.clone().with_qualifier(&meta.name);
         let predicate = filter.map(|f| bind_table_expr(&meta, f)).transpose()?;
-        let handle = self.master.table(&meta.name)?;
         let now = self.clock.now().millis();
-        let mut changes = Vec::new();
-        {
-            let t = handle.snapshot();
-            for row in t.iter() {
-                let hit = match &predicate {
-                    Some(p) => p.eval_predicate(row, &schema, now)?,
-                    None => true,
-                };
-                if hit {
-                    changes.push(TableChange::new(
-                        meta.name.clone(),
-                        RowChange::Delete { key: t.key_of(row) },
-                    ));
-                }
-            }
-        }
+        let t = self.master.table(&meta.name)?.snapshot();
+        let changes: Vec<TableChange> = dml_targets(&meta, &t, predicate.as_ref(), &schema, now)?
+            .into_iter()
+            .map(|row| {
+                TableChange::new(meta.name.clone(), RowChange::Delete { key: t.key_of(row) })
+            })
+            .collect();
         let n = changes.len();
         if !changes.is_empty() {
             self.master.execute_txn(changes)?;
@@ -2374,6 +2355,62 @@ fn bind_table_expr_with_binding(meta: &TableMeta, binding: &str, e: &Expr) -> Re
         }
         other => Err(Error::analysis(format!("unsupported expression {other:?}"))),
     }
+}
+
+/// The clustered key a DML predicate pins: `Some` when its conjuncts equate
+/// every key column of `meta` with a literal of that column's own type, so
+/// at most one row can qualify.
+fn pinned_key(meta: &TableMeta, predicate: &BoundExpr) -> Option<Vec<Value>> {
+    let ranges = column_ranges(&split_conjuncts(predicate));
+    meta.key
+        .iter()
+        .map(|col| {
+            let (_, range) = ranges.iter().find(|(c, _)| c.eq_ignore_ascii_case(col))?;
+            let declared = meta.schema.column(meta.schema.resolve(None, col).ok()?);
+            match (&range.low, &range.high) {
+                (Bound::Included(a), Bound::Included(b))
+                    if a == b && a.data_type() == Some(declared.data_type) =>
+                {
+                    Some(a.clone())
+                }
+                _ => None,
+            }
+        })
+        .collect()
+}
+
+/// The rows of master table `t` an UPDATE or DELETE selects. A predicate
+/// that pins the whole clustered key is answered by one `Table::get`, with
+/// the predicate (and so any residual conjunct) evaluated on that row
+/// alone; everything else scans.
+fn dml_targets<'t>(
+    meta: &TableMeta,
+    t: &'t Table,
+    predicate: Option<&BoundExpr>,
+    schema: &Schema,
+    now: i64,
+) -> Result<Vec<&'t Row>> {
+    let Some(p) = predicate else {
+        return Ok(t.iter().collect());
+    };
+    let mut hits = Vec::new();
+    match pinned_key(meta, p) {
+        Some(key) => {
+            if let Some(row) = t.get(&key) {
+                if p.eval_predicate(row, schema, now)? {
+                    hits.push(row);
+                }
+            }
+        }
+        None => {
+            for row in t.iter() {
+                if p.eval_predicate(row, schema, now)? {
+                    hits.push(row);
+                }
+            }
+        }
+    }
+    Ok(hits)
 }
 
 fn split_conjuncts(e: &BoundExpr) -> Vec<BoundExpr> {

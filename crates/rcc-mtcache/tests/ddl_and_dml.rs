@@ -115,6 +115,62 @@ fn delete_with_in_list_and_unqualified() {
 }
 
 #[test]
+fn key_pinned_dml_seeks_one_row() {
+    let cache = MTCache::new();
+    cache
+        .execute("CREATE TABLE t (a INT, b INT, v INT, PRIMARY KEY (a, b))")
+        .unwrap();
+    cache
+        .execute("INSERT INTO t VALUES (1, 1, 10), (1, 2, 20), (2, 1, 0), (2, 2, 40)")
+        .unwrap();
+    let affected = |sql: &str| {
+        let r = cache.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let n = r.warnings[0].split(' ').next().unwrap().parse::<usize>();
+        n.unwrap_or_else(|_| panic!("{sql}: {:?}", r.warnings))
+    };
+    let v_of = |a: i64, b: i64| {
+        let r = cache
+            .execute(&format!("SELECT v FROM t WHERE a = {a} AND b = {b}"))
+            .unwrap();
+        r.rows[0].get(0).clone()
+    };
+    // every key column pinned, in any spelling and operand order
+    assert_eq!(affected("UPDATE t SET v = v + 1 WHERE a = 1 AND b = 2"), 1);
+    assert_eq!(affected("UPDATE t SET v = v + 1 WHERE 2 = B AND A = 1"), 1);
+    assert_eq!(v_of(1, 2), Value::Int(22));
+    assert_eq!(v_of(1, 1), Value::Int(10));
+    // the residual conjunct is still evaluated on the row found
+    assert_eq!(
+        affected("UPDATE t SET v = 0 WHERE a = 1 AND b = 2 AND v > 100"),
+        0
+    );
+    assert_eq!(
+        affected("UPDATE t SET v = 0 WHERE a = 1 AND a = 2 AND b = 2"),
+        0
+    );
+    assert_eq!(affected("UPDATE t SET v = 0 WHERE a = 7 AND b = 7"), 0);
+    // only the named row is evaluated: the scan would divide by (2, 1)'s zero
+    assert_eq!(
+        affected("UPDATE t SET v = 5 WHERE 100 / v > 1 AND a = 1 AND b = 1"),
+        1
+    );
+    assert!(cache
+        .execute("UPDATE t SET v = 5 WHERE 100 / v > 1 AND a = 1")
+        .is_err());
+    // a partly pinned key, or a literal of another type, takes the scan
+    assert_eq!(affected("UPDATE t SET v = 9 WHERE a = 2"), 2);
+    assert_eq!(affected("UPDATE t SET v = 8 WHERE a = 2.0 AND b = 2.0"), 1);
+    assert_eq!(v_of(2, 2), Value::Int(8));
+    assert!(cache
+        .execute("UPDATE t SET v = 1 WHERE a = 'x' AND b = 2")
+        .is_err());
+    // DELETE goes the same way
+    assert_eq!(affected("DELETE FROM t WHERE a = 1 AND b = 2 AND v = 0"), 0);
+    assert_eq!(affected("DELETE FROM t WHERE a = 1 AND b = 2"), 1);
+    assert_eq!(cache.execute("SELECT a FROM t").unwrap().rows.len(), 3);
+}
+
+#[test]
 fn create_index_makes_backend_range_queries_cheap() {
     let cache = MTCache::new();
     cache

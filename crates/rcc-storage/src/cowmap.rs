@@ -1,0 +1,562 @@
+//! A persistent ordered map: sorted chunks behind `Arc`, shared between
+//! clones until written.
+//!
+//! [`CowMap`] is the row container behind [`crate::Table`] and
+//! [`crate::SecondaryIndex`]. Entries live in key order in chunks of at
+//! most `MAX_CHUNK` entries, each chunk behind an `Arc`, under a flat
+//! spine: the chunk pointers plus a *fence* vector holding every chunk's
+//! first key, itself behind an `Arc`. That shape is chosen for the
+//! copy-on-write snapshot protocol of [`crate::snapshot`]:
+//!
+//! * **clone** is one refcount bump per chunk (and one for the fences) —
+//!   O(chunks), no entry is copied;
+//! * a **write** copies only the chunk it lands in (`Arc::make_mut`), and
+//!   only if another clone still shares it, so its cost is O(chunk) plus an
+//!   O(log) descent — independent of the map's size. The fences are copied
+//!   only when a chunk's first key changes: a split, a merge, or a write at
+//!   the very front of a chunk;
+//! * **dropping** a clone frees only the chunks no other clone shares.
+//!
+//! A lookup is two binary searches over contiguous key arrays: the fences
+//! (which stay cache-resident, and spare a pointer chase into each probed
+//! chunk), then the one chunk's keys — values live in a parallel array so
+//! they do not dilute the searched cache lines, and a scan walks them
+//! densely. Positions are exposed as [`Cursor`]s so a range scan is a seek
+//! to its start, a gallop from there to its end, and a walk over whole
+//! chunk slices, with no per-entry bound check. Chunk buffers are sized for
+//! `MAX_CHUNK` entries once and never reallocate, which keeps a bulk load
+//! from scattering outgrown buffers between the rows it allocates.
+//!
+//! Invariants: no chunk is empty, no chunk holds more than `MAX_CHUNK`
+//! entries, keys ascend strictly across the whole spine, and `fences[i]` is
+//! the first key of `chunks[i]`. A removal that leaves a chunk under
+//! `MIN_CHUNK` entries merges it into a neighbour, so a shrinking map does
+//! not decay into many tiny chunks.
+
+use std::borrow::Borrow;
+use std::sync::Arc;
+
+/// Most entries a chunk holds. A write copies one chunk, a clone bumps one
+/// refcount per chunk: 256 keeps a one-row write in the tens of
+/// microseconds and a 30 000-entry spine at ~120 pointers.
+const MAX_CHUNK: usize = 256;
+/// A removal that leaves a chunk smaller than this merges it away.
+const MIN_CHUNK: usize = MAX_CHUNK / 4;
+
+/// One run of entries: `keys[i]` maps to `vals[i]`, keys ascending.
+#[derive(Debug)]
+struct Chunk<K, V> {
+    keys: Vec<K>,
+    vals: Vec<V>,
+}
+
+impl<K, V> Chunk<K, V> {
+    /// An empty chunk with room for `MAX_CHUNK` entries. Sizing the buffers
+    /// once means a chunk never reallocates as it fills, so a bulk load
+    /// leaves no trail of outgrown buffers between the rows it allocates.
+    fn new() -> Chunk<K, V> {
+        Chunk {
+            keys: Vec::with_capacity(MAX_CHUNK),
+            vals: Vec::with_capacity(MAX_CHUNK),
+        }
+    }
+
+    /// Move the entries from `at` on into a new chunk.
+    fn split_off(&mut self, at: usize) -> Chunk<K, V> {
+        let mut tail = Chunk::new();
+        tail.keys.extend(self.keys.drain(at..));
+        tail.vals.extend(self.vals.drain(at..));
+        tail
+    }
+}
+
+/// The copy `Arc::make_mut` takes before a write; full-sized like every
+/// chunk, since an insert is as likely to follow as a replace.
+impl<K: Clone, V: Clone> Clone for Chunk<K, V> {
+    fn clone(&self) -> Self {
+        let mut copy = Chunk::new();
+        copy.keys.extend_from_slice(&self.keys);
+        copy.vals.extend_from_slice(&self.vals);
+        copy
+    }
+}
+
+/// A persistent ordered map whose clones share storage chunk by chunk.
+#[derive(Debug, Clone)]
+pub struct CowMap<K, V> {
+    /// First key of each chunk.
+    fences: Arc<Vec<K>>,
+    chunks: Vec<Arc<Chunk<K, V>>>,
+    len: usize,
+}
+
+/// A position in a [`CowMap`]: before some entry, or at the end. Cursors
+/// order as the positions they name and are only meaningful for the map
+/// state they were taken from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Cursor {
+    chunk: usize,
+    slot: usize,
+}
+
+impl Cursor {
+    /// The position before the first entry of any map.
+    pub const START: Cursor = Cursor { chunk: 0, slot: 0 };
+}
+
+impl<K, V> Default for CowMap<K, V> {
+    fn default() -> Self {
+        CowMap {
+            fences: Arc::new(Vec::new()),
+            chunks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<K, V> CowMap<K, V> {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Remove every entry (chunks shared with other clones live on there).
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// All entries in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.chunks
+            .iter()
+            .flat_map(|c| c.keys.iter().zip(c.vals.iter()))
+    }
+
+    /// The position after the last entry.
+    pub fn end(&self) -> Cursor {
+        Cursor {
+            chunk: self.chunks.len(),
+            slot: 0,
+        }
+    }
+
+    /// The position of the first entry whose key is not `below`. `below`
+    /// must hold for a (possibly empty) prefix of the keys in order and for
+    /// no key after it — a partition point, found in O(log) comparisons.
+    pub fn seek(&self, mut below: impl FnMut(&K) -> bool) -> Cursor {
+        // the partition point lies in the last chunk whose first key is
+        // below, or right after it
+        let Some(chunk) = self.fences.partition_point(&mut below).checked_sub(1) else {
+            return Cursor::START;
+        };
+        let keys = &self.chunks[chunk].keys;
+        match keys.partition_point(below) {
+            slot if slot < keys.len() => Cursor { chunk, slot },
+            _ => Cursor {
+                chunk: chunk + 1,
+                slot: 0,
+            },
+        }
+    }
+
+    /// [`CowMap::seek`] for a partition point known to lie at or after
+    /// `from`: gallops forward from there, so finding the end of a short
+    /// span costs O(log span) comparisons on keys next to the ones just
+    /// visited instead of a second descent from the top.
+    pub fn seek_from(&self, from: Cursor, mut below: impl FnMut(&K) -> bool) -> Cursor {
+        let Some(chunk) = self.chunks.get(from.chunk) else {
+            return from;
+        };
+        let keys = &chunk.keys[from.slot..];
+        let mut width = 1;
+        while width < keys.len() && below(&keys[width - 1]) {
+            width *= 2;
+        }
+        let ahead = keys[..width.min(keys.len())].partition_point(&mut below);
+        if ahead < keys.len() {
+            Cursor {
+                chunk: from.chunk,
+                slot: from.slot + ahead,
+            }
+        } else {
+            // past this chunk: the span is long, a descent is cheap beside it
+            self.seek(below)
+        }
+    }
+
+    /// The entries in `[from, to)` in key order, as one pair of parallel
+    /// key and value slices per chunk. Empty when `from >= to`.
+    pub fn slices(&self, from: Cursor, to: Cursor) -> impl Iterator<Item = (&[K], &[V])> {
+        let stop = self.chunks.len().min(to.chunk + 1);
+        (from.chunk..stop).filter_map(move |ci| {
+            let chunk = &self.chunks[ci];
+            let lo = if ci == from.chunk { from.slot } else { 0 };
+            let hi = if ci == to.chunk {
+                to.slot
+            } else {
+                chunk.keys.len()
+            };
+            let keys = chunk.keys.get(lo..hi).filter(|s| !s.is_empty())?;
+            Some((keys, &chunk.vals[lo..hi]))
+        })
+    }
+
+    /// Number of chunks in the spine.
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many of this map's chunks are the same allocation as a chunk of
+    /// `other` — what a clone followed by writes still shares.
+    pub fn shared_chunks(&self, other: &CowMap<K, V>) -> usize {
+        self.chunks
+            .iter()
+            .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
+            .count()
+    }
+}
+
+impl<K: Ord, V> CowMap<K, V> {
+    /// The chunk `key` belongs to (the last one starting at or before it;
+    /// the first one for a key before every fence) and where in it: `Ok`
+    /// with the slot holding the key, `Err` with the slot it would take.
+    /// An empty map answers chunk 0, which does not exist yet.
+    fn locate<Q>(&self, key: &Q) -> (usize, Result<usize, usize>)
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let chunk = self
+            .fences
+            .partition_point(|f| f.borrow() <= key)
+            .saturating_sub(1);
+        let slot = match self.chunks.get(chunk) {
+            Some(c) => c.keys.binary_search_by(|k| k.borrow().cmp(key)),
+            None => Err(0),
+        };
+        (chunk, slot)
+    }
+
+    /// The value stored under `key`.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let (chunk, Ok(slot)) = self.locate(key) else {
+            return None;
+        };
+        Some(&self.chunks[chunk].vals[slot])
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
+    /// The slot for `key`, found in one descent: occupied (read it, replace
+    /// its value) or vacant (insert there). Nothing is copied until the
+    /// entry is written.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        match self.locate(&key) {
+            (chunk, Ok(slot)) => Entry::Occupied(OccupiedEntry {
+                map: self,
+                at: Cursor { chunk, slot },
+            }),
+            (chunk, Err(slot)) => Entry::Vacant(VacantEntry {
+                map: self,
+                at: Cursor { chunk, slot },
+                key,
+            }),
+        }
+    }
+
+    /// Insert or replace; returns the value previously stored under `key`.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.entry(key) {
+            Entry::Occupied(mut e) => Some(e.insert(value)),
+            Entry::Vacant(e) => {
+                e.insert(value);
+                None
+            }
+        }
+    }
+
+    /// Remove `key`; returns its value if it was present.
+    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        let (ci, Ok(slot)) = self.locate(key) else {
+            return None;
+        };
+        let chunk = Arc::make_mut(&mut self.chunks[ci]);
+        chunk.keys.remove(slot);
+        let value = chunk.vals.remove(slot);
+        self.len -= 1;
+        match chunk.keys.first() {
+            None => {
+                // a tail chunk that never filled up, or the last one left
+                self.chunks.remove(ci);
+                Arc::make_mut(&mut self.fences).remove(ci);
+            }
+            Some(first) => {
+                if slot == 0 {
+                    Arc::make_mut(&mut self.fences)[ci] = first.clone();
+                }
+                if chunk.keys.len() < MIN_CHUNK && self.chunks.len() > 1 {
+                    self.merge_small(ci);
+                }
+            }
+        }
+        Some(value)
+    }
+
+    /// Fold the under-filled chunk `ci` into a neighbour, re-splitting if
+    /// the pair does not fit one chunk.
+    fn merge_small(&mut self, ci: usize) {
+        // with the right neighbour, or the left one for the last chunk
+        let left = ci.min(self.chunks.len() - 2);
+        let right = Arc::unwrap_or_clone(self.chunks.remove(left + 1));
+        let fences = Arc::make_mut(&mut self.fences);
+        fences.remove(left + 1);
+        let merged = Arc::make_mut(&mut self.chunks[left]);
+        merged.keys.extend(right.keys);
+        merged.vals.extend(right.vals);
+        if merged.keys.len() > MAX_CHUNK {
+            let tail = merged.split_off(merged.keys.len() / 2);
+            fences.insert(left + 1, tail.keys[0].clone());
+            self.chunks.insert(left + 1, Arc::new(tail));
+        }
+    }
+}
+
+/// A slot of a [`CowMap`] located by [`CowMap::entry`].
+#[derive(Debug)]
+pub enum Entry<'a, K, V> {
+    /// The key is present.
+    Occupied(OccupiedEntry<'a, K, V>),
+    /// The key is absent; this is where it would go.
+    Vacant(VacantEntry<'a, K, V>),
+}
+
+/// An entry whose key is present in the map.
+#[derive(Debug)]
+pub struct OccupiedEntry<'a, K, V> {
+    map: &'a mut CowMap<K, V>,
+    at: Cursor,
+}
+
+impl<K: Clone, V: Clone> OccupiedEntry<'_, K, V> {
+    /// The stored key.
+    pub fn key(&self) -> &K {
+        &self.map.chunks[self.at.chunk].keys[self.at.slot]
+    }
+
+    /// The stored value.
+    pub fn get(&self) -> &V {
+        &self.map.chunks[self.at.chunk].vals[self.at.slot]
+    }
+
+    /// Replace the stored value, returning the old one. Copies the chunk
+    /// first if another clone of the map shares it.
+    pub fn insert(&mut self, value: V) -> V {
+        let chunk = Arc::make_mut(&mut self.map.chunks[self.at.chunk]);
+        std::mem::replace(&mut chunk.vals[self.at.slot], value)
+    }
+}
+
+/// An entry whose key is absent from the map.
+#[derive(Debug)]
+pub struct VacantEntry<'a, K, V> {
+    map: &'a mut CowMap<K, V>,
+    at: Cursor,
+    key: K,
+}
+
+impl<K: Clone, V: Clone> VacantEntry<'_, K, V> {
+    /// The key that would be inserted.
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+
+    /// Insert `value` under the entry's key.
+    pub fn insert(self, value: V) {
+        let VacantEntry { map, at, key } = self;
+        let (mut ci, mut slot) = (at.chunk, at.slot);
+        let full = map
+            .chunks
+            .get(ci)
+            .is_some_and(|c| c.keys.len() == MAX_CHUNK);
+        let past_last = slot == MAX_CHUNK && ci + 1 == map.chunks.len();
+        if map.chunks.is_empty() || (full && past_last) {
+            // The first entry of all, or one past a full last chunk: start
+            // a new chunk — splitting would leave every chunk of an
+            // ascending bulk load half empty.
+            Arc::make_mut(&mut map.fences).push(key.clone());
+            let mut chunk = Chunk::new();
+            chunk.keys.push(key);
+            chunk.vals.push(value);
+            map.chunks.push(Arc::new(chunk));
+            map.len += 1;
+            return;
+        }
+        if full {
+            let tail = Arc::make_mut(&mut map.chunks[ci]).split_off(MAX_CHUNK / 2);
+            Arc::make_mut(&mut map.fences).insert(ci + 1, tail.keys[0].clone());
+            map.chunks.insert(ci + 1, Arc::new(tail));
+            if slot > MAX_CHUNK / 2 {
+                ci += 1;
+                slot -= MAX_CHUNK / 2;
+            }
+        }
+        if slot == 0 {
+            // smaller than every key of the map: the first chunk's new fence
+            Arc::make_mut(&mut map.fences)[ci] = key.clone();
+        }
+        let chunk = Arc::make_mut(&mut map.chunks[ci]);
+        chunk.keys.insert(slot, key);
+        chunk.vals.insert(slot, value);
+        map.len += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    fn check(map: &CowMap<u32, u32>, oracle: &BTreeMap<u32, u32>) {
+        assert_eq!(map.len(), oracle.len());
+        assert!(map.iter().eq(oracle.iter()));
+        assert_eq!(map.fences.len(), map.chunks.len());
+        for (fence, c) in map.fences.iter().zip(&map.chunks) {
+            assert!(!c.keys.is_empty() && c.keys.len() <= MAX_CHUNK);
+            assert_eq!(c.keys.len(), c.vals.len());
+            assert_eq!(fence, &c.keys[0]);
+        }
+    }
+
+    /// A deterministic scramble of `0..n` (n and the stride coprime).
+    fn scrambled(n: u32) -> impl Iterator<Item = u32> {
+        (0..n).map(move |i| (i * 7919) % n)
+    }
+
+    #[test]
+    fn ascending_load_fills_chunks() {
+        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
+        let n = 3 * MAX_CHUNK as u32;
+        for k in 0..n {
+            assert_eq!(map.insert(k, k), oracle.insert(k, k));
+        }
+        assert_eq!(map.chunk_count(), 3);
+        assert_eq!(map.get(&300), Some(&300));
+        assert_eq!(map.get(&9999), None);
+        // one past a full last chunk opens a new chunk; emptying it drops it
+        map.insert(n, n);
+        assert_eq!(map.chunk_count(), 4);
+        assert_eq!(map.remove(&n), Some(n));
+        assert_eq!(map.chunk_count(), 3);
+        check(&map, &oracle);
+    }
+
+    #[test]
+    fn random_inserts_and_removes_match_btreemap() {
+        let n = 5 * MAX_CHUNK as u32 + 3;
+        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
+        assert_eq!(map.get(&0), None);
+        assert_eq!(map.remove(&0), None);
+        assert_eq!(map.seek(|_| true), map.end());
+        for k in scrambled(n) {
+            assert_eq!(map.insert(k, k + 1), oracle.insert(k, k + 1));
+        }
+        check(&map, &oracle);
+        assert!(map.chunk_count() >= 5, "the load crossed split boundaries");
+        // replace in place
+        for k in (0..n).step_by(3) {
+            assert_eq!(map.insert(k, 0), oracle.insert(k, 0));
+        }
+        check(&map, &oracle);
+        let chunks_full = map.chunk_count();
+        // drain in a scrambled order, through every merge, down to empty
+        for (i, k) in scrambled(n).enumerate() {
+            assert_eq!(map.remove(&k), oracle.remove(&k));
+            assert_eq!(map.remove(&k), None);
+            if i % 97 == 0 {
+                check(&map, &oracle);
+            }
+        }
+        check(&map, &oracle);
+        assert!(chunks_full > 1 && map.chunk_count() == 0 && map.is_empty());
+        assert_eq!(map.get(&0), None);
+        assert_eq!(map.remove(&0), None);
+    }
+
+    #[test]
+    fn writes_leave_other_clones_untouched() {
+        let mut map = CowMap::new();
+        for k in 0..1000u32 {
+            map.insert(k * 2, k);
+        }
+        let before = map.clone();
+        assert_eq!(before.shared_chunks(&map), map.chunk_count());
+        map.insert(400, 9999); // replace
+        map.insert(401, 1); // new key
+        map.remove(&1200);
+        assert_eq!(before.get(&400), Some(&200));
+        assert_eq!(before.get(&401), None);
+        assert_eq!(before.get(&1200), Some(&600));
+        assert_eq!(before.len(), 1000);
+        assert_eq!(map.get(&400), Some(&9999));
+        assert_eq!(map.get(&401), Some(&1));
+        assert_eq!(map.get(&1200), None);
+        // 400/401 landed in (and split) the first chunk, 1200 in the third
+        assert_eq!((map.chunk_count(), map.shared_chunks(&before)), (5, 2));
+        // an entry that is looked up but not written copies nothing
+        let mut reader = before.clone();
+        assert!(matches!(reader.entry(400), Entry::Occupied(_)));
+        assert!(matches!(reader.entry(401), Entry::Vacant(_)));
+        assert_eq!(reader.shared_chunks(&before), before.chunk_count());
+    }
+
+    #[test]
+    fn seek_and_slices_walk_ranges_across_chunks() {
+        let mut map = CowMap::new();
+        for k in 0..1000u32 {
+            map.insert(k, ());
+        }
+        let keys = |from, to| -> Vec<u32> {
+            map.slices(from, to)
+                .flat_map(|(keys, _)| keys.iter().copied())
+                .collect()
+        };
+        let (lo, hi) = (MAX_CHUNK as u32 - 3, 2 * MAX_CHUNK as u32 + 5);
+        let from = map.seek(|k| *k < lo);
+        let to = map.seek(|k| *k <= hi);
+        assert_eq!(keys(from, to), (lo..=hi).collect::<Vec<_>>());
+        assert_eq!(keys(Cursor::START, map.end()).len(), 1000);
+        assert_eq!(map.seek(|_| true), map.end());
+        assert_eq!(map.seek(|_| false), Cursor::START);
+        // a cursor on a chunk boundary names the next chunk's first slot
+        let boundary = map.seek(|k| *k < MAX_CHUNK as u32);
+        assert_eq!(boundary, Cursor { chunk: 1, slot: 0 });
+        assert_eq!(keys(Cursor::START, boundary).len(), MAX_CHUNK);
+        assert!(keys(to, from).is_empty(), "reversed span is empty");
+        // galloping from a cursor lands where the descent does
+        for hi in [lo, lo + 1, lo + 5, MAX_CHUNK as u32, hi, 998, 999, 5000] {
+            let want = map.seek(|k| *k <= hi);
+            assert_eq!(map.seek_from(from, |k| *k <= hi), want, "to {hi}");
+            assert_eq!(map.seek_from(Cursor::START, |k| *k <= hi), want);
+        }
+        assert_eq!(map.seek_from(map.end(), |_| true), map.end());
+        assert!(keys(from, from).is_empty());
+    }
+}

@@ -1,20 +1,21 @@
 //! Secondary indexes.
 
+use crate::cowmap::CowMap;
 use crate::range::KeyRange;
 use rcc_common::{Row, Value};
-use std::collections::BTreeSet;
-use std::ops::Bound;
 
-/// A secondary BTree index mapping (index-key, clustered-key) pairs to row
-/// locations. Including the clustered key in the BTree key makes duplicate
-/// index keys unambiguous, the same trick real engines use.
+/// A secondary index: an ordered set of (index-key ++ clustered-key)
+/// entries. Including the clustered key in the entry makes duplicate index
+/// keys unambiguous, the same trick real engines use. Entries live in a
+/// [`CowMap`], so cloning the index (a table snapshot) shares every chunk
+/// and a write copies only the chunk it lands in.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     name: String,
     /// Ordinals (into the table schema) of the indexed columns.
     columns: Vec<usize>,
-    /// (index key values ++ clustered key values).
-    entries: BTreeSet<(Vec<Value>, Vec<Value>)>,
+    /// Index key values followed by the clustered key values.
+    entries: CowMap<Vec<Value>, ()>,
 }
 
 impl SecondaryIndex {
@@ -27,7 +28,7 @@ impl SecondaryIndex {
         SecondaryIndex {
             name: name.into(),
             columns,
-            entries: BTreeSet::new(),
+            entries: CowMap::new(),
         }
     }
 
@@ -51,18 +52,30 @@ impl SecondaryIndex {
         self.entries.is_empty()
     }
 
-    fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.columns.iter().map(|&i| row.get(i).clone()).collect()
+    fn entry_of(&self, row: &Row, pk: &[Value]) -> Vec<Value> {
+        let mut entry = Vec::with_capacity(self.columns.len() + pk.len());
+        entry.extend(self.columns.iter().map(|&i| row.get(i).clone()));
+        entry.extend_from_slice(pk);
+        entry
     }
 
     /// Add an entry for `row` stored at clustered key `pk`.
-    pub fn insert(&mut self, row: &Row, pk: Vec<Value>) {
-        self.entries.insert((self.key_of(row), pk));
+    pub fn insert(&mut self, row: &Row, pk: &[Value]) {
+        self.entries.insert(self.entry_of(row, pk), ());
     }
 
     /// Remove the entry for `row` stored at clustered key `pk`.
     pub fn remove(&mut self, row: &Row, pk: &[Value]) {
-        self.entries.remove(&(self.key_of(row), pk.to_vec()));
+        self.entries.remove(self.entry_of(row, pk).as_slice());
+    }
+
+    /// Re-point the entry at `pk` from `old` to `new`. A no-op — no chunk
+    /// is copied — when no indexed column differs between the two rows.
+    pub fn replace(&mut self, old: &Row, new: &Row, pk: &[Value]) {
+        if self.columns.iter().any(|&i| old.get(i) != new.get(i)) {
+            self.remove(old, pk);
+            self.insert(new, pk);
+        }
     }
 
     /// Drop all entries.
@@ -76,34 +89,24 @@ impl SecondaryIndex {
     where
         E: FnMut(&[Value]),
     {
-        let low: Bound<(Vec<Value>, Vec<Value>)> = match &range.low {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(v) | Bound::Excluded(v) => {
-                Bound::Included((vec![v.clone()], Vec::new()))
+        let (from, to) = range.span(&self.entries);
+        for (entries, _) in self.entries.slices(from, to) {
+            for entry in entries {
+                emit(&entry[self.columns.len()..]);
             }
-        };
-        for (key, pk) in self.entries.range((low, Bound::Unbounded)) {
-            let first = &key[0];
-            if !range.contains(first) {
-                let above_high = match &range.high {
-                    Bound::Unbounded => false,
-                    Bound::Included(h) => first > h,
-                    Bound::Excluded(h) => first >= h,
-                };
-                if above_high {
-                    break;
-                }
-                continue;
-            }
-            emit(pk);
         }
     }
 
     /// Estimate of entries in `range` (exact here, since we can count).
     pub fn count_in(&self, range: &KeyRange) -> usize {
-        let mut n = 0;
-        self.scan(range, |_| n += 1);
-        n
+        let (from, to) = range.span(&self.entries);
+        self.entries.slices(from, to).map(|(e, _)| e.len()).sum()
+    }
+
+    /// The entry container, for structural-sharing assertions.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &CowMap<Vec<Value>, ()> {
+        &self.entries
     }
 }
 
@@ -120,7 +123,7 @@ mod tests {
         // index on column 1 (v); clustered key = column 0 (k)
         let mut ix = SecondaryIndex::new("ix", vec![1]);
         for (k, v) in [(1, 30), (2, 10), (3, 20), (4, 10)] {
-            ix.insert(&row(k, v), vec![Value::Int(k)]);
+            ix.insert(&row(k, v), &[Value::Int(k)]);
         }
         ix
     }

@@ -2,7 +2,7 @@
 //! In-memory table storage for the RCC mini-DBMS.
 //!
 //! This crate plays the role SQL Server's storage engine plays in the paper:
-//! heap-less tables organized by a clustered BTree index, optional secondary
+//! heap-less tables organized by a clustered ordered index, optional secondary
 //! indexes, range scans/seeks, and per-table statistics used by the cost
 //! model. Tables execute in memory — the paper's experiments depend only on
 //! *relative* access-path costs and data volumes — while the durability
@@ -15,6 +15,7 @@
 
 pub mod bufpool;
 pub mod codec;
+pub mod cowmap;
 pub mod durable;
 pub mod engine;
 pub mod index;
@@ -26,6 +27,7 @@ pub mod table;
 pub mod wal;
 
 pub use bufpool::BufferPool;
+pub use cowmap::CowMap;
 pub use durable::{DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;

@@ -1,6 +1,8 @@
 //! Key ranges for index seeks.
 
+use crate::cowmap::{CowMap, Cursor};
 use rcc_common::Value;
+use std::borrow::Borrow;
 use std::ops::Bound;
 
 /// A (possibly half-open) range over a single index key column, used to
@@ -88,6 +90,28 @@ impl KeyRange {
             Bound::Excluded(h) => v < h,
         };
         lo_ok && hi_ok
+    }
+
+    /// The span `[from, to)` of `map` holding exactly the composite keys
+    /// whose *first* component falls in this range. Keys sort by first
+    /// component, so both ends are partition points: a seek for the start
+    /// and a gallop from there to the end, no per-entry bound check and no
+    /// skip loop for an excluded lower bound.
+    pub(crate) fn span<K, V>(&self, map: &CowMap<K, V>) -> (Cursor, Cursor)
+    where
+        K: Borrow<[Value]>,
+    {
+        let from = match &self.low {
+            Bound::Unbounded => Cursor::START,
+            Bound::Included(l) => map.seek(|k| &k.borrow()[0] < l),
+            Bound::Excluded(l) => map.seek(|k| &k.borrow()[0] <= l),
+        };
+        let to = match &self.high {
+            Bound::Unbounded => map.end(),
+            Bound::Included(h) => map.seek_from(from, |k| &k.borrow()[0] <= h),
+            Bound::Excluded(h) => map.seek_from(from, |k| &k.borrow()[0] < h),
+        };
+        (from, to)
     }
 
     /// True when the range is the trivial full scan.

@@ -6,11 +6,15 @@
 //! scan (the pre-snapshot design) lets one refresh writer stall every
 //! reader. Here a table is instead an immutable [`TableSnapshot`]
 //! published through a [`TableCell`]: readers grab an `Arc` to the current
-//! snapshot and then scan entirely lock-free; writers clone the current
-//! snapshot (copy-on-write), mutate their private copy, and publish it
-//! with an atomic epoch bump. A scan therefore never blocks behind a
-//! refresh and never observes a torn table state — it sees the table
-//! exactly as of some publish, in full.
+//! snapshot and then scan entirely lock-free; writers take a private
+//! working table that *shares* every row and index chunk with the current
+//! snapshot (see [`crate::cowmap`]), mutate it — which copies only the
+//! chunks a change lands in — and publish it with an atomic epoch bump. A
+//! scan therefore never blocks behind a refresh and never observes a torn
+//! table state — it sees the table exactly as of some publish, in full —
+//! and a write costs the rows it touches, not the table's size. Snapshots
+//! retained by the slot ring or by readers keep only the chunks that newer
+//! snapshots have since replaced.
 //!
 //! ## Publication protocol
 //!
@@ -93,8 +97,9 @@ impl TableCell {
         self.epoch.store(next, Ordering::Release);
     }
 
-    /// Copy-on-write update: clone the current snapshot, apply `f` to the
-    /// private copy, and publish it atomically — but only if `f` succeeds.
+    /// Copy-on-write update: apply `f` to a private working table (see
+    /// [`TableCell::begin_write`]) and publish it atomically — but only if
+    /// `f` succeeds.
     /// On error nothing is published, so readers never see a partially
     /// applied batch (all-or-nothing at table granularity).
     pub fn update<R>(&self, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
@@ -105,8 +110,12 @@ impl TableCell {
     }
 
     /// Start an explicit copy-on-write transaction: the returned
-    /// [`TableWriter`] derefs to a private mutable [`Table`] copy; call
+    /// [`TableWriter`] derefs to a private mutable [`Table`]; call
     /// [`TableWriter::publish`] to install it, or drop it to abort.
+    /// The working table starts out sharing all of its storage with the
+    /// current snapshot — taking it costs one refcount bump per chunk, not
+    /// a copy of the rows — and each mutation copies just the chunk it
+    /// lands in, so the published snapshots stay untouched.
     /// Holds the cell's writer lock for its lifetime.
     pub fn begin_write(&self) -> TableWriter<'_> {
         let lock = self.writer.lock();

@@ -1,10 +1,11 @@
-//! Tables organized by a clustered BTree index.
+//! Tables organized by a clustered index over a structurally shared map.
 
+use crate::cowmap::{CowMap, Entry, OccupiedEntry, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 
 /// A logged change to a single row, the unit shipped through the
 /// replication log and applied by distribution agents in commit order.
@@ -26,16 +27,89 @@ pub enum RowChange {
     },
 }
 
-/// An in-memory table: rows stored in clustered-key order inside a BTree,
-/// plus any number of secondary indexes kept in sync on every mutation.
+/// An in-memory table: rows stored in clustered-key order in a
+/// [`CowMap`], plus any number of secondary indexes kept in sync on every
+/// mutation. Cloning a table shares every row and index chunk with the
+/// original (O(chunks) refcount bumps); a mutation then copies only the
+/// chunks it lands in. That is what makes a [`crate::TableCell`] write cost
+/// the rows it changes, not the table's size.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     /// Ordinals of the clustered key columns, in key order.
     key: Vec<usize>,
-    rows: BTreeMap<Vec<Value>, Row>,
+    rows: CowMap<ClusterKey, Row>,
     indexes: Vec<SecondaryIndex>,
+}
+
+/// A clustered key as the row map stores it. Tables are clustered on one
+/// or two columns as a rule; keeping those values inline saves an
+/// allocation per row and a pointer chase per comparison in every seek.
+/// Orders exactly as the `[Value]` slice it borrows as, which is what
+/// lookups are made with.
+#[derive(Debug, Clone)]
+enum ClusterKey {
+    One(Value),
+    Two([Value; 2]),
+    Many(Vec<Value>),
+}
+
+impl ClusterKey {
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            ClusterKey::One(v) => std::slice::from_ref(v),
+            ClusterKey::Two(vs) => vs,
+            ClusterKey::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[Value]> for ClusterKey {
+    fn borrow(&self) -> &[Value] {
+        self.as_slice()
+    }
+}
+
+impl Ord for ClusterKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl PartialOrd for ClusterKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ClusterKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ClusterKey {}
+
+/// Store `row` in a vacant clustered-key slot and add its index entries.
+fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, ClusterKey, Row>, row: Row) {
+    for ix in indexes {
+        ix.insert(&row, slot.key().as_slice());
+    }
+    slot.insert(row);
+}
+
+/// Replace the row in an occupied slot. An index is touched only when one
+/// of its columns differs between the old and the new row.
+fn replace_at(
+    indexes: &mut [SecondaryIndex],
+    mut slot: OccupiedEntry<'_, ClusterKey, Row>,
+    row: Row,
+) {
+    for ix in indexes {
+        ix.replace(slot.get(), &row, slot.key().as_slice());
+    }
+    slot.insert(row);
 }
 
 impl Table {
@@ -54,7 +128,7 @@ impl Table {
             name: name.into(),
             schema,
             key,
-            rows: BTreeMap::new(),
+            rows: CowMap::new(),
             indexes: Vec::new(),
         }
     }
@@ -84,6 +158,15 @@ impl Table {
         self.key.iter().map(|&i| row.get(i).clone()).collect()
     }
 
+    /// The clustered key of a row, as stored.
+    fn cluster_key(&self, row: &Row) -> ClusterKey {
+        match self.key[..] {
+            [i] => ClusterKey::One(row.get(i).clone()),
+            [i, j] => ClusterKey::Two([row.get(i).clone(), row.get(j).clone()]),
+            _ => ClusterKey::Many(self.key_of(row)),
+        }
+    }
+
     /// Add a secondary index over the given column ordinals. Existing rows
     /// are indexed immediately.
     pub fn create_index(&mut self, name: impl Into<String>, columns: Vec<usize>) -> Result<()> {
@@ -92,8 +175,8 @@ impl Table {
             return Err(Error::AlreadyExists(format!("index {name}")));
         }
         let mut ix = SecondaryIndex::new(name, columns);
-        for (key, row) in &self.rows {
-            ix.insert(row, key.clone());
+        for (key, row) in self.rows.iter() {
+            ix.insert(row, key.as_slice());
         }
         self.indexes.push(ix);
         Ok(())
@@ -111,50 +194,43 @@ impl Table {
             .find(|ix| ix.columns().first() == Some(&col))
     }
 
+    fn check_arity(&self, row: &Row) -> Result<()> {
+        if row.len() == self.schema.len() {
+            return Ok(());
+        }
+        Err(Error::Storage(format!(
+            "row arity {} does not match schema arity {} for table {}",
+            row.len(),
+            self.schema.len(),
+            self.name
+        )))
+    }
+
     /// Insert a row; errors on duplicate clustered key.
     pub fn insert(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(Error::Storage(format!(
-                "row arity {} does not match schema arity {} for table {}",
-                row.len(),
-                self.schema.len(),
+        self.check_arity(&row)?;
+        let key = self.cluster_key(&row);
+        match self.rows.entry(key) {
+            Entry::Occupied(slot) => Err(Error::Storage(format!(
+                "duplicate clustered key {:?} in table {}",
+                slot.key().as_slice(),
                 self.name
-            )));
+            ))),
+            Entry::Vacant(slot) => {
+                insert_at(&mut self.indexes, slot, row);
+                Ok(())
+            }
         }
-        let key = self.key_of(&row);
-        if self.rows.contains_key(&key) {
-            return Err(Error::Storage(format!(
-                "duplicate clustered key {key:?} in table {}",
-                self.name
-            )));
-        }
-        for ix in &mut self.indexes {
-            ix.insert(&row, key.clone());
-        }
-        self.rows.insert(key, row);
-        Ok(())
     }
 
     /// Insert or replace by clustered key (used by replication apply).
     pub fn upsert(&mut self, row: Row) -> Result<()> {
-        if row.len() != self.schema.len() {
-            return Err(Error::Storage(format!(
-                "row arity {} does not match schema arity {} for table {}",
-                row.len(),
-                self.schema.len(),
-                self.name
-            )));
+        self.check_arity(&row)?;
+        let key = self.cluster_key(&row);
+        match self.rows.entry(key) {
+            Entry::Occupied(slot) => replace_at(&mut self.indexes, slot, row),
+            Entry::Vacant(slot) => insert_at(&mut self.indexes, slot, row),
         }
-        let key = self.key_of(&row);
-        if let Some(old) = self.rows.remove(&key) {
-            for ix in &mut self.indexes {
-                ix.remove(&old, &key);
-            }
-        }
-        for ix in &mut self.indexes {
-            ix.insert(&row, key.clone());
-        }
-        self.rows.insert(key, row);
         Ok(())
     }
 
@@ -170,15 +246,20 @@ impl Table {
     /// Replace the row at `key` with `row` (key columns of `row` must match
     /// `key`; enforced).
     pub fn update(&mut self, key: &[Value], row: Row) -> Result<()> {
-        if self.key_of(&row) != key {
+        self.check_arity(&row)?;
+        let row_key = self.cluster_key(&row);
+        if row_key.as_slice() != key {
             return Err(Error::Storage(
                 "update row's key columns do not match the target key".into(),
             ));
         }
-        if !self.rows.contains_key(key) {
-            return Err(Error::Storage(format!("update target {key:?} not found")));
+        match self.rows.entry(row_key) {
+            Entry::Occupied(slot) => {
+                replace_at(&mut self.indexes, slot, row);
+                Ok(())
+            }
+            Entry::Vacant(_) => Err(Error::Storage(format!("update target {key:?} not found"))),
         }
-        self.upsert(row)
     }
 
     /// Apply a logged [`RowChange`]. Replication delivers these in commit
@@ -200,28 +281,25 @@ impl Table {
         self.rows.get(key)
     }
 
-    /// Translate the single-column range's lower bound into a bound over
-    /// full composite keys: bound the first component, leave the rest open.
-    fn composite_low(range: &KeyRange) -> Bound<Vec<Value>> {
-        match &range.low {
-            Bound::Unbounded => Bound::Unbounded,
-            Bound::Included(v) => Bound::Included(vec![v.clone()]),
-            // For an excluded lower bound on a composite key we must skip
-            // every key with that first component, so scan from Included and
-            // filter in the scan loop.
-            Bound::Excluded(v) => Bound::Included(vec![v.clone()]),
+    /// The one range walk every scan shares: the entries whose *first*
+    /// clustered key column falls in `range`, clipped to the composite-key
+    /// morsel `[start, end)` (either side `None` = unclipped), as one pair
+    /// of key and row slices per storage chunk in key order. Both ends are
+    /// found by seeking, so the walk itself compares nothing.
+    fn morsel_slices(
+        &self,
+        range: &KeyRange,
+        start: Option<&[Value]>,
+        end: Option<&[Value]>,
+    ) -> impl Iterator<Item = (&[ClusterKey], &[Row])> {
+        let (mut from, mut to) = range.span(&self.rows);
+        if let Some(start) = start {
+            from = from.max(self.rows.seek(|k| k.as_slice() < start));
         }
-    }
-
-    /// True once a composite key's first component has passed the range's
-    /// upper bound — keys are sorted by first component, so the scan can
-    /// stop.
-    fn above_high(range: &KeyRange, first: &Value) -> bool {
-        match &range.high {
-            Bound::Unbounded => false,
-            Bound::Included(h) => first > h,
-            Bound::Excluded(h) => first >= h,
+        if let Some(end) = end {
+            to = to.min(self.rows.seek(|k| k.as_slice() < end));
         }
+        self.rows.slices(from, to)
     }
 
     /// Visit every row that falls in `range` on the *first* clustered key
@@ -255,29 +333,11 @@ impl Table {
         F: FnMut(&Row) -> bool,
         E: FnMut(&Row),
     {
-        // The morsel start is a real clustered key inside the range, so it
-        // is always at or above the range's own lower bound and can simply
-        // replace it (an O(log n) BTree seek rather than a skip-scan).
-        let low: Bound<Vec<Value>> = match start {
-            Some(k) => Bound::Included(k.to_vec()),
-            None => Self::composite_low(range),
-        };
-        for (key, row) in self.rows.range((low, Bound::Unbounded)) {
-            if let Some(end) = end {
-                if key.as_slice() >= end {
-                    break;
+        for (_, rows) in self.morsel_slices(range, start, end) {
+            for row in rows {
+                if filter(row) {
+                    emit(row);
                 }
-            }
-            let first = &key[0];
-            if !range.contains(first) {
-                if Self::above_high(range, first) {
-                    break;
-                }
-                // Below the low bound (excluded case): keep going.
-                continue;
-            }
-            if filter(row) {
-                emit(row);
             }
         }
     }
@@ -304,58 +364,47 @@ impl Table {
         P: FnMut(&Row) -> Result<bool>,
     {
         debug_assert_eq!(mapping.len(), cols.len());
-        let low: Bound<Vec<Value>> = match start {
-            Some(k) => Bound::Included(k.to_vec()),
-            None => Self::composite_low(range),
-        };
         let mut appended = 0usize;
-        for (key, row) in self.rows.range((low, Bound::Unbounded)) {
-            if let Some(end) = end {
-                if key.as_slice() >= end {
-                    break;
+        for (_, rows) in self.morsel_slices(range, start, end) {
+            for row in rows {
+                if keep(row)? {
+                    for (c, col) in cols.iter_mut().enumerate() {
+                        col.push(row.get(mapping[c]).clone());
+                    }
+                    appended += 1;
                 }
-            }
-            let first = &key[0];
-            if !range.contains(first) {
-                if Self::above_high(range, first) {
-                    break;
-                }
-                continue;
-            }
-            if keep(row)? {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push(row.get(mapping[c]).clone());
-                }
-                appended += 1;
             }
         }
         Ok(appended)
     }
 
-    /// Split the rows of `range` into key-ordered morsels of roughly
-    /// `target_rows` rows each. The returned plan's cut points are actual
-    /// clustered keys, so morsel `i` covers `[cut[i-1], cut[i])` and the
-    /// morsels partition the range exactly.
+    /// Split the rows of `range` into key-ordered morsels of `target_rows`
+    /// rows each (the last one takes the remainder). The returned plan's
+    /// cut points are actual clustered keys, so morsel `i` covers
+    /// `[cut[i-1], cut[i])` and the morsels partition the range exactly.
+    /// Costs O(chunks + morsels): cut points are read off chunk slices by
+    /// position, no row in between is visited.
     pub fn plan_morsels(&self, range: &KeyRange, target_rows: usize) -> MorselPlan {
         let target = target_rows.max(1);
         let mut splits = Vec::new();
-        let mut in_chunk = 0usize;
-        let low = Self::composite_low(range);
-        for (key, _) in self.rows.range((low, Bound::Unbounded)) {
-            let first = &key[0];
-            if !range.contains(first) {
-                if Self::above_high(range, first) {
-                    break;
-                }
-                continue;
+        // rows from the start of the current slice to the next cut point
+        let mut next_cut = target;
+        for (keys, _) in self.morsel_slices(range, None, None) {
+            while next_cut < keys.len() {
+                splits.push(keys[next_cut].as_slice().to_vec());
+                next_cut += target;
             }
-            if in_chunk == target {
-                splits.push(key.clone());
-                in_chunk = 0;
-            }
-            in_chunk += 1;
+            next_cut -= keys.len();
         }
         MorselPlan { splits }
+    }
+
+    /// The secondary index named `index`.
+    fn index_named(&self, index: &str) -> Result<&SecondaryIndex> {
+        self.indexes
+            .iter()
+            .find(|ix| ix.name() == index)
+            .ok_or_else(|| Error::NotFound(format!("index {index} on table {}", self.name)))
     }
 
     /// Resolve the clustered keys selected by seeking the secondary index
@@ -364,13 +413,9 @@ impl Table {
     /// ordered spine of the result — then chunk the point lookups across
     /// workers.
     pub fn index_pks(&self, index: &str, range: &KeyRange) -> Result<Vec<Vec<Value>>> {
-        let ix = self
-            .indexes
-            .iter()
-            .find(|ix| ix.name() == index)
-            .ok_or_else(|| Error::NotFound(format!("index {index} on table {}", self.name)))?;
         let mut out = Vec::new();
-        ix.scan(range, |pk| out.push(pk.to_vec()));
+        self.index_named(index)?
+            .scan(range, |pk| out.push(pk.to_vec()));
         Ok(out)
     }
 
@@ -387,19 +432,14 @@ impl Table {
 
     /// Full-table scan collecting everything.
     pub fn collect_all(&self) -> Vec<Row> {
-        self.rows.values().cloned().collect()
+        self.iter().cloned().collect()
     }
 
     /// Seek a secondary index named `index` with `range`, returning matching
     /// rows in index order (then clustered-key order).
     pub fn index_scan(&self, index: &str, range: &KeyRange) -> Result<Vec<Row>> {
-        let ix = self
-            .indexes
-            .iter()
-            .find(|ix| ix.name() == index)
-            .ok_or_else(|| Error::NotFound(format!("index {index} on table {}", self.name)))?;
         let mut out = Vec::new();
-        ix.scan(range, |pk| {
+        self.index_named(index)?.scan(range, |pk| {
             if let Some(row) = self.rows.get(pk) {
                 out.push(row.clone());
             }
@@ -409,7 +449,7 @@ impl Table {
 
     /// Iterate all rows in clustered order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.values()
+        self.rows.iter().map(|(_, row)| row)
     }
 
     /// Remove all rows (keeps schema and index definitions).
@@ -717,6 +757,100 @@ mod tests {
             ]
         );
         assert!(t.index_pks("nope", &KeyRange::all()).is_err());
+    }
+
+    #[test]
+    fn one_row_update_shares_all_other_chunks() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("name", DataType::Str),
+            Column::new("bal", DataType::Float),
+        ]);
+        let mut t = Table::new("customer", schema, vec![0]);
+        t.create_index("ix_name", vec![1]).unwrap();
+        t.create_index("ix_bal", vec![2]).unwrap();
+        let row = |id: i64, bal: f64| {
+            Row::new(vec![
+                Value::Int(id),
+                Value::from(format!("c{id:05}").as_str()),
+                Value::Float(bal),
+            ])
+        };
+        for id in 0..30_000 {
+            t.insert(row(id, id as f64)).unwrap();
+        }
+        let before = t.clone();
+        assert!(t.rows.chunk_count() > 100);
+        assert_eq!(t.rows.shared_chunks(&before.rows), t.rows.chunk_count());
+
+        t.update(&[Value::Int(12_345)], row(12_345, -1.0)).unwrap();
+
+        /// Chunks of the old snapshot the new one no longer shares.
+        fn unshared<K, V>(now: &CowMap<K, V>, then: &CowMap<K, V>) -> usize {
+            then.chunk_count() - then.shared_chunks(now)
+        }
+        assert!(unshared(&t.rows, &before.rows) <= 2);
+        // `name` did not change, so its index copied nothing; `bal` moved
+        // one entry out of one chunk and into another (splitting it)
+        assert_eq!(
+            unshared(t.indexes[0].entries(), before.indexes[0].entries()),
+            0
+        );
+        let moved = unshared(t.indexes[1].entries(), before.indexes[1].entries());
+        assert!((1..=2).contains(&moved), "{moved} ix_bal chunks copied");
+        // the old snapshot still reads the old row, through either path
+        let key = [Value::Int(12_345)];
+        assert_eq!(before.get(&key).unwrap().get(2), &Value::Float(12_345.0));
+        assert_eq!(t.get(&key).unwrap().get(2), &Value::Float(-1.0));
+        let at = |t: &Table, bal: f64| {
+            t.index_pks("ix_bal", &KeyRange::eq(Value::Float(bal)))
+                .unwrap()
+        };
+        assert_eq!(at(&before, 12_345.0), vec![key.to_vec()]);
+        assert!(at(&before, -1.0).is_empty());
+        assert_eq!(at(&t, -1.0), vec![key.to_vec()]);
+        assert!(at(&t, 12_345.0).is_empty());
+        assert_eq!(before.row_count(), 30_000);
+    }
+
+    #[test]
+    fn excluded_low_bound_skips_a_key_run_across_chunks() {
+        let schema = Schema::new(vec![
+            Column::new("cust", DataType::Int),
+            Column::new("order", DataType::Int),
+        ]);
+        let mut t = Table::new("orders", schema, vec![0, 1]);
+        // customer 2's run is longer than a chunk, so it straddles at least
+        // one chunk boundary and the scan must resume in a later chunk
+        for (cust, orders) in [(1, 10), (2, 700), (3, 10)] {
+            for o in 0..orders {
+                t.insert(Row::new(vec![Value::Int(cust), Value::Int(o)]))
+                    .unwrap();
+            }
+        }
+        assert!(t.rows.chunk_count() >= 3);
+        let custs = |range: &KeyRange| -> Vec<i64> {
+            let rows = t.collect_range(range, |_| true);
+            rows.iter().map(|r| r.get(0).as_int().unwrap()).collect()
+        };
+        assert_eq!(custs(&KeyRange::greater_than(Value::Int(2))), vec![3; 10]);
+        assert_eq!(custs(&KeyRange::greater_than(Value::Int(1))).len(), 710);
+        assert_eq!(custs(&KeyRange::less_than(Value::Int(2))), vec![1; 10]);
+        let mid = KeyRange {
+            low: std::ops::Bound::Excluded(Value::Int(1)),
+            high: std::ops::Bound::Excluded(Value::Int(3)),
+        };
+        assert_eq!(custs(&mid), vec![2; 700]);
+        // morsels over the straddling run still concatenate to the serial scan
+        let serial = t.collect_range(&mid, |_| true);
+        let plan = t.plan_morsels(&mid, 100);
+        assert_eq!(plan.morsel_count(), 7);
+        let mut merged = Vec::new();
+        for i in 0..plan.morsel_count() {
+            let (start, end) = plan.bounds(i);
+            t.scan_morsel(&mid, start, end, |_| true, |r| merged.push(r.clone()));
+        }
+        assert_eq!(merged, serial);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Model-based property tests for the storage engine: a `BTreeMap`
 //! reference model must agree with the table under arbitrary interleavings
 //! of inserts, upserts, deletes and scans; secondary-index range scans must
-//! equal full-scan filtering.
+//! equal full-scan filtering. The map under the table, `CowMap`, is driven
+//! against the same oracle through its split and merge boundaries, with
+//! clones taken along the way that later writes must not disturb.
 
 use proptest::prelude::*;
 use rcc_common::{Column, DataType, Row, Schema, Value};
-use rcc_storage::{KeyRange, Table};
+use rcc_storage::{CowMap, KeyRange, Table};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
@@ -144,5 +146,57 @@ proptest! {
                 prop_assert!(a.contains(&Value::Int(p)), "p={p}");
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// Chunks hold at most 256 entries and merge below 64: an ascending
+    /// preload of up to 700 keys builds full chunks, insert-heavy cases
+    /// split them, and delete-heavy cases (every removal hits a live key)
+    /// drain them through every merge down to empty.
+    #[test]
+    fn cowmap_agrees_with_btreemap_model(
+        preload in 0u32..700,
+        remove_share in 1u8..9,
+        ops in proptest::collection::vec((0u8..10, 0u32..1400, 0u32..1000), 1..1200),
+    ) {
+        let mut map: CowMap<u32, u32> = CowMap::new();
+        let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+        for k in 0..preload {
+            map.insert(2 * k, k);
+            model.insert(2 * k, k);
+        }
+        let mut cloned = (map.clone(), model.clone());
+        for (roll, a, b) in ops {
+            if roll == 9 {
+                // the clone taken earlier saw none of the writes since
+                prop_assert!(cloned.0.iter().eq(cloned.1.iter()), "clone disturbed");
+                cloned = (map.clone(), model.clone());
+            } else if roll < remove_share {
+                let key = model.keys().nth(a as usize % model.len().max(1)).copied().unwrap_or(a);
+                prop_assert_eq!(map.remove(&key), model.remove(&key));
+            } else {
+                prop_assert_eq!(map.insert(a, b), model.insert(a, b));
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert!(
+                map.iter().eq(model.iter()),
+                "contents diverged at op {:?}",
+                (roll, a, b)
+            );
+            prop_assert_eq!(map.get(&a), model.get(&a));
+            let (lo, hi) = (a, a + b % 400);
+            let (from, to) = (map.seek(|k| *k < lo), map.seek(|k| *k <= hi));
+            prop_assert_eq!(map.seek_from(from, |k| *k <= hi), to);
+            let got: Vec<(u32, u32)> = map
+                .slices(from, to)
+                .flat_map(|(keys, vals)| keys.iter().copied().zip(vals.iter().copied()))
+                .collect();
+            let want: Vec<(u32, u32)> = model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(got, want, "range [{}, {}]", lo, hi);
+        }
+        prop_assert!(cloned.0.iter().eq(cloned.1.iter()), "clone disturbed");
     }
 }
