@@ -173,13 +173,7 @@ pub fn execute_plan_batched(
             .batches_produced
             .fetch_add(1, Ordering::Relaxed);
         if let Some(metrics) = ctx.metrics.as_deref() {
-            metrics
-                .histogram(
-                    "rcc_batch_rows_per_batch",
-                    &[],
-                    rcc_obs::DEFAULT_BATCH_ROWS_BUCKETS,
-                )
-                .observe(batch.len() as f64);
+            metrics.batch_rows().observe(batch.len() as f64);
         }
         batches.push(batch);
     }

@@ -2,11 +2,11 @@
 
 use parking_lot::Mutex;
 use rcc_common::{Clock, Duration, RegionId, Result, Row, ScanPool, Schema, Timestamp};
-use rcc_obs::{MetricsRegistry, TraceRef};
+use rcc_obs::{HandlesByKey, Histogram, MetricsRegistry, TraceRef};
 use rcc_storage::StorageEngine;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The cache's window to the back-end server. Implemented by the MTCache
 /// crate's `BackendServer`; the executor only knows it can ship SQL text
@@ -159,6 +159,77 @@ impl ExecCounters {
     }
 }
 
+/// The histograms operators and guards observe into, resolved from the
+/// registry by name on first use and held from then on — a by-name lookup
+/// per batch and per guard evaluation costs more than the observation.
+/// Lazy, so a histogram enters the exposition when first observed. One
+/// instance is shared by every query's [`ExecContext`].
+#[derive(Debug)]
+pub struct ExecMetrics {
+    registry: Arc<MetricsRegistry>,
+    batch_rows: OnceLock<Histogram>,
+    batch_selectivity: OnceLock<Histogram>,
+    scan_morsels: OnceLock<Histogram>,
+    guard_staleness: HandlesByKey<RegionId, Histogram>,
+}
+
+impl ExecMetrics {
+    /// Handles into `registry`, none resolved yet.
+    pub fn new(registry: Arc<MetricsRegistry>) -> ExecMetrics {
+        ExecMetrics {
+            registry,
+            batch_rows: OnceLock::new(),
+            batch_selectivity: OnceLock::new(),
+            scan_morsels: OnceLock::new(),
+            guard_staleness: HandlesByKey::default(),
+        }
+    }
+
+    /// `rcc_batch_rows_per_batch`.
+    pub(crate) fn batch_rows(&self) -> &Histogram {
+        self.batch_rows.get_or_init(|| {
+            self.registry.histogram(
+                "rcc_batch_rows_per_batch",
+                &[],
+                rcc_obs::DEFAULT_BATCH_ROWS_BUCKETS,
+            )
+        })
+    }
+
+    /// `rcc_batch_selectivity`.
+    pub(crate) fn batch_selectivity(&self) -> &Histogram {
+        self.batch_selectivity.get_or_init(|| {
+            self.registry.histogram(
+                "rcc_batch_selectivity",
+                &[],
+                rcc_obs::DEFAULT_SELECTIVITY_BUCKETS,
+            )
+        })
+    }
+
+    /// `rcc_scan_morsels_per_scan`.
+    pub(crate) fn scan_morsels(&self) -> &Histogram {
+        self.scan_morsels.get_or_init(|| {
+            self.registry.histogram(
+                "rcc_scan_morsels_per_scan",
+                &[],
+                rcc_obs::DEFAULT_MORSEL_BUCKETS,
+            )
+        })
+    }
+
+    /// `rcc_guard_staleness_seconds{region=label}`, held per region id.
+    pub(crate) fn guard_staleness(&self, region: RegionId, label: &str) -> Histogram {
+        self.guard_staleness.get(region, || {
+            self.registry.histogram(
+                "rcc_guard_staleness_seconds",
+                &[("region", label)],
+                rcc_obs::DEFAULT_STALENESS_BUCKETS,
+            )
+        })
+    }
+}
+
 /// Per-query accumulators feeding `QueryStats` phase timings: nanoseconds
 /// spent in guard evaluation and remote shipping, plus remote volume.
 /// A fresh meter is attached to each query's [`ExecContext`].
@@ -234,9 +305,9 @@ pub struct ExecContext {
     pub force_local: bool,
     /// Per-query phase accumulators (guard/remote time, bytes).
     pub meter: Arc<QueryMeter>,
-    /// Registry for guard-staleness histograms and wire counters; `None`
-    /// outside a metered server (e.g. unit tests, back-end execution).
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Guard-staleness and batch histograms; `None` outside a metered
+    /// server (e.g. unit tests, back-end execution).
+    pub metrics: Option<Arc<ExecMetrics>>,
     /// Worker pool for morsel-driven parallel scans; `None` ⇒ every scan
     /// runs serially on the calling thread.
     pub scan_pool: Option<Arc<ScanPool>>,
@@ -303,7 +374,7 @@ impl ExecContext {
     /// Same context reporting into `registry`.
     pub fn with_metrics(&self, registry: Arc<MetricsRegistry>) -> ExecContext {
         ExecContext {
-            metrics: Some(registry),
+            metrics: Some(Arc::new(ExecMetrics::new(registry))),
             ..self.clone()
         }
     }

@@ -2,7 +2,6 @@
 
 use crate::context::{ExecContext, GuardObservation};
 use rcc_common::{Result, Timestamp, Value};
-use rcc_obs::DEFAULT_STALENESS_BUCKETS;
 use rcc_optimizer::CurrencyGuard;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -34,11 +33,7 @@ pub fn evaluate_guard(ctx: &ExecContext, guard: &CurrencyGuard) -> Result<bool> 
     let now = ctx.clock.now();
     if let (Some(ts), Some(metrics)) = (heartbeat, ctx.metrics.as_deref()) {
         metrics
-            .histogram(
-                "rcc_guard_staleness_seconds",
-                &[("region", region_label(guard))],
-                DEFAULT_STALENESS_BUCKETS,
-            )
+            .guard_staleness(guard.region, region_label(guard))
             .observe(now.since(ts).as_secs_f64());
     }
     let chose_local = if ctx.force_local {

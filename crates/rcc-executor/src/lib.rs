@@ -39,7 +39,7 @@ pub use build::{
     PhaseTimings,
 };
 pub use context::{
-    ExecContext, ExecCounters, GuardObservation, QueryMeter, RemoteService, DEFAULT_MORSEL_ROWS,
-    MAX_OBSERVATIONS,
+    ExecContext, ExecCounters, ExecMetrics, GuardObservation, QueryMeter, RemoteService,
+    DEFAULT_MORSEL_ROWS, MAX_OBSERVATIONS,
 };
 pub use rowref::{build_row_operator, execute_plan_rows, RowOperator};

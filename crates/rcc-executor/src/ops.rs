@@ -243,13 +243,7 @@ fn scan_clustered(
                 .scan_morsels
                 .fetch_add(morsels as u64, Ordering::Relaxed);
             if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics
-                    .histogram(
-                        "rcc_scan_morsels_per_scan",
-                        &[],
-                        rcc_obs::DEFAULT_MORSEL_BUCKETS,
-                    )
-                    .observe(morsels as f64);
+                metrics.scan_morsels().observe(morsels as f64);
             }
             let bounds: Vec<MorselBounds> = (0..morsels)
                 .map(|i| {
@@ -335,13 +329,7 @@ fn scan_index(
                 .scan_morsels
                 .fetch_add(chunks.len() as u64, Ordering::Relaxed);
             if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics
-                    .histogram(
-                        "rcc_scan_morsels_per_scan",
-                        &[],
-                        rcc_obs::DEFAULT_MORSEL_BUCKETS,
-                    )
-                    .observe(chunks.len() as f64);
+                metrics.scan_morsels().observe(chunks.len() as f64);
             }
             let table = Arc::clone(table);
             let kernel = Arc::clone(kernel);
@@ -606,11 +594,7 @@ impl Operator for FilterOp {
             }
             if let Some(metrics) = ctx.metrics.as_deref() {
                 metrics
-                    .histogram(
-                        "rcc_batch_selectivity",
-                        &[],
-                        rcc_obs::DEFAULT_SELECTIVITY_BUCKETS,
-                    )
+                    .batch_selectivity()
                     .observe(sel.len() as f64 / len as f64);
             }
             if sel.is_empty() {

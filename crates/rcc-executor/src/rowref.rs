@@ -154,13 +154,7 @@ fn scan_clustered(
                 .scan_morsels
                 .fetch_add(morsels as u64, Ordering::Relaxed);
             if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics
-                    .histogram(
-                        "rcc_scan_morsels_per_scan",
-                        &[],
-                        rcc_obs::DEFAULT_MORSEL_BUCKETS,
-                    )
-                    .observe(morsels as f64);
+                metrics.scan_morsels().observe(morsels as f64);
             }
             let jobs: Vec<_> = (0..morsels)
                 .map(|i| {
@@ -244,13 +238,7 @@ fn scan_index(
                 .scan_morsels
                 .fetch_add(chunks.len() as u64, Ordering::Relaxed);
             if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics
-                    .histogram(
-                        "rcc_scan_morsels_per_scan",
-                        &[],
-                        rcc_obs::DEFAULT_MORSEL_BUCKETS,
-                    )
-                    .observe(chunks.len() as f64);
+                metrics.scan_morsels().observe(chunks.len() as f64);
             }
             let jobs: Vec<_> = chunks
                 .into_iter()

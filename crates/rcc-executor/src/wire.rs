@@ -16,7 +16,7 @@
 //! ```
 
 use crate::batch::Batch;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rcc_common::{Column, DataType, Error, Result, Row, Schema, Value};
 
 const TAG_NULL: u8 = 0;
@@ -47,7 +47,7 @@ fn tag_type(tag: u8) -> Result<DataType> {
     })
 }
 
-fn put_value(buf: &mut BytesMut, v: &Value) {
+fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.put_u8(TAG_NULL),
         Value::Int(i) => {
@@ -74,7 +74,7 @@ fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn put_header(buf: &mut BytesMut, schema: &Schema) {
+fn put_header(buf: &mut Vec<u8>, schema: &Schema) {
     buf.put_u32_le(schema.len() as u32);
     for c in schema.columns() {
         let name = c.name.as_bytes();
@@ -86,15 +86,23 @@ fn put_header(buf: &mut BytesMut, schema: &Schema) {
 
 /// Encode a result set.
 pub fn encode_result(schema: &Schema, rows: &[Row]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + rows.len() * schema.len() * 12);
-    put_header(&mut buf, schema);
+    let mut buf = Vec::new();
+    encode_result_into(&mut buf, schema, rows);
+    Bytes::from(buf)
+}
+
+/// Append an encoded result set to `buf` — how a server writes the rows
+/// straight into its connection's frame buffer, behind the frame and
+/// response headers already there, instead of copying a finished payload.
+pub fn encode_result_into(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
+    buf.reserve(64 + rows.len() * schema.len() * 12);
+    put_header(buf, schema);
     buf.put_u32_le(rows.len() as u32);
     for row in rows {
         for v in row.values() {
-            put_value(&mut buf, v);
+            put_value(buf, v);
         }
     }
-    buf.freeze()
 }
 
 /// Encode a batched result set straight from column buffers — no `Row`
@@ -104,7 +112,7 @@ pub fn encode_result(schema: &Schema, rows: &[Row]) -> Bytes {
 /// vector if one is present).
 pub fn encode_batches(schema: &Schema, batches: &[Batch]) -> Bytes {
     let nrows: usize = batches.iter().map(Batch::len).sum();
-    let mut buf = BytesMut::with_capacity(64 + nrows * schema.len() * 12);
+    let mut buf = Vec::with_capacity(64 + nrows * schema.len() * 12);
     put_header(&mut buf, schema);
     buf.put_u32_le(nrows as u32);
     for batch in batches {
@@ -115,7 +123,7 @@ pub fn encode_batches(schema: &Schema, batches: &[Batch]) -> Bytes {
             }
         }
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a result set; validates framing and rejects truncated buffers.
@@ -228,6 +236,15 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.data_type, b.data_type);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_bytes_behind_a_prefix() {
+        let (schema, rows) = sample();
+        let mut buf = b"head".to_vec();
+        encode_result_into(&mut buf, &schema, &rows);
+        assert_eq!(&buf[..4], b"head");
+        assert_eq!(&buf[4..], encode_result(&schema, &rows).as_ref());
     }
 
     #[test]

@@ -18,6 +18,7 @@ use rcc_common::{TableId, Value};
 use rcc_flow::{FlowAnalysis, GuardCert};
 use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::PhysicalPlan;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -102,18 +103,23 @@ impl PlanCache {
         self.entries.lock().is_empty()
     }
 
-    /// Cache key for a query + parameter binding.
-    pub fn key(sql: &str, params: &HashMap<String, Value>) -> String {
+    /// Cache key for a query + parameter binding: the text itself when
+    /// there are no parameters.
+    pub fn key<'a>(sql: &'a str, params: &HashMap<String, Value>) -> Cow<'a, str> {
         if params.is_empty() {
-            return sql.to_string();
+            return Cow::Borrowed(sql);
         }
         let mut pairs: Vec<(&String, &Value)> = params.iter().collect();
         pairs.sort_by(|a, b| a.0.cmp(b.0));
         let suffix: Vec<String> = pairs.into_iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("{sql}\u{1}{}", suffix.join("\u{1}"))
+        Cow::Owned(format!("{sql}\u{1}{}", suffix.join("\u{1}")))
     }
 
-    /// Look up a plan compiled at the current epoch.
+    /// Look up a plan compiled at the current epoch, counting a hit if one
+    /// is found. Nothing is counted otherwise: the lookup comes before the
+    /// parse, so the text may not be a `SELECT` at all — the caller counts
+    /// the miss ([`PlanCache::count_miss`]) once it knows it has one to
+    /// compile, which keeps hits + misses = `SELECT`s looked up.
     pub fn get(&self, key: &str) -> Option<Arc<CompiledQuery>> {
         let epoch = self.epoch();
         let mut entries = self.entries.lock();
@@ -124,14 +130,16 @@ impl PlanCache {
             }
             Some(_) => {
                 entries.remove(key);
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            None => None,
         }
+    }
+
+    /// Count a lookup that found no plan for what turned out to be a
+    /// `SELECT`.
+    pub fn count_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Store a freshly compiled query under the current epoch.
@@ -167,6 +175,8 @@ mod tests {
     fn hit_and_miss_accounting() {
         let pc = PlanCache::new();
         assert!(pc.get("q").is_none());
+        assert_eq!(pc.stats(), (0, 0), "a miss is the caller's to count");
+        pc.count_miss();
         pc.put("q".into(), dummy());
         assert!(pc.get("q").is_some());
         assert_eq!(pc.stats(), (1, 1));

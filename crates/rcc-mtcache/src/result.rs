@@ -1,10 +1,12 @@
 //! Query results.
 
+use crate::plan_cache::CompiledQuery;
 use rcc_common::{Row, Schema, TableId};
 use rcc_executor::context::GuardObservation;
 use rcc_executor::PhaseTimings;
 use rcc_obs::QueryStats;
 use rcc_optimizer::optimize::PlanChoice;
+use std::sync::Arc;
 
 /// The outcome of one query at the cache: rows plus full provenance — which
 /// plan shape won, what every currency guard observed, and the per-phase
@@ -17,8 +19,6 @@ pub struct QueryResult {
     pub rows: Vec<Row>,
     /// Shape of the chosen plan (paper plans 1–5).
     pub plan_choice: PlanChoice,
-    /// EXPLAIN rendering of the executed plan.
-    pub plan_explain: String,
     /// Estimated optimizer cost of the chosen plan.
     pub est_cost: f64,
     /// Every currency-guard evaluation during execution.
@@ -34,9 +34,53 @@ pub struct QueryResult {
     pub tables: Vec<TableId>,
     /// Per-phase statement statistics (parse → remote-ship pipeline).
     pub stats: QueryStats,
+    /// What [`QueryResult::plan_explain`] renders.
+    pub(crate) explain: PlanExplain,
+}
+
+/// Where a result's plan text comes from. A served query only keeps its
+/// compiled plan alive: almost no caller reads the text (the wire never
+/// carries it), so it is rendered when asked for, not per query, and not
+/// stored per plan-cache entry either.
+#[derive(Debug, Clone)]
+pub(crate) enum PlanExplain {
+    /// No plan behind this result (DDL, DML, session statements).
+    None,
+    /// Already text: the EXPLAIN ANALYZE printout, or a plan that was
+    /// optimized for this statement only.
+    Text(String),
+    /// The compiled query that was executed.
+    Plan(Arc<CompiledQuery>),
 }
 
 impl QueryResult {
+    /// A result with no rows and no plan (DDL, session statements).
+    pub(crate) fn empty() -> QueryResult {
+        QueryResult {
+            schema: Schema::empty(),
+            rows: Vec::new(),
+            plan_choice: PlanChoice::BackendLocal,
+            est_cost: 0.0,
+            guards: Vec::new(),
+            used_remote: false,
+            warnings: Vec::new(),
+            timings: Default::default(),
+            tables: Vec::new(),
+            stats: Default::default(),
+            explain: PlanExplain::None,
+        }
+    }
+
+    /// EXPLAIN rendering of the executed plan — for `EXPLAIN ANALYZE`, the
+    /// instrumented printout. Empty for statements that ran no plan.
+    pub fn plan_explain(&self) -> String {
+        match &self.explain {
+            PlanExplain::None => String::new(),
+            PlanExplain::Text(text) => text.clone(),
+            PlanExplain::Plan(compiled) => compiled.optimized.plan.explain(),
+        }
+    }
+
     /// Number of guards that chose their local branch.
     pub fn local_branches(&self) -> usize {
         self.guards.iter().filter(|g| g.chose_local).count()

@@ -3,7 +3,7 @@
 use crate::backend_server::BackendServer;
 use crate::plan_cache::{CompiledQuery, ElidedPlan, PlanCache};
 use crate::policy::ViolationPolicy;
-use crate::result::QueryResult;
+use crate::result::{PlanExplain, QueryResult};
 use crate::session::Session;
 use parking_lot::{Mutex, RwLock};
 use rcc_backend::{MasterDb, TableChange};
@@ -14,12 +14,13 @@ use rcc_common::{
 };
 use rcc_executor::GuardObservation;
 use rcc_executor::{
-    execute_plan, execute_plan_analyzed, execute_plan_rows, ExecContext, ExecCounters,
+    execute_plan, execute_plan_analyzed, execute_plan_rows, ExecContext, ExecCounters, ExecMetrics,
     ExecutionResult, QueryMeter, RemoteService, DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
 };
 use rcc_obs::{
-    EventJournal, EventKind, MetricsRegistry, QueryPhase, QueryStats, TraceHandle, TraceRef,
-    Tracer, DEFAULT_LATENCY_BUCKETS, DEFAULT_SLACK_BUCKETS, DEFAULT_STALENESS_BUCKETS,
+    Counter, EventJournal, EventKind, Gauge, HandlesByKey, Histogram, MetricsRegistry, QueryPhase,
+    QueryStats, TraceHandle, TraceRef, Tracer, DEFAULT_LATENCY_BUCKETS, DEFAULT_SLACK_BUCKETS,
+    DEFAULT_STALENESS_BUCKETS,
 };
 use rcc_optimizer::cost::column_ranges;
 use rcc_optimizer::optimize::{Optimized, PlanChoice};
@@ -33,11 +34,12 @@ use rcc_storage::{
     DurableStore, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy, Table,
     TableStats, WatermarkRecord,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration as StdDuration, Instant};
 
 /// The mid-tier database cache.
@@ -63,6 +65,8 @@ pub struct MTCache {
     plan_cache: Arc<PlanCache>,
     counters: Arc<ExecCounters>,
     metrics: Arc<MetricsRegistry>,
+    query_metrics: QueryMetrics,
+    exec_metrics: Arc<ExecMetrics>,
     tracer: Tracer,
     journal: EventJournal,
     backend_available: AtomicBool,
@@ -103,6 +107,86 @@ pub struct MTCache {
     /// every `CREATE TEMPLATE` (the compile-time hook) and served by
     /// `AUDIT TEMPLATES` and [`MTCache::template_verdict`].
     robust_report: RwLock<WorkloadReport>,
+}
+
+/// Handles of the metrics every served query touches, resolved from the
+/// registry by name on first use and held from then on: a by-name lookup
+/// allocates a key, takes a mutex and walks a map, a held handle is one
+/// atomic. Resolved lazily, not at construction, so each metric enters the
+/// exposition when it is first touched, as before. Cold and dynamic-label
+/// sites (degradations, lint codes, audits) still look up by name.
+#[derive(Debug, Default)]
+struct QueryMetrics {
+    per_query: OnceLock<PerQueryMetrics>,
+    /// `rcc_slo_queries_total`, `rcc_slo_compliance_ratio`.
+    slo: OnceLock<(Counter, Gauge)>,
+    /// `rcc_delivered_staleness_seconds`, `rcc_currency_slack_seconds`.
+    regions: HandlesByKey<RegionId, (Histogram, Histogram)>,
+}
+
+#[derive(Debug)]
+struct PerQueryMetrics {
+    queries: Counter,
+    rows_returned: Counter,
+    /// `rcc_query_phase_seconds`, in [`QueryPhase::ALL`] order.
+    phase_seconds: [Histogram; QueryPhase::ALL.len()],
+}
+
+/// A statement after [`MTCache::prepare`]: found compiled in the plan
+/// cache, or parsed.
+#[derive(Debug)]
+pub(crate) struct Prepared<'a> {
+    sql: &'a str,
+    key: Cow<'a, str>,
+    form: Form,
+}
+
+#[derive(Debug)]
+enum Form {
+    Cached(Arc<CompiledQuery>),
+    Parsed { stmt: Statement, parse: StdDuration },
+}
+
+impl Prepared<'_> {
+    /// The parsed statement; `None` on a plan-cache hit, which is always a
+    /// `SELECT`.
+    pub(crate) fn statement(&self) -> Option<&Statement> {
+        match &self.form {
+            Form::Cached(_) => None,
+            Form::Parsed { stmt, .. } => Some(stmt),
+        }
+    }
+}
+
+/// How a `SELECT` reaches execution.
+enum SelectPlan<'a> {
+    Cached(Arc<CompiledQuery>),
+    /// To be compiled, and cached under `key`.
+    Parsed {
+        select: &'a SelectStmt,
+        key: String,
+        parse: StdDuration,
+    },
+}
+
+/// Where a statement's plan came from and what producing it cost — the
+/// front half of [`QueryStats`].
+#[derive(Debug, Clone, Copy)]
+struct CompilePhases {
+    plan_cache_hit: bool,
+    parse: StdDuration,
+    bind: StdDuration,
+    optimize: StdDuration,
+}
+
+impl CompilePhases {
+    /// A plan-cache hit: nothing was parsed, bound or optimized.
+    const HIT: CompilePhases = CompilePhases {
+        plan_cache_hit: true,
+        parse: StdDuration::ZERO,
+        bind: StdDuration::ZERO,
+        optimize: StdDuration::ZERO,
+    };
 }
 
 /// Snapshot of the durability subsystem for `/healthz` and diagnostics.
@@ -200,6 +284,8 @@ impl MTCache {
             remote_override: RwLock::new(None),
             plan_cache,
             counters,
+            query_metrics: QueryMetrics::default(),
+            exec_metrics: Arc::new(ExecMetrics::new(Arc::clone(&metrics))),
             metrics,
             tracer,
             journal,
@@ -813,13 +899,7 @@ impl MTCache {
         sql: &str,
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        self.execute_internal(
-            sql,
-            params,
-            &HashMap::new(),
-            ViolationPolicy::Reject,
-            "direct",
-        )
+        self.execute_with_policy(sql, params, ViolationPolicy::Reject)
     }
 
     /// Execute with an explicit violation policy (matters when the
@@ -830,7 +910,8 @@ impl MTCache {
         params: &HashMap<String, Value>,
         policy: ViolationPolicy,
     ) -> Result<QueryResult> {
-        self.execute_internal(sql, params, &HashMap::new(), policy, "direct")
+        let prepared = self.prepare(sql, params)?;
+        self.execute_internal(prepared, params, &HashMap::new(), policy, "direct")
     }
 
     /// Optimize without executing (EXPLAIN).
@@ -849,7 +930,7 @@ impl MTCache {
     }
 
     /// Execute a query with per-operator instrumentation and return the
-    /// result with `plan_explain` replaced by the EXPLAIN ANALYZE printout
+    /// result whose `plan_explain()` is the EXPLAIN ANALYZE printout
     /// (per-operator actual row counts and wall times; untaken SwitchUnion
     /// branches are marked `never executed`). `sql` may carry the
     /// `EXPLAIN ANALYZE` prefix or be the bare query.
@@ -858,27 +939,73 @@ impl MTCache {
         sql: &str,
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        let body = strip_explain_analyze(sql).unwrap_or(sql);
-        self.execute_analyzed(body, params, &HashMap::new(), "direct")
+        let parse_started = Instant::now();
+        let select = match parse_statement(sql)? {
+            Statement::Select(s) | Statement::ExplainAnalyze(s) => s,
+            other => {
+                return Err(Error::analysis(format!(
+                    "EXPLAIN ANALYZE expects a query, got {other:?}"
+                )))
+            }
+        };
+        let parse = parse_started.elapsed();
+        self.execute_analyzed(sql, &select, parse, params, &HashMap::new(), "direct")
+    }
+
+    /// The first step of every statement, for sessions and for
+    /// `MTCache::execute*` alike: look the text (and parameter values) up
+    /// in the plan cache, and parse only if it is not there. Only compiled
+    /// `SELECT`s ever enter the cache — never `BEGIN`/`END TIMEORDERED`,
+    /// DML, DDL or the diagnostic statements — so a hit at the current
+    /// epoch proves what the text is and goes straight to execution; a
+    /// miss is parsed here, once, and the `Statement` is handed down.
+    pub(crate) fn prepare<'a>(
+        &self,
+        sql: &'a str,
+        params: &HashMap<String, Value>,
+    ) -> Result<Prepared<'a>> {
+        let key = PlanCache::key(sql, params);
+        let form = match self.plan_cache.get(&key) {
+            Some(compiled) => Form::Cached(compiled),
+            None => {
+                let parse_started = Instant::now();
+                let stmt = parse_statement(sql)?;
+                Form::Parsed {
+                    stmt,
+                    parse: parse_started.elapsed(),
+                }
+            }
+        };
+        Ok(Prepared { sql, key, form })
     }
 
     pub(crate) fn execute_internal(
         &self,
-        sql: &str,
+        prepared: Prepared<'_>,
         params: &HashMap<String, Value>,
         floors: &HashMap<RegionId, Timestamp>,
         policy: ViolationPolicy,
         session: &str,
     ) -> Result<QueryResult> {
-        if let Some(body) = strip_explain_analyze(sql) {
-            return self.execute_analyzed(body, params, floors, session);
-        }
-        let parse_started = Instant::now();
-        let stmt = parse_statement(sql)?;
-        let parse_time = parse_started.elapsed();
+        let Prepared { sql, key, form } = prepared;
+        let (stmt, parse) = match form {
+            Form::Cached(compiled) => {
+                let plan = SelectPlan::Cached(compiled);
+                return self.execute_select(sql, plan, params, floors, policy, session);
+            }
+            Form::Parsed { stmt, parse } => (stmt, parse),
+        };
         match stmt {
             Statement::Select(select) => {
-                self.execute_select(sql, &select, params, floors, policy, parse_time, session)
+                let plan = SelectPlan::Parsed {
+                    select: &select,
+                    key: key.into_owned(),
+                    parse,
+                };
+                self.execute_select(sql, plan, params, floors, policy, session)
+            }
+            Statement::ExplainAnalyze(select) => {
+                self.execute_analyzed(sql, &select, parse, params, floors, session)
             }
             Statement::Insert {
                 table,
@@ -907,7 +1034,7 @@ impl MTCache {
                 query,
             } => {
                 self.create_cached_view(&name, &region, &query, Vec::new())?;
-                Ok(self.ddl_result())
+                Ok(QueryResult::empty())
             }
             Statement::CreateRegion {
                 name,
@@ -915,11 +1042,11 @@ impl MTCache {
                 delay,
             } => {
                 self.create_region(&name, interval, delay)?;
-                Ok(self.ddl_result())
+                Ok(QueryResult::empty())
             }
             Statement::DropCachedView { name } => {
                 self.drop_cached_view(&name)?;
-                Ok(self.ddl_result())
+                Ok(QueryResult::empty())
             }
             Statement::BeginTimeordered | Statement::EndTimeordered => Err(Error::analysis(
                 "BEGIN/END TIMEORDERED requires a session; use MTCache::session()",
@@ -977,7 +1104,7 @@ impl MTCache {
                 0,
             );
         }
-        let mut result = self.ddl_result();
+        let mut result = QueryResult::empty();
         result.warnings.push(format!(
             "template {} declared: {}",
             own.name,
@@ -1025,7 +1152,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: PlanChoice::BackendLocal,
-            plan_explain: String::new(),
+            explain: PlanExplain::None,
             est_cost: 0.0,
             guards: Vec::new(),
             used_remote: false,
@@ -1079,7 +1206,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: PlanChoice::BackendLocal,
-            plan_explain: String::new(),
+            explain: PlanExplain::None,
             est_cost: 0.0,
             guards: Vec::new(),
             used_remote: false,
@@ -1128,7 +1255,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: PlanChoice::BackendLocal,
-            plan_explain: String::new(),
+            explain: PlanExplain::None,
             est_cost: 0.0,
             guards: Vec::new(),
             used_remote: false,
@@ -1175,7 +1302,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: PlanChoice::BackendLocal,
-            plan_explain: String::new(),
+            explain: PlanExplain::None,
             est_cost: 0.0,
             guards: Vec::new(),
             used_remote: false,
@@ -1265,7 +1392,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: optimized.choice,
-            plan_explain: optimized.plan.explain(),
+            explain: PlanExplain::Text(optimized.plan.explain()),
             est_cost: optimized.cost,
             guards: Vec::new(),
             used_remote: false,
@@ -1331,7 +1458,7 @@ impl MTCache {
             schema,
             rows,
             plan_choice: optimized.choice,
-            plan_explain: optimized.plan.explain(),
+            explain: PlanExplain::Text(optimized.plan.explain()),
             est_cost: optimized.cost,
             guards: Vec::new(),
             used_remote: false,
@@ -1342,8 +1469,11 @@ impl MTCache {
         })
     }
 
-    /// Look up or compile the dynamic plan for `sql`, tracing and timing
-    /// the bind and optimize steps (both zero on a plan-cache hit).
+    /// Compile the dynamic plan for a parsed `SELECT`, tracing and timing
+    /// the bind and optimize steps. The caller decides whether the result
+    /// enters the plan cache. (`sql` only words the debug-build audits'
+    /// failures.)
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn compile(
         &self,
         sql: &str,
@@ -1351,13 +1481,7 @@ impl MTCache {
         params: &HashMap<String, Value>,
         trace: &TraceHandle,
         session: &str,
-    ) -> Result<(Arc<CompiledQuery>, bool, StdDuration, StdDuration)> {
-        // "re-optimization only if a view's consistency properties change":
-        // the compiled dynamic plan is reused until the catalog epoch moves
-        let key = PlanCache::key(sql, params);
-        if let Some(c) = self.plan_cache.get(&key) {
-            return Ok((c, true, StdDuration::ZERO, StdDuration::ZERO));
-        }
+    ) -> Result<(CompiledQuery, StdDuration, StdDuration)> {
         // Compile-time currency-clause lint: one AST walk on the cache-miss
         // path only. Diagnostics never fail the query — they ride along as
         // warnings on every result served from this plan, and bump the
@@ -1436,9 +1560,6 @@ impl MTCache {
             }
         }
         let elided = if self.elide_guards.load(Ordering::SeqCst) && !hypo.elided.is_empty() {
-            self.metrics
-                .counter("rcc_flow_guards_elided_total", &[])
-                .add(hypo.elided.len() as u64);
             Some(ElidedPlan {
                 plan: hypo.plan,
                 certs: hypo.elided,
@@ -1446,29 +1567,24 @@ impl MTCache {
         } else {
             None
         };
-        let c = Arc::new(CompiledQuery {
+        let compiled = CompiledQuery {
             optimized,
             tables,
             lint,
             flow,
             elided,
-        });
-        self.plan_cache.put(key, Arc::clone(&c));
-        Ok((c, false, bind_time, optimize_time))
+        };
+        Ok((compiled, bind_time, optimize_time))
     }
 
     /// Assemble per-statement [`QueryStats`] from the query meter and
     /// publish the per-query metrics (query counter, row counter, phase
     /// histograms). `local_exec` is the executor total minus guard and
     /// remote time.
-    #[allow(clippy::too_many_arguments)]
     fn finish_stats(
         &self,
         trace_id: u64,
-        plan_cache_hit: bool,
-        parse: StdDuration,
-        bind: StdDuration,
-        optimize: StdDuration,
+        phases: CompilePhases,
         meter: &QueryMeter,
         exec_total: StdDuration,
         rows_returned: u64,
@@ -1480,10 +1596,10 @@ impl MTCache {
             .saturating_sub(remote_ship);
         let stats = QueryStats {
             trace_id,
-            plan_cache_hit,
-            parse,
-            bind,
-            optimize,
+            plan_cache_hit: phases.plan_cache_hit,
+            parse: phases.parse,
+            bind: phases.bind,
+            optimize: phases.optimize,
             guard_eval,
             local_exec,
             remote_ship,
@@ -1491,38 +1607,66 @@ impl MTCache {
             bytes_shipped: meter.bytes_shipped.load(Ordering::Relaxed),
             remote_queries: meter.remote_queries.load(Ordering::Relaxed),
         };
-        self.metrics.counter("rcc_queries_total", &[]).inc();
-        self.metrics
-            .counter("rcc_query_rows_returned_total", &[])
-            .add(rows_returned);
-        for phase in QueryPhase::ALL {
-            self.metrics
-                .histogram(
-                    "rcc_query_phase_seconds",
-                    &[("phase", phase.name())],
-                    DEFAULT_LATENCY_BUCKETS,
-                )
-                .observe(stats.phase(phase).as_secs_f64());
+        let handles = self
+            .query_metrics
+            .per_query
+            .get_or_init(|| PerQueryMetrics {
+                queries: self.metrics.counter("rcc_queries_total", &[]),
+                rows_returned: self.metrics.counter("rcc_query_rows_returned_total", &[]),
+                phase_seconds: QueryPhase::ALL.map(|phase| {
+                    self.metrics.histogram(
+                        "rcc_query_phase_seconds",
+                        &[("phase", phase.name())],
+                        DEFAULT_LATENCY_BUCKETS,
+                    )
+                }),
+            });
+        handles.queries.inc();
+        handles.rows_returned.add(rows_returned);
+        for (phase, seconds) in QueryPhase::ALL.into_iter().zip(&handles.phase_seconds) {
+            seconds.observe(stats.phase(phase).as_secs_f64());
         }
         stats
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_select(
+    /// Execute a `SELECT`: on a plan-cache hit the compiled plan as it is,
+    /// otherwise compile the parsed statement first and cache the result.
+    fn execute_select(
         &self,
         sql: &str,
-        select: &SelectStmt,
+        plan: SelectPlan<'_>,
         params: &HashMap<String, Value>,
         floors: &HashMap<RegionId, Timestamp>,
         policy: ViolationPolicy,
-        parse_time: StdDuration,
         session: &str,
     ) -> Result<QueryResult> {
         let trace = self.tracer.trace(sql);
-        let (compiled, cache_hit, bind_time, optimize_time) =
-            self.compile(sql, select, params, &trace, session)?;
+        // "re-optimization only if a view's consistency properties change":
+        // the compiled dynamic plan is reused until the catalog epoch moves
+        let (compiled, phases) = match plan {
+            SelectPlan::Cached(compiled) => (compiled, CompilePhases::HIT),
+            SelectPlan::Parsed { select, key, parse } => {
+                self.plan_cache.count_miss();
+                let (compiled, bind, optimize) =
+                    self.compile(sql, select, params, &trace, session)?;
+                if let Some(elided) = &compiled.elided {
+                    // counted where the elided twin becomes servable
+                    self.metrics
+                        .counter("rcc_flow_guards_elided_total", &[])
+                        .add(elided.certs.len() as u64);
+                }
+                let compiled = Arc::new(compiled);
+                self.plan_cache.put(key, Arc::clone(&compiled));
+                let phases = CompilePhases {
+                    plan_cache_hit: false,
+                    parse,
+                    bind,
+                    optimize,
+                };
+                (compiled, phases)
+            }
+        };
         let optimized = &compiled.optimized;
-        let tables = compiled.tables.clone();
         let ctx = self.fresh_ctx(floors.clone(), trace.share());
 
         // Serve the guard-elided variant only when the certificates'
@@ -1551,10 +1695,7 @@ impl MTCache {
                     self.counters.remote_queries.load(Ordering::Relaxed) > remote_before;
                 let stats = self.finish_stats(
                     trace.id(),
-                    cache_hit,
-                    parse_time,
-                    bind_time,
-                    optimize_time,
+                    phases,
                     &ctx.meter,
                     result.timings.total(),
                     result.rows.len() as u64,
@@ -1563,14 +1704,14 @@ impl MTCache {
                     schema: result.schema,
                     rows: result.rows,
                     plan_choice: optimized.choice,
-                    plan_explain: optimized.plan.explain(),
                     est_cost: optimized.cost,
                     guards,
                     used_remote,
                     warnings: compiled.lint.clone(),
                     timings: result.timings,
-                    tables,
+                    tables: compiled.tables.clone(),
                     stats,
+                    explain: PlanExplain::Plan(compiled),
                 })
             }
             // the remote branch could not be served: either the link was
@@ -1578,33 +1719,12 @@ impl MTCache {
             // slot was None → Error::Remote), or a real transport timed
             // out / failed every retry mid-call (Error::Unavailable). Both
             // degrade per the session's violation policy.
-            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => self
-                .degrade_unreachable(
-                    &trace,
-                    optimized,
-                    tables,
-                    floors,
-                    policy,
-                    cache_hit,
-                    parse_time,
-                    bind_time,
-                    optimize_time,
-                    &msg,
-                    session,
-                ),
-            Err(Error::Unavailable(msg)) => self.degrade_unreachable(
-                &trace,
-                optimized,
-                tables,
-                floors,
-                policy,
-                cache_hit,
-                parse_time,
-                bind_time,
-                optimize_time,
-                &msg,
-                session,
-            ),
+            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => {
+                self.degrade_unreachable(&trace, compiled, floors, policy, phases, &msg, session)
+            }
+            Err(Error::Unavailable(msg)) => {
+                self.degrade_unreachable(&trace, compiled, floors, policy, phases, &msg, session)
+            }
             Err(e) => Err(e),
         }
     }
@@ -1616,14 +1736,10 @@ impl MTCache {
     fn degrade_unreachable(
         &self,
         trace: &TraceHandle,
-        optimized: &Optimized,
-        tables: Vec<TableId>,
+        compiled: Arc<CompiledQuery>,
         floors: &HashMap<RegionId, Timestamp>,
         policy: ViolationPolicy,
-        cache_hit: bool,
-        parse_time: StdDuration,
-        bind_time: StdDuration,
-        optimize_time: StdDuration,
+        phases: CompilePhases,
         msg: &str,
         session: &str,
     ) -> Result<QueryResult> {
@@ -1654,6 +1770,7 @@ impl MTCache {
                     session,
                     trace.id(),
                 );
+                let optimized = &compiled.optimized;
                 let mut ctx2 = self.fresh_ctx(floors.clone(), trace.share());
                 ctx2.force_local = true;
                 let stale_span = trace.span("execute_stale");
@@ -1685,10 +1802,7 @@ impl MTCache {
                     .inc();
                 let stats = self.finish_stats(
                     trace.id(),
-                    cache_hit,
-                    parse_time,
-                    bind_time,
-                    optimize_time,
+                    phases,
                     &ctx2.meter,
                     result.timings.total(),
                     result.rows.len() as u64,
@@ -1697,46 +1811,43 @@ impl MTCache {
                     schema: result.schema,
                     rows: result.rows,
                     plan_choice: optimized.choice,
-                    plan_explain: optimized.plan.explain(),
                     est_cost: optimized.cost,
                     guards,
                     used_remote: false,
                     warnings,
                     timings: result.timings,
-                    tables,
+                    tables: compiled.tables.clone(),
                     stats,
+                    explain: PlanExplain::Plan(compiled),
                 })
             }
         }
     }
 
-    /// The shared EXPLAIN ANALYZE path: compile (through the plan cache),
-    /// execute with per-operator metering, and return the result with the
-    /// instrumented printout. Unlike the normal path it never falls back
-    /// to serving stale data — a currency violation surfaces as an error.
+    /// `EXPLAIN ANALYZE SELECT ...`: compile, execute with per-operator
+    /// metering, and return the result with the instrumented printout.
+    /// The plan is compiled for this statement alone and never enters the
+    /// plan cache (whose keys are texts of plain `SELECT`s). Unlike the
+    /// normal path it never falls back to serving stale data — a currency
+    /// violation surfaces as an error.
     fn execute_analyzed(
         &self,
-        body: &str,
+        sql: &str,
+        select: &SelectStmt,
+        parse: StdDuration,
         params: &HashMap<String, Value>,
         floors: &HashMap<RegionId, Timestamp>,
         session: &str,
     ) -> Result<QueryResult> {
-        let trace = self.tracer.trace(body);
-        let parse_started = Instant::now();
-        let stmt = parse_statement(body)?;
-        let parse_time = parse_started.elapsed();
-        let select = match stmt {
-            Statement::Select(s) => *s,
-            other => {
-                return Err(Error::analysis(format!(
-                    "EXPLAIN ANALYZE expects a query, got {other:?}"
-                )))
-            }
+        let trace = self.tracer.trace(sql);
+        let (compiled, bind, optimize) = self.compile(sql, select, params, &trace, session)?;
+        let phases = CompilePhases {
+            plan_cache_hit: false,
+            parse,
+            bind,
+            optimize,
         };
-        let (compiled, cache_hit, bind_time, optimize_time) =
-            self.compile(body, &select, params, &trace, session)?;
         let optimized = &compiled.optimized;
-        let tables = compiled.tables.clone();
         let ctx = self.fresh_ctx(floors.clone(), trace.share());
         let exec_span = trace.span("execute");
         let analyzed = execute_plan_analyzed(&optimized.plan, &ctx)?;
@@ -1746,15 +1857,12 @@ impl MTCache {
         let used_remote = ctx.meter.remote_queries.load(Ordering::Relaxed) > 0;
         let stats = self.finish_stats(
             trace.id(),
-            cache_hit,
-            parse_time,
-            bind_time,
-            optimize_time,
+            phases,
             &ctx.meter,
             analyzed.elapsed,
             analyzed.rows.len() as u64,
         );
-        let plan_explain = analyzed.render();
+        let explain = PlanExplain::Text(analyzed.render());
         let timings = rcc_executor::PhaseTimings {
             setup: StdDuration::ZERO,
             run: analyzed.elapsed,
@@ -1764,14 +1872,14 @@ impl MTCache {
             schema: analyzed.schema,
             rows: analyzed.rows,
             plan_choice: optimized.choice,
-            plan_explain,
             est_cost: optimized.cost,
             guards,
             used_remote,
             warnings: Vec::new(),
             timings,
-            tables,
+            tables: compiled.tables,
             stats,
+            explain,
         })
     }
 
@@ -1856,22 +1964,30 @@ impl MTCache {
                         .inc();
                 }
             }
-            let region = self
-                .catalog
-                .region(g.region)
-                .map(|r| r.name.clone())
-                .unwrap_or_else(|_| g.region.to_string());
-            let labels = [("region", region.as_str())];
-            self.metrics
-                .histogram(
-                    "rcc_delivered_staleness_seconds",
-                    &labels,
-                    DEFAULT_STALENESS_BUCKETS,
+            // resolved by name the first time a guard of the region is
+            // accounted for, held per region id from then on
+            let (staleness, slack) = self.query_metrics.regions.get(g.region, || {
+                let name = self
+                    .catalog
+                    .region(g.region)
+                    .map(|r| r.name.clone())
+                    .unwrap_or_else(|_| g.region.to_string());
+                let labels = [("region", name.as_str())];
+                (
+                    self.metrics.histogram(
+                        "rcc_delivered_staleness_seconds",
+                        &labels,
+                        DEFAULT_STALENESS_BUCKETS,
+                    ),
+                    self.metrics.histogram(
+                        "rcc_currency_slack_seconds",
+                        &labels,
+                        DEFAULT_SLACK_BUCKETS,
+                    ),
                 )
-                .observe(delivered_s);
-            self.metrics
-                .histogram("rcc_currency_slack_seconds", &labels, DEFAULT_SLACK_BUCKETS)
-                .observe(slack_s);
+            });
+            staleness.observe(delivered_s);
+            slack.observe(slack_s);
         }
         let total = self.slo_queries.fetch_add(1, Ordering::Relaxed) + 1;
         if negative_slack {
@@ -1885,10 +2001,14 @@ impl MTCache {
         } else {
             self.slo_unsanctioned.load(Ordering::Relaxed)
         };
-        self.metrics.counter("rcc_slo_queries_total", &[]).inc();
-        self.metrics
-            .gauge("rcc_slo_compliance_ratio", &[])
-            .set(1.0 - unsanctioned as f64 / total as f64);
+        let (slo_queries, compliance) = self.query_metrics.slo.get_or_init(|| {
+            (
+                self.metrics.counter("rcc_slo_queries_total", &[]),
+                self.metrics.gauge("rcc_slo_compliance_ratio", &[]),
+            )
+        });
+        slo_queries.inc();
+        compliance.set(1.0 - unsanctioned as f64 / total as f64);
     }
 
     fn fresh_ctx(
@@ -1914,27 +2034,11 @@ impl MTCache {
             observations: Arc::new(Mutex::new(Vec::new())),
             force_local: false,
             meter: Arc::new(QueryMeter::default()),
-            metrics: Some(Arc::clone(&self.metrics)),
+            metrics: Some(Arc::clone(&self.exec_metrics)),
             scan_pool: self.scan_pool.read().clone(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
             batch_rows: self.batch_rows.load(Ordering::Relaxed).max(1),
             trace,
-        }
-    }
-
-    fn ddl_result(&self) -> QueryResult {
-        QueryResult {
-            schema: Schema::empty(),
-            rows: Vec::new(),
-            plan_choice: PlanChoice::BackendLocal,
-            plan_explain: String::new(),
-            est_cost: 0.0,
-            guards: Vec::new(),
-            used_remote: false,
-            warnings: Vec::new(),
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
         }
     }
 
@@ -1971,7 +2075,7 @@ impl MTCache {
         }
         let n = changes.len();
         self.master.execute_txn(changes)?;
-        let mut r = self.ddl_result();
+        let mut r = QueryResult::empty();
         r.warnings
             .push(format!("{n} row(s) inserted (forwarded to back-end)"));
         Ok(r)
@@ -2010,7 +2114,7 @@ impl MTCache {
         if !changes.is_empty() {
             self.master.execute_txn(changes)?;
         }
-        let mut r = self.ddl_result();
+        let mut r = QueryResult::empty();
         r.warnings
             .push(format!("{n} row(s) updated (forwarded to back-end)"));
         Ok(r)
@@ -2032,7 +2136,7 @@ impl MTCache {
         if !changes.is_empty() {
             self.master.execute_txn(changes)?;
         }
-        let mut r = self.ddl_result();
+        let mut r = QueryResult::empty();
         r.warnings
             .push(format!("{n} row(s) deleted (forwarded to back-end)"));
         Ok(r)
@@ -2054,7 +2158,7 @@ impl MTCache {
         );
         let meta = TableMeta::new(self.catalog.next_table_id(), name, schema, primary_key)?;
         self.register_table(meta)?;
-        Ok(self.ddl_result())
+        Ok(QueryResult::empty())
     }
 
     fn create_index_ddl(
@@ -2078,7 +2182,7 @@ impl MTCache {
         }
         self.catalog.update_table(meta)?;
         self.plan_cache.invalidate();
-        Ok(self.ddl_result())
+        Ok(QueryResult::empty())
     }
 
     /// Define a cached materialized view (the programmatic form also
@@ -2247,29 +2351,6 @@ impl MTCache {
         self.catalog.drop_view(name)?;
         self.plan_cache.invalidate();
         Ok(())
-    }
-}
-
-/// If `sql` starts with `EXPLAIN ANALYZE` (any case), return the query
-/// body after the prefix. A bare `EXPLAIN` is *not* matched — that form
-/// is served by [`MTCache::explain`] without executing.
-fn strip_explain_analyze(sql: &str) -> Option<&str> {
-    let rest = strip_keyword(sql.trim_start(), "EXPLAIN")?;
-    strip_keyword(rest, "ANALYZE")
-}
-
-/// Strip a leading keyword (case-insensitive) plus at least one trailing
-/// whitespace character separating it from what follows.
-fn strip_keyword<'a>(s: &'a str, kw: &str) -> Option<&'a str> {
-    if s.len() <= kw.len() || !s[..kw.len()].eq_ignore_ascii_case(kw) {
-        return None;
-    }
-    let rest = &s[kw.len()..];
-    let trimmed = rest.trim_start();
-    if trimmed.len() < rest.len() {
-        Some(trimmed)
-    } else {
-        None
     }
 }
 

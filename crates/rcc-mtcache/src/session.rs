@@ -20,7 +20,7 @@ use crate::policy::ViolationPolicy;
 use crate::result::QueryResult;
 use crate::server::MTCache;
 use rcc_common::{RegionId, Result, Timestamp, Value};
-use rcc_sql::{parse_statement, Statement};
+use rcc_sql::Statement;
 use std::collections::HashMap;
 
 /// A client session against the cache.
@@ -77,17 +77,19 @@ impl<'a> Session<'a> {
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
         // session-level statements are handled here; everything else goes
-        // through the server with this session's floors
-        match parse_statement(sql)? {
-            Statement::BeginTimeordered => {
+        // through the server with this session's floors. A plan-cache hit
+        // is never one of them: they are not cached.
+        let prepared = self.cache.prepare(sql, params)?;
+        match prepared.statement() {
+            Some(Statement::BeginTimeordered) => {
                 self.timeline = true;
                 self.floors.clear();
-                return Ok(empty_result());
+                return Ok(QueryResult::empty());
             }
-            Statement::EndTimeordered => {
+            Some(Statement::EndTimeordered) => {
                 self.timeline = false;
                 self.floors.clear();
-                return Ok(empty_result());
+                return Ok(QueryResult::empty());
             }
             _ => {}
         }
@@ -96,9 +98,9 @@ impl<'a> Session<'a> {
         } else {
             HashMap::new()
         };
-        let result = self
-            .cache
-            .execute_internal(sql, params, &floors, self.policy, &self.label)?;
+        let result =
+            self.cache
+                .execute_internal(prepared, params, &floors, self.policy, &self.label)?;
         if self.timeline {
             self.ratchet(&result);
         }
@@ -131,21 +133,5 @@ impl<'a> Session<'a> {
                 }
             }
         }
-    }
-}
-
-fn empty_result() -> QueryResult {
-    QueryResult {
-        schema: rcc_common::Schema::empty(),
-        rows: Vec::new(),
-        plan_choice: rcc_optimizer::optimize::PlanChoice::BackendLocal,
-        plan_explain: String::new(),
-        est_cost: 0.0,
-        guards: Vec::new(),
-        used_remote: false,
-        warnings: Vec::new(),
-        timings: Default::default(),
-        tables: Vec::new(),
-        stats: Default::default(),
     }
 }

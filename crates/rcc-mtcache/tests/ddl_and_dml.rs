@@ -382,7 +382,7 @@ fn drop_cached_view_ends_subscription_and_recompiles_plans() {
     assert!(
         after.used_remote,
         "no view left → remote: {}",
-        after.plan_explain
+        after.plan_explain()
     );
     assert_eq!(after.rows[0].get(0), &Value::Int(3));
 

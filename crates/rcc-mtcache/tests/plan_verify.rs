@@ -52,7 +52,7 @@ fn verify_statement_reports_proof_obligations() {
         }
     }
     assert!(r.warnings[0].contains("plan verified"));
-    assert!(!r.plan_explain.is_empty(), "VERIFY should show the plan");
+    assert!(!r.plan_explain().is_empty(), "VERIFY should show the plan");
     // The guarded plan has two worlds (guard pass / guard fail), and the
     // obligations must mention the SwitchUnion machinery somewhere.
     let kinds: Vec<&str> = r

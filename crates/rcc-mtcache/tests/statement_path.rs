@@ -1,0 +1,221 @@
+//! The statement path: plan-cache lookup → parse → compile. A text found
+//! in the plan cache at the current epoch is a compiled `SELECT` and goes
+//! straight to execution — nothing is parsed; anything else is parsed
+//! exactly once. One path for sessions and for `MTCache::execute*`.
+
+use rcc_common::{Duration, Value};
+use rcc_mtcache::paper::{paper_setup, warm_up};
+use rcc_mtcache::MTCache;
+use std::collections::HashMap;
+use std::time::Duration as StdDuration;
+
+/// Region `r`: interval 10 s, delay 2 s, heartbeat 1 s → envelope 13 s, so
+/// a 30 s bound is an always-pass guard the elision pass may remove.
+fn rig() -> MTCache {
+    let cache = MTCache::new();
+    cache
+        .execute("CREATE TABLE t (a INT, v INT, PRIMARY KEY (a))")
+        .unwrap();
+    for i in 0..50 {
+        cache
+            .execute(&format!("INSERT INTO t VALUES ({i}, {i})"))
+            .unwrap();
+    }
+    cache.analyze("t").unwrap();
+    cache
+        .execute("CREATE REGION r INTERVAL 10 SEC DELAY 2 SEC")
+        .unwrap();
+    cache
+        .execute("CREATE CACHED VIEW t_v REGION r AS SELECT a, v FROM t")
+        .unwrap();
+    cache.advance(Duration::from_secs(30)).unwrap();
+    cache
+}
+
+const Q: &str = "SELECT v FROM t WHERE a = 7 CURRENCY BOUND 30 SEC ON (t)";
+
+#[test]
+fn one_text_n_times_is_one_miss_then_hits_that_parse_nothing() {
+    let cache = rig();
+    let (hits0, misses0) = cache.plan_cache().stats();
+    let mut session = cache.session();
+    const N: u64 = 6;
+    for i in 0..N {
+        // the same path whether or not a session is in between
+        let r = if i % 2 == 0 {
+            cache.execute(Q)
+        } else {
+            session.execute(Q)
+        }
+        .unwrap();
+        assert_eq!(r.rows[0].get(0), &Value::Int(7));
+        if i == 0 {
+            assert!(!r.stats.plan_cache_hit);
+            assert!(r.stats.parse > StdDuration::ZERO, "the miss is parsed");
+            assert!(r.stats.bind > StdDuration::ZERO);
+            assert!(r.stats.optimize > StdDuration::ZERO);
+        } else {
+            assert!(r.stats.plan_cache_hit);
+            assert_eq!(r.stats.parse, StdDuration::ZERO, "a hit is not parsed");
+            assert_eq!(r.stats.bind, StdDuration::ZERO);
+            assert_eq!(r.stats.optimize, StdDuration::ZERO);
+        }
+    }
+    let (hits, misses) = cache.plan_cache().stats();
+    assert_eq!((hits - hits0, misses - misses0), (N - 1, 1));
+
+    // the catalog epoch moves: the next execution parses and compiles again
+    cache.plan_cache().invalidate();
+    let r = cache.execute(Q).unwrap();
+    assert!(!r.stats.plan_cache_hit);
+    assert!(r.stats.parse > StdDuration::ZERO && r.stats.optimize > StdDuration::ZERO);
+    assert!(cache.execute(Q).unwrap().stats.plan_cache_hit);
+    let (hits, misses) = cache.plan_cache().stats();
+    assert_eq!((hits - hits0, misses - misses0), (N, 2));
+}
+
+#[test]
+fn only_selects_are_looked_up_and_only_selects_are_cached() {
+    let cache = rig();
+    cache.execute(Q).unwrap();
+    let stats = cache.plan_cache().stats();
+    let entries = cache.plan_cache().len();
+    let mut session = cache.session();
+    for _ in 0..2 {
+        // twice each: a second sighting must not turn into a "hit"
+        session.execute("BEGIN TIMEORDERED").unwrap();
+        assert!(session.is_timeordered());
+        session.execute("END TIMEORDERED").unwrap();
+        assert!(!session.is_timeordered());
+        session.execute("UPDATE t SET v = 70 WHERE a = 7").unwrap();
+        session.execute(&format!("LINT {Q}")).unwrap();
+        session.execute(&format!("EXPLAIN FLOW {Q}")).unwrap();
+        session.execute(&format!("EXPLAIN ANALYZE {Q}")).unwrap();
+        session.execute("SHOW EVENTS").unwrap();
+        assert!(session.execute("SELEC nonsense").is_err());
+    }
+    assert_eq!(
+        cache.plan_cache().stats(),
+        stats,
+        "none of those is a lookup"
+    );
+    assert_eq!(
+        cache.plan_cache().len(),
+        entries,
+        "and none of them is cached"
+    );
+    // outside a session the brackets are still refused, every time
+    for _ in 0..2 {
+        assert!(cache.execute("BEGIN TIMEORDERED").is_err());
+    }
+}
+
+#[test]
+fn a_cached_select_in_a_timeordered_bracket_ratchets_and_keeps_its_guard() {
+    let cache = rig();
+    cache.set_elide_guards(true);
+    let mut session = cache.session();
+    // outside a bracket the always-pass guard is elided
+    let outside = session.execute(Q).unwrap();
+    assert!(outside.guards.is_empty());
+    assert!(session.floors().is_empty());
+
+    session.execute("BEGIN TIMEORDERED").unwrap();
+    let first = session.execute(Q).unwrap();
+    assert!(first.stats.plan_cache_hit, "served from the cached entry");
+    assert_eq!(first.stats.parse, StdDuration::ZERO);
+    // no floor yet, so the elided twin was still allowed; it observed no
+    // heartbeat, so it set none either. A remote read sets one (a 5 s
+    // bound is contingent: its guard stays, and fails on a stalled region)
+    assert!(first.guards.is_empty() && session.floors().is_empty());
+    cache.set_region_stalled("r", true);
+    cache.advance(Duration::from_secs(120)).unwrap();
+    let second = session
+        .execute("SELECT v FROM t WHERE a = 7 CURRENCY BOUND 5 SEC ON (t)")
+        .unwrap();
+    assert!(second.used_remote);
+    let floor = *session.floors().values().next().expect("a floor was set");
+    cache.set_region_stalled("r", false);
+    cache.advance(Duration::from_secs(30)).unwrap();
+
+    let third = session.execute(Q).unwrap();
+    assert!(third.stats.plan_cache_hit);
+    assert_eq!(
+        third.guards.len(),
+        1,
+        "with floors the guarded plan runs, not the elided twin"
+    );
+    assert!(third.guards[0].chose_local);
+    let raised = *session.floors().values().next().unwrap();
+    assert!(raised > floor, "the hit ratcheted the floor: {raised:?}");
+    assert_eq!(third.rows, outside.rows);
+
+    session.execute("END TIMEORDERED").unwrap();
+    assert!(session.floors().is_empty());
+    assert!(
+        session.execute(Q).unwrap().guards.is_empty(),
+        "elided again"
+    );
+}
+
+#[test]
+fn parameterised_texts_stay_keyed_by_value() {
+    let cache = rig();
+    let sql = "SELECT v FROM t WHERE a = $k CURRENCY BOUND 30 SEC ON (t)";
+    let (hits0, misses0) = cache.plan_cache().stats();
+    for (k, expect_hit) in [(1i64, false), (2, false), (1, true), (2, true)] {
+        let params = HashMap::from([("k".to_string(), Value::Int(k))]);
+        let r = cache.execute_with_params(sql, &params).unwrap();
+        assert_eq!(r.rows[0].get(0), &Value::Int(k), "the value's own plan");
+        assert_eq!(r.stats.plan_cache_hit, expect_hit);
+        assert_eq!(r.stats.parse == StdDuration::ZERO, expect_hit);
+    }
+    let (hits, misses) = cache.plan_cache().stats();
+    assert_eq!((hits - hits0, misses - misses0), (2, 2));
+    // the bare text was never compiled: without a value it does not bind
+    assert!(cache.execute(sql).is_err());
+}
+
+#[test]
+fn explain_analyze_works_through_a_session() {
+    let cache = rig();
+    let mut session = cache.session();
+    let r = session.execute(&format!("explain analyze {Q}")).unwrap();
+    assert_eq!(r.rows[0].get(0), &Value::Int(7));
+    assert!(
+        r.plan_explain().contains("actual rows="),
+        "{}",
+        r.plan_explain()
+    );
+    assert!(r.stats.parse > StdDuration::ZERO);
+    // the structured entry point takes either form
+    for sql in [Q.to_string(), format!("EXPLAIN ANALYZE {Q}")] {
+        let r = cache.explain_analyze(&sql, &HashMap::new()).unwrap();
+        assert!(r.plan_explain().contains("actual rows="));
+    }
+    assert!(cache
+        .explain_analyze("DELETE FROM t", &HashMap::new())
+        .is_err());
+}
+
+#[test]
+fn plan_explain_on_demand_is_the_compiled_plans_rendering() {
+    let cache = paper_setup(0.002, 11).unwrap();
+    warm_up(&cache).unwrap();
+    let customers = cache.catalog().stats("customer").row_count as i64;
+    let no_params = HashMap::new();
+    for sql in rcc_tpcd::currency_corpus(60, 13, customers) {
+        let expected = cache.explain(&sql, &no_params).unwrap().plan.explain();
+        assert!(!expected.is_empty());
+        let miss = cache.execute(&sql).unwrap();
+        let hit = cache.execute(&sql).unwrap();
+        assert!(hit.stats.plan_cache_hit, "{sql}");
+        assert_eq!(miss.plan_explain(), expected, "{sql}");
+        assert_eq!(hit.plan_explain(), expected, "{sql}");
+    }
+    // statements that run no plan have none to show
+    let dml = cache
+        .execute("UPDATE customer SET c_acctbal = 1.0 WHERE c_custkey = 1")
+        .unwrap();
+    assert_eq!(dml.plan_explain(), "");
+}

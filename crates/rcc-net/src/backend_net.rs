@@ -7,7 +7,7 @@
 //! [`NetworkModel::Real`], so the simulated-latency knobs can never stack
 //! on top of real socket time (they are ignored from then on).
 
-use crate::frame::{read_frame_interruptible, write_frame, Request, Response, WireSpan};
+use crate::frame::{FramedStream, Request, Response, WireSpan};
 use crate::server::POLL_INTERVAL;
 use parking_lot::Mutex;
 use rcc_common::{Error, NetworkModel};
@@ -104,12 +104,13 @@ impl Drop for BackendNetServer {
     }
 }
 
-fn handle_conn(backend: Arc<BackendServer>, mut stream: TcpStream, shutdown: Arc<AtomicBool>) {
+fn handle_conn(backend: Arc<BackendServer>, stream: TcpStream, shutdown: Arc<AtomicBool>) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
+    let mut conn = FramedStream::new(stream);
     let stop = || shutdown.load(Ordering::SeqCst);
-    while let Ok(Some(payload)) = read_frame_interruptible(&mut stream, &stop, FRAME_TIMEOUT) {
+    while let Ok(Some(payload)) = conn.read_frame_interruptible(&stop, FRAME_TIMEOUT) {
         let response = match Request::decode(payload) {
             Ok(Request::Query { sql }) => match backend.query_wire(&sql) {
                 Ok(result_payload) => Response::ResultSet {
@@ -151,7 +152,8 @@ fn handle_conn(backend: Arc<BackendServer>, mut stream: TcpStream, shutdown: Arc
             ))),
             Err(e) => Response::Error(e),
         };
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        response.encode_into(conn.begin_frame());
+        if conn.send_frame().is_err() {
             break;
         }
     }

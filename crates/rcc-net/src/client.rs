@@ -1,7 +1,7 @@
 //! A blocking client for the cache front-end — what `rccsh` and the load
 //! generator speak.
 
-use crate::frame::{read_frame, write_frame, Request, Response};
+use crate::frame::{FramedStream, Request, Response};
 use rcc_common::{Error, Result, Row, Schema};
 use rcc_executor::wire;
 use rcc_mtcache::ViolationPolicy;
@@ -45,7 +45,7 @@ pub struct NetQueryResult {
 /// A blocking connection to a [`crate::NetServer`].
 #[derive(Debug)]
 pub struct NetClient {
-    stream: TcpStream,
+    conn: FramedStream<TcpStream>,
 }
 
 impl NetClient {
@@ -85,12 +85,14 @@ impl NetClient {
             .and_then(|_| stream.set_write_timeout(Some(cfg.io_timeout)))
             .and_then(|_| stream.set_nodelay(true))
             .map_err(|e| Error::Unavailable(format!("socket setup: {e}")))?;
-        Ok(NetClient { stream })
+        Ok(NetClient {
+            conn: FramedStream::new(stream),
+        })
     }
 
     /// The peer address.
     pub fn peer_addr(&self) -> Option<SocketAddr> {
-        self.stream.peer_addr().ok()
+        self.conn.get_ref().peer_addr().ok()
     }
 
     /// Execute one SQL statement.
@@ -156,8 +158,11 @@ impl NetClient {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response> {
-        write_frame(&mut self.stream, &req.encode()).map_err(io_unavailable)?;
-        let payload = read_frame(&mut self.stream)
+        req.encode_into(self.conn.begin_frame());
+        self.conn.send_frame().map_err(io_unavailable)?;
+        let payload = self
+            .conn
+            .read_frame()
             .map_err(io_unavailable)?
             .ok_or_else(|| Error::Unavailable("server closed the connection".into()))?;
         Response::decode(payload)

@@ -51,7 +51,7 @@
 //! payloads produce [`rcc_common::Error::Remote`], never a panic (the
 //! property tests in `tests/proptest_frame.rs` hold the codec to that).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use rcc_common::{Error, Result};
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
@@ -161,26 +161,31 @@ pub enum Response {
 impl Request {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32);
+        let mut buf = Vec::with_capacity(32);
+        self.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Append the frame payload to `buf` (a connection's frame buffer).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Query { sql } => {
                 buf.put_u8(TAG_QUERY);
-                put_str(&mut buf, sql);
+                put_str(buf, sql);
             }
             Request::SetOption { name, value } => {
                 buf.put_u8(TAG_SET_OPTION);
-                put_str(&mut buf, name);
-                put_str(&mut buf, value);
+                put_str(buf, name);
+                put_str(buf, value);
             }
             Request::Ping => buf.put_u8(TAG_PING),
             Request::QueryTraced { sql, trace } => {
                 buf.put_u8(TAG_QUERY_TRACED);
-                put_str(&mut buf, sql);
+                put_str(buf, sql);
                 buf.put_u64_le(trace.trace_id);
                 buf.put_u32_le(trace.parent_depth);
             }
         }
-        buf.freeze()
     }
 
     /// Parse a frame payload. Rejects unknown tags, bad lengths, invalid
@@ -218,25 +223,26 @@ impl Request {
 impl Response {
     /// Serialize into a frame payload.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
+        let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        Bytes::from(buf)
+    }
+
+    /// Append the frame payload to `buf` (a connection's frame buffer).
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::ResultSet {
                 used_remote,
                 warnings,
                 payload,
             } => {
-                buf.put_u8(TAG_RESULT);
-                buf.put_u8(*used_remote as u8);
-                buf.put_u16_le(warnings.len() as u16);
-                for w in warnings {
-                    put_str(&mut buf, w);
-                }
+                put_result_head(buf, *used_remote, warnings, None);
                 buf.put_slice(payload);
             }
             Response::Error(e) => {
                 buf.put_u8(TAG_ERROR);
                 buf.put_u8(error_code(e));
-                put_str(&mut buf, &e.to_string());
+                put_str(buf, &e.to_string());
             }
             Response::Ok => buf.put_u8(TAG_OK),
             Response::Pong => buf.put_u8(TAG_PONG),
@@ -246,23 +252,10 @@ impl Response {
                 spans,
                 payload,
             } => {
-                buf.put_u8(TAG_RESULT_TRACED);
-                buf.put_u8(*used_remote as u8);
-                buf.put_u16_le(warnings.len() as u16);
-                for w in warnings {
-                    put_str(&mut buf, w);
-                }
-                buf.put_u32_le(spans.len() as u32);
-                for s in spans {
-                    put_str(&mut buf, &s.name);
-                    buf.put_u32_le(s.depth);
-                    buf.put_u64_le(s.start_us);
-                    buf.put_u64_le(s.elapsed_us);
-                }
+                put_result_head(buf, *used_remote, warnings, Some(spans));
                 buf.put_slice(payload);
             }
         }
-        buf.freeze()
     }
 
     /// Parse a frame payload.
@@ -405,9 +398,41 @@ fn no_trailing(buf: &Bytes) -> Result<()> {
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
+}
+
+/// Append everything of a [`Response::ResultSet`] body — or, given
+/// `spans`, of a [`Response::ResultSetTraced`] body — that precedes the
+/// rows. The caller appends the rows ([`rcc_executor::wire`] encoding)
+/// behind it: the front-end encodes them straight into the connection's
+/// frame buffer rather than building a payload first and copying it in.
+pub fn put_result_head(
+    buf: &mut Vec<u8>,
+    used_remote: bool,
+    warnings: &[String],
+    spans: Option<&[WireSpan]>,
+) {
+    buf.put_u8(if spans.is_some() {
+        TAG_RESULT_TRACED
+    } else {
+        TAG_RESULT
+    });
+    buf.put_u8(used_remote as u8);
+    buf.put_u16_le(warnings.len() as u16);
+    for w in warnings {
+        put_str(buf, w);
+    }
+    if let Some(spans) = spans {
+        buf.put_u32_le(spans.len() as u32);
+        for s in spans {
+            put_str(buf, &s.name);
+            buf.put_u32_le(s.depth);
+            buf.put_u64_le(s.start_us);
+            buf.put_u64_le(s.elapsed_us);
+        }
+    }
 }
 
 fn get_str(buf: &mut Bytes) -> Result<String> {
@@ -420,147 +445,289 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
 
 // ------------------------------------------------------------- frame I/O
 
-/// Write one frame (length prefix + payload) and flush.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
+/// Bytes of the frame header (the `u32` LE payload length).
+const HEADER_LEN: usize = 4;
+
+/// Size of a connection's read buffer. A frame that fits, header included,
+/// arrives with one `read`: requests and point-query responses are a few
+/// hundred bytes. Whatever a larger frame has left beyond the buffer is
+/// read straight into the payload's own allocation, never copied twice.
+const READ_BUF_LEN: usize = 16 << 10;
+
+/// A connection keeps its write buffer between frames up to this capacity;
+/// a larger response gives the memory back once it is sent, so one huge
+/// result does not pin its size per connection.
+const WRITE_BUF_KEEP: usize = 256 << 10;
+
+fn check_frame_len(len: usize, kind: io::ErrorKind, who: &str) -> io::Result<()> {
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
+            kind,
+            format!("{who} a {len}-byte frame (max {MAX_FRAME_LEN})"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    Ok(())
+}
+
+/// Send an assembled frame — the reserved length slot followed by the
+/// payload — with one `write`, after patching the slot.
+fn send_assembled(w: &mut impl Write, frame: &mut [u8]) -> io::Result<()> {
+    let len = frame.len() - HEADER_LEN;
+    check_frame_len(len, io::ErrorKind::InvalidInput, "refusing to send")?;
+    frame[..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(frame)?;
     w.flush()
 }
 
-/// Read one frame. Returns `Ok(None)` on clean EOF (the peer closed the
-/// connection between frames); mid-frame EOF is an error. Partial reads
-/// are handled — the transfer may arrive in arbitrarily small chunks.
+/// Write one frame (length prefix + payload) with a single `write`, and
+/// flush. On a `TCP_NODELAY` socket two writes would be two segments and a
+/// reader woken for the four header bytes alone. Connections that send many
+/// frames assemble them in place in a [`FramedStream`] instead of paying
+/// this function's copy.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    frame.extend_from_slice(payload);
+    send_assembled(w, &mut frame)
+}
+
+/// Read one frame from a bare stream. Returns `Ok(None)` on clean EOF (the
+/// peer closed the connection between frames); mid-frame EOF is an error.
+/// Partial reads are handled — the transfer may arrive in arbitrarily small
+/// chunks. With nowhere to keep bytes of a following frame, this reads the
+/// header and then exactly the payload; a connection that reads many
+/// frames owns a [`FramedStream`] and gets small ones in one `read`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Bytes>> {
-    let mut head = [0u8; 4];
-    match read_exact_or_eof(r, &mut head)? {
-        ReadOutcome::Eof => return Ok(None),
-        ReadOutcome::Filled => {}
-    }
-    let len = u32::from_le_bytes(head) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len}-byte frame (max {MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Bytes::from(payload)))
+    // the same reader with room for a header only: it cannot over-read
+    FrameReader::with_capacity(HEADER_LEN).read_frame(r, Patience::socket_deadline())
 }
 
-enum ReadOutcome {
-    Filled,
-    Eof,
+/// What a read that timed out (`WouldBlock`/`TimedOut` from a socket with
+/// a read timeout set) means while waiting for a frame.
+struct Patience<'a> {
+    /// `None`: the socket's timeout is the caller's per-call deadline, so
+    /// the error stands. `Some`: the timeout is a short poll interval —
+    /// while no byte of the frame has arrived, keep waiting unless the
+    /// predicate asks to stop; once one has, the peer gets the duration to
+    /// deliver the rest.
+    poll: Option<(&'a dyn Fn() -> bool, Duration)>,
+    /// When this frame was first seen incomplete.
+    partial_since: Option<Instant>,
 }
 
-/// `read_exact` that reports clean EOF *before the first byte* as
-/// [`ReadOutcome::Eof`] instead of an error.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(ReadOutcome::Eof),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+impl<'a> Patience<'a> {
+    fn socket_deadline() -> Patience<'a> {
+        Patience {
+            poll: None,
+            partial_since: None,
         }
     }
-    Ok(ReadOutcome::Filled)
-}
 
-/// Read one frame from a stream whose read timeout is set to a short poll
-/// interval, so the loop can notice `should_stop` (server shutdown)
-/// between chunks. Semantics:
-///
-/// * idle connection (no bytes yet): wait indefinitely, polling
-///   `should_stop`; a stop request returns `Ok(None)` like a clean EOF;
-/// * mid-frame: the peer has `mid_frame_timeout` to deliver the rest,
-///   otherwise the read fails with `TimedOut` (half-open connections
-///   cannot wedge a server thread forever).
-pub fn read_frame_interruptible(
-    r: &mut impl Read,
-    should_stop: &dyn Fn() -> bool,
-    mid_frame_timeout: Duration,
-) -> io::Result<Option<Bytes>> {
-    let mut head = [0u8; 4];
-    if !read_poll(r, &mut head, should_stop, mid_frame_timeout, true)? {
-        return Ok(None);
+    fn polling(should_stop: &'a dyn Fn() -> bool, mid_frame_timeout: Duration) -> Patience<'a> {
+        Patience {
+            poll: Some((should_stop, mid_frame_timeout)),
+            partial_since: None,
+        }
     }
-    let len = u32::from_le_bytes(head) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("peer announced a {len}-byte frame (max {MAX_FRAME_LEN})"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    if !read_poll(r, &mut payload, should_stop, mid_frame_timeout, false)? {
-        return Ok(None);
-    }
-    Ok(Some(Bytes::from(payload)))
-}
 
-/// Fill `buf`, tolerating poll timeouts. Returns `Ok(false)` for a clean
-/// stop (EOF before any byte, or `should_stop` while still idle).
-fn read_poll(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    should_stop: &dyn Fn() -> bool,
-    mid_frame_timeout: Duration,
-    idle_ok: bool,
-) -> io::Result<bool> {
-    let mut filled = 0;
-    let mut first_byte_at: Option<Instant> = if idle_ok { None } else { Some(Instant::now()) };
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && idle_ok => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                first_byte_at.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                match first_byte_at {
-                    None => {
+    /// One `read` into `dst`, with `mid_frame` saying whether part of the
+    /// frame has already arrived. `Ok(Some(n))`: `n > 0` bytes arrived.
+    /// `Ok(None)`: a clean stop between frames (EOF, or the stop predicate
+    /// while idle).
+    fn read(
+        &mut self,
+        r: &mut impl Read,
+        dst: &mut [u8],
+        mid_frame: bool,
+    ) -> io::Result<Option<usize>> {
+        if mid_frame && self.poll.is_some() {
+            self.partial_since.get_or_insert_with(Instant::now);
+        }
+        loop {
+            match r.read(dst) {
+                Ok(0) if !mid_frame => return Ok(None),
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "connection closed mid-frame",
+                    ))
+                }
+                Ok(n) => return Ok(Some(n)),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    let Some((should_stop, mid_frame_timeout)) = self.poll else {
+                        return Err(e);
+                    };
+                    match self.partial_since {
                         // still idle: stopping here is a clean exit
-                        if should_stop() {
-                            return Ok(false);
-                        }
-                    }
-                    Some(started) => {
-                        if started.elapsed() > mid_frame_timeout {
+                        None if should_stop() => return Ok(None),
+                        None => {}
+                        Some(since) if since.elapsed() > mid_frame_timeout => {
                             return Err(io::Error::new(
                                 io::ErrorKind::TimedOut,
                                 "peer stalled mid-frame",
-                            ));
+                            ))
                         }
+                        Some(_) => {}
                     }
                 }
+                Err(e) => return Err(e),
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    Ok(true)
+}
+
+/// The read half of a connection's frame buffers: `buf[start..end]` holds
+/// bytes received and not yet handed out.
+#[derive(Debug)]
+struct FrameReader {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// `cap` is at least [`HEADER_LEN`].
+    fn with_capacity(cap: usize) -> FrameReader {
+        FrameReader {
+            buf: vec![0; cap],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    fn buffered(&self) -> usize {
+        self.end - self.start
+    }
+
+    fn read_frame(
+        &mut self,
+        r: &mut impl Read,
+        mut patience: Patience<'_>,
+    ) -> io::Result<Option<Bytes>> {
+        while self.buffered() < HEADER_LEN {
+            // at most three bytes to move, and the whole buffer to read into
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            let mid_frame = self.end > 0;
+            match patience.read(r, &mut self.buf[self.end..], mid_frame)? {
+                Some(n) => self.end += n,
+                None => return Ok(None),
+            }
+        }
+        let header = &self.buf[self.start..self.start + HEADER_LEN];
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+        // before any allocation
+        check_frame_len(len, io::ErrorKind::InvalidData, "peer announced")?;
+        self.start += HEADER_LEN;
+        let have = self.buffered().min(len);
+        let mut payload = Vec::with_capacity(len);
+        payload.extend_from_slice(&self.buf[self.start..self.start + have]);
+        self.start += have;
+        // whatever is missing is read straight into the payload; nothing
+        // is left in the buffer while that goes on, so nothing is over-read
+        payload.resize(len, 0);
+        let mut filled = have;
+        while filled < len {
+            match patience.read(r, &mut payload[filled..], true)? {
+                Some(n) => filled += n,
+                // not reachable: a mid-frame read either makes progress or fails
+                None => return Err(io::ErrorKind::UnexpectedEof.into()),
+            }
+        }
+        Ok(Some(Bytes::from(payload)))
+    }
+}
+
+/// A stream and the one pair of frame buffers its connection owns, so that
+/// a frame leaves with one `write` and a small frame arrives with one
+/// `read`. Every endpoint — the front-end's and the back-end's connection
+/// threads, [`crate::NetClient`], pooled back-end connections — talks
+/// through one of these.
+#[derive(Debug)]
+pub struct FramedStream<S> {
+    stream: S,
+    reader: FrameReader,
+    out: Vec<u8>,
+}
+
+impl<S> FramedStream<S> {
+    /// Wrap a connected stream.
+    pub fn new(stream: S) -> FramedStream<S> {
+        FramedStream {
+            stream,
+            reader: FrameReader::with_capacity(READ_BUF_LEN),
+            out: Vec::new(),
+        }
+    }
+
+    /// The underlying stream (socket options, peer address).
+    pub fn get_ref(&self) -> &S {
+        &self.stream
+    }
+
+    /// Start an outgoing frame: the returned buffer already holds the
+    /// reserved length slot; append the payload to it, then call
+    /// [`FramedStream::send_frame`].
+    pub fn begin_frame(&mut self) -> &mut Vec<u8> {
+        self.out.clear();
+        self.out.extend_from_slice(&[0; HEADER_LEN]);
+        &mut self.out
+    }
+
+    /// Does the read buffer hold bytes nobody asked for? In a strict
+    /// request/response exchange that means the peer is out of protocol
+    /// sync, and the connection must not be reused.
+    pub fn has_unread(&self) -> bool {
+        self.reader.buffered() > 0
+    }
+}
+
+impl<S: Write> FramedStream<S> {
+    /// Send the frame assembled since [`FramedStream::begin_frame`] with
+    /// one `write`.
+    pub fn send_frame(&mut self) -> io::Result<()> {
+        let sent = send_assembled(&mut self.stream, &mut self.out);
+        if self.out.capacity() > WRITE_BUF_KEEP {
+            self.out = Vec::new();
+        }
+        sent
+    }
+}
+
+impl<S: Read> FramedStream<S> {
+    /// Read one frame; a read timeout on the socket is the caller's
+    /// deadline and fails the call. `Ok(None)` is a clean EOF between
+    /// frames.
+    pub fn read_frame(&mut self) -> io::Result<Option<Bytes>> {
+        self.reader
+            .read_frame(&mut self.stream, Patience::socket_deadline())
+    }
+
+    /// Read one frame from a stream whose read timeout is set to a short
+    /// poll interval, so the wait can notice `should_stop` (server
+    /// shutdown). Semantics:
+    ///
+    /// * idle connection (no byte of a frame yet): wait indefinitely,
+    ///   polling `should_stop`; a stop request returns `Ok(None)` like a
+    ///   clean EOF;
+    /// * mid-frame: the peer has `mid_frame_timeout` to deliver the rest,
+    ///   otherwise the read fails with `TimedOut` (half-open connections
+    ///   cannot wedge a server thread forever).
+    pub fn read_frame_interruptible(
+        &mut self,
+        should_stop: &dyn Fn() -> bool,
+        mid_frame_timeout: Duration,
+    ) -> io::Result<Option<Bytes>> {
+        self.reader.read_frame(
+            &mut self.stream,
+            Patience::polling(should_stop, mid_frame_timeout),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -763,6 +930,278 @@ mod tests {
         wire.extend_from_slice(&[0u8; 16]);
         let mut r = std::io::Cursor::new(wire);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A scripted stream that counts calls. Each `read` serves the next
+    /// step of the script: a chunk of bytes (all of it, or as much as the
+    /// caller's buffer takes), or a read timeout; past the end of the
+    /// script it times out forever (`idle`) or reports EOF. Writes are
+    /// accepted whole and kept.
+    #[derive(Default)]
+    struct Script {
+        steps: std::collections::VecDeque<Option<Vec<u8>>>,
+        idle: bool,
+        reads: usize,
+        writes: usize,
+        written: Vec<u8>,
+    }
+
+    impl Script {
+        fn serving(steps: Vec<Option<Vec<u8>>>, idle: bool) -> Script {
+            Script {
+                steps: steps.into(),
+                idle,
+                ..Script::default()
+            }
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            match self.steps.pop_front() {
+                Some(Some(mut chunk)) => {
+                    let n = chunk.len().min(buf.len());
+                    buf[..n].copy_from_slice(&chunk[..n]);
+                    if n < chunk.len() {
+                        self.steps.push_front(Some(chunk.split_off(n)));
+                    }
+                    Ok(n)
+                }
+                Some(None) => Err(io::ErrorKind::WouldBlock.into()),
+                None if self.idle => Err(io::ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        wire
+    }
+
+    const NEVER: &dyn Fn() -> bool = &|| false;
+
+    #[test]
+    fn a_frame_leaves_with_exactly_one_write() {
+        let query = Request::Query {
+            sql: "SELECT 1".into(),
+        };
+        // the free function, on a bare stream
+        let mut bare = Script::default();
+        write_frame(&mut bare, &query.encode()).unwrap();
+        assert_eq!(bare.writes, 1, "length prefix and payload in one write");
+        assert_eq!(bare.written, framed(&query.encode()));
+        // a connection, frame assembled in place; the buffer is reused
+        let mut conn = FramedStream::new(Script::default());
+        for _ in 0..3 {
+            query.encode_into(conn.begin_frame());
+            conn.send_frame().unwrap();
+        }
+        assert_eq!(conn.get_ref().writes, 3, "one write per frame");
+        assert_eq!(conn.get_ref().written, framed(&query.encode()).repeat(3));
+        // 160 KiB, like a scan_mix response: still one write, same bytes
+        let big = vec![0xAB; 160 << 10];
+        conn.begin_frame().extend_from_slice(&big);
+        conn.send_frame().unwrap();
+        assert_eq!(conn.get_ref().writes, 4);
+        assert!(conn.get_ref().written.ends_with(&framed(&big)));
+    }
+
+    #[test]
+    fn a_frame_that_fits_the_buffer_arrives_with_one_read() {
+        let wire = framed(&Response::Pong.encode());
+        let mut conn = FramedStream::new(Script::serving(vec![Some(wire)], true));
+        let payload = conn.read_frame().unwrap().unwrap();
+        assert_eq!(Response::decode(payload).unwrap(), Response::Pong);
+        assert_eq!(conn.get_ref().reads, 1, "header and payload in one read");
+        assert!(!conn.has_unread());
+        // a bare stream has no buffer to over-read into: header, payload
+        let mut bare = Script::serving(vec![Some(framed(&Response::Pong.encode()))], true);
+        read_frame(&mut bare).unwrap().unwrap();
+        assert_eq!(bare.reads, 2);
+    }
+
+    #[test]
+    fn two_frames_in_one_segment_are_served_in_order() {
+        let first = Request::Query {
+            sql: "SELECT 1".into(),
+        };
+        let mut segment = framed(&first.encode());
+        segment.extend(framed(&Request::Ping.encode()));
+        let mut conn = FramedStream::new(Script::serving(vec![Some(segment)], false));
+        let stop_if_polled = || panic!("both frames were already there");
+        for expected in [first, Request::Ping] {
+            let payload = conn
+                .read_frame_interruptible(&stop_if_polled, Duration::from_secs(1))
+                .unwrap()
+                .unwrap();
+            assert_eq!(Request::decode(payload).unwrap(), expected);
+        }
+        assert_eq!(conn.get_ref().reads, 1, "the second frame cost no read");
+        assert!(conn.read_frame().unwrap().is_none(), "then a clean EOF");
+    }
+
+    #[test]
+    fn a_second_frame_split_across_segments_is_reassembled() {
+        let sql = "SELECT c_name FROM customer WHERE c_custkey = 42".to_string();
+        let second = Request::Query { sql };
+        let mut wire = framed(&Request::Ping.encode());
+        wire.extend(framed(&second.encode()));
+        // every split point: inside the first frame, at the boundary,
+        // inside the second header, inside the second payload
+        for cut in 1..wire.len() {
+            let steps = vec![Some(wire[..cut].to_vec()), None, Some(wire[cut..].to_vec())];
+            let mut conn = FramedStream::new(Script::serving(steps, false));
+            let read = |conn: &mut FramedStream<Script>| {
+                conn.read_frame_interruptible(NEVER, Duration::from_secs(1))
+                    .unwrap()
+                    .unwrap()
+            };
+            assert_eq!(Request::decode(read(&mut conn)).unwrap(), Request::Ping);
+            assert_eq!(Request::decode(read(&mut conn)).unwrap(), second, "{cut}");
+            assert!(!conn.has_unread());
+        }
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_is_read_whole() {
+        let big = vec![0x5A; 3 * READ_BUF_LEN + 17];
+        let mut wire = framed(&big);
+        wire.extend(framed(&Response::Pong.encode()));
+        let mut conn = FramedStream::new(Script::serving(vec![Some(wire)], false));
+        assert_eq!(conn.read_frame().unwrap().unwrap().as_ref(), &big[..]);
+        // the tail was read into the payload itself, not past it
+        let payload = conn.read_frame().unwrap().unwrap();
+        assert_eq!(Response::decode(payload).unwrap(), Response::Pong);
+    }
+
+    #[test]
+    fn a_peer_stalling_mid_frame_times_out() {
+        let wire = framed(&Request::Ping.encode());
+        let frame_timeout = Duration::from_millis(30);
+        for cut in [1, HEADER_LEN, wire.len() - 1] {
+            let steps = vec![Some(wire[..cut].to_vec())];
+            let mut conn = FramedStream::new(Script::serving(steps, true));
+            let started = Instant::now();
+            let err = conn
+                .read_frame_interruptible(NEVER, frame_timeout)
+                .expect_err("half a frame and then silence");
+            assert_eq!(err.kind(), io::ErrorKind::TimedOut, "cut {cut}");
+            assert!(started.elapsed() >= frame_timeout);
+            assert!(started.elapsed() < frame_timeout * 20, "and not much later");
+        }
+        // a stop request does not rescue a half-delivered frame
+        let mut conn = FramedStream::new(Script::serving(vec![Some(wire[..2].to_vec())], true));
+        let err = conn.read_frame_interruptible(&|| true, frame_timeout);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::TimedOut);
+    }
+
+    #[test]
+    fn an_idle_connection_notices_shutdown_at_the_next_poll() {
+        let polls = std::cell::Cell::new(0);
+        let stop_on_third = || {
+            polls.set(polls.get() + 1);
+            polls.get() == 3
+        };
+        let mut conn = FramedStream::new(Script::serving(vec![], true));
+        let got = conn
+            .read_frame_interruptible(&stop_on_third, Duration::from_secs(1))
+            .unwrap();
+        assert!(got.is_none(), "a stop while idle is a clean exit");
+        assert_eq!(conn.get_ref().reads, 3, "one poll per read timeout");
+        // the same silence on a client is the per-call deadline: an error
+        let mut client = FramedStream::new(Script::serving(vec![], true));
+        let err = client.read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+    }
+
+    #[test]
+    fn eof_is_clean_between_frames_and_an_error_inside_one() {
+        let wire = framed(&Request::Ping.encode());
+        let mut conn = FramedStream::new(Script::serving(vec![Some(wire.clone())], false));
+        assert!(conn.read_frame().unwrap().is_some());
+        assert!(conn.read_frame().unwrap().is_none());
+        for cut in 1..wire.len() {
+            let steps = vec![Some(wire[..cut].to_vec())];
+            let mut conn = FramedStream::new(Script::serving(steps, false));
+            let err = conn.read_frame().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn an_oversized_length_is_rejected_on_the_header_alone() {
+        // the announced payload never arrives: had the reader allocated
+        // for it and gone on reading, this would be EOF, not InvalidData
+        let header = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes().to_vec();
+        let mut conn = FramedStream::new(Script::serving(vec![Some(header)], false));
+        let err = conn.read_frame().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(conn.get_ref().reads, 1);
+        // the sending side refuses before it writes anything
+        let mut conn = FramedStream::new(Script::default());
+        conn.begin_frame().resize(HEADER_LEN + MAX_FRAME_LEN + 1, 0);
+        assert_eq!(
+            conn.send_frame().unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
+        assert_eq!(conn.get_ref().writes, 0);
+    }
+
+    #[test]
+    fn a_large_response_does_not_pin_the_write_buffer() {
+        let mut conn = FramedStream::new(Script::default());
+        conn.begin_frame()
+            .resize(HEADER_LEN + 2 * WRITE_BUF_KEEP, 7);
+        conn.send_frame().unwrap();
+        assert!(conn.out.capacity() <= WRITE_BUF_KEEP);
+        conn.begin_frame().resize(HEADER_LEN + 1000, 7);
+        conn.send_frame().unwrap();
+        assert!(conn.out.capacity() >= 1000, "a small one is kept");
+    }
+
+    #[test]
+    fn in_place_result_head_matches_the_response_encoding() {
+        let payload = Bytes::from(&b"rows"[..]);
+        let warnings = vec!["stale".to_string()];
+        let spans = vec![WireSpan {
+            name: "backend:execute".into(),
+            depth: 1,
+            start_us: 2,
+            elapsed_us: 3,
+        }];
+        let mut buf = Vec::new();
+        put_result_head(&mut buf, true, &warnings, None);
+        buf.extend_from_slice(&payload);
+        let plain = Response::ResultSet {
+            used_remote: true,
+            warnings: warnings.clone(),
+            payload: payload.clone(),
+        };
+        assert_eq!(buf, plain.encode().as_ref());
+        let mut buf = Vec::new();
+        put_result_head(&mut buf, false, &warnings, Some(&spans));
+        buf.extend_from_slice(&payload);
+        let traced = Response::ResultSetTraced {
+            used_remote: false,
+            warnings,
+            spans,
+            payload,
+        };
+        assert_eq!(buf, traced.encode().as_ref());
     }
 
     #[test]

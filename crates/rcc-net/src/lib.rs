@@ -34,9 +34,7 @@ pub mod tags;
 pub use admin::AdminServer;
 pub use backend_net::BackendNetServer;
 pub use client::{ClientConfig, NetClient, NetQueryResult};
-pub use frame::{
-    read_frame, read_frame_interruptible, write_frame, Request, Response, MAX_FRAME_LEN,
-};
+pub use frame::{read_frame, write_frame, FramedStream, Request, Response, MAX_FRAME_LEN};
 pub use pool::{BackendPool, PoolConfig};
 pub use remote::{RetryPolicy, TcpRemoteService};
 pub use server::{NetServer, NetServerConfig};

@@ -1,11 +1,14 @@
 //! A connection pool for the back-end transport.
 //!
-//! Plain blocking TCP: a checkout pops an idle socket (or dials a new one
-//! under a connect timeout), a checkin returns it for reuse up to the pool
-//! cap, and any I/O error discards the socket instead of poisoning the
-//! pool. Occupancy is published as `rcc_net_pool_idle` /
-//! `rcc_net_pool_in_use` gauges.
+//! Plain blocking TCP: a checkout pops an idle connection (or dials a new
+//! one under a connect timeout), a checkin returns it for reuse up to the
+//! pool cap, and any I/O error discards it instead of poisoning the pool.
+//! A pooled connection is a [`FramedStream`]: its frame buffers travel with
+//! the socket, and one that comes back with unread bytes is out of
+//! protocol sync and is dropped, not reused. Occupancy is published as
+//! `rcc_net_pool_idle` / `rcc_net_pool_in_use` gauges.
 
+use crate::frame::FramedStream;
 use parking_lot::Mutex;
 use rcc_obs::{Gauge, MetricsRegistry};
 use std::io;
@@ -41,7 +44,7 @@ impl Default for PoolConfig {
 pub struct BackendPool {
     addr: SocketAddr,
     cfg: PoolConfig,
-    idle: Mutex<Vec<TcpStream>>,
+    idle: Mutex<Vec<FramedStream<TcpStream>>>,
     in_use: AtomicUsize,
     gauges: Mutex<Option<(Gauge, Gauge)>>,
 }
@@ -96,30 +99,33 @@ impl BackendPool {
 
     /// Get a connection: an idle one if available, otherwise a fresh dial
     /// under the connect timeout. Read/write deadlines are (re)applied.
-    pub fn checkout(&self) -> io::Result<TcpStream> {
+    pub fn checkout(&self) -> io::Result<FramedStream<TcpStream>> {
         let reused = self.idle.lock().pop();
-        let stream = match reused {
-            Some(s) => s,
+        let conn = match reused {
+            Some(c) => c,
             None => {
                 let s = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
                 s.set_nodelay(true)?;
-                s
+                FramedStream::new(s)
             }
         };
-        stream.set_read_timeout(Some(self.cfg.io_timeout))?;
-        stream.set_write_timeout(Some(self.cfg.io_timeout))?;
+        conn.get_ref().set_read_timeout(Some(self.cfg.io_timeout))?;
+        conn.get_ref()
+            .set_write_timeout(Some(self.cfg.io_timeout))?;
         self.in_use.fetch_add(1, Ordering::Relaxed);
         self.publish();
-        Ok(stream)
+        Ok(conn)
     }
 
-    /// Return a healthy connection for reuse (dropped if the idle list is
-    /// at its cap).
-    pub fn checkin(&self, stream: TcpStream) {
-        {
+    /// Return a healthy connection for reuse. It is dropped instead if the
+    /// idle list is at its cap, or if its read buffer still holds bytes: a
+    /// response was fully read, so anything further is the peer out of
+    /// protocol sync.
+    pub fn checkin(&self, conn: FramedStream<TcpStream>) {
+        if !conn.has_unread() {
             let mut idle = self.idle.lock();
             if idle.len() < self.cfg.max_idle {
-                idle.push(stream);
+                idle.push(conn);
             }
         }
         self.in_use.fetch_sub(1, Ordering::Relaxed);
@@ -141,5 +147,68 @@ impl BackendPool {
     /// (idle, in-use) connection counts.
     pub fn occupancy(&self) -> (usize, usize) {
         (self.idle.lock().len(), self.in_use.load(Ordering::Relaxed))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{read_frame, write_frame, Request, Response};
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    /// A back-end that answers every request with `Pong`, and — when told
+    /// to misbehave — pushes three more bytes behind it in the same write.
+    fn peer(chatty: bool) -> (SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            while let Ok(Some(_request)) = read_frame(&mut stream) {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, &Response::Pong.encode()).unwrap();
+                if chatty {
+                    wire.extend_from_slice(b"???");
+                }
+                stream.write_all(&wire).unwrap();
+            }
+        });
+        (addr, handle)
+    }
+
+    fn ping(conn: &mut FramedStream<TcpStream>) {
+        Request::Ping.encode_into(conn.begin_frame());
+        conn.send_frame().unwrap();
+        let payload = conn.read_frame().unwrap().unwrap();
+        assert_eq!(Response::decode(payload).unwrap(), Response::Pong);
+    }
+
+    #[test]
+    fn a_connection_with_leftover_bytes_is_discarded_not_reused() {
+        // in sync: the connection, its buffers with it, goes back and is
+        // the one handed out next
+        let (addr, server) = peer(false);
+        let pool = BackendPool::new(addr, PoolConfig::default()).unwrap();
+        let mut conn = pool.checkout().unwrap();
+        ping(&mut conn);
+        let local = conn.get_ref().local_addr().unwrap();
+        pool.checkin(conn);
+        assert_eq!(pool.occupancy(), (1, 0));
+        let mut conn = pool.checkout().unwrap();
+        assert_eq!(conn.get_ref().local_addr().unwrap(), local, "reused");
+        ping(&mut conn);
+        drop(conn);
+        pool.discard();
+        server.join().unwrap();
+
+        // out of sync: the response was read whole and bytes are left over
+        let (addr, server) = peer(true);
+        let pool = BackendPool::new(addr, PoolConfig::default()).unwrap();
+        let mut conn = pool.checkout().unwrap();
+        ping(&mut conn);
+        assert!(conn.has_unread(), "the stray bytes came in the same read");
+        pool.checkin(conn);
+        assert_eq!(pool.occupancy(), (0, 0), "dropped, and not counted in use");
+        server.join().unwrap();
     }
 }

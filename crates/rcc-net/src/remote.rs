@@ -11,7 +11,7 @@
 //! failure_injection.rs` establishes for the in-process link, now over a
 //! real socket.
 
-use crate::frame::{read_frame, write_frame, Request, Response, TraceContext, WireSpan};
+use crate::frame::{FramedStream, Request, Response, TraceContext, WireSpan};
 use crate::pool::{BackendPool, PoolConfig};
 use parking_lot::Mutex;
 use rcc_common::{Error, Result, Row, Schema};
@@ -104,15 +104,15 @@ impl TcpRemoteService {
         sql: &str,
         trace: Option<&TraceRef>,
     ) -> std::result::Result<(Schema, Vec<Row>, u64), CallError> {
-        let stream = self.pool.checkout().map_err(CallError::Transport)?;
-        match self.roundtrip(&stream, sql, trace) {
+        let mut conn = self.pool.checkout().map_err(CallError::Transport)?;
+        match self.roundtrip(&mut conn, sql, trace) {
             Ok(out) => {
-                self.pool.checkin(stream);
+                self.pool.checkin(conn);
                 Ok(out)
             }
             Err(CallError::App(e)) => {
                 // the connection is still in protocol sync: reuse it
-                self.pool.checkin(stream);
+                self.pool.checkin(conn);
                 Err(CallError::App(e))
             }
             Err(CallError::Transport(e)) => {
@@ -124,7 +124,7 @@ impl TcpRemoteService {
 
     fn roundtrip(
         &self,
-        mut stream: &TcpStream,
+        conn: &mut FramedStream<TcpStream>,
         sql: &str,
         trace: Option<&TraceRef>,
     ) -> std::result::Result<(Schema, Vec<Row>, u64), CallError> {
@@ -142,8 +142,10 @@ impl TcpRemoteService {
         };
         // remote span offsets are relative to this moment on our timeline
         let sent_at = trace.map(|t| t.elapsed());
-        write_frame(&mut stream, &req.encode()).map_err(CallError::Transport)?;
-        let payload = read_frame(&mut stream)
+        req.encode_into(conn.begin_frame());
+        conn.send_frame().map_err(CallError::Transport)?;
+        let payload = conn
+            .read_frame()
             .map_err(CallError::Transport)?
             .ok_or_else(|| {
                 CallError::Transport(io::Error::new(

@@ -10,16 +10,16 @@
 //! notice the stop flag within one poll interval, and every thread is
 //! joined before [`NetServer::shutdown`] returns.
 
-use crate::frame::{read_frame_interruptible, write_frame, Request, Response};
+use crate::frame::{put_result_head, write_frame, FramedStream, Request, Response};
 use parking_lot::Mutex;
 use rcc_common::Error;
 use rcc_executor::wire;
-use rcc_mtcache::{MTCache, ViolationPolicy};
-use rcc_obs::{MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
-use std::io;
+use rcc_mtcache::{MTCache, QueryResult, ViolationPolicy};
+use rcc_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,6 +62,7 @@ impl NetServer {
     pub fn spawn(cache: Arc<MTCache>, bind: &str, cfg: NetServerConfig) -> io::Result<NetServer> {
         let registry = Arc::clone(cache.metrics());
         describe_metrics(&registry);
+        let request_metrics = Arc::new(RequestMetrics::new(Arc::clone(&registry)));
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -94,12 +95,12 @@ impl NetServer {
                         let slot = ActiveSlot::take(&active, &registry);
                         let cache = Arc::clone(&cache);
                         let shutdown = Arc::clone(&shutdown);
-                        let registry = Arc::clone(&registry);
+                        let metrics = Arc::clone(&request_metrics);
                         let frame_timeout = cfg.frame_timeout;
                         if let Ok(handle) = std::thread::Builder::new()
                             .name("rcc-net-conn".into())
                             .spawn(move || {
-                                handle_conn(cache, stream, shutdown, registry, frame_timeout);
+                                handle_conn(&cache, stream, &shutdown, &metrics, frame_timeout);
                                 drop(slot);
                             })
                         {
@@ -196,35 +197,91 @@ fn describe_metrics(registry: &MetricsRegistry) {
     );
 }
 
-fn handle_conn(
-    cache: Arc<MTCache>,
-    mut stream: TcpStream,
-    shutdown: Arc<AtomicBool>,
+/// The per-request metric handles, resolved from the registry by name on
+/// first use and held from then on: the by-name lookup (key allocation,
+/// mutex, map walk) is paid once per server, not twice per request. Lazy
+/// rather than eager so a request type nobody sent stays out of the
+/// exposition, as it always has.
+struct RequestMetrics {
     registry: Arc<MetricsRegistry>,
+    query: OnceLock<Counter>,
+    query_traced: OnceLock<Counter>,
+    set_option: OnceLock<Counter>,
+    ping: OnceLock<Counter>,
+    seconds: OnceLock<Histogram>,
+}
+
+impl RequestMetrics {
+    fn new(registry: Arc<MetricsRegistry>) -> RequestMetrics {
+        RequestMetrics {
+            registry,
+            query: OnceLock::new(),
+            query_traced: OnceLock::new(),
+            set_option: OnceLock::new(),
+            ping: OnceLock::new(),
+            seconds: OnceLock::new(),
+        }
+    }
+
+    fn count(&self, handle: &OnceLock<Counter>, request_type: &str) {
+        handle
+            .get_or_init(|| {
+                self.registry
+                    .counter("rcc_net_requests_total", &[("type", request_type)])
+            })
+            .inc();
+    }
+
+    fn observe_seconds(&self, started: Instant) {
+        self.seconds
+            .get_or_init(|| {
+                self.registry
+                    .histogram("rcc_net_request_seconds", &[], DEFAULT_LATENCY_BUCKETS)
+            })
+            .observe(started.elapsed().as_secs_f64());
+    }
+}
+
+fn handle_conn(
+    cache: &MTCache,
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    metrics: &RequestMetrics,
     frame_timeout: Duration,
 ) {
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
+    serve(
+        cache,
+        FramedStream::new(stream),
+        shutdown,
+        metrics,
+        frame_timeout,
+    );
+}
+
+/// Serve one connection until the peer leaves, the transport fails or the
+/// server shuts down: every response is assembled in the connection's
+/// frame buffer and leaves with one write.
+fn serve<S: Read + Write>(
+    cache: &MTCache,
+    mut conn: FramedStream<S>,
+    shutdown: &AtomicBool,
+    metrics: &RequestMetrics,
+    frame_timeout: Duration,
+) {
     // per-connection session: currency options and timeline floors are
     // isolated from every other client
     let mut session = cache.session();
     let stop = || shutdown.load(Ordering::SeqCst);
-    while let Ok(Some(payload)) = read_frame_interruptible(&mut stream, &stop, frame_timeout) {
+    while let Ok(Some(payload)) = conn.read_frame_interruptible(&stop, frame_timeout) {
         let started = Instant::now();
-        let response = match Request::decode(payload) {
+        let out = conn.begin_frame();
+        let outcome = match Request::decode(payload) {
             Ok(Request::Query { sql }) => {
-                registry
-                    .counter("rcc_net_requests_total", &[("type", "query")])
-                    .inc();
-                match session.execute(&sql) {
-                    Ok(r) => Response::ResultSet {
-                        used_remote: r.used_remote,
-                        warnings: r.warnings,
-                        payload: wire::encode_result(&r.schema, &r.rows),
-                    },
-                    Err(e) => Response::Error(e),
-                }
+                metrics.count(&metrics.query, "query");
+                put_result(out, session.execute(&sql), false)
             }
             Ok(Request::QueryTraced { sql, .. }) => {
                 // accepted for protocol symmetry: the cache front-end
@@ -232,46 +289,47 @@ fn handle_conn(
                 // internal spans to clients — the merged trace (including
                 // back-end spans) is retained by the cache's tracer and is
                 // visible via `SHOW TRACE` and the admin `/traces` route
-                registry
-                    .counter("rcc_net_requests_total", &[("type", "query_traced")])
-                    .inc();
-                match session.execute(&sql) {
-                    Ok(r) => Response::ResultSetTraced {
-                        used_remote: r.used_remote,
-                        warnings: r.warnings,
-                        spans: Vec::new(),
-                        payload: wire::encode_result(&r.schema, &r.rows),
-                    },
-                    Err(e) => Response::Error(e),
-                }
+                metrics.count(&metrics.query_traced, "query_traced");
+                put_result(out, session.execute(&sql), true)
             }
             Ok(Request::SetOption { name, value }) => {
-                registry
-                    .counter("rcc_net_requests_total", &[("type", "set_option")])
-                    .inc();
-                match apply_option(&mut session, &name, &value) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => Response::Error(e),
-                }
+                metrics.count(&metrics.set_option, "set_option");
+                apply_option(&mut session, &name, &value).map(|()| Response::Ok.encode_into(out))
             }
             Ok(Request::Ping) => {
-                registry
-                    .counter("rcc_net_requests_total", &[("type", "ping")])
-                    .inc();
-                Response::Pong
+                metrics.count(&metrics.ping, "ping");
+                Response::Pong.encode_into(out);
+                Ok(())
             }
-            Err(e) => Response::Error(e),
+            Err(e) => Err(e),
         };
-        if matches!(response, Response::Error(_)) {
-            registry.counter("rcc_net_request_errors_total", &[]).inc();
+        if let Err(e) = outcome {
+            metrics
+                .registry
+                .counter("rcc_net_request_errors_total", &[])
+                .inc();
+            Response::Error(e).encode_into(out);
         }
-        registry
-            .histogram("rcc_net_request_seconds", &[], DEFAULT_LATENCY_BUCKETS)
-            .observe(started.elapsed().as_secs_f64());
-        if write_frame(&mut stream, &response.encode()).is_err() {
+        let sent = conn.send_frame();
+        metrics.observe_seconds(started);
+        if sent.is_err() {
             break;
         }
     }
+}
+
+/// Append a query's answer to the frame under assembly: the rows go from
+/// the result straight into the connection's buffer. An error leaves the
+/// buffer as it was, for the caller to answer with an error frame.
+fn put_result(
+    out: &mut Vec<u8>,
+    result: Result<QueryResult, Error>,
+    traced: bool,
+) -> Result<(), Error> {
+    let r = result?;
+    put_result_head(out, r.used_remote, &r.warnings, traced.then_some(&[]));
+    wire::encode_result_into(out, &r.schema, &r.rows);
+    Ok(())
 }
 
 /// Apply a session option. Currently:
@@ -296,5 +354,76 @@ fn apply_option(
         Ok(())
     } else {
         Err(Error::Config(format!("unknown session option '{name}'")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that has sent its requests and closed, and whose side of the
+    /// connection is slow to take the answers.
+    struct SlowPeer {
+        requests: io::Cursor<Vec<u8>>,
+        write_delay: Duration,
+        responses: Vec<u8>,
+    }
+
+    impl Read for SlowPeer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.requests.read(buf)
+        }
+    }
+
+    impl Write for SlowPeer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            std::thread::sleep(self.write_delay);
+            self.responses.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn request_seconds_covers_the_response_write() {
+        let cache = MTCache::new();
+        let metrics = RequestMetrics::new(Arc::clone(cache.metrics()));
+        let write_delay = Duration::from_millis(20);
+        let mut requests = Vec::new();
+        write_frame(&mut requests, &Request::Ping.encode()).unwrap();
+        write_frame(&mut requests, b"\xFFnot a request").unwrap();
+        let mut peer = SlowPeer {
+            requests: io::Cursor::new(requests),
+            write_delay,
+            responses: Vec::new(),
+        };
+        serve(
+            &cache,
+            FramedStream::new(&mut peer),
+            &AtomicBool::new(false),
+            &metrics,
+            Duration::from_secs(1),
+        );
+        let mut responses = io::Cursor::new(peer.responses);
+        let mut next = || crate::frame::read_frame(&mut responses).unwrap();
+        let pong = Response::decode(next().unwrap()).unwrap();
+        assert_eq!(pong, Response::Pong);
+        let refused = Response::decode(next().unwrap()).unwrap();
+        assert!(matches!(refused, Response::Error(_)), "{refused:?}");
+        assert!(next().is_none(), "one response per request");
+
+        // "read frame to response written": both writes are inside
+        let snap = cache.metrics().snapshot();
+        let seconds = snap.histogram("rcc_net_request_seconds").unwrap();
+        assert_eq!(seconds.count, 2);
+        assert!(
+            seconds.sum >= 2.0 * write_delay.as_secs_f64(),
+            "the histogram stopped its clock before the write: {}",
+            seconds.sum
+        );
+        assert_eq!(snap.counter("rcc_net_requests_total{type=\"ping\"}"), 1);
+        assert_eq!(snap.counter("rcc_net_request_errors_total"), 1);
     }
 }

@@ -127,6 +127,46 @@ fn bad_sql_and_bad_options_return_errors_not_disconnects() {
 }
 
 #[test]
+fn explain_analyze_runs_over_the_wire() {
+    // it used to fail in every session — the session parsed the text
+    // before the server's prefix-stripping ever saw it
+    let (_cache, server) = rig();
+    let mut client = NetClient::connect(server.addr(), &ClientConfig::default()).unwrap();
+    let plain = client.query(Q).unwrap();
+    let analyzed = client.query(&format!("EXPLAIN ANALYZE {Q}")).unwrap();
+    assert_eq!(analyzed.rows, plain.rows, "the rows come back as well");
+    // and the plain text still hits its own cached plan afterwards
+    assert_eq!(client.query(Q).unwrap().rows, plain.rows);
+}
+
+#[test]
+fn two_requests_in_one_segment_are_both_answered_in_order() {
+    use rcc_net::frame::{write_frame, Request, Response};
+    use rcc_net::FramedStream;
+    use std::io::Write;
+
+    let (cache, server) = rig();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut segment = Vec::new();
+    write_frame(&mut segment, &Request::Query { sql: Q.into() }.encode()).unwrap();
+    write_frame(&mut segment, &Request::Ping.encode()).unwrap();
+    (&stream).write_all(&segment).unwrap();
+
+    let mut conn = FramedStream::new(stream);
+    let first = Response::decode(conn.read_frame().unwrap().unwrap()).unwrap();
+    assert!(matches!(first, Response::ResultSet { .. }), "{first:?}");
+    let second = Response::decode(conn.read_frame().unwrap().unwrap()).unwrap();
+    assert_eq!(second, Response::Pong);
+
+    // the latency histogram is observed once the response is written, so
+    // after the second answer the first request is certainly on record
+    let snap = cache.metrics().snapshot();
+    let seconds = snap.histogram("rcc_net_request_seconds").unwrap();
+    assert!(seconds.count >= 1 && seconds.sum > 0.0, "{seconds:?}");
+}
+
+#[test]
 fn accept_pool_is_bounded() {
     let cache = Arc::new({
         let c = paper_setup(0.001, 7).unwrap();

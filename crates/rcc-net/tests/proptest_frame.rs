@@ -1,11 +1,14 @@
 //! Property tests for the frame codec: round-trips survive arbitrary read
 //! fragmentation, and no input — truncated, oversized, or garbage — makes
-//! the decoder panic.
+//! the decoder panic. Every stream is read twice, as a bare stream
+//! (`read_frame`) and as a connection with its read buffer
+//! (`FramedStream`), and the two must agree.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rcc_common::{Column, DataType, Row, Schema, Value};
 use rcc_net::frame::{read_frame, write_frame, Request, Response, TraceContext, WireSpan};
+use rcc_net::FramedStream;
 use std::io::{self, Read};
 
 /// A reader that hands out at most `chunk` bytes per call, exercising every
@@ -23,6 +26,42 @@ impl Read for ChunkedReader {
         self.pos += n;
         Ok(n)
     }
+}
+
+/// Read frames off `data`, delivered at most `chunk` bytes per `read`,
+/// until a clean EOF (`None`) or the first error (its kind) — through both
+/// readers, which must see the same thing.
+fn read_all(data: &[u8], chunk: usize) -> (Vec<Bytes>, Option<io::ErrorKind>) {
+    fn drain(
+        mut next: impl FnMut() -> io::Result<Option<Bytes>>,
+    ) -> (Vec<Bytes>, Option<io::ErrorKind>) {
+        let mut frames = Vec::new();
+        loop {
+            match next() {
+                Ok(Some(payload)) => frames.push(payload),
+                Ok(None) => return (frames, None),
+                Err(e) => return (frames, Some(e.kind())),
+            }
+        }
+    }
+    let chunked = || ChunkedReader {
+        data: data.to_vec(),
+        pos: 0,
+        chunk,
+    };
+    let mut bare = chunked();
+    let unbuffered = drain(|| read_frame(&mut bare));
+    let mut conn = FramedStream::new(chunked());
+    let buffered = drain(|| conn.read_frame());
+    assert_eq!(unbuffered, buffered, "the two readers disagree");
+    buffered
+}
+
+/// The one frame on `wire`, followed by a clean EOF.
+fn sole_frame(wire: &[u8], chunk: usize) -> Bytes {
+    let (mut frames, error) = read_all(wire, chunk);
+    assert_eq!((frames.len(), error), (1, None), "one whole frame");
+    frames.remove(0)
 }
 
 fn printable(bytes: Vec<u8>) -> String {
@@ -47,11 +86,8 @@ proptest! {
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
-        let mut reader = ChunkedReader { data: wire, pos: 0, chunk };
-        let payload = read_frame(&mut reader).unwrap().expect("one whole frame");
-        prop_assert_eq!(Request::decode(payload).unwrap(), req);
-        // nothing left: the next read is a clean EOF
-        prop_assert!(read_frame(&mut reader).unwrap().is_none());
+        // one frame, then nothing left: a clean EOF
+        prop_assert_eq!(Request::decode(sole_frame(&wire, chunk)).unwrap(), req);
     }
 
     #[test]
@@ -73,9 +109,7 @@ proptest! {
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &resp.encode()).unwrap();
-        let mut reader = ChunkedReader { data: wire, pos: 0, chunk };
-        let payload = read_frame(&mut reader).unwrap().expect("one whole frame");
-        let decoded = Response::decode(payload).unwrap();
+        let decoded = Response::decode(sole_frame(&wire, chunk)).unwrap();
         prop_assert_eq!(&decoded, &resp);
         if let Response::ResultSet { payload, .. } = decoded {
             let (s, r) = rcc_executor::wire::decode_result(payload).unwrap();
@@ -97,19 +131,16 @@ proptest! {
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
-        let mut reader = ChunkedReader { data: wire.clone(), pos: 0, chunk };
-        let payload = read_frame(&mut reader).unwrap().expect("one whole frame");
-        prop_assert_eq!(Request::decode(payload).unwrap(), req);
+        prop_assert_eq!(Request::decode(sole_frame(&wire, chunk)).unwrap(), req);
         // any truncation of the encoded frame must error, never panic or
         // decode to something else (old/new compatibility: a peer that cuts
         // the trace context off the tail cannot alias a legacy Query)
         for cut in 0..wire.len() {
-            let mut reader = ChunkedReader { data: wire[..cut].to_vec(), pos: 0, chunk: 7 };
-            match read_frame(&mut reader) {
-                Ok(None) => prop_assert!(cut < 4),
-                Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
-                Ok(Some(_)) => prop_assert!(false, "truncated frame decoded at cut {}", cut),
-            }
+            let (frames, error) = read_all(&wire[..cut], 7);
+            prop_assert!(frames.is_empty(), "truncated frame decoded at cut {}", cut);
+            // lost before its first byte is a clean EOF
+            let expected = (cut > 0).then_some(io::ErrorKind::UnexpectedEof);
+            prop_assert_eq!(error, expected);
         }
     }
 
@@ -145,9 +176,7 @@ proptest! {
         };
         let mut wire = Vec::new();
         write_frame(&mut wire, &resp.encode()).unwrap();
-        let mut reader = ChunkedReader { data: wire, pos: 0, chunk };
-        let payload = read_frame(&mut reader).unwrap().expect("one whole frame");
-        let decoded = Response::decode(payload).unwrap();
+        let decoded = Response::decode(sole_frame(&wire, chunk)).unwrap();
         prop_assert_eq!(&decoded, &resp);
         if let Response::ResultSetTraced { payload, .. } = decoded {
             let (_, r) = rcc_executor::wire::decode_result(payload).unwrap();
@@ -164,14 +193,12 @@ proptest! {
         let mut wire = Vec::new();
         write_frame(&mut wire, &req.encode()).unwrap();
         let cut = fraction * wire.len() / 1000; // strictly short of a frame
-        let mut reader = ChunkedReader { data: wire[..cut].to_vec(), pos: 0, chunk: 3 };
-        match read_frame(&mut reader) {
-            // lost before the length prefix completes: clean EOF
-            Ok(None) => prop_assert!(cut < 4),
-            // lost mid-payload: an explicit error, never a hang or panic
-            Err(e) => prop_assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
-            Ok(Some(_)) => prop_assert!(false, "truncated frame decoded at cut {}", cut),
-        }
+        let (frames, error) = read_all(&wire[..cut], 3);
+        prop_assert!(frames.is_empty(), "truncated frame decoded at cut {}", cut);
+        // lost before its first byte: a clean EOF; lost mid-frame: an
+        // explicit error, never a hang or panic
+        let expected = (cut > 0).then_some(io::ErrorKind::UnexpectedEof);
+        prop_assert_eq!(error, expected);
     }
 
     #[test]
@@ -183,8 +210,7 @@ proptest! {
         let _ = Response::decode(Bytes::from(bytes.clone()));
         // and reading arbitrary bytes as a frame stream must not panic
         // either (oversized length prefixes are rejected before allocation)
-        let mut reader = ChunkedReader { data: bytes, pos: 0, chunk: 5 };
-        while let Ok(Some(payload)) = read_frame(&mut reader) {
+        for payload in read_all(&bytes, 5).0 {
             let _ = Request::decode(payload.clone());
             let _ = Response::decode(payload);
         }

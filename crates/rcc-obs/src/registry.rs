@@ -1,9 +1,10 @@
 //! Metrics registry: counters, gauges, histograms, Prometheus exposition.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Reasonable buckets (seconds) for sub-second query/remote latencies.
 pub const DEFAULT_LATENCY_BUCKETS: &[f64] = &[
@@ -313,6 +314,37 @@ impl MetricsSnapshot {
     }
 }
 
+/// Metric handles whose label comes from a small run-time key (a region
+/// id, say): each is resolved from the registry by name the first time its
+/// key is seen and held from then on, so a hot path pays a read lock and a
+/// hash of the key, not a by-name lookup (key allocation, mutex, map walk).
+#[derive(Debug)]
+pub struct HandlesByKey<K, H> {
+    held: RwLock<HashMap<K, H>>,
+}
+
+impl<K, H> Default for HandlesByKey<K, H> {
+    fn default() -> Self {
+        HandlesByKey {
+            held: RwLock::new(HashMap::new()),
+        }
+    }
+}
+
+impl<K: Eq + Hash, H: Clone> HandlesByKey<K, H> {
+    /// The handle held for `key`, resolving it first if this is the key's
+    /// first sighting.
+    pub fn get(&self, key: K, resolve: impl FnOnce() -> H) -> H {
+        let held = self.held.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(handle) = held.get(&key) {
+            return handle.clone();
+        }
+        drop(held);
+        let mut held = self.held.write().unwrap_or_else(PoisonError::into_inner);
+        held.entry(key).or_insert_with(resolve).clone()
+    }
+}
+
 type Collector = Box<dyn Fn() + Send + Sync>;
 
 /// Registry of named metrics. Cheap to clone handles out of; all handles
@@ -600,6 +632,25 @@ mod tests {
         assert!(text.contains("lat_seconds_bucket{le=\"0.1\"} 1"));
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("lat_seconds_count 1"));
+    }
+
+    #[test]
+    fn handles_by_key_resolve_once_per_key() {
+        let registry = MetricsRegistry::new();
+        let held: HandlesByKey<u32, Counter> = HandlesByKey::default();
+        let resolved = std::cell::Cell::new(0);
+        for key in [1, 2, 1, 1, 2] {
+            let label = key.to_string();
+            held.get(key, || {
+                resolved.set(resolved.get() + 1);
+                registry.counter("c", &[("k", &label)])
+            })
+            .inc();
+        }
+        assert_eq!(resolved.get(), 2, "one by-name lookup per key");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("c{k=\"1\"}"), 3);
+        assert_eq!(snap.counter("c{k=\"2\"}"), 2);
     }
 
     #[test]

@@ -97,6 +97,10 @@ pub enum Statement {
     /// delivered staleness interval, guard verdict, elision decision)
     /// instead of executing.
     ExplainFlow(Box<SelectStmt>),
+    /// `EXPLAIN ANALYZE SELECT ...` — execute the query with per-operator
+    /// metering; the result carries the rows plus the instrumented plan
+    /// printout (actual row counts and wall times per operator).
+    ExplainAnalyze(Box<SelectStmt>),
     /// `SHOW EVENTS` — read the cache's bounded event journal
     /// (degradations, violations, failovers, lint findings) as a result
     /// set.

@@ -187,11 +187,26 @@ impl Parser {
                 }
                 "EXPLAIN" => {
                     self.bump();
-                    self.expect_kw("FLOW")?;
-                    if !self.at_kw("SELECT") {
-                        return Err(self.err("EXPLAIN FLOW expects a SELECT statement"));
+                    // ANALYZE is not reserved (it would shadow a column
+                    // of that name), so it arrives as an identifier
+                    let analyze = matches!(self.peek(), TokenKind::Ident(w) if w.eq_ignore_ascii_case("analyze"));
+                    if analyze {
+                        self.bump();
+                    } else if !self.eat_kw("FLOW") {
+                        return Err(
+                            self.err(format!("expected FLOW or ANALYZE, found '{}'", self.peek()))
+                        );
                     }
-                    Ok(Statement::ExplainFlow(Box::new(self.select_stmt()?)))
+                    if !self.at_kw("SELECT") {
+                        let which = if analyze { "ANALYZE" } else { "FLOW" };
+                        return Err(self.err(format!("EXPLAIN {which} expects a SELECT statement")));
+                    }
+                    let select = Box::new(self.select_stmt()?);
+                    Ok(if analyze {
+                        Statement::ExplainAnalyze(select)
+                    } else {
+                        Statement::ExplainFlow(select)
+                    })
                 }
                 "SHOW" => {
                     self.bump();
@@ -1103,6 +1118,25 @@ mod tests {
         parse_statement("EXPLAIN SELECT a FROM t").expect_err("bare EXPLAIN must be rejected");
         parse_statement("EXPLAIN FLOW UPDATE t SET a = 1")
             .expect_err("EXPLAIN FLOW must require a SELECT");
+    }
+
+    #[test]
+    fn explain_analyze_wraps_a_select() {
+        let text = "explain Analyze SELECT a FROM t CURRENCY BOUND 10 SEC ON (t)";
+        let stmt = parse_statement(text).unwrap();
+        let Statement::ExplainAnalyze(s) = &stmt else {
+            panic!("expected Statement::ExplainAnalyze, got {stmt:?}")
+        };
+        assert!(s.currency.is_some());
+        // round-trips through the unparser with the prefix intact
+        let sql = crate::unparse::statement_sql(&stmt);
+        assert!(sql.starts_with("EXPLAIN ANALYZE SELECT"), "{sql}");
+        assert_eq!(parse_statement(&sql).unwrap(), stmt);
+
+        parse_statement("EXPLAIN ANALYZE DELETE FROM t")
+            .expect_err("EXPLAIN ANALYZE must require a SELECT");
+        // `analyze` stays usable as a column name
+        parse_statement("SELECT analyze FROM t").unwrap();
     }
 
     #[test]

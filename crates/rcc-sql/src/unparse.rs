@@ -101,6 +101,7 @@ pub fn statement_sql(stmt: &Statement) -> String {
         Statement::Verify(s) => format!("VERIFY {}", select_sql(s)),
         Statement::Lint(s) => format!("LINT {}", select_sql(s)),
         Statement::ExplainFlow(s) => format!("EXPLAIN FLOW {}", select_sql(s)),
+        Statement::ExplainAnalyze(s) => format!("EXPLAIN ANALYZE {}", select_sql(s)),
         Statement::ShowEvents => "SHOW EVENTS".to_string(),
         Statement::ShowTrace => "SHOW TRACE".to_string(),
         Statement::CreateTemplate(t) => {

@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         relaxed.local_branches()
     );
     print!("{}", relaxed.display_rows(3));
-    println!("-- executed plan:\n{}", relaxed.plan_explain);
+    println!("-- executed plan:\n{}", relaxed.plan_explain());
 
     // 3) An update commits at the back-end. Within the propagation window
     //    the bounded read still serves the (acceptably stale) old price;

@@ -117,27 +117,27 @@ fn explain_analyze_reports_per_operator_rows_and_marks_untaken_branch() {
     let r = cache.execute(&format!("EXPLAIN ANALYZE {Q}")).unwrap();
     assert_eq!(r.rows.len(), 1, "ANALYZE still returns the result rows");
     assert!(
-        r.plan_explain.contains("actual rows="),
+        r.plan_explain().contains("actual rows="),
         "per-operator rows attached: {}",
-        r.plan_explain
+        r.plan_explain()
     );
     assert!(
-        r.plan_explain.contains("time="),
+        r.plan_explain().contains("time="),
         "timings attached: {}",
-        r.plan_explain
+        r.plan_explain()
     );
     // fresh region → local branch runs, remote branch is never touched
     assert!(
-        r.plan_explain.contains("never executed"),
+        r.plan_explain().contains("never executed"),
         "the untaken SwitchUnion branch is marked: {}",
-        r.plan_explain
+        r.plan_explain()
     );
-    assert!(r.plan_explain.contains("total: 1 rows"));
+    assert!(r.plan_explain().contains("total: 1 rows"));
     assert_eq!(r.stats.rows_returned, 1);
 
     // the structured API accepts the bare query too
     let r2 = cache.explain_analyze(Q, &HashMap::new()).unwrap();
-    assert!(r2.plan_explain.contains("actual rows="));
+    assert!(r2.plan_explain().contains("actual rows="));
 }
 
 #[test]

@@ -221,7 +221,7 @@ fn q3_variant_without_outer_reference_keeps_classes_separate() {
     // both classes are singletons served by different regions: the whole
     // query can run locally
     let r = cache.execute(sql).unwrap();
-    assert!(!r.used_remote, "plan: {}", r.plan_explain);
+    assert!(!r.used_remote, "plan: {}", r.plan_explain());
 }
 
 #[test]
