@@ -13,9 +13,13 @@ pub struct ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 256 cases, or — as with the real crate — what the `PROPTEST_CASES`
+    /// environment variable says. A test that sets `cases` itself is not
+    /// affected.
     fn default() -> ProptestConfig {
+        let cases = std::env::var("PROPTEST_CASES").ok();
         ProptestConfig {
-            cases: 256,
+            cases: cases.and_then(|n| n.parse().ok()).unwrap_or(256),
             max_global_rejects: 65_536,
         }
     }

@@ -1,16 +1,17 @@
 //! EXPLAIN ANALYZE support.
 //!
-//! [`execute_plan_analyzed`] builds the same operator tree as
-//! [`crate::build::build_operator`] but wraps every node in a metering
-//! shim that counts produced rows and accumulates wall time across
+//! [`execute_plan_analyzed`] builds the operator tree
+//! [`crate::build::build_operator`] builds, with every node wrapped in a
+//! metering shim that counts produced rows and accumulates wall time across
 //! open/next/close. Reports come back in **pre-order** (parent before
 //! children), matching the indentation of `PhysicalPlan::explain`, so a
 //! SwitchUnion's untouched branch still appears — marked `never executed`
 //! — which is exactly what the paper's "the other inputs are not touched"
 //! claim looks like in an ANALYZE printout.
 
+use crate::build::build_wrapped;
 use crate::context::ExecContext;
-use crate::ops::*;
+use crate::ops::{BoxedOp, Operator};
 use rcc_common::{Result, Row, Schema};
 use rcc_optimizer::PhysicalPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,112 +147,25 @@ struct Entry {
     meter: Arc<NodeMeter>,
 }
 
-/// Mirror of `build_operator` that reserves a report slot for each node in
-/// pre-order and wraps the constructed operator in a [`MeteredOp`].
-fn instrument(plan: &PhysicalPlan, depth: usize, entries: &mut Vec<Entry>) -> BoxedOp {
-    let meter = Arc::new(NodeMeter::default());
-    entries.push(Entry {
-        label: plan.node_label(),
-        depth,
-        meter: Arc::clone(&meter),
-    });
-    let inner: BoxedOp = match plan {
-        PhysicalPlan::OneRow => Box::new(OneRowOp::new()),
-        PhysicalPlan::LocalScan(n) => Box::new(LocalScanOp::new(
-            n.object.clone(),
-            n.schema.clone(),
-            n.access.clone(),
-            n.residual.clone(),
-        )),
-        PhysicalPlan::RemoteQuery(n) => {
-            Box::new(RemoteQueryOp::new(n.sql.clone(), n.schema.clone()))
-        }
-        PhysicalPlan::SwitchUnion {
-            guard,
-            local,
-            remote,
-        } => Box::new(SwitchUnionOp::new(
-            guard.clone(),
-            instrument(local, depth + 1, entries),
-            instrument(remote, depth + 1, entries),
-        )),
-        PhysicalPlan::Filter { input, predicate } => Box::new(FilterOp::new(
-            instrument(input, depth + 1, entries),
-            predicate.clone(),
-        )),
-        PhysicalPlan::Project { input, exprs } => Box::new(ProjectOp::new(
-            instrument(input, depth + 1, entries),
-            exprs.clone(),
-        )),
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-        } => Box::new(HashJoinOp::new(
-            instrument(left, depth + 1, entries),
-            instrument(right, depth + 1, entries),
-            left_keys.clone(),
-            right_keys.clone(),
-            *kind,
-        )),
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            kind,
-        } => {
-            debug_assert_eq!(*kind, rcc_optimizer::graph::JoinKind::Inner);
-            Box::new(MergeJoinOp::new(
-                instrument(left, depth + 1, entries),
-                instrument(right, depth + 1, entries),
-                left_key.clone(),
-                right_key.clone(),
-            ))
-        }
-        PhysicalPlan::IndexNLJoin {
-            outer,
-            outer_key,
-            inner,
-            kind,
-        } => Box::new(IndexNLJoinOp::new(
-            instrument(outer, depth + 1, entries),
-            outer_key.clone(),
-            inner.clone(),
-            *kind,
-        )),
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-            having,
-        } => Box::new(HashAggregateOp::new(
-            instrument(input, depth + 1, entries),
-            group_by.clone(),
-            aggs.clone(),
-            having.clone(),
-        )),
-        PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(
-            instrument(input, depth + 1, entries),
-            keys.clone(),
-        )),
-        PhysicalPlan::Limit { input, n } => {
-            Box::new(LimitOp::new(instrument(input, depth + 1, entries), *n))
-        }
-        PhysicalPlan::Distinct { input } => {
-            Box::new(DistinctOp::new(instrument(input, depth + 1, entries)))
-        }
-    };
-    Box::new(MeteredOp { inner, meter })
-}
-
 /// Execute a plan with per-operator metering and collect the reports.
 pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<AnalyzedExecution> {
     let started = Instant::now();
+    // a report slot per node in pre-order, a metering shim around each
     let mut entries = Vec::new();
-    let mut op = instrument(plan, 0, &mut entries);
+    let mut op = build_wrapped(
+        plan,
+        0,
+        &mut |node, depth| {
+            let meter = Arc::new(NodeMeter::default());
+            entries.push(Entry {
+                label: node.node_label(),
+                depth,
+                meter: Arc::clone(&meter),
+            });
+            meter
+        },
+        &|meter, inner| Box::new(MeteredOp { inner, meter }),
+    );
     op.open(ctx)?;
     let schema = op.schema().clone();
     let mut rows = Vec::new();
@@ -281,7 +195,7 @@ pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<A
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcc_common::{Column, DataType, Duration, RegionId, SimClock, Timestamp, Value};
+    use rcc_common::{Column, DataType, RegionId, SimClock, Timestamp, Value};
     use rcc_optimizer::physical::{AccessPath, LocalScanNode, RemoteQueryNode};
     use rcc_optimizer::{BoundExpr, CurrencyGuard};
     use rcc_sql::BinaryOp;
@@ -394,6 +308,60 @@ mod tests {
         );
     }
 
+    /// A serial scan does its work in `next_batch`, one batch per call:
+    /// the meter still counts every row exactly, batch after batch, and
+    /// charges the scan its time.
+    #[test]
+    fn a_streaming_scan_is_metered_batch_by_batch() {
+        let storage = Arc::new(StorageEngine::new());
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("grp", DataType::Int),
+        ]);
+        let mut t = Table::new("items", schema, vec![0]);
+        for i in 0..3000i64 {
+            t.insert(Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
+                .unwrap();
+        }
+        storage.create_table(t).unwrap();
+        let mut ctx = ExecContext::new(storage, None, Arc::new(SimClock::new()));
+        ctx.batch_rows = 256;
+        let grp_is = |g| {
+            BoundExpr::binary(
+                BoundExpr::col("t", "grp"),
+                BinaryOp::Eq,
+                BoundExpr::Literal(Value::Int(g)),
+            )
+        };
+        // a residual in the scan and a filter above it
+        let PhysicalPlan::LocalScan(mut node) = scan() else {
+            unreachable!()
+        };
+        node.residual = Some(BoundExpr::Unary {
+            op: rcc_sql::UnaryOp::Not,
+            expr: Box::new(grp_is(0)),
+        });
+        let scan = PhysicalPlan::LocalScan(node);
+        let plan = PhysicalPlan::Filter {
+            input: Box::new(scan.clone()),
+            predicate: grp_is(1),
+        };
+        let out = execute_plan_analyzed(&plan, &ctx).unwrap();
+        assert_eq!(out.rows.len(), 1000);
+        assert_eq!((out.reports[0].rows, out.reports[1].rows), (1000, 2000));
+        assert!(out.reports[1].elapsed > Duration::ZERO);
+        assert!(out.reports[0].elapsed >= out.reports[1].elapsed);
+        // the scan cuts its batches at 256 surviving rows: 7 full, one of 208
+        let batched = crate::build::execute_plan_batched(&scan, &ctx).unwrap();
+        let sizes: Vec<usize> = batched.batches.iter().map(|b| b.len()).collect();
+        assert_eq!(sizes, [256, 256, 256, 256, 256, 256, 256, 208]);
+        // one batch per call, from the first call on
+        let mut op = crate::build::build_operator(&scan);
+        op.open(&ctx).unwrap();
+        assert_eq!(op.next_batch(&ctx).unwrap().map(|b| b.len()), Some(256));
+        op.close(&ctx).unwrap();
+    }
+
     #[test]
     fn untaken_switch_union_branch_is_marked() {
         let ctx = rig();
@@ -401,7 +369,7 @@ mod tests {
             guard: CurrencyGuard {
                 region: RegionId(1),
                 heartbeat_table: "heartbeat_cr1".into(),
-                bound: Duration::from_secs(10),
+                bound: rcc_common::Duration::from_secs(10),
             },
             local: Box::new(scan()),
             remote: Box::new(PhysicalPlan::RemoteQuery(RemoteQueryNode {

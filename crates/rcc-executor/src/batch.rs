@@ -1,16 +1,22 @@
 //! Columnar batches and ordinal-compiled expressions.
 //!
 //! The batched engine moves data through the operator tree as [`Batch`]es:
-//! one `Vec<Value>` buffer per output column, a physical row count, and an
+//! one typed [`Column`] per output column, a physical row count, and an
 //! optional **selection vector** so filters can narrow a batch without
 //! copying survivors row-by-row. Expressions are compiled once per operator
 //! into [`PhysExpr`] — a mirror of [`rcc_optimizer::BoundExpr`] whose column
-//! references are pre-resolved to ordinals — so the per-row hot loop does no
-//! name resolution, no schema walks, and no virtual dispatch.
+//! references are pre-resolved to ordinals. A `PhysExpr` is evaluated two
+//! ways: a row at a time over `&[Value]` ([`PhysExpr::eval`] and its
+//! by-reference predicate form [`PhysExpr::truth`] — what scans test stored
+//! rows with, and the reference semantics), and a column at a time over a
+//! batch ([`PhysExpr::select`] / [`PhysExpr::eval_column`] in
+//! [`crate::kernels`]), which is held to the row form cell for cell.
 
+use crate::column::Column;
 use rcc_common::{Error, Result, Row, Schema, Value};
 use rcc_optimizer::BoundExpr;
 use rcc_sql::{BinaryOp, UnaryOp};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// Target logical rows per batch: big enough that per-batch overhead
@@ -20,14 +26,14 @@ pub const DEFAULT_BATCH_ROWS: usize = 2048;
 
 /// A columnar batch of rows.
 ///
-/// `columns[c][r]` is the value of column `c` at **physical** row `r`
-/// (`r < rows`). When `sel` is `Some`, only the physical rows it lists (in
-/// ascending order) are logically present — filters narrow a batch by
-/// refining `sel` instead of copying survivors.
+/// `columns[c]` holds column `c` of every **physical** row `r < rows`.
+/// When `sel` is `Some`, only the physical rows it lists (in ascending
+/// order) are logically present — filters narrow a batch by refining `sel`
+/// instead of copying survivors.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    /// One buffer per output column, each of length `rows`.
-    pub columns: Vec<Vec<Value>>,
+    /// One typed vector per output column, each of length `rows`.
+    pub columns: Vec<Column>,
     /// Physical row count. Kept explicitly so zero-column batches (`SELECT`
     /// without a `FROM`) still carry a cardinality.
     pub rows: usize,
@@ -37,8 +43,14 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// A dense batch from per-column buffers (all of length `rows`).
+    /// A dense batch from per-column value buffers (all of length `rows`);
+    /// each becomes a typed column, its variant decided by its values.
     pub fn new(columns: Vec<Vec<Value>>, rows: usize) -> Batch {
+        Batch::from_columns(columns.into_iter().map(Column::from_values).collect(), rows)
+    }
+
+    /// A dense batch from typed columns (all of length `rows`).
+    pub fn from_columns(columns: Vec<Column>, rows: usize) -> Batch {
         debug_assert!(columns.iter().all(|c| c.len() == rows));
         Batch {
             columns,
@@ -49,20 +61,19 @@ impl Batch {
 
     /// An empty batch of `width` columns.
     pub fn empty(width: usize) -> Batch {
-        Batch::new((0..width).map(|_| Vec::new()).collect(), 0)
+        Batch::from_columns(vec![Column::new(); width], 0)
     }
 
     /// Transpose row-major rows into a dense batch of `width` columns.
     pub fn from_rows(width: usize, rows: Vec<Row>) -> Batch {
         let n = rows.len();
-        let mut columns: Vec<Vec<Value>> = (0..width).map(|_| Vec::with_capacity(n)).collect();
-        for row in rows {
-            let mut values = row.into_values().into_iter();
-            for col in columns.iter_mut() {
-                col.push(values.next().unwrap_or(Value::Null));
+        let mut columns = vec![Column::with_capacity(n); width];
+        for row in &rows {
+            for (c, col) in columns.iter_mut().enumerate() {
+                col.push_value(row.values().get(c).unwrap_or(&Value::Null));
             }
         }
-        Batch::new(columns, n)
+        Batch::from_columns(columns, n)
     }
 
     /// Logical row count (`sel` length when selected, else `rows`).
@@ -97,6 +108,19 @@ impl Batch {
         self
     }
 
+    /// Narrow to the physical rows `keep` lists (ascending, a subset of the
+    /// logical rows): `None` when none is left, the batch untouched when
+    /// all are.
+    pub fn narrowed(self, keep: Vec<u32>) -> Option<Batch> {
+        if keep.is_empty() {
+            None
+        } else if keep.len() == self.len() {
+            Some(self)
+        } else {
+            Some(self.with_sel(keep))
+        }
+    }
+
     /// Keep only the first `k` logical rows (LIMIT). Selected batches
     /// truncate the selection vector; dense batches truncate every column.
     pub fn truncate(&mut self, k: usize) {
@@ -115,70 +139,23 @@ impl Batch {
     /// Clone logical row `i` out as a [`Row`].
     pub fn row(&self, i: usize) -> Row {
         let p = self.phys(i);
-        Row::new(self.columns.iter().map(|c| c[p].clone()).collect())
+        Row::new(self.columns.iter().map(|c| c.value(p)).collect())
     }
 
     /// Materialize all logical rows, cloning.
     pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.len()).map(|i| self.row(i)).collect()
+        self.clone().into_rows()
     }
 
-    /// Materialize all logical rows, **moving** values out of dense
-    /// batches (the common case at the query root) and cloning only when a
-    /// selection vector forces it.
+    /// Materialize all logical rows, a column at a time; boxed cells of
+    /// dense batches (the common case at the query root) are moved out.
     pub fn into_rows(self) -> Vec<Row> {
-        match self.sel {
-            None => {
-                let width = self.columns.len();
-                let mut out: Vec<Vec<Value>> =
-                    (0..self.rows).map(|_| Vec::with_capacity(width)).collect();
-                for col in self.columns {
-                    for (i, v) in col.into_iter().enumerate() {
-                        out[i].push(v);
-                    }
-                }
-                out.into_iter().map(Row::new).collect()
-            }
-            Some(sel) => sel
-                .iter()
-                .map(|&p| {
-                    let p = p as usize;
-                    Row::new(self.columns.iter().map(|c| c[p].clone()).collect())
-                })
-                .collect(),
+        let width = self.columns.len();
+        let mut out: Vec<Vec<Value>> = (0..self.len()).map(|_| Vec::with_capacity(width)).collect();
+        for col in self.columns {
+            col.scatter_into(self.sel.as_deref(), &mut out);
         }
-    }
-}
-
-/// Read-access to one row's values by output ordinal — the single
-/// abstraction [`PhysExpr::eval`] is generic over, so the identical
-/// evaluation code runs against row-major rows (joins, HAVING) and columnar
-/// batches (scans, filters, projections).
-pub trait ValueSource {
-    /// The value at output ordinal `i`.
-    fn value(&self, i: usize) -> &Value;
-}
-
-/// A row-major slice of values.
-pub struct RowSource<'a>(pub &'a [Value]);
-
-impl ValueSource for RowSource<'_> {
-    fn value(&self, i: usize) -> &Value {
-        &self.0[i]
-    }
-}
-
-/// One physical row of a columnar batch.
-pub struct BatchSource<'a> {
-    /// The batch's column buffers.
-    pub columns: &'a [Vec<Value>],
-    /// Physical row index.
-    pub row: usize,
-}
-
-impl ValueSource for BatchSource<'_> {
-    fn value(&self, i: usize) -> &Value {
-        &self.columns[i][self.row]
+        out.into_iter().map(Row::new).collect()
     }
 }
 
@@ -350,181 +327,229 @@ impl PhysExpr {
         }
     }
 
-    /// Evaluate against one row. Semantics are identical to
-    /// `BoundExpr::eval` over the same values.
-    pub fn eval<S: ValueSource>(&self, src: &S, now_millis: i64) -> Result<Value> {
+    /// Does any part of the expression read a column? An expression that
+    /// reads none has one value for every row of a batch.
+    pub fn reads_column(&self) -> bool {
         match self {
-            PhysExpr::Col(i) => Ok(src.value(*i).clone()),
+            PhysExpr::Col(_) => true,
+            PhysExpr::Lit(_) | PhysExpr::GetDate => false,
+            PhysExpr::Binary { left, right, .. } => left.reads_column() || right.reads_column(),
+            PhysExpr::Unary { expr, .. } | PhysExpr::IsNull { expr, .. } => expr.reads_column(),
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => expr.reads_column() || low.reads_column() || high.reads_column(),
+            PhysExpr::InList { expr, list, .. } => {
+                expr.reads_column() || list.iter().any(PhysExpr::reads_column)
+            }
+        }
+    }
+
+    /// Evaluate against one row. Semantics are identical to
+    /// `BoundExpr::eval` over the same values. Nodes that yield a truth
+    /// value (comparisons, AND/OR, BETWEEN, IN, IS NULL) are defined by
+    /// [`PhysExpr::truth`]; everything else here.
+    pub fn eval(&self, row: &[Value], now_millis: i64) -> Result<Value> {
+        match self {
+            PhysExpr::Col(i) => Ok(row[*i].clone()),
             PhysExpr::Lit(v) => Ok(v.clone()),
             PhysExpr::GetDate => Ok(Value::Timestamp(now_millis)),
-            PhysExpr::Unary { op, expr } => {
-                let v = expr.eval(src, now_millis)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        other => Err(Error::Type(format!("NOT applied to {other}"))),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(Error::Type(format!("- applied to {other}"))),
-                    },
-                }
+            PhysExpr::Unary { op, expr } => negate(*op, expr.eval(row, now_millis)?),
+            PhysExpr::Binary { left, op, right }
+                if !matches!(op, BinaryOp::And | BinaryOp::Or) && !op.is_comparison() =>
+            {
+                let l = left.cell(row, now_millis)?;
+                let r = right.cell(row, now_millis)?;
+                arithmetic(*op, &l, &r)
             }
-            PhysExpr::Binary { left, op, right } => eval_binary(left, *op, right, src, now_millis),
+            _ => Ok(match self.truth(row, now_millis)? {
+                Some(b) => Value::Bool(b),
+                None => Value::Null,
+            }),
+        }
+    }
+
+    /// The value of an operand, borrowed from the row or the expression
+    /// when it is a bare column or literal — no clone on the scan path.
+    fn cell<'a>(&'a self, row: &'a [Value], now_millis: i64) -> Result<Cow<'a, Value>> {
+        match self {
+            PhysExpr::Col(i) => Ok(Cow::Borrowed(&row[*i])),
+            PhysExpr::Lit(v) => Ok(Cow::Borrowed(v)),
+            other => other.eval(row, now_millis).map(Cow::Owned),
+        }
+    }
+
+    /// Three-valued truth of the expression on one row: `Some(b)` exactly
+    /// when [`PhysExpr::eval`] yields `Bool(b)`, `None` when it yields NULL
+    /// or a value that is not a boolean (which AND/OR treat as unknown and
+    /// WHERE as not true). Fails exactly when `eval` fails.
+    pub fn truth(&self, row: &[Value], now_millis: i64) -> Result<Option<bool>> {
+        match self {
+            PhysExpr::Binary { left, op, right } if matches!(op, BinaryOp::And | BinaryOp::Or) => {
+                // three-valued short circuit: the right side is evaluated
+                // only when the left has not decided
+                let decides = *op == BinaryOp::Or;
+                let l = left.truth(row, now_millis)?;
+                if l == Some(decides) {
+                    return Ok(l);
+                }
+                let r = right.truth(row, now_millis)?;
+                Ok(connect(decides, l, r))
+            }
+            PhysExpr::Binary { left, op, right } if op.is_comparison() => {
+                let l = left.cell(row, now_millis)?;
+                let r = right.cell(row, now_millis)?;
+                Ok(compare(&l, &r)?.map(|ord| ordering_passes(*op, ord)))
+            }
             PhysExpr::Between {
                 expr,
                 low,
                 high,
                 negated,
             } => {
-                let v = expr.eval(src, now_millis)?;
-                let lo = low.eval(src, now_millis)?;
-                let hi = high.eval(src, now_millis)?;
+                let v = expr.cell(row, now_millis)?;
+                let lo = low.cell(row, now_millis)?;
+                let hi = high.cell(row, now_millis)?;
                 if v.is_null() || lo.is_null() || hi.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(None);
                 }
-                let inside = v
-                    .compare(&lo)?
-                    .map(|o| o != Ordering::Less)
-                    .unwrap_or(false)
-                    && v.compare(&hi)?
-                        .map(|o| o != Ordering::Greater)
-                        .unwrap_or(false);
-                Ok(Value::Bool(inside != *negated))
+                let inside = compare(&v, &lo)? != Some(Ordering::Less)
+                    && compare(&v, &hi)? != Some(Ordering::Greater);
+                Ok(Some(inside != *negated))
             }
             PhysExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(src, now_millis)?;
+                let v = expr.cell(row, now_millis)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(None);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let iv = item.eval(src, now_millis)?;
+                    let iv = item.cell(row, now_millis)?;
                     if iv.is_null() {
                         saw_null = true;
-                        continue;
-                    }
-                    if v.compare(&iv)? == Some(Ordering::Equal) {
-                        return Ok(Value::Bool(!*negated));
+                    } else if compare(&v, &iv)? == Some(Ordering::Equal) {
+                        return Ok(Some(!*negated));
                     }
                 }
-                if saw_null {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
+                Ok(if saw_null { None } else { Some(*negated) })
             }
             PhysExpr::IsNull { expr, negated } => {
-                let v = expr.eval(src, now_millis)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Ok(Some(expr.cell(row, now_millis)?.is_null() != *negated))
             }
+            other => Ok(match other.eval(row, now_millis)? {
+                Value::Bool(b) => Some(b),
+                _ => None,
+            }),
         }
     }
 
     /// Evaluate as a predicate (SQL truthiness: TRUE passes).
-    pub fn eval_predicate<S: ValueSource>(&self, src: &S, now_millis: i64) -> Result<bool> {
-        Ok(self.eval(src, now_millis)?.is_truthy())
+    pub fn eval_predicate(&self, row: &[Value], now_millis: i64) -> Result<bool> {
+        Ok(self.truth(row, now_millis)? == Some(true))
     }
 }
 
-fn eval_binary<S: ValueSource>(
-    left: &PhysExpr,
-    op: BinaryOp,
-    right: &PhysExpr,
-    src: &S,
-    now_millis: i64,
-) -> Result<Value> {
-    // AND/OR get three-valued short-circuit semantics.
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let l = left.eval(src, now_millis)?;
-        match (op, &l) {
-            (BinaryOp::And, Value::Bool(false)) => return Ok(Value::Bool(false)),
-            (BinaryOp::Or, Value::Bool(true)) => return Ok(Value::Bool(true)),
-            _ => {}
+/// [`Value::compare`], with the integer / float pairings — what scans
+/// test row after row — decided here instead of behind two calls into
+/// another crate. Both go through `f64::total_cmp`, as `compare` does.
+#[inline]
+fn compare(l: &Value, r: &Value) -> Result<Option<Ordering>> {
+    fn number(v: &Value) -> Option<f64> {
+        match v {
+            Value::Int(i) => Some(*i as f64),
+            Value::Float(f) => Some(*f),
+            _ => None,
         }
-        let r = right.eval(src, now_millis)?;
-        return Ok(match op {
-            BinaryOp::And => match (l, r) {
-                (Value::Bool(false), _) | (_, Value::Bool(false)) => Value::Bool(false),
-                (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
-                _ => Value::Null,
-            },
-            BinaryOp::Or => match (l, r) {
-                (Value::Bool(true), _) | (_, Value::Bool(true)) => Value::Bool(true),
-                (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
-                _ => Value::Null,
-            },
-            _ => unreachable!(),
-        });
     }
+    match (number(l), number(r)) {
+        (Some(a), Some(b)) => Ok(Some(a.total_cmp(&b))),
+        _ => l.compare(r),
+    }
+}
 
-    let l = left.eval(src, now_millis)?;
-    let r = right.eval(src, now_millis)?;
+/// AND (`decides` = false) / OR (`decides` = true) of two three-valued
+/// operands: the deciding value on either side wins, two of the other
+/// value give that value, anything else is unknown.
+pub(crate) fn connect(decides: bool, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    if l == Some(decides) || r == Some(decides) {
+        Some(decides)
+    } else if l == Some(!decides) && r == Some(!decides) {
+        Some(!decides)
+    } else {
+        None
+    }
+}
+
+/// Does an ordering satisfy comparison operator `op`?
+pub(crate) fn ordering_passes(op: BinaryOp, ord: Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => ord == Ordering::Equal,
+        BinaryOp::NotEq => ord != Ordering::Equal,
+        BinaryOp::Lt => ord == Ordering::Less,
+        BinaryOp::LtEq => ord != Ordering::Greater,
+        BinaryOp::Gt => ord == Ordering::Greater,
+        BinaryOp::GtEq => ord != Ordering::Less,
+        _ => false,
+    }
+}
+
+/// `NOT v` / `-v`.
+fn negate(op: UnaryOp, v: Value) -> Result<Value> {
+    match (op, v) {
+        (_, Value::Null) => Ok(Value::Null),
+        (UnaryOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnaryOp::Not, other) => Err(Error::Type(format!("NOT applied to {other}"))),
+        (UnaryOp::Neg, Value::Int(i)) => Ok(Value::Int(i.wrapping_neg())),
+        (UnaryOp::Neg, Value::Float(f)) => Ok(Value::Float(-f)),
+        (UnaryOp::Neg, other) => Err(Error::Type(format!("- applied to {other}"))),
+    }
+}
+
+/// `l op r` for `+ - * /`: checked on integers, timestamp ± integer keeps
+/// the timestamp type (and wraps, as `-i64::MIN` does, in every build),
+/// everything else goes through `f64`.
+fn arithmetic(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    if op.is_comparison() {
-        let ord = l.compare(&r)?;
-        let b = match (op, ord) {
-            (BinaryOp::Eq, Some(Ordering::Equal)) => true,
-            (BinaryOp::NotEq, Some(o)) => o != Ordering::Equal,
-            (BinaryOp::Lt, Some(Ordering::Less)) => true,
-            (BinaryOp::LtEq, Some(o)) => o != Ordering::Greater,
-            (BinaryOp::Gt, Some(Ordering::Greater)) => true,
-            (BinaryOp::GtEq, Some(o)) => o != Ordering::Less,
-            _ => false,
-        };
-        return Ok(Value::Bool(b));
-    }
-    // arithmetic
-    match (&l, &r) {
-        (Value::Int(a), Value::Int(b)) => {
-            let v = match op {
-                BinaryOp::Add => a.checked_add(*b),
-                BinaryOp::Sub => a.checked_sub(*b),
-                BinaryOp::Mul => a.checked_mul(*b),
-                BinaryOp::Div => {
-                    if *b == 0 {
-                        return Err(Error::Execution("division by zero".into()));
-                    }
-                    a.checked_div(*b)
-                }
-                _ => None,
-            };
-            v.map(Value::Int)
-                .ok_or_else(|| Error::Execution("integer overflow".into()))
-        }
+    match (l, r) {
+        (Value::Int(a), Value::Int(b)) => int_arithmetic(op, *a, *b).map(Value::Int),
         // timestamp arithmetic: ts ± int keeps the timestamp type, which is
         // what the currency-guard predicate `getdate() - B` needs.
         (Value::Timestamp(a), Value::Int(b)) => match op {
-            BinaryOp::Add => Ok(Value::Timestamp(a + b)),
-            BinaryOp::Sub => Ok(Value::Timestamp(a - b)),
+            BinaryOp::Add => Ok(Value::Timestamp(a.wrapping_add(*b))),
+            BinaryOp::Sub => Ok(Value::Timestamp(a.wrapping_sub(*b))),
             _ => Err(Error::Type("unsupported timestamp arithmetic".into())),
         },
-        _ => {
-            let a = l.as_float()?;
-            let b = r.as_float()?;
-            let v = match op {
-                BinaryOp::Add => a + b,
-                BinaryOp::Sub => a - b,
-                BinaryOp::Mul => a * b,
-                BinaryOp::Div => {
-                    if b == 0.0 {
-                        return Err(Error::Execution("division by zero".into()));
-                    }
-                    a / b
-                }
-                _ => return Err(Error::Type(format!("bad operands for {}", op.sql()))),
-            };
-            Ok(Value::Float(v))
-        }
+        _ => float_arithmetic(op, l.as_float()?, r.as_float()?).map(Value::Float),
+    }
+}
+
+/// Checked `a op b` on integers.
+pub(crate) fn int_arithmetic(op: BinaryOp, a: i64, b: i64) -> Result<i64> {
+    let v = match op {
+        BinaryOp::Add => a.checked_add(b),
+        BinaryOp::Sub => a.checked_sub(b),
+        BinaryOp::Mul => a.checked_mul(b),
+        BinaryOp::Div if b == 0 => return Err(Error::Execution("division by zero".into())),
+        BinaryOp::Div => a.checked_div(b),
+        _ => None,
+    };
+    v.ok_or_else(|| Error::Execution("integer overflow".into()))
+}
+
+/// `a op b` on floats.
+pub(crate) fn float_arithmetic(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+    match op {
+        BinaryOp::Add => Ok(a + b),
+        BinaryOp::Sub => Ok(a - b),
+        BinaryOp::Mul => Ok(a * b),
+        BinaryOp::Div if b == 0.0 => Err(Error::Execution("division by zero".into())),
+        BinaryOp::Div => Ok(a / b),
+        _ => Err(Error::Type(format!("bad operands for {}", op.sql()))),
     }
 }
 
@@ -547,22 +572,16 @@ mod tests {
         Row::new(vec![Value::Int(10), Value::Float(2.5), Value::from("x")])
     }
 
-    /// Compile + evaluate against the row source and a one-row batch
-    /// source; both must agree with `BoundExpr::eval`.
+    /// Compile + evaluate against the row and, a column at a time, against
+    /// a one-row batch; both must agree with `BoundExpr::eval`.
     fn assert_mirrors(e: &BoundExpr) {
         let s = schema();
         let r = row();
         let reference = e.eval(&r, &s, 1234);
         let compiled = PhysExpr::compile(e, &s).unwrap();
-        let via_row = compiled.eval(&RowSource(r.values()), 1234);
+        let via_row = compiled.eval(r.values(), 1234);
         let batch = Batch::from_rows(3, vec![r.clone()]);
-        let via_batch = compiled.eval(
-            &BatchSource {
-                columns: &batch.columns,
-                row: 0,
-            },
-            1234,
-        );
+        let via_batch = compiled.eval_column(&batch, 1234).map(|c| c.value(0));
         match reference {
             Ok(v) => {
                 assert_eq!(via_row.unwrap(), v);
@@ -711,9 +730,7 @@ mod tests {
             Value::Float(2.5),
             Value::from("x"),
         ]);
-        assert!(compiled
-            .eval_predicate(&RowSource(stored.values()), 0)
-            .unwrap());
+        assert!(compiled.eval_predicate(stored.values(), 0).unwrap());
     }
 
     #[test]

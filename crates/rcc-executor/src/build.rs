@@ -39,7 +39,23 @@ pub struct ExecutionResult {
 
 /// Translate a physical plan into an operator tree.
 pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
-    match plan {
+    build_wrapped(plan, 0, &mut |_, _| (), &|(), op| op)
+}
+
+/// [`build_operator`] with a hook around every node: `enter` sees each
+/// plan node in pre-order (a parent before its children, at its `depth`)
+/// and hands back a token; `wrap` gets that token with the node's finished
+/// operator and returns what the parent is built over. EXPLAIN ANALYZE
+/// meters every operator this way without a second plan walk.
+pub(crate) fn build_wrapped<T>(
+    plan: &PhysicalPlan,
+    depth: usize,
+    enter: &mut dyn FnMut(&PhysicalPlan, usize) -> T,
+    wrap: &dyn Fn(T, BoxedOp) -> BoxedOp,
+) -> BoxedOp {
+    let token = enter(plan, depth);
+    let mut child = |plan: &PhysicalPlan| build_wrapped(plan, depth + 1, enter, wrap);
+    let op: BoxedOp = match plan {
         PhysicalPlan::OneRow => Box::new(OneRowOp::new()),
         PhysicalPlan::LocalScan(n) => Box::new(LocalScanOp::new(
             n.object.clone(),
@@ -56,14 +72,14 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
             remote,
         } => Box::new(SwitchUnionOp::new(
             guard.clone(),
-            build_operator(local),
-            build_operator(remote),
+            child(local),
+            child(remote),
         )),
         PhysicalPlan::Filter { input, predicate } => {
-            Box::new(FilterOp::new(build_operator(input), predicate.clone()))
+            Box::new(FilterOp::new(child(input), predicate.clone()))
         }
         PhysicalPlan::Project { input, exprs } => {
-            Box::new(ProjectOp::new(build_operator(input), exprs.clone()))
+            Box::new(ProjectOp::new(child(input), exprs.clone()))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -72,8 +88,8 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
             right_keys,
             kind,
         } => Box::new(HashJoinOp::new(
-            build_operator(left),
-            build_operator(right),
+            child(left),
+            child(right),
             left_keys.clone(),
             right_keys.clone(),
             *kind,
@@ -87,8 +103,8 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
         } => {
             debug_assert_eq!(*kind, rcc_optimizer::graph::JoinKind::Inner);
             Box::new(MergeJoinOp::new(
-                build_operator(left),
-                build_operator(right),
+                child(left),
+                child(right),
                 left_key.clone(),
                 right_key.clone(),
             ))
@@ -99,7 +115,7 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
             inner,
             kind,
         } => Box::new(IndexNLJoinOp::new(
-            build_operator(outer),
+            child(outer),
             outer_key.clone(),
             inner.clone(),
             *kind,
@@ -110,17 +126,16 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
             aggs,
             having,
         } => Box::new(HashAggregateOp::new(
-            build_operator(input),
+            child(input),
             group_by.clone(),
             aggs.clone(),
             having.clone(),
         )),
-        PhysicalPlan::Sort { input, keys } => {
-            Box::new(SortOp::new(build_operator(input), keys.clone()))
-        }
-        PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(build_operator(input), *n)),
-        PhysicalPlan::Distinct { input } => Box::new(DistinctOp::new(build_operator(input))),
-    }
+        PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(child(input), keys.clone())),
+        PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(child(input), *n)),
+        PhysicalPlan::Distinct { input } => Box::new(DistinctOp::new(child(input))),
+    };
+    wrap(token, op)
 }
 
 /// A completed query in columnar form: schema, batches and per-phase

@@ -3,11 +3,12 @@
 //!
 //! Interprets [`rcc_optimizer::PhysicalPlan`] trees with batched volcano
 //! operators: `open`/`next_batch`/`close`, where each pull yields a
-//! columnar [`Batch`] of up to [`DEFAULT_BATCH_ROWS`] rows narrowed by
-//! selection vectors instead of row copies. Expressions are compiled once
-//! per operator open into ordinal form ([`PhysExpr`]), so the per-row hot
-//! path carries no name resolution, no virtual dispatch and no `Row`
-//! allocation. The original row-at-a-time engine is preserved verbatim in
+//! [`Batch`] of typed [`Column`]s of up to [`DEFAULT_BATCH_ROWS`] rows,
+//! narrowed by selection vectors instead of row copies. Expressions are
+//! compiled once per operator open into ordinal form ([`PhysExpr`]) and run
+//! a column at a time ([`kernels`]), so the hot path carries no name
+//! resolution, no boxed [`rcc_common::Value`] per cell and no `Row`
+//! allocation. The original row-at-a-time engine is preserved in
 //! [`rowref`] as the differential oracle — the batched engine is held
 //! byte-identical to it on the wire.
 //!
@@ -26,8 +27,11 @@
 pub mod analyze;
 pub mod batch;
 pub mod build;
+pub mod column;
 pub mod context;
+mod groups;
 pub mod guard;
+pub mod kernels;
 pub mod ops;
 pub mod rowref;
 pub mod wire;
@@ -38,6 +42,7 @@ pub use build::{
     build_operator, execute_plan, execute_plan_batched, BatchExecutionResult, ExecutionResult,
     PhaseTimings,
 };
+pub use column::{Column, ColumnData, ValueRef};
 pub use context::{
     ExecContext, ExecCounters, ExecMetrics, GuardObservation, QueryMeter, RemoteService,
     DEFAULT_MORSEL_ROWS, MAX_OBSERVATIONS,

@@ -2,29 +2,38 @@
 //!
 //! Every operator follows the batched volcano discipline: `open` acquires
 //! resources, compiles its expressions to ordinals ([`PhysExpr`]) and
-//! computes whatever the strategy needs up front (hash tables, guard
-//! decisions, buffered scans); `next_batch` yields a columnar [`Batch`] of
+//! computes what its strategy cannot stream (hash tables, guard decisions,
+//! aggregates, sorts); `next_batch` yields a [`Batch`] of typed columns of
 //! up to `ctx.batch_rows` logical rows at a time; `close` releases.
 //! Operators never return an empty batch — exhaustion is `None` — so
 //! consumers can loop on `next_batch` without special-casing zero rows.
 //!
-//! Filters narrow batches with **selection vectors** (ascending physical
-//! row indices) instead of copying survivors, and scans fill column
-//! buffers straight out of [`rcc_storage::Table::fill_morsel_columns`] —
-//! rejected rows are never materialized, and per-row virtual dispatch,
-//! name resolution and `Row` allocation are gone from the hot loop. The
-//! original row-at-a-time engine survives as [`crate::rowref`], the
-//! differential oracle this engine is held byte-identical to.
+//! Scans stream: a serial [`LocalScanOp`] pins a snapshot in `open` and
+//! fills one batch per `next_batch` from a cursor over it, testing the
+//! residual by reference on the stored row, so a rejected row is never
+//! copied and a surviving one is copied once, into typed columns. Filters
+//! narrow batches with **selection vectors** (ascending physical row
+//! indices) instead of copying survivors; expressions run a column at a
+//! time ([`crate::kernels`]); joins gather typed columns by index;
+//! grouping numbers key tuples without building a key per row
+//! ([`crate::groups`]). The original row-at-a-time engine survives as
+//! [`crate::rowref`], the differential oracle this engine is held
+//! byte-identical to.
 
-use crate::batch::{Batch, BatchSource, PhysExpr, RowSource};
+use crate::batch::{Batch, PhysExpr};
+use crate::column::{Column, ColumnData, ValueRef};
 use crate::context::ExecContext;
+use crate::groups::GroupTable;
 use crate::guard::evaluate_guard;
-use rcc_common::{Error, Result, Row, Schema, Value};
+use rcc_common::{DataType, Error, Result, Row, Schema, Value};
 use rcc_optimizer::graph::JoinKind;
 use rcc_optimizer::physical::{AccessPath, InnerAccess};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard};
-use rcc_storage::{KeyRange, Table, TableSnapshot};
-use std::collections::{HashMap, HashSet, VecDeque};
+use rcc_sql::{BinaryOp, UnaryOp};
+use rcc_storage::{KeyRange, ScanCursor, Table, TableSnapshot};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The operator interface.
@@ -71,6 +80,95 @@ pub(crate) fn ship_remote(ctx: &ExecContext, sql: &str) -> Result<(Schema, Vec<R
     Ok((schema, rows))
 }
 
+/// The type an expression's values have, derived from the expression and
+/// the schema it reads — what `Project` and `HashAggregate` put in their
+/// output schema and so on the wire. A reference that does not resolve and
+/// a NULL literal are typeless and reported as `Int`. Shared with
+/// [`crate::rowref`], so both engines describe a result identically.
+pub(crate) fn expr_type(expr: &BoundExpr, input: &Schema) -> DataType {
+    match expr {
+        BoundExpr::Column { qualifier, name } => input
+            .resolve(Some(qualifier), name)
+            .map_or(DataType::Int, |i| input.column(i).data_type),
+        BoundExpr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
+        BoundExpr::GetDate => DataType::Timestamp,
+        BoundExpr::Binary { left, op, right } => match op {
+            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
+                match (expr_type(left, input), expr_type(right, input)) {
+                    (DataType::Int, DataType::Int) => DataType::Int,
+                    (DataType::Timestamp, DataType::Int) => DataType::Timestamp,
+                    _ => DataType::Float,
+                }
+            }
+            _ => DataType::Bool,
+        },
+        BoundExpr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => expr_type(expr, input),
+        BoundExpr::Unary { .. }
+        | BoundExpr::Between { .. }
+        | BoundExpr::InList { .. }
+        | BoundExpr::IsNull { .. } => DataType::Bool,
+    }
+}
+
+/// The type of an aggregate's result: `COUNT` counts, `AVG` divides,
+/// `SUM` / `MIN` / `MAX` keep their argument's type.
+pub(crate) fn agg_type(call: &AggCall, input: &Schema) -> DataType {
+    match (call.func, &call.arg) {
+        (AggFunc::Count, _) => DataType::Int,
+        (AggFunc::Avg, _) | (_, None) => DataType::Float,
+        (_, Some(arg)) => expr_type(arg, input),
+    }
+}
+
+/// The output schema of a projection over `input`.
+pub(crate) fn project_schema(exprs: &[(BoundExpr, String)], input: &Schema) -> Schema {
+    Schema::new(
+        exprs
+            .iter()
+            .map(|(e, name)| rcc_common::Column::new(name.clone(), expr_type(e, input)))
+            .collect(),
+    )
+}
+
+/// The output schema of an aggregation over `input`: group keys, then
+/// aggregates, all under the `#agg` qualifier.
+pub(crate) fn aggregate_schema(
+    group_by: &[(BoundExpr, String)],
+    aggs: &[AggCall],
+    input: &Schema,
+) -> Schema {
+    let keys = group_by.iter().map(|(e, name)| (name, expr_type(e, input)));
+    let results = aggs.iter().map(|a| (&a.output_name, agg_type(a, input)));
+    Schema::new(
+        keys.chain(results)
+            .map(|(name, t)| rcc_common::Column::new(name.clone(), t).with_qualifier("#agg"))
+            .collect(),
+    )
+}
+
+/// A remote result's schema as the plan names it, typed as the back-end
+/// reported it when the two line up (a fully remote plan's schema is
+/// typed by the binder's placeholder, the back-end's by its operators).
+pub(crate) fn adopt_remote_types(planned: &Schema, reported: &Schema) -> Schema {
+    if planned.len() != reported.len() {
+        return planned.clone();
+    }
+    Schema::new(
+        planned
+            .columns()
+            .iter()
+            .zip(reported.columns())
+            .map(|(p, r)| rcc_common::Column {
+                data_type: r.data_type,
+                ..p.clone()
+            })
+            .collect(),
+    )
+}
+
 /// Split buffered rows into dense batches of `target` logical rows.
 fn rows_to_batches(width: usize, rows: Vec<Row>, target: usize) -> VecDeque<Batch> {
     let target = target.max(1);
@@ -86,6 +184,28 @@ fn rows_to_batches(width: usize, rows: Vec<Row>, target: usize) -> VecDeque<Batc
     }
     out.push_back(Batch::from_rows(width, rows));
     out
+}
+
+/// Cut the rows `order` lists (physical indices into `columns`) into dense
+/// batches of `target` rows, gathering each column.
+fn gather_batches(columns: &[Column], order: &[u32], target: usize) -> VecDeque<Batch> {
+    order
+        .chunks(target.max(1))
+        .map(|chunk| {
+            let cols = columns.iter().map(|c| c.gather(chunk)).collect();
+            Batch::from_columns(cols, chunk.len())
+        })
+        .collect()
+}
+
+/// `expr` on every logical row of `batch`, in logical order: the batch's
+/// own column when the expression is a bare reference into a dense batch,
+/// a computed (or gathered) one otherwise.
+fn logical_column<'a>(expr: &PhysExpr, batch: &'a Batch, now: i64) -> Result<Cow<'a, Column>> {
+    match (expr.as_column(), &batch.sel) {
+        (Some(i), None) => Ok(Cow::Borrowed(&batch.columns[i])),
+        _ => expr.eval_column(batch, now).map(Cow::Owned),
+    }
 }
 
 // ----------------------------------------------------------------- OneRow
@@ -125,7 +245,7 @@ impl Operator for OneRowOp {
             Ok(None)
         } else {
             self.done = true;
-            Ok(Some(Batch::new(vec![], 1)))
+            Ok(Some(Batch::from_columns(vec![], 1)))
         }
     }
     fn close(&mut self, _ctx: &ExecContext) -> Result<()> {
@@ -135,14 +255,29 @@ impl Operator for OneRowOp {
 
 // -------------------------------------------------------------- LocalScan
 
-/// Scan of a local storage object with access-path pushdown, producing one
-/// columnar batch per morsel.
+/// Scan of a local storage object with access-path pushdown.
 pub struct LocalScanOp {
     object: String,
     schema: Schema,
     access: AccessPath,
     residual: Option<BoundExpr>,
-    buffer: VecDeque<Batch>,
+    state: ScanState,
+}
+
+enum ScanState {
+    /// Not opened yet (or closed).
+    Idle,
+    /// Serial: a cursor over the snapshot pinned at open; each
+    /// `next_batch` fills one batch from it.
+    Streaming {
+        table: TableSnapshot,
+        cursor: ScanCursor,
+        kernel: Arc<ScanKernel>,
+        /// Rows the previous batch held — the room to give the next one.
+        room: usize,
+    },
+    /// Parallel: the pool filled one batch per morsel at open.
+    Scattered(VecDeque<Batch>),
 }
 
 impl LocalScanOp {
@@ -158,221 +293,180 @@ impl LocalScanOp {
             schema,
             access,
             residual,
-            buffer: VecDeque::new(),
+            state: ScanState::Idle,
         }
     }
 }
 
 /// The scan kernel: decide per stored row whether it survives the residual
-/// predicate, and append survivors' mapped columns to output buffers. The
-/// residual is compiled against the scan's *output* schema, then remapped
-/// into *stored* ordinals — so it runs directly on stored rows and
-/// rejected rows are never projected or copied. One kernel is shared (via
-/// `Arc`) by the serial path and all parallel morsels, so both paths run
-/// identical per-row code — which keeps them bit-identical.
+/// predicate, and append survivors' mapped columns to typed output columns.
+/// The residual is compiled against the scan's *output* schema, then
+/// remapped into *stored* ordinals — so it is tested by reference on the
+/// stored row and a rejected row is never projected or copied. One kernel
+/// is shared (via `Arc`) by the serial path and all parallel morsels, so
+/// both paths run identical per-row code — which keeps them bit-identical.
 struct ScanKernel {
-    mapping: Arc<Vec<usize>>,
+    mapping: Vec<usize>,
     /// Residual in stored ordinals.
     residual: Option<PhysExpr>,
     now: i64,
 }
 
 impl ScanKernel {
-    fn keep(&self, row: &Row) -> Result<bool> {
-        match &self.residual {
-            Some(p) => p.eval_predicate(&RowSource(row.values()), self.now),
-            None => Ok(true),
+    /// Compile for a scan producing `schema` (with `residual` over it) out
+    /// of `table`'s stored rows.
+    fn new(
+        schema: &Schema,
+        residual: Option<&BoundExpr>,
+        table: &Table,
+        now: i64,
+    ) -> Result<ScanKernel> {
+        // map output columns to stored ordinals by name
+        let mapping: Vec<usize> = schema
+            .columns()
+            .iter()
+            .map(|c| table.schema().resolve(None, &c.name))
+            .collect::<Result<_>>()?;
+        let residual = residual
+            .map(|p| PhysExpr::compile(p, schema).map(|p| p.remap(&mapping)))
+            .transpose()?;
+        Ok(ScanKernel {
+            mapping,
+            residual,
+            now,
+        })
+    }
+
+    fn fresh_cols(&self, room: usize) -> Vec<Column> {
+        vec![Column::with_capacity(room); self.mapping.len()]
+    }
+
+    /// Append `row`'s mapped columns to `cols` if it passes the residual.
+    fn take(&self, row: &Row, cols: &mut [Column]) -> Result<bool> {
+        if let Some(p) = &self.residual {
+            if !p.eval_predicate(row.values(), self.now)? {
+                return Ok(false);
+            }
         }
-    }
-
-    fn push(&self, row: &Row, cols: &mut [Vec<Value>]) {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.push(row.get(self.mapping[c]).clone());
+        for (col, &from) in cols.iter_mut().zip(&self.mapping) {
+            col.push_value(row.get(from));
         }
+        Ok(true)
     }
 
-    fn fresh_cols(&self, capacity: usize) -> Vec<Vec<Value>> {
-        (0..self.mapping.len())
-            .map(|_| Vec::with_capacity(capacity))
-            .collect()
-    }
-
-    /// Fill one clustered morsel into a single columnar batch.
-    fn fill_clustered(
+    /// Fill one batch of up to `target` surviving rows from the cursor.
+    fn fill(
         &self,
         table: &Table,
-        range: &KeyRange,
-        start: Option<&[Value]>,
-        end: Option<&[Value]>,
-    ) -> Result<Batch> {
-        let mut cols = self.fresh_cols(0);
-        let n = table.fill_morsel_columns(
-            range,
-            start,
-            end,
-            &self.mapping,
-            |row| self.keep(row),
-            &mut cols,
-        )?;
-        Ok(Batch::new(cols, n))
+        cursor: &mut ScanCursor,
+        target: usize,
+        room: usize,
+    ) -> Result<Option<Batch>> {
+        let mut cols = self.fresh_cols(room);
+        let mut filled = 0usize;
+        table.scan_next(cursor, |row| {
+            filled += usize::from(self.take(row, &mut cols)?);
+            Ok(filled < target)
+        })?;
+        Ok((filled > 0).then(|| Batch::from_columns(cols, filled)))
     }
+}
+
+/// The scan pool, when splitting across it can pay.
+fn scan_pool(ctx: &ExecContext) -> Option<&Arc<rcc_common::ScanPool>> {
+    ctx.scan_pool.as_ref().filter(|p| p.size() > 1)
+}
+
+fn count_parallel_scan(ctx: &ExecContext, morsels: usize) {
+    use std::sync::atomic::Ordering;
+    ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
+    ctx.counters
+        .scan_morsels
+        .fetch_add(morsels as u64, Ordering::Relaxed);
+    if let Some(metrics) = ctx.metrics.as_deref() {
+        metrics.scan_morsels().observe(morsels as f64);
+    }
+}
+
+/// The morsel batches a pool returned, in morsel order, empty ones dropped.
+fn scattered(batches: Vec<Result<Option<Batch>>>) -> Result<ScanState> {
+    let batches: Result<Vec<Option<Batch>>> = batches.into_iter().collect();
+    Ok(ScanState::Scattered(
+        batches?.into_iter().flatten().collect(),
+    ))
 }
 
 /// Inclusive-start / exclusive-end key bounds of one morsel, owned so the
 /// bound vector can be scattered across pool workers.
 type MorselBounds = (Option<Vec<Value>>, Option<Vec<Value>>);
 
-/// Run one clustered-range scan over an immutable snapshot, splitting it
-/// into key-ordered morsels on the context's pool when that is worthwhile
-/// (one columnar batch per morsel). Morsel batches are concatenated in
-/// morsel order, so the logical row stream is exactly what the serial scan
-/// would produce, in the same order.
-fn scan_clustered(
+/// Split a clustered-range scan into key-ordered morsels on the context's
+/// pool when that is worthwhile (one batch per morsel). Morsel batches are
+/// concatenated in morsel order, so the logical row stream is exactly what
+/// the serial scan would produce, in the same order.
+fn scatter_clustered(
     ctx: &ExecContext,
     table: &TableSnapshot,
     range: &KeyRange,
     kernel: &Arc<ScanKernel>,
-) -> Result<VecDeque<Batch>> {
-    use std::sync::atomic::Ordering;
-    if let Some(pool) = ctx.scan_pool.as_ref().filter(|p| p.size() > 1) {
-        let plan = table.plan_morsels(range, ctx.morsel_rows.max(1));
-        let morsels = plan.morsel_count();
-        if morsels >= 2 {
-            ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            ctx.counters
-                .scan_morsels
-                .fetch_add(morsels as u64, Ordering::Relaxed);
-            if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics.scan_morsels().observe(morsels as f64);
-            }
-            let bounds: Vec<MorselBounds> = (0..morsels)
-                .map(|i| {
-                    let (start, end) = plan.bounds(i);
-                    (start.map(|k| k.to_vec()), end.map(|k| k.to_vec()))
-                })
-                .collect();
-            // One shared fill closure: the snapshot, range and kernel are
-            // captured once behind the Arc, not cloned per morsel.
-            let table = Arc::clone(table);
-            let range = range.clone();
-            let kernel = Arc::clone(kernel);
-            let fill = Arc::new(move |(start, end): MorselBounds| -> Result<Batch> {
-                kernel.fill_clustered(&table, &range, start.as_deref(), end.as_deref())
-            });
-            return pool
-                .scatter_map(bounds, fill)
-                .into_iter()
-                .filter(|b| !matches!(b, Ok(b) if b.is_empty()))
-                .collect();
-        }
+) -> Result<Option<ScanState>> {
+    let Some(pool) = scan_pool(ctx) else {
+        return Ok(None);
+    };
+    let plan = table.plan_morsels(range, ctx.morsel_rows.max(1));
+    let morsels = plan.morsel_count();
+    if morsels < 2 {
+        return Ok(None);
     }
-    ctx.counters.serial_scans.fetch_add(1, Ordering::Relaxed);
-    // Serial: one pass over the range, splitting full column buffers off
-    // into batches of `ctx.batch_rows` as they fill.
-    let target = ctx.batch_rows.max(1);
-    let mut batches = VecDeque::new();
-    let mut cols = kernel.fresh_cols(target);
-    let mut filled = 0usize;
-    let mut err: Option<Error> = None;
-    table.scan_range(
-        range,
-        |_| true,
-        |row| {
-            if err.is_some() {
-                return;
-            }
-            match kernel.keep(row) {
-                Ok(true) => {
-                    kernel.push(row, &mut cols);
-                    filled += 1;
-                    if filled == target {
-                        let full = std::mem::replace(&mut cols, kernel.fresh_cols(target));
-                        batches.push_back(Batch::new(full, filled));
-                        filled = 0;
-                    }
-                }
-                Ok(false) => {}
-                Err(e) => err = Some(e),
-            }
-        },
-    );
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if filled > 0 {
-        batches.push_back(Batch::new(cols, filled));
-    }
-    Ok(batches)
+    count_parallel_scan(ctx, morsels);
+    let bounds: Vec<MorselBounds> = (0..morsels)
+        .map(|i| {
+            let (start, end) = plan.bounds(i);
+            (start.map(|k| k.to_vec()), end.map(|k| k.to_vec()))
+        })
+        .collect();
+    // One shared fill closure: the snapshot, range and kernel are captured
+    // once behind the Arc, not cloned per morsel.
+    let (table, range, kernel) = (Arc::clone(table), range.clone(), Arc::clone(kernel));
+    let fill = Arc::new(move |(start, end): MorselBounds| {
+        let mut cursor = table.scan_cursor(&range, start.as_deref(), end.as_deref());
+        kernel.fill(&table, &mut cursor, usize::MAX, 0)
+    });
+    scattered(pool.scatter_map(bounds, fill)).map(Some)
 }
 
-/// Run one secondary-index scan over an immutable snapshot. The ordered
-/// clustered-key list (the result's spine) is resolved serially from the
-/// index; when a pool is available the point lookups are chunked across
-/// workers (one batch per chunk) and re-concatenated in chunk order —
-/// same rows, same order as the serial path.
-fn scan_index(
+/// Split a secondary-index scan across the pool. The ordered clustered-key
+/// list (the result's spine) is resolved serially from the index; the point
+/// lookups are chunked across workers (one batch per chunk) and
+/// re-concatenated in chunk order — same rows, same order as the serial
+/// path.
+fn scatter_index(
     ctx: &ExecContext,
     table: &TableSnapshot,
     index: &str,
     range: &KeyRange,
     kernel: &Arc<ScanKernel>,
-) -> Result<VecDeque<Batch>> {
-    use std::sync::atomic::Ordering;
+) -> Result<Option<ScanState>> {
+    let Some(pool) = scan_pool(ctx) else {
+        return Ok(None);
+    };
     let morsel_rows = ctx.morsel_rows.max(1);
-    if let Some(pool) = ctx.scan_pool.as_ref().filter(|p| p.size() > 1) {
-        let pks = table.index_pks(index, range)?;
-        if pks.len() >= 2 * morsel_rows {
-            let chunks: Vec<Vec<Vec<Value>>> =
-                pks.chunks(morsel_rows).map(|c| c.to_vec()).collect();
-            ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            ctx.counters
-                .scan_morsels
-                .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-            if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics.scan_morsels().observe(chunks.len() as f64);
-            }
-            let table = Arc::clone(table);
-            let kernel = Arc::clone(kernel);
-            let fill = Arc::new(move |chunk: Vec<Vec<Value>>| -> Result<Batch> {
-                let mut cols = kernel.fresh_cols(chunk.len());
-                let mut n = 0usize;
-                for pk in &chunk {
-                    if let Some(row) = table.get(pk) {
-                        if kernel.keep(row)? {
-                            kernel.push(row, &mut cols);
-                            n += 1;
-                        }
-                    }
-                }
-                Ok(Batch::new(cols, n))
-            });
-            return pool
-                .scatter_map(chunks, fill)
-                .into_iter()
-                .filter(|b| !matches!(b, Ok(b) if b.is_empty()))
-                .collect();
+    let pks = table.index_pks(index, range)?;
+    if pks.len() < 2 * morsel_rows {
+        return Ok(None);
+    }
+    let chunks: Vec<Vec<Vec<Value>>> = pks.chunks(morsel_rows).map(|c| c.to_vec()).collect();
+    count_parallel_scan(ctx, chunks.len());
+    let (table, kernel) = (Arc::clone(table), Arc::clone(kernel));
+    let fill = Arc::new(move |chunk: Vec<Vec<Value>>| {
+        let mut cols = kernel.fresh_cols(chunk.len());
+        let mut n = 0usize;
+        for row in chunk.iter().filter_map(|pk| table.get(pk)) {
+            n += usize::from(kernel.take(row, &mut cols)?);
         }
-    }
-    ctx.counters.serial_scans.fetch_add(1, Ordering::Relaxed);
-    let target = ctx.batch_rows.max(1);
-    let mut batches = VecDeque::new();
-    let mut cols = kernel.fresh_cols(target);
-    let mut filled = 0usize;
-    for row in table.index_scan(index, range)? {
-        if kernel.keep(&row)? {
-            kernel.push(&row, &mut cols);
-            filled += 1;
-            if filled == target {
-                let full = std::mem::replace(&mut cols, kernel.fresh_cols(target));
-                batches.push_back(Batch::new(full, filled));
-                filled = 0;
-            }
-        }
-    }
-    if filled > 0 {
-        batches.push_back(Batch::new(cols, filled));
-    }
-    Ok(batches)
+        Ok((n > 0).then(|| Batch::from_columns(cols, n)))
+    });
+    scattered(pool.scatter_map(chunks, fill)).map(Some)
 }
 
 impl Operator for LocalScanOp {
@@ -384,47 +478,63 @@ impl Operator for LocalScanOp {
         // One immutable snapshot for the whole scan: no lock is held while
         // scanning, and a concurrent refresh publish cannot tear the view.
         let table: TableSnapshot = ctx.storage.table(&self.object)?.snapshot();
-        // map output columns to stored ordinals by name
-        let mapping: Arc<Vec<usize>> = Arc::new(
-            self.schema
-                .columns()
-                .iter()
-                .map(|c| table.schema().resolve(None, &c.name))
-                .collect::<Result<_>>()?,
-        );
-        let residual = match &self.residual {
-            Some(p) => Some(PhysExpr::compile(p, &self.schema)?.remap(&mapping)),
-            None => None,
+        let kernel = Arc::new(ScanKernel::new(
+            &self.schema,
+            self.residual.as_ref(),
+            &table,
+            now_millis(ctx),
+        )?);
+        let all = KeyRange::all();
+        let (index, range) = match &self.access {
+            AccessPath::FullScan => (None, &all),
+            AccessPath::ClusteredRange { range, .. } => (None, range),
+            AccessPath::IndexRange { index, range, .. } => (Some(index.as_str()), range),
         };
-        let kernel = Arc::new(ScanKernel {
-            mapping,
-            residual,
-            now: now_millis(ctx),
-        });
-        self.buffer = match &self.access {
-            AccessPath::FullScan => scan_clustered(ctx, &table, &KeyRange::all(), &kernel)?,
-            AccessPath::ClusteredRange { range, .. } => {
-                scan_clustered(ctx, &table, range, &kernel)?
-            }
-            AccessPath::IndexRange { index, range, .. } => {
-                scan_index(ctx, &table, index, range, &kernel)?
+        let parallel = match index {
+            None => scatter_clustered(ctx, &table, range, &kernel)?,
+            Some(index) => scatter_index(ctx, &table, index, range, &kernel)?,
+        };
+        self.state = match parallel {
+            Some(state) => state,
+            None => {
+                ctx.counters
+                    .serial_scans
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let cursor = match index {
+                    None => table.scan_cursor(range, None, None),
+                    Some(index) => table.index_cursor(index, range)?,
+                };
+                ScanState::Streaming {
+                    table,
+                    cursor,
+                    kernel,
+                    room: 0,
+                }
             }
         };
         Ok(())
     }
 
-    fn next_batch(&mut self, _ctx: &ExecContext) -> Result<Option<Batch>> {
-        // morsels that filtered down to nothing are skipped
-        while let Some(batch) = self.buffer.pop_front() {
-            if !batch.is_empty() {
-                return Ok(Some(batch));
+    fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
+        match &mut self.state {
+            ScanState::Idle => Err(Error::internal("LocalScan next_batch before open")),
+            ScanState::Scattered(batches) => Ok(batches.pop_front()),
+            ScanState::Streaming {
+                table,
+                cursor,
+                kernel,
+                room,
+            } => {
+                // batches are cut at `batch_rows` *surviving* rows
+                let batch = kernel.fill(table, cursor, ctx.batch_rows.max(1), *room)?;
+                *room = batch.as_ref().map_or(0, Batch::len);
+                Ok(batch)
             }
         }
-        Ok(None)
     }
 
     fn close(&mut self, _ctx: &ExecContext) -> Result<()> {
-        self.buffer.clear();
+        self.state = ScanState::Idle;
         Ok(())
     }
 }
@@ -455,7 +565,7 @@ impl Operator for RemoteQueryOp {
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        let (_, rows) = ship_remote(ctx, &self.sql)?;
+        let (reported, rows) = ship_remote(ctx, &self.sql)?;
         for row in &rows {
             if row.len() != self.schema.len() {
                 return Err(Error::Remote(format!(
@@ -465,6 +575,7 @@ impl Operator for RemoteQueryOp {
                 )));
             }
         }
+        self.schema = adopt_remote_types(&self.schema, &reported);
         self.buffer = rows_to_batches(self.schema.len(), rows, ctx.batch_rows);
         Ok(())
     }
@@ -580,30 +691,15 @@ impl Operator for FilterOp {
             .as_ref()
             .ok_or_else(|| Error::internal("Filter next_batch before open"))?;
         while let Some(batch) = self.input.next_batch(ctx)? {
-            let len = batch.len();
-            let mut sel: Vec<u32> = Vec::with_capacity(len);
-            for i in 0..len {
-                let p = batch.phys(i);
-                let src = BatchSource {
-                    columns: &batch.columns,
-                    row: p,
-                };
-                if predicate.eval_predicate(&src, now)? {
-                    sel.push(p as u32);
-                }
-            }
+            let sel = predicate.select(&batch, now)?;
             if let Some(metrics) = ctx.metrics.as_deref() {
                 metrics
                     .batch_selectivity()
-                    .observe(sel.len() as f64 / len as f64);
+                    .observe(sel.len() as f64 / batch.len() as f64);
             }
-            if sel.is_empty() {
-                continue;
+            if let Some(narrowed) = batch.narrowed(sel) {
+                return Ok(Some(narrowed));
             }
-            if sel.len() == len {
-                return Ok(Some(batch)); // everything survived: keep as-is
-            }
-            return Ok(Some(batch.with_sel(sel)));
         }
         Ok(None)
     }
@@ -616,8 +712,8 @@ impl Operator for FilterOp {
 // ---------------------------------------------------------------- Project
 
 /// Expression projection over whole batches. Bare-column outputs move or
-/// gather the input buffer wholesale; computed outputs evaluate per row
-/// through the compiled expression.
+/// gather the input column wholesale; computed outputs are evaluated a
+/// column at a time.
 pub struct ProjectOp {
     input: BoxedOp,
     exprs: Vec<BoundExpr>,
@@ -628,13 +724,7 @@ pub struct ProjectOp {
 impl ProjectOp {
     /// Build; `exprs` paired with output names.
     pub fn new(input: BoxedOp, exprs: Vec<(BoundExpr, String)>) -> ProjectOp {
-        use rcc_common::{Column, DataType};
-        let schema = Schema::new(
-            exprs
-                .iter()
-                .map(|(_, n)| Column::new(n.clone(), DataType::Int))
-                .collect(),
-        );
+        let schema = project_schema(&exprs, input.schema());
         ProjectOp {
             input,
             exprs: exprs.into_iter().map(|(e, _)| e).collect(),
@@ -655,63 +745,36 @@ impl Operator for ProjectOp {
     }
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
-        let mut batch = match self.input.next_batch(ctx)? {
-            Some(b) => b,
-            None => return Ok(None),
+        let Some(mut batch) = self.input.next_batch(ctx)? else {
+            return Ok(None);
         };
         let n = batch.len();
-        let mut outputs: Vec<Option<Vec<Value>>> = vec![None; self.compiled.len()];
-        // computed outputs first — they may read columns that bare-column
-        // outputs move out below
-        for (k, e) in self.compiled.iter().enumerate() {
-            if e.as_column().is_none() {
-                let mut col = Vec::with_capacity(n);
-                for i in 0..n {
-                    let src = BatchSource {
-                        columns: &batch.columns,
-                        row: batch.phys(i),
-                    };
-                    col.push(e.eval(&src, now)?);
-                }
-                outputs[k] = Some(col);
-            }
-        }
-        // bare columns: dense batches move the buffer on its last use and
-        // clone earlier ones; selected batches gather through the selection
-        match batch.sel.clone() {
-            None => {
-                let mut remaining: HashMap<usize, usize> = HashMap::new();
-                for e in &self.compiled {
-                    if let Some(i) = e.as_column() {
-                        *remaining.entry(i).or_insert(0) += 1;
-                    }
-                }
-                for (k, e) in self.compiled.iter().enumerate() {
-                    if let Some(i) = e.as_column() {
-                        let uses = remaining.get_mut(&i).expect("counted above");
-                        *uses -= 1;
-                        outputs[k] = Some(if *uses == 0 {
-                            std::mem::take(&mut batch.columns[i])
-                        } else {
-                            batch.columns[i].clone()
-                        });
-                    }
-                }
-            }
-            Some(sel) => {
-                for (k, e) in self.compiled.iter().enumerate() {
-                    if let Some(i) = e.as_column() {
-                        let col = &batch.columns[i];
-                        outputs[k] = Some(sel.iter().map(|&p| col[p as usize].clone()).collect());
-                    }
-                }
+        // computed and gathered outputs first: they read columns the dense
+        // bare-column outputs move out of the batch below
+        let mut outputs: Vec<Option<Column>> = self
+            .compiled
+            .iter()
+            .map(|e| match (e.as_column(), &batch.sel) {
+                (Some(_), None) => Ok(None),
+                _ => e.eval_column(&batch, now).map(Some),
+            })
+            .collect::<Result<_>>()?;
+        // a dense batch gives each bare column away on its last use and
+        // clones it for the earlier ones
+        for (k, output) in outputs.iter_mut().enumerate() {
+            if let (None, Some(i)) = (&output, self.compiled[k].as_column()) {
+                let later = &self.compiled[k + 1..];
+                *output = Some(match later.iter().any(|e| e.as_column() == Some(i)) {
+                    true => batch.columns[i].clone(),
+                    false => std::mem::take(&mut batch.columns[i]),
+                });
             }
         }
         let columns = outputs
             .into_iter()
             .map(|c| c.expect("every output produced"))
             .collect();
-        Ok(Some(Batch::new(columns, n)))
+        Ok(Some(Batch::from_columns(columns, n)))
     }
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
         self.compiled.clear();
@@ -723,7 +786,7 @@ impl Operator for ProjectOp {
 
 /// Hash join: builds on the right input, probes with whole left batches.
 /// Semi/anti joins narrow the left batch with a selection vector; inner
-/// joins materialize concatenated rows.
+/// joins gather the matching left and build rows column by column.
 pub struct HashJoinOp {
     left: BoxedOp,
     right: BoxedOp,
@@ -732,7 +795,11 @@ pub struct HashJoinOp {
     compiled_left: Vec<PhysExpr>,
     kind: JoinKind,
     schema: Schema,
-    table: HashMap<Vec<Value>, Vec<Row>>,
+    /// Every build row, in arrival order.
+    build: Vec<Column>,
+    /// Build keys, numbered; `matches[g]` lists the build rows of key `g`.
+    keys: GroupTable,
+    matches: Vec<Vec<u32>>,
 }
 
 impl HashJoinOp {
@@ -756,27 +823,33 @@ impl HashJoinOp {
             compiled_left: Vec::new(),
             kind,
             schema,
-            table: HashMap::new(),
+            build: Vec::new(),
+            keys: GroupTable::default(),
+            matches: Vec::new(),
         }
+    }
+
+    /// The build rows matching each logical row of a left batch.
+    fn probe(&self, batch: &Batch, now: i64) -> Result<Vec<&[u32]>> {
+        let parts = key_columns(&self.compiled_left, batch, now)?;
+        let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
+        Ok((0..batch.len())
+            .map(|k| match self.keys.find(&parts, k) {
+                Some(g) if !any_null(&parts, k) => self.matches[g as usize].as_slice(),
+                _ => &[],
+            })
+            .collect())
     }
 }
 
-/// Evaluate join keys for one batch row; `None` when any key is NULL
-/// (NULL keys never match).
-fn eval_batch_keys(
-    keys: &[PhysExpr],
-    src: &BatchSource<'_>,
-    now: i64,
-) -> Result<Option<Vec<Value>>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for k in keys {
-        let v = k.eval(src, now)?;
-        if v.is_null() {
-            return Ok(None);
-        }
-        out.push(v);
-    }
-    Ok(Some(out))
+/// The key columns of a batch, each in logical row order.
+fn key_columns<'a>(keys: &[PhysExpr], batch: &'a Batch, now: i64) -> Result<Vec<Cow<'a, Column>>> {
+    keys.iter().map(|e| logical_column(e, batch, now)).collect()
+}
+
+/// Is any part of row `row`'s key NULL? (NULL keys never match.)
+fn any_null(parts: &[&Column], row: usize) -> bool {
+    parts.iter().any(|c| c.is_null(row))
 }
 
 impl Operator for HashJoinOp {
@@ -788,16 +861,26 @@ impl Operator for HashJoinOp {
         let now = now_millis(ctx);
         self.right.open(ctx)?;
         let right_keys = PhysExpr::compile_all(&self.right_keys, self.right.schema())?;
+        self.build = vec![Column::new(); self.right.schema().len()];
+        self.keys = GroupTable::new(right_keys.len());
+        self.matches.clear();
+        let mut built = 0u32;
         while let Some(batch) = self.right.next_batch(ctx)? {
-            for i in 0..batch.len() {
-                let src = BatchSource {
-                    columns: &batch.columns,
-                    row: batch.phys(i),
-                };
-                if let Some(key) = eval_batch_keys(&right_keys, &src, now)? {
-                    self.table.entry(key).or_default().push(batch.row(i));
+            let parts = key_columns(&right_keys, &batch, now)?;
+            let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
+            for k in 0..batch.len() {
+                if !any_null(&parts, k) {
+                    let g = self.keys.group_of(&parts, k) as usize;
+                    if g == self.matches.len() {
+                        self.matches.push(Vec::new());
+                    }
+                    self.matches[g].push(built + k as u32);
                 }
             }
+            for (all, col) in self.build.iter_mut().zip(&batch.columns) {
+                all.extend_from(col, batch.sel.as_deref());
+            }
+            built += batch.len() as u32;
         }
         self.right.close(ctx)?;
         self.left.open(ctx)?;
@@ -808,50 +891,29 @@ impl Operator for HashJoinOp {
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
         while let Some(batch) = self.left.next_batch(ctx)? {
+            let matches = self.probe(&batch, now)?;
             match self.kind {
                 JoinKind::Inner => {
-                    let mut out: Vec<Row> = Vec::new();
-                    for i in 0..batch.len() {
-                        let src = BatchSource {
-                            columns: &batch.columns,
-                            row: batch.phys(i),
-                        };
-                        let key = eval_batch_keys(&self.compiled_left, &src, now)?;
-                        if let Some(ms) = key.as_ref().and_then(|k| self.table.get(k)) {
-                            let left_row = batch.row(i);
-                            for m in ms {
-                                out.push(left_row.concat(m));
-                            }
-                        }
+                    let (mut left_rows, mut build_rows) = (Vec::new(), Vec::new());
+                    for (k, ms) in matches.into_iter().enumerate() {
+                        left_rows.extend(std::iter::repeat_n(batch.phys(k) as u32, ms.len()));
+                        build_rows.extend_from_slice(ms);
                     }
-                    if !out.is_empty() {
-                        return Ok(Some(Batch::from_rows(self.schema.len(), out)));
+                    if !left_rows.is_empty() {
+                        let left = batch.columns.iter().map(|c| c.gather(&left_rows));
+                        let right = self.build.iter().map(|c| c.gather(&build_rows));
+                        let columns = left.chain(right).collect();
+                        return Ok(Some(Batch::from_columns(columns, left_rows.len())));
                     }
                 }
                 JoinKind::Semi | JoinKind::Anti => {
                     let want_match = self.kind == JoinKind::Semi;
-                    let mut sel: Vec<u32> = Vec::new();
-                    for i in 0..batch.len() {
-                        let p = batch.phys(i);
-                        let src = BatchSource {
-                            columns: &batch.columns,
-                            row: p,
-                        };
-                        let key = eval_batch_keys(&self.compiled_left, &src, now)?;
-                        let matched = key
-                            .as_ref()
-                            .and_then(|k| self.table.get(k))
-                            .map(|m| !m.is_empty())
-                            .unwrap_or(false);
-                        if matched == want_match {
-                            sel.push(p as u32);
-                        }
-                    }
-                    if sel.len() == batch.len() {
-                        return Ok(Some(batch));
-                    }
-                    if !sel.is_empty() {
-                        return Ok(Some(batch.with_sel(sel)));
+                    let sel: Vec<u32> = (0..batch.len())
+                        .filter(|&k| matches[k].is_empty() != want_match)
+                        .map(|k| batch.phys(k) as u32)
+                        .collect();
+                    if let Some(narrowed) = batch.narrowed(sel) {
+                        return Ok(Some(narrowed));
                     }
                 }
             }
@@ -860,7 +922,9 @@ impl Operator for HashJoinOp {
     }
 
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.table.clear();
+        self.build.clear();
+        self.keys = GroupTable::default();
+        self.matches.clear();
         self.compiled_left.clear();
         self.left.close(ctx)
     }
@@ -911,7 +975,8 @@ impl RowStream {
 /// Merge join over inputs already sorted (non-decreasing) on the join
 /// keys. Handles duplicate keys on both sides by buffering the right-hand
 /// group. Inner joins only — the optimizer routes semi/anti joins through
-/// the hash path. Output rows are re-batched at `ctx.batch_rows`.
+/// the hash path. Works a row at a time, as its lookahead discipline
+/// does; output rows are re-batched at `ctx.batch_rows`.
 pub struct MergeJoinOp {
     left: RowStream,
     right: RowStream,
@@ -982,9 +1047,9 @@ impl MergeJoinOp {
         loop {
             if let Some(gk) = &self.right_group_key {
                 match gk.total_cmp(key) {
-                    std::cmp::Ordering::Equal => return Ok(true),
-                    std::cmp::Ordering::Greater => return Ok(false),
-                    std::cmp::Ordering::Less => {}
+                    Ordering::Equal => return Ok(true),
+                    Ordering::Greater => return Ok(false),
+                    Ordering::Less => {}
                 }
             }
             // build the next group
@@ -999,10 +1064,10 @@ impl MergeJoinOp {
                         .unwrap_or(false));
                 }
             };
-            let gk = right_key.eval(&RowSource(first.values()), now)?;
+            let gk = right_key.eval(first.values(), now)?;
             let mut group = vec![first];
             while let Some(r) = self.next_right(ctx)? {
-                let k = right_key.eval(&RowSource(r.values()), now)?;
+                let k = right_key.eval(r.values(), now)?;
                 if k == gk {
                     group.push(r);
                 } else {
@@ -1036,7 +1101,7 @@ impl MergeJoinOp {
                 Some(r) => r,
                 None => return Ok(None),
             };
-            let key = left_key.eval(&RowSource(left_row.values()), now)?;
+            let key = left_key.eval(left_row.values(), now)?;
             if key.is_null() {
                 continue; // NULL keys never match
             }
@@ -1093,8 +1158,9 @@ impl Operator for MergeJoinOp {
 enum InnerMode {
     /// Seek the local object per outer row, against one immutable snapshot
     /// pinned at open — every seek of the join sees the same table state,
-    /// and no lock is held across the join.
-    Local(TableSnapshot),
+    /// and no lock is held across the join. The kernel maps and filters
+    /// the stored inner rows.
+    Local(TableSnapshot, ScanKernel),
     /// The guard failed: inner rows were fetched remotely and hashed.
     Hashed(HashMap<Value, Vec<Row>>),
     /// Not opened yet (or closed).
@@ -1103,7 +1169,8 @@ enum InnerMode {
 
 /// Index nested-loop join with an optionally guarded inner side, probing
 /// one whole outer batch per `next_batch` call. Semi/anti joins narrow the
-/// outer batch with a selection vector.
+/// outer batch with a selection vector; inner joins append each probe's
+/// matches to typed inner columns and gather the outer ones to match.
 pub struct IndexNLJoinOp {
     outer: BoxedOp,
     outer_key: BoundExpr,
@@ -1112,10 +1179,6 @@ pub struct IndexNLJoinOp {
     kind: JoinKind,
     schema: Schema,
     mode: InnerMode,
-    /// precomputed mapping from inner schema to the stored table (local mode)
-    mapping: Vec<usize>,
-    /// inner residual in stored ordinals (local mode)
-    inner_residual: Option<PhysExpr>,
 }
 
 impl IndexNLJoinOp {
@@ -1138,42 +1201,38 @@ impl IndexNLJoinOp {
             kind,
             schema,
             mode: InnerMode::Idle,
-            mapping: Vec::new(),
-            inner_residual: None,
         }
     }
 
-    fn seek_local(&self, ctx: &ExecContext, table: &Table, key: &Value) -> Result<Vec<Row>> {
-        let range = KeyRange::eq(key.clone());
-        let raw: Vec<Row> = match &self.inner.use_index {
-            Some(ix) => table.index_scan(ix, &range)?,
-            None => table.collect_range(&range, |_| true),
-        };
-        let now = now_millis(ctx);
-        let mut out = Vec::with_capacity(raw.len());
-        for row in raw {
-            let keep = match &self.inner_residual {
-                Some(p) => p.eval_predicate(&RowSource(row.values()), now)?,
-                None => true,
-            };
-            if keep {
-                out.push(Row::new(
-                    self.mapping.iter().map(|&i| row.get(i).clone()).collect(),
-                ));
-            }
-        }
-        Ok(out)
-    }
-
-    fn matches_for(&self, ctx: &ExecContext, key: &Value) -> Result<Vec<Row>> {
+    /// Append the inner rows matching `key` to `cols`; returns how many.
+    fn probe(&self, key: ValueRef<'_>, cols: &mut [Column]) -> Result<usize> {
         if key.is_null() {
-            return Ok(Vec::new()); // NULL keys never match
+            return Ok(0); // NULL keys never match
         }
+        let mut found = 0usize;
         match &self.mode {
-            InnerMode::Local(snap) => self.seek_local(ctx, snap, key),
-            InnerMode::Hashed(map) => Ok(map.get(key).cloned().unwrap_or_default()),
-            InnerMode::Idle => Err(Error::internal("IndexNLJoin next before open")),
+            InnerMode::Local(table, kernel) => {
+                let range = KeyRange::eq(key.to_value());
+                let mut cursor = match &self.inner.use_index {
+                    Some(ix) => table.index_cursor(ix, &range)?,
+                    None => table.scan_cursor(&range, None, None),
+                };
+                table.scan_next(&mut cursor, |row| {
+                    found += usize::from(kernel.take(row, cols)?);
+                    Ok(true)
+                })?;
+            }
+            InnerMode::Hashed(map) => {
+                for row in map.get(&key.to_value()).into_iter().flatten() {
+                    for (col, v) in cols.iter_mut().zip(row.values()) {
+                        col.push_value(v);
+                    }
+                    found += 1;
+                }
+            }
+            InnerMode::Idle => return Err(Error::internal("IndexNLJoin next before open")),
         }
+        Ok(found)
     }
 }
 
@@ -1193,18 +1252,13 @@ impl Operator for IndexNLJoinOp {
         };
         if use_local {
             let table = ctx.storage.table(&self.inner.object)?.snapshot();
-            self.mapping = self
-                .inner
-                .schema
-                .columns()
-                .iter()
-                .map(|c| table.schema().resolve(None, &c.name))
-                .collect::<Result<_>>()?;
-            self.inner_residual = match &self.inner.residual {
-                Some(p) => Some(PhysExpr::compile(p, &self.inner.schema)?.remap(&self.mapping)),
-                None => None,
-            };
-            self.mode = InnerMode::Local(table);
+            let kernel = ScanKernel::new(
+                &self.inner.schema,
+                self.inner.residual.as_ref(),
+                &table,
+                now_millis(ctx),
+            )?;
+            self.mode = InnerMode::Local(table, kernel);
         } else {
             let sql = self
                 .inner
@@ -1229,52 +1283,39 @@ impl Operator for IndexNLJoinOp {
 
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
-        let outer_key = self
-            .compiled_key
-            .clone()
-            .ok_or_else(|| Error::internal("IndexNLJoin next before open"))?;
+        let width = self.inner.schema.len();
         while let Some(batch) = self.outer.next_batch(ctx)? {
+            let outer_key = self
+                .compiled_key
+                .as_ref()
+                .ok_or_else(|| Error::internal("IndexNLJoin next before open"))?;
+            let keys = logical_column(outer_key, &batch, now)?;
             match self.kind {
                 JoinKind::Inner => {
-                    let mut out: Vec<Row> = Vec::new();
-                    for i in 0..batch.len() {
-                        let src = BatchSource {
-                            columns: &batch.columns,
-                            row: batch.phys(i),
-                        };
-                        let key = outer_key.eval(&src, now)?;
-                        let matches = self.matches_for(ctx, &key)?;
-                        if !matches.is_empty() {
-                            let outer_row = batch.row(i);
-                            for m in &matches {
-                                out.push(outer_row.concat(m));
-                            }
-                        }
+                    let mut inner_cols = vec![Column::new(); width];
+                    let mut outer_rows: Vec<u32> = Vec::new();
+                    for k in 0..batch.len() {
+                        let found = self.probe(keys.get(k), &mut inner_cols)?;
+                        outer_rows.extend(std::iter::repeat_n(batch.phys(k) as u32, found));
                     }
-                    if !out.is_empty() {
-                        return Ok(Some(Batch::from_rows(self.schema.len(), out)));
+                    if !outer_rows.is_empty() {
+                        let outer = batch.columns.iter().map(|c| c.gather(&outer_rows));
+                        let columns = outer.chain(inner_cols).collect();
+                        return Ok(Some(Batch::from_columns(columns, outer_rows.len())));
                     }
                 }
                 JoinKind::Semi | JoinKind::Anti => {
                     let want_match = self.kind == JoinKind::Semi;
                     let mut sel: Vec<u32> = Vec::new();
-                    for i in 0..batch.len() {
-                        let p = batch.phys(i);
-                        let src = BatchSource {
-                            columns: &batch.columns,
-                            row: p,
-                        };
-                        let key = outer_key.eval(&src, now)?;
-                        let matched = !self.matches_for(ctx, &key)?.is_empty();
-                        if matched == want_match {
-                            sel.push(p as u32);
+                    for k in 0..batch.len() {
+                        // existence only: no column to append matches to
+                        if (self.probe(keys.get(k), &mut [])? > 0) == want_match {
+                            sel.push(batch.phys(k) as u32);
                         }
                     }
-                    if sel.len() == batch.len() {
-                        return Ok(Some(batch));
-                    }
-                    if !sel.is_empty() {
-                        return Ok(Some(batch.with_sel(sel)));
+                    drop(keys);
+                    if let Some(narrowed) = batch.narrowed(sel) {
+                        return Ok(Some(narrowed));
                     }
                 }
             }
@@ -1285,81 +1326,109 @@ impl Operator for IndexNLJoinOp {
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
         self.mode = InnerMode::Idle;
         self.compiled_key = None;
-        self.inner_residual = None;
         self.outer.close(ctx)
     }
 }
 
 // ---------------------------------------------------------- HashAggregate
 
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Sum { total: f64, seen: bool, int: bool },
-    Avg { total: f64, count: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
+/// The running state of one aggregate call, one slot per group id, fed a
+/// batch at a time in input order (so float sums keep their bits).
+enum Accumulator {
+    Count(Vec<i64>),
+    Sum {
+        total: Vec<f64>,
+        seen: Vec<bool>,
+        int: Vec<bool>,
+    },
+    Avg {
+        total: Vec<f64>,
+        count: Vec<i64>,
+    },
+    /// MIN keeps a cell that orders `Less` than the best so far, MAX one
+    /// that orders `Greater`.
+    Extreme {
+        best: Vec<Option<Value>>,
+        keeps: Ordering,
+    },
 }
 
-impl AggState {
-    fn new(call: &AggCall) -> AggState {
-        match call.func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum {
-                total: 0.0,
-                seen: false,
-                int: true,
+impl Accumulator {
+    fn new(func: AggFunc) -> Accumulator {
+        match func {
+            AggFunc::Count => Accumulator::Count(Vec::new()),
+            AggFunc::Sum => Accumulator::Sum {
+                total: Vec::new(),
+                seen: Vec::new(),
+                int: Vec::new(),
             },
-            AggFunc::Avg => AggState::Avg {
-                total: 0.0,
-                count: 0,
+            AggFunc::Avg => Accumulator::Avg {
+                total: Vec::new(),
+                count: Vec::new(),
             },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
+            AggFunc::Min | AggFunc::Max => Accumulator::Extreme {
+                best: Vec::new(),
+                keeps: if func == AggFunc::Min {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                },
+            },
         }
     }
 
-    fn update(&mut self, v: Option<Value>) -> Result<()> {
+    /// Make room for `groups` groups.
+    fn grow(&mut self, groups: usize) {
         match self {
-            AggState::Count(n) => {
-                // COUNT(*) gets None-argument calls counted unconditionally;
-                // COUNT(e) skips NULLs — the builder passes Some(NULL) there.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
+            Accumulator::Count(n) => n.resize(groups, 0),
+            Accumulator::Sum { total, seen, int } => {
+                total.resize(groups, 0.0);
+                seen.resize(groups, false);
+                int.resize(groups, true);
             }
-            AggState::Sum { total, seen, int } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        if matches!(val, Value::Float(_)) {
-                            *int = false;
-                        }
-                        *total += val.as_float()?;
-                        *seen = true;
-                    }
-                }
+            Accumulator::Avg { total, count } => {
+                total.resize(groups, 0.0);
+                count.resize(groups, 0);
             }
-            AggState::Avg { total, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *total += val.as_float()?;
-                        *count += 1;
-                    }
-                }
+            Accumulator::Extreme { best, .. } => best.resize(groups, None),
+        }
+    }
+
+    /// Feed one batch: `groups[k]` is the group of logical row `k`, `arg`
+    /// the argument's column (`None`: the call has no argument, which only
+    /// `COUNT(*)` counts). NULLs are skipped.
+    fn update(&mut self, groups: &[u32], arg: Option<&Column>) -> Result<()> {
+        let Some(arg) = arg else {
+            if let Accumulator::Count(n) = self {
+                groups.iter().for_each(|&g| n[g as usize] += 1);
             }
-            AggState::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().map(|c| &val < c).unwrap_or(true) {
-                        *cur = Some(val);
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null() && cur.as_ref().map(|c| &val > c).unwrap_or(true) {
-                        *cur = Some(val);
+            return Ok(());
+        };
+        let cells = || {
+            let cells = groups.iter().enumerate();
+            cells
+                .map(|(k, &g)| (g as usize, arg.get(k)))
+                .filter(|(_, cell)| !cell.is_null())
+        };
+        match self {
+            Accumulator::Count(n) => cells().for_each(|(g, _)| n[g] += 1),
+            Accumulator::Sum { total, seen, int } => add_numbers(groups, arg, |g, x, float| {
+                total[g] += x;
+                seen[g] = true;
+                int[g] &= !float;
+            })?,
+            Accumulator::Avg { total, count } => add_numbers(groups, arg, |g, x, _| {
+                total[g] += x;
+                count[g] += 1;
+            })?,
+            Accumulator::Extreme { best, keeps } => {
+                for (g, cell) in cells() {
+                    let better = match &best[g] {
+                        Some(b) => cell.total_cmp(ValueRef::of(b)) == *keeps,
+                        None => true,
+                    };
+                    if better {
+                        best[g] = Some(cell.to_value());
                     }
                 }
             }
@@ -1367,31 +1436,64 @@ impl AggState {
         Ok(())
     }
 
-    fn finalize(self) -> Value {
-        match self {
-            AggState::Count(n) => Value::Int(n),
-            AggState::Sum { total, seen, int } => {
-                if !seen {
-                    Value::Null
-                } else if int {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Float(total)
-                }
+    /// The result column, one cell per group.
+    fn finish(self) -> Column {
+        let values: Vec<Value> = match self {
+            Accumulator::Count(n) => n.into_iter().map(Value::Int).collect(),
+            Accumulator::Sum { total, seen, int } => (total.into_iter().zip(seen).zip(int))
+                .map(|((total, seen), int)| match (seen, int) {
+                    (false, _) => Value::Null,
+                    (true, true) => Value::Int(total as i64),
+                    (true, false) => Value::Float(total),
+                })
+                .collect(),
+            Accumulator::Avg { total, count } => (total.into_iter().zip(count))
+                .map(|(total, count)| match count {
+                    0 => Value::Null,
+                    _ => Value::Float(total / count as f64),
+                })
+                .collect(),
+            Accumulator::Extreme { best, .. } => {
+                best.into_iter().map(|b| b.unwrap_or(Value::Null)).collect()
             }
-            AggState::Avg { total, count } => {
-                if count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(total / count as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-        }
+        };
+        Column::from_values(values)
     }
 }
 
-/// Hash aggregation with HAVING, consuming whole input batches.
+/// Hand `add` every non-NULL cell of `arg` as the number SUM / AVG add —
+/// its row's group, the value, and whether it is a float — in row order.
+/// Integer and float columns are walked as the vectors they are; a cell
+/// that is not a number is the type error `Value::as_float` reports.
+fn add_numbers(groups: &[u32], arg: &Column, mut add: impl FnMut(usize, f64, bool)) -> Result<()> {
+    match (arg.data(), arg.validity()) {
+        (ColumnData::Float(d), None) => {
+            for (&g, &x) in groups.iter().zip(d) {
+                add(g as usize, x, true);
+            }
+        }
+        (ColumnData::Int(d), None) => {
+            for (&g, &x) in groups.iter().zip(d) {
+                add(g as usize, x as f64, false);
+            }
+        }
+        _ => {
+            for (k, &g) in groups.iter().enumerate() {
+                match arg.get(k) {
+                    ValueRef::Null => {}
+                    ValueRef::Int(i) => add(g as usize, i as f64, false),
+                    ValueRef::Float(f) => add(g as usize, f, true),
+                    other => add(g as usize, other.to_value().as_float()?, false),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Hash aggregation with HAVING, consuming whole input batches: group keys
+/// are numbered by a [`GroupTable`], each aggregate keeps one vector slot
+/// per group, and the result is assembled as columns.
 pub struct HashAggregateOp {
     input: BoxedOp,
     group_by: Vec<BoundExpr>,
@@ -1409,20 +1511,13 @@ impl HashAggregateOp {
         aggs: Vec<AggCall>,
         having: Option<BoundExpr>,
     ) -> HashAggregateOp {
-        use rcc_common::{Column, DataType};
-        let mut cols = Vec::new();
-        for (_, name) in &group_by {
-            cols.push(Column::new(name.clone(), DataType::Int).with_qualifier("#agg"));
-        }
-        for a in &aggs {
-            cols.push(Column::new(a.output_name.clone(), DataType::Float).with_qualifier("#agg"));
-        }
+        let schema = aggregate_schema(&group_by, &aggs, input.schema());
         HashAggregateOp {
             input,
             group_by: group_by.into_iter().map(|(e, _)| e).collect(),
             aggs,
             having,
-            schema: Schema::new(cols),
+            schema,
             results: VecDeque::new(),
         }
     }
@@ -1448,68 +1543,42 @@ impl Operator for HashAggregateOp {
                     .transpose()
             })
             .collect::<Result<_>>()?;
-        // insertion-ordered groups for deterministic output
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-        let mut saw_row = false;
+        // groups are numbered in first-seen order, which is the output order;
+        // without GROUP BY there is the one group, rows or no rows
+        let global = group_by.is_empty();
+        let mut table = GroupTable::new(group_by.len());
+        let mut accumulators: Vec<Accumulator> =
+            self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
         while let Some(batch) = self.input.next_batch(ctx)? {
-            for i in 0..batch.len() {
-                saw_row = true;
-                let src = BatchSource {
-                    columns: &batch.columns,
-                    row: batch.phys(i),
-                };
-                let key: Vec<Value> = group_by
-                    .iter()
-                    .map(|e| e.eval(&src, now))
-                    .collect::<Result<_>>()?;
-                let states = match groups.get_mut(&key) {
-                    Some(s) => s,
-                    None => {
-                        order.push(key.clone());
-                        groups
-                            .entry(key.clone())
-                            .or_insert_with(|| self.aggs.iter().map(AggState::new).collect())
-                    }
-                };
-                for (arg, state) in args.iter().zip(states.iter_mut()) {
-                    let v = match arg {
-                        Some(e) => Some(e.eval(&src, now)?),
-                        None => None,
-                    };
-                    state.update(v)?;
-                }
+            let parts = key_columns(&group_by, &batch, now)?;
+            let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
+            let groups: Vec<u32> = match global {
+                true => vec![0; batch.len()],
+                false => table.group_rows(&parts, batch.len()),
+            };
+            for (acc, arg) in accumulators.iter_mut().zip(&args) {
+                acc.grow(if global { 1 } else { table.len() });
+                let arg = arg
+                    .as_ref()
+                    .map(|e| logical_column(e, &batch, now))
+                    .transpose()?;
+                acc.update(&groups, arg.as_deref())?;
             }
         }
         self.input.close(ctx)?;
 
-        // global aggregation over an empty input still yields one row
-        if !saw_row && self.group_by.is_empty() {
-            order.push(vec![]);
-            groups.insert(vec![], self.aggs.iter().map(AggState::new).collect());
+        let groups = if global { 1 } else { table.len() };
+        let mut columns = table.into_keys();
+        for mut acc in accumulators {
+            acc.grow(groups);
+            columns.push(acc.finish());
         }
-
-        let having = self
-            .having
-            .as_ref()
-            .map(|h| PhysExpr::compile(h, &self.schema))
-            .transpose()?;
-        let mut out_rows = Vec::with_capacity(order.len());
-        for key in order {
-            let states = groups.remove(&key).expect("group recorded");
-            let mut values = key;
-            for s in states {
-                values.push(s.finalize());
-            }
-            let keep = match &having {
-                Some(h) => h.eval_predicate(&RowSource(&values), now)?,
-                None => true,
-            };
-            if keep {
-                out_rows.push(Row::new(values));
-            }
-        }
-        self.results = rows_to_batches(self.schema.len(), out_rows, ctx.batch_rows);
+        let result = Batch::from_columns(columns, groups);
+        let keep: Vec<u32> = match &self.having {
+            Some(h) => PhysExpr::compile(h, &self.schema)?.select(&result, now)?,
+            None => (0..groups as u32).collect(),
+        };
+        self.results = gather_batches(&result.columns, &keep, ctx.batch_rows);
         Ok(())
     }
 
@@ -1525,8 +1594,8 @@ impl Operator for HashAggregateOp {
 
 // --------------------------------------------------- Sort, Limit, Distinct
 
-/// Full sort on output ordinals: drains the input, sorts row-major, then
-/// re-batches.
+/// Full sort on output ordinals: drains the input into one set of columns,
+/// sorts a permutation of its rows, then gathers batches in that order.
 pub struct SortOp {
     input: BoxedOp,
     keys: Vec<(usize, bool)>,
@@ -1550,24 +1619,29 @@ impl Operator for SortOp {
     }
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         self.input.open(ctx)?;
-        let width = self.input.schema().len();
-        let mut rows = Vec::new();
+        let mut columns = vec![Column::new(); self.input.schema().len()];
+        let mut rows = 0usize;
         while let Some(batch) = self.input.next_batch(ctx)? {
-            rows.extend(batch.into_rows());
+            for (all, col) in columns.iter_mut().zip(&batch.columns) {
+                all.extend_from(col, batch.sel.as_deref());
+            }
+            rows += batch.len();
         }
         self.input.close(ctx)?;
-        let keys = self.keys.clone();
-        rows.sort_by(|a, b| {
-            for (ord, asc) in &keys {
-                let cmp = a.get(*ord).total_cmp(b.get(*ord));
-                let cmp = if *asc { cmp } else { cmp.reverse() };
-                if cmp != std::cmp::Ordering::Equal {
+        let mut order: Vec<u32> = (0..rows as u32).collect();
+        // stable, so rows that tie keep their input order
+        order.sort_by(|&a, &b| {
+            for &(ord, asc) in &self.keys {
+                let col = &columns[ord];
+                let cmp = col.get(a as usize).total_cmp(col.get(b as usize));
+                let cmp = if asc { cmp } else { cmp.reverse() };
+                if cmp != Ordering::Equal {
                     return cmp;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
-        self.buffer = rows_to_batches(width, rows, ctx.batch_rows);
+        self.buffer = gather_batches(&columns, &order, ctx.batch_rows);
         Ok(())
     }
     fn next_batch(&mut self, _ctx: &ExecContext) -> Result<Option<Batch>> {
@@ -1630,7 +1704,7 @@ impl Operator for LimitOp {
 /// with a selection vector.
 pub struct DistinctOp {
     input: BoxedOp,
-    seen: HashSet<Row>,
+    seen: GroupTable,
 }
 
 impl DistinctOp {
@@ -1638,7 +1712,7 @@ impl DistinctOp {
     pub fn new(input: BoxedOp) -> DistinctOp {
         DistinctOp {
             input,
-            seen: HashSet::new(),
+            seen: GroupTable::default(),
         }
     }
 }
@@ -1648,29 +1722,28 @@ impl Operator for DistinctOp {
         self.input.schema()
     }
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.seen.clear();
+        self.seen = GroupTable::new(self.input.schema().len());
         self.input.open(ctx)
     }
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         while let Some(batch) = self.input.next_batch(ctx)? {
+            let parts: Vec<&Column> = batch.columns.iter().collect();
             let mut sel: Vec<u32> = Vec::new();
-            for i in 0..batch.len() {
-                let p = batch.phys(i);
-                if self.seen.insert(batch.row(i)) {
-                    sel.push(p as u32);
+            for p in (0..batch.len()).map(|k| batch.phys(k)) {
+                let known = self.seen.len();
+                if self.seen.group_of(&parts, p) as usize == known {
+                    sel.push(p as u32); // a row not seen before
                 }
             }
-            if sel.len() == batch.len() {
-                return Ok(Some(batch));
-            }
-            if !sel.is_empty() {
-                return Ok(Some(batch.with_sel(sel)));
+            drop(parts);
+            if let Some(narrowed) = batch.narrowed(sel) {
+                return Ok(Some(narrowed));
             }
         }
         Ok(None)
     }
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.seen.clear();
+        self.seen = GroupTable::default();
         self.input.close(ctx)
     }
 }

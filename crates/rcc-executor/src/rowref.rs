@@ -12,7 +12,7 @@
 use crate::build::{ExecutionResult, PhaseTimings};
 use crate::context::ExecContext;
 use crate::guard::evaluate_guard;
-use crate::ops::ship_remote;
+use crate::ops::{adopt_remote_types, aggregate_schema, project_schema, ship_remote};
 use rcc_common::{Error, Result, Row, Schema, Value};
 use rcc_optimizer::graph::JoinKind;
 use rcc_optimizer::physical::{AccessPath, InnerAccess};
@@ -342,7 +342,7 @@ impl RowOperator for RemoteQueryOp {
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        let (_, rows) = ship_remote(ctx, &self.sql)?;
+        let (reported, rows) = ship_remote(ctx, &self.sql)?;
         for row in &rows {
             if row.len() != self.schema.len() {
                 return Err(Error::Remote(format!(
@@ -352,6 +352,7 @@ impl RowOperator for RemoteQueryOp {
                 )));
             }
         }
+        self.schema = adopt_remote_types(&self.schema, &reported);
         self.buffer = rows.into();
         Ok(())
     }
@@ -467,13 +468,7 @@ struct ProjectOp {
 
 impl ProjectOp {
     fn new(input: BoxedRowOp, exprs: Vec<(BoundExpr, String)>) -> ProjectOp {
-        use rcc_common::{Column, DataType};
-        let schema = Schema::new(
-            exprs
-                .iter()
-                .map(|(_, n)| Column::new(n.clone(), DataType::Int))
-                .collect(),
-        );
+        let schema = project_schema(&exprs, input.schema());
         ProjectOp {
             input,
             exprs: exprs.into_iter().map(|(e, _)| e).collect(),
@@ -1057,20 +1052,13 @@ impl HashAggregateOp {
         aggs: Vec<AggCall>,
         having: Option<BoundExpr>,
     ) -> HashAggregateOp {
-        use rcc_common::{Column, DataType};
-        let mut cols = Vec::new();
-        for (_, name) in &group_by {
-            cols.push(Column::new(name.clone(), DataType::Int).with_qualifier("#agg"));
-        }
-        for a in &aggs {
-            cols.push(Column::new(a.output_name.clone(), DataType::Float).with_qualifier("#agg"));
-        }
+        let schema = aggregate_schema(&group_by, &aggs, input.schema());
         HashAggregateOp {
             input,
             group_by: group_by.into_iter().map(|(e, _)| e).collect(),
             aggs,
             having,
-            schema: Schema::new(cols),
+            schema,
             results: VecDeque::new(),
         }
     }

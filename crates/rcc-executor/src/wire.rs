@@ -16,6 +16,7 @@
 //! ```
 
 use crate::batch::Batch;
+use crate::column::ValueRef;
 use bytes::{Buf, BufMut, Bytes};
 use rcc_common::{Column, DataType, Error, Result, Row, Schema, Value};
 
@@ -47,29 +48,30 @@ fn tag_type(tag: u8) -> Result<DataType> {
     })
 }
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
+#[inline]
+fn put_value(buf: &mut Vec<u8>, v: ValueRef<'_>) {
     match v {
-        Value::Null => buf.put_u8(TAG_NULL),
-        Value::Int(i) => {
+        ValueRef::Null => buf.put_u8(TAG_NULL),
+        ValueRef::Int(i) => {
             buf.put_u8(TAG_INT);
-            buf.put_i64_le(*i);
+            buf.put_i64_le(i);
         }
-        Value::Float(f) => {
+        ValueRef::Float(f) => {
             buf.put_u8(TAG_FLOAT);
-            buf.put_f64_le(*f);
+            buf.put_f64_le(f);
         }
-        Value::Str(s) => {
+        ValueRef::Str(s) => {
             buf.put_u8(TAG_STR);
             buf.put_u32_le(s.len() as u32);
             buf.put_slice(s.as_bytes());
         }
-        Value::Bool(b) => {
+        ValueRef::Bool(b) => {
             buf.put_u8(TAG_BOOL);
-            buf.put_u8(*b as u8);
+            buf.put_u8(b as u8);
         }
-        Value::Timestamp(t) => {
+        ValueRef::Timestamp(t) => {
             buf.put_u8(TAG_TS);
-            buf.put_i64_le(*t);
+            buf.put_i64_le(t);
         }
     }
 }
@@ -100,15 +102,15 @@ pub fn encode_result_into(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
     buf.put_u32_le(rows.len() as u32);
     for row in rows {
         for v in row.values() {
-            put_value(buf, v);
+            put_value(buf, ValueRef::of(v));
         }
     }
 }
 
-/// Encode a batched result set straight from column buffers — no `Row`
-/// materialization. Byte-identical to [`encode_result`] over the
+/// Encode a batched result set straight from typed columns — no `Row`, no
+/// `Value` materialization. Byte-identical to [`encode_result`] over the
 /// equivalent rows: the wire layout is row-major, so logical rows are
-/// walked in order, reading values column by column (through the selection
+/// walked in order, reading cells column by column (through the selection
 /// vector if one is present).
 pub fn encode_batches(schema: &Schema, batches: &[Batch]) -> Bytes {
     let nrows: usize = batches.iter().map(Batch::len).sum();
@@ -119,7 +121,7 @@ pub fn encode_batches(schema: &Schema, batches: &[Batch]) -> Bytes {
         for i in 0..batch.len() {
             let p = batch.phys(i);
             for col in &batch.columns {
-                put_value(&mut buf, &col[p]);
+                put_value(&mut buf, col.get(p));
             }
         }
     }

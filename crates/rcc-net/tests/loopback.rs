@@ -126,6 +126,70 @@ fn bad_sql_and_bad_options_return_errors_not_disconnects() {
     assert_eq!(r.rows.len(), 1);
 }
 
+/// Result headers used to call every projected column `INT` and every
+/// aggregate `FLOAT`, whatever the rows held — locally, on the remote
+/// branch, and in the back-end's own answers alike.
+#[test]
+fn result_columns_arrive_with_their_types() {
+    use rcc_common::DataType::{Float, Int, Str};
+    let cache = Arc::new({
+        let c = paper_setup(0.001, 7).unwrap();
+        warm_up(&c).unwrap();
+        c
+    });
+    let backend_srv = BackendNetServer::spawn(Arc::clone(cache.backend()), "127.0.0.1:0").unwrap();
+    let remote = TcpRemoteService::new(
+        backend_srv.addr(),
+        PoolConfig::default(),
+        RetryPolicy::default(),
+    )
+    .unwrap();
+    cache.set_remote_service(Some(Arc::new(remote)));
+    let server = NetServer::spawn(
+        Arc::clone(&cache),
+        "127.0.0.1:0",
+        NetServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = NetClient::connect(server.addr(), &ClientConfig::default()).unwrap();
+
+    let types = |r: &rcc_net::NetQueryResult| -> Vec<_> {
+        r.schema.columns().iter().map(|c| c.data_type).collect()
+    };
+    let point = "SELECT c_custkey, c_name, c_acctbal FROM customer WHERE c_custkey <= 3 \
+                 CURRENCY BOUND 30 SEC ON (customer)";
+    let grouped = "SELECT c_name, COUNT(*), SUM(c_acctbal), MIN(c_custkey), AVG(c_custkey) \
+                   FROM customer WHERE c_custkey <= 3 GROUP BY c_name \
+                   CURRENCY BOUND 30 SEC ON (customer)";
+    // no currency clause: the whole query ships to the back-end, and its
+    // placeholder schema takes the types the back-end reports
+    let shipped = "SELECT c_name, c_acctbal FROM customer WHERE c_custkey <= 3";
+
+    let local = client.query(point).unwrap();
+    assert!(!local.used_remote);
+    assert_eq!(types(&local), [Int, Str, Float]);
+    assert_eq!(
+        types(&client.query(grouped).unwrap()),
+        [Str, Int, Float, Int, Float]
+    );
+    let whole = client.query(shipped).unwrap();
+    assert!(whole.used_remote);
+    assert_eq!(types(&whole), [Str, Float]);
+
+    // the same statements with CR1 too stale for the bound: the guard
+    // sends them down the remote branch, the header does not change
+    cache.set_region_stalled("CR1", true);
+    cache.advance(SimDuration::from_secs(90)).unwrap();
+    let remote = client.query(point).unwrap();
+    assert!(remote.used_remote);
+    assert_eq!(types(&remote), [Int, Str, Float]);
+    assert_eq!(remote.rows, local.rows);
+    assert_eq!(
+        types(&client.query(grouped).unwrap()),
+        [Str, Int, Float, Int, Float]
+    );
+}
+
 #[test]
 fn explain_analyze_runs_over_the_wire() {
     // it used to fail in every session — the session parsed the text

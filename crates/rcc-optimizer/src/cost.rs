@@ -142,56 +142,55 @@ impl CostParams {
     }
 }
 
+/// The [`KeyRange`] one conjunct implies on one column, when it is a simple
+/// predicate (`col op literal`, `literal op col`, `col BETWEEN a AND b`).
+pub fn conjunct_range(f: &BoundExpr) -> Option<(&str, KeyRange)> {
+    match f {
+        BoundExpr::Binary { left, op, right } if op.is_comparison() => {
+            let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
+                (BoundExpr::Column { name, .. }, BoundExpr::Literal(v)) => {
+                    (name.as_str(), v.clone(), *op)
+                }
+                (BoundExpr::Literal(v), BoundExpr::Column { name, .. }) => {
+                    (name.as_str(), v.clone(), op.flip())
+                }
+                _ => return None,
+            };
+            let range = match op {
+                BinaryOp::Eq => KeyRange::eq(lit),
+                BinaryOp::Lt => KeyRange::less_than(lit),
+                BinaryOp::LtEq => KeyRange::at_most(lit),
+                BinaryOp::Gt => KeyRange::greater_than(lit),
+                BinaryOp::GtEq => KeyRange::at_least(lit),
+                _ => return None, // <> gives no useful range
+            };
+            Some((col, range))
+        }
+        BoundExpr::Between {
+            expr,
+            low,
+            high,
+            negated: false,
+        } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
+            (BoundExpr::Column { name, .. }, BoundExpr::Literal(lo), BoundExpr::Literal(hi)) => {
+                Some((name, KeyRange::between(lo.clone(), hi.clone())))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Extract per-column [`KeyRange`]s implied by a conjunction of simple
-/// predicates (`col op literal`, `literal op col`, `col BETWEEN a AND b`).
-/// Multiple conjuncts on one column intersect. Used for access-path
-/// selection, selectivity estimation and view subsumption.
+/// predicates ([`conjunct_range`]). Multiple conjuncts on one column
+/// intersect. Used for access-path selection, selectivity estimation and
+/// view subsumption.
 pub fn column_ranges(filters: &[BoundExpr]) -> HashMap<String, KeyRange> {
     let mut out: HashMap<String, KeyRange> = HashMap::new();
-    let mut add = |col: &str, range: KeyRange| {
+    for (col, range) in filters.iter().filter_map(conjunct_range) {
         out.entry(col.to_string())
             .and_modify(|r| *r = r.intersect(&range))
             .or_insert(range);
-    };
-    for f in filters {
-        match f {
-            BoundExpr::Binary { left, op, right } if op.is_comparison() => {
-                let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
-                    (BoundExpr::Column { name, .. }, BoundExpr::Literal(v)) => {
-                        (name.as_str(), v.clone(), *op)
-                    }
-                    (BoundExpr::Literal(v), BoundExpr::Column { name, .. }) => {
-                        (name.as_str(), v.clone(), op.flip())
-                    }
-                    _ => continue,
-                };
-                let range = match op {
-                    BinaryOp::Eq => KeyRange::eq(lit),
-                    BinaryOp::Lt => KeyRange::less_than(lit),
-                    BinaryOp::LtEq => KeyRange::at_most(lit),
-                    BinaryOp::Gt => KeyRange::greater_than(lit),
-                    BinaryOp::GtEq => KeyRange::at_least(lit),
-                    _ => continue, // <> gives no useful range
-                };
-                add(col, range);
-            }
-            BoundExpr::Between {
-                expr,
-                low,
-                high,
-                negated: false,
-            } => {
-                if let (
-                    BoundExpr::Column { name, .. },
-                    BoundExpr::Literal(lo),
-                    BoundExpr::Literal(hi),
-                ) = (expr.as_ref(), low.as_ref(), high.as_ref())
-                {
-                    add(name, KeyRange::between(lo.clone(), hi.clone()));
-                }
-            }
-            _ => {}
-        }
     }
     out
 }

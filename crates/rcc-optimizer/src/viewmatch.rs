@@ -16,14 +16,15 @@
 //! SwitchUnion with a currency guard.
 
 use crate::constraint::OperandId;
-use crate::cost::{column_ranges, filter_selectivity};
+use crate::cost::{column_ranges, conjunct_range, filter_selectivity};
 use crate::expr::BoundExpr;
 use crate::graph::QueryGraph;
 use crate::physical::{AccessPath, LocalScanNode};
 use rcc_catalog::{CachedViewDef, Catalog, CurrencyRegion};
-use rcc_common::Schema;
+use rcc_common::{DataType, Schema, Value};
 use rcc_storage::KeyRange;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// A successful view match for one operand.
@@ -80,13 +81,14 @@ pub fn match_views(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) ->
         };
         let est_rows = stats.row_count as f64 * filter_selectivity(&op.filters, &stats);
 
+        let schema = operand_schema(graph, operand, &required);
         out.push(ViewMatch {
             region,
             scan: LocalScanNode {
                 object: view.name.clone(),
-                schema: operand_schema(graph, operand, &required),
+                residual: scan_residual(&op.filters, &access, &schema),
+                schema,
                 access,
-                residual: BoundExpr::and_all(op.filters.clone()),
                 operand,
                 est_rows,
             },
@@ -109,11 +111,12 @@ pub fn master_scan(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) ->
     });
     let stats = catalog.stats(&op.table.name);
     let est_rows = stats.row_count as f64 * filter_selectivity(&op.filters, &stats);
+    let schema = operand_schema(graph, operand, &required);
     LocalScanNode {
         object: op.table.name.clone(),
-        schema: operand_schema(graph, operand, &required),
+        residual: scan_residual(&op.filters, &access, &schema),
+        schema,
         access,
-        residual: BoundExpr::and_all(op.filters.clone()),
         operand,
         est_rows,
     }
@@ -143,6 +146,59 @@ pub fn operand_schema(
                 col
             })
             .collect(),
+    )
+}
+
+/// What a scan through `access` still has to test on each row it fetches:
+/// the operand's filters minus the conjuncts the seek already enforces.
+///
+/// The path's `KeyRange` is the intersection of the ranges of the simple
+/// conjuncts on the seek column ([`conjunct_range`]), so every fetched key
+/// lies in each of them. Such a conjunct is dropped when lying in its range
+/// is the same as passing it: its literals are not NULL and of a type
+/// `Value::compare` accepts against the column's (the range orders by
+/// `Value::total_cmp`, which is what `compare` then answers with), and the
+/// seek has a lower bound — NULL keys sort first, inside any range that is
+/// open below, and pass no comparison. Anything else stays: other columns,
+/// `<>`, an upper bound alone.
+fn scan_residual(filters: &[BoundExpr], access: &AccessPath, schema: &Schema) -> Option<BoundExpr> {
+    let (column, range) = match access {
+        AccessPath::ClusteredRange { column, range }
+        | AccessPath::IndexRange { column, range, .. } => (column, range),
+        AccessPath::FullScan => return BoundExpr::and_all(filters.to_vec()),
+    };
+    let lower_bounded =
+        matches!(&range.low, Bound::Included(v) | Bound::Excluded(v) if !v.is_null());
+    let seek_type = schema
+        .resolve(None, column)
+        .ok()
+        .filter(|_| lower_bounded)
+        .map(|i| schema.column(i).data_type);
+    let enforced = |f: &BoundExpr| match (conjunct_range(f), seek_type) {
+        (Some((col, r)), Some(t)) => {
+            col.eq_ignore_ascii_case(column)
+                && [&r.low, &r.high].into_iter().all(|b| match b {
+                    Bound::Unbounded => true,
+                    Bound::Included(v) | Bound::Excluded(v) => comparable(t, v),
+                })
+        }
+        _ => false,
+    };
+    BoundExpr::and_all(filters.iter().filter(|f| !enforced(f)).cloned().collect())
+}
+
+/// Does `Value::compare` accept a non-NULL `literal` against values of a
+/// column declared `column`?
+fn comparable(column: DataType, literal: &Value) -> bool {
+    matches!(
+        (column, literal),
+        (
+            DataType::Int | DataType::Float,
+            Value::Int(_) | Value::Float(_)
+        ) | (DataType::Str, Value::Str(_))
+            | (DataType::Bool, Value::Bool(_))
+            | (DataType::Timestamp, Value::Timestamp(_) | Value::Int(_))
+            | (DataType::Int, Value::Timestamp(_))
     )
 }
 
@@ -349,6 +405,93 @@ mod tests {
             schema.resolve(Some("c"), "c_custkey").is_ok(),
             "key always carried"
         );
+    }
+
+    /// The conjuncts a scan's seek enforces are not tested again on the
+    /// rows it fetches; everything the seek does not enforce still is.
+    #[test]
+    fn seek_conjuncts_leave_the_residual() {
+        let cat = setup();
+        let scan = |sql: &str| {
+            let g = graph(&cat, sql);
+            match_views(&cat, &g, 0).remove(0).scan
+        };
+        let shown = |residual: &Option<BoundExpr>| residual.as_ref().map(|r| r.to_string());
+
+        // clustered path, one lower bound: nothing left to test
+        let s = scan("SELECT c_name FROM customer WHERE c_custkey >= 17");
+        assert!(matches!(s.access, AccessPath::ClusteredRange { .. }));
+        assert_eq!(s.residual, None);
+        // two-sided (as two conjuncts and as BETWEEN), plus another column
+        for sql in [
+            "SELECT c_name FROM customer WHERE c_custkey >= 17 AND c_custkey < 90 AND c_acctbal > 0",
+            "SELECT c_name FROM customer WHERE c_acctbal > 0 AND c_custkey BETWEEN 17 AND 89",
+        ] {
+            let s = scan(sql);
+            assert!(matches!(s.access, AccessPath::ClusteredRange { .. }));
+            let g = graph(&cat, "SELECT c_name FROM customer WHERE c_acctbal > 0");
+            assert_eq!(s.residual, BoundExpr::and_all(g.operand(0).filters.clone()));
+        }
+        // an equality seek, a float literal against the integer key
+        assert_eq!(
+            scan("SELECT c_name FROM customer WHERE c_custkey = 5").residual,
+            None
+        );
+        assert_eq!(
+            scan("SELECT c_name FROM customer WHERE c_custkey > 4.5").residual,
+            None
+        );
+        // an upper bound alone stays: a NULL key sorts first, inside the
+        // range, and passes no comparison
+        let s = scan("SELECT c_name FROM customer WHERE c_custkey <= 10");
+        assert!(matches!(s.access, AccessPath::ClusteredRange { .. }));
+        assert!(s.residual.is_some(), "{:?}", shown(&s.residual));
+        // ... and so does `<>`, which the range does not express
+        let s = scan("SELECT c_name FROM customer WHERE c_custkey >= 3 AND c_custkey <> 7");
+        let g = graph(&cat, "SELECT c_name FROM customer WHERE c_custkey <> 7");
+        assert_eq!(s.residual, BoundExpr::and_all(g.operand(0).filters.clone()));
+        // a full scan tests everything
+        let s = scan("SELECT c_name FROM customer WHERE c_acctbal BETWEEN 1.0 AND 2.0");
+        assert!(matches!(s.access, AccessPath::FullScan));
+        assert!(s.residual.is_some());
+
+        // index path at the back-end: the BETWEEN goes, the name test stays
+        let g = graph(
+            &cat,
+            "SELECT c_custkey FROM customer WHERE c_acctbal BETWEEN 1.0 AND 2.0 AND c_name = 'x'",
+        );
+        let m = master_scan(&cat, &g, 0);
+        assert!(matches!(m.access, AccessPath::IndexRange { .. }));
+        let name_only = graph(&cat, "SELECT c_custkey FROM customer WHERE c_name = 'x'");
+        assert_eq!(
+            m.residual,
+            BoundExpr::and_all(name_only.operand(0).filters.clone())
+        );
+
+        // literals the seek orders but the comparison rejects or never
+        // passes keep their conjunct
+        let schema = &scan("SELECT c_name FROM customer WHERE c_custkey >= 1").schema;
+        let key = |op, lit| {
+            BoundExpr::binary(
+                BoundExpr::col("customer", "c_custkey"),
+                op,
+                BoundExpr::Literal(lit),
+            )
+        };
+        for odd in [Value::from("abc"), Value::Null, Value::Bool(true)] {
+            let filters = vec![
+                key(rcc_sql::BinaryOp::GtEq, Value::Int(1)),
+                key(rcc_sql::BinaryOp::Lt, odd),
+            ];
+            let access = AccessPath::ClusteredRange {
+                column: "c_custkey".into(),
+                range: column_ranges(&filters)["c_custkey"].clone(),
+            };
+            assert_eq!(
+                scan_residual(&filters, &access, schema),
+                Some(filters[1].clone())
+            );
+        }
     }
 
     #[test]

@@ -211,6 +211,44 @@ impl<K, V> CowMap<K, V> {
         })
     }
 
+    /// Visit the entries in `[*from, to)` in key order until `visit`
+    /// answers `Ok(false)` or fails, leaving `*from` just past the last
+    /// entry visited — so a later call resumes where this one stopped.
+    pub fn walk<E>(
+        &self,
+        from: &mut Cursor,
+        to: Cursor,
+        mut visit: impl FnMut(&K, &V) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        while *from < to {
+            let Some(chunk) = self.chunks.get(from.chunk) else {
+                break;
+            };
+            // clamped, so a cursor from another map state cannot index
+            // out of bounds
+            let hi = if from.chunk == to.chunk {
+                to.slot.min(chunk.keys.len())
+            } else {
+                chunk.keys.len()
+            };
+            while from.slot < hi {
+                let slot = from.slot;
+                from.slot += 1;
+                if !visit(&chunk.keys[slot], &chunk.vals[slot])? {
+                    return Ok(());
+                }
+            }
+            if from.chunk == to.chunk {
+                break;
+            }
+            *from = Cursor {
+                chunk: from.chunk + 1,
+                slot: 0,
+            };
+        }
+        Ok(())
+    }
+
     /// Number of chunks in the spine.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len()
@@ -558,5 +596,56 @@ mod tests {
         }
         assert_eq!(map.seek_from(map.end(), |_| true), map.end());
         assert!(keys(from, from).is_empty());
+    }
+
+    #[test]
+    fn walk_resumes_where_it_stopped() {
+        let mut map = CowMap::new();
+        for k in 0..1000u32 {
+            map.insert(k, ());
+        }
+        let (lo, hi) = (MAX_CHUNK as u32 - 3, 3 * MAX_CHUNK as u32 + 5);
+        let to = map.seek(|k| *k <= hi);
+        // any stride, including ones that stop on a chunk's last entry,
+        // visits each key of the span exactly once, in order
+        for stride in [1usize, 3, 7, MAX_CHUNK, 5000] {
+            let mut at = map.seek(|k| *k < lo);
+            let mut seen = Vec::new();
+            loop {
+                let before = seen.len();
+                map.walk(&mut at, to, |k, _| {
+                    seen.push(*k);
+                    Ok::<_, ()>(seen.len() - before < stride)
+                })
+                .unwrap();
+                if seen.len() == before {
+                    break;
+                }
+            }
+            assert_eq!(seen, (lo..=hi).collect::<Vec<_>>(), "stride {stride}");
+        }
+        // an error stops the walk after the failing entry
+        let mut at = Cursor::START;
+        assert_eq!(
+            map.walk(&mut at, map.end(), |k, _| if *k == 4 {
+                Err(*k)
+            } else {
+                Ok(true)
+            }),
+            Err(4)
+        );
+        let mut next = None;
+        map.walk(&mut at, map.end(), |k, _| {
+            next = Some(*k);
+            Ok::<_, ()>(false)
+        })
+        .unwrap();
+        assert_eq!(next, Some(5));
+        // an empty or reversed span visits nothing
+        let mut at = to;
+        map.walk(&mut at, Cursor::START, |_, _| -> Result<bool, ()> {
+            panic!("visited")
+        })
+        .unwrap();
     }
 }

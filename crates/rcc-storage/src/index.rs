@@ -1,6 +1,6 @@
 //! Secondary indexes.
 
-use crate::cowmap::CowMap;
+use crate::cowmap::{CowMap, Cursor};
 use crate::range::KeyRange;
 use rcc_common::{Row, Value};
 
@@ -95,6 +95,24 @@ impl SecondaryIndex {
                 emit(&entry[self.columns.len()..]);
             }
         }
+    }
+
+    /// The span of entries whose *first* indexed column falls in `range`.
+    pub(crate) fn span(&self, range: &KeyRange) -> (Cursor, Cursor) {
+        range.span(&self.entries)
+    }
+
+    /// Hand `visit` the clustered keys of the entries in `[*from, to)`, in
+    /// index order, until it answers `Ok(false)` or fails; `*from` is left
+    /// after the last entry visited.
+    pub(crate) fn walk<E>(
+        &self,
+        from: &mut Cursor,
+        to: Cursor,
+        mut visit: impl FnMut(&[Value]) -> Result<bool, E>,
+    ) -> Result<(), E> {
+        self.entries
+            .walk(from, to, |entry, _| visit(&entry[self.columns.len()..]))
     }
 
     /// Estimate of entries in `range` (exact here, since we can count).

@@ -35,5 +35,5 @@ pub use pager::{DiskManager, PAGE_SIZE};
 pub use range::KeyRange;
 pub use snapshot::{TableCell, TableSnapshot, TableWriter};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{MorselPlan, RowChange, Table};
+pub use table::{MorselPlan, RowChange, ScanCursor, Table};
 pub use wal::{CommitRecord, SyncPolicy, Wal, WalRecord, WatermarkRecord};

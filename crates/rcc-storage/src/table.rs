@@ -1,6 +1,6 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
-use crate::cowmap::{CowMap, Entry, OccupiedEntry, VacantEntry};
+use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
@@ -281,17 +281,16 @@ impl Table {
         self.rows.get(key)
     }
 
-    /// The one range walk every scan shares: the entries whose *first*
-    /// clustered key column falls in `range`, clipped to the composite-key
-    /// morsel `[start, end)` (either side `None` = unclipped), as one pair
-    /// of key and row slices per storage chunk in key order. Both ends are
-    /// found by seeking, so the walk itself compares nothing.
-    fn morsel_slices(
+    /// The span of the row map holding the entries whose *first* clustered
+    /// key column falls in `range`, clipped to the composite-key morsel
+    /// `[start, end)` (either side `None` = unclipped). Both ends are found
+    /// by seeking, so walking the span compares nothing.
+    fn morsel_span(
         &self,
         range: &KeyRange,
         start: Option<&[Value]>,
         end: Option<&[Value]>,
-    ) -> impl Iterator<Item = (&[ClusterKey], &[Row])> {
+    ) -> (Cursor, Cursor) {
         let (mut from, mut to) = range.span(&self.rows);
         if let Some(start) = start {
             from = from.max(self.rows.seek(|k| k.as_slice() < start));
@@ -299,6 +298,19 @@ impl Table {
         if let Some(end) = end {
             to = to.min(self.rows.seek(|k| k.as_slice() < end));
         }
+        (from, to)
+    }
+
+    /// The one range walk every whole-span scan shares: the entries of
+    /// [`Table::morsel_span`] as one pair of key and row slices per storage
+    /// chunk, in key order.
+    fn morsel_slices(
+        &self,
+        range: &KeyRange,
+        start: Option<&[Value]>,
+        end: Option<&[Value]>,
+    ) -> impl Iterator<Item = (&[ClusterKey], &[Row])> {
+        let (from, to) = self.morsel_span(range, start, end);
         self.rows.slices(from, to)
     }
 
@@ -342,40 +354,53 @@ impl Table {
         }
     }
 
-    /// Columnar variant of [`Table::scan_morsel`]: append the surviving
-    /// rows of the morsel directly into per-column output buffers instead
-    /// of emitting `Row`s. `mapping[c]` names the source ordinal for output
-    /// column `c`, so projection happens during the fill and rejected rows
-    /// are never materialized. `keep` is `Result`-aware so residual
-    /// predicate evaluation errors abort the fill instead of being
-    /// smuggled through a side channel. Returns the number of rows
-    /// appended. Visit order is identical to `scan_morsel`, which keeps
-    /// morsel concatenation bit-identical to a serial scan.
-    pub fn fill_morsel_columns<P>(
+    /// Open a resumable scan of the morsel `[start, end)` of `range` in
+    /// clustered-key order — the rows [`Table::scan_morsel`] visits, in the
+    /// same order, handed out a stretch at a time by [`Table::scan_next`].
+    pub fn scan_cursor(
         &self,
         range: &KeyRange,
         start: Option<&[Value]>,
         end: Option<&[Value]>,
-        mapping: &[usize],
-        mut keep: P,
-        cols: &mut [Vec<Value>],
-    ) -> Result<usize>
-    where
-        P: FnMut(&Row) -> Result<bool>,
-    {
-        debug_assert_eq!(mapping.len(), cols.len());
-        let mut appended = 0usize;
-        for (_, rows) in self.morsel_slices(range, start, end) {
-            for row in rows {
-                if keep(row)? {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col.push(row.get(mapping[c]).clone());
-                    }
-                    appended += 1;
-                }
-            }
+    ) -> ScanCursor {
+        let (at, end) = self.morsel_span(range, start, end);
+        ScanCursor {
+            index: None,
+            at,
+            end,
         }
-        Ok(appended)
+    }
+
+    /// Open a resumable scan of the secondary index named `index` over
+    /// `range`: the rows [`Table::index_scan`] returns, in the same order.
+    pub fn index_cursor(&self, index: &str, range: &KeyRange) -> Result<ScanCursor> {
+        let i = self.index_position(index)?;
+        let (at, end) = self.indexes[i].span(range);
+        Ok(ScanCursor {
+            index: Some(i),
+            at,
+            end,
+        })
+    }
+
+    /// Hand the next rows of a scan to `visit`, by reference and in scan
+    /// order, until it answers `Ok(false)` (that row counts as visited),
+    /// fails, or the scan is exhausted. The cursor then stands after the
+    /// last row visited. It must come from this same table state: scans
+    /// hold the snapshot they opened it on.
+    pub fn scan_next<F>(&self, cursor: &mut ScanCursor, mut visit: F) -> Result<()>
+    where
+        F: FnMut(&Row) -> Result<bool>,
+    {
+        match cursor.index.map(|i| &self.indexes[i]) {
+            None => self
+                .rows
+                .walk(&mut cursor.at, cursor.end, |_, row| visit(row)),
+            Some(ix) => ix.walk(&mut cursor.at, cursor.end, |pk| match self.rows.get(pk) {
+                Some(row) => visit(row),
+                None => Ok(true),
+            }),
+        }
     }
 
     /// Split the rows of `range` into key-ordered morsels of `target_rows`
@@ -399,12 +424,17 @@ impl Table {
         MorselPlan { splits }
     }
 
-    /// The secondary index named `index`.
-    fn index_named(&self, index: &str) -> Result<&SecondaryIndex> {
+    /// Where in `indexes` the secondary index named `index` is.
+    fn index_position(&self, index: &str) -> Result<usize> {
         self.indexes
             .iter()
-            .find(|ix| ix.name() == index)
+            .position(|ix| ix.name() == index)
             .ok_or_else(|| Error::NotFound(format!("index {index} on table {}", self.name)))
+    }
+
+    /// The secondary index named `index`.
+    fn index_named(&self, index: &str) -> Result<&SecondaryIndex> {
+        Ok(&self.indexes[self.index_position(index)?])
     }
 
     /// Resolve the clustered keys selected by seeking the secondary index
@@ -459,6 +489,19 @@ impl Table {
             ix.clear();
         }
     }
+}
+
+/// Where a resumable scan stands: a span of the clustered row map, or of
+/// one secondary index, of which a prefix has been visited. Made by
+/// [`Table::scan_cursor`] / [`Table::index_cursor`], advanced by
+/// [`Table::scan_next`].
+#[derive(Debug, Clone)]
+pub struct ScanCursor {
+    /// Position in `Table::indexes` of the index walked; `None` walks the
+    /// clustered rows.
+    index: Option<usize>,
+    at: Cursor,
+    end: Cursor,
 }
 
 /// How one range scan splits into key-ordered morsels: a sorted list of
@@ -736,6 +779,55 @@ mod tests {
             counts.push(n);
         }
         assert_eq!(counts, vec![32, 32, 32, 4]);
+    }
+
+    /// A cursor scan visits what the one-shot scans return, in their order,
+    /// whatever the stretch handed out per call; a failing visitor stops it.
+    #[test]
+    fn cursor_scans_resume_and_agree_with_one_shot_scans() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("grp", DataType::Int),
+        ]);
+        let mut t = Table::new("t", schema, vec![0]);
+        for i in 0..700i64 {
+            t.insert(Row::new(vec![Value::Int(i), Value::Int(i % 7)]))
+                .unwrap();
+        }
+        t.create_index("ix_grp", vec![1]).unwrap();
+        let drain = |mut cursor: ScanCursor, stride: usize| {
+            let mut out = Vec::new();
+            loop {
+                let before = out.len();
+                t.scan_next(&mut cursor, |row| {
+                    out.push(row.clone());
+                    Ok(out.len() - before < stride)
+                })
+                .unwrap();
+                if out.len() == before {
+                    return out;
+                }
+            }
+        };
+        let range = KeyRange::between(Value::Int(100), Value::Int(650));
+        let clustered = t.collect_range(&range, |_| true);
+        let grp_range = KeyRange::between(Value::Int(2), Value::Int(4));
+        let indexed = t.index_scan("ix_grp", &grp_range).unwrap();
+        assert_eq!((clustered.len(), indexed.len()), (551, 300));
+        for stride in [1, 5, 256, 10_000] {
+            assert_eq!(drain(t.scan_cursor(&range, None, None), stride), clustered);
+            let cursor = t.index_cursor("ix_grp", &grp_range).unwrap();
+            assert_eq!(drain(cursor, stride), indexed);
+        }
+        // clipped to a morsel
+        let (start, end) = ([Value::Int(200)], [Value::Int(300)]);
+        let morsel = drain(t.scan_cursor(&range, Some(&start), Some(&end)), 64);
+        assert_eq!(morsel, clustered[100..200]);
+        assert!(t.index_cursor("nope", &KeyRange::all()).is_err());
+        let mut cursor = t.scan_cursor(&range, None, None);
+        let failed = t.scan_next(&mut cursor, |_| Err(Error::Storage("stop".into())));
+        assert!(failed.is_err());
+        assert_eq!(drain(cursor, 1000), clustered[1..]);
     }
 
     #[test]
