@@ -1,6 +1,8 @@
 //! Criterion: end-to-end optimization latency for the Table 4.3 query
 //! variants — how much the C&C machinery (normalization, view matching,
-//! property checking, SwitchUnion costing) adds to planning.
+//! property checking, SwitchUnion costing) adds to planning — and for the
+//! five `point_cold` shapes of the benchmark (`perf/`), the statements a
+//! plan-cache miss compiles there.
 // `criterion_group!` expands to undocumented harness glue.
 #![allow(missing_docs)]
 
@@ -39,6 +41,39 @@ fn bench(c: &mut Criterion) {
             "SELECT c_custkey, c_name, c_acctbal FROM customer \
           WHERE c_acctbal BETWEEN 0.0 AND 1400.0 \
           CURRENCY BOUND 10 SEC ON (customer)"
+                .to_string(),
+        ),
+        (
+            "cold_customer_point",
+            "SELECT c_name, c_acctbal FROM customer WHERE c_custkey = 77 AND c_acctbal > -1000 \
+          CURRENCY BOUND 30 SEC ON (customer)"
+                .to_string(),
+        ),
+        (
+            "cold_customer_point_by_key",
+            "SELECT c_acctbal FROM customer c WHERE c_custkey = 77 AND c.c_acctbal > -1000 \
+          CURRENCY BOUND 1 MIN ON (c) BY c.c_custkey"
+                .to_string(),
+        ),
+        (
+            "cold_orders_point",
+            "SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 77 \
+          AND o_totalprice > -1000 CURRENCY BOUND 2 MIN ON (orders)"
+                .to_string(),
+        ),
+        (
+            "cold_join_by_key",
+            "SELECT c.c_name, o.o_totalprice FROM customer c, orders o \
+          WHERE c.c_custkey = o.o_custkey AND c.c_custkey = 77 AND o.o_totalprice > -1000 \
+          CURRENCY BOUND 10 MIN ON (c), 30 SEC ON (o)"
+                .to_string(),
+        ),
+        (
+            "cold_join_by_key_residual",
+            "SELECT o.o_orderkey FROM orders o, customer c \
+          WHERE o.o_custkey = c.c_custkey AND o.o_custkey = 77 \
+          AND o.o_totalprice > 4321 AND c.c_acctbal > -1000 \
+          CURRENCY BOUND 1 HOUR ON (o), 1 MIN ON (c)"
                 .to_string(),
         ),
     ];

@@ -12,6 +12,15 @@
 //! and tags each entry with the catalog epoch at compile time. The server
 //! bumps the epoch on every DDL/ANALYZE, invalidating all entries at once —
 //! coarse, like the real system's schema-version plan-cache keys.
+//!
+//! The cache is bounded: traffic whose every text is new (an ORM inlining
+//! literals) must not grow it forever. It holds at most
+//! [`PLAN_CACHE_CAPACITY`] entries; an insertion into a full cache drops
+//! the oldest insertion — first in, first out. Epochs only grow, so the
+//! oldest insertion is an entry of a stale epoch whenever there is one:
+//! stale plans go first, then the oldest live ones. A hit writes nothing,
+//! and the order of eviction is a function of the order of compilation
+//! alone.
 
 use parking_lot::Mutex;
 use rcc_common::{TableId, Value};
@@ -19,9 +28,13 @@ use rcc_flow::{FlowAnalysis, GuardCert};
 use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::PhysicalPlan;
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Most plans the cache holds. At ≈ 6 KiB a plan that is ≈ 25 MiB, and 16
+/// times the largest warm working set of any workload or test.
+pub const PLAN_CACHE_CAPACITY: usize = 4096;
 
 /// The guard-elided alternative of a compiled plan, plus the certificates
 /// that justify each removed guard (replayed by `rcc-verify` and by the
@@ -54,19 +67,39 @@ pub struct CompiledQuery {
     pub elided: Option<ElidedPlan>,
 }
 
-/// Compiled-plan cache with epoch-based invalidation.
+/// Compiled-plan cache with epoch-based invalidation, bounded at
+/// [`PLAN_CACHE_CAPACITY`] entries.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     epoch: AtomicU64,
-    entries: Mutex<HashMap<String, Entry>>,
+    entries: Mutex<Entries>,
     hits: AtomicU64,
     misses: AtomicU64,
+    evictions: AtomicU64,
+}
+
+#[derive(Debug, Default)]
+struct Entries {
+    by_key: HashMap<Arc<str>, Entry>,
+    /// Every entry's key under its insertion number: eviction order.
+    by_age: BTreeMap<u64, Arc<str>>,
+    /// Insertion number of the next entry.
+    next: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Entry {
     epoch: u64,
+    inserted: u64,
     compiled: Arc<CompiledQuery>,
+}
+
+impl Entries {
+    fn remove(&mut self, key: &str) {
+        if let Some(e) = self.by_key.remove(key) {
+            self.by_age.remove(&e.inserted);
+        }
+    }
 }
 
 impl PlanCache {
@@ -93,14 +126,22 @@ impl PlanCache {
         )
     }
 
-    /// Number of live entries (stale entries are evicted lazily).
+    /// Entries dropped to keep the cache within [`PLAN_CACHE_CAPACITY`].
+    /// (A stale entry replaced or removed when its own key is looked up
+    /// again is not an eviction.)
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+
+    /// Number of entries held, stale ones included until they are looked
+    /// up again or evicted.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.lock().by_key.len()
     }
 
     /// True when no plans are cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.entries.lock().by_key.is_empty()
     }
 
     /// Cache key for a query + parameter binding: the text itself when
@@ -123,7 +164,7 @@ impl PlanCache {
     pub fn get(&self, key: &str) -> Option<Arc<CompiledQuery>> {
         let epoch = self.epoch();
         let mut entries = self.entries.lock();
-        match entries.get(key) {
+        match entries.by_key.get(key) {
             Some(e) if e.epoch == epoch => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(&e.compiled))
@@ -142,10 +183,34 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Store a freshly compiled query under the current epoch.
+    /// Store a freshly compiled query under the current epoch, evicting
+    /// the oldest insertion if the cache is full.
     pub fn put(&self, key: String, compiled: Arc<CompiledQuery>) {
+        let mut entries = self.entries.lock();
+        // read under the lock: insertion order is epoch order
         let epoch = self.epoch();
-        self.entries.lock().insert(key, Entry { epoch, compiled });
+        // the same text again (compiled under an older epoch, or by two
+        // sessions at once) replaces its entry and counts once
+        entries.remove(&key);
+        while entries.by_key.len() >= PLAN_CACHE_CAPACITY {
+            let Some((_, oldest)) = entries.by_age.pop_first() else {
+                break;
+            };
+            entries.by_key.remove(&oldest);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        let key: Arc<str> = key.into();
+        let inserted = entries.next;
+        entries.next += 1;
+        entries.by_age.insert(inserted, Arc::clone(&key));
+        entries.by_key.insert(
+            key,
+            Entry {
+                epoch,
+                inserted,
+                compiled,
+            },
+        );
     }
 }
 
@@ -193,6 +258,53 @@ mod tests {
         // re-cache under the new epoch works
         pc.put("q".into(), dummy());
         assert!(pc.get("q").is_some());
+    }
+
+    #[test]
+    fn one_text_over_capacity_evicts_the_first_inserted() {
+        let pc = PlanCache::new();
+        for i in 0..=PLAN_CACHE_CAPACITY {
+            pc.put(format!("q{i}"), dummy());
+        }
+        assert_eq!(pc.len(), PLAN_CACHE_CAPACITY);
+        assert_eq!(pc.evictions(), 1);
+        assert!(pc.get("q0").is_none(), "the first text recompiles");
+        assert!(pc.get("q1").is_some());
+        assert!(pc.get(&format!("q{PLAN_CACHE_CAPACITY}")).is_some());
+    }
+
+    #[test]
+    fn a_text_cached_again_after_invalidation_counts_once() {
+        let pc = PlanCache::new();
+        pc.put("q".into(), dummy());
+        pc.invalidate();
+        // not looked up in between: the stale entry is still there
+        pc.put("q".into(), dummy());
+        assert_eq!(pc.len(), 1);
+        assert!(pc.get("q").is_some(), "the entry of the current epoch");
+        // ... and took the stale one's place in the eviction order too
+        for i in 1..PLAN_CACHE_CAPACITY {
+            pc.put(format!("q{i}"), dummy());
+        }
+        assert_eq!((pc.len(), pc.evictions()), (PLAN_CACHE_CAPACITY, 0));
+    }
+
+    #[test]
+    fn stale_epochs_are_evicted_before_live_plans() {
+        let pc = PlanCache::new();
+        for i in 0..10 {
+            pc.put(format!("stale{i}"), dummy());
+        }
+        pc.invalidate();
+        for i in 0..PLAN_CACHE_CAPACITY {
+            pc.put(format!("live{i}"), dummy());
+        }
+        // ten insertions over capacity: exactly the ten stale plans went
+        assert_eq!((pc.len(), pc.evictions()), (PLAN_CACHE_CAPACITY, 10));
+        assert!(pc.get("live0").is_some());
+        pc.put("one more".into(), dummy());
+        assert!(pc.get("live0").is_none(), "then the oldest live plan");
+        assert!(pc.get("live1").is_some());
     }
 
     #[test]

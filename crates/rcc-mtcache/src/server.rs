@@ -120,6 +120,8 @@ struct QueryMetrics {
     per_query: OnceLock<PerQueryMetrics>,
     /// `rcc_slo_queries_total`, `rcc_slo_compliance_ratio`.
     slo: OnceLock<(Counter, Gauge)>,
+    /// `rcc_flow_guards_elided_total`.
+    guards_elided: OnceLock<Counter>,
     /// `rcc_delivered_staleness_seconds`, `rcc_currency_slack_seconds`.
     regions: HandlesByKey<RegionId, (Histogram, Histogram)>,
 }
@@ -583,6 +585,10 @@ impl MTCache {
             "rcc_plan_cache_misses_total",
             "Plan-cache lookups that had to bind and re-optimize.",
         );
+        metrics.describe(
+            "rcc_plan_cache_evictions_total",
+            "Compiled plans dropped, oldest first, to keep the plan cache within its capacity.",
+        );
         metrics.describe("rcc_plan_cache_entries", "Compiled plans currently cached.");
         metrics.describe(
             "rcc_master_txns_total",
@@ -590,6 +596,7 @@ impl MTCache {
         );
         let hits = metrics.counter("rcc_plan_cache_hits_total", &[]);
         let misses = metrics.counter("rcc_plan_cache_misses_total", &[]);
+        let evictions = metrics.counter("rcc_plan_cache_evictions_total", &[]);
         let entries = metrics.gauge("rcc_plan_cache_entries", &[]);
         let master_txns = metrics.counter("rcc_master_txns_total", &[]);
         metrics.describe(
@@ -612,6 +619,7 @@ impl MTCache {
             let (h, m) = pc.stats();
             hits.set(h);
             misses.set(m);
+            evictions.set(pc.evictions());
             entries.set(pc.len() as f64);
             master_txns.set(master.log_len() as u64);
             cache_publishes.set(cache_storage.total_publishes());
@@ -1651,8 +1659,9 @@ impl MTCache {
                     self.compile(sql, select, params, &trace, session)?;
                 if let Some(elided) = &compiled.elided {
                     // counted where the elided twin becomes servable
-                    self.metrics
-                        .counter("rcc_flow_guards_elided_total", &[])
+                    self.query_metrics
+                        .guards_elided
+                        .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
                         .add(elided.certs.len() as u64);
                 }
                 let compiled = Arc::new(compiled);

@@ -111,3 +111,47 @@ fn cached_plan_results_stay_correct() {
         "cached plan, fresh data"
     );
 }
+
+/// The plan cache is bounded, first in first out: unique-literal traffic
+/// pushes even a hot text out once a capacity's worth of new texts has been
+/// compiled after it (a hit does not refresh an entry's age — that is the
+/// policy: no write on the hit path). The hot text then costs one
+/// recompilation and is served from the cache again.
+#[test]
+fn a_hot_text_evicted_by_unique_texts_recompiles_once() {
+    use rcc_mtcache::plan_cache::PLAN_CACHE_CAPACITY;
+    let cache = rig();
+    let evictions = || {
+        cache
+            .metrics()
+            .snapshot()
+            .counter("rcc_plan_cache_evictions_total")
+    };
+    cache.execute(Q).unwrap();
+    cache.execute(Q).unwrap();
+    let (hits, misses) = cache.plan_cache().stats();
+    for i in 0..PLAN_CACHE_CAPACITY {
+        let unique =
+            format!("SELECT v FROM t WHERE a = 7 AND v > -{i} CURRENCY BOUND 30 SEC ON (t)");
+        cache.execute(&unique).unwrap();
+        cache.execute(Q).unwrap(); // hot all along, to no avail under FIFO
+    }
+    assert_eq!(cache.plan_cache().len(), PLAN_CACHE_CAPACITY);
+    // the hot text was evicted once, by the last unique text, and the
+    // recompiled entry evicted the oldest unique one
+    assert_eq!(evictions(), 2);
+    assert_eq!(
+        cache.plan_cache().stats(),
+        (
+            hits + PLAN_CACHE_CAPACITY as u64 - 1,
+            misses + PLAN_CACHE_CAPACITY as u64 + 1
+        ),
+        "one recompilation of the hot text"
+    );
+    cache.execute(Q).unwrap();
+    assert_eq!(
+        cache.plan_cache().stats().1,
+        misses + PLAN_CACHE_CAPACITY as u64 + 1,
+        "served from the cache again"
+    );
+}

@@ -101,6 +101,10 @@ pub const METRICS: &[(&str, &str)] = &[
         "Guard observations dropped",
     ),
     ("rcc_plan_cache_entries", "Compiled plans currently cached"),
+    (
+        "rcc_plan_cache_evictions_total",
+        "Plans dropped to bound the plan cache",
+    ),
     ("rcc_plan_cache_hits_total", "Plan-cache hits"),
     ("rcc_plan_cache_misses_total", "Plan-cache misses"),
     (

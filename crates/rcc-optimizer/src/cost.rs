@@ -22,7 +22,7 @@ use rcc_common::Duration;
 use rcc_common::Value;
 use rcc_sql::BinaryOp;
 use rcc_storage::{KeyRange, TableStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Tunable cost constants.
 #[derive(Debug, Clone)]
@@ -184,9 +184,11 @@ pub fn conjunct_range(f: &BoundExpr) -> Option<(&str, KeyRange)> {
 /// Extract per-column [`KeyRange`]s implied by a conjunction of simple
 /// predicates ([`conjunct_range`]). Multiple conjuncts on one column
 /// intersect. Used for access-path selection, selectivity estimation and
-/// view subsumption.
-pub fn column_ranges(filters: &[BoundExpr]) -> HashMap<String, KeyRange> {
-    let mut out: HashMap<String, KeyRange> = HashMap::new();
+/// view subsumption — ordered by column name, so that which index a scan
+/// picks and the order selectivities multiply in are functions of the
+/// query, not of a hash seed.
+pub fn column_ranges(filters: &[BoundExpr]) -> BTreeMap<String, KeyRange> {
+    let mut out: BTreeMap<String, KeyRange> = BTreeMap::new();
     for (col, range) in filters.iter().filter_map(conjunct_range) {
         out.entry(col.to_string())
             .and_modify(|r| *r = r.intersect(&range))
@@ -195,16 +197,19 @@ pub fn column_ranges(filters: &[BoundExpr]) -> HashMap<String, KeyRange> {
     out
 }
 
-/// Estimate the fraction of rows surviving `filters`, given table stats.
-/// Range-expressible conjuncts use histogram estimates; everything else
-/// gets a default selectivity of 1/3.
-pub fn filter_selectivity(filters: &[BoundExpr], stats: &TableStats) -> f64 {
+/// Estimate the fraction of rows surviving `filters`, given their
+/// [`column_ranges`] and table stats. Range-expressible conjuncts use
+/// histogram estimates; everything else gets a default selectivity of 1/3.
+pub fn filter_selectivity(
+    filters: &[BoundExpr],
+    ranges: &BTreeMap<String, KeyRange>,
+    stats: &TableStats,
+) -> f64 {
     if filters.is_empty() {
         return 1.0;
     }
-    let ranges = column_ranges(filters);
     let mut sel = 1.0;
-    for (col, range) in &ranges {
+    for (col, range) in ranges {
         let s = if matches!((&range.low, &range.high),
             (std::ops::Bound::Included(a), std::ops::Bound::Included(b)) if a == b)
         {
@@ -216,7 +221,6 @@ pub fn filter_selectivity(filters: &[BoundExpr], stats: &TableStats) -> f64 {
     }
     // conjuncts that produced no range (e.g. IS NULL, string compares on
     // non-literals) get the default
-    let ranged: usize = ranges.len();
     let mut unranged = 0usize;
     for f in filters {
         let produced = match f {
@@ -244,7 +248,6 @@ pub fn filter_selectivity(filters: &[BoundExpr], stats: &TableStats) -> f64 {
             unranged += 1;
         }
     }
-    let _ = ranged;
     sel * 0.33f64.powi(unranged as i32)
 }
 
@@ -367,9 +370,9 @@ mod tests {
             expr: Box::new(BoundExpr::col("c", "k")),
             negated: false,
         }];
-        let s = filter_selectivity(&filters, &stats);
+        let s = filter_selectivity(&filters, &column_ranges(&filters), &stats);
         assert!((s - 0.33).abs() < 1e-9);
-        assert_eq!(filter_selectivity(&[], &stats), 1.0);
+        assert_eq!(filter_selectivity(&[], &BTreeMap::new(), &stats), 1.0);
     }
 
     #[test]

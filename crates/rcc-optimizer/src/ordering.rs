@@ -8,7 +8,7 @@
 //! sorts: clustered BTree scans deliver their leading-key order for free.
 
 use crate::expr::BoundExpr;
-use crate::physical::{AccessPath, PhysicalPlan};
+use crate::physical::{AccessPath, LocalScanNode, PhysicalPlan};
 
 /// A delivered ordering: rows are non-decreasing in `qualifier.column`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,8 +22,12 @@ pub struct OrderProp {
 impl OrderProp {
     /// Does `expr` reference exactly this ordered column?
     pub fn matches(&self, expr: &BoundExpr) -> bool {
-        matches!(expr, BoundExpr::Column { qualifier, name }
-            if *qualifier == self.qualifier && name.eq_ignore_ascii_case(&self.column))
+        matches!(expr, BoundExpr::Column { qualifier, name } if self.names(qualifier, name))
+    }
+
+    /// Is this the order of column `qualifier.name`?
+    pub fn names(&self, qualifier: &str, name: &str) -> bool {
+        qualifier == self.qualifier && name.eq_ignore_ascii_case(&self.column)
     }
 }
 
@@ -40,15 +44,7 @@ impl OrderProp {
 ///   qualifier to name here; treated as unordered for merge-join purposes.)
 pub fn delivered_order(plan: &PhysicalPlan) -> Option<OrderProp> {
     match plan {
-        PhysicalPlan::LocalScan(n) => {
-            let column = match &n.access {
-                AccessPath::FullScan => leading_key_column(n)?,
-                AccessPath::ClusteredRange { column, .. } => column.clone(),
-                AccessPath::IndexRange { column, .. } => column.clone(),
-            };
-            let qualifier = n.schema.columns().first()?.qualifier.clone()?;
-            Some(OrderProp { qualifier, column })
-        }
+        PhysicalPlan::LocalScan(n) => scan_order(n),
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Limit { input, .. } => {
             delivered_order(input)
         }
@@ -62,18 +58,28 @@ pub fn delivered_order(plan: &PhysicalPlan) -> Option<OrderProp> {
     }
 }
 
+/// The order a local scan delivers: its access path's key order.
+pub fn scan_order(n: &LocalScanNode) -> Option<OrderProp> {
+    let column = match &n.access {
+        AccessPath::FullScan => leading_key_column(n)?,
+        AccessPath::ClusteredRange { column, .. } => column.clone(),
+        AccessPath::IndexRange { column, .. } => column.clone(),
+    };
+    let qualifier = n.schema.columns().first()?.qualifier.clone()?;
+    Some(OrderProp { qualifier, column })
+}
+
 /// Leading clustered-key column of a scanned object: full scans of BTree
 /// tables iterate in clustered order, but the scan node itself does not
 /// record the key — infer it only when the access path names it. For full
 /// scans we cannot know the key column here, so no order is claimed.
-fn leading_key_column(_n: &crate::physical::LocalScanNode) -> Option<String> {
+fn leading_key_column(_n: &LocalScanNode) -> Option<String> {
     None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::LocalScanNode;
     use rcc_common::{Column, DataType, Schema, Value};
     use rcc_storage::KeyRange;
 

@@ -22,10 +22,47 @@ use crate::graph::QueryGraph;
 use crate::physical::{AccessPath, LocalScanNode};
 use rcc_catalog::{CachedViewDef, Catalog, CurrencyRegion};
 use rcc_common::{DataType, Schema, Value};
-use rcc_storage::KeyRange;
-use std::collections::{BTreeSet, HashMap};
+use rcc_storage::{KeyRange, TableStats};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::Arc;
+
+/// What every access path of one operand is derived from: the columns the
+/// query needs of it, the ranges its filters imply, and its base table's
+/// statistics. Derived once per operand and handed to [`match_views`] and
+/// [`master_scan`].
+#[derive(Debug, Clone)]
+pub struct OperandProfile {
+    /// [`QueryGraph::required_columns`] of the operand.
+    pub required: BTreeSet<String>,
+    /// [`operand_schema`] over `required`.
+    pub schema: Schema,
+    /// [`column_ranges`] of the operand's filters.
+    pub ranges: BTreeMap<String, KeyRange>,
+    /// The base table's statistics.
+    pub stats: Arc<TableStats>,
+    /// [`filter_selectivity`] of the operand's filters against `stats`.
+    pub selectivity: f64,
+}
+
+impl OperandProfile {
+    /// Derive the profile of `operand`.
+    pub fn derive(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) -> OperandProfile {
+        let op = graph.operand(operand);
+        let required = graph.required_columns(operand);
+        let schema = operand_schema(graph, operand, &required);
+        let ranges = column_ranges(&op.filters);
+        let stats = catalog.stats(&op.table.name);
+        let selectivity = filter_selectivity(&op.filters, &ranges, &stats);
+        OperandProfile {
+            required,
+            schema,
+            ranges,
+            stats,
+            selectivity,
+        }
+    }
+}
 
 /// A successful view match for one operand.
 #[derive(Debug, Clone)]
@@ -36,21 +73,30 @@ pub struct ViewMatch {
     pub region: Arc<CurrencyRegion>,
     /// Ready-to-use scan substitute.
     pub scan: LocalScanNode,
+    /// Row count in the view's own statistics; 0 when it was never analyzed.
+    pub analyzed_rows: u64,
+    /// Row count of the statistics `scan.est_rows` was estimated from: the
+    /// view's own, or the base table's when the view was never analyzed.
+    pub stats_rows: u64,
 }
 
 /// Find every cached view that can substitute for `operand`.
-pub fn match_views(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) -> Vec<ViewMatch> {
+pub fn match_views(
+    catalog: &Catalog,
+    graph: &QueryGraph,
+    operand: OperandId,
+    profile: &OperandProfile,
+) -> Vec<ViewMatch> {
     let op = graph.operand(operand);
-    let required = graph.required_columns(operand);
-    let ranges = column_ranges(&op.filters);
     let mut out = Vec::new();
 
     for view in catalog.views_over(op.table.id) {
-        if !required.iter().all(|c| view.covers_column(c)) {
+        if !profile.required.iter().all(|c| view.covers_column(c)) {
             continue;
         }
         if let Some(pred) = &view.predicate {
-            let query_range = ranges
+            let query_range = profile
+                .ranges
                 .get(&pred.column.to_ascii_lowercase())
                 .cloned()
                 .unwrap_or_else(KeyRange::all);
@@ -65,34 +111,36 @@ pub fn match_views(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) ->
         let view_key_lead = view
             .key_ordinals
             .first()
-            .map(|&k| view.columns[k].clone())
+            .map(|&k| view.columns[k].as_str())
             .unwrap_or_default();
-        let access = pick_access(&ranges, &view_key_lead, |col| {
+        let access = pick_access(&profile.ranges, view_key_lead, |col| {
             view.local_index_on(col).map(str::to_string)
         });
 
-        let stats = {
-            let s = catalog.stats(&view.name);
-            if s.row_count > 0 {
-                s
-            } else {
-                catalog.stats(&op.table.name)
-            }
+        let view_stats = catalog.stats(&view.name);
+        let analyzed_rows = view_stats.row_count;
+        let (stats_rows, selectivity) = if analyzed_rows > 0 {
+            (
+                analyzed_rows,
+                filter_selectivity(&op.filters, &profile.ranges, &view_stats),
+            )
+        } else {
+            (profile.stats.row_count, profile.selectivity)
         };
-        let est_rows = stats.row_count as f64 * filter_selectivity(&op.filters, &stats);
 
-        let schema = operand_schema(graph, operand, &required);
         out.push(ViewMatch {
             region,
             scan: LocalScanNode {
                 object: view.name.clone(),
-                residual: scan_residual(&op.filters, &access, &schema),
-                schema,
+                residual: scan_residual(&op.filters, &access, &profile.schema),
+                schema: profile.schema.clone(),
                 access,
                 operand,
-                est_rows,
+                est_rows: stats_rows as f64 * selectivity,
             },
             view,
+            analyzed_rows,
+            stats_rows,
         });
     }
     out
@@ -101,24 +149,23 @@ pub fn match_views(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) ->
 /// Scan substitute over the *master* table itself — used when planning in
 /// back-end role, and to estimate the back-end's cost of serving a remote
 /// fetch. Uses the back-end's clustered layout and secondary indexes.
-pub fn master_scan(catalog: &Catalog, graph: &QueryGraph, operand: OperandId) -> LocalScanNode {
+pub fn master_scan(
+    graph: &QueryGraph,
+    operand: OperandId,
+    profile: &OperandProfile,
+) -> LocalScanNode {
     let op = graph.operand(operand);
-    let required = graph.required_columns(operand);
-    let ranges = column_ranges(&op.filters);
-    let leading = op.table.key.first().cloned().unwrap_or_default();
-    let access = pick_access(&ranges, &leading, |col| {
+    let leading = op.table.key.first().map(String::as_str).unwrap_or_default();
+    let access = pick_access(&profile.ranges, leading, |col| {
         op.table.index_on(col).map(|ix| ix.name.clone())
     });
-    let stats = catalog.stats(&op.table.name);
-    let est_rows = stats.row_count as f64 * filter_selectivity(&op.filters, &stats);
-    let schema = operand_schema(graph, operand, &required);
     LocalScanNode {
         object: op.table.name.clone(),
-        residual: scan_residual(&op.filters, &access, &schema),
-        schema,
+        residual: scan_residual(&op.filters, &access, &profile.schema),
+        schema: profile.schema.clone(),
         access,
         operand,
-        est_rows,
+        est_rows: profile.stats.row_count as f64 * profile.selectivity,
     }
 }
 
@@ -205,7 +252,7 @@ fn comparable(column: DataType, literal: &Value) -> bool {
 /// Choose the best access path given the filter-implied ranges: leading
 /// clustered-key range beats a secondary index beats a full scan.
 fn pick_access(
-    ranges: &HashMap<String, KeyRange>,
+    ranges: &BTreeMap<String, KeyRange>,
     leading_key: &str,
     index_on: impl Fn(&str) -> Option<String>,
 ) -> AccessPath {
@@ -289,12 +336,20 @@ mod tests {
         cat
     }
 
+    fn match_views(cat: &Catalog, g: &QueryGraph, operand: OperandId) -> Vec<ViewMatch> {
+        super::match_views(cat, g, operand, &OperandProfile::derive(cat, g, operand))
+    }
+
+    fn master_scan(cat: &Catalog, g: &QueryGraph, operand: OperandId) -> LocalScanNode {
+        super::master_scan(g, operand, &OperandProfile::derive(cat, g, operand))
+    }
+
     fn graph(cat: &Catalog, sql: &str) -> QueryGraph {
         let stmt = match parse_statement(sql).unwrap() {
             rcc_sql::Statement::Select(s) => *s,
             other => panic!("{other:?}"),
         };
-        bind_select(cat, &stmt, &HashMap::new()).unwrap()
+        bind_select(cat, &stmt, &std::collections::HashMap::new()).unwrap()
     }
 
     #[test]

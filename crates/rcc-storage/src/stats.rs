@@ -31,17 +31,17 @@ pub struct ColumnStats {
     pub histogram: Vec<u64>,
 }
 
-impl ColumnStats {
-    fn empty() -> ColumnStats {
-        ColumnStats {
-            min: None,
-            max: None,
-            distinct: 0,
-            nulls: 0,
-            histogram: Vec::new(),
-        }
-    }
+/// What [`TableStats::column`] answers with for a column it has no
+/// statistics on.
+static NO_COLUMN_STATS: ColumnStats = ColumnStats {
+    min: None,
+    max: None,
+    distinct: 0,
+    nulls: 0,
+    histogram: Vec::new(),
+};
 
+impl ColumnStats {
     fn numeric_bounds(&self) -> Option<(f64, f64)> {
         let lo = self.min.as_ref()?.as_float().ok()?;
         let hi = self.max.as_ref()?.as_float().ok()?;
@@ -216,11 +216,8 @@ impl TableStats {
     }
 
     /// Stats for a column by name (falls back to an empty placeholder).
-    pub fn column(&self, name: &str) -> ColumnStats {
-        self.columns
-            .get(name)
-            .cloned()
-            .unwrap_or_else(ColumnStats::empty)
+    pub fn column(&self, name: &str) -> &ColumnStats {
+        self.columns.get(name).unwrap_or(&NO_COLUMN_STATS)
     }
 
     /// Estimated rows matching a range predicate on `column`.
