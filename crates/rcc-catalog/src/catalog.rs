@@ -7,6 +7,7 @@ use parking_lot::RwLock;
 use rcc_common::{Error, RegionId, Result, TableId, ViewId};
 use rcc_storage::TableStats;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Thread-safe catalog shared by the planner, optimizer and executor.
@@ -18,6 +19,8 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct Catalog {
     inner: RwLock<Inner>,
+    /// Mutations so far; see [`Catalog::version`].
+    version: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -37,6 +40,21 @@ impl Catalog {
     /// An empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
+    }
+
+    /// How many times anything a plan is compiled from — tables, indexes,
+    /// views, regions, statistics — has changed. A plan cache tags a plan
+    /// with the version read *before* compiling it and serves it only
+    /// while the version is still that: every mutator bumps the count while
+    /// it holds the write lock, after making its change, so whoever reads a
+    /// version and then the catalog sees at least that version's state.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::SeqCst)
+    }
+
+    /// Called by every mutator with the write lock held and the change made.
+    fn bump_version(&self) {
+        self.version.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Allocate the next table id.
@@ -62,6 +80,7 @@ impl Catalog {
         let arc = Arc::new(meta);
         inner.tables_by_id.insert(arc.id, arc.name.clone());
         inner.tables.insert(arc.name.clone(), Arc::clone(&arc));
+        self.bump_version();
         Ok(arc)
     }
 
@@ -74,6 +93,7 @@ impl Catalog {
         let arc = Arc::new(meta);
         inner.tables_by_id.insert(arc.id, arc.name.clone());
         inner.tables.insert(arc.name.clone(), arc);
+        self.bump_version();
         Ok(())
     }
 
@@ -116,16 +136,19 @@ impl Catalog {
         }
         let arc = Arc::new(view);
         inner.views.insert(arc.name.clone(), Arc::clone(&arc));
+        self.bump_version();
         Ok(arc)
     }
 
     /// Remove a cached view; returns its definition.
     pub fn drop_view(&self, name: &str) -> Result<Arc<CachedViewDef>> {
-        self.inner
-            .write()
+        let mut inner = self.inner.write();
+        let view = inner
             .views
             .remove(&name.to_ascii_lowercase())
-            .ok_or_else(|| Error::NotFound(format!("view {name}")))
+            .ok_or_else(|| Error::NotFound(format!("view {name}")))?;
+        self.bump_version();
+        Ok(view)
     }
 
     /// Look up a view by name.
@@ -175,6 +198,7 @@ impl Catalog {
             .regions_by_name
             .insert(arc.name.to_ascii_lowercase(), arc.id);
         inner.regions.insert(arc.id, Arc::clone(&arc));
+        self.bump_version();
         Ok(arc)
     }
 
@@ -209,10 +233,11 @@ impl Catalog {
     /// Install statistics for a table or view (the shadow database carries
     /// back-end stats — paper Sec. 3 point 1).
     pub fn set_stats(&self, object: &str, stats: TableStats) {
-        self.inner
-            .write()
+        let mut inner = self.inner.write();
+        inner
             .stats
             .insert(object.to_ascii_lowercase(), Arc::new(stats));
+        self.bump_version();
     }
 
     /// Statistics for a table or view; empty stats if never installed.
@@ -332,6 +357,42 @@ mod tests {
         };
         cat.set_stats("T", stats);
         assert_eq!(cat.stats("t").row_count, 42);
+    }
+
+    #[test]
+    fn every_mutator_moves_the_version_and_nothing_else_does() {
+        let cat = Catalog::new();
+        let mut seen = cat.version();
+        let mut moved = |what: &str| {
+            let now = cat.version();
+            assert!(now > seen, "{what} must bump the version");
+            seen = now;
+        };
+        let t = table(&cat, "customer");
+        moved("register_table");
+        cat.update_table((*t).clone()).unwrap();
+        moved("update_table");
+        region(&cat, 1, "CR1");
+        moved("register_region");
+        cat.register_view(view_over(&cat, "v", &t, RegionId(1)))
+            .unwrap();
+        moved("register_view");
+        cat.set_stats("customer", TableStats::default());
+        moved("set_stats");
+        cat.drop_view("v").unwrap();
+        moved("drop_view");
+
+        // reads, id allocation and refused mutations leave it alone
+        cat.next_table_id();
+        cat.next_view_id();
+        cat.table("customer").unwrap();
+        cat.stats("customer");
+        assert!(cat.drop_view("v").is_err());
+        assert!(cat.register_table((*t).clone()).is_err());
+        assert!(cat
+            .register_view(view_over(&cat, "w", &t, RegionId(9)))
+            .is_err());
+        assert_eq!(cat.version(), seen);
     }
 
     #[test]

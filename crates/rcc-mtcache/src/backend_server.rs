@@ -1,16 +1,28 @@
 //! The back-end server: executes shipped SQL against the master database.
+//!
+//! The texts it is sent are the optimizer's own `sqlgen` output — the same
+//! few statements over and over — so it keeps their plans in the same
+//! bounded [`PlanCache`] the mid-tier cache uses, looks a shipped text up
+//! *before* parsing it, and serves a hit without parsing, binding or
+//! optimizing. Only a statement that passed both rejections (not a
+//! `SELECT`, carries a currency clause) is ever inserted, so a hit cannot
+//! skip a check the miss path makes; validity is [`Catalog::version`],
+//! which every DDL and `ANALYZE` on the shared catalog moves.
 
+use crate::plan_cache::PlanCache;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rcc_backend::MasterDb;
 use rcc_catalog::Catalog;
 use rcc_common::{Error, NetworkModel, Result, Row, Schema};
 use rcc_executor::{ExecContext, RemoteService};
-use rcc_obs::{MetricsRegistry, TraceHandle, DEFAULT_LATENCY_BUCKETS};
+use rcc_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
+use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::{bind_select, optimize, OptimizerConfig};
-use rcc_sql::{parse_statement, Statement};
+use rcc_sql::{parse_statement, SelectStmt, Statement};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// The back-end database server. Parses, plans (in back-end role: every
 /// table is local and current) and executes SQL shipped from the cache,
@@ -20,11 +32,67 @@ pub struct BackendServer {
     master: Arc<MasterDb>,
     catalog: Arc<Catalog>,
     config: OptimizerConfig,
+    /// Plans of the shipped statements, keyed by their text.
+    plans: Arc<PlanCache<Optimized>>,
     /// Who pays for the round trip: simulated latency knobs, or a real
     /// transport (in which case no artificial delay is ever injected).
     network: Mutex<NetworkModel>,
-    /// Optional registry for remote-latency and wire-byte metrics.
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
+    /// Remote-latency and wire-byte metrics, once a registry is attached.
+    metrics: OnceLock<BackendMetrics>,
+}
+
+/// Handles of the metrics every remote call touches, resolved from the
+/// registry by name on first use and held from then on, so each still
+/// enters the exposition when it is first touched.
+#[derive(Debug)]
+struct BackendMetrics {
+    registry: Arc<MetricsRegistry>,
+    remote_latency: OnceLock<Histogram>,
+    wire_encoded: OnceLock<Counter>,
+    wire_decoded: OnceLock<Counter>,
+}
+
+/// One phase of a served statement (`backend:parse`, `backend:plan`,
+/// `backend:execute`, `backend:encode`), timed for the caller's trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseSpan {
+    /// Span name.
+    pub name: &'static str,
+    /// Offset from the start of the request when the phase began.
+    pub start: Duration,
+    /// How long the phase took.
+    pub elapsed: Duration,
+}
+
+/// The phases of one request: timed and kept for a traced request, just
+/// run for any other.
+struct Phases {
+    origin: Instant,
+    spans: Option<Vec<PhaseSpan>>,
+}
+
+impl Phases {
+    /// The request starts now.
+    fn new(traced: bool) -> Phases {
+        Phases {
+            origin: Instant::now(),
+            spans: traced.then(|| Vec::with_capacity(4)),
+        }
+    }
+
+    fn run<T>(&mut self, name: &'static str, phase: impl FnOnce() -> T) -> T {
+        let Some(spans) = &mut self.spans else {
+            return phase();
+        };
+        let start = self.origin.elapsed();
+        let out = phase();
+        spans.push(PhaseSpan {
+            name,
+            start,
+            elapsed: self.origin.elapsed() - start,
+        });
+        out
+    }
 }
 
 impl BackendServer {
@@ -33,14 +101,16 @@ impl BackendServer {
         let catalog = Arc::clone(master.catalog());
         BackendServer {
             master,
+            plans: Arc::new(PlanCache::new(Arc::clone(&catalog))),
             catalog,
             config: OptimizerConfig::backend(),
             network: Mutex::new(NetworkModel::default()),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         }
     }
 
-    /// Publish remote-call latency and wire-byte metrics to `registry`.
+    /// Publish remote-call latency and wire-byte metrics to `registry`
+    /// (the first one given; a server reports to one registry).
     pub fn set_metrics(&self, registry: Arc<MetricsRegistry>) {
         registry.describe(
             "rcc_remote_latency_seconds",
@@ -54,7 +124,12 @@ impl BackendServer {
             "rcc_wire_bytes_decoded_total",
             "Wire-format bytes successfully decoded back into rows.",
         );
-        *self.metrics.lock() = Some(registry);
+        let _ = self.metrics.set(BackendMetrics {
+            registry,
+            remote_latency: OnceLock::new(),
+            wire_encoded: OnceLock::new(),
+            wire_decoded: OnceLock::new(),
+        });
     }
 
     /// Enable a simulated network: every remote call busy-waits for
@@ -97,8 +172,8 @@ impl BackendServer {
         if total_us == 0 {
             return;
         }
-        let deadline = std::time::Instant::now() + std::time::Duration::from_micros(total_us);
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + Duration::from_micros(total_us);
+        while Instant::now() < deadline {
             std::hint::spin_loop();
         }
     }
@@ -106,6 +181,11 @@ impl BackendServer {
     /// The underlying master database.
     pub fn master(&self) -> &Arc<MasterDb> {
         &self.master
+    }
+
+    /// The cache of shipped statements' plans.
+    pub fn plan_cache(&self) -> &Arc<PlanCache<Optimized>> {
+        &self.plans
     }
 
     /// Parse, optimize and execute a SELECT against the master tables.
@@ -117,116 +197,118 @@ impl BackendServer {
     /// [`BackendServer::query`], also returning the wire-payload size in
     /// bytes — what the cache's per-query byte accounting consumes.
     pub fn query_with_bytes(&self, sql: &str) -> Result<(Schema, Vec<Row>, u64)> {
-        let metrics = self.metrics.lock().clone();
-        let started = std::time::Instant::now();
-        let out = self.query_inner(sql, metrics.as_deref());
-        if let Some(m) = &metrics {
-            m.histogram("rcc_remote_latency_seconds", &[], DEFAULT_LATENCY_BUCKETS)
-                .observe(started.elapsed().as_secs_f64());
-        }
+        let mut phases = Phases::new(false);
+        let out = self
+            .run_select(sql, &mut phases)
+            .and_then(|(schema, payload)| {
+                let bytes = payload.len() as u64;
+                let (_, rows) = rcc_executor::wire::decode_result(payload)?;
+                if let Some(m) = self.metrics.get() {
+                    m.wire_decoded
+                        .get_or_init(|| m.registry.counter("rcc_wire_bytes_decoded_total", &[]))
+                        .add(bytes);
+                }
+                Ok((schema, rows, bytes))
+            });
+        self.observe_latency(phases.origin);
         out
     }
 
-    /// Parse, optimize and execute a SELECT, returning the result already
-    /// serialized in the wire format — the payload a network transport
-    /// ships verbatim. Simulated latency (if the model is
-    /// [`NetworkModel::Simulated`]) is charged here, exactly once, so
-    /// in-process and framed-TCP callers account the same way.
+    /// Execute a SELECT, returning the result already serialized in the
+    /// wire format — the payload a network transport ships verbatim.
+    /// Simulated latency (if the model is [`NetworkModel::Simulated`]) is
+    /// charged here, exactly once, so in-process and framed-TCP callers
+    /// account the same way.
     pub fn query_wire(&self, sql: &str) -> Result<Bytes> {
-        let metrics = self.metrics.lock().clone();
-        let started = std::time::Instant::now();
-        let out = self.run_select(sql, metrics.as_deref(), None);
-        if let Some(m) = &metrics {
-            m.histogram("rcc_remote_latency_seconds", &[], DEFAULT_LATENCY_BUCKETS)
-                .observe(started.elapsed().as_secs_f64());
-        }
+        let mut phases = Phases::new(false);
+        let out = self.run_select(sql, &mut phases);
+        self.observe_latency(phases.origin);
         out.map(|(_, payload)| payload)
     }
 
-    /// [`BackendServer::query_wire`], recording per-phase spans (named
-    /// `backend:*`) on `trace` — the transport ships them back so the
-    /// originating query's trace shows both sides of the wire.
-    pub fn query_wire_traced(&self, sql: &str, trace: &TraceHandle) -> Result<Bytes> {
-        let metrics = self.metrics.lock().clone();
-        let started = std::time::Instant::now();
-        let out = self.run_select(sql, metrics.as_deref(), Some(trace));
-        if let Some(m) = &metrics {
-            m.histogram("rcc_remote_latency_seconds", &[], DEFAULT_LATENCY_BUCKETS)
+    /// [`BackendServer::query_wire`], also returning the phases the
+    /// request went through, in order — the transport ships them back so
+    /// the originating query's trace shows both sides of the wire. A
+    /// statement served from the plan cache has no `backend:parse` and no
+    /// `backend:plan`: neither happened.
+    pub fn query_wire_traced(&self, sql: &str) -> Result<(Bytes, Vec<PhaseSpan>)> {
+        let mut phases = Phases::new(true);
+        let out = self.run_select(sql, &mut phases);
+        self.observe_latency(phases.origin);
+        out.map(|(_, payload)| (payload, phases.spans.unwrap_or_default()))
+    }
+
+    fn observe_latency(&self, started: Instant) {
+        if let Some(m) = self.metrics.get() {
+            m.remote_latency
+                .get_or_init(|| {
+                    m.registry
+                        .histogram("rcc_remote_latency_seconds", &[], DEFAULT_LATENCY_BUCKETS)
+                })
                 .observe(started.elapsed().as_secs_f64());
         }
-        out.map(|(_, payload)| payload)
     }
 
-    fn query_inner(
-        &self,
-        sql: &str,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<(Schema, Vec<Row>, u64)> {
-        let (schema, payload) = self.run_select(sql, metrics, None)?;
-        let bytes = payload.len() as u64;
-        let (_, rows) = rcc_executor::wire::decode_result(payload)?;
-        if let Some(m) = metrics {
-            m.counter("rcc_wire_bytes_decoded_total", &[]).add(bytes);
-        }
-        Ok((schema, rows, bytes))
-    }
-
-    /// The shared SELECT pipeline: plan, execute, serialize, charge
-    /// simulated latency. Returns the planner-side schema (which keeps its
-    /// binding qualifiers — the wire format does not carry them) alongside
-    /// the encoded payload.
-    fn run_select(
-        &self,
-        sql: &str,
-        metrics: Option<&MetricsRegistry>,
-        trace: Option<&TraceHandle>,
-    ) -> Result<(Schema, Bytes)> {
-        let span = |name: &str| trace.map(|t| t.span(name));
-        let select = {
-            let _s = span("backend:parse");
-            let stmt = parse_statement(sql)?;
-            match stmt {
-                Statement::Select(s) => *s,
-                other => {
-                    return Err(Error::Remote(format!(
-                        "back-end remote interface only accepts SELECT, got {other:?}"
-                    )))
-                }
-            }
-        };
-        if select.currency.is_some() {
-            return Err(Error::Remote(
-                "currency clauses must not reach the back-end (it always serves the latest snapshot)"
-                    .into(),
-            ));
-        }
-        let optimized = {
-            let _s = span("backend:plan");
-            let graph = bind_select(&self.catalog, &select, &HashMap::new())?;
-            optimize(&self.catalog, &graph, &self.config)?
+    /// The shared SELECT pipeline: find or compile the plan, execute,
+    /// serialize, charge simulated latency. Returns the planner-side
+    /// schema (which keeps its binding qualifiers — the wire format does
+    /// not carry them) alongside the encoded payload.
+    fn run_select(&self, sql: &str, phases: &mut Phases) -> Result<(Schema, Bytes)> {
+        let optimized = match self.plans.get(sql) {
+            Some(plan) => plan,
+            None => self.compile(sql, phases)?,
         };
         let ctx = ExecContext::new(
             Arc::clone(self.master.storage()),
             None,
             Arc::clone(self.master.clock()),
         );
-        let result = {
-            let _s = span("backend:execute");
-            rcc_executor::execute_plan_batched(&optimized.plan, &ctx)?
-        };
+        let result = phases.run("backend:execute", || {
+            rcc_executor::execute_plan_batched(&optimized.plan, &ctx)
+        })?;
         // results really travel through the wire format, so the latency
         // model and byte accounting see true serialized sizes; batches are
         // serialized straight from their column buffers
-        let payload = {
-            let _s = span("backend:encode");
+        let payload = phases.run("backend:encode", || {
             rcc_executor::wire::encode_batches(&result.schema, &result.batches)
-        };
-        if let Some(m) = metrics {
-            m.counter("rcc_wire_bytes_encoded_total", &[])
+        });
+        if let Some(m) = self.metrics.get() {
+            m.wire_encoded
+                .get_or_init(|| m.registry.counter("rcc_wire_bytes_encoded_total", &[]))
                 .add(payload.len() as u64);
         }
         self.apply_latency(payload.len());
         Ok((result.schema, payload))
+    }
+
+    /// The miss path: parse, reject what the remote interface does not
+    /// take, plan, and cache the plan under the text.
+    fn compile(&self, sql: &str, phases: &mut Phases) -> Result<Arc<Optimized>> {
+        // read before anything of the catalog is: the plan is tagged with
+        // the epoch it was compiled under
+        let epoch = self.plans.epoch();
+        let select = phases.run("backend:parse", || -> Result<SelectStmt> {
+            match parse_statement(sql)? {
+                Statement::Select(s) => Ok(*s),
+                other => Err(Error::Remote(format!(
+                    "back-end remote interface only accepts SELECT, got {other:?}"
+                ))),
+            }
+        })?;
+        if select.currency.is_some() {
+            return Err(Error::Remote(
+                "currency clauses must not reach the back-end (it always serves the latest snapshot)"
+                    .into(),
+            ));
+        }
+        self.plans.count_miss();
+        let optimized = phases.run("backend:plan", || -> Result<Optimized> {
+            let graph = bind_select(&self.catalog, &select, &HashMap::new())?;
+            optimize(&self.catalog, &graph, &self.config)
+        })?;
+        let optimized = Arc::new(optimized);
+        self.plans.put(sql, Arc::clone(&optimized), epoch);
+        Ok(optimized)
     }
 }
 

@@ -166,7 +166,7 @@ enum SelectPlan<'a> {
     /// To be compiled, and cached under `key`.
     Parsed {
         select: &'a SelectStmt,
-        key: String,
+        key: Cow<'a, str>,
         parse: StdDuration,
     },
 }
@@ -256,12 +256,18 @@ impl MTCache {
         counters.register_metrics(&metrics);
         backend.set_metrics(Arc::clone(&metrics));
         runtime.set_metrics(Arc::clone(&metrics));
-        let plan_cache = Arc::new(PlanCache::new());
+        let plan_cache = Arc::new(PlanCache::new(Arc::clone(&catalog)));
         let cache_storage = Arc::new(StorageEngine::new());
         let tracer = Tracer::default();
         let journal = EventJournal::new(256);
         journal.set_metrics(Arc::clone(&metrics));
-        Self::register_cache_metrics(&metrics, &plan_cache, &master, &cache_storage);
+        Self::register_cache_metrics(
+            &metrics,
+            &plan_cache,
+            backend.plan_cache(),
+            &master,
+            &cache_storage,
+        );
         Self::register_telemetry_metrics(&metrics, &tracer);
         let (durability, recovered) = match durable {
             Some((store, state)) => {
@@ -521,13 +527,14 @@ impl MTCache {
         }
     }
 
-    /// Describe the cache-level metric names and mirror the plan cache's
+    /// Describe the cache-level metric names and mirror both plan caches'
     /// internal hit/miss/size counters (and the master's committed-txn
     /// count) into the registry via a collector, so external resets and
     /// epoch evictions are always reflected in snapshots.
     fn register_cache_metrics(
         metrics: &Arc<MetricsRegistry>,
         plan_cache: &Arc<PlanCache>,
+        backend_plan_cache: &Arc<PlanCache<Optimized>>,
         master: &Arc<MasterDb>,
         cache_storage: &Arc<StorageEngine>,
     ) {
@@ -591,6 +598,19 @@ impl MTCache {
         );
         metrics.describe("rcc_plan_cache_entries", "Compiled plans currently cached.");
         metrics.describe(
+            "rcc_backend_plan_cache_hits_total",
+            "Statements shipped to the back-end that reused a compiled plan \
+             (not parsed, bound or optimized again).",
+        );
+        metrics.describe(
+            "rcc_backend_plan_cache_misses_total",
+            "Statements shipped to the back-end that it had to parse and plan.",
+        );
+        metrics.describe(
+            "rcc_backend_plan_cache_evictions_total",
+            "Plans dropped, oldest first, to keep the back-end's plan cache within its capacity.",
+        );
+        metrics.describe(
             "rcc_master_txns_total",
             "Transactions committed in the back-end master's replication log.",
         );
@@ -598,6 +618,9 @@ impl MTCache {
         let misses = metrics.counter("rcc_plan_cache_misses_total", &[]);
         let evictions = metrics.counter("rcc_plan_cache_evictions_total", &[]);
         let entries = metrics.gauge("rcc_plan_cache_entries", &[]);
+        let backend_hits = metrics.counter("rcc_backend_plan_cache_hits_total", &[]);
+        let backend_misses = metrics.counter("rcc_backend_plan_cache_misses_total", &[]);
+        let backend_evictions = metrics.counter("rcc_backend_plan_cache_evictions_total", &[]);
         let master_txns = metrics.counter("rcc_master_txns_total", &[]);
         metrics.describe(
             "rcc_snapshot_publishes_total",
@@ -613,6 +636,7 @@ impl MTCache {
         let master_publishes =
             metrics.counter("rcc_snapshot_publishes_total", &[("store", "master")]);
         let pc = Arc::clone(plan_cache);
+        let backend_pc = Arc::clone(backend_plan_cache);
         let master = Arc::clone(master);
         let cache_storage = Arc::clone(cache_storage);
         metrics.register_collector(move || {
@@ -621,6 +645,10 @@ impl MTCache {
             misses.set(m);
             evictions.set(pc.evictions());
             entries.set(pc.len() as f64);
+            let (h, m) = backend_pc.stats();
+            backend_hits.set(h);
+            backend_misses.set(m);
+            backend_evictions.set(backend_pc.evictions());
             master_txns.set(master.log_len() as u64);
             cache_publishes.set(cache_storage.total_publishes());
             master_publishes.set(master.storage().total_publishes());
@@ -712,7 +740,8 @@ impl MTCache {
         &self.counters
     }
 
-    /// The compiled-plan cache (invalidated on every catalog change).
+    /// The compiled-plan cache. A catalog change invalidates it by moving
+    /// [`Catalog::version`]; `invalidate()` is for everything else.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
     }
@@ -846,7 +875,6 @@ impl MTCache {
             Arc::clone(&self.cache_storage),
         )?;
         self.runtime.add_agent(agent);
-        self.plan_cache.invalidate();
         Ok(region)
     }
 
@@ -878,14 +906,12 @@ impl MTCache {
     pub fn analyze(&self, table: &str) -> Result<()> {
         let stats = self.master.compute_stats(table)?;
         self.catalog.set_stats(table, stats);
-        self.plan_cache.invalidate();
         Ok(())
     }
 
     /// Register a base table directly from metadata (programmatic DDL).
     pub fn register_table(&self, meta: TableMeta) -> Result<Arc<TableMeta>> {
         self.master.create_table(&meta)?;
-        self.plan_cache.invalidate();
         self.catalog.register_table(meta)
     }
 
@@ -1007,7 +1033,7 @@ impl MTCache {
             Statement::Select(select) => {
                 let plan = SelectPlan::Parsed {
                     select: &select,
-                    key: key.into_owned(),
+                    key,
                     parse,
                 };
                 self.execute_select(sql, plan, params, floors, policy, session)
@@ -1655,6 +1681,9 @@ impl MTCache {
             SelectPlan::Cached(compiled) => (compiled, CompilePhases::HIT),
             SelectPlan::Parsed { select, key, parse } => {
                 self.plan_cache.count_miss();
+                // before the compile reads the catalog or a knob: the plan
+                // is a plan of this epoch, whatever changes meanwhile
+                let epoch = self.plan_cache.epoch();
                 let (compiled, bind, optimize) =
                     self.compile(sql, select, params, &trace, session)?;
                 if let Some(elided) = &compiled.elided {
@@ -1665,7 +1694,7 @@ impl MTCache {
                         .add(elided.certs.len() as u64);
                 }
                 let compiled = Arc::new(compiled);
-                self.plan_cache.put(key, Arc::clone(&compiled));
+                self.plan_cache.put(&key, Arc::clone(&compiled), epoch);
                 let phases = CompilePhases {
                     plan_cache_hit: false,
                     parse,
@@ -2190,7 +2219,6 @@ impl MTCache {
             handle.update(|t| t.create_index(name, ordinals))?;
         }
         self.catalog.update_table(meta)?;
-        self.plan_cache.invalidate();
         Ok(QueryResult::empty())
     }
 
@@ -2334,16 +2362,16 @@ impl MTCache {
         let handle = self.cache_storage.table(&def.name)?;
         let stats = TableStats::compute(&handle.snapshot());
         self.catalog.set_stats(&def.name, stats);
-        self.plan_cache.invalidate();
         Ok(def)
     }
 }
 
 impl MTCache {
     /// Drop a cached view: end its replication subscription, remove its
-    /// table from the cache storage and its catalog entry, and invalidate
-    /// compiled plans (a view disappearing changes the consistency
-    /// properties available — the paper's trigger for re-optimization).
+    /// table from the cache storage and its catalog entry — which
+    /// invalidates compiled plans (a view disappearing changes the
+    /// consistency properties available — the paper's trigger for
+    /// re-optimization).
     pub fn drop_cached_view(&self, name: &str) -> Result<()> {
         let def = self.catalog.view(name)?;
         let region = self.catalog.region(def.region)?;
@@ -2358,7 +2386,6 @@ impl MTCache {
         }
         self.cache_storage.drop_table(name);
         self.catalog.drop_view(name)?;
-        self.plan_cache.invalidate();
         Ok(())
     }
 }

@@ -11,7 +11,7 @@
 //! | `/metrics` | the cache registry in Prometheus text format          |
 //! | `/traces`  | recently finished query traces (merged span trees)    |
 //! | `/events`  | the structured event journal as JSON                  |
-//! | `/healthz` | liveness + per-region replication lag + pool occupancy + durability (WAL size, buffer-pool occupancy, checkpoint age) |
+//! | `/healthz` | liveness + per-region replication lag + pool occupancy + the back-end's plan cache (entries, hits, misses, evictions) + durability (WAL size, buffer-pool occupancy, checkpoint age) |
 //! | `POST /shutdown` | request a graceful stop: the hosting process polls [`AdminServer::stop_requested`] and (in durable mode) writes a final checkpoint before exiting |
 //!
 //! Every request bumps `rcc_admin_requests_total{path=...}`; unknown
@@ -307,6 +307,15 @@ fn render_health(cache: &MTCache, remote: Option<&TcpRemoteService>) -> String {
             ",\"backend_pool\":{{\"idle\":{idle},\"in_use\":{in_use}}}"
         );
     }
+    let plans = cache.backend().plan_cache();
+    let (hits, misses) = plans.stats();
+    let _ = write!(
+        out,
+        ",\"backend_plan_cache\":{{\"entries\":{},\"hits\":{hits},\"misses\":{misses},\
+         \"evictions\":{}}}",
+        plans.len(),
+        plans.evictions(),
+    );
     if let Some(d) = cache.durability_status() {
         let _ = write!(
             out,
@@ -422,6 +431,27 @@ mod tests {
             1
         );
         assert_eq!(snap.counter("rcc_admin_requests_total{path=\"other\"}"), 1);
+        admin.shutdown();
+    }
+
+    #[test]
+    fn healthz_reports_the_backend_plan_cache() {
+        let cache = Arc::new(rcc_mtcache::paper::paper_setup(0.001, 42).unwrap());
+        // no currency clause: plans remote, ships one text twice
+        for _ in 0..2 {
+            cache
+                .execute("SELECT c_acctbal FROM customer WHERE c_custkey = 5")
+                .unwrap();
+        }
+        let mut admin = AdminServer::spawn(Arc::clone(&cache), None, "127.0.0.1:0").unwrap();
+        let (status, body) = get(admin.addr(), "/healthz");
+        assert_eq!(status, 200);
+        assert!(
+            body.contains(
+                "\"backend_plan_cache\":{\"entries\":1,\"hits\":1,\"misses\":1,\"evictions\":0}"
+            ),
+            "{body}"
+        );
         admin.shutdown();
     }
 

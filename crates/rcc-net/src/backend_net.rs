@@ -12,7 +12,6 @@ use crate::server::POLL_INTERVAL;
 use parking_lot::Mutex;
 use rcc_common::{Error, NetworkModel};
 use rcc_mtcache::BackendServer;
-use rcc_obs::Tracer;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,32 +119,25 @@ fn handle_conn(backend: Arc<BackendServer>, stream: TcpStream, shutdown: Arc<Ato
                 },
                 Err(e) => Response::Error(e),
             },
-            Ok(Request::QueryTraced { sql, trace }) => {
-                // one throwaway tracer per request: its only job is to
-                // collect this execution's spans for the response frame
-                let tracer = Tracer::new(1);
-                let mut handle = tracer.trace(format!("remote of trace #{}", trace.trace_id));
-                match backend.query_wire_traced(&sql, &handle) {
-                    Ok(result_payload) => {
-                        let spans = handle.finish().map(|t| t.spans).unwrap_or_default();
-                        Response::ResultSetTraced {
-                            used_remote: false,
-                            warnings: Vec::new(),
-                            spans: spans
-                                .into_iter()
-                                .map(|s| WireSpan {
-                                    name: s.name,
-                                    depth: s.depth as u32,
-                                    start_us: s.start.as_micros() as u64,
-                                    elapsed_us: s.elapsed.as_micros() as u64,
-                                })
-                                .collect(),
-                            payload: result_payload,
-                        }
-                    }
-                    Err(e) => Response::Error(e),
-                }
-            }
+            // the trace context is the caller's to keep: the spans go back
+            // relative to this request's own start and are re-based there
+            Ok(Request::QueryTraced { sql, trace: _ }) => match backend.query_wire_traced(&sql) {
+                Ok((result_payload, phases)) => Response::ResultSetTraced {
+                    used_remote: false,
+                    warnings: Vec::new(),
+                    spans: phases
+                        .into_iter()
+                        .map(|p| WireSpan {
+                            name: p.name.to_string(),
+                            depth: 0,
+                            start_us: p.start.as_micros() as u64,
+                            elapsed_us: p.elapsed.as_micros() as u64,
+                        })
+                        .collect(),
+                    payload: result_payload,
+                },
+                Err(e) => Response::Error(e),
+            },
             Ok(Request::Ping) => Response::Pong,
             Ok(Request::SetOption { name, .. }) => Response::Error(Error::Config(format!(
                 "the back-end transport has no session options (got {name})"

@@ -169,10 +169,7 @@ impl Request {
     /// Append the frame payload to `buf` (a connection's frame buffer).
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Request::Query { sql } => {
-                buf.put_u8(TAG_QUERY);
-                put_str(buf, sql);
-            }
+            Request::Query { sql } => Request::encode_query_into(buf, sql, None),
             Request::SetOption { name, value } => {
                 buf.put_u8(TAG_SET_OPTION);
                 put_str(buf, name);
@@ -180,6 +177,21 @@ impl Request {
             }
             Request::Ping => buf.put_u8(TAG_PING),
             Request::QueryTraced { sql, trace } => {
+                Request::encode_query_into(buf, sql, Some(*trace))
+            }
+        }
+    }
+
+    /// Append the payload of a [`Request::Query`] — or, given `trace`, of a
+    /// [`Request::QueryTraced`] — for a statement the caller holds as
+    /// `&str`, without building the owning `Request` first.
+    pub fn encode_query_into(buf: &mut Vec<u8>, sql: &str, trace: Option<TraceContext>) {
+        match trace {
+            None => {
+                buf.put_u8(TAG_QUERY);
+                put_str(buf, sql);
+            }
+            Some(trace) => {
                 buf.put_u8(TAG_QUERY_TRACED);
                 put_str(buf, sql);
                 buf.put_u64_le(trace.trace_id);

@@ -3,6 +3,9 @@
 //! Plain blocking TCP: a checkout pops an idle connection (or dials a new
 //! one under a connect timeout), a checkin returns it for reuse up to the
 //! pool cap, and any I/O error discards it instead of poisoning the pool.
+//! The read/write deadlines are set once, when a connection is dialed:
+//! nothing else ever changes them on a pooled socket, so every later use
+//! is bounded by `io_timeout` without a `setsockopt` per call.
 //! A pooled connection is a [`FramedStream`]: its frame buffers travel with
 //! the socket, and one that comes back with unread bytes is out of
 //! protocol sync and is dropped, not reused. Occupancy is published as
@@ -14,7 +17,7 @@ use rcc_obs::{Gauge, MetricsRegistry};
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Tuning for [`BackendPool`].
@@ -25,7 +28,8 @@ pub struct PoolConfig {
     pub max_idle: usize,
     /// Dial timeout for new connections.
     pub connect_timeout: Duration,
-    /// Per-call read/write deadline applied to every pooled socket.
+    /// Read/write deadline of every pooled socket: bounds each read and
+    /// each write of every call made on it.
     pub io_timeout: Duration,
 }
 
@@ -46,7 +50,8 @@ pub struct BackendPool {
     cfg: PoolConfig,
     idle: Mutex<Vec<FramedStream<TcpStream>>>,
     in_use: AtomicUsize,
-    gauges: Mutex<Option<(Gauge, Gauge)>>,
+    /// `rcc_net_pool_idle`, `rcc_net_pool_in_use`.
+    gauges: OnceLock<(Gauge, Gauge)>,
 }
 
 impl BackendPool {
@@ -61,7 +66,7 @@ impl BackendPool {
             cfg,
             idle: Mutex::new(Vec::new()),
             in_use: AtomicUsize::new(0),
-            gauges: Mutex::new(None),
+            gauges: OnceLock::new(),
         })
     }
 
@@ -75,7 +80,8 @@ impl BackendPool {
         &self.cfg
     }
 
-    /// Publish `rcc_net_pool_idle` / `rcc_net_pool_in_use` gauges.
+    /// Publish `rcc_net_pool_idle` / `rcc_net_pool_in_use` gauges (to the
+    /// first registry given).
     pub fn set_metrics(&self, registry: &Arc<MetricsRegistry>) {
         registry.describe(
             "rcc_net_pool_idle",
@@ -87,33 +93,37 @@ impl BackendPool {
         );
         let idle = registry.gauge("rcc_net_pool_idle", &[]);
         let in_use = registry.gauge("rcc_net_pool_in_use", &[]);
-        *self.gauges.lock() = Some((idle, in_use));
+        let _ = self.gauges.set((idle, in_use));
     }
 
-    fn publish(&self) {
-        if let Some((idle, in_use)) = &*self.gauges.lock() {
-            idle.set(self.idle.lock().len() as f64);
+    /// `idle` is the idle list's length as the caller, who just held its
+    /// lock, left it.
+    fn publish(&self, idle: usize) {
+        if let Some((idle_gauge, in_use)) = self.gauges.get() {
+            idle_gauge.set(idle as f64);
             in_use.set(self.in_use.load(Ordering::Relaxed) as f64);
         }
     }
 
     /// Get a connection: an idle one if available, otherwise a fresh dial
-    /// under the connect timeout. Read/write deadlines are (re)applied.
+    /// under the connect timeout, with the read/write deadlines set.
     pub fn checkout(&self) -> io::Result<FramedStream<TcpStream>> {
-        let reused = self.idle.lock().pop();
+        let (reused, idle) = {
+            let mut idle = self.idle.lock();
+            (idle.pop(), idle.len())
+        };
         let conn = match reused {
             Some(c) => c,
             None => {
                 let s = TcpStream::connect_timeout(&self.addr, self.cfg.connect_timeout)?;
                 s.set_nodelay(true)?;
+                s.set_read_timeout(Some(self.cfg.io_timeout))?;
+                s.set_write_timeout(Some(self.cfg.io_timeout))?;
                 FramedStream::new(s)
             }
         };
-        conn.get_ref().set_read_timeout(Some(self.cfg.io_timeout))?;
-        conn.get_ref()
-            .set_write_timeout(Some(self.cfg.io_timeout))?;
         self.in_use.fetch_add(1, Ordering::Relaxed);
-        self.publish();
+        self.publish(idle);
         Ok(conn)
     }
 
@@ -122,26 +132,27 @@ impl BackendPool {
     /// response was fully read, so anything further is the peer out of
     /// protocol sync.
     pub fn checkin(&self, conn: FramedStream<TcpStream>) {
-        if !conn.has_unread() {
+        let idle = {
             let mut idle = self.idle.lock();
-            if idle.len() < self.cfg.max_idle {
+            if !conn.has_unread() && idle.len() < self.cfg.max_idle {
                 idle.push(conn);
             }
-        }
+            idle.len()
+        };
         self.in_use.fetch_sub(1, Ordering::Relaxed);
-        self.publish();
+        self.publish(idle);
     }
 
     /// Drop a connection that saw an I/O error (never reused).
     pub fn discard(&self) {
         self.in_use.fetch_sub(1, Ordering::Relaxed);
-        self.publish();
+        self.publish(self.idle.lock().len());
     }
 
     /// Close all idle connections (new checkouts will dial again).
     pub fn drain(&self) {
         self.idle.lock().clear();
-        self.publish();
+        self.publish(0);
     }
 
     /// (idle, in-use) connection counts.
@@ -154,8 +165,10 @@ impl BackendPool {
 mod tests {
     use super::*;
     use crate::frame::{read_frame, write_frame, Request, Response};
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     /// A back-end that answers every request with `Pong`, and — when told
     /// to misbehave — pushes three more bytes behind it in the same write.
@@ -209,6 +222,95 @@ mod tests {
         assert!(conn.has_unread(), "the stray bytes came in the same read");
         pool.checkin(conn);
         assert_eq!(pool.occupancy(), (0, 0), "dropped, and not counted in use");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn deadlines_set_at_dial_still_bound_a_reused_connection() {
+        // The peer answers the first request whole; of the second response
+        // it sends all but the last byte, then stalls until told to go on. It takes each request with one `read` and
+        // insists the whole frame is there: the caller sent it with one
+        // `write`.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, released) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &Request::Ping.encode()).unwrap();
+            let mut pong = Vec::new();
+            write_frame(&mut pong, &Response::Pong.encode()).unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut buf = [0u8; 64];
+            for stall in [false, true] {
+                let n = stream.read(&mut buf).unwrap();
+                assert_eq!(&buf[..n], &framed[..], "one request, one write");
+                if stall {
+                    stream.write_all(&pong[..pong.len() - 1]).unwrap();
+                    released.recv().unwrap();
+                } else {
+                    stream.write_all(&pong).unwrap();
+                }
+            }
+            // the retry arrives on a connection of its own
+            let (mut stream, _) = listener.accept().unwrap();
+            let n = stream.read(&mut buf).unwrap();
+            assert_eq!(&buf[..n], &framed[..]);
+            stream.write_all(&pong).unwrap();
+        });
+
+        let io_timeout = Duration::from_millis(200);
+        // (the kernel keeps a deadline in whole timer ticks)
+        let set_at_dial = |got: Option<Duration>| {
+            let got = got.expect("a deadline is set");
+            assert!(
+                got >= io_timeout && got < io_timeout + Duration::from_millis(10),
+                "{got:?}"
+            );
+        };
+        let pool = BackendPool::new(
+            addr,
+            PoolConfig {
+                io_timeout,
+                ..PoolConfig::default()
+            },
+        )
+        .unwrap();
+        let mut conn = pool.checkout().unwrap();
+        ping(&mut conn);
+        let local = conn.get_ref().local_addr().unwrap();
+        pool.checkin(conn);
+
+        // second use of the pooled socket: no `setsockopt` since the dial,
+        // and the deadlines are the ones set then
+        let mut conn = pool.checkout().unwrap();
+        assert_eq!(conn.get_ref().local_addr().unwrap(), local, "reused");
+        set_at_dial(conn.get_ref().read_timeout().unwrap());
+        set_at_dial(conn.get_ref().write_timeout().unwrap());
+        Request::Ping.encode_into(conn.begin_frame());
+        conn.send_frame().unwrap();
+        let started = Instant::now();
+        let err = conn.read_frame().unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+            ),
+            "{err}"
+        );
+        assert!(started.elapsed() >= io_timeout);
+        assert!(started.elapsed() < io_timeout * 20, "bounded by io_timeout");
+        drop(conn);
+        pool.discard();
+        assert_eq!(pool.occupancy(), (0, 0));
+        release.send(()).unwrap();
+
+        // the retry dials again, with the same deadlines
+        let mut conn = pool.checkout().unwrap();
+        assert_ne!(conn.get_ref().local_addr().unwrap(), local, "a new socket");
+        set_at_dial(conn.get_ref().read_timeout().unwrap());
+        ping(&mut conn);
+        pool.checkin(conn);
+        assert_eq!(pool.occupancy(), (1, 0));
         server.join().unwrap();
     }
 }

@@ -13,13 +13,12 @@
 
 use crate::frame::{FramedStream, Request, Response, TraceContext, WireSpan};
 use crate::pool::{BackendPool, PoolConfig};
-use parking_lot::Mutex;
 use rcc_common::{Error, Result, Row, Schema};
 use rcc_executor::{wire, RemoteService};
-use rcc_obs::{MetricsRegistry, SpanRecord, TraceRef, DEFAULT_LATENCY_BUCKETS};
+use rcc_obs::{Histogram, MetricsRegistry, SpanRecord, TraceRef, DEFAULT_LATENCY_BUCKETS};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Bounded retry-with-backoff for transport failures.
@@ -45,7 +44,17 @@ impl Default for RetryPolicy {
 pub struct TcpRemoteService {
     pool: BackendPool,
     retry: RetryPolicy,
-    metrics: Mutex<Option<Arc<MetricsRegistry>>>,
+    metrics: OnceLock<RemoteMetrics>,
+}
+
+/// The registry the transport reports to. The one metric every call
+/// touches is a held handle, resolved on the first call (so that is still
+/// when it enters the exposition); the failure counters are looked up by
+/// name where they happen.
+#[derive(Debug)]
+struct RemoteMetrics {
+    registry: Arc<MetricsRegistry>,
+    call_seconds: OnceLock<Histogram>,
 }
 
 /// One call attempt's failure mode: transport errors are retryable,
@@ -66,7 +75,7 @@ impl TcpRemoteService {
         Ok(TcpRemoteService {
             pool: BackendPool::new(addr, pool)?,
             retry,
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         })
     }
 
@@ -76,7 +85,8 @@ impl TcpRemoteService {
     }
 
     /// Publish transport metrics: call latency histogram, retry/timeout/
-    /// unavailable counters, and the pool occupancy gauges.
+    /// unavailable counters, and the pool occupancy gauges (to the first
+    /// registry given; a transport reports to one).
     pub fn set_metrics(&self, registry: Arc<MetricsRegistry>) {
         registry.describe(
             "rcc_net_remote_call_seconds",
@@ -95,7 +105,10 @@ impl TcpRemoteService {
             "Remote calls that exhausted every retry and degraded per policy.",
         );
         self.pool.set_metrics(&registry);
-        *self.metrics.lock() = Some(registry);
+        let _ = self.metrics.set(RemoteMetrics {
+            registry,
+            call_seconds: OnceLock::new(),
+        });
     }
 
     /// One framed request/response round trip on a pooled connection.
@@ -128,21 +141,13 @@ impl TcpRemoteService {
         sql: &str,
         trace: Option<&TraceRef>,
     ) -> std::result::Result<(Schema, Vec<Row>, u64), CallError> {
-        let req = match trace {
-            Some(t) => Request::QueryTraced {
-                sql: sql.to_string(),
-                trace: TraceContext {
-                    trace_id: t.id(),
-                    parent_depth: t.current_depth() as u32,
-                },
-            },
-            None => Request::Query {
-                sql: sql.to_string(),
-            },
-        };
+        let context = trace.map(|t| TraceContext {
+            trace_id: t.id(),
+            parent_depth: t.current_depth() as u32,
+        });
         // remote span offsets are relative to this moment on our timeline
         let sent_at = trace.map(|t| t.elapsed());
-        req.encode_into(conn.begin_frame());
+        Request::encode_query_into(conn.begin_frame(), sql, context);
         conn.send_frame().map_err(CallError::Transport)?;
         let payload = conn
             .read_frame()
@@ -175,8 +180,8 @@ impl TcpRemoteService {
     }
 
     fn counter(&self, name: &str) {
-        if let Some(m) = &*self.metrics.lock() {
-            m.counter(name, &[]).inc();
+        if let Some(m) = self.metrics.get() {
+            m.registry.counter(name, &[]).inc();
         }
     }
 
@@ -199,8 +204,15 @@ impl TcpRemoteService {
             }
             match self.call_once(sql, trace) {
                 Ok(out) => {
-                    if let Some(m) = &*self.metrics.lock() {
-                        m.histogram("rcc_net_remote_call_seconds", &[], DEFAULT_LATENCY_BUCKETS)
+                    if let Some(m) = self.metrics.get() {
+                        m.call_seconds
+                            .get_or_init(|| {
+                                m.registry.histogram(
+                                    "rcc_net_remote_call_seconds",
+                                    &[],
+                                    DEFAULT_LATENCY_BUCKETS,
+                                )
+                            })
                             .observe(started.elapsed().as_secs_f64());
                     }
                     return Ok(out);

@@ -1,17 +1,20 @@
 //! Loopback integration: N concurrent clients against one [`NetServer`],
 //! checking result correctness, per-session isolation of currency options,
-//! and that the front-end request counters add up exactly.
+//! and that the front-end request counters add up exactly; then the second
+//! hop — the back-end behind its own listener, serving shipped statements
+//! from its plan cache.
 
 use rcc_common::Duration as SimDuration;
 use rcc_common::Error;
+use rcc_executor::RemoteService;
 use rcc_mtcache::paper::{paper_setup, warm_up};
 use rcc_mtcache::{MTCache, ViolationPolicy};
 use rcc_net::{
     BackendNetServer, ClientConfig, NetClient, NetServer, NetServerConfig, PoolConfig, RetryPolicy,
     TcpRemoteService,
 };
-use rcc_obs::EventKind;
-use std::sync::Arc;
+use rcc_obs::{EventKind, Tracer};
+use std::sync::{Arc, Barrier};
 
 const N_CLIENTS: usize = 4;
 const QUERIES_PER_CLIENT: usize = 25;
@@ -282,18 +285,7 @@ fn accept_pool_is_bounded() {
 fn remote_query_merges_backend_spans_into_one_trace() {
     // full rig: cache front-end + back-end behind its own TCP listener,
     // remote branch over the pooled transport (the trace-context path)
-    let cache = Arc::new({
-        let c = paper_setup(0.001, 7).unwrap();
-        warm_up(&c).unwrap();
-        c
-    });
-    let _backend_srv = BackendNetServer::spawn(Arc::clone(cache.backend()), "127.0.0.1:0").unwrap();
-    let remote = TcpRemoteService::new(
-        _backend_srv.addr(),
-        PoolConfig::default(),
-        RetryPolicy::default(),
-    )
-    .unwrap();
+    let (cache, _backend_srv, remote) = backend_rig();
     remote.set_metrics(Arc::clone(cache.metrics()));
     cache.set_remote_service(Some(Arc::new(remote)));
     let server = NetServer::spawn(
@@ -416,4 +408,120 @@ fn outage_lands_degradation_event_with_policy_arm() {
     // ...and SHOW EVENTS surfaces the journal over the wire
     let r = stale_ok.query("SHOW EVENTS").unwrap();
     assert!(!r.rows.is_empty(), "SHOW EVENTS returns the journal rows");
+}
+
+/// The back-end of a loaded cache behind its own listener, and the pooled
+/// transport to it.
+fn backend_rig() -> (Arc<MTCache>, BackendNetServer, TcpRemoteService) {
+    let cache = paper_setup(0.001, 7).unwrap();
+    warm_up(&cache).unwrap();
+    let cache = Arc::new(cache);
+    let server = BackendNetServer::spawn(Arc::clone(cache.backend()), "127.0.0.1:0").unwrap();
+    let remote =
+        TcpRemoteService::new(server.addr(), PoolConfig::default(), RetryPolicy::default())
+            .unwrap();
+    (cache, server, remote)
+}
+
+#[test]
+fn a_shipped_text_is_parsed_and_planned_on_its_first_call_only() {
+    let (_cache, _server, remote) = backend_rig();
+    let tracer = Tracer::new(4);
+    let backend_spans = |sql: &str| -> Vec<String> {
+        let mut handle = tracer.trace(sql);
+        let shared = handle.share().unwrap();
+        let (_, rows, _) = remote.execute_traced(sql, Some(&shared)).unwrap();
+        assert_eq!(rows.len(), 1);
+        let mut spans = handle.finish().unwrap().spans;
+        spans.sort_by_key(|s| s.start);
+        spans
+            .into_iter()
+            .filter(|s| s.name.starts_with("backend:"))
+            .map(|s| s.name)
+            .collect()
+    };
+    let text = "SELECT c_acctbal FROM customer WHERE c_custkey = 5";
+    assert_eq!(
+        backend_spans(text),
+        [
+            "backend:parse",
+            "backend:plan",
+            "backend:execute",
+            "backend:encode"
+        ]
+    );
+    for _ in 0..3 {
+        assert_eq!(
+            backend_spans(text),
+            ["backend:execute", "backend:encode"],
+            "a plan-cache hit: neither happened, neither is reported"
+        );
+    }
+}
+
+#[test]
+fn concurrent_shippers_never_get_a_plan_from_before_a_catalog_change() {
+    const TEXTS: usize = 32;
+    const ROUNDS: usize = 6;
+    let (cache, _server, remote) = backend_rig();
+    let texts: Vec<String> = (1..=TEXTS)
+        .map(|k| format!("SELECT c_name, c_acctbal FROM customer WHERE c_custkey = {k}"))
+        .collect();
+    // ANALYZE moves the catalog version and nothing else: every answer
+    // stays what the back-end said before anything ran concurrently
+    let oracle: Vec<_> = texts
+        .iter()
+        .map(|t| cache.backend().query(t).unwrap().1)
+        .collect();
+    let plans = cache.backend().plan_cache();
+    // two shippers + the analyzer, released together and collected together
+    let barrier = Barrier::new(3);
+    let ship_all = || {
+        for (text, expected) in texts.iter().zip(&oracle) {
+            let (_, rows, _) = remote.execute_with_bytes(text).unwrap();
+            assert_eq!(&rows, expected, "{text}");
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..ROUNDS {
+                    // racing the analyzer: plans compiled across version
+                    // changes, answers always right
+                    barrier.wait();
+                    ship_all();
+                    barrier.wait();
+                    // the analyzer moves the version once more, alone ...
+                    barrier.wait();
+                    // ... and every text's next lookup has to miss
+                    ship_all();
+                    barrier.wait();
+                }
+            });
+        }
+        for _ in 0..ROUNDS {
+            barrier.wait();
+            for _ in 0..8 {
+                cache.analyze("customer").unwrap();
+            }
+            barrier.wait();
+            let (_, misses_before) = plans.stats();
+            let version = cache.catalog().version();
+            cache.analyze("customer").unwrap();
+            assert!(cache.catalog().version() > version);
+            barrier.wait();
+            barrier.wait();
+            let (_, misses) = plans.stats();
+            assert!(
+                misses - misses_before >= TEXTS as u64,
+                "{} of {TEXTS} texts were planned again after the version moved",
+                misses - misses_before
+            );
+            assert_eq!(
+                cache.catalog().version(),
+                version + 1,
+                "nothing else moved it"
+            );
+        }
+    });
 }

@@ -16,6 +16,18 @@ pub const METRICS: &[(&str, &str)] = &[
         "Admin HTTP requests served per route",
     ),
     (
+        "rcc_backend_plan_cache_evictions_total",
+        "Plans dropped to bound the back-end's plan cache",
+    ),
+    (
+        "rcc_backend_plan_cache_hits_total",
+        "Shipped statements served from a cached plan",
+    ),
+    (
+        "rcc_backend_plan_cache_misses_total",
+        "Shipped statements the back-end parsed and planned",
+    ),
+    (
         "rcc_batch_produced_total",
         "Column batches produced by executors",
     ),
