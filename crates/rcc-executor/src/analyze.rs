@@ -154,6 +154,7 @@ pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<A
     let mut entries = Vec::new();
     let mut op = build_wrapped(
         plan,
+        &ctx.slots,
         0,
         &mut |node, depth| {
             let meter = Arc::new(NodeMeter::default());
@@ -356,7 +357,7 @@ mod tests {
         let sizes: Vec<usize> = batched.batches.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, [256, 256, 256, 256, 256, 256, 256, 208]);
         // one batch per call, from the first call on
-        let mut op = crate::build::build_operator(&scan);
+        let mut op = crate::build::build_operator(&scan, &[]);
         op.open(&ctx).unwrap();
         assert_eq!(op.next_batch(&ctx).unwrap().map(|b| b.len()), Some(256));
         op.close(&ctx).unwrap();

@@ -225,7 +225,7 @@ impl PhysExpr {
             BoundExpr::Column { qualifier, name } => {
                 PhysExpr::Col(schema.resolve(Some(qualifier), name)?)
             }
-            BoundExpr::Literal(v) => PhysExpr::Lit(v.clone()),
+            BoundExpr::Literal(v) | BoundExpr::Slot { value: v, .. } => PhysExpr::Lit(v.clone()),
             BoundExpr::GetDate => PhysExpr::GetDate,
             BoundExpr::Binary { left, op, right } => PhysExpr::Binary {
                 left: Box::new(PhysExpr::compile(left, schema)?),

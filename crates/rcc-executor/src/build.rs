@@ -3,8 +3,8 @@
 use crate::batch::Batch;
 use crate::context::ExecContext;
 use crate::ops::*;
-use rcc_common::{Result, Row, Schema};
-use rcc_optimizer::PhysicalPlan;
+use rcc_common::{Result, Row, Schema, Value};
+use rcc_optimizer::{BoundExpr, PhysicalPlan};
 use std::time::Instant;
 
 /// Elapsed wall time per execution phase — the breakdown the paper's
@@ -37,9 +37,14 @@ pub struct ExecutionResult {
     pub timings: PhaseTimings,
 }
 
-/// Translate a physical plan into an operator tree.
-pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
-    build_wrapped(plan, 0, &mut |_, _| (), &|(), op| op)
+/// Translate a physical plan into an operator tree for an execution whose
+/// statement-slot values are `slots` (empty: the values the plan was
+/// compiled for). What a node hands its operator is copied out of the plan
+/// either way; here each slot — in an expression, a seek range, shipped
+/// SQL — is copied with the execution's value in it, so operators never
+/// see one.
+pub fn build_operator(plan: &PhysicalPlan, slots: &[Value]) -> BoxedOp {
+    build_wrapped(plan, slots, 0, &mut |_, _| (), &|(), op| op)
 }
 
 /// [`build_operator`] with a hook around every node: `enter` sees each
@@ -49,22 +54,30 @@ pub fn build_operator(plan: &PhysicalPlan) -> BoxedOp {
 /// meters every operator this way without a second plan walk.
 pub(crate) fn build_wrapped<T>(
     plan: &PhysicalPlan,
+    slots: &[Value],
     depth: usize,
     enter: &mut dyn FnMut(&PhysicalPlan, usize) -> T,
     wrap: &dyn Fn(T, BoxedOp) -> BoxedOp,
 ) -> BoxedOp {
     let token = enter(plan, depth);
-    let mut child = |plan: &PhysicalPlan| build_wrapped(plan, depth + 1, enter, wrap);
+    let mut child = |plan: &PhysicalPlan| build_wrapped(plan, slots, depth + 1, enter, wrap);
+    let expr = |e: &BoundExpr| e.with_slots(slots);
+    let exprs = |es: &[BoundExpr]| es.iter().map(expr).collect::<Vec<_>>();
+    let named = |es: &[(BoundExpr, String)]| {
+        es.iter()
+            .map(|(e, name)| (expr(e), name.clone()))
+            .collect::<Vec<_>>()
+    };
     let op: BoxedOp = match plan {
         PhysicalPlan::OneRow => Box::new(OneRowOp::new()),
         PhysicalPlan::LocalScan(n) => Box::new(LocalScanOp::new(
             n.object.clone(),
             n.schema.clone(),
-            n.access.clone(),
-            n.residual.clone(),
+            n.access.with_slots(slots),
+            n.residual.as_ref().map(expr),
         )),
         PhysicalPlan::RemoteQuery(n) => {
-            Box::new(RemoteQueryOp::new(n.sql.clone(), n.schema.clone()))
+            Box::new(RemoteQueryOp::new(n.sql.render(slots), n.schema.clone()))
         }
         PhysicalPlan::SwitchUnion {
             guard,
@@ -76,10 +89,10 @@ pub(crate) fn build_wrapped<T>(
             child(remote),
         )),
         PhysicalPlan::Filter { input, predicate } => {
-            Box::new(FilterOp::new(child(input), predicate.clone()))
+            Box::new(FilterOp::new(child(input), expr(predicate)))
         }
         PhysicalPlan::Project { input, exprs } => {
-            Box::new(ProjectOp::new(child(input), exprs.clone()))
+            Box::new(ProjectOp::new(child(input), named(exprs)))
         }
         PhysicalPlan::HashJoin {
             left,
@@ -90,8 +103,8 @@ pub(crate) fn build_wrapped<T>(
         } => Box::new(HashJoinOp::new(
             child(left),
             child(right),
-            left_keys.clone(),
-            right_keys.clone(),
+            exprs(left_keys),
+            exprs(right_keys),
             *kind,
         )),
         PhysicalPlan::MergeJoin {
@@ -105,8 +118,8 @@ pub(crate) fn build_wrapped<T>(
             Box::new(MergeJoinOp::new(
                 child(left),
                 child(right),
-                left_key.clone(),
-                right_key.clone(),
+                expr(left_key),
+                expr(right_key),
             ))
         }
         PhysicalPlan::IndexNLJoin {
@@ -116,8 +129,8 @@ pub(crate) fn build_wrapped<T>(
             kind,
         } => Box::new(IndexNLJoinOp::new(
             child(outer),
-            outer_key.clone(),
-            inner.clone(),
+            expr(outer_key),
+            inner.with_slots(slots),
             *kind,
         )),
         PhysicalPlan::HashAggregate {
@@ -127,9 +140,9 @@ pub(crate) fn build_wrapped<T>(
             having,
         } => Box::new(HashAggregateOp::new(
             child(input),
-            group_by.clone(),
-            aggs.clone(),
-            having.clone(),
+            named(group_by),
+            aggs.iter().map(|a| a.with_slots(slots)).collect(),
+            having.as_ref().map(expr),
         )),
         PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(child(input), keys.clone())),
         PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(child(input), *n)),
@@ -177,7 +190,7 @@ pub fn execute_plan_batched(
 ) -> Result<BatchExecutionResult> {
     use std::sync::atomic::Ordering;
     let t0 = Instant::now();
-    let mut op = build_operator(plan);
+    let mut op = build_operator(plan, &ctx.slots);
     op.open(ctx)?;
     let t1 = Instant::now();
 
@@ -314,7 +327,7 @@ mod tests {
         let plan = scan(
             AccessPath::ClusteredRange {
                 column: "id".into(),
-                range: KeyRange::less_than(Value::Int(3)),
+                range: KeyRange::less_than(Value::Int(3)).into(),
             },
             None,
         );
@@ -323,7 +336,7 @@ mod tests {
             AccessPath::IndexRange {
                 index: "ix_grp".into(),
                 column: "grp".into(),
-                range: KeyRange::eq(Value::Int(0)),
+                range: KeyRange::eq(Value::Int(0)).into(),
             },
             None,
         );
@@ -414,7 +427,7 @@ mod tests {
                 schema: items_schema("u"),
                 access: AccessPath::ClusteredRange {
                     column: "id".into(),
-                    range: KeyRange::less_than(Value::Int(3)),
+                    range: KeyRange::less_than(Value::Int(3)).into(),
                 },
                 residual: None,
                 operand: 1,
@@ -442,7 +455,7 @@ mod tests {
                 schema: items_schema("t"),
                 access: AccessPath::ClusteredRange {
                     column: "id".into(),
-                    range: KeyRange::less_than(Value::Int(2)),
+                    range: KeyRange::less_than(Value::Int(2)).into(),
                 },
                 residual: None,
                 operand: 0,
@@ -482,7 +495,7 @@ mod tests {
                 schema: items_schema("t"),
                 access: AccessPath::ClusteredRange {
                     column: "id".into(),
-                    range: KeyRange::eq(Value::Int(0)),
+                    range: KeyRange::eq(Value::Int(0)).into(),
                 },
                 residual: None,
                 operand: 0,
@@ -549,7 +562,7 @@ mod tests {
             input: Box::new(scan(
                 AccessPath::ClusteredRange {
                     column: "id".into(),
-                    range: KeyRange::greater_than(Value::Int(100)),
+                    range: KeyRange::greater_than(Value::Int(100)).into(),
                 },
                 None,
             )),
@@ -669,7 +682,7 @@ mod tests {
                 AccessPath::IndexRange {
                     index: "ix_grp".into(),
                     column: "grp".into(),
-                    range: KeyRange::eq(Value::Int(0)),
+                    range: KeyRange::eq(Value::Int(0)).into(),
                 },
                 None,
             ),
@@ -792,7 +805,7 @@ mod merge_join_tests {
                 ["k", "v"],
                 AccessPath::ClusteredRange {
                     column: "k".into(),
-                    range: KeyRange::all(),
+                    range: KeyRange::all().into(),
                 },
             )),
             // right side ordered on k via the secondary index
@@ -803,7 +816,7 @@ mod merge_join_tests {
                 AccessPath::IndexRange {
                     index: "ix_k".into(),
                     column: "k".into(),
-                    range: KeyRange::all(),
+                    range: KeyRange::all().into(),
                 },
             )),
             left_key: BoundExpr::col("a", "k"),
@@ -840,7 +853,7 @@ mod merge_join_tests {
                 ["k", "v"],
                 AccessPath::ClusteredRange {
                     column: "k".into(),
-                    range: KeyRange::all(),
+                    range: KeyRange::all().into(),
                 },
             )),
             right: Box::new(scan("r", "b", ["k", "id"], AccessPath::FullScan)),
@@ -867,7 +880,7 @@ mod merge_join_tests {
                 ["k", "v"],
                 AccessPath::ClusteredRange {
                     column: "k".into(),
-                    range: KeyRange::greater_than(Value::Int(100)),
+                    range: KeyRange::greater_than(Value::Int(100)).into(),
                 },
             )),
             right: Box::new(scan(
@@ -877,7 +890,7 @@ mod merge_join_tests {
                 AccessPath::IndexRange {
                     index: "ix_k".into(),
                     column: "k".into(),
-                    range: KeyRange::all(),
+                    range: KeyRange::all().into(),
                 },
             )),
             left_key: BoundExpr::col("a", "k"),
@@ -933,7 +946,7 @@ mod edge_case_tests {
             ]),
             access: AccessPath::ClusteredRange {
                 column: "id".into(),
-                range: KeyRange::all(),
+                range: KeyRange::all().into(),
             },
             residual: None,
             operand: 0,

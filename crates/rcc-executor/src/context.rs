@@ -1,7 +1,7 @@
 //! Execution context: storage, the remote service, clock, counters.
 
 use parking_lot::Mutex;
-use rcc_common::{Clock, Duration, RegionId, Result, Row, ScanPool, Schema, Timestamp};
+use rcc_common::{Clock, Duration, RegionId, Result, Row, ScanPool, Schema, Timestamp, Value};
 use rcc_obs::{HandlesByKey, Histogram, MetricsRegistry, TraceRef};
 use rcc_storage::StorageEngine;
 use std::collections::HashMap;
@@ -320,6 +320,10 @@ pub struct ExecContext {
     /// recorded on the other side of the wire land in the same tree.
     /// `None` outside a traced server path.
     pub trace: Option<TraceRef>,
+    /// The statement's slot values, by slot number: what a plan's
+    /// `BoundExpr::Slot`s, seek ranges and shipped SQL hold in *this*
+    /// execution. Empty runs the plan with the values it was compiled for.
+    pub slots: Arc<Vec<Value>>,
 }
 
 /// Default morsel granularity: big enough that per-morsel dispatch cost is
@@ -352,6 +356,7 @@ impl ExecContext {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             batch_rows: crate::batch::DEFAULT_BATCH_ROWS,
             trace: None,
+            slots: Arc::default(),
         }
     }
 

@@ -90,7 +90,9 @@ pub(crate) fn expr_type(expr: &BoundExpr, input: &Schema) -> DataType {
         BoundExpr::Column { qualifier, name } => input
             .resolve(Some(qualifier), name)
             .map_or(DataType::Int, |i| input.column(i).data_type),
-        BoundExpr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
+        BoundExpr::Literal(v) | BoundExpr::Slot { value: v, .. } => {
+            v.data_type().unwrap_or(DataType::Int)
+        }
         BoundExpr::GetDate => DataType::Timestamp,
         BoundExpr::Binary { left, op, right } => match op {
             BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
@@ -487,8 +489,8 @@ impl Operator for LocalScanOp {
         let all = KeyRange::all();
         let (index, range) = match &self.access {
             AccessPath::FullScan => (None, &all),
-            AccessPath::ClusteredRange { range, .. } => (None, range),
-            AccessPath::IndexRange { index, range, .. } => (Some(index.as_str()), range),
+            AccessPath::ClusteredRange { range, .. } => (None, &range.range),
+            AccessPath::IndexRange { index, range, .. } => (Some(index.as_str()), &range.range),
         };
         let parallel = match index {
             None => scatter_clustered(ctx, &table, range, &kernel)?,

@@ -1253,7 +1253,7 @@ pub fn build_row_operator(plan: &PhysicalPlan) -> BoxedRowOp {
             n.residual.clone(),
         )),
         PhysicalPlan::RemoteQuery(n) => {
-            Box::new(RemoteQueryOp::new(n.sql.clone(), n.schema.clone()))
+            Box::new(RemoteQueryOp::new(n.sql.to_string(), n.schema.clone()))
         }
         PhysicalPlan::SwitchUnion {
             guard,
@@ -1344,7 +1344,10 @@ pub fn build_row_operator(plan: &PhysicalPlan) -> BoxedRowOp {
 /// `rcc-bench` holds the two to byte-equal wire output.
 pub fn execute_plan_rows(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<ExecutionResult> {
     let t0 = Instant::now();
-    let mut op = build_row_operator(plan);
+    // the reference engine knows nothing of statement slots: it is handed
+    // the plan with this execution's values in place
+    let resolved = (!ctx.slots.is_empty()).then(|| plan.with_slots(&ctx.slots));
+    let mut op = build_row_operator(resolved.as_ref().unwrap_or(plan));
     op.open(ctx)?;
     let t1 = Instant::now();
 

@@ -321,7 +321,7 @@ fn scan_from(first_key: i64) -> PhysicalPlan {
         ]),
         access: AccessPath::ClusteredRange {
             column: "k".into(),
-            range: KeyRange::at_least(Value::Int(first_key)),
+            range: KeyRange::at_least(Value::Int(first_key)).into(),
         },
         residual: None,
         operand: 0,

@@ -1234,7 +1234,7 @@ mod tests {
                 heartbeat_table: "heartbeat_cr2".to_string(),
                 bound: Duration::from_secs(30),
             }),
-            remote_sql: Some("SELECT 1".to_string()),
+            remote_sql: Some("SELECT 1".into()),
             operand: 1,
             est_rows_per_probe: 1.0,
             force_remote: false,

@@ -1,13 +1,16 @@
 //! The back-end server: executes shipped SQL against the master database.
 //!
 //! The texts it is sent are the optimizer's own `sqlgen` output — the same
-//! few statements over and over — so it keeps their plans in the same
-//! bounded [`PlanCache`] the mid-tier cache uses, looks a shipped text up
-//! *before* parsing it, and serves a hit without parsing, binding or
-//! optimizing. Only a statement that passed both rejections (not a
-//! `SELECT`, carries a currency clause) is ever inserted, so a hit cannot
-//! skip a check the miss path makes; validity is [`Catalog::version`],
-//! which every DDL and `ANALYZE` on the shared catalog moves.
+//! few statement shapes over and over, differing in the constants the
+//! front-end's statements held — so it keeps their plans in the same
+//! bounded, shape-keyed [`PlanCache`] the mid-tier cache uses, through the
+//! same [`PlanCache::find_or_compile`]: a shipped text is split into shape
+//! and slot values *before* it is parsed, and a hit is served without
+//! parsing, binding or optimizing, whether or not this very text was seen
+//! before. Only a statement that passed both rejections (not a `SELECT`,
+//! carries a currency clause) is ever inserted, so a hit cannot skip a
+//! check the miss path makes; validity is [`Catalog::version`], which
+//! every DDL and `ANALYZE` on the shared catalog moves.
 
 use crate::plan_cache::PlanCache;
 use bytes::Bytes;
@@ -18,8 +21,9 @@ use rcc_common::{Error, NetworkModel, Result, Row, Schema};
 use rcc_executor::{ExecContext, RemoteService};
 use rcc_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use rcc_optimizer::optimize::Optimized;
-use rcc_optimizer::{bind_select, optimize, OptimizerConfig};
-use rcc_sql::{parse_statement, SelectStmt, Statement};
+use rcc_optimizer::{bind_select_slots, optimize, slot_domains, OptimizerConfig};
+use rcc_sql::{parse_shape, parse_statement, Shape};
+use rcc_storage::KeyRange;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -32,7 +36,7 @@ pub struct BackendServer {
     master: Arc<MasterDb>,
     catalog: Arc<Catalog>,
     config: OptimizerConfig,
-    /// Plans of the shipped statements, keyed by their text.
+    /// Plans of the shipped statements, keyed by their shape.
     plans: Arc<PlanCache<Optimized>>,
     /// Who pays for the round trip: simulated latency knobs, or a real
     /// transport (in which case no artificial delay is ever injected).
@@ -254,15 +258,23 @@ impl BackendServer {
     /// schema (which keeps its binding qualifiers — the wire format does
     /// not carry them) alongside the encoded payload.
     fn run_select(&self, sql: &str, phases: &mut Phases) -> Result<(Schema, Bytes)> {
-        let optimized = match self.plans.get(sql) {
-            Some(plan) => plan,
-            None => self.compile(sql, phases)?,
+        let no_params = HashMap::new();
+        let Some(shape) = rcc_sql::shape(sql, &no_params) else {
+            // not a SELECT (or not a statement): say what it is instead
+            let other = phases.run("backend:parse", || parse_statement(sql))?;
+            return Err(Error::Remote(format!(
+                "back-end remote interface only accepts SELECT, got {other:?}"
+            )));
         };
-        let ctx = ExecContext::new(
+        let (optimized, _) = self.plans.find_or_compile(&shape.key, &shape.values, || {
+            self.compile(sql, &shape, phases)
+        })?;
+        let mut ctx = ExecContext::new(
             Arc::clone(self.master.storage()),
             None,
             Arc::clone(self.master.clock()),
         );
+        ctx.slots = Arc::new(shape.values);
         let result = phases.run("backend:execute", || {
             rcc_executor::execute_plan_batched(&optimized.plan, &ctx)
         })?;
@@ -282,33 +294,26 @@ impl BackendServer {
     }
 
     /// The miss path: parse, reject what the remote interface does not
-    /// take, plan, and cache the plan under the text.
-    fn compile(&self, sql: &str, phases: &mut Phases) -> Result<Arc<Optimized>> {
-        // read before anything of the catalog is: the plan is tagged with
-        // the epoch it was compiled under
-        let epoch = self.plans.epoch();
-        let select = phases.run("backend:parse", || -> Result<SelectStmt> {
-            match parse_statement(sql)? {
-                Statement::Select(s) => Ok(*s),
-                other => Err(Error::Remote(format!(
-                    "back-end remote interface only accepts SELECT, got {other:?}"
-                ))),
-            }
-        })?;
+    /// take, plan for the statement's slot values and say for which values
+    /// the plan holds.
+    fn compile(
+        &self,
+        sql: &str,
+        shape: &Shape,
+        phases: &mut Phases,
+    ) -> Result<(Optimized, Vec<KeyRange>)> {
+        let select = phases.run("backend:parse", || parse_shape(shape, sql))?;
         if select.currency.is_some() {
             return Err(Error::Remote(
                 "currency clauses must not reach the back-end (it always serves the latest snapshot)"
                     .into(),
             ));
         }
-        self.plans.count_miss();
-        let optimized = phases.run("backend:plan", || -> Result<Optimized> {
-            let graph = bind_select(&self.catalog, &select, &HashMap::new())?;
-            optimize(&self.catalog, &graph, &self.config)
-        })?;
-        let optimized = Arc::new(optimized);
-        self.plans.put(sql, Arc::clone(&optimized), epoch);
-        Ok(optimized)
+        phases.run("backend:plan", || {
+            let graph = bind_select_slots(&self.catalog, &select, &HashMap::new(), &shape.values)?;
+            let optimized = optimize(&self.catalog, &graph, &self.config)?;
+            Ok((optimized, slot_domains(&self.catalog, &graph)))
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Query results.
 
 use crate::plan_cache::CompiledQuery;
-use rcc_common::{Row, Schema, TableId};
+use rcc_common::{Row, Schema, TableId, Value};
 use rcc_executor::context::GuardObservation;
 use rcc_executor::PhaseTimings;
 use rcc_obs::QueryStats;
@@ -49,8 +49,9 @@ pub(crate) enum PlanExplain {
     /// Already text: the EXPLAIN ANALYZE printout, or a plan that was
     /// optimized for this statement only.
     Text(String),
-    /// The compiled query that was executed.
-    Plan(Arc<CompiledQuery>),
+    /// The compiled query that was executed, and the statement-slot values
+    /// it was executed with.
+    Plan(Arc<CompiledQuery>, Arc<Vec<Value>>),
 }
 
 impl QueryResult {
@@ -72,12 +73,18 @@ impl QueryResult {
     }
 
     /// EXPLAIN rendering of the executed plan — for `EXPLAIN ANALYZE`, the
-    /// instrumented printout. Empty for statements that ran no plan.
+    /// instrumented printout. Empty for statements that ran no plan. A
+    /// statement slot is printed as its marker with the value this
+    /// execution bound to it (`?0=17`), which for a plan served from the
+    /// cache need not be the value the plan was compiled with; shipped SQL
+    /// is the text this execution shipped.
     pub fn plan_explain(&self) -> String {
         match &self.explain {
             PlanExplain::None => String::new(),
             PlanExplain::Text(text) => text.clone(),
-            PlanExplain::Plan(compiled) => compiled.optimized.plan.explain(),
+            PlanExplain::Plan(compiled, slots) => {
+                compiled.optimized.plan.with_slots(slots).explain()
+            }
         }
     }
 

@@ -24,17 +24,20 @@ use rcc_obs::{
 };
 use rcc_optimizer::cost::column_ranges;
 use rcc_optimizer::optimize::{Optimized, PlanChoice};
-use rcc_optimizer::{bind_select, optimize, BoundExpr, OptimizerConfig};
+use rcc_optimizer::{
+    bind_select, bind_select_slots, optimize, slot_domains, BoundExpr, OptimizerConfig,
+};
 use rcc_replication::{DistributionAgent, ReplicationRuntime};
 use rcc_robust::{Verdict, WorkloadReport};
 use rcc_semantics::{summarize_template, TemplateSummary};
 use rcc_sql::ast::TemplateDecl;
-use rcc_sql::{parse_statement, Expr, SelectItem, SelectStmt, Statement, TableRef};
-use rcc_storage::{
-    DurableStore, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy, Table,
-    TableStats, WatermarkRecord,
+use rcc_sql::{
+    parse_shape, parse_statement, Expr, SelectItem, SelectStmt, Shape, Statement, TableRef,
 };
-use std::borrow::Cow;
+use rcc_storage::{
+    DurableStore, KeyRange, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy,
+    Table, TableStats, WatermarkRecord,
+};
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::path::Path;
@@ -134,41 +137,29 @@ struct PerQueryMetrics {
     phase_seconds: [Histogram; QueryPhase::ALL.len()],
 }
 
-/// A statement after [`MTCache::prepare`]: found compiled in the plan
-/// cache, or parsed.
+/// A statement after [`MTCache::prepare`]: a `SELECT` split into its shape
+/// and slot values (not parsed: the plan cache may hold its plan), or
+/// anything else, parsed.
 #[derive(Debug)]
 pub(crate) struct Prepared<'a> {
     sql: &'a str,
-    key: Cow<'a, str>,
     form: Form,
 }
 
 #[derive(Debug)]
 enum Form {
-    Cached(Arc<CompiledQuery>),
+    Select(Shape),
     Parsed { stmt: Statement, parse: StdDuration },
 }
 
 impl Prepared<'_> {
-    /// The parsed statement; `None` on a plan-cache hit, which is always a
-    /// `SELECT`.
+    /// The parsed statement; `None` for a `SELECT`.
     pub(crate) fn statement(&self) -> Option<&Statement> {
         match &self.form {
-            Form::Cached(_) => None,
+            Form::Select(_) => None,
             Form::Parsed { stmt, .. } => Some(stmt),
         }
     }
-}
-
-/// How a `SELECT` reaches execution.
-enum SelectPlan<'a> {
-    Cached(Arc<CompiledQuery>),
-    /// To be compiled, and cached under `key`.
-    Parsed {
-        select: &'a SelectStmt,
-        key: Cow<'a, str>,
-        parse: StdDuration,
-    },
 }
 
 /// Where a statement's plan came from and what producing it cost — the
@@ -189,6 +180,15 @@ impl CompilePhases {
         bind: StdDuration::ZERO,
         optimize: StdDuration::ZERO,
     };
+}
+
+/// What [`MTCache::compile`] produces.
+struct Compilation {
+    compiled: CompiledQuery,
+    /// Per statement slot, the values `compiled` is the plan for.
+    domains: Vec<KeyRange>,
+    bind: StdDuration,
+    optimize: StdDuration,
 }
 
 /// Snapshot of the durability subsystem for `/healthz` and diagnostics.
@@ -586,15 +586,20 @@ impl MTCache {
         );
         metrics.describe(
             "rcc_plan_cache_hits_total",
-            "Plan-cache lookups that reused a compiled dynamic plan.",
+            "SELECTs served by a cached dynamic plan of their shape.",
         );
         metrics.describe(
             "rcc_plan_cache_misses_total",
-            "Plan-cache lookups that had to bind and re-optimize.",
+            "SELECTs a plan had to be parsed, bound and optimized for.",
         );
         metrics.describe(
             "rcc_plan_cache_evictions_total",
             "Compiled plans dropped, oldest first, to keep the plan cache within its capacity.",
+        );
+        metrics.describe(
+            "rcc_plan_cache_sibling_compiles_total",
+            "Plan-cache misses on a shape the cache held plans for: the statement's \
+             values lay outside the domains every one of them was proven for.",
         );
         metrics.describe("rcc_plan_cache_entries", "Compiled plans currently cached.");
         metrics.describe(
@@ -617,6 +622,7 @@ impl MTCache {
         let hits = metrics.counter("rcc_plan_cache_hits_total", &[]);
         let misses = metrics.counter("rcc_plan_cache_misses_total", &[]);
         let evictions = metrics.counter("rcc_plan_cache_evictions_total", &[]);
+        let siblings = metrics.counter("rcc_plan_cache_sibling_compiles_total", &[]);
         let entries = metrics.gauge("rcc_plan_cache_entries", &[]);
         let backend_hits = metrics.counter("rcc_backend_plan_cache_hits_total", &[]);
         let backend_misses = metrics.counter("rcc_backend_plan_cache_misses_total", &[]);
@@ -644,6 +650,7 @@ impl MTCache {
             hits.set(h);
             misses.set(m);
             evictions.set(pc.evictions());
+            siblings.set(pc.sibling_compiles());
             entries.set(pc.len() as f64);
             let (h, m) = backend_pc.stats();
             backend_hits.set(h);
@@ -987,20 +994,20 @@ impl MTCache {
     }
 
     /// The first step of every statement, for sessions and for
-    /// `MTCache::execute*` alike: look the text (and parameter values) up
-    /// in the plan cache, and parse only if it is not there. Only compiled
-    /// `SELECT`s ever enter the cache — never `BEGIN`/`END TIMEORDERED`,
-    /// DML, DDL or the diagnostic statements — so a hit at the current
-    /// epoch proves what the text is and goes straight to execution; a
-    /// miss is parsed here, once, and the `Statement` is handed down.
+    /// `MTCache::execute*` alike. A `SELECT` is split into its shape — the
+    /// plan-cache key — and its slot values by one lexical pass
+    /// ([`rcc_sql::shape`]); it is parsed only if the cache has no plan for
+    /// them. Only `SELECT`s have a shape, so only compiled `SELECT`s ever
+    /// enter the cache: `BEGIN`/`END TIMEORDERED`, DML, DDL and the
+    /// diagnostic statements are parsed here, once, from the text as it
+    /// stands, and the `Statement` is handed down.
     pub(crate) fn prepare<'a>(
         &self,
         sql: &'a str,
         params: &HashMap<String, Value>,
     ) -> Result<Prepared<'a>> {
-        let key = PlanCache::key(sql, params);
-        let form = match self.plan_cache.get(&key) {
-            Some(compiled) => Form::Cached(compiled),
+        let form = match rcc_sql::shape(sql, params) {
+            Some(shape) => Form::Select(shape),
             None => {
                 let parse_started = Instant::now();
                 let stmt = parse_statement(sql)?;
@@ -1010,7 +1017,7 @@ impl MTCache {
                 }
             }
         };
-        Ok(Prepared { sql, key, form })
+        Ok(Prepared { sql, form })
     }
 
     pub(crate) fn execute_internal(
@@ -1021,23 +1028,17 @@ impl MTCache {
         policy: ViolationPolicy,
         session: &str,
     ) -> Result<QueryResult> {
-        let Prepared { sql, key, form } = prepared;
+        let Prepared { sql, form } = prepared;
         let (stmt, parse) = match form {
-            Form::Cached(compiled) => {
-                let plan = SelectPlan::Cached(compiled);
-                return self.execute_select(sql, plan, params, floors, policy, session);
+            Form::Select(shape) => {
+                return self.execute_select(sql, shape, params, floors, policy, session);
             }
             Form::Parsed { stmt, parse } => (stmt, parse),
         };
         match stmt {
-            Statement::Select(select) => {
-                let plan = SelectPlan::Parsed {
-                    select: &select,
-                    key,
-                    parse,
-                };
-                self.execute_select(sql, plan, params, floors, policy, session)
-            }
+            Statement::Select(_) => Err(Error::internal(
+                "a SELECT is prepared as its shape, never parsed from its text",
+            )),
             Statement::ExplainAnalyze(select) => {
                 self.execute_analyzed(sql, &select, parse, params, floors, session)
             }
@@ -1504,18 +1505,21 @@ impl MTCache {
     }
 
     /// Compile the dynamic plan for a parsed `SELECT`, tracing and timing
-    /// the bind and optimize steps. The caller decides whether the result
-    /// enters the plan cache. (`sql` only words the debug-build audits'
-    /// failures.)
+    /// the bind and optimize steps. `slots` are the statement's slot values
+    /// when `select` was parsed from its shape (none otherwise); the plan
+    /// comes with the domain of each slot it is valid for. The caller
+    /// decides whether the result enters the plan cache. (`sql` only words
+    /// the debug-build audits' failures.)
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     fn compile(
         &self,
         sql: &str,
         select: &SelectStmt,
         params: &HashMap<String, Value>,
+        slots: &[Value],
         trace: &TraceHandle,
         session: &str,
-    ) -> Result<(CompiledQuery, StdDuration, StdDuration)> {
+    ) -> Result<Compilation> {
         // Compile-time currency-clause lint: one AST walk on the cache-miss
         // path only. Diagnostics never fail the query — they ride along as
         // warnings on every result served from this plan, and bump the
@@ -1542,14 +1546,15 @@ impl MTCache {
         drop(span);
         let span = trace.span("bind");
         let started = Instant::now();
-        let graph = bind_select(&self.catalog, select, params)?;
-        let bind_time = started.elapsed();
+        let graph = bind_select_slots(&self.catalog, select, params, slots)?;
+        let bind = started.elapsed();
         drop(span);
         let tables: Vec<TableId> = graph.operands.iter().map(|o| o.table.id).collect();
         let span = trace.span("optimize");
         let started = Instant::now();
         let optimized = optimize(&self.catalog, &graph, &self.config.read())?;
-        let optimize_time = started.elapsed();
+        let domains = slot_domains(&self.catalog, &graph);
+        let optimize = started.elapsed();
         drop(span);
         // Post-optimize conformance audit (debug builds): before a freshly
         // compiled plan enters the plan cache, statically prove it delivers
@@ -1569,46 +1574,54 @@ impl MTCache {
             }
         }
         // Currency dataflow analysis: per-node staleness intervals and one
-        // certificate per guard. Computed on every compile (EXPLAIN FLOW
-        // and the verifier read it); the elided plan variant is stored only
-        // when the toggle is on and at least one guard was certified away.
+        // certificate per guard, computed on every compile (EXPLAIN FLOW
+        // and the verifier read it). The guard-elided copy of the plan is
+        // built only where something reads it: to be stored, when the
+        // toggle is on and at least one guard was certified away, or to be
+        // audited.
         let flow = rcc_flow::analyze(&self.catalog, &optimized.plan);
-        let hypo = rcc_flow::elide(&optimized.plan, &flow);
-        // Debug builds audit every hypothetical elision — toggle on or off —
-        // with the independent replay in `rcc-verify`, so an analysis bug
-        // surfaces on the first compile, not on the first elided serve.
-        #[cfg(debug_assertions)]
-        {
-            let obligations =
-                rcc_verify::verify_elision(&self.catalog, &optimized.plan, &flow, &hypo.plan);
-            if !rcc_verify::elision_ok(&obligations) {
-                let failed: Vec<String> = obligations
-                    .iter()
-                    .filter(|o| !o.status.is_proved())
-                    .map(|o| o.to_string())
-                    .collect();
-                return Err(Error::analysis(format!(
-                    "guard-elision audit failed for {sql:?}:\n{}",
-                    failed.join("\n")
-                )));
+        let store = self.elide_guards.load(Ordering::SeqCst);
+        let elided = if store || cfg!(debug_assertions) {
+            let hypo = rcc_flow::elide(&optimized.plan, &flow);
+            // Debug builds audit every hypothetical elision — toggle on or
+            // off — with the independent replay in `rcc-verify`, so an
+            // analysis bug surfaces on the first compile, not on the first
+            // elided serve.
+            #[cfg(debug_assertions)]
+            {
+                let obligations =
+                    rcc_verify::verify_elision(&self.catalog, &optimized.plan, &flow, &hypo.plan);
+                if !rcc_verify::elision_ok(&obligations) {
+                    let failed: Vec<String> = obligations
+                        .iter()
+                        .filter(|o| !o.status.is_proved())
+                        .map(|o| o.to_string())
+                        .collect();
+                    return Err(Error::analysis(format!(
+                        "guard-elision audit failed for {sql:?}:\n{}",
+                        failed.join("\n")
+                    )));
+                }
             }
-        }
-        let elided = if self.elide_guards.load(Ordering::SeqCst) && !hypo.elided.is_empty() {
-            Some(ElidedPlan {
+            (store && !hypo.elided.is_empty()).then_some(ElidedPlan {
                 plan: hypo.plan,
                 certs: hypo.elided,
             })
         } else {
             None
         };
-        let compiled = CompiledQuery {
-            optimized,
-            tables,
-            lint,
-            flow,
-            elided,
-        };
-        Ok((compiled, bind_time, optimize_time))
+        Ok(Compilation {
+            compiled: CompiledQuery {
+                optimized,
+                tables,
+                lint,
+                flow,
+                elided,
+            },
+            domains,
+            bind,
+            optimize,
+        })
     }
 
     /// Assemble per-statement [`QueryStats`] from the query meter and
@@ -1663,12 +1676,13 @@ impl MTCache {
         stats
     }
 
-    /// Execute a `SELECT`: on a plan-cache hit the compiled plan as it is,
-    /// otherwise compile the parsed statement first and cache the result.
+    /// Execute a `SELECT`: with the plan the cache holds for its shape and
+    /// slot values, or else with one compiled for them now — and cached as
+    /// a variant of the shape.
     fn execute_select(
         &self,
         sql: &str,
-        plan: SelectPlan<'_>,
+        shape: Shape,
         params: &HashMap<String, Value>,
         floors: &HashMap<RegionId, Timestamp>,
         policy: ViolationPolicy,
@@ -1677,35 +1691,32 @@ impl MTCache {
         let trace = self.tracer.trace(sql);
         // "re-optimization only if a view's consistency properties change":
         // the compiled dynamic plan is reused until the catalog epoch moves
-        let (compiled, phases) = match plan {
-            SelectPlan::Cached(compiled) => (compiled, CompilePhases::HIT),
-            SelectPlan::Parsed { select, key, parse } => {
-                self.plan_cache.count_miss();
-                // before the compile reads the catalog or a knob: the plan
-                // is a plan of this epoch, whatever changes meanwhile
-                let epoch = self.plan_cache.epoch();
-                let (compiled, bind, optimize) =
-                    self.compile(sql, select, params, &trace, session)?;
-                if let Some(elided) = &compiled.elided {
+        let mut phases = CompilePhases::HIT;
+        let (compiled, _) = self
+            .plan_cache
+            .find_or_compile(&shape.key, &shape.values, || {
+                let parse_started = Instant::now();
+                let select = parse_shape(&shape, sql)?;
+                let parse = parse_started.elapsed();
+                let c = self.compile(sql, &select, params, &shape.values, &trace, session)?;
+                if let Some(elided) = &c.compiled.elided {
                     // counted where the elided twin becomes servable
                     self.query_metrics
                         .guards_elided
                         .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
                         .add(elided.certs.len() as u64);
                 }
-                let compiled = Arc::new(compiled);
-                self.plan_cache.put(&key, Arc::clone(&compiled), epoch);
-                let phases = CompilePhases {
+                phases = CompilePhases {
                     plan_cache_hit: false,
                     parse,
-                    bind,
-                    optimize,
+                    bind: c.bind,
+                    optimize: c.optimize,
                 };
-                (compiled, phases)
-            }
-        };
+                Ok((c.compiled, c.domains))
+            })?;
         let optimized = &compiled.optimized;
-        let ctx = self.fresh_ctx(floors.clone(), trace.share());
+        let slots = Arc::new(shape.values);
+        let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
 
         // Serve the guard-elided variant only when the certificates'
         // premises hold for this session: timeline floors can force a
@@ -1716,7 +1727,6 @@ impl MTCache {
         let elided = compiled.elided.as_ref().filter(|_| floors.is_empty());
         let plan = elided.map(|e| &e.plan).unwrap_or(&optimized.plan);
 
-        let remote_before = self.counters.remote_queries.load(Ordering::Relaxed);
         let exec_span = trace.span("execute");
         let exec = self.run_plan(plan, &ctx);
         drop(exec_span);
@@ -1729,8 +1739,6 @@ impl MTCache {
                 }
                 let guards = ctx.take_observations();
                 self.record_delivered(&guards, false);
-                let used_remote =
-                    self.counters.remote_queries.load(Ordering::Relaxed) > remote_before;
                 let stats = self.finish_stats(
                     trace.id(),
                     phases,
@@ -1744,12 +1752,14 @@ impl MTCache {
                     plan_choice: optimized.choice,
                     est_cost: optimized.cost,
                     guards,
-                    used_remote,
+                    // this query's own meter: other sessions' remote
+                    // branches are none of its business
+                    used_remote: ctx.meter.remote_queries.load(Ordering::Relaxed) > 0,
                     warnings: compiled.lint.clone(),
                     timings: result.timings,
                     tables: compiled.tables.clone(),
                     stats,
-                    explain: PlanExplain::Plan(compiled),
+                    explain: PlanExplain::Plan(compiled, slots),
                 })
             }
             // the remote branch could not be served: either the link was
@@ -1757,12 +1767,13 @@ impl MTCache {
             // slot was None → Error::Remote), or a real transport timed
             // out / failed every retry mid-call (Error::Unavailable). Both
             // degrade per the session's violation policy.
-            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => {
-                self.degrade_unreachable(&trace, compiled, floors, policy, phases, &msg, session)
-            }
-            Err(Error::Unavailable(msg)) => {
-                self.degrade_unreachable(&trace, compiled, floors, policy, phases, &msg, session)
-            }
+            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => self
+                .degrade_unreachable(
+                    &trace, compiled, slots, floors, policy, phases, &msg, session,
+                ),
+            Err(Error::Unavailable(msg)) => self.degrade_unreachable(
+                &trace, compiled, slots, floors, policy, phases, &msg, session,
+            ),
             Err(e) => Err(e),
         }
     }
@@ -1775,6 +1786,7 @@ impl MTCache {
         &self,
         trace: &TraceHandle,
         compiled: Arc<CompiledQuery>,
+        slots: Arc<Vec<Value>>,
         floors: &HashMap<RegionId, Timestamp>,
         policy: ViolationPolicy,
         phases: CompilePhases,
@@ -1809,7 +1821,7 @@ impl MTCache {
                     trace.id(),
                 );
                 let optimized = &compiled.optimized;
-                let mut ctx2 = self.fresh_ctx(floors.clone(), trace.share());
+                let mut ctx2 = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
                 ctx2.force_local = true;
                 let stale_span = trace.span("execute_stale");
                 let result = self.run_plan(&optimized.plan, &ctx2)?;
@@ -1851,12 +1863,12 @@ impl MTCache {
                     plan_choice: optimized.choice,
                     est_cost: optimized.cost,
                     guards,
-                    used_remote: false,
+                    used_remote: ctx2.meter.remote_queries.load(Ordering::Relaxed) > 0,
                     warnings,
                     timings: result.timings,
                     tables: compiled.tables.clone(),
                     stats,
-                    explain: PlanExplain::Plan(compiled),
+                    explain: PlanExplain::Plan(compiled, slots),
                 })
             }
         }
@@ -1865,7 +1877,7 @@ impl MTCache {
     /// `EXPLAIN ANALYZE SELECT ...`: compile, execute with per-operator
     /// metering, and return the result with the instrumented printout.
     /// The plan is compiled for this statement alone and never enters the
-    /// plan cache (whose keys are texts of plain `SELECT`s). Unlike the
+    /// plan cache (whose keys are shapes of plain `SELECT`s). Unlike the
     /// normal path it never falls back to serving stale data — a currency
     /// violation surfaces as an error.
     fn execute_analyzed(
@@ -1878,7 +1890,12 @@ impl MTCache {
         session: &str,
     ) -> Result<QueryResult> {
         let trace = self.tracer.trace(sql);
-        let (compiled, bind, optimize) = self.compile(sql, select, params, &trace, session)?;
+        let Compilation {
+            compiled,
+            bind,
+            optimize,
+            ..
+        } = self.compile(sql, select, params, &[], &trace, session)?;
         let phases = CompilePhases {
             plan_cache_hit: false,
             parse,
@@ -1886,7 +1903,7 @@ impl MTCache {
             optimize,
         };
         let optimized = &compiled.optimized;
-        let ctx = self.fresh_ctx(floors.clone(), trace.share());
+        let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::default());
         let exec_span = trace.span("execute");
         let analyzed = execute_plan_analyzed(&optimized.plan, &ctx)?;
         drop(exec_span);
@@ -2053,6 +2070,7 @@ impl MTCache {
         &self,
         floors: HashMap<RegionId, Timestamp>,
         trace: Option<TraceRef>,
+        slots: Arc<Vec<Value>>,
     ) -> ExecContext {
         let remote: Option<Arc<dyn RemoteService>> =
             if self.backend_available.load(Ordering::SeqCst) {
@@ -2077,6 +2095,7 @@ impl MTCache {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             batch_rows: self.batch_rows.load(Ordering::Relaxed).max(1),
             trace,
+            slots,
         }
     }
 
@@ -2304,7 +2323,10 @@ impl MTCache {
                         "cached view {name} predicate column {col} must be retained"
                     )));
                 }
-                Some(rcc_catalog::ViewPredicate { column: col, range })
+                Some(rcc_catalog::ViewPredicate {
+                    column: col,
+                    range: range.range,
+                })
             }
         };
 

@@ -1,8 +1,10 @@
-//! The back-end half of the statement path: a shipped text is looked up in
-//! the back-end's plan cache before it is parsed. A hit — a `SELECT` with
-//! no currency clause, planned under the catalog version that still holds —
-//! is executed without parsing, binding or optimizing; what the remote
-//! interface rejects never enters the cache, so it is rejected every time.
+//! The back-end half of the statement path: a shipped text is split into
+//! its shape and slot values and looked up in the back-end's plan cache
+//! before it is parsed. A hit — a `SELECT` with no currency clause, whose
+//! shape was planned under the catalog version that still holds for values
+//! like these — is executed without parsing, binding or optimizing, whether
+//! or not this very text was ever shipped before; what the remote interface
+//! rejects never enters the cache, so it is rejected every time.
 
 use rcc_common::Error;
 use rcc_mtcache::paper::{paper_setup, warm_up};
@@ -34,7 +36,7 @@ const RANGE: &str = "SELECT a FROM t WHERE v BETWEEN 10.0 AND 12.0";
 /// The SQL texts `plan` ships to the back-end.
 fn shipped(plan: &PhysicalPlan, out: &mut BTreeSet<String>) {
     if let PhysicalPlan::RemoteQuery(n) = plan {
-        out.insert(n.sql.clone());
+        out.insert(n.sql.to_string());
     }
     for child in plan.children() {
         shipped(child, out);
@@ -80,6 +82,20 @@ fn the_second_shipment_of_a_text_is_a_hit_that_parses_nothing() {
     let (_, rows) = cache.backend().query(POINT).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(plans.stats(), (hits0 + 7, misses0 + 1));
+    // a text never shipped before is a hit all the same: the key is the
+    // statement's shape, the compared constant a value the plan is run with
+    let other = "SELECT v FROM t WHERE a = 8";
+    assert_eq!(
+        phase_names(&cache, other),
+        ["backend:execute", "backend:encode"]
+    );
+    let (_, rows) = cache.backend().query(other).unwrap();
+    assert_eq!(
+        rows[0].get(0),
+        &rcc_common::Value::Float(4.0),
+        "a = 8's own row"
+    );
+    assert_eq!((plans.stats(), plans.len()), ((hits0 + 9, misses0 + 1), 1));
 }
 
 #[test]
@@ -121,7 +137,9 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     assert_eq!(cache.execute(RANGE).unwrap().rows.len(), 5);
     assert_eq!(cache.execute(RANGE).unwrap().rows.len(), 5);
     let (hits, misses) = plans.stats();
-    let plan = plans.get(text).expect("cached under the shipped text");
+    let shape = rcc_sql::shape(text, &HashMap::new()).unwrap();
+    let cached = || plans.find(&shape.key, &shape.values);
+    let plan = cached().expect("cached under the shipped text's shape");
     assert!(
         plan.plan.explain().contains("[scan]"),
         "{}",
@@ -131,9 +149,9 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     cache.execute("CREATE INDEX ix_v ON t (v)").unwrap();
     assert_eq!(shipped_by(&cache, RANGE), texts, "the same text ships");
     assert_eq!(cache.execute(RANGE).unwrap().rows.len(), 5);
-    // (`get` above was a hit of its own)
+    // (`find` above was a hit of its own)
     assert_eq!(plans.stats(), (hits + 1, misses + 1), "planned again");
-    let plan = plans.get(text).unwrap();
+    let plan = cached().unwrap();
     assert!(
         plan.plan.explain().contains("index ix_v seek on v"),
         "{}",
@@ -145,18 +163,17 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
 fn one_text_over_capacity_evicts_one_plan_and_the_metrics_say_so() {
     let cache = rig();
     let plans = cache.backend().plan_cache();
+    // a LIMIT is part of the key (a compared constant would not be)
+    let text = |i: usize| format!("SELECT v FROM t WHERE a = {i} LIMIT {}", i + 1);
     for i in 0..=PLAN_CACHE_CAPACITY {
-        cache
-            .backend()
-            .query_wire(&format!("SELECT v FROM t WHERE a = {i}"))
-            .unwrap();
+        cache.backend().query_wire(&text(i)).unwrap();
     }
     assert_eq!(plans.len(), PLAN_CACHE_CAPACITY);
     assert_eq!(plans.evictions(), 1);
     // the first text went; the last one is a hit
     cache
         .backend()
-        .query_wire(&format!("SELECT v FROM t WHERE a = {PLAN_CACHE_CAPACITY}"))
+        .query_wire(&text(PLAN_CACHE_CAPACITY))
         .unwrap();
     let snap = cache.metrics().snapshot();
     assert_eq!(snap.counter("rcc_backend_plan_cache_hits_total"), 1);
@@ -165,10 +182,7 @@ fn one_text_over_capacity_evicts_one_plan_and_the_metrics_say_so() {
         PLAN_CACHE_CAPACITY as u64 + 1
     );
     assert_eq!(snap.counter("rcc_backend_plan_cache_evictions_total"), 1);
-    cache
-        .backend()
-        .query_wire("SELECT v FROM t WHERE a = 0")
-        .unwrap();
+    cache.backend().query_wire(&text(0)).unwrap();
     assert_eq!(plans.evictions(), 2, "the first text was planned again");
 }
 
@@ -190,13 +204,35 @@ fn every_text_the_corpus_ships_answers_the_same_bytes_on_miss_and_on_hit() {
     assert!(texts.len() > 100, "only {} shipped texts", texts.len());
     let plans = cache.backend().plan_cache();
     let (hits0, misses0) = plans.stats();
+    let mut answers = Vec::new();
     for text in &texts {
+        // forget everything: the first answer is compiled for this text
+        plans.invalidate();
         let on_miss = cache.backend().query_wire(text).unwrap();
         let on_hit = cache.backend().query_wire(text).unwrap();
         assert_eq!(on_miss, on_hit, "{text}");
+        answers.push(on_miss);
     }
     let n = texts.len() as u64;
     assert_eq!(plans.stats(), (hits0 + n, misses0 + n));
+    // once more with nothing forgotten: many texts are now served by a plan
+    // compiled for *another* text of their shape (not all: a range constant
+    // in another histogram bucket, or a join text that spells one key twice,
+    // gets a plan of its own), and answer the same bytes
+    for (text, expected) in texts.iter().zip(&answers) {
+        assert_eq!(
+            &cache.backend().query_wire(text).unwrap(),
+            expected,
+            "{text}"
+        );
+    }
+    let (hits, misses) = plans.stats();
+    assert_eq!((hits - hits0) + (misses - misses0), 3 * n);
+    assert!(
+        misses - misses0 - n < 2 * n / 3,
+        "{} of {n} texts were planned again",
+        misses - misses0 - n
+    );
 }
 
 #[test]

@@ -94,3 +94,63 @@ fn concurrent_plan_cache_access() {
     let (hits, misses) = cache.plan_cache().stats();
     assert!(hits >= 290, "hits={hits} misses={misses}");
 }
+
+/// `used_remote` says whether *this* query contacted the back-end. It used
+/// to be read off the process-wide remote-query counter before and after
+/// the run, so a purely local answer was labelled remote whenever another
+/// session's remote branch completed in between — and a TIMEORDERED session
+/// then raised floors it had no reason to raise.
+#[test]
+fn a_local_answer_is_not_labelled_remote_by_another_sessions_remote_branch() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::Barrier;
+
+    let cache = paper_setup(0.02, 42).unwrap();
+    warm_up(&cache).unwrap();
+    // one region stalled, one healthy: every guard on `customer` fails from
+    // here on, every guard on `orders` passes
+    cache.set_region_stalled("CR1", true);
+    cache.advance(Duration::from_secs(90)).unwrap();
+    let remote_q = "SELECT c_acctbal FROM customer WHERE c_custkey = 5 \
+                    CURRENCY BOUND 15 SEC ON (customer)";
+    // a scan of the whole orders view: a window many remote round trips wide
+    let local_q = "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice > -1 \
+                   CURRENCY BOUND 60 SEC ON (orders)";
+    assert!(cache.execute(remote_q).unwrap().used_remote);
+    assert!(!cache.execute(local_q).unwrap().used_remote);
+
+    let start = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let shipped = AtomicU64::new(0);
+    let (mut mislabelled, mut overlapped) = (0, false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                assert!(cache.execute(remote_q).unwrap().used_remote);
+                shipped.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        scope.spawn(|| {
+            start.wait();
+            // until one local answer provably spanned remote branches of the
+            // other session from start to finish
+            for _ in 0..200 {
+                let before = shipped.load(Ordering::SeqCst);
+                let Ok(r) = cache.execute(local_q) else {
+                    mislabelled += 1;
+                    break; // (and let the other session stop)
+                };
+                let all_local = !r.guards.is_empty() && r.guards.iter().all(|g| g.chose_local);
+                mislabelled += usize::from(r.used_remote || !all_local);
+                if shipped.load(Ordering::SeqCst) >= before + 2 {
+                    overlapped = true;
+                    break;
+                }
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+    });
+    assert!(overlapped, "the two sessions never ran side by side");
+    assert_eq!(mislabelled, 0, "a local answer was labelled remote");
+}

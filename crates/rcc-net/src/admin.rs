@@ -307,6 +307,16 @@ fn render_health(cache: &MTCache, remote: Option<&TcpRemoteService>) -> String {
             ",\"backend_pool\":{{\"idle\":{idle},\"in_use\":{in_use}}}"
         );
     }
+    let plans = cache.plan_cache();
+    let (hits, misses) = plans.stats();
+    let _ = write!(
+        out,
+        ",\"plan_cache\":{{\"entries\":{},\"hits\":{hits},\"misses\":{misses},\
+         \"evictions\":{},\"sibling_compiles\":{}}}",
+        plans.len(),
+        plans.evictions(),
+        plans.sibling_compiles(),
+    );
     let plans = cache.backend().plan_cache();
     let (hits, misses) = plans.stats();
     let _ = write!(
@@ -449,6 +459,14 @@ mod tests {
         assert!(
             body.contains(
                 "\"backend_plan_cache\":{\"entries\":1,\"hits\":1,\"misses\":1,\"evictions\":0}"
+            ),
+            "{body}"
+        );
+        // the front-end's own cache beside it, with why it compiled
+        assert!(
+            body.contains(
+                "\"plan_cache\":{\"entries\":1,\"hits\":1,\"misses\":1,\"evictions\":0,\
+                 \"sibling_compiles\":0}"
             ),
             "{body}"
         );

@@ -464,8 +464,10 @@ fn concurrent_shippers_never_get_a_plan_from_before_a_catalog_change() {
     const TEXTS: usize = 32;
     const ROUNDS: usize = 6;
     let (cache, _server, remote) = backend_rig();
+    // one shape each: a LIMIT is part of the plan-cache key, a compared
+    // literal is not
     let texts: Vec<String> = (1..=TEXTS)
-        .map(|k| format!("SELECT c_name, c_acctbal FROM customer WHERE c_custkey = {k}"))
+        .map(|k| format!("SELECT c_name, c_acctbal FROM customer WHERE c_custkey = {k} LIMIT {k}"))
         .collect();
     // ANALYZE moves the catalog version and nothing else: every answer
     // stays what the back-end said before anything ran concurrently

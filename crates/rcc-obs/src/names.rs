@@ -120,6 +120,10 @@ pub const METRICS: &[(&str, &str)] = &[
     ("rcc_plan_cache_hits_total", "Plan-cache hits"),
     ("rcc_plan_cache_misses_total", "Plan-cache misses"),
     (
+        "rcc_plan_cache_sibling_compiles_total",
+        "Misses on a known shape: values outside every cached plan's domains",
+    ),
+    (
         "rcc_policy_degradations_total",
         "Violation-policy downgrades",
     ),

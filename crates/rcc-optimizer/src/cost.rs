@@ -16,6 +16,7 @@
 //!   continuous-propagation special case `f = 0`.
 
 use crate::expr::BoundExpr;
+use crate::physical::SeekRange;
 use rcc_catalog::CurrencyRegion;
 use rcc_common::Duration;
 #[cfg(test)]
@@ -142,53 +143,69 @@ impl CostParams {
     }
 }
 
-/// The [`KeyRange`] one conjunct implies on one column, when it is a simple
-/// predicate (`col op literal`, `literal op col`, `col BETWEEN a AND b`).
-pub fn conjunct_range(f: &BoundExpr) -> Option<(&str, KeyRange)> {
+/// The range one conjunct implies on one column, when it is a simple
+/// predicate (`col op constant`, `constant op col`, `col BETWEEN a AND b`;
+/// a constant is a literal or a statement slot). An end that is a slot's
+/// value names the slot.
+pub fn conjunct_range(f: &BoundExpr) -> Option<(&str, SeekRange)> {
+    let slot_of = |e: &BoundExpr| match e {
+        BoundExpr::Slot { index, .. } => Some(*index),
+        _ => None,
+    };
     match f {
         BoundExpr::Binary { left, op, right } if op.is_comparison() => {
-            let (col, lit, op) = match (left.as_ref(), right.as_ref()) {
-                (BoundExpr::Column { name, .. }, BoundExpr::Literal(v)) => {
-                    (name.as_str(), v.clone(), *op)
-                }
-                (BoundExpr::Literal(v), BoundExpr::Column { name, .. }) => {
-                    (name.as_str(), v.clone(), op.flip())
-                }
+            let (col, constant, op) = match (left.as_ref(), right.as_ref()) {
+                (BoundExpr::Column { name, .. }, c) => (name.as_str(), c, *op),
+                (c, BoundExpr::Column { name, .. }) => (name.as_str(), c, op.flip()),
                 _ => return None,
             };
-            let range = match op {
-                BinaryOp::Eq => KeyRange::eq(lit),
-                BinaryOp::Lt => KeyRange::less_than(lit),
-                BinaryOp::LtEq => KeyRange::at_most(lit),
-                BinaryOp::Gt => KeyRange::greater_than(lit),
-                BinaryOp::GtEq => KeyRange::at_least(lit),
+            let lit = constant.constant()?.clone();
+            let slot = slot_of(constant);
+            let (range, low_slot, high_slot) = match op {
+                BinaryOp::Eq => (KeyRange::eq(lit), slot, slot),
+                BinaryOp::Lt => (KeyRange::less_than(lit), None, slot),
+                BinaryOp::LtEq => (KeyRange::at_most(lit), None, slot),
+                BinaryOp::Gt => (KeyRange::greater_than(lit), slot, None),
+                BinaryOp::GtEq => (KeyRange::at_least(lit), slot, None),
                 _ => return None, // <> gives no useful range
             };
-            Some((col, range))
+            Some((
+                col,
+                SeekRange {
+                    range,
+                    low_slot,
+                    high_slot,
+                },
+            ))
         }
         BoundExpr::Between {
             expr,
             low,
             high,
             negated: false,
-        } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
-            (BoundExpr::Column { name, .. }, BoundExpr::Literal(lo), BoundExpr::Literal(hi)) => {
-                Some((name, KeyRange::between(lo.clone(), hi.clone())))
-            }
+        } => match (expr.as_ref(), low.constant(), high.constant()) {
+            (BoundExpr::Column { name, .. }, Some(lo), Some(hi)) => Some((
+                name,
+                SeekRange {
+                    range: KeyRange::between(lo.clone(), hi.clone()),
+                    low_slot: slot_of(low),
+                    high_slot: slot_of(high),
+                },
+            )),
             _ => None,
         },
         _ => None,
     }
 }
 
-/// Extract per-column [`KeyRange`]s implied by a conjunction of simple
-/// predicates ([`conjunct_range`]). Multiple conjuncts on one column
-/// intersect. Used for access-path selection, selectivity estimation and
-/// view subsumption — ordered by column name, so that which index a scan
-/// picks and the order selectivities multiply in are functions of the
-/// query, not of a hash seed.
-pub fn column_ranges(filters: &[BoundExpr]) -> BTreeMap<String, KeyRange> {
-    let mut out: BTreeMap<String, KeyRange> = BTreeMap::new();
+/// Extract per-column ranges implied by a conjunction of simple predicates
+/// ([`conjunct_range`]). Multiple conjuncts on one column intersect. Used
+/// for access-path selection, selectivity estimation and view subsumption —
+/// ordered by column name, so that which index a scan picks and the order
+/// selectivities multiply in are functions of the query, not of a hash
+/// seed.
+pub fn column_ranges(filters: &[BoundExpr]) -> BTreeMap<String, SeekRange> {
+    let mut out: BTreeMap<String, SeekRange> = BTreeMap::new();
     for (col, range) in filters.iter().filter_map(conjunct_range) {
         out.entry(col.to_string())
             .and_modify(|r| *r = r.intersect(&range))
@@ -202,7 +219,7 @@ pub fn column_ranges(filters: &[BoundExpr]) -> BTreeMap<String, KeyRange> {
 /// histogram estimates; everything else gets a default selectivity of 1/3.
 pub fn filter_selectivity(
     filters: &[BoundExpr],
-    ranges: &BTreeMap<String, KeyRange>,
+    ranges: &BTreeMap<String, SeekRange>,
     stats: &TableStats,
 ) -> f64 {
     if filters.is_empty() {
@@ -226,22 +243,19 @@ pub fn filter_selectivity(
         let produced = match f {
             BoundExpr::Binary { left, op, right } if op.is_comparison() => matches!(
                 (left.as_ref(), right.as_ref()),
-                (BoundExpr::Column { .. }, BoundExpr::Literal(_))
-                    | (BoundExpr::Literal(_), BoundExpr::Column { .. })
+                (BoundExpr::Column { .. }, c) | (c, BoundExpr::Column { .. })
+                    if c.constant().is_some()
             ),
             BoundExpr::Between {
                 expr,
                 low,
                 high,
                 negated: false,
-            } => matches!(
-                (expr.as_ref(), low.as_ref(), high.as_ref()),
-                (
-                    BoundExpr::Column { .. },
-                    BoundExpr::Literal(_),
-                    BoundExpr::Literal(_)
-                )
-            ),
+            } => {
+                matches!(expr.as_ref(), BoundExpr::Column { .. })
+                    && low.constant().is_some()
+                    && high.constant().is_some()
+            }
             _ => false,
         };
         if !produced {
@@ -351,7 +365,7 @@ mod tests {
             BoundExpr::Literal(Value::Int(7)),
         )];
         let ranges = column_ranges(&filters);
-        assert_eq!(ranges["k"], KeyRange::eq(Value::Int(7)));
+        assert_eq!(ranges["k"].range, KeyRange::eq(Value::Int(7)));
     }
 
     #[test]

@@ -23,6 +23,17 @@ pub enum BoundExpr {
     },
     /// Literal.
     Literal(Value),
+    /// A statement slot (a comparison literal or `$param` the plan cache
+    /// keeps out of its key): a constant of the execution, not of the plan.
+    /// Everything compile-time reads `value`, what the statement being
+    /// compiled held there; an execution with other values re-reads it
+    /// through [`BoundExpr::with_slots`].
+    Slot {
+        /// Slot number: index into the execution's value vector.
+        index: u32,
+        /// The value the plan was compiled for.
+        value: Value,
+    },
     /// Binary operation.
     Binary {
         /// Left operand.
@@ -103,6 +114,61 @@ impl BoundExpr {
         Some(exprs.into_iter().fold(first, BoundExpr::and))
     }
 
+    /// The value of a constant operand: a literal's, or a slot's for the
+    /// execution this expression was resolved for.
+    pub fn constant(&self) -> Option<&Value> {
+        match self {
+            BoundExpr::Literal(value) | BoundExpr::Slot { value, .. } => Some(value),
+            _ => None,
+        }
+    }
+
+    /// A copy in which every slot holds its value of `slots` (an execution's
+    /// value vector; a slot it does not reach keeps the value it has).
+    pub fn with_slots(&self, slots: &[Value]) -> BoundExpr {
+        let sub = |e: &BoundExpr| Box::new(e.with_slots(slots));
+        match self {
+            BoundExpr::Slot { index, value } => BoundExpr::Slot {
+                index: *index,
+                value: slot_value(slots, *index, value).clone(),
+            },
+            BoundExpr::Column { .. } | BoundExpr::Literal(_) | BoundExpr::GetDate => self.clone(),
+            BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
+                left: sub(left),
+                op: *op,
+                right: sub(right),
+            },
+            BoundExpr::Unary { op, expr } => BoundExpr::Unary {
+                op: *op,
+                expr: sub(expr),
+            },
+            BoundExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => BoundExpr::Between {
+                expr: sub(expr),
+                low: sub(low),
+                high: sub(high),
+                negated: *negated,
+            },
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => BoundExpr::InList {
+                expr: sub(expr),
+                list: list.iter().map(|e| e.with_slots(slots)).collect(),
+                negated: *negated,
+            },
+            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
+                expr: sub(expr),
+                negated: *negated,
+            },
+        }
+    }
+
     /// Visit all sub-expressions pre-order.
     pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a BoundExpr)) {
         f(self);
@@ -126,7 +192,10 @@ impl BoundExpr {
                 }
             }
             BoundExpr::IsNull { expr, .. } => expr.visit(f),
-            BoundExpr::Column { .. } | BoundExpr::Literal(_) | BoundExpr::GetDate => {}
+            BoundExpr::Column { .. }
+            | BoundExpr::Literal(_)
+            | BoundExpr::Slot { .. }
+            | BoundExpr::GetDate => {}
         }
     }
 
@@ -149,7 +218,7 @@ impl BoundExpr {
                 let i = schema.resolve(Some(qualifier), name)?;
                 Ok(row.get(i).clone())
             }
-            BoundExpr::Literal(v) => Ok(v.clone()),
+            BoundExpr::Literal(v) | BoundExpr::Slot { value: v, .. } => Ok(v.clone()),
             BoundExpr::GetDate => Ok(Value::Timestamp(now_millis)),
             BoundExpr::Unary { op, expr } => {
                 let v = expr.eval(row, schema, now_millis)?;
@@ -228,6 +297,14 @@ impl BoundExpr {
     pub fn eval_predicate(&self, row: &Row, schema: &Schema, now_millis: i64) -> Result<bool> {
         Ok(self.eval(row, schema, now_millis)?.is_truthy())
     }
+}
+
+/// What slot `index` holds in an execution whose value vector is `slots`:
+/// its value there, or `compiled` — the value the plan was compiled for —
+/// when the vector does not reach it (an execution given no values runs the
+/// plan as compiled).
+pub fn slot_value<'a>(slots: &'a [Value], index: u32, compiled: &'a Value) -> &'a Value {
+    slots.get(index as usize).unwrap_or(compiled)
 }
 
 fn eval_binary(
@@ -330,6 +407,7 @@ impl fmt::Display for BoundExpr {
         match self {
             BoundExpr::Column { qualifier, name } => write!(f, "{qualifier}.{name}"),
             BoundExpr::Literal(v) => write!(f, "{v}"),
+            BoundExpr::Slot { index, value } => write!(f, "?{index}={value}"),
             BoundExpr::GetDate => f.write_str("GETDATE()"),
             BoundExpr::Binary { left, op, right } => write!(f, "({left} {} {right})", op.sql()),
             BoundExpr::Unary { op, expr } => match op {
@@ -415,6 +493,16 @@ pub struct AggCall {
     pub arg: Option<BoundExpr>,
     /// Output column name.
     pub output_name: String,
+}
+
+impl AggCall {
+    /// [`BoundExpr::with_slots`] of the argument.
+    pub fn with_slots(&self, slots: &[Value]) -> AggCall {
+        AggCall {
+            arg: self.arg.as_ref().map(|e| e.with_slots(slots)),
+            ..self.clone()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -612,6 +700,31 @@ mod tests {
         assert_eq!(AggFunc::from_name("avg"), Some(AggFunc::Avg));
         assert_eq!(AggFunc::from_name("getdate"), None);
         assert_eq!(AggFunc::Sum.sql(), "SUM");
+    }
+
+    #[test]
+    fn a_slot_is_a_constant_of_the_execution() {
+        let slot = |index, v| BoundExpr::Slot {
+            index,
+            value: Value::Int(v),
+        };
+        let e = BoundExpr::binary(
+            BoundExpr::binary(BoundExpr::col("t", "a"), BinaryOp::Add, slot(1, 5)),
+            BinaryOp::Gt,
+            slot(0, 14),
+        );
+        // compiled for (14, 5): 10 + 5 > 14
+        assert_eq!(ev(&e), Value::Bool(true));
+        assert_eq!(e.to_string(), "((t.a + ?1=5) > ?0=14)");
+        // run with (20, 5): a slot the vector does not reach keeps its value
+        let later = e.with_slots(&[Value::Int(20)]);
+        assert_eq!(ev(&later), Value::Bool(false));
+        assert_eq!(later.to_string(), "((t.a + ?1=5) > ?0=20)");
+        assert_eq!(e.with_slots(&[]), e, "no values: the plan as compiled");
+        assert_eq!(slot(0, 14).constant(), Some(&Value::Int(14)));
+        assert_eq!(BoundExpr::col("t", "a").constant(), None);
+        // slots are told apart by number, not by what they hold
+        assert_ne!(slot(0, 7), slot(1, 7));
     }
 
     #[test]

@@ -120,6 +120,9 @@ pub struct QueryGraph {
     pub limit: Option<u64>,
     /// Normalized C&C constraint over the operands.
     pub constraint: CCConstraint,
+    /// The statement-slot values this graph was bound with, by slot number
+    /// (empty for a statement bound without slots).
+    pub slots: Vec<Value>,
 }
 
 impl QueryGraph {
@@ -128,13 +131,30 @@ impl QueryGraph {
         &self.operands[id as usize]
     }
 
+    /// Every expression the query holds — operand filters, residuals,
+    /// projections, grouping keys, aggregate arguments and HAVING (join
+    /// edges are column pairs, not expressions).
+    pub fn exprs(&self) -> impl Iterator<Item = &BoundExpr> {
+        let agg = self.aggregate.iter().flat_map(|agg| {
+            let keys = agg.group_by.iter().map(|(e, _)| e);
+            let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
+            keys.chain(args).chain(&agg.having)
+        });
+        self.operands
+            .iter()
+            .flat_map(|op| &op.filters)
+            .chain(&self.residuals)
+            .chain(self.projections.iter().map(|(e, _)| e))
+            .chain(agg)
+    }
+
     /// Columns of `operand` referenced anywhere in the query (filters,
     /// edges, residuals, projections, aggregates) — the column set a
     /// matching view must cover.
     pub fn required_columns(&self, id: OperandId) -> BTreeSet<String> {
         let binding = &self.operands[id as usize].binding;
         let mut cols = BTreeSet::new();
-        let mut scan = |e: &BoundExpr| {
+        for e in self.exprs() {
             e.visit(&mut |x| {
                 if let BoundExpr::Column { qualifier, name } = x {
                     if qualifier == binding {
@@ -142,27 +162,6 @@ impl QueryGraph {
                     }
                 }
             });
-        };
-        for op in &self.operands {
-            for f in &op.filters {
-                scan(f);
-            }
-        }
-        for r in &self.residuals {
-            scan(r);
-        }
-        for (e, _) in &self.projections {
-            scan(e);
-        }
-        if let Some(agg) = &self.aggregate {
-            for (e, _) in &agg.group_by {
-                scan(e);
-            }
-            for a in &agg.aggs {
-                if let Some(e) = &a.arg {
-                    scan(e);
-                }
-            }
         }
         for edge in &self.edges {
             if edge.left == id {
@@ -240,6 +239,7 @@ struct ScopeFrame {
 struct Binder<'a> {
     catalog: &'a Catalog,
     params: &'a HashMap<String, Value>,
+    slots: &'a [Value],
     operands: Vec<Operand>,
     edges: Vec<JoinEdge>,
     residuals: Vec<BoundExpr>,
@@ -259,9 +259,24 @@ pub fn bind_select(
     stmt: &SelectStmt,
     params: &HashMap<String, Value>,
 ) -> Result<QueryGraph> {
+    bind_select_slots(catalog, stmt, params, &[])
+}
+
+/// [`bind_select`] for a statement parsed from its shape
+/// (`rcc_sql::parse_shape`): a parameter named `?<n>` is statement slot
+/// `n`, bound as a [`BoundExpr::Slot`] holding `slots[n]` — everything
+/// downstream plans for that value, and the plan keeps the slot so it can
+/// be run with another.
+pub fn bind_select_slots(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    params: &HashMap<String, Value>,
+    slots: &[Value],
+) -> Result<QueryGraph> {
     let mut binder = Binder {
         catalog,
         params,
+        slots,
         operands: Vec::new(),
         edges: Vec::new(),
         residuals: Vec::new(),
@@ -422,6 +437,7 @@ impl<'a> Binder<'a> {
             order_by,
             limit: stmt.limit,
             constraint,
+            slots: self.slots.to_vec(),
         })
     }
 
@@ -797,12 +813,7 @@ impl<'a> Binder<'a> {
         match expr {
             Expr::Column { qualifier, name } => self.resolve_column(qualifier.as_deref(), name),
             Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-            Expr::Parameter(p) => self
-                .params
-                .get(p)
-                .cloned()
-                .map(BoundExpr::Literal)
-                .ok_or_else(|| Error::Analysis(format!("unbound parameter ${p}"))),
+            Expr::Parameter(p) => self.bind_parameter(p),
             Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
                 left: Box::new(self.bind_expr(left)?),
                 op: *op,
@@ -853,6 +864,28 @@ impl<'a> Binder<'a> {
             Expr::Exists { .. } | Expr::InSubquery { .. } => Err(Error::analysis(
                 "subquery predicates are only supported at the top level of WHERE conjuncts",
             )),
+        }
+    }
+
+    /// `?<n>` is statement slot `n`; any other name is looked up in the
+    /// caller's parameters and bound as the literal it stands for.
+    fn bind_parameter(&self, p: &str) -> Result<BoundExpr> {
+        let unbound = || Error::Analysis(format!("unbound parameter ${p}"));
+        match p.strip_prefix('?') {
+            Some(n) => {
+                let index: u32 = n.parse().map_err(|_| unbound())?;
+                let value = self.slots.get(index as usize).ok_or_else(unbound)?;
+                Ok(BoundExpr::Slot {
+                    index,
+                    value: value.clone(),
+                })
+            }
+            None => self
+                .params
+                .get(p)
+                .cloned()
+                .map(BoundExpr::Literal)
+                .ok_or_else(unbound),
         }
     }
 
@@ -1009,12 +1042,7 @@ impl<'a> Binder<'a> {
                 expr: Box::new(self.bind_having(expr, group_by, aggs)?),
             }),
             Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-            Expr::Parameter(p) => self
-                .params
-                .get(p)
-                .cloned()
-                .map(BoundExpr::Literal)
-                .ok_or_else(|| Error::Analysis(format!("unbound parameter ${p}"))),
+            Expr::Parameter(p) => self.bind_parameter(p),
             other => {
                 // must be a grouping expression
                 let bound = self.bind_expr(other)?;
@@ -1091,7 +1119,8 @@ impl<'a> Binder<'a> {
 }
 
 /// If `f` is a simple comparison/BETWEEN on exactly `src.src_col` against
-/// literals, rebuild it against `dst.dst_col`; otherwise None.
+/// constants (literals or statement slots), rebuild it against
+/// `dst.dst_col`; otherwise None.
 fn mirror_simple(
     f: &BoundExpr,
     src: &str,
@@ -1103,16 +1132,17 @@ fn mirror_simple(
         matches!(e, BoundExpr::Column { qualifier, name }
             if qualifier == src && name.eq_ignore_ascii_case(src_col))
     };
+    let is_constant = |e: &BoundExpr| e.constant().is_some();
     match f {
         BoundExpr::Binary { left, op, right } if op.is_comparison() => {
             match (left.as_ref(), right.as_ref()) {
-                (l, BoundExpr::Literal(v)) if is_src(l) => Some(BoundExpr::binary(
+                (l, c) if is_src(l) && is_constant(c) => Some(BoundExpr::binary(
                     BoundExpr::col(dst, dst_col),
                     *op,
-                    BoundExpr::Literal(v.clone()),
+                    c.clone(),
                 )),
-                (BoundExpr::Literal(v), r) if is_src(r) => Some(BoundExpr::binary(
-                    BoundExpr::Literal(v.clone()),
+                (c, r) if is_src(r) && is_constant(c) => Some(BoundExpr::binary(
+                    c.clone(),
                     *op,
                     BoundExpr::col(dst, dst_col),
                 )),
@@ -1124,17 +1154,12 @@ fn mirror_simple(
             low,
             high,
             negated: false,
-        } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
-            (e, BoundExpr::Literal(lo), BoundExpr::Literal(hi)) if is_src(e) => {
-                Some(BoundExpr::Between {
-                    expr: Box::new(BoundExpr::col(dst, dst_col)),
-                    low: Box::new(BoundExpr::Literal(lo.clone())),
-                    high: Box::new(BoundExpr::Literal(hi.clone())),
-                    negated: false,
-                })
-            }
-            _ => None,
-        },
+        } if is_src(expr) && is_constant(low) && is_constant(high) => Some(BoundExpr::Between {
+            expr: Box::new(BoundExpr::col(dst, dst_col)),
+            low: low.clone(),
+            high: high.clone(),
+            negated: false,
+        }),
         _ => None,
     }
 }

@@ -37,13 +37,15 @@ pub mod optimize;
 pub mod ordering;
 pub mod physical;
 pub mod property;
+pub mod slots;
 pub mod sqlgen;
 pub mod viewmatch;
 
 pub use constraint::{CCClass, CCConstraint, OperandId};
 pub use expr::{AggCall, AggFunc, BoundExpr};
-pub use graph::{bind_select, JoinEdge, Operand, QueryGraph};
+pub use graph::{bind_select, bind_select_slots, JoinEdge, Operand, QueryGraph};
 pub use optimize::{optimize, OptimizerConfig, PlanChoice, Role};
 pub use ordering::{delivered_order, OrderProp};
 pub use physical::{CurrencyGuard, PhysicalPlan};
 pub use property::{DeliveredProperty, RegionTag};
+pub use slots::slot_domains;

@@ -101,7 +101,7 @@ mod tests {
     fn clustered_range_delivers_key_order() {
         let p = scan(AccessPath::ClusteredRange {
             column: "id".into(),
-            range: KeyRange::less_than(Value::Int(10)),
+            range: KeyRange::less_than(Value::Int(10)).into(),
         });
         let o = delivered_order(&p).unwrap();
         assert_eq!((o.qualifier.as_str(), o.column.as_str()), ("t", "id"));
@@ -115,7 +115,7 @@ mod tests {
         let p = scan(AccessPath::IndexRange {
             index: "ix".into(),
             column: "x".into(),
-            range: KeyRange::all(),
+            range: KeyRange::all().into(),
         });
         assert_eq!(delivered_order(&p).unwrap().column, "x");
     }
@@ -129,7 +129,7 @@ mod tests {
     fn filter_preserves_projection_guards() {
         let base = scan(AccessPath::ClusteredRange {
             column: "id".into(),
-            range: KeyRange::all(),
+            range: KeyRange::all().into(),
         });
         let filtered = PhysicalPlan::Filter {
             input: Box::new(base.clone()),
@@ -154,7 +154,7 @@ mod tests {
     fn hash_join_and_remote_deliver_nothing() {
         let base = scan(AccessPath::ClusteredRange {
             column: "id".into(),
-            range: KeyRange::all(),
+            range: KeyRange::all().into(),
         });
         let hj = PhysicalPlan::HashJoin {
             left: Box::new(base.clone()),

@@ -12,13 +12,210 @@
 //! one remote query and probes it hashed.
 
 use crate::constraint::OperandId;
-use crate::expr::{AggCall, BoundExpr};
+use crate::expr::{slot_value, AggCall, BoundExpr};
 use crate::graph::JoinKind;
 use crate::property::DeliveredProperty;
-use rcc_common::{Duration, RegionId, Schema};
+use rcc_common::{Duration, RegionId, Schema, Value};
 use rcc_storage::KeyRange;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::ops::{Bound, Deref};
+
+/// A key range as a plan holds it: the range, and for each end that is one
+/// statement slot's value, which slot — so an execution with other values
+/// seeks its own range ([`SeekRange::with_slots`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeekRange {
+    /// The range for the values the plan was compiled with.
+    pub range: KeyRange,
+    /// The slot whose value the low end is, if it is one's.
+    pub low_slot: Option<u32>,
+    /// The slot whose value the high end is, if it is one's.
+    pub high_slot: Option<u32>,
+}
+
+impl SeekRange {
+    /// Both ranges at once. An end only one of them bounds keeps its slot;
+    /// an end both bound is whichever value is tighter *now*, which is no
+    /// slot's value in general — it names none, and
+    /// [`slot_domains`](crate::slots::slot_domains) pins every slot that
+    /// lost an end this way to the value it has.
+    pub fn intersect(&self, other: &SeekRange) -> SeekRange {
+        fn end(a: (&Bound<Value>, Option<u32>), b: (&Bound<Value>, Option<u32>)) -> Option<u32> {
+            match (a.0, b.0) {
+                (Bound::Unbounded, _) => b.1,
+                (_, Bound::Unbounded) => a.1,
+                _ => None,
+            }
+        }
+        SeekRange {
+            range: self.range.intersect(&other.range),
+            low_slot: end(
+                (&self.range.low, self.low_slot),
+                (&other.range.low, other.low_slot),
+            ),
+            high_slot: end(
+                (&self.range.high, self.high_slot),
+                (&other.range.high, other.high_slot),
+            ),
+        }
+    }
+
+    /// The range an execution with value vector `slots` seeks.
+    pub fn with_slots(&self, slots: &[Value]) -> SeekRange {
+        fn end(bound: &Bound<Value>, slot: Option<u32>, slots: &[Value]) -> Bound<Value> {
+            match (bound, slot) {
+                (Bound::Included(v), Some(s)) => Bound::Included(slot_value(slots, s, v).clone()),
+                (Bound::Excluded(v), Some(s)) => Bound::Excluded(slot_value(slots, s, v).clone()),
+                (bound, _) => bound.clone(),
+            }
+        }
+        SeekRange {
+            range: KeyRange {
+                low: end(&self.range.low, self.low_slot, slots),
+                high: end(&self.range.high, self.high_slot, slots),
+            },
+            ..*self
+        }
+    }
+}
+
+/// ` {?n=value}` per end that is a slot's value (nothing for a range of
+/// literals) — what EXPLAIN appends to a seek.
+impl fmt::Display for SeekRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let end = |slot: Option<u32>, bound: &Bound<Value>| match bound {
+            Bound::Included(v) | Bound::Excluded(v) => slot.map(|s| (s, v.clone())),
+            Bound::Unbounded => None,
+        };
+        let low = end(self.low_slot, &self.range.low);
+        // a point range is one slot at both ends: named once
+        let high = end(self.high_slot, &self.range.high).filter(|h| Some(h) != low.as_ref());
+        for (slot, v) in low.iter().chain(&high) {
+            write!(f, " {{?{slot}={v}}}")?;
+        }
+        Ok(())
+    }
+}
+
+impl From<KeyRange> for SeekRange {
+    fn from(range: KeyRange) -> SeekRange {
+        SeekRange {
+            range,
+            low_slot: None,
+            high_slot: None,
+        }
+    }
+}
+
+impl Deref for SeekRange {
+    type Target = KeyRange;
+    fn deref(&self) -> &KeyRange {
+        &self.range
+    }
+}
+
+/// SQL text a plan ships to the back-end: the text for the values the plan
+/// was compiled with, and where in it each statement slot's value stands —
+/// so an execution with other values ships the text a compilation for
+/// *those* values would have generated, byte for byte
+/// ([`SqlText::render`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SqlText {
+    text: String,
+    /// `(start, end, slot)`: `text[start..end]` is the rendering of that
+    /// slot's value; in text order.
+    slots: Vec<(u32, u32, u32)>,
+}
+
+impl SqlText {
+    /// From generated SQL in which slot `n` is written `$?n` (how the
+    /// unparser renders the parameter named `?n`, and nothing else it
+    /// renders outside a string literal looks like that), with
+    /// `compiled[n]` the value it has in this compilation.
+    pub fn from_marked(marked: &str, compiled: &[Value]) -> SqlText {
+        let b = marked.as_bytes();
+        let mut text = String::with_capacity(marked.len());
+        let mut slots = Vec::new();
+        let (mut copied, mut i, mut in_string) = (0, 0, false);
+        while i < b.len() {
+            match b[i] {
+                // a quote opens or closes a literal ('' does both)
+                b'\'' => {
+                    in_string = !in_string;
+                    i += 1;
+                }
+                b'$' if !in_string && b.get(i + 1) == Some(&b'?') => {
+                    let digits = b[i + 2..].iter().take_while(|c| c.is_ascii_digit());
+                    let end = i + 2 + digits.count();
+                    let slot: u32 = marked[i + 2..end]
+                        .parse()
+                        .expect("the unparser wrote a slot number");
+                    text.push_str(&marked[copied..i]);
+                    let start = text.len() as u32;
+                    let _ = write!(text, "{}", compiled[slot as usize]);
+                    slots.push((start, text.len() as u32, slot));
+                    (copied, i) = (end, end);
+                }
+                _ => i += 1,
+            }
+        }
+        text.push_str(&marked[copied..]);
+        SqlText { text, slots }
+    }
+
+    /// The text an execution with value vector `slots` ships.
+    pub fn render(&self, slots: &[Value]) -> String {
+        let mut out = String::with_capacity(self.text.len() + 8);
+        let mut copied = 0;
+        for &(start, end, slot) in &self.slots {
+            out.push_str(&self.text[copied..start as usize]);
+            match slots.get(slot as usize) {
+                Some(value) => {
+                    let _ = write!(out, "{value}");
+                }
+                None => out.push_str(&self.text[start as usize..end as usize]),
+            }
+            copied = end as usize;
+        }
+        out.push_str(&self.text[copied..]);
+        out
+    }
+
+    /// This text with the values of `slots` in place and no slot left.
+    pub fn with_slots(&self, slots: &[Value]) -> SqlText {
+        self.render(slots).into()
+    }
+}
+
+/// The text for the values the plan was compiled with.
+impl Deref for SqlText {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl From<String> for SqlText {
+    fn from(text: String) -> SqlText {
+        SqlText {
+            text,
+            slots: Vec::new(),
+        }
+    }
+}
+
+impl From<&str> for SqlText {
+    fn from(text: &str) -> SqlText {
+        text.to_string().into()
+    }
+}
+
+impl fmt::Display for SqlText {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
 
 /// How a local scan reaches its rows.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +227,7 @@ pub enum AccessPath {
         /// Column name.
         column: String,
         /// The key range.
-        range: KeyRange,
+        range: SeekRange,
     },
     /// Range over a secondary index.
     IndexRange {
@@ -39,8 +236,30 @@ pub enum AccessPath {
         /// Column name.
         column: String,
         /// The key range.
-        range: KeyRange,
+        range: SeekRange,
     },
+}
+
+impl AccessPath {
+    /// The path an execution with value vector `slots` takes.
+    pub fn with_slots(&self, slots: &[Value]) -> AccessPath {
+        match self {
+            AccessPath::FullScan => AccessPath::FullScan,
+            AccessPath::ClusteredRange { column, range } => AccessPath::ClusteredRange {
+                column: column.clone(),
+                range: range.with_slots(slots),
+            },
+            AccessPath::IndexRange {
+                index,
+                column,
+                range,
+            } => AccessPath::IndexRange {
+                index: index.clone(),
+                column: column.clone(),
+                range: range.with_slots(slots),
+            },
+        }
+    }
 }
 
 /// The runtime currency check attached to a guarded local access.
@@ -76,7 +295,7 @@ pub struct LocalScanNode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteQueryNode {
     /// The SQL text sent to the back-end.
-    pub sql: String,
+    pub sql: SqlText,
     /// Schema of the returned rows (qualified by operand bindings).
     pub schema: Schema,
     /// Operands the remote result covers.
@@ -102,7 +321,7 @@ pub struct InnerAccess {
     /// fetching `remote_sql` once and probing it hashed.
     pub guard: Option<CurrencyGuard>,
     /// Remote fallback SQL fetching the full (filtered) inner input.
-    pub remote_sql: Option<String>,
+    pub remote_sql: Option<SqlText>,
     /// The operand this access implements.
     pub operand: OperandId,
     /// Expected matching rows per probe.
@@ -110,6 +329,17 @@ pub struct InnerAccess {
     /// Force the remote (fetch + hash probe) mode unconditionally — used
     /// only by guard-stripped baseline plans in the overhead experiments.
     pub force_remote: bool,
+}
+
+impl InnerAccess {
+    /// The access an execution with value vector `slots` makes.
+    pub fn with_slots(&self, slots: &[Value]) -> InnerAccess {
+        InnerAccess {
+            residual: self.residual.as_ref().map(|r| r.with_slots(slots)),
+            remote_sql: self.remote_sql.as_ref().map(|s| s.with_slots(slots)),
+            ..self.clone()
+        }
+    }
 }
 
 /// A physical query plan.
@@ -521,6 +751,110 @@ impl PhysicalPlan {
         }
     }
 
+    /// The plan as an execution with value vector `slots` runs it: every
+    /// slot — in expressions, seek ranges and shipped SQL — holding that
+    /// execution's value. What the operator builders do node by node, done
+    /// to the whole tree; for callers that want a plan to look at or to
+    /// hand to something that knows nothing of slots.
+    pub fn with_slots(&self, slots: &[Value]) -> PhysicalPlan {
+        let sub = |p: &PhysicalPlan| Box::new(p.with_slots(slots));
+        let named = |exprs: &[(BoundExpr, String)]| -> Vec<(BoundExpr, String)> {
+            exprs
+                .iter()
+                .map(|(e, n)| (e.with_slots(slots), n.clone()))
+                .collect()
+        };
+        let all = |exprs: &[BoundExpr]| -> Vec<BoundExpr> {
+            exprs.iter().map(|e| e.with_slots(slots)).collect()
+        };
+        match self {
+            PhysicalPlan::OneRow => PhysicalPlan::OneRow,
+            PhysicalPlan::LocalScan(n) => PhysicalPlan::LocalScan(LocalScanNode {
+                access: n.access.with_slots(slots),
+                residual: n.residual.as_ref().map(|r| r.with_slots(slots)),
+                ..n.clone()
+            }),
+            PhysicalPlan::RemoteQuery(n) => PhysicalPlan::RemoteQuery(RemoteQueryNode {
+                sql: n.sql.with_slots(slots),
+                ..n.clone()
+            }),
+            PhysicalPlan::SwitchUnion {
+                guard,
+                local,
+                remote,
+            } => PhysicalPlan::SwitchUnion {
+                guard: guard.clone(),
+                local: sub(local),
+                remote: sub(remote),
+            },
+            PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
+                input: sub(input),
+                predicate: predicate.with_slots(slots),
+            },
+            PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
+                input: sub(input),
+                exprs: named(exprs),
+            },
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                kind,
+            } => PhysicalPlan::HashJoin {
+                left: sub(left),
+                right: sub(right),
+                left_keys: all(left_keys),
+                right_keys: all(right_keys),
+                kind: *kind,
+            },
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
+                left_key,
+                right_key,
+                kind,
+            } => PhysicalPlan::MergeJoin {
+                left: sub(left),
+                right: sub(right),
+                left_key: left_key.with_slots(slots),
+                right_key: right_key.with_slots(slots),
+                kind: *kind,
+            },
+            PhysicalPlan::IndexNLJoin {
+                outer,
+                outer_key,
+                inner,
+                kind,
+            } => PhysicalPlan::IndexNLJoin {
+                outer: sub(outer),
+                outer_key: outer_key.with_slots(slots),
+                inner: inner.with_slots(slots),
+                kind: *kind,
+            },
+            PhysicalPlan::HashAggregate {
+                input,
+                group_by,
+                aggs,
+                having,
+            } => PhysicalPlan::HashAggregate {
+                input: sub(input),
+                group_by: named(group_by),
+                aggs: aggs.iter().map(|a| a.with_slots(slots)).collect(),
+                having: having.as_ref().map(|h| h.with_slots(slots)),
+            },
+            PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
+                input: sub(input),
+                keys: keys.clone(),
+            },
+            PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
+                input: sub(input),
+                n: *n,
+            },
+            PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct { input: sub(input) },
+        }
+    }
+
     /// Multi-line EXPLAIN rendering.
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -536,11 +870,15 @@ impl PhysicalPlan {
             PhysicalPlan::LocalScan(n) => {
                 let access = match &n.access {
                     AccessPath::FullScan => "scan".to_string(),
-                    AccessPath::ClusteredRange { column, .. } => {
-                        format!("clustered seek on {column}")
+                    AccessPath::ClusteredRange { column, range } => {
+                        format!("clustered seek on {column}{range}")
                     }
-                    AccessPath::IndexRange { index, column, .. } => {
-                        format!("index {index} seek on {column}")
+                    AccessPath::IndexRange {
+                        index,
+                        column,
+                        range,
+                    } => {
+                        format!("index {index} seek on {column}{range}")
                     }
                 };
                 format!(
@@ -706,6 +1044,69 @@ mod tests {
             local: Box::new(scan(operand)),
             remote: Box::new(remote(&[operand])),
         }
+    }
+
+    #[test]
+    fn shipped_sql_is_rendered_as_a_compile_for_those_values_renders_it() {
+        let compiled = [Value::Int(17), Value::from("it's $?9"), Value::Float(-2.5)];
+        // what the unparser writes for slots 0, 1, 2 — beside a literal that
+        // only looks like a marker
+        let marked = "SELECT c.n FROM c WHERE (c.k = $?0) AND (c.s <> $?1) AND (c.t = '$?0') \
+                      AND (c.b > $?2) AND (c.k2 = $?0)";
+        let sql = SqlText::from_marked(marked, &compiled);
+        let expected = |k: &str, s: &str, b: &str| {
+            format!(
+                "SELECT c.n FROM c WHERE (c.k = {k}) AND (c.s <> {s}) AND (c.t = '$?0') \
+                 AND (c.b > {b}) AND (c.k2 = {k})"
+            )
+        };
+        assert_eq!(&*sql, expected("17", "'it''s $?9'", "-2.5"));
+        assert_eq!(sql.render(&[]), &*sql, "no values: as compiled");
+        let later = [Value::Int(-4), Value::from(""), Value::Float(1e9)];
+        assert_eq!(sql.render(&later), expected("-4", "''", "1000000000"));
+        // resolved text holds no slot any more
+        assert_eq!(sql.with_slots(&later).render(&compiled), sql.render(&later));
+        // plain text is plain text
+        let plain: SqlText = "SELECT '$?0'".into();
+        assert_eq!(plain.render(&later), "SELECT '$?0'");
+    }
+
+    #[test]
+    fn a_seek_range_keeps_the_slot_of_an_end_only_it_bounds() {
+        let at_least = |v, slot| SeekRange {
+            range: KeyRange::at_least(Value::Int(v)),
+            low_slot: slot,
+            high_slot: None,
+        };
+        let below = |v, slot| SeekRange {
+            range: KeyRange::less_than(Value::Int(v)),
+            low_slot: None,
+            high_slot: slot,
+        };
+        // one end each: both slots survive, and follow their values
+        let both = at_least(10, Some(0)).intersect(&below(40, Some(1)));
+        assert_eq!((both.low_slot, both.high_slot), (Some(0), Some(1)));
+        assert_eq!(both.to_string(), " {?0=10} {?1=40}");
+        let later = both.with_slots(&[Value::Int(3), Value::Int(7)]);
+        assert_eq!(
+            later.range,
+            KeyRange::at_least(Value::Int(3)).intersect(&KeyRange::less_than(Value::Int(7)))
+        );
+        // an end two conjuncts bound is nobody's: which is tighter depends on
+        // the values, so it stays what it was compiled as
+        let shared = below(30, Some(0)).intersect(&below(45, Some(1)));
+        assert_eq!((shared.low_slot, shared.high_slot), (None, None));
+        assert_eq!(shared.with_slots(&[Value::Int(99), Value::Int(98)]), shared);
+        assert_eq!(shared.to_string(), "");
+        // a point range is one slot at both ends, printed once
+        let point = SeekRange {
+            range: KeyRange::eq(Value::Int(5)),
+            low_slot: Some(2),
+            high_slot: Some(2),
+        };
+        assert_eq!(point.to_string(), " {?2=5}");
+        let plain: SeekRange = KeyRange::eq(Value::Int(5)).into();
+        assert_eq!(plain.with_slots(&[Value::Int(1)]), plain);
     }
 
     #[test]

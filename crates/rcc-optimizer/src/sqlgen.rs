@@ -11,6 +11,7 @@
 use crate::constraint::OperandId;
 use crate::expr::BoundExpr;
 use crate::graph::{JoinKind, QueryGraph};
+use crate::physical::SqlText;
 #[cfg(test)]
 use rcc_common::Column;
 use rcc_common::Schema;
@@ -26,6 +27,9 @@ pub fn bound_to_ast(e: &BoundExpr) -> Expr {
             name: name.clone(),
         },
         BoundExpr::Literal(v) => Expr::Literal(v.clone()),
+        // rendered `$?n`, which `SqlText::from_marked` turns back into the
+        // slot's value and its place in the text
+        BoundExpr::Slot { index, .. } => Expr::Parameter(format!("?{index}")),
         BoundExpr::GetDate => Expr::Function {
             name: "getdate".into(),
             args: vec![],
@@ -75,7 +79,7 @@ pub fn operand_sql(
     graph: &QueryGraph,
     operand: OperandId,
     columns: &BTreeSet<String>,
-) -> (String, Schema) {
+) -> (SqlText, Schema) {
     let op = graph.operand(operand);
     let mut stmt = SelectStmt::empty();
     for c in columns {
@@ -111,13 +115,16 @@ pub fn operand_sql(
             })
             .collect(),
     );
-    (select_sql(&stmt), schema)
+    (
+        SqlText::from_marked(&select_sql(&stmt), &graph.slots),
+        schema,
+    )
 }
 
 /// SQL and result schema for shipping the *entire* query to the back-end
 /// (the paper's plan 1). Aggregation, DISTINCT, ORDER BY and LIMIT execute
 /// remotely; the cache just forwards rows.
-pub fn full_query_sql(graph: &QueryGraph) -> (String, Schema) {
+pub fn full_query_sql(graph: &QueryGraph) -> (SqlText, Schema) {
     let mut stmt = SelectStmt::empty();
     stmt.distinct = graph.distinct;
 
@@ -239,7 +246,10 @@ pub fn full_query_sql(graph: &QueryGraph) -> (String, Schema) {
     }
     stmt.limit = graph.limit;
 
-    (select_sql(&stmt), out_schema)
+    (
+        SqlText::from_marked(&select_sql(&stmt), &graph.slots),
+        out_schema,
+    )
 }
 
 /// Rebuild a HAVING expression (over the `#agg` output) into AST form by

@@ -19,7 +19,7 @@ use crate::constraint::OperandId;
 use crate::cost::{column_ranges, conjunct_range, filter_selectivity};
 use crate::expr::BoundExpr;
 use crate::graph::QueryGraph;
-use crate::physical::{AccessPath, LocalScanNode};
+use crate::physical::{AccessPath, LocalScanNode, SeekRange};
 use rcc_catalog::{CachedViewDef, Catalog, CurrencyRegion};
 use rcc_common::{DataType, Schema, Value};
 use rcc_storage::{KeyRange, TableStats};
@@ -38,7 +38,7 @@ pub struct OperandProfile {
     /// [`operand_schema`] over `required`.
     pub schema: Schema,
     /// [`column_ranges`] of the operand's filters.
-    pub ranges: BTreeMap<String, KeyRange>,
+    pub ranges: BTreeMap<String, SeekRange>,
     /// The base table's statistics.
     pub stats: Arc<TableStats>,
     /// [`filter_selectivity`] of the operand's filters against `stats`.
@@ -95,12 +95,11 @@ pub fn match_views(
             continue;
         }
         if let Some(pred) = &view.predicate {
-            let query_range = profile
-                .ranges
-                .get(&pred.column.to_ascii_lowercase())
-                .cloned()
-                .unwrap_or_else(KeyRange::all);
-            if !pred.range.contains_range(&query_range) {
+            let query_range = profile.ranges.get(&pred.column.to_ascii_lowercase());
+            if !pred
+                .range
+                .contains_range(query_range.map_or(&KeyRange::all(), |r| &r.range))
+            {
                 continue;
             }
         }
@@ -252,7 +251,7 @@ fn comparable(column: DataType, literal: &Value) -> bool {
 /// Choose the best access path given the filter-implied ranges: leading
 /// clustered-key range beats a secondary index beats a full scan.
 fn pick_access(
-    ranges: &BTreeMap<String, KeyRange>,
+    ranges: &BTreeMap<String, SeekRange>,
     leading_key: &str,
     index_on: impl Fn(&str) -> Option<String>,
 ) -> AccessPath {

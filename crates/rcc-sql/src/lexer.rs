@@ -200,6 +200,43 @@ const KEYWORDS: &[&str] = &[
 
 /// Tokenize `input` into a vector ending with [`TokenKind::Eof`].
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
+    let mut tokens = lex(input, false)?;
+    resolve_lines(&mut tokens, input);
+    Ok(tokens)
+}
+
+/// Tokenize the key of a [`Shape`](crate::shape::Shape) of `original`. A
+/// slot marker `?<n><t>` is the parameter token `$?<n>` (a name no client
+/// can write), and every token is positioned where it — or, for a marker,
+/// what it replaced — stands in `original`.
+pub(crate) fn tokenize_shape(shape: &crate::shape::Shape, original: &str) -> Result<Vec<Token>> {
+    let mut tokens = lex(&shape.key, true)?;
+    // after each marker the key and the original are out of step by the
+    // difference in length between the marker and what it replaced
+    let mut spans = shape.spans.iter();
+    let mut shift = 0isize;
+    for t in &mut tokens {
+        match &t.kind {
+            TokenKind::Param(p) if p.starts_with('?') => {
+                let Some(&(start, end)) = spans.next() else {
+                    let message = "slot marker without a span in the original text".into();
+                    return Err(lex_err(&shape.key, t.pos, message));
+                };
+                let marker_len = p.len() + 1; // `?<n>` and the type letter
+                shift = end as isize - (t.pos + marker_len) as isize;
+                t.pos = start;
+            }
+            _ => t.pos = (t.pos as isize + shift) as usize,
+        }
+    }
+    resolve_lines(&mut tokens, original);
+    Ok(tokens)
+}
+
+/// The tokens of `input`, positioned by byte offset only. With `markers`
+/// the slot markers of a shape key are tokens; without, `?` is the
+/// unexpected character it has always been.
+fn lex(input: &str, markers: bool) -> Result<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -309,6 +346,21 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     start,
                 ));
             }
+            '?' if markers => {
+                let start = i;
+                i += 1;
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
+                    i += 1;
+                }
+                if i == start + 1 || !bytes.get(i).is_some_and(u8::is_ascii_lowercase) {
+                    return Err(lex_err(input, start, "malformed slot marker".into()));
+                }
+                tokens.push(Token::new(
+                    TokenKind::Param(input[start..i].to_string()),
+                    start,
+                ));
+                i += 1; // the type letter
+            }
             c if c.is_ascii_digit() || c == '.' => {
                 let start = i;
                 let mut saw_dot = false;
@@ -352,11 +404,15 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
         }
     }
     tokens.push(Token::new(TokenKind::Eof, input.len()));
-    // Resolve line/column for every token in one forward pass (tokens are
-    // already sorted by byte offset).
+    Ok(tokens)
+}
+
+/// Resolve line/column for every token in one forward pass over the text
+/// their byte offsets point into (tokens are sorted by byte offset).
+fn resolve_lines(tokens: &mut [Token], input: &str) {
     let (mut line, mut col, mut at) = (1u32, 1u32, 0usize);
     let mut chars = input.char_indices().peekable();
-    for t in &mut tokens {
+    for t in tokens {
         while let Some(&(i, c)) = chars.peek() {
             if i >= t.pos {
                 break;
@@ -374,7 +430,6 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
         t.line = line;
         t.col = col;
     }
-    Ok(tokens)
 }
 
 #[cfg(test)]

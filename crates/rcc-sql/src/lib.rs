@@ -31,7 +31,9 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
+pub mod shape;
 pub mod unparse;
 
 pub use ast::*;
-pub use parser::{parse_statement, parse_statements};
+pub use parser::{parse_shape, parse_statement, parse_statements};
+pub use shape::{shape, Shape};

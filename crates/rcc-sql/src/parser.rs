@@ -1,7 +1,7 @@
 //! Recursive-descent SQL parser.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{tokenize, tokenize_shape, Token, TokenKind};
 use rcc_common::{DataType, Duration, Error, Result, Value};
 
 /// Parse a single SQL statement (trailing `;` allowed).
@@ -11,6 +11,27 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
     p.eat_semi();
     p.expect_eof()?;
     Ok(stmt)
+}
+
+/// Parse the `SELECT` that `shape` is the shape of: the statement of
+/// `original`, with an [`Expr::Parameter`] named `?<n>` where slot `n`
+/// stands. Positions (currency-spec spans, errors) are those of `original`.
+/// If the key does not parse, `original` is parsed instead, so what is
+/// wrong with a text is reported exactly as [`parse_statement`] reports it.
+pub fn parse_shape(shape: &crate::shape::Shape, original: &str) -> Result<SelectStmt> {
+    let parsed = tokenize_shape(shape, original).and_then(|tokens| {
+        let mut p = Parser { tokens, pos: 0 };
+        let stmt = p.statement()?;
+        p.eat_semi();
+        p.expect_eof()?;
+        Ok(stmt)
+    });
+    match parsed.or_else(|_| parse_statement(original))? {
+        Statement::Select(select) => Ok(*select),
+        other => Err(Error::internal(format!(
+            "only a SELECT has a shape, got {other:?}"
+        ))),
+    }
 }
 
 /// Parse a `;`-separated script into statements.

@@ -7,7 +7,14 @@ use rcc_sql::parse_statement;
 
 fn parse_err(sql: &str) -> String {
     match parse_statement(sql) {
-        Err(e) => e.to_string(),
+        Err(e) => {
+            // the shape path, which every served `SELECT` takes, reports
+            // the very same error
+            if let Some(shape) = rcc_sql::shape(sql, &std::collections::HashMap::new()) {
+                assert_eq!(rcc_sql::parse_shape(&shape, sql), Err(e.clone()), "{sql:?}");
+            }
+            e.to_string()
+        }
         Ok(stmt) => panic!("expected a parse error for {sql:?}, got {stmt:?}"),
     }
 }

@@ -102,6 +102,39 @@ impl ColumnStats {
         (covered / total as f64).clamp(0.0, 1.0)
     }
 
+    /// The stretch of the value line on which [`ColumnStats::range_selectivity`]
+    /// treats a bound `v` as it treats it now: the histogram bucket it
+    /// interpolates in, or the half-line beyond `min` / `max` (every bound
+    /// out there is clamped to the same end). Everything when the
+    /// statistics or `v` are not numeric — the estimate is then a fixed
+    /// guess, whatever `v` is.
+    pub fn bucket_of(&self, v: &Value) -> KeyRange {
+        let (Some((min, max)), Ok(x)) = (self.numeric_bounds(), v.as_float()) else {
+            return KeyRange::all();
+        };
+        if x < min {
+            return KeyRange::less_than(Value::Float(min));
+        }
+        if x > max {
+            return KeyRange::greater_than(Value::Float(max));
+        }
+        let buckets = self.histogram.len();
+        if buckets == 0 || max <= min {
+            return KeyRange::between(Value::Float(min), Value::Float(max));
+        }
+        let width = (max - min) / buckets as f64;
+        let i = (((x - min) / width) as usize).min(buckets - 1);
+        let low = min + i as f64 * width;
+        KeyRange {
+            low: Bound::Included(Value::Float(low)),
+            high: if i + 1 == buckets {
+                Bound::Included(Value::Float(max))
+            } else {
+                Bound::Excluded(Value::Float(low + width))
+            },
+        }
+    }
+
     /// Fraction of rows expected to match an equality predicate.
     pub fn eq_selectivity(&self, row_count: u64) -> f64 {
         if row_count == 0 {
