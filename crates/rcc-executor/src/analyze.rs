@@ -153,8 +153,7 @@ pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<A
     // a report slot per node in pre-order, a metering shim around each
     let mut entries = Vec::new();
     let mut op = build_wrapped(
-        plan,
-        &ctx.slots,
+        plan.with_slots(&ctx.slots),
         0,
         &mut |node, depth| {
             let meter = Arc::new(NodeMeter::default());

@@ -4,7 +4,7 @@ use crate::batch::Batch;
 use crate::context::ExecContext;
 use crate::ops::*;
 use rcc_common::{Result, Row, Schema, Value};
-use rcc_optimizer::{BoundExpr, PhysicalPlan};
+use rcc_optimizer::PhysicalPlan;
 use std::time::Instant;
 
 /// Elapsed wall time per execution phase — the breakdown the paper's
@@ -39,61 +39,44 @@ pub struct ExecutionResult {
 
 /// Translate a physical plan into an operator tree for an execution whose
 /// statement-slot values are `slots` (empty: the values the plan was
-/// compiled for). What a node hands its operator is copied out of the plan
-/// either way; here each slot — in an expression, a seek range, shipped
-/// SQL — is copied with the execution's value in it, so operators never
-/// see one.
+/// compiled for). The plan is copied once, every slot — in an expression, a
+/// seek range, shipped SQL — with the execution's value in it
+/// ([`PhysicalPlan::with_slots`], the one place that knows where a plan
+/// holds slots), and the copy is taken apart into operators, which never see
+/// a slot.
 pub fn build_operator(plan: &PhysicalPlan, slots: &[Value]) -> BoxedOp {
-    build_wrapped(plan, slots, 0, &mut |_, _| (), &|(), op| op)
+    build_wrapped(plan.with_slots(slots), 0, &mut |_, _| (), &|(), op| op)
 }
 
-/// [`build_operator`] with a hook around every node: `enter` sees each
-/// plan node in pre-order (a parent before its children, at its `depth`)
-/// and hands back a token; `wrap` gets that token with the node's finished
-/// operator and returns what the parent is built over. EXPLAIN ANALYZE
-/// meters every operator this way without a second plan walk.
+/// [`build_operator`] of a plan whose slots are resolved, with a hook
+/// around every node: `enter` sees each plan node in pre-order (a parent
+/// before its children, at its `depth`) and hands back a token; `wrap` gets
+/// that token with the node's finished operator and returns what the parent
+/// is built over. EXPLAIN ANALYZE meters every operator this way without a
+/// second plan walk.
 pub(crate) fn build_wrapped<T>(
-    plan: &PhysicalPlan,
-    slots: &[Value],
+    plan: PhysicalPlan,
     depth: usize,
     enter: &mut dyn FnMut(&PhysicalPlan, usize) -> T,
     wrap: &dyn Fn(T, BoxedOp) -> BoxedOp,
 ) -> BoxedOp {
-    let token = enter(plan, depth);
-    let mut child = |plan: &PhysicalPlan| build_wrapped(plan, slots, depth + 1, enter, wrap);
-    let expr = |e: &BoundExpr| e.with_slots(slots);
-    let exprs = |es: &[BoundExpr]| es.iter().map(expr).collect::<Vec<_>>();
-    let named = |es: &[(BoundExpr, String)]| {
-        es.iter()
-            .map(|(e, name)| (expr(e), name.clone()))
-            .collect::<Vec<_>>()
-    };
+    let token = enter(&plan, depth);
+    let mut child = |plan: Box<PhysicalPlan>| build_wrapped(*plan, depth + 1, enter, wrap);
     let op: BoxedOp = match plan {
         PhysicalPlan::OneRow => Box::new(OneRowOp::new()),
-        PhysicalPlan::LocalScan(n) => Box::new(LocalScanOp::new(
-            n.object.clone(),
-            n.schema.clone(),
-            n.access.with_slots(slots),
-            n.residual.as_ref().map(expr),
-        )),
-        PhysicalPlan::RemoteQuery(n) => {
-            Box::new(RemoteQueryOp::new(n.sql.render(slots), n.schema.clone()))
+        PhysicalPlan::LocalScan(n) => {
+            Box::new(LocalScanOp::new(n.object, n.schema, n.access, n.residual))
         }
+        PhysicalPlan::RemoteQuery(n) => Box::new(RemoteQueryOp::new(n.sql.into(), n.schema)),
         PhysicalPlan::SwitchUnion {
             guard,
             local,
             remote,
-        } => Box::new(SwitchUnionOp::new(
-            guard.clone(),
-            child(local),
-            child(remote),
-        )),
+        } => Box::new(SwitchUnionOp::new(guard, child(local), child(remote))),
         PhysicalPlan::Filter { input, predicate } => {
-            Box::new(FilterOp::new(child(input), expr(predicate)))
+            Box::new(FilterOp::new(child(input), predicate))
         }
-        PhysicalPlan::Project { input, exprs } => {
-            Box::new(ProjectOp::new(child(input), named(exprs)))
-        }
+        PhysicalPlan::Project { input, exprs } => Box::new(ProjectOp::new(child(input), exprs)),
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -103,9 +86,9 @@ pub(crate) fn build_wrapped<T>(
         } => Box::new(HashJoinOp::new(
             child(left),
             child(right),
-            exprs(left_keys),
-            exprs(right_keys),
-            *kind,
+            left_keys,
+            right_keys,
+            kind,
         )),
         PhysicalPlan::MergeJoin {
             left,
@@ -114,12 +97,12 @@ pub(crate) fn build_wrapped<T>(
             right_key,
             kind,
         } => {
-            debug_assert_eq!(*kind, rcc_optimizer::graph::JoinKind::Inner);
+            debug_assert_eq!(kind, rcc_optimizer::graph::JoinKind::Inner);
             Box::new(MergeJoinOp::new(
                 child(left),
                 child(right),
-                expr(left_key),
-                expr(right_key),
+                left_key,
+                right_key,
             ))
         }
         PhysicalPlan::IndexNLJoin {
@@ -127,25 +110,15 @@ pub(crate) fn build_wrapped<T>(
             outer_key,
             inner,
             kind,
-        } => Box::new(IndexNLJoinOp::new(
-            child(outer),
-            expr(outer_key),
-            inner.with_slots(slots),
-            *kind,
-        )),
+        } => Box::new(IndexNLJoinOp::new(child(outer), outer_key, inner, kind)),
         PhysicalPlan::HashAggregate {
             input,
             group_by,
             aggs,
             having,
-        } => Box::new(HashAggregateOp::new(
-            child(input),
-            named(group_by),
-            aggs.iter().map(|a| a.with_slots(slots)).collect(),
-            having.as_ref().map(expr),
-        )),
-        PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(child(input), keys.clone())),
-        PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(child(input), *n)),
+        } => Box::new(HashAggregateOp::new(child(input), group_by, aggs, having)),
+        PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(child(input), keys)),
+        PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(child(input), n)),
         PhysicalPlan::Distinct { input } => Box::new(DistinctOp::new(child(input))),
     };
     wrap(token, op)

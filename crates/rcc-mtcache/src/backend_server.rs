@@ -302,7 +302,7 @@ impl BackendServer {
         shape: &Shape,
         phases: &mut Phases,
     ) -> Result<(Optimized, Vec<KeyRange>)> {
-        let select = phases.run("backend:parse", || parse_shape(shape, sql))?;
+        let select = phases.run("backend:parse", || parse_shape(sql, &HashMap::new()))?;
         if select.currency.is_some() {
             return Err(Error::Remote(
                 "currency clauses must not reach the back-end (it always serves the latest snapshot)"

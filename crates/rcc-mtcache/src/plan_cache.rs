@@ -15,11 +15,11 @@
 //! the domain of values it was proven for
 //! (`rcc_optimizer::slot_domains`) — the paper's own device of a plan
 //! that carries a cheap run-time test, applied to the plan's constants. A
-//! lookup serves the first variant of the current epoch whose domains hold
-//! the statement's values; values outside every variant's domains compile
-//! a sibling, which is cached beside them.
+//! lookup serves a variant of the current epoch whose domains hold the
+//! statement's values; values outside every variant's domains compile a
+//! sibling, which is cached beside them.
 //!
-//! Each variant is tagged with the epoch it was compiled under. The epoch
+//! The variants of a key share the epoch they were compiled under. The epoch
 //! is derived, not remembered: it is the catalog's own mutation count
 //! ([`Catalog::version`]) plus the cache's [`PlanCache::invalidate`] calls,
 //! which are left for what the catalog does not hold (the optimizer's
@@ -48,10 +48,16 @@ use parking_lot::Mutex;
 use rcc_catalog::Catalog;
 use rcc_common::{Result, TableId, Value};
 use rcc_flow::{FlowAnalysis, GuardCert};
+use rcc_lint::Diagnostic;
 use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::PhysicalPlan;
+use rcc_sql::Anchor;
 use rcc_storage::KeyRange;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::{Bound, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -78,9 +84,9 @@ pub struct CompiledQuery {
     pub optimized: Optimized,
     /// Base tables the query reads (for timeline-consistency bookkeeping).
     pub tables: Vec<TableId>,
-    /// Rendered currency-clause lint diagnostics from compile time,
-    /// attached to every result served from this plan.
-    pub lint: Vec<String>,
+    /// Currency-clause lint diagnostics from compile time, attached to
+    /// every result served from this plan.
+    pub lint: Vec<LintWarning>,
     /// Currency dataflow analysis of the optimized plan (per-node
     /// delivered-staleness certificates).
     pub flow: FlowAnalysis,
@@ -88,6 +94,47 @@ pub struct CompiledQuery {
     /// least one removal. Served only for sessions with no timeline floors
     /// and no forced-local degradation — the certificates' premises.
     pub elided: Option<ElidedPlan>,
+}
+
+/// A lint diagnostic of a compilation, as results report it. The plan
+/// serves every text of its shape, and the clause the diagnostic points at
+/// stands elsewhere in a text whose literals are written wider.
+#[derive(Debug)]
+pub struct LintWarning {
+    /// `lint: <diagnostic>`, worded for the text that was compiled.
+    pub rendered: String,
+    /// Where in `rendered` the diagnostic's `line:col` is written, and that
+    /// position in the form that holds in every text of the shape (`None`
+    /// for a synthesized diagnostic, which has no position).
+    pub position: Option<(Range<usize>, Anchor)>,
+}
+
+impl LintWarning {
+    /// The warning for a diagnostic found compiling `sql` (with `params`).
+    pub fn new(diagnostic: &Diagnostic, sql: &str, params: &HashMap<String, Value>) -> Self {
+        let rendered = format!("lint: {diagnostic}");
+        let (line, col) = (diagnostic.line, diagnostic.col);
+        let written = format!("[{line}:{col}]");
+        let position = rendered.find(&written).filter(|_| line > 0).map(|at| {
+            let digits = at + 1..at + written.len() - 1;
+            (digits, Anchor::of(sql, params, line, col))
+        });
+        LintWarning { rendered, position }
+    }
+
+    /// The warning on a result for `sql`, another text of the shape: the
+    /// same words, pointing where the clause stands in this one.
+    pub fn for_text(&self, sql: &str, params: &HashMap<String, Value>) -> String {
+        let Some((written, anchor)) = &self.position else {
+            return self.rendered.clone();
+        };
+        let (line, col) = anchor.locate(sql, params);
+        let mut out = String::with_capacity(self.rendered.len() + 4);
+        out.push_str(&self.rendered[..written.start]);
+        let _ = write!(out, "{line}:{col}");
+        out.push_str(&self.rendered[written.end..]);
+        out
+    }
 }
 
 /// Cache of plans of type `P` with epoch-based invalidation, bounded at
@@ -102,31 +149,137 @@ pub struct PlanCache<P = CompiledQuery> {
     misses: AtomicU64,
     evictions: AtomicU64,
     sibling_compiles: AtomicU64,
+    /// Hashes the pinned values of statements and variants ([`Variants`]).
+    hasher: RandomState,
 }
 
 #[derive(Debug)]
 struct Entries<P> {
-    by_key: HashMap<Arc<str>, Vec<Variant<P>>>,
-    /// Every variant's key under its insertion number: eviction order.
-    by_age: BTreeMap<u64, Arc<str>>,
+    by_key: HashMap<Arc<str>, Variants<P>>,
+    /// Where every variant is — its key and the bucket of that shape —
+    /// under its insertion number: eviction order.
+    by_age: BTreeMap<u64, (Arc<str>, u64)>,
     /// Insertion number of the next variant.
     next: u64,
+}
+
+/// The variants of one key, all compiled under one epoch. There can be
+/// thousands — a slot with a point domain (`a <> ?0`, the two spellings of
+/// one join key in a shipped text) makes a variant per value — so they are
+/// bucketed by the values they pin: a lookup compares the statement only
+/// with variants that agree with it on every pinned slot.
+#[derive(Debug)]
+struct Variants<P> {
+    epoch: u64,
+    /// The slots *every* variant pins to a single value.
+    pinned: Vec<usize>,
+    /// The variants by the hash of their values in `pinned`, oldest first.
+    buckets: HashMap<u64, Vec<Variant<P>>>,
 }
 
 /// One plan of a shape, and the slot values it is the plan for.
 #[derive(Debug)]
 struct Variant<P> {
-    epoch: u64,
     inserted: u64,
     /// Per slot, the values `plan` was proven for.
     domains: Vec<KeyRange>,
     plan: Arc<P>,
 }
 
+/// The one value `domain` holds, if it holds exactly one.
+fn point(domain: &KeyRange) -> Option<&Value> {
+    match (&domain.low, &domain.high) {
+        (Bound::Included(low), Bound::Included(high)) if low == high => Some(low),
+        _ => None,
+    }
+}
+
 impl<P> Variant<P> {
     fn holds(&self, values: &[Value]) -> bool {
         self.domains.len() == values.len()
             && self.domains.iter().zip(values).all(|(d, v)| d.contains(v))
+    }
+}
+
+impl<P> Variants<P> {
+    fn new(epoch: u64) -> Variants<P> {
+        Variants {
+            epoch,
+            pinned: Vec::new(),
+            buckets: HashMap::new(),
+        }
+    }
+
+    /// The bucket of a statement (or variant) holding `value(slot)` in each
+    /// pinned slot; `None` if it has no such slot.
+    fn bucket_of<'a>(
+        &self,
+        hasher: &RandomState,
+        value: impl Fn(usize) -> Option<&'a Value>,
+    ) -> Option<u64> {
+        let mut state = hasher.build_hasher();
+        for &slot in &self.pinned {
+            value(slot)?.hash(&mut state);
+        }
+        Some(state.finish())
+    }
+
+    fn find(&self, hasher: &RandomState, values: &[Value]) -> Option<&Variant<P>> {
+        let bucket = self.bucket_of(hasher, |slot| values.get(slot))?;
+        self.buckets.get(&bucket)?.iter().find(|v| v.holds(values))
+    }
+
+    /// Add `variant` — in place of one with the same domains, if there is
+    /// one (two sessions compiled at once) — keeping `by_age` in step.
+    fn insert(
+        &mut self,
+        hasher: &RandomState,
+        key: &Arc<str>,
+        variant: Variant<P>,
+        by_age: &mut BTreeMap<u64, (Arc<str>, u64)>,
+    ) {
+        let pins = |slot: usize| variant.domains.get(slot).and_then(point);
+        if self.buckets.is_empty() {
+            self.pinned = (0..variant.domains.len())
+                .filter(|&slot| pins(slot).is_some())
+                .collect();
+        } else if !self.pinned.iter().all(|&slot| pins(slot).is_some()) {
+            // a slot the others pin has room here: bucket on the rest
+            self.pinned.retain(|&slot| pins(slot).is_some());
+            for held in std::mem::take(&mut self.buckets).into_values().flatten() {
+                let bucket = self
+                    .bucket_of(hasher, |slot| point(&held.domains[slot]))
+                    .expect("every variant pins these slots");
+                by_age.insert(held.inserted, (Arc::clone(key), bucket));
+                self.buckets.entry(bucket).or_default().push(held);
+            }
+        }
+        let bucket = self
+            .bucket_of(hasher, pins)
+            .expect("only slots this variant pins are left");
+        by_age.insert(variant.inserted, (Arc::clone(key), bucket));
+        let variants = self.buckets.entry(bucket).or_default();
+        match variants.iter_mut().find(|v| v.domains == variant.domains) {
+            Some(same) => {
+                by_age.remove(&same.inserted);
+                *same = variant;
+            }
+            None => variants.push(variant),
+        }
+    }
+
+    /// Drop the variant inserted as number `inserted` into `bucket`.
+    fn remove(&mut self, bucket: u64, inserted: u64) {
+        if let Some(variants) = self.buckets.get_mut(&bucket) {
+            variants.retain(|v| v.inserted != inserted);
+            if variants.is_empty() {
+                self.buckets.remove(&bucket);
+            }
+        }
+    }
+
+    fn variants(&self) -> impl Iterator<Item = &Variant<P>> {
+        self.buckets.values().flatten()
     }
 }
 
@@ -145,6 +298,7 @@ impl<P> PlanCache<P> {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             sibling_compiles: AtomicU64::new(0),
+            hasher: RandomState::new(),
         }
     }
 
@@ -198,34 +352,24 @@ impl<P> PlanCache<P> {
         self.len() == 0
     }
 
-    /// The plan of `key` for `values`: the first variant of the current
-    /// epoch whose domains hold them, counting a hit if there is one.
-    pub fn find(&self, key: &str, values: &[Value]) -> Option<Arc<P>> {
-        self.lookup(key, values).0
-    }
-
-    /// [`PlanCache::find`], also telling whether the key has any variant of
-    /// the current epoch.
+    /// The plan of `key` for `values` — a variant of the current epoch whose
+    /// domains hold them, counting a hit if there is one — and whether the
+    /// key has any variant of the current epoch.
     fn lookup(&self, key: &str, values: &[Value]) -> (Option<Arc<P>>, bool) {
         let epoch = self.epoch();
         let mut entries = self.entries.lock();
         let Entries { by_key, by_age, .. } = &mut *entries;
-        let Some(variants) = by_key.get_mut(key) else {
+        let Some(held) = by_key.get(key) else {
             return (None, false);
         };
-        if variants.iter().any(|v| v.epoch != epoch) {
-            variants.retain(|v| {
-                if v.epoch != epoch {
-                    by_age.remove(&v.inserted);
-                }
-                v.epoch == epoch
-            });
-            if variants.is_empty() {
-                by_key.remove(key);
-                return (None, false);
+        if held.epoch != epoch {
+            for stale in held.variants() {
+                by_age.remove(&stale.inserted);
             }
+            by_key.remove(key);
+            return (None, false);
         }
-        match variants.iter().find(|v| v.holds(values)) {
+        match held.find(&self.hasher, values) {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 (Some(Arc::clone(&v.plan)), true)
@@ -284,30 +428,30 @@ impl<P> PlanCache<P> {
             None => key.into(),
         };
         let variant = Variant {
-            epoch,
             inserted: *next,
             domains,
             plan,
         };
         *next += 1;
-        by_age.insert(variant.inserted, Arc::clone(&key));
-        let variants = by_key.entry(key).or_default();
-        match variants.iter_mut().find(|v| v.domains == variant.domains) {
-            // the same domains again (compiled under an older epoch, or by
-            // two sessions at once): takes that variant's place, counts once
-            Some(same) => {
-                by_age.remove(&same.inserted);
-                *same = variant;
+        let held = by_key
+            .entry(Arc::clone(&key))
+            .or_insert_with(|| Variants::new(epoch));
+        if held.epoch != epoch {
+            // not looked up since the epoch moved: the new plan takes the
+            // stale ones' place
+            for stale in held.variants() {
+                by_age.remove(&stale.inserted);
             }
-            None => variants.push(variant),
+            *held = Variants::new(epoch);
         }
+        held.insert(&self.hasher, &key, variant, by_age);
         while by_age.len() > PLAN_CACHE_CAPACITY {
-            let Some((oldest, key)) = by_age.pop_first() else {
+            let Some((oldest, (key, bucket))) = by_age.pop_first() else {
                 break;
             };
-            if let Some(variants) = by_key.get_mut(&key) {
-                variants.retain(|v| v.inserted != oldest);
-                if variants.is_empty() {
+            if let Some(held) = by_key.get_mut(&key) {
+                held.remove(bucket, oldest);
+                if held.buckets.is_empty() {
                     by_key.remove(&key);
                 }
             }
@@ -332,7 +476,7 @@ mod tests {
     }
 
     fn get(pc: &PlanCache<u32>, key: &str) -> Option<Arc<u32>> {
-        pc.find(key, &[])
+        pc.lookup(key, &[]).0
     }
 
     #[test]
@@ -468,7 +612,7 @@ mod tests {
         assert_eq!(serve(700, 9, rest), (Arc::new(2), true));
         assert_eq!((pc.stats(), pc.len()), ((3, 2), 2));
         // a different number of values is another statement altogether
-        assert!(pc.find("a < ?0i", &[]).is_none());
+        assert!(pc.lookup("a < ?0i", &[]).0.is_none());
 
         // variants are what is counted and what is evicted, oldest first
         for i in 0..PLAN_CACHE_CAPACITY as i64 - 1 {
@@ -478,5 +622,51 @@ mod tests {
         assert_eq!((pc.len(), pc.evictions()), (PLAN_CACHE_CAPACITY, 1));
         assert_eq!(serve(700, 9, Vec::new()), (Arc::new(2), true));
         assert_eq!(serve(7, 4, below(50)), (Arc::new(4), false), "evicted");
+    }
+
+    #[test]
+    fn variants_are_found_through_the_values_they_pin() {
+        let pc = cache();
+        let key = "a = ?0i AND b <> ?1i";
+        let serve = |a: i64, b: i64, plan: u32, domains: Vec<KeyRange>| {
+            let compiled = move || Ok((plan, domains));
+            pc.find_or_compile(key, &[Value::Int(a), Value::Int(b)], compiled)
+                .unwrap()
+        };
+        let low = |b: i64| vec![KeyRange::less_than(Value::Int(50)), KeyRange::eq(b.into())];
+        // one variant per value of the pinned slot, thousands of them
+        for b in 0..3000 {
+            assert_eq!(serve(7, b, b as u32, low(b)), (Arc::new(b as u32), false));
+        }
+        let buckets = |pc: &PlanCache<u32>| {
+            let entries = pc.entries.lock();
+            let shape = &entries.by_key[key];
+            (shape.pinned.clone(), shape.buckets.len())
+        };
+        assert_eq!(buckets(&pc), (vec![1], 3000), "one variant a bucket");
+        assert_eq!(serve(49, 2999, 0, Vec::new()), (Arc::new(2999), true));
+        assert_eq!(serve(49, 0, 0, Vec::new()), (Arc::new(0), true));
+        // same pinned value, first slot outside the domain: a sibling in
+        // the same bucket
+        let high = vec![KeyRange::at_least(Value::Int(50)), KeyRange::eq(5.into())];
+        assert_eq!(serve(50, 5, 9000, high), (Arc::new(9000), false));
+        assert_eq!(serve(51, 5, 0, Vec::new()), (Arc::new(9000), true));
+        assert_eq!(serve(7, 5, 0, Vec::new()), (Arc::new(5), true));
+        assert_eq!(buckets(&pc), (vec![1], 3000));
+        // a variant with room in the slot the others pin: nothing is pinned
+        // by all any more, and every variant is still found
+        let any_b = vec![KeyRange::eq(Value::Int(60)), KeyRange::all()];
+        assert_eq!(serve(60, 7777, 9001, any_b), (Arc::new(9001), false));
+        assert_eq!(buckets(&pc), (vec![], 1));
+        assert_eq!(serve(60, 123_456, 0, Vec::new()), (Arc::new(9001), true));
+        assert_eq!(serve(7, 1234, 0, Vec::new()), (Arc::new(1234), true));
+        assert_eq!(serve(51, 5, 0, Vec::new()), (Arc::new(9000), true));
+        assert_eq!(pc.len(), 3002);
+        // eviction still finds each variant where it now is
+        for i in 0..PLAN_CACHE_CAPACITY {
+            put(&pc, &format!("q{i}"));
+        }
+        assert_eq!((pc.len(), pc.evictions()), (PLAN_CACHE_CAPACITY, 3002));
+        assert!(!pc.entries.lock().by_key.contains_key(key));
     }
 }

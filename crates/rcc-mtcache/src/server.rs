@@ -1,7 +1,7 @@
 //! The MTCache server.
 
 use crate::backend_server::BackendServer;
-use crate::plan_cache::{CompiledQuery, ElidedPlan, PlanCache};
+use crate::plan_cache::{CompiledQuery, ElidedPlan, LintWarning, PlanCache};
 use crate::policy::ViolationPolicy;
 use crate::result::{PlanExplain, QueryResult};
 use crate::session::Session;
@@ -1508,9 +1508,7 @@ impl MTCache {
     /// the bind and optimize steps. `slots` are the statement's slot values
     /// when `select` was parsed from its shape (none otherwise); the plan
     /// comes with the domain of each slot it is valid for. The caller
-    /// decides whether the result enters the plan cache. (`sql` only words
-    /// the debug-build audits' failures.)
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    /// decides whether the result enters the plan cache.
     fn compile(
         &self,
         sql: &str,
@@ -1542,7 +1540,12 @@ impl MTCache {
                 trace.id(),
             );
         }
-        let lint: Vec<String> = lint_diags.iter().map(|d| format!("lint: {d}")).collect();
+        let lint = if lint_diags.is_empty() {
+            Vec::new()
+        } else {
+            let warning = |d| LintWarning::new(d, sql, params);
+            lint_diags.iter().map(warning).collect()
+        };
         drop(span);
         let span = trace.span("bind");
         let started = Instant::now();
@@ -1696,7 +1699,7 @@ impl MTCache {
             .plan_cache
             .find_or_compile(&shape.key, &shape.values, || {
                 let parse_started = Instant::now();
-                let select = parse_shape(&shape, sql)?;
+                let select = parse_shape(sql, params)?;
                 let parse = parse_started.elapsed();
                 let c = self.compile(sql, &select, params, &shape.values, &trace, session)?;
                 if let Some(elided) = &c.compiled.elided {
@@ -1755,7 +1758,10 @@ impl MTCache {
                     // this query's own meter: other sessions' remote
                     // branches are none of its business
                     used_remote: ctx.meter.remote_queries.load(Ordering::Relaxed) > 0,
-                    warnings: compiled.lint.clone(),
+                    // worded at compile time, pointed into this text
+                    warnings: (compiled.lint.iter())
+                        .map(|w| w.for_text(sql, params))
+                        .collect(),
                     timings: result.timings,
                     tables: compiled.tables.clone(),
                     stats,

@@ -138,8 +138,11 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     assert_eq!(cache.execute(RANGE).unwrap().rows.len(), 5);
     let (hits, misses) = plans.stats();
     let shape = rcc_sql::shape(text, &HashMap::new()).unwrap();
-    let cached = || plans.find(&shape.key, &shape.values);
-    let plan = cached().expect("cached under the shipped text's shape");
+    let cached = || {
+        let not_cached = || Err(Error::internal("not cached"));
+        plans.find_or_compile(&shape.key, &shape.values, not_cached)
+    };
+    let (plan, _) = cached().expect("cached under the shipped text's shape");
     assert!(
         plan.plan.explain().contains("[scan]"),
         "{}",
@@ -149,9 +152,9 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     cache.execute("CREATE INDEX ix_v ON t (v)").unwrap();
     assert_eq!(shipped_by(&cache, RANGE), texts, "the same text ships");
     assert_eq!(cache.execute(RANGE).unwrap().rows.len(), 5);
-    // (`find` above was a hit of its own)
+    // (`cached()` above was a hit of its own)
     assert_eq!(plans.stats(), (hits + 1, misses + 1), "planned again");
-    let plan = cached().unwrap();
+    let (plan, _) = cached().unwrap();
     assert!(
         plan.plan.explain().contains("index ix_v seek on v"),
         "{}",

@@ -126,12 +126,33 @@ impl BoundExpr {
     /// A copy in which every slot holds its value of `slots` (an execution's
     /// value vector; a slot it does not reach keeps the value it has).
     pub fn with_slots(&self, slots: &[Value]) -> BoundExpr {
-        let sub = |e: &BoundExpr| Box::new(e.with_slots(slots));
+        self.map_slots(&|index, value| BoundExpr::Slot {
+            index,
+            value: slot_value(slots, index, value).clone(),
+        })
+    }
+
+    /// Equality with every slot read as the constant it holds: `v > ?0=10`
+    /// and `v > ?1=10` are the same expression *for these values* (what a
+    /// select-list item and the `GROUP BY` / `ORDER BY` / `HAVING` expression
+    /// it repeats must be), where `==` tells slots apart by number. A plan
+    /// built on such a match holds for these values only; the slots of those
+    /// clauses have point domains ([`slot_domains`](crate::slot_domains)).
+    pub fn same_value(&self, other: &BoundExpr) -> bool {
+        self.as_written() == other.as_written()
+    }
+
+    /// The expression as the statement wrote it: every slot replaced by the
+    /// literal it holds.
+    pub fn as_written(&self) -> BoundExpr {
+        self.map_slots(&|_, value| BoundExpr::Literal(value.clone()))
+    }
+
+    /// A copy with every slot replaced by `f(index, value)`.
+    fn map_slots(&self, f: &impl Fn(u32, &Value) -> BoundExpr) -> BoundExpr {
+        let sub = |e: &BoundExpr| Box::new(e.map_slots(f));
         match self {
-            BoundExpr::Slot { index, value } => BoundExpr::Slot {
-                index: *index,
-                value: slot_value(slots, *index, value).clone(),
-            },
+            BoundExpr::Slot { index, value } => f(*index, value),
             BoundExpr::Column { .. } | BoundExpr::Literal(_) | BoundExpr::GetDate => self.clone(),
             BoundExpr::Binary { left, op, right } => BoundExpr::Binary {
                 left: sub(left),
@@ -159,7 +180,7 @@ impl BoundExpr {
                 negated,
             } => BoundExpr::InList {
                 expr: sub(expr),
-                list: list.iter().map(|e| e.with_slots(slots)).collect(),
+                list: list.iter().map(|e| e.map_slots(f)).collect(),
                 negated: *negated,
             },
             BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
@@ -723,8 +744,12 @@ mod tests {
         assert_eq!(e.with_slots(&[]), e, "no values: the plan as compiled");
         assert_eq!(slot(0, 14).constant(), Some(&Value::Int(14)));
         assert_eq!(BoundExpr::col("t", "a").constant(), None);
-        // slots are told apart by number, not by what they hold
+        // `==` tells slots apart by number; `same_value` reads what they hold
         assert_ne!(slot(0, 7), slot(1, 7));
+        assert!(slot(0, 7).same_value(&slot(1, 7)));
+        assert!(slot(0, 7).same_value(&BoundExpr::Literal(Value::Int(7))));
+        assert!(!slot(0, 7).same_value(&slot(0, 8)));
+        assert!(!e.same_value(&later) && e.same_value(&e.with_slots(&[Value::Int(14)])));
     }
 
     #[test]

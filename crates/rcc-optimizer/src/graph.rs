@@ -402,7 +402,7 @@ impl<'a> Binder<'a> {
                     let bound = self.bind_expr(e)?;
                     projections
                         .iter()
-                        .position(|(pe, _)| pe == &bound)
+                        .position(|(pe, _)| pe.same_value(&bound))
                         .ok_or_else(|| {
                             Error::analysis("ORDER BY expression must appear in the SELECT list")
                         })?
@@ -985,9 +985,10 @@ impl<'a> Binder<'a> {
         // non-aggregate projection in an aggregate query must match a
         // GROUP BY expression
         let bound = self.bind_expr(expr)?;
-        if !group_by.iter().any(|(g, _)| g == &bound) {
+        if !group_by.iter().any(|(g, _)| g.same_value(&bound)) {
             return Err(Error::analysis(format!(
-                "projection '{bound}' is neither an aggregate nor in GROUP BY"
+                "projection '{}' is neither an aggregate nor in GROUP BY",
+                bound.as_written()
             )));
         }
         Ok(())
@@ -1017,7 +1018,13 @@ impl<'a> Binder<'a> {
                         })?)?)
                     };
                 // reuse an existing identical call if present
-                let existing = aggs.iter().position(|a| a.func == func && a.arg == arg);
+                let existing = aggs.iter().position(|a| {
+                    a.func == func
+                        && match (&a.arg, &arg) {
+                            (Some(a), Some(b)) => a.same_value(b),
+                            (a, b) => a.is_none() && b.is_none(),
+                        }
+                });
                 let name = match existing {
                     Some(i) => aggs[i].output_name.clone(),
                     None => {
@@ -1048,7 +1055,7 @@ impl<'a> Binder<'a> {
                 let bound = self.bind_expr(other)?;
                 group_by
                     .iter()
-                    .find(|(g, _)| g == &bound)
+                    .find(|(g, _)| g.same_value(&bound))
                     .map(|(_, n)| BoundExpr::col("#agg", n))
                     .ok_or_else(|| {
                         Error::analysis("HAVING may reference only aggregates and GROUP BY columns")
@@ -1225,6 +1232,48 @@ mod tests {
             other => panic!("{other:?}"),
         };
         bind_select(&catalog(), &stmt, &HashMap::new()).unwrap_err()
+    }
+
+    /// Bound the way the statement path binds: from the shape, literals as
+    /// slots.
+    fn bind_shape(sql: &str) -> Result<QueryGraph> {
+        let params = HashMap::new();
+        let shape = rcc_sql::shape(sql, &params).expect("a SELECT");
+        let stmt = rcc_sql::parse_shape(sql, &params)?;
+        bind_select_slots(&catalog(), &stmt, &params, &shape.values)
+    }
+
+    #[test]
+    fn a_constant_repeated_across_clauses_matches_by_value() {
+        // each occurrence is its own slot; the clauses match on what they hold
+        let g = bind_shape("SELECT c_acctbal > 10, COUNT(*) FROM customer GROUP BY c_acctbal > 10")
+            .unwrap();
+        assert_eq!(g.slots, [Value::Int(10), Value::Int(10)]);
+        assert_eq!(g.aggregate.as_ref().unwrap().group_by.len(), 1);
+        let g =
+            bind_shape("SELECT c_name, c_custkey = 5 FROM customer ORDER BY c_custkey = 5 DESC")
+                .unwrap();
+        assert_eq!(g.order_by, [(1, false)]);
+        let g = bind_shape(
+            "SELECT c_nationkey BETWEEN 1 AND 5, SUM(c_acctbal) FROM customer \
+             GROUP BY c_nationkey BETWEEN 1 AND 5 HAVING c_nationkey BETWEEN 1 AND 5",
+        )
+        .unwrap();
+        assert!(g.aggregate.as_ref().unwrap().having.is_some());
+        // HAVING reuses the select list's aggregate call, not a second one
+        let g = bind_shape(
+            "SELECT c_nationkey, COUNT(c_acctbal > 5) FROM customer GROUP BY c_nationkey \
+             HAVING COUNT(c_acctbal > 5) > 1",
+        )
+        .unwrap();
+        assert_eq!(g.aggregate.as_ref().unwrap().aggs.len(), 1);
+        // other values in one of the clauses: no match, as for literals
+        for sql in [
+            "SELECT c_acctbal > 10, COUNT(*) FROM customer GROUP BY c_acctbal > 11",
+            "SELECT c_name, c_custkey = 5 FROM customer ORDER BY c_custkey = 6",
+        ] {
+            assert!(matches!(bind_shape(sql), Err(Error::Analysis(_))), "{sql}");
+        }
     }
 
     #[test]

@@ -108,6 +108,8 @@ impl From<KeyRange> for SeekRange {
     }
 }
 
+/// The range for the values the plan was compiled with (what every
+/// compile-time reader of a range wants).
 impl Deref for SeekRange {
     type Target = KeyRange;
     fn deref(&self) -> &KeyRange {
@@ -202,6 +204,14 @@ impl From<String> for SqlText {
             text,
             slots: Vec::new(),
         }
+    }
+}
+
+/// The text for the values the plan was compiled with — all there is to a
+/// text whose slots are resolved ([`SqlText::with_slots`]).
+impl From<SqlText> for String {
+    fn from(sql: SqlText) -> String {
+        sql.text
     }
 }
 
@@ -335,9 +345,16 @@ impl InnerAccess {
     /// The access an execution with value vector `slots` makes.
     pub fn with_slots(&self, slots: &[Value]) -> InnerAccess {
         InnerAccess {
+            object: self.object.clone(),
+            schema: self.schema.clone(),
+            seek_col: self.seek_col.clone(),
+            use_index: self.use_index.clone(),
             residual: self.residual.as_ref().map(|r| r.with_slots(slots)),
+            guard: self.guard.clone(),
             remote_sql: self.remote_sql.as_ref().map(|s| s.with_slots(slots)),
-            ..self.clone()
+            operand: self.operand,
+            est_rows_per_probe: self.est_rows_per_probe,
+            force_remote: self.force_remote,
         }
     }
 }
@@ -751,11 +768,11 @@ impl PhysicalPlan {
         }
     }
 
-    /// The plan as an execution with value vector `slots` runs it: every
-    /// slot — in expressions, seek ranges and shipped SQL — holding that
-    /// execution's value. What the operator builders do node by node, done
-    /// to the whole tree; for callers that want a plan to look at or to
-    /// hand to something that knows nothing of slots.
+    /// The plan as an execution with value vector `slots` runs it: a copy
+    /// with every slot — in expressions, seek ranges and shipped SQL —
+    /// holding that execution's value. The one walk that knows where a plan
+    /// holds slots: the executor builds its operators out of this copy, the
+    /// row reference engine is handed it, and EXPLAIN prints it.
     pub fn with_slots(&self, slots: &[Value]) -> PhysicalPlan {
         let sub = |p: &PhysicalPlan| Box::new(p.with_slots(slots));
         let named = |exprs: &[(BoundExpr, String)]| -> Vec<(BoundExpr, String)> {
@@ -770,13 +787,18 @@ impl PhysicalPlan {
         match self {
             PhysicalPlan::OneRow => PhysicalPlan::OneRow,
             PhysicalPlan::LocalScan(n) => PhysicalPlan::LocalScan(LocalScanNode {
+                object: n.object.clone(),
+                schema: n.schema.clone(),
                 access: n.access.with_slots(slots),
                 residual: n.residual.as_ref().map(|r| r.with_slots(slots)),
-                ..n.clone()
+                operand: n.operand,
+                est_rows: n.est_rows,
             }),
             PhysicalPlan::RemoteQuery(n) => PhysicalPlan::RemoteQuery(RemoteQueryNode {
                 sql: n.sql.with_slots(slots),
-                ..n.clone()
+                schema: n.schema.clone(),
+                operands: n.operands.clone(),
+                est_rows: n.est_rows,
             }),
             PhysicalPlan::SwitchUnion {
                 guard,

@@ -200,7 +200,7 @@ mod tests {
             .map(|(name, v)| (name.to_string(), v.clone()))
             .collect();
         let shape = rcc_sql::shape(sql, &params).expect("a SELECT");
-        let select = rcc_sql::parse_shape(&shape, sql).unwrap();
+        let select = rcc_sql::parse_shape(sql, &params).unwrap();
         let graph = bind_select_slots(&cat, &select, &params, &shape.values).unwrap();
         let domains = slot_domains(&cat, &graph);
         for (d, v) in domains.iter().zip(&shape.values) {

@@ -205,22 +205,27 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     Ok(tokens)
 }
 
-/// Tokenize the key of a [`Shape`](crate::shape::Shape) of `original`. A
-/// slot marker `?<n><t>` is the parameter token `$?<n>` (a name no client
-/// can write), and every token is positioned where it — or, for a marker,
-/// what it replaced — stands in `original`.
-pub(crate) fn tokenize_shape(shape: &crate::shape::Shape, original: &str) -> Result<Vec<Token>> {
-    let mut tokens = lex(&shape.key, true)?;
+/// Tokenize `key`, the key of the [`Shape`](crate::shape::Shape) of
+/// `original`, whose markers stand for the `spans` of `original`. A slot
+/// marker `?<n><t>` is the parameter token `$?<n>` (a name no client can
+/// write), and every token is positioned where it — or, for a marker, what
+/// it replaced — stands in `original`.
+pub(crate) fn tokenize_shape(
+    key: &str,
+    original: &str,
+    spans: &[(usize, usize)],
+) -> Result<Vec<Token>> {
+    let mut tokens = lex(key, true)?;
     // after each marker the key and the original are out of step by the
     // difference in length between the marker and what it replaced
-    let mut spans = shape.spans.iter();
+    let mut spans = spans.iter();
     let mut shift = 0isize;
     for t in &mut tokens {
         match &t.kind {
             TokenKind::Param(p) if p.starts_with('?') => {
                 let Some(&(start, end)) = spans.next() else {
                     let message = "slot marker without a span in the original text".into();
-                    return Err(lex_err(&shape.key, t.pos, message));
+                    return Err(lex_err(key, t.pos, message));
                 };
                 let marker_len = p.len() + 1; // `?<n>` and the type letter
                 shift = end as isize - (t.pos + marker_len) as isize;

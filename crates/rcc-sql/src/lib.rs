@@ -36,4 +36,4 @@ pub mod unparse;
 
 pub use ast::*;
 pub use parser::{parse_shape, parse_statement, parse_statements};
-pub use shape::{shape, Shape};
+pub use shape::{marker_spans, shape, Anchor, Shape};

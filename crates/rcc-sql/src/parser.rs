@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::lexer::{tokenize, tokenize_shape, Token, TokenKind};
 use rcc_common::{DataType, Duration, Error, Result, Value};
+use std::collections::HashMap;
 
 /// Parse a single SQL statement (trailing `;` allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
@@ -13,19 +14,25 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
-/// Parse the `SELECT` that `shape` is the shape of: the statement of
-/// `original`, with an [`Expr::Parameter`] named `?<n>` where slot `n`
-/// stands. Positions (currency-spec spans, errors) are those of `original`.
-/// If the key does not parse, `original` is parsed instead, so what is
-/// wrong with a text is reported exactly as [`parse_statement`] reports it.
-pub fn parse_shape(shape: &crate::shape::Shape, original: &str) -> Result<SelectStmt> {
-    let parsed = tokenize_shape(shape, original).and_then(|tokens| {
-        let mut p = Parser { tokens, pos: 0 };
-        let stmt = p.statement()?;
-        p.eat_semi();
-        p.expect_eof()?;
-        Ok(stmt)
-    });
+/// Parse the `SELECT` `original` through its [`shape`](crate::shape::shape)
+/// for `params`: the statement of `original`, with an [`Expr::Parameter`]
+/// named `?<n>` where slot `n` stands. Positions (currency-spec spans,
+/// errors) are those of `original`. If the key does not parse, `original`
+/// is parsed instead, so what is wrong with a text is reported exactly as
+/// [`parse_statement`] reports it. (The lexical pass is run again here, this
+/// time noting where each marker came from: the statement path keeps only
+/// the key and the values, and gets here only when no plan was cached.)
+pub fn parse_shape(original: &str, params: &HashMap<String, Value>) -> Result<SelectStmt> {
+    let parsed = crate::shape::shape_and_spans(original, params)
+        .ok_or_else(|| Error::internal("only a SELECT has a shape"))
+        .and_then(|(shape, spans)| tokenize_shape(&shape.key, original, &spans))
+        .and_then(|tokens| {
+            let mut p = Parser { tokens, pos: 0 };
+            let stmt = p.statement()?;
+            p.eat_semi();
+            p.expect_eof()?;
+            Ok(stmt)
+        });
     match parsed.or_else(|_| parse_statement(original))? {
         Statement::Select(select) => Ok(*select),
         other => Err(Error::internal(format!(

@@ -40,10 +40,78 @@ pub struct Shape {
     pub key: String,
     /// The slots' values, by slot number.
     pub values: Vec<Value>,
-    /// Per marker in `key`, in order: the byte span of the original text it
-    /// stands for (token positions in the key are mapped back through
-    /// these, so diagnostics point into the text the client sent).
-    pub spans: Vec<(usize, usize)>,
+}
+
+/// A position in a text that holds in every text of the same shape. Two
+/// such texts differ only in how wide their slots are written, so what
+/// stands before the first marker is as far from the start in both, what
+/// stands after the last is as far from the end (a `CURRENCY` clause,
+/// nearly always), and anything else is as far past the marker before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Anchor {
+    /// No marker before it: so many bytes from the start.
+    FromStart(usize),
+    /// No marker after it: so many bytes before the end.
+    FromEnd(usize),
+    /// Markers on both sides: past that many markers, so many bytes after
+    /// the last of them.
+    AfterMarker {
+        /// How many markers precede it.
+        markers: usize,
+        /// Bytes between the end of the last of them and it.
+        past: usize,
+    },
+}
+
+impl Anchor {
+    /// The anchor of the 1-based `line:col` of `sql`, a text whose
+    /// [`shape`] is taken with `params`.
+    pub fn of(sql: &str, params: &HashMap<String, Value>, line: u32, col: u32) -> Anchor {
+        let in_line = sql
+            .split_inclusive('\n')
+            .take(line.saturating_sub(1) as usize)
+            .map(str::len)
+            .sum::<usize>()
+            .min(sql.len());
+        let offset = sql[in_line..]
+            .char_indices()
+            .nth(col.saturating_sub(1) as usize)
+            .map_or(sql.len(), |(i, _)| in_line + i);
+        let spans = marker_spans(sql, params);
+        let markers = spans.iter().take_while(|&&(_, end)| end <= offset).count();
+        if markers == 0 {
+            Anchor::FromStart(offset)
+        } else if markers == spans.len() {
+            Anchor::FromEnd(sql.len() - offset)
+        } else {
+            Anchor::AfterMarker {
+                markers,
+                past: offset - spans[markers - 1].1,
+            }
+        }
+    }
+
+    /// The 1-based line and column at which it stands in `sql`, another
+    /// text of the shape (with `params`). Only an anchor between markers
+    /// needs the text scanned for them.
+    pub fn locate(&self, sql: &str, params: &HashMap<String, Value>) -> (u32, u32) {
+        let offset = match *self {
+            Anchor::FromStart(offset) => offset,
+            Anchor::FromEnd(before_end) => sql.len().saturating_sub(before_end),
+            Anchor::AfterMarker { markers, past } => {
+                let spans = marker_spans(sql, params);
+                spans.get(markers - 1).map_or(0, |&(_, end)| end) + past
+            }
+        };
+        let mut offset = offset.min(sql.len());
+        while !sql.is_char_boundary(offset) {
+            offset -= 1;
+        }
+        let before = &sql[..offset];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        let line = before.bytes().filter(|&c| c == b'\n').count() as u32 + 1;
+        (line, before[line_start..].chars().count() as u32 + 1)
+    }
 }
 
 /// The letter a marker carries for its value's type, so that `a = 5`,
@@ -83,6 +151,9 @@ const OPERAND: State = State::Operand {
 struct Scanner<'a> {
     sql: &'a str,
     shape: Shape,
+    /// Per marker put into `shape.key`, in order: the byte span of `sql` it
+    /// stands for — recorded only when asked for ([`marker_spans`]).
+    spans: Option<Vec<(usize, usize)>>,
     /// How much of `sql` is in `shape.key` already.
     copied: usize,
     /// Named parameters seen, with their slot numbers.
@@ -96,7 +167,9 @@ impl<'a> Scanner<'a> {
         let key = &mut self.shape.key;
         key.push_str(&self.sql[self.copied..start]);
         let _ = write!(key, "?{slot}{letter}");
-        self.shape.spans.push((start, end));
+        if let Some(spans) = &mut self.spans {
+            spans.push((start, end));
+        }
         self.copied = end;
     }
 
@@ -186,14 +259,40 @@ fn string_at(b: &[u8], start: usize) -> Option<(usize, String)> {
 /// a statement and which must therefore never reach the shape parser from
 /// outside. Such a text is parsed as it stands.
 pub fn shape(sql: &str, params: &HashMap<String, Value>) -> Option<Shape> {
+    scan(sql, params, None).map(|s| s.shape)
+}
+
+/// Per marker in the key of `sql`'s [`shape`], in order: the byte span of
+/// `sql` it stands for (none if `sql` has no shape). The same pass once
+/// more, for the two readers that map positions between a text and its key
+/// — [`crate::parser::parse_shape`], on a plan-cache miss, and a diagnostic
+/// to be pointed into the text at hand ([`Anchor`]); a statement served
+/// from a cached plan never asks.
+pub fn marker_spans(sql: &str, params: &HashMap<String, Value>) -> Vec<(usize, usize)> {
+    shape_and_spans(sql, params).map_or_else(Vec::new, |(_, spans)| spans)
+}
+
+pub(crate) fn shape_and_spans(
+    sql: &str,
+    params: &HashMap<String, Value>,
+) -> Option<(Shape, Vec<(usize, usize)>)> {
+    let s = scan(sql, params, Some(Vec::new()))?;
+    Some((s.shape, s.spans.unwrap_or_default()))
+}
+
+fn scan<'a>(
+    sql: &'a str,
+    params: &HashMap<String, Value>,
+    spans: Option<Vec<(usize, usize)>>,
+) -> Option<Scanner<'a>> {
     let b = sql.as_bytes();
     let mut s = Scanner {
         sql,
         shape: Shape {
             key: String::with_capacity(sql.len() + 8),
             values: Vec::new(),
-            spans: Vec::new(),
         },
+        spans,
         copied: 0,
         named: Vec::new(),
     };
@@ -318,7 +417,7 @@ pub fn shape(sql: &str, params: &HashMap<String, Value>) -> Option<Shape> {
         }
     }
     s.shape.key.push_str(&sql[s.copied..]);
-    Some(s.shape)
+    Some(s)
 }
 
 fn after_operand(between_low: bool) -> State {
@@ -491,7 +590,8 @@ mod tests {
             s.values,
             vec![Value::Int(7), Value::Int(5), Value::from("x")]
         );
-        assert_eq!(s.spans.len(), 4);
+        let sql = "SELECT $k + 1 FROM t WHERE a = $K AND b = 5 AND c = $s AND d = $missing";
+        assert_eq!(marker_spans(sql, &params).len(), 4, "one per marker");
         // with nothing supplied a parameter is just text
         let bare = shape("SELECT a FROM t WHERE a = $k", &no_params()).unwrap();
         assert_eq!(bare.key, "SELECT a FROM t WHERE a = $k");
@@ -500,9 +600,56 @@ mod tests {
     #[test]
     fn spans_locate_each_marker_in_the_original() {
         let sql = "SELECT 1 WHERE a = -5 AND b = 'x'";
-        let s = shape(sql, &no_params()).unwrap();
-        let texts: Vec<&str> = s.spans.iter().map(|&(a, b)| &sql[a..b]).collect();
+        let spans = marker_spans(sql, &no_params());
+        let texts: Vec<&str> = spans.iter().map(|&(a, b)| &sql[a..b]).collect();
         assert_eq!(texts, ["-5", "'x'"]);
+        assert!(marker_spans("UPDATE t SET a = 5", &no_params()).is_empty());
+    }
+
+    #[test]
+    fn an_anchor_stands_at_the_same_token_in_every_text_of_the_shape() {
+        let compiled = "SELECT a FROM t WHERE a = 17 AND b = 'x'\n  CURRENCY BOUND 5 SEC ON (t)";
+        let served =
+            "SELECT a FROM t WHERE a = 100000 AND b = 'it''s\nlong'\n  CURRENCY BOUND 5 SEC ON (t)";
+        let none = no_params();
+        assert_eq!(
+            shape(compiled, &none).unwrap().key,
+            shape(served, &none).unwrap().key
+        );
+        // `BOUND` (a currency spec starts there), line 2, column 12: after
+        // the last marker
+        let clause = Anchor::of(compiled, &none, 2, 12);
+        assert_eq!(clause, Anchor::FromEnd(18));
+        assert_eq!(clause.locate(compiled, &none), (2, 12));
+        // the string of the other text spans a line break
+        assert_eq!(clause.locate(served, &none), (3, 12));
+        // before any marker
+        let a = Anchor::of(compiled, &none, 1, 8);
+        assert_eq!(a, Anchor::FromStart(7));
+        assert_eq!(a.locate(served, &none), (1, 8));
+        // between two
+        assert_eq!(&compiled[29..32], "AND");
+        let and = Anchor::of(compiled, &none, 1, 30);
+        assert_eq!(
+            and,
+            Anchor::AfterMarker {
+                markers: 1,
+                past: 1
+            }
+        );
+        assert_eq!(and.locate(compiled, &none), (1, 30));
+        assert_eq!(and.locate(served, &none), (1, 34));
+        // a text with no slots: positions are what they are
+        let plain = "SELECT a FROM t\nCURRENCY BOUND 5 SEC ON (t)";
+        assert_eq!(
+            Anchor::of(plain, &none, 2, 10).locate(plain, &none),
+            (2, 10)
+        );
+        // a supplied parameter is a marker like any other
+        let k = HashMap::from([("k".to_string(), Value::Int(7))]);
+        let text = "SELECT a FROM t WHERE a = $k CURRENCY BOUND 5 SEC ON (t)";
+        assert_eq!(Anchor::of(text, &k, 1, 39), Anchor::FromEnd(18));
+        assert_eq!(Anchor::of(text, &none, 1, 39), Anchor::FromStart(38));
     }
 
     #[test]

@@ -87,7 +87,7 @@ fn check(sql: &str, params: &HashMap<String, Value>) -> usize {
         );
         return 0;
     };
-    match (direct, parse_shape(&shape, sql)) {
+    match (direct, parse_shape(sql, params)) {
         (Err(a), Err(b)) => assert_eq!(a, b, "{sql:?}"),
         (Ok(Statement::Select(mut a)), Ok(mut b)) => {
             fill(&mut a, &|p| params.get(p).cloned());
@@ -197,8 +197,7 @@ fn positions_point_into_the_original_text() {
         let Ok(Statement::Select(direct)) = parse_statement(sql) else {
             panic!("{sql}")
         };
-        let shape = shape(sql, &no_params()).unwrap();
-        let through = parse_shape(&shape, sql).unwrap();
+        let through = parse_shape(sql, &no_params()).unwrap();
         let at = |s: &SelectStmt| {
             let spec = &s.currency.as_ref().unwrap().specs[0];
             (spec.line, spec.col)

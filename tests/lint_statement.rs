@@ -2,6 +2,7 @@
 //! compile-time hook that attaches diagnostics as result warnings, and the
 //! per-code diagnostics counter.
 
+use rcc_common::Value;
 use rcc_mtcache::paper::{paper_setup, warm_up};
 use rcc_mtcache::MTCache;
 
@@ -76,6 +77,55 @@ fn compile_attaches_lint_warnings_and_bumps_metric() {
         1,
         "cache hits must not re-lint"
     );
+}
+
+#[test]
+fn a_warning_served_from_a_cached_shape_points_into_the_text_at_hand() {
+    let cache = rig();
+    let text = |name: &str| {
+        format!(
+            "SELECT c_acctbal FROM customer\n WHERE c_custkey = 5 AND c_name = {name} \
+             CURRENCY BOUND 10 SEC ON (customer), 15 SEC ON (customer)"
+        )
+    };
+    let (short, long, broken) = (text("'a'"), text("'a longer name'"), text("'two\nlines'"));
+    // what `LINT` says of each text, parsed as it stands
+    let standing = |sql: &String| {
+        let r = cache.execute(&format!("LINT {sql}")).unwrap();
+        match &r.rows[0].values()[1] {
+            Value::Str(position) => format!("[{position}]"),
+            other => panic!("{other:?}"),
+        }
+    };
+    let standing = [&short, &long, &broken].map(standing);
+    assert_eq!(standing[0], "[2:76]");
+    assert_eq!(standing[2], "[3:45]");
+    let counted = |cache: &MTCache| {
+        let now = cache.metrics().snapshot();
+        now.counter("rcc_lint_diagnostics_total{code=\"L001\"}")
+    };
+    let before = (counted(&cache), cache.plan_cache().stats());
+
+    let lint = |sql: &str| {
+        let r = cache.execute(sql).unwrap();
+        let w = r.warnings.iter().find(|w| w.contains("L001"));
+        w.unwrap_or_else(|| panic!("{:?}", r.warnings)).clone()
+    };
+    let first = lint(&short);
+    assert!(first.contains(&standing[0]), "{first}");
+    // the same plan, a wider literal: the clause stands further right
+    let later = lint(&long);
+    assert!(later.contains(&standing[1]), "{later}");
+    assert_ne!(first, later);
+    // ... or further down
+    let down = lint(&broken);
+    assert!(down.contains(&standing[2]), "{down}");
+    // and the text that compiled the plan reads as it did
+    assert_eq!(lint(&short), first);
+    // one shape, compiled and linted once
+    let (hits, misses) = before.1;
+    assert_eq!(cache.plan_cache().stats(), (hits + 3, misses + 1));
+    assert_eq!(counted(&cache), before.0 + 1);
 }
 
 #[test]
