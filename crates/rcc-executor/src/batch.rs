@@ -7,15 +7,16 @@
 //! into [`PhysExpr`] — a mirror of [`rcc_optimizer::BoundExpr`] whose column
 //! references are pre-resolved to ordinals. A `PhysExpr` is evaluated two
 //! ways: a row at a time over `&[Value]` ([`PhysExpr::eval`] and its
-//! by-reference predicate form [`PhysExpr::truth`] — what scans test stored
-//! rows with, and the reference semantics), and a column at a time over a
-//! batch ([`PhysExpr::select`] / [`PhysExpr::eval_column`] in
+//! by-reference predicate form [`PhysExpr::truth`] — what scans test the
+//! stored rows of partial chunks with, and the reference semantics), and a
+//! column at a time over a batch or a chunk image ([`PhysExpr::select`] /
+//! [`PhysExpr::select_rows`] / [`PhysExpr::eval_column`] in
 //! [`crate::kernels`]), which is held to the row form cell for cell.
 
-use crate::column::Column;
 use rcc_common::{Error, Result, Row, Schema, Value};
 use rcc_optimizer::BoundExpr;
 use rcc_sql::{BinaryOp, UnaryOp};
+use rcc_storage::column::Column;
 use std::borrow::Cow;
 use std::cmp::Ordering;
 

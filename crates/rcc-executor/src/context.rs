@@ -65,6 +65,10 @@ pub struct ExecCounters {
     pub scan_morsels: AtomicU64,
     /// Column batches delivered at query roots by the batched engine.
     pub batches_produced: AtomicU64,
+    /// Chunk runs local scans read through the chunk's typed image.
+    pub scan_image_runs: AtomicU64,
+    /// Chunk runs local scans walked row by row.
+    pub scan_row_runs: AtomicU64,
 }
 
 impl ExecCounters {
@@ -80,6 +84,18 @@ impl ExecCounters {
         self.serial_scans.store(0, Ordering::Relaxed);
         self.scan_morsels.store(0, Ordering::Relaxed);
         self.batches_produced.store(0, Ordering::Relaxed);
+        self.scan_image_runs.store(0, Ordering::Relaxed);
+        self.scan_row_runs.store(0, Ordering::Relaxed);
+    }
+
+    /// Count the chunk runs one scan call read, by path.
+    pub(crate) fn count_scan_runs(&self, image: u64, rows: u64) {
+        if image > 0 {
+            self.scan_image_runs.fetch_add(image, Ordering::Relaxed);
+        }
+        if rows > 0 {
+            self.scan_row_runs.fetch_add(rows, Ordering::Relaxed);
+        }
     }
 
     /// Fraction of guard evaluations that chose the local branch.
@@ -135,6 +151,11 @@ impl ExecCounters {
             "rcc_batch_produced_total",
             "Column batches delivered at query roots.",
         );
+        registry.describe(
+            "rcc_scan_chunks_total",
+            "Storage-chunk runs local scans read, by path: image (the typed \
+             columns of a chunk the scan covers whole) or rows (a row walk).",
+        );
         let local = registry.counter("rcc_guard_local_total", &[]);
         let remote = registry.counter("rcc_guard_remote_total", &[]);
         let queries = registry.counter("rcc_remote_queries_total", &[]);
@@ -144,6 +165,8 @@ impl ExecCounters {
         let serial = registry.counter("rcc_scan_serial_total", &[]);
         let morsels = registry.counter("rcc_scan_morsels_total", &[]);
         let batches = registry.counter("rcc_batch_produced_total", &[]);
+        let image_runs = registry.counter("rcc_scan_chunks_total", &[("path", "image")]);
+        let row_runs = registry.counter("rcc_scan_chunks_total", &[("path", "rows")]);
         let this = Arc::clone(self);
         registry.register_collector(move || {
             local.set(this.local_branches.load(Ordering::Relaxed));
@@ -155,6 +178,8 @@ impl ExecCounters {
             serial.set(this.serial_scans.load(Ordering::Relaxed));
             morsels.set(this.scan_morsels.load(Ordering::Relaxed));
             batches.set(this.batches_produced.load(Ordering::Relaxed));
+            image_runs.set(this.scan_image_runs.load(Ordering::Relaxed));
+            row_runs.set(this.scan_row_runs.load(Ordering::Relaxed));
         });
     }
 }

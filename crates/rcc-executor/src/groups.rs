@@ -7,7 +7,7 @@
 //! are (`Int(1)` and `Float(1.0)` are one key, NULL equals NULL — callers
 //! that must not match NULLs skip them before asking).
 
-use crate::column::{Column, ColumnData};
+use rcc_storage::column::{Column, ColumnData};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

@@ -27,7 +27,6 @@
 pub mod analyze;
 pub mod batch;
 pub mod build;
-pub mod column;
 pub mod context;
 mod groups;
 pub mod guard;
@@ -42,9 +41,9 @@ pub use build::{
     build_operator, execute_plan, execute_plan_batched, BatchExecutionResult, ExecutionResult,
     PhaseTimings,
 };
-pub use column::{Column, ColumnData, ValueRef};
 pub use context::{
     ExecContext, ExecCounters, ExecMetrics, GuardObservation, QueryMeter, RemoteService,
     DEFAULT_MORSEL_ROWS, MAX_OBSERVATIONS,
 };
+pub use rcc_storage::column::{self, Column, ColumnData, ValueRef};
 pub use rowref::{build_row_operator, execute_plan_rows, RowOperator};

@@ -9,9 +9,11 @@
 //! consumers can loop on `next_batch` without special-casing zero rows.
 //!
 //! Scans stream: a serial [`LocalScanOp`] pins a snapshot in `open` and
-//! fills one batch per `next_batch` from a cursor over it, testing the
-//! residual by reference on the stored row, so a rejected row is never
-//! copied and a surviving one is copied once, into typed columns. Filters
+//! fills one batch per `next_batch` from a cursor over it, a storage chunk
+//! at a time — a chunk it covers whole through the chunk's typed image,
+//! the partial ones at its ends by testing the residual on each stored row
+//! — so a rejected row is never copied and a surviving one is copied once,
+//! into typed columns. Filters
 //! narrow batches with **selection vectors** (ascending physical row
 //! indices) instead of copying survivors; expressions run a column at a
 //! time ([`crate::kernels`]); joins gather typed columns by index;
@@ -21,8 +23,7 @@
 //! byte-identical to.
 
 use crate::batch::{Batch, PhysExpr};
-use crate::column::{Column, ColumnData, ValueRef};
-use crate::context::ExecContext;
+use crate::context::{ExecContext, ExecCounters};
 use crate::groups::GroupTable;
 use crate::guard::evaluate_guard;
 use rcc_common::{DataType, Error, Result, Row, Schema, Value};
@@ -30,7 +31,8 @@ use rcc_optimizer::graph::JoinKind;
 use rcc_optimizer::physical::{AccessPath, InnerAccess};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard};
 use rcc_sql::{BinaryOp, UnaryOp};
-use rcc_storage::{KeyRange, ScanCursor, Table, TableSnapshot};
+use rcc_storage::column::{Column, ColumnData, ValueRef};
+use rcc_storage::{KeyRange, Run, ScanCursor, Table, TableSnapshot};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
@@ -300,17 +302,32 @@ impl LocalScanOp {
     }
 }
 
-/// The scan kernel: decide per stored row whether it survives the residual
+/// The scan kernel: decide which stored rows survive the residual
 /// predicate, and append survivors' mapped columns to typed output columns.
-/// The residual is compiled against the scan's *output* schema, then
-/// remapped into *stored* ordinals — so it is tested by reference on the
-/// stored row and a rejected row is never projected or copied. One kernel
-/// is shared (via `Arc`) by the serial path and all parallel morsels, so
-/// both paths run identical per-row code — which keeps them bit-identical.
+/// A scan takes its span a storage chunk at a time ([`Table::next_run`]):
+///
+/// * a chunk the span covers whole is read through its typed image — the
+///   residual runs over the image columns with [`PhysExpr::select_rows`]
+///   and survivors are gathered by typed copy; with no residual, whole
+///   column slices are appended;
+/// * the partial chunks at a span's ends, and every row an index scan
+///   reaches, are walked row by row: the residual, remapped into *stored*
+///   ordinals, is tested by reference on the stored row, so a rejected row
+///   is never projected or copied.
+///
+/// Both cut batches at the same surviving row. If the residual fails on an
+/// image, that chunk is replayed row by row, so a scan fails exactly when
+/// the row walk reaches the failing row — not when a batch, or a `LIMIT`
+/// above it, stops before. One kernel is shared (via `Arc`) by the serial
+/// path and all parallel morsels, so both run identical code — which keeps
+/// them bit-identical.
 struct ScanKernel {
+    /// Output column `c` is stored column `mapping[c]`.
     mapping: Vec<usize>,
-    /// Residual in stored ordinals.
+    /// Residual in stored ordinals, for the row walk.
     residual: Option<PhysExpr>,
+    /// Residual in output ordinals, for an image read through `mapping`.
+    image_residual: Option<PhysExpr>,
     now: i64,
 }
 
@@ -329,12 +346,12 @@ impl ScanKernel {
             .iter()
             .map(|c| table.schema().resolve(None, &c.name))
             .collect::<Result<_>>()?;
-        let residual = residual
-            .map(|p| PhysExpr::compile(p, schema).map(|p| p.remap(&mapping)))
-            .transpose()?;
+        let image_residual = residual.map(|p| PhysExpr::compile(p, schema)).transpose()?;
+        let residual = image_residual.clone().map(|p| p.remap(&mapping));
         Ok(ScanKernel {
             mapping,
             residual,
+            image_residual,
             now,
         })
     }
@@ -356,6 +373,63 @@ impl ScanKernel {
         Ok(true)
     }
 
+    /// Walk `rows` until `room` of them survived: how many rows were taken
+    /// and how many of those survived.
+    fn take_rows(&self, rows: &[Row], room: usize, cols: &mut [Column]) -> Result<(usize, usize)> {
+        let mut survived = 0;
+        for (i, row) in rows.iter().enumerate() {
+            survived += usize::from(self.take(row, cols)?);
+            if survived == room {
+                return Ok((i + 1, survived));
+            }
+        }
+        Ok((rows.len(), survived))
+    }
+
+    /// [`ScanKernel::take_rows`] over a run of a chunk the scan covers
+    /// whole, read through the chunk's image, whose columns are `image`.
+    fn take_image(
+        &self,
+        run: &Run<'_, Row>,
+        image: &[&Column],
+        room: usize,
+        cols: &mut [Column],
+    ) -> Result<(usize, usize)> {
+        let (from, n) = (run.offset(), run.vals().len());
+        let survivors = match &self.image_residual {
+            None => None,
+            Some(p) => {
+                // a resumed chunk reads from where the last batch stopped
+                let rows: Option<Vec<u32>> =
+                    (from > 0).then(|| (from..from + n).map(|i| i as u32).collect());
+                match p.select_rows(image, rows.as_deref(), n, self.now) {
+                    Ok(survivors) => Some(survivors),
+                    Err(_) => return self.take_rows(run.vals(), room, cols),
+                }
+            }
+        };
+        Ok(match survivors {
+            None => {
+                let k = n.min(room);
+                for (col, cells) in cols.iter_mut().zip(image) {
+                    col.extend_range(cells, from..from + k);
+                }
+                (k, k)
+            }
+            Some(survivors) => {
+                let k = survivors.len().min(room);
+                let picked = &survivors[..k];
+                for (col, cells) in cols.iter_mut().zip(image) {
+                    col.extend_from(cells, Some(picked));
+                }
+                match k < survivors.len() {
+                    true => (picked[k - 1] as usize + 1 - from, k),
+                    false => (n, k),
+                }
+            }
+        })
+    }
+
     /// Fill one batch of up to `target` surviving rows from the cursor.
     fn fill(
         &self,
@@ -363,13 +437,32 @@ impl ScanKernel {
         cursor: &mut ScanCursor,
         target: usize,
         room: usize,
+        counters: &ExecCounters,
     ) -> Result<Option<Batch>> {
         let mut cols = self.fresh_cols(room);
-        let mut filled = 0usize;
-        table.scan_next(cursor, |row| {
-            filled += usize::from(self.take(row, &mut cols)?);
-            Ok(filled < target)
-        })?;
+        let (mut filled, mut image_runs, mut row_runs) = (0usize, 0u64, 0u64);
+        while filled < target {
+            let Some(run) = table.next_run(cursor) else {
+                break;
+            };
+            let image: Option<Vec<&Column>> = match run.covers_chunk() {
+                true => self.mapping.iter().map(|&c| run.column(c)).collect(),
+                false => None,
+            };
+            let (taken, survived) = match image {
+                Some(image) => {
+                    image_runs += 1;
+                    self.take_image(&run, &image, target - filled, &mut cols)?
+                }
+                None => {
+                    row_runs += 1;
+                    self.take_rows(run.vals(), target - filled, &mut cols)?
+                }
+            };
+            filled += survived;
+            table.advance(cursor, taken);
+        }
+        counters.count_scan_runs(image_runs, row_runs);
         Ok((filled > 0).then(|| Batch::from_columns(cols, filled)))
     }
 }
@@ -430,9 +523,10 @@ fn scatter_clustered(
     // One shared fill closure: the snapshot, range and kernel are captured
     // once behind the Arc, not cloned per morsel.
     let (table, range, kernel) = (Arc::clone(table), range.clone(), Arc::clone(kernel));
+    let counters = Arc::clone(&ctx.counters);
     let fill = Arc::new(move |(start, end): MorselBounds| {
         let mut cursor = table.scan_cursor(&range, start.as_deref(), end.as_deref());
-        kernel.fill(&table, &mut cursor, usize::MAX, 0)
+        kernel.fill(&table, &mut cursor, usize::MAX, 0, &counters)
     });
     scattered(pool.scatter_map(bounds, fill)).map(Some)
 }
@@ -528,7 +622,8 @@ impl Operator for LocalScanOp {
                 room,
             } => {
                 // batches are cut at `batch_rows` *surviving* rows
-                let batch = kernel.fill(table, cursor, ctx.batch_rows.max(1), *room)?;
+                let batch =
+                    kernel.fill(table, cursor, ctx.batch_rows.max(1), *room, &ctx.counters)?;
                 *room = batch.as_ref().map_or(0, Batch::len);
                 Ok(batch)
             }

@@ -16,9 +16,9 @@
 //! ```
 
 use crate::batch::Batch;
-use crate::column::ValueRef;
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use rcc_common::{Column, DataType, Error, Result, Row, Schema, Value};
+use rcc_storage::column::ValueRef;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -88,23 +88,15 @@ fn put_header(buf: &mut Vec<u8>, schema: &Schema) {
 
 /// Encode a result set.
 pub fn encode_result(schema: &Schema, rows: &[Row]) -> Bytes {
-    let mut buf = Vec::new();
-    encode_result_into(&mut buf, schema, rows);
-    Bytes::from(buf)
-}
-
-/// Append an encoded result set to `buf` — how a server writes the rows
-/// straight into its connection's frame buffer, behind the frame and
-/// response headers already there, instead of copying a finished payload.
-pub fn encode_result_into(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
-    buf.reserve(64 + rows.len() * schema.len() * 12);
-    put_header(buf, schema);
+    let mut buf = Vec::with_capacity(64 + rows.len() * schema.len() * 12);
+    put_header(&mut buf, schema);
     buf.put_u32_le(rows.len() as u32);
     for row in rows {
         for v in row.values() {
-            put_value(buf, ValueRef::of(v));
+            put_value(&mut buf, ValueRef::of(v));
         }
     }
+    Bytes::from(buf)
 }
 
 /// Encode a batched result set straight from typed columns — no `Row`, no
@@ -113,84 +105,101 @@ pub fn encode_result_into(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
 /// walked in order, reading cells column by column (through the selection
 /// vector if one is present).
 pub fn encode_batches(schema: &Schema, batches: &[Batch]) -> Bytes {
+    let mut buf = Vec::new();
+    encode_batches_into(&mut buf, schema, batches);
+    Bytes::from(buf)
+}
+
+/// Append an encoded batched result set to `buf` — how a server writes an
+/// answer straight into its connection's frame buffer, behind the frame and
+/// response headers already there, instead of copying a finished payload.
+pub fn encode_batches_into(buf: &mut Vec<u8>, schema: &Schema, batches: &[Batch]) {
     let nrows: usize = batches.iter().map(Batch::len).sum();
-    let mut buf = Vec::with_capacity(64 + nrows * schema.len() * 12);
-    put_header(&mut buf, schema);
+    buf.reserve(64 + nrows * schema.len() * 12);
+    put_header(buf, schema);
     buf.put_u32_le(nrows as u32);
     for batch in batches {
         for i in 0..batch.len() {
             let p = batch.phys(i);
             for col in &batch.columns {
-                put_value(&mut buf, col.get(p));
+                put_value(buf, col.get(p));
             }
         }
     }
-    Bytes::from(buf)
 }
 
-/// Decode a result set; validates framing and rejects truncated buffers.
-pub fn decode_result(mut buf: Bytes) -> Result<(Schema, Vec<Row>)> {
-    fn need(buf: &Bytes, n: usize) -> Result<()> {
-        if buf.remaining() < n {
-            Err(Error::Remote("truncated wire payload".into()))
-        } else {
-            Ok(())
+/// A cursor over an encoded payload: every read is bounds-checked and
+/// borrows from the payload, so a cell is copied once, into its value.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if self.0.len() < n {
+            return Err(Error::Remote("truncated wire payload".into()));
         }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
     }
-    need(&buf, 4)?;
-    let ncols = buf.get_u32_le() as usize;
-    let mut columns = Vec::with_capacity(ncols);
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn i64(&mut self) -> Result<i64> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// `n` bytes that must be UTF-8; `what` names them in the error.
+    fn str(&mut self, n: usize, what: &str) -> Result<&'a str> {
+        std::str::from_utf8(self.take(n)?)
+            .map_err(|_| Error::Remote(format!("bad {what} encoding")))
+    }
+}
+
+/// Decode a result set; validates framing and rejects truncated buffers,
+/// trailing bytes and text that is not UTF-8.
+pub fn decode_result(payload: Bytes) -> Result<(Schema, Vec<Row>)> {
+    let mut r = Reader(&payload);
+    let ncols = r.u32()? as usize;
+    let mut columns = Vec::with_capacity(ncols.min(r.0.len()));
     for _ in 0..ncols {
-        need(&buf, 2)?;
-        let nlen = buf.get_u16_le() as usize;
-        need(&buf, nlen + 1)?;
-        let name = String::from_utf8(buf.copy_to_bytes(nlen).to_vec())
-            .map_err(|_| Error::Remote("bad column name encoding".into()))?;
-        let dt = tag_type(buf.get_u8())?;
-        columns.push(Column::new(name, dt));
+        let nlen = u16::from_le_bytes(r.array()?) as usize;
+        let name = r.str(nlen, "column name")?.to_string();
+        columns.push(Column::new(name, tag_type(r.u8()?)?));
     }
-    need(&buf, 4)?;
-    let nrows = buf.get_u32_le() as usize;
-    let mut rows = Vec::with_capacity(nrows);
+    let nrows = r.u32()? as usize;
+    // every cell takes at least its tag byte
+    let mut rows = Vec::with_capacity(nrows.min(r.0.len() / ncols.max(1)));
     for _ in 0..nrows {
         let mut values = Vec::with_capacity(ncols);
         for _ in 0..ncols {
-            need(&buf, 1)?;
-            let tag = buf.get_u8();
-            let v = match tag {
+            values.push(match r.u8()? {
                 TAG_NULL => Value::Null,
-                TAG_INT => {
-                    need(&buf, 8)?;
-                    Value::Int(buf.get_i64_le())
-                }
-                TAG_FLOAT => {
-                    need(&buf, 8)?;
-                    Value::Float(buf.get_f64_le())
-                }
+                TAG_INT => Value::Int(r.i64()?),
+                TAG_FLOAT => Value::Float(f64::from_le_bytes(r.array()?)),
                 TAG_STR => {
-                    need(&buf, 4)?;
-                    let len = buf.get_u32_le() as usize;
-                    need(&buf, len)?;
-                    Value::Str(
-                        String::from_utf8(buf.copy_to_bytes(len).to_vec())
-                            .map_err(|_| Error::Remote("bad string encoding".into()))?,
-                    )
+                    let len = r.u32()? as usize;
+                    Value::Str(r.str(len, "string")?.to_string())
                 }
-                TAG_BOOL => {
-                    need(&buf, 1)?;
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                TAG_TS => {
-                    need(&buf, 8)?;
-                    Value::Timestamp(buf.get_i64_le())
-                }
+                TAG_BOOL => Value::Bool(r.u8()? != 0),
+                TAG_TS => Value::Timestamp(r.i64()?),
                 other => return Err(Error::Remote(format!("bad wire value tag {other}"))),
-            };
-            values.push(v);
+            });
         }
         rows.push(Row::new(values));
     }
-    if buf.has_remaining() {
+    if !r.0.is_empty() {
         return Err(Error::Remote("trailing bytes in wire payload".into()));
     }
     Ok((Schema::new(columns), rows))
@@ -244,7 +253,8 @@ mod tests {
     fn encode_into_appends_the_same_bytes_behind_a_prefix() {
         let (schema, rows) = sample();
         let mut buf = b"head".to_vec();
-        encode_result_into(&mut buf, &schema, &rows);
+        let batch = Batch::from_rows(schema.len(), rows.clone());
+        encode_batches_into(&mut buf, &schema, &[batch]);
         assert_eq!(&buf[..4], b"head");
         assert_eq!(&buf[4..], encode_result(&schema, &rows).as_ref());
     }
@@ -265,6 +275,26 @@ mod tests {
         for cut in [0, 3, 10, bytes.len() - 1] {
             let truncated = bytes.slice(0..cut);
             assert!(decode_result(truncated).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn bad_utf8_detected() {
+        let (schema, rows) = sample();
+        let bytes = encode_result(&schema, &rows).to_vec();
+        // the first string cell is "héllo": break the two-byte `é`, then
+        // the first column name
+        let cell = bytes
+            .windows(2)
+            .position(|w| w == "é".as_bytes())
+            .expect("the sample holds é");
+        for at in [cell + 1, 6] {
+            let mut broken = bytes.clone();
+            broken[at] = 0xFF;
+            match decode_result(Bytes::from(broken)) {
+                Err(Error::Remote(msg)) => assert!(msg.contains("encoding"), "{msg}"),
+                other => panic!("byte {at}: {other:?}"),
+            }
         }
     }
 

@@ -290,6 +290,102 @@ proptest! {
     }
 }
 
+// ----------------------------------------------------- typed comparisons
+
+/// Where `f64` ordering has edges: signed zeros, NaN, the infinities, and
+/// integers past 2⁵³, which `f64` cannot tell from their neighbours.
+fn edge_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(1.5),
+        Just(9_007_199_254_740_992.0),
+    ]
+}
+
+fn edge_int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(0i64),
+        Just(-1),
+        Just(1 << 53),
+        Just((1 << 53) + 1),
+        Just(-(1 << 53) - 1),
+        Just(i64::MAX),
+        Just(i64::MIN),
+    ]
+}
+
+fn edge_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        edge_float().prop_map(Value::Float),
+        edge_int().prop_map(Value::Int)
+    ]
+}
+
+/// One typed column of edge values — all `Float` or all `Int` — with NULLs
+/// among them.
+fn edge_cells() -> impl Strategy<Value = Vec<Value>> {
+    prop_oneof![
+        proptest::collection::vec(proptest::option::of(edge_float()), 1..9).prop_map(|cells| cells
+            .into_iter()
+            .map(|c| c.map_or(Value::Null, Value::Float))
+            .collect()),
+        proptest::collection::vec(proptest::option::of(edge_int()), 1..9).prop_map(|cells| cells
+            .into_iter()
+            .map(|c| c.map_or(Value::Null, Value::Int))
+            .collect()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(cases(4096))]
+
+    /// The typed comparison and BETWEEN loops order as `eval` does — by
+    /// `f64::total_cmp` — on edge values against `Int` and `Float` literal
+    /// bounds, with NULL cells, with and without a selection vector: the
+    /// same survivors and the same cells.
+    #[test]
+    fn typed_comparisons_order_as_rows_do(
+        cells in edge_cells(),
+        lo in edge_value(),
+        hi in edge_value(),
+        op in 0usize..6,
+        mask in proptest::option::of(proptest::collection::vec(0u8..2, 8..=8)),
+    ) {
+        let n = cells.len();
+        let mut batch = Batch::new(vec![cells], n);
+        if let Some(mask) = mask {
+            batch = batch.with_sel((0..n as u32).filter(|&i| mask[i as usize] == 1).collect());
+        }
+        let comparisons = [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq];
+        let (col, lo_lit) = (|| PhysExpr::Col(0), PhysExpr::Lit(lo.clone()));
+        let exprs = [
+            PhysExpr::Binary { left: Box::new(col()), op: comparisons[op], right: Box::new(lo_lit.clone()) },
+            PhysExpr::Binary { left: Box::new(lo_lit.clone()), op: comparisons[op], right: Box::new(col()) },
+            PhysExpr::Between {
+                expr: Box::new(col()),
+                low: Box::new(lo_lit),
+                high: Box::new(PhysExpr::Lit(hi.clone())),
+                negated: op % 2 == 1,
+            },
+        ];
+        let rows = batch.to_rows();
+        for expr in &exprs {
+            let by_row: Vec<Value> = rows.iter().map(|r| expr.eval(r.values(), NOW).expect("numbers compare")).collect();
+            let want: Vec<u32> = (0..batch.len())
+                .filter(|&k| matches!(by_row[k], Value::Bool(true)))
+                .map(|k| batch.phys(k) as u32)
+                .collect();
+            prop_assert_eq!(expr.select(&batch, NOW).expect("numbers compare"), want, "{:?} on {:?}", expr, batch);
+            let column = expr.eval_column(&batch, NOW).expect("numbers compare").to_values();
+            prop_assert!(all_identical(&column, &by_row), "{:?} on {:?}: {:?} vs {:?}", expr, batch, column, by_row);
+        }
+    }
+}
+
 // ------------------------------------------------------------ aggregation
 
 /// A context over one table `t(k INT PRIMARY KEY, g, v)` holding `rows`.

@@ -1,0 +1,169 @@
+//! A scan reads every storage chunk its span covers whole through the
+//! chunk's typed image, and walks the rest row by row. These hold the image
+//! path to the row walk: the same rows in the same batches, and an error
+//! exactly where the row walk would meet one.
+
+use rcc_common::{Column as SchemaColumn, DataType, Error, Row, Schema, SimClock, Value};
+use rcc_executor::ops::{LocalScanOp, Operator};
+use rcc_executor::rowref::execute_plan_rows;
+use rcc_executor::{execute_plan, ExecContext};
+use rcc_optimizer::physical::{AccessPath, LocalScanNode};
+use rcc_optimizer::{BoundExpr, PhysicalPlan};
+use rcc_sql::BinaryOp;
+use rcc_storage::{KeyRange, StorageEngine, Table};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// `t(k INT PRIMARY KEY, d INT)` holding keys `0..n`, loaded in key order
+/// (so every chunk but the last holds 256 rows), `d` set by `d_of`.
+fn ctx_with(n: i64, d_of: impl Fn(i64) -> i64) -> ExecContext {
+    let schema = Schema::new(vec![
+        SchemaColumn::new("k", DataType::Int),
+        SchemaColumn::new("d", DataType::Int),
+    ]);
+    let mut table = Table::new("t", schema, vec![0]);
+    for k in 0..n {
+        let row = Row::new(vec![Value::Int(k), Value::Int(d_of(k))]);
+        table.insert(row).expect("distinct keys");
+    }
+    let storage = Arc::new(StorageEngine::new());
+    storage.create_table(table).expect("fresh engine");
+    ExecContext::new(storage, None, Arc::new(SimClock::new()))
+}
+
+fn schema() -> Schema {
+    Schema::new(vec![
+        SchemaColumn::new("k", DataType::Int).with_qualifier("t"),
+        SchemaColumn::new("d", DataType::Int).with_qualifier("t"),
+    ])
+}
+
+fn access(range: &KeyRange) -> AccessPath {
+    AccessPath::ClusteredRange {
+        column: "k".into(),
+        range: range.clone().into(),
+    }
+}
+
+fn scan(range: &KeyRange, residual: Option<BoundExpr>) -> PhysicalPlan {
+    PhysicalPlan::LocalScan(LocalScanNode {
+        object: "t".into(),
+        schema: schema(),
+        access: access(range),
+        residual,
+        operand: 0,
+        est_rows: 1.0,
+    })
+}
+
+fn image_runs(ctx: &ExecContext) -> u64 {
+    ctx.counters.scan_image_runs.load(Ordering::Relaxed)
+}
+
+/// `lit op d`, or `lit / d > 1` for `BinaryOp::Div`.
+fn on_d(op: BinaryOp, lit: i64) -> BoundExpr {
+    let d = BoundExpr::col("t", "d");
+    match op {
+        BinaryOp::Div => BoundExpr::binary(
+            BoundExpr::binary(BoundExpr::Literal(Value::Int(lit)), op, d),
+            BinaryOp::Gt,
+            BoundExpr::Literal(Value::Int(1)),
+        ),
+        _ => BoundExpr::binary(d, op, BoundExpr::Literal(Value::Int(lit))),
+    }
+}
+
+#[test]
+fn batches_are_cut_where_the_row_walk_cuts_them() {
+    let mut ctx = ctx_with(1000, |k| k % 3);
+    ctx.batch_rows = 7;
+    let ranges = [
+        KeyRange::all(),
+        KeyRange::between(Value::Int(100), Value::Int(900)),
+    ];
+    for range in &ranges {
+        for residual in [None, Some(on_d(BinaryOp::Gt, 0))] {
+            let images_before = image_runs(&ctx);
+            let mut op = LocalScanOp::new("t".into(), schema(), access(range), residual.clone());
+            op.open(&ctx).expect("open");
+            let (mut sizes, mut rows) = (Vec::new(), Vec::new());
+            while let Some(batch) = op.next_batch(&ctx).expect("next") {
+                sizes.push(batch.len());
+                rows.extend(batch.to_rows());
+            }
+            op.close(&ctx).expect("close");
+            let walked = execute_plan_rows(&scan(range, residual.clone()), &ctx)
+                .expect("row engine")
+                .rows;
+            assert_eq!(rows, walked, "{range:?} {residual:?}");
+            // every batch but the last holds exactly `batch_rows` survivors
+            let (last, full) = sizes.split_last().expect("rows survive");
+            assert!(
+                full.iter().all(|&n| n == 7) && (1..=7).contains(last),
+                "{sizes:?}"
+            );
+            // four chunks; a span clipped at both ends covers the middle two
+            let images = image_runs(&ctx) - images_before;
+            assert!(
+                images >= if range.is_full() { 4 } else { 2 },
+                "{images} image runs"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_failing_residual_errs_where_the_row_walk_would() {
+    // `10 / d > 1`: true for d = 1, false for d = 20 (every tenth key),
+    // and a division by zero for one key, two rows past the 2 048th
+    // survivor, inside the same chunk
+    let survivor_2048 = 2274;
+    let bad = survivor_2048 + 2;
+    assert_eq!(survivor_2048 / 256, bad / 256, "one chunk");
+    let ctx = ctx_with(3000, |k| match k {
+        _ if k == bad => 0,
+        _ if k % 10 == 9 => 20,
+        _ => 1,
+    });
+    let residual = Some(on_d(BinaryOp::Div, 10));
+    let all = KeyRange::all();
+    let survivors = |plan: &PhysicalPlan| execute_plan(plan, &ctx).map(|r| r.rows);
+    assert_eq!(
+        survivors(&scan(
+            &KeyRange::at_most(Value::Int(survivor_2048)),
+            residual.clone()
+        ))
+        .expect("no failing row in the span")
+        .len(),
+        2048
+    );
+    // a LIMIT the first batch satisfies stops the scan before the failing
+    // row, as the row walk does; the rows agree with the row engine over the
+    // span that ends before it
+    for n in [5, 2048] {
+        let limited = |range: &KeyRange| PhysicalPlan::Limit {
+            input: Box::new(scan(range, residual.clone())),
+            n,
+        };
+        let images_before = image_runs(&ctx);
+        let rows = survivors(&limited(&all)).expect("the scan stops before the failing row");
+        assert!(
+            image_runs(&ctx) > images_before,
+            "chunks read through images"
+        );
+        let walked = execute_plan_rows(&limited(&KeyRange::less_than(Value::Int(bad))), &ctx)
+            .expect("row engine")
+            .rows;
+        assert_eq!(rows, walked, "LIMIT {n}");
+    }
+    // without the LIMIT both engines fail, with the same error
+    let batched = execute_plan(&scan(&all, residual.clone()), &ctx).map(|r| r.rows);
+    let walked = execute_plan_rows(&scan(&all, residual), &ctx).map(|r| r.rows);
+    match (batched, walked) {
+        (Err(Error::Execution(a)), Err(Error::Execution(b))) => {
+            assert_eq!(a, b);
+            assert!(a.contains("division by zero"), "{a}");
+        }
+        other => panic!("{other:?}"),
+    }
+}

@@ -3,7 +3,7 @@
 use crate::plan_cache::CompiledQuery;
 use rcc_common::{Row, Schema, TableId, Value};
 use rcc_executor::context::GuardObservation;
-use rcc_executor::PhaseTimings;
+use rcc_executor::{Batch, PhaseTimings};
 use rcc_obs::QueryStats;
 use rcc_optimizer::optimize::PlanChoice;
 use std::sync::Arc;
@@ -15,8 +15,13 @@ use std::sync::Arc;
 pub struct QueryResult {
     /// Output schema.
     pub schema: Schema,
-    /// Result rows.
+    /// Result rows. Empty for a result from
+    /// [`crate::Session::execute_batched`], whose answer is in
+    /// [`QueryResult::batches`].
     pub rows: Vec<Row>,
+    /// The answer in the columnar batches it was produced in, before any
+    /// caller asked for rows; exactly one of `rows` and `batches` holds it.
+    pub(crate) batches: Vec<Batch>,
     /// Shape of the chosen plan (paper plans 1–5).
     pub plan_choice: PlanChoice,
     /// Estimated optimizer cost of the chosen plan.
@@ -60,6 +65,7 @@ impl QueryResult {
         QueryResult {
             schema: Schema::empty(),
             rows: Vec::new(),
+            batches: Vec::new(),
             plan_choice: PlanChoice::BackendLocal,
             est_cost: 0.0,
             guards: Vec::new(),
@@ -70,6 +76,32 @@ impl QueryResult {
             stats: Default::default(),
             explain: PlanExplain::None,
         }
+    }
+
+    /// The answer as rows, for in-process callers: batches are
+    /// materialized.
+    pub(crate) fn with_rows(mut self) -> QueryResult {
+        for batch in std::mem::take(&mut self.batches) {
+            self.rows.extend(batch.into_rows());
+        }
+        self
+    }
+
+    /// The answer as batches, for callers that serialize it: a statement
+    /// that answered with rows (a diagnostic, say) becomes one batch.
+    pub(crate) fn with_batches(mut self) -> QueryResult {
+        if !self.rows.is_empty() {
+            let rows = std::mem::take(&mut self.rows);
+            self.batches = vec![Batch::from_rows(self.schema.len(), rows)];
+        }
+        self
+    }
+
+    /// The answer of a result from [`crate::Session::execute_batched`], as
+    /// typed column batches — what `rcc_executor::wire::encode_batches`
+    /// serializes without building a row.
+    pub fn batches(&self) -> &[Batch] {
+        &self.batches
     }
 
     /// EXPLAIN rendering of the executed plan — for `EXPLAIN ANALYZE`, the

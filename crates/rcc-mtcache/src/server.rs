@@ -14,8 +14,9 @@ use rcc_common::{
 };
 use rcc_executor::GuardObservation;
 use rcc_executor::{
-    execute_plan, execute_plan_analyzed, execute_plan_rows, ExecContext, ExecCounters, ExecMetrics,
-    ExecutionResult, QueryMeter, RemoteService, DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
+    execute_plan_analyzed, execute_plan_batched, execute_plan_rows, Batch, BatchExecutionResult,
+    ExecContext, ExecCounters, ExecMetrics, ExecutionResult, QueryMeter, RemoteService,
+    DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
 };
 use rcc_obs::{
     Counter, EventJournal, EventKind, Gauge, HandlesByKey, Histogram, MetricsRegistry, QueryPhase,
@@ -514,17 +515,26 @@ impl MTCache {
         self.row_engine.store(on, Ordering::Relaxed);
     }
 
-    /// Dispatch a plan to whichever engine is selected.
+    /// Dispatch a plan to whichever engine is selected; the answer stays
+    /// in batches until a caller asks for rows.
     fn run_plan(
         &self,
         plan: &rcc_optimizer::PhysicalPlan,
         ctx: &ExecContext,
-    ) -> Result<ExecutionResult> {
-        if self.row_engine.load(Ordering::Relaxed) {
-            execute_plan_rows(plan, ctx)
-        } else {
-            execute_plan(plan, ctx)
+    ) -> Result<BatchExecutionResult> {
+        if !self.row_engine.load(Ordering::Relaxed) {
+            return execute_plan_batched(plan, ctx);
         }
+        let ExecutionResult {
+            schema,
+            rows,
+            timings,
+        } = execute_plan_rows(plan, ctx)?;
+        Ok(BatchExecutionResult {
+            batches: vec![Batch::from_rows(schema.len(), rows)],
+            schema,
+            timings,
+        })
     }
 
     /// Describe the cache-level metric names and mirror both plan caches'
@@ -953,6 +963,7 @@ impl MTCache {
     ) -> Result<QueryResult> {
         let prepared = self.prepare(sql, params)?;
         self.execute_internal(prepared, params, &HashMap::new(), policy, "direct")
+            .map(QueryResult::with_rows)
     }
 
     /// Optimize without executing (EXPLAIN).
@@ -1186,6 +1197,7 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: PlanChoice::BackendLocal,
             explain: PlanExplain::None,
             est_cost: 0.0,
@@ -1240,6 +1252,7 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: PlanChoice::BackendLocal,
             explain: PlanExplain::None,
             est_cost: 0.0,
@@ -1289,6 +1302,7 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: PlanChoice::BackendLocal,
             explain: PlanExplain::None,
             est_cost: 0.0,
@@ -1336,6 +1350,7 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: PlanChoice::BackendLocal,
             explain: PlanExplain::None,
             est_cost: 0.0,
@@ -1426,6 +1441,7 @@ impl MTCache {
         Ok(QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: optimized.choice,
             explain: PlanExplain::Text(optimized.plan.explain()),
             est_cost: optimized.cost,
@@ -1492,6 +1508,7 @@ impl MTCache {
         Ok(QueryResult {
             schema,
             rows,
+            batches: Vec::new(),
             plan_choice: optimized.choice,
             explain: PlanExplain::Text(optimized.plan.explain()),
             est_cost: optimized.cost,
@@ -1747,11 +1764,12 @@ impl MTCache {
                     phases,
                     &ctx.meter,
                     result.timings.total(),
-                    result.rows.len() as u64,
+                    result.row_count() as u64,
                 );
                 Ok(QueryResult {
                     schema: result.schema,
-                    rows: result.rows,
+                    rows: Vec::new(),
+                    batches: result.batches,
                     plan_choice: optimized.choice,
                     est_cost: optimized.cost,
                     guards,
@@ -1861,11 +1879,12 @@ impl MTCache {
                     phases,
                     &ctx2.meter,
                     result.timings.total(),
-                    result.rows.len() as u64,
+                    result.row_count() as u64,
                 );
                 Ok(QueryResult {
                     schema: result.schema,
-                    rows: result.rows,
+                    rows: Vec::new(),
+                    batches: result.batches,
                     plan_choice: optimized.choice,
                     est_cost: optimized.cost,
                     guards,
@@ -1932,6 +1951,7 @@ impl MTCache {
         Ok(QueryResult {
             schema: analyzed.schema,
             rows: analyzed.rows,
+            batches: Vec::new(),
             plan_choice: optimized.choice,
             est_cost: optimized.cost,
             guards,

@@ -76,6 +76,18 @@ impl<'a> Session<'a> {
         sql: &str,
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
+        self.run(sql, params).map(QueryResult::with_rows)
+    }
+
+    /// Execute one statement for a caller that serializes the answer: it
+    /// stays in the typed column batches it was produced in
+    /// ([`QueryResult::batches`]) and no `Row` is built; `rows` is empty.
+    pub fn execute_batched(&mut self, sql: &str) -> Result<QueryResult> {
+        self.run(sql, &HashMap::new())
+            .map(QueryResult::with_batches)
+    }
+
+    fn run(&mut self, sql: &str, params: &HashMap<String, Value>) -> Result<QueryResult> {
         // session-level statements are handled here; everything else goes
         // through the server with this session's floors. A plan-cache hit
         // is never one of them: they are not cached.

@@ -281,7 +281,7 @@ fn serve<S: Read + Write>(
         let outcome = match Request::decode(payload) {
             Ok(Request::Query { sql }) => {
                 metrics.count(&metrics.query, "query");
-                put_result(out, session.execute(&sql), false)
+                put_result(out, session.execute_batched(&sql), false)
             }
             Ok(Request::QueryTraced { sql, .. }) => {
                 // accepted for protocol symmetry: the cache front-end
@@ -290,7 +290,7 @@ fn serve<S: Read + Write>(
                 // back-end spans) is retained by the cache's tracer and is
                 // visible via `SHOW TRACE` and the admin `/traces` route
                 metrics.count(&metrics.query_traced, "query_traced");
-                put_result(out, session.execute(&sql), true)
+                put_result(out, session.execute_batched(&sql), true)
             }
             Ok(Request::SetOption { name, value }) => {
                 metrics.count(&metrics.set_option, "set_option");
@@ -318,9 +318,10 @@ fn serve<S: Read + Write>(
     }
 }
 
-/// Append a query's answer to the frame under assembly: the rows go from
-/// the result straight into the connection's buffer. An error leaves the
-/// buffer as it was, for the caller to answer with an error frame.
+/// Append a query's answer to the frame under assembly: its cells go from
+/// the result's column batches straight into the connection's buffer, and
+/// no row is built. An error leaves the buffer as it was, for the caller to
+/// answer with an error frame.
 fn put_result(
     out: &mut Vec<u8>,
     result: Result<QueryResult, Error>,
@@ -328,7 +329,7 @@ fn put_result(
 ) -> Result<(), Error> {
     let r = result?;
     put_result_head(out, r.used_remote, &r.warnings, traced.then_some(&[]));
-    wire::encode_result_into(out, &r.schema, &r.rows);
+    wire::encode_batches_into(out, &r.schema, r.batches());
     Ok(())
 }
 

@@ -149,6 +149,10 @@ pub const METRICS: &[(&str, &str)] = &[
         "Declared templates by robustness verdict",
     ),
     ("rcc_rows_shipped_total", "Rows received from the back-end"),
+    (
+        "rcc_scan_chunks_total",
+        "Storage-chunk runs local scans read, by path (image or rows)",
+    ),
     ("rcc_scan_morsels_per_scan", "Morsels per parallel scan"),
     (
         "rcc_scan_morsels_total",

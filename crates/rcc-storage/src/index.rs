@@ -102,17 +102,15 @@ impl SecondaryIndex {
         range.span(&self.entries)
     }
 
-    /// Hand `visit` the clustered keys of the entries in `[*from, to)`, in
-    /// index order, until it answers `Ok(false)` or fails; `*from` is left
-    /// after the last entry visited.
-    pub(crate) fn walk<E>(
-        &self,
-        from: &mut Cursor,
-        to: Cursor,
-        mut visit: impl FnMut(&[Value]) -> Result<bool, E>,
-    ) -> Result<(), E> {
-        self.entries
-            .walk(from, to, |entry, _| visit(&entry[self.columns.len()..]))
+    /// The clustered key of the entry at `at`, if there is one.
+    pub(crate) fn pk_at(&self, at: Cursor) -> Option<&[Value]> {
+        let entry = self.entries.key_at(at)?;
+        Some(&entry[self.columns.len()..])
+    }
+
+    /// The position after the entry at `at`.
+    pub(crate) fn step(&self, at: Cursor) -> Cursor {
+        self.entries.step(at, 1)
     }
 
     /// Estimate of entries in `range` (exact here, since we can count).

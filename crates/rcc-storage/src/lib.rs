@@ -4,7 +4,9 @@
 //! This crate plays the role SQL Server's storage engine plays in the paper:
 //! heap-less tables organized by a clustered ordered index, optional secondary
 //! indexes, range scans/seeks, and per-table statistics used by the cost
-//! model. Tables execute in memory — the paper's experiments depend only on
+//! model. A scan that covers a whole storage chunk reads it as typed
+//! [`column::Column`]s, built once per chunk and shared by every snapshot
+//! that shares the chunk ([`cowmap`]). Tables execute in memory — the paper's experiments depend only on
 //! *relative* access-path costs and data volumes — while the durability
 //! layer ([`durable`], [`wal`], [`bufpool`], [`pager`], [`codec`]) gives the
 //! back-end an optional disk-backed mode: WAL-before-publish commits,
@@ -15,6 +17,7 @@
 
 pub mod bufpool;
 pub mod codec;
+pub mod column;
 pub mod cowmap;
 pub mod durable;
 pub mod engine;
@@ -27,7 +30,7 @@ pub mod table;
 pub mod wal;
 
 pub use bufpool::BufferPool;
-pub use cowmap::CowMap;
+pub use cowmap::{CowMap, Run};
 pub use durable::{DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;

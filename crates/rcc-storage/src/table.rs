@@ -1,6 +1,6 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
-use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, VacantEntry};
+use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Run, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
@@ -356,18 +356,19 @@ impl Table {
 
     /// Open a resumable scan of the morsel `[start, end)` of `range` in
     /// clustered-key order — the rows [`Table::scan_morsel`] visits, in the
-    /// same order, handed out a stretch at a time by [`Table::scan_next`].
+    /// same order, handed out a stretch at a time by [`Table::next_run`] or
+    /// a row at a time by [`Table::scan_next`].
     pub fn scan_cursor(
         &self,
         range: &KeyRange,
         start: Option<&[Value]>,
         end: Option<&[Value]>,
     ) -> ScanCursor {
-        let (at, end) = self.morsel_span(range, start, end);
+        let span = self.morsel_span(range, start, end);
         ScanCursor {
             index: None,
-            at,
-            end,
+            span,
+            at: span.0,
         }
     }
 
@@ -375,32 +376,66 @@ impl Table {
     /// `range`: the rows [`Table::index_scan`] returns, in the same order.
     pub fn index_cursor(&self, index: &str, range: &KeyRange) -> Result<ScanCursor> {
         let i = self.index_position(index)?;
-        let (at, end) = self.indexes[i].span(range);
+        let span = self.indexes[i].span(range);
         Ok(ScanCursor {
             index: Some(i),
-            at,
-            end,
+            span,
+            at: span.0,
         })
+    }
+
+    /// The rows a scan reaches next, by reference and in scan order: the
+    /// rest of one storage chunk's part of a clustered span, or the next
+    /// row of an index scan (a one-row run). `None` once the scan is
+    /// exhausted. A clustered run whose span covers its whole chunk also
+    /// reads as typed columns ([`Run::column`]); every other run is walked
+    /// row by row. The cursor does not move until [`Table::advance`]; it
+    /// must come from this same table state — scans hold the snapshot they
+    /// opened it on.
+    pub fn next_run(&self, cursor: &mut ScanCursor) -> Option<Run<'_, Row>> {
+        let Some(ix) = cursor.index.map(|i| &self.indexes[i]) else {
+            return self.rows.run(cursor.span, cursor.at);
+        };
+        while cursor.at < cursor.span.1 {
+            if let Some(run) = self.rows.run_of(ix.pk_at(cursor.at)?) {
+                return Some(run);
+            }
+            // an entry whose row is gone: nothing to read
+            cursor.at = ix.step(cursor.at);
+        }
+        None
+    }
+
+    /// Move the cursor past the first `n` rows of the run
+    /// [`Table::next_run`] handed out last.
+    pub fn advance(&self, cursor: &mut ScanCursor, n: usize) {
+        cursor.at = match cursor.index {
+            None => self.rows.step(cursor.at, n),
+            Some(_) if n == 0 => cursor.at,
+            Some(i) => self.indexes[i].step(cursor.at),
+        };
     }
 
     /// Hand the next rows of a scan to `visit`, by reference and in scan
     /// order, until it answers `Ok(false)` (that row counts as visited),
     /// fails, or the scan is exhausted. The cursor then stands after the
-    /// last row visited. It must come from this same table state: scans
-    /// hold the snapshot they opened it on.
+    /// last row visited.
     pub fn scan_next<F>(&self, cursor: &mut ScanCursor, mut visit: F) -> Result<()>
     where
         F: FnMut(&Row) -> Result<bool>,
     {
-        match cursor.index.map(|i| &self.indexes[i]) {
-            None => self
-                .rows
-                .walk(&mut cursor.at, cursor.end, |_, row| visit(row)),
-            Some(ix) => ix.walk(&mut cursor.at, cursor.end, |pk| match self.rows.get(pk) {
-                Some(row) => visit(row),
-                None => Ok(true),
-            }),
+        while let Some(run) = self.next_run(cursor) {
+            let rows = run.vals();
+            for (i, row) in rows.iter().enumerate() {
+                let more = visit(row);
+                if !matches!(more, Ok(true)) {
+                    self.advance(cursor, i + 1);
+                    return more.map(drop);
+                }
+            }
+            self.advance(cursor, rows.len());
         }
+        Ok(())
     }
 
     /// Split the rows of `range` into key-ordered morsels of `target_rows`
@@ -494,14 +529,15 @@ impl Table {
 /// Where a resumable scan stands: a span of the clustered row map, or of
 /// one secondary index, of which a prefix has been visited. Made by
 /// [`Table::scan_cursor`] / [`Table::index_cursor`], advanced by
-/// [`Table::scan_next`].
+/// [`Table::advance`] or [`Table::scan_next`].
 #[derive(Debug, Clone)]
 pub struct ScanCursor {
     /// Position in `Table::indexes` of the index walked; `None` walks the
     /// clustered rows.
     index: Option<usize>,
+    /// The whole span the scan was opened on, `[start, end)`.
+    span: (Cursor, Cursor),
     at: Cursor,
-    end: Cursor,
 }
 
 /// How one range scan splits into key-ordered morsels: a sorted list of

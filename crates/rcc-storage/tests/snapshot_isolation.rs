@@ -14,6 +14,11 @@
 //! The version protocol makes torn reads detectable: version `v` holds
 //! exactly `v` rows and every row is tagged `v`, so any snapshot mixing
 //! two versions fails either the count or the uniform-tag check.
+//!
+//! Half the readers read through chunk images: they build the typed image
+//! of each chunk their scan covers — racing each other to build the images
+//! of the chunks they share, and a writer that copies chunks away — and
+//! must see exactly what a row walk sees.
 
 use loom::thread;
 use rcc_common::{Column, DataType, Row, Schema, Value};
@@ -41,18 +46,29 @@ fn publish_version(cell: &TableCell, v: i64) {
     .expect("publish");
 }
 
-/// Scan a snapshot and return its version, asserting internal consistency:
+/// Scan a snapshot — row by row, or through the image of every chunk the
+/// scan covers — and return its version, asserting internal consistency:
 /// a uniform tag and a row count equal to that tag.
-fn observed_version(cell: &TableCell) -> i64 {
+fn observed_version(cell: &TableCell, via_image: bool) -> i64 {
     let snap = cell.snapshot();
     let mut tags = Vec::new();
-    snap.scan_range(
-        &KeyRange::all(),
-        |_| true,
-        |row| {
-            tags.push(row.get(1).as_int().expect("tag"));
-        },
-    );
+    let mut cursor = snap.scan_cursor(&KeyRange::all(), None, None);
+    while let Some(run) = snap.next_run(&mut cursor) {
+        let n = run.vals().len();
+        match run.column(1).filter(|_| via_image) {
+            Some(image) => tags.extend((0..n).map(|i| {
+                let tag = image.value(run.offset() + i).as_int().expect("tag");
+                assert_eq!(tag, run.vals()[i].get(1).as_int().expect("tag"));
+                tag
+            })),
+            None => tags.extend(
+                run.vals()
+                    .iter()
+                    .map(|row| row.get(1).as_int().expect("tag")),
+            ),
+        }
+        snap.advance(&mut cursor, n);
+    }
     let version = tags.first().copied().unwrap_or(0);
     assert!(
         tags.iter().all(|&t| t == version),
@@ -79,13 +95,13 @@ fn loom_scan_concurrent_with_publish_sees_whole_snapshots() {
                 }
             })
         };
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
+        let readers: Vec<_> = (0..4)
+            .map(|r| {
                 let cell = Arc::clone(&cell);
                 thread::spawn(move || {
                     let mut last = 0;
                     for _ in 0..6 {
-                        let v = observed_version(&cell);
+                        let v = observed_version(&cell, r % 2 == 1);
                         assert!(
                             v >= last,
                             "snapshots went backwards within a reader: {v} < {last}"
@@ -100,11 +116,13 @@ fn loom_scan_concurrent_with_publish_sees_whole_snapshots() {
         for r in readers {
             r.join().expect("reader");
         }
-        assert_eq!(
-            observed_version(&cell),
-            4,
-            "final state is the last publish"
-        );
+        for via_image in [false, true] {
+            assert_eq!(
+                observed_version(&cell, via_image),
+                4,
+                "final state is the last publish"
+            );
+        }
     });
 }
 
@@ -117,14 +135,14 @@ fn stress_readers_never_observe_torn_publishes() {
     let done = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..READERS)
-        .map(|_| {
+        .map(|r| {
             let cell = Arc::clone(&cell);
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut scans = 0u64;
                 let mut last = 0;
                 while !done.load(Ordering::Relaxed) {
-                    let v = observed_version(&cell);
+                    let v = observed_version(&cell, r % 2 == 1);
                     assert!(v >= last, "non-monotone snapshot: {v} < {last}");
                     last = v;
                     scans += 1;
@@ -141,6 +159,6 @@ fn stress_readers_never_observe_torn_publishes() {
 
     let total_scans: u64 = readers.into_iter().map(|r| r.join().expect("reader")).sum();
     assert!(total_scans > 0, "readers never ran");
-    assert_eq!(observed_version(&cell), VERSIONS);
+    assert_eq!(observed_version(&cell, true), VERSIONS);
     assert_eq!(cell.publish_count(), VERSIONS as u64);
 }

@@ -197,3 +197,54 @@ fn tracer_keeps_recent_traces_with_spans() {
     );
     assert!(first.render().contains("execute"));
 }
+
+/// `rcc_scan_chunks_total{path}` says how each scan read its chunks: a
+/// chunk the scan covers whole through its typed image, anything else row
+/// by row. The benchmark's `scan_mix` range scan and aggregate cover
+/// almost every chunk; a point read and an index nested-loop join's probes
+/// cover none, so they never build an image.
+#[test]
+fn scan_chunk_paths_follow_chunk_coverage() {
+    // 4 500 customers: eighteen chunks of `cust_prj`
+    let cache = paper_setup(0.03, 42).unwrap();
+    warm_up(&cache).unwrap();
+    let chunks = |path: &str| {
+        let key = format!("rcc_scan_chunks_total{{path=\"{path}\"}}");
+        cache.metrics().snapshot().counter(&key)
+    };
+    let read = |sql: &str| {
+        let (image, rows) = (chunks("image"), chunks("rows"));
+        let r = cache.execute(sql).unwrap();
+        assert!(!r.used_remote && !r.rows.is_empty(), "{sql}");
+        (r, chunks("image") - image, chunks("rows") - rows)
+    };
+    let scan_mix = [
+        "SELECT c_custkey, c_name, c_acctbal FROM customer \
+         WHERE c_acctbal BETWEEN 1000 AND 2400 CURRENCY BOUND 60 SEC ON (customer)",
+        "SELECT c_nationkey, COUNT(*), SUM(c_acctbal) FROM customer \
+         WHERE c_custkey >= 17 GROUP BY c_nationkey CURRENCY BOUND 60 SEC ON (customer)",
+    ];
+    for sql in scan_mix {
+        let (_, image, rows) = read(sql);
+        assert!(
+            image >= 18 && image * 10 >= (image + rows) * 9,
+            "{image} image, {rows} rows: {sql}"
+        );
+    }
+    let (_, image, rows) = read(Q);
+    assert_eq!((image, rows), (0, 1), "a point read walks its one chunk");
+    let (r, image, _) = read(
+        "SELECT c.c_custkey, o.o_orderkey, o.o_totalprice FROM customer c, orders o \
+         WHERE c.c_custkey = o.o_custkey AND c.c_custkey <= 180 \
+         CURRENCY BOUND 60 SEC ON (c), 60 SEC ON (o)",
+    );
+    assert!(
+        r.plan_explain().contains("IndexNLJoin"),
+        "{}",
+        r.plan_explain()
+    );
+    assert_eq!(
+        image, 0,
+        "neither the partial outer range nor a probe builds an image"
+    );
+}
