@@ -11,8 +11,7 @@
 //! 2. **Batched vs. row-at-a-time**: the same scan at one worker on the
 //!    vectorized engine versus the preserved row reference engine
 //!    ([`rcc_executor::rowref`]); the batched engine must be ≥2× (asserted
-//!    unconditionally — both run on the same box), plus a batch-size sweep
-//!    (512/2048/8192 rows per batch).
+//!    unconditionally — both run on the same box).
 //! 3. **Concurrent refresh**: reader scan throughput while a writer
 //!    continuously publishes refresh batches — the copy-on-write
 //!    [`TableCell`] path versus the pre-snapshot design (a bench-local
@@ -276,14 +275,6 @@ fn main() {
         batched_speedup >= 2.0,
         "expected the batched engine ≥2× the row engine at 1 worker, got {batched_speedup:.2}×"
     );
-    let mut batch_sweep = Vec::new();
-    for &b in &[512usize, 2048, 8192] {
-        cache.set_batch_rows(b);
-        let (rps, ..) = measure_scaling(&cache, 1, opts.iters);
-        eprintln!("  batch size {b}: {rps:.0} rows/s");
-        batch_sweep.push((b, rps));
-    }
-    cache.set_batch_rows(rcc_executor::DEFAULT_BATCH_ROWS);
 
     // -------------------------------------- 3. reader vs. refresh writer
     let (table_rows, batch_rows) = if opts.quick {
@@ -462,16 +453,12 @@ fn main() {
             )
         })
         .collect();
-    let batch_sweep_json: Vec<String> = batch_sweep
-        .iter()
-        .map(|(b, rps)| format!("{{ \"batch_rows\": {b}, \"rows_per_sec\": {rps:.1} }}"))
-        .collect();
     let json = format!(
         "{{\n  \"bench\": \"scan_parallel\",\n  \"quick\": {},\n  \"scale\": {},\n  \
          \"cpus\": {},\n  \"iters\": {},\n  \"scaling\": [\n    {}\n  ],\n  \
          \"speedup_1_to_4\": {:.3},\n  \"batched_vs_row\": {{\n    \
          \"row_rows_per_sec\": {:.1}, \"batched_rows_per_sec\": {:.1},\n    \
-         \"speedup\": {:.3}\n  }},\n  \"batch_size_sweep\": [\n    {}\n  ],\n  \
+         \"speedup\": {:.3}\n  }},\n  \
          \"concurrent_refresh\": {{\n    \
          \"table_rows\": {}, \"batch_rows\": {}, \"readers\": {},\n    \
          \"snapshot\": {{ \"reads_per_sec\": {:.1}, \"rows_per_sec\": {:.1}, \"refresh_batches\": {} }},\n    \
@@ -491,7 +478,6 @@ fn main() {
         row_rps,
         batched_rps,
         batched_speedup,
-        batch_sweep_json.join(",\n    "),
         table_rows,
         batch_rows,
         readers,

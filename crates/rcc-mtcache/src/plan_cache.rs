@@ -50,7 +50,7 @@ use rcc_common::{Result, TableId, Value};
 use rcc_flow::{FlowAnalysis, GuardCert};
 use rcc_lint::Diagnostic;
 use rcc_optimizer::optimize::Optimized;
-use rcc_optimizer::PhysicalPlan;
+use rcc_optimizer::{CCConstraint, PhysicalPlan};
 use rcc_sql::Anchor;
 use rcc_storage::KeyRange;
 use std::collections::hash_map::RandomState;
@@ -82,6 +82,9 @@ pub struct ElidedPlan {
 pub struct CompiledQuery {
     /// The optimizer's output.
     pub optimized: Optimized,
+    /// The query's currency clause, normalized: what `VERIFY` holds the
+    /// plan to, and where a result cache reads its tightest bound.
+    pub constraint: CCConstraint,
     /// Base tables the query reads (for timeline-consistency bookkeeping).
     pub tables: Vec<TableId>,
     /// Currency-clause lint diagnostics from compile time, attached to
@@ -316,10 +319,11 @@ impl<P> PlanCache<P> {
         self.bumps.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// (hits, misses) so far: statements served from a cached plan, and
-    /// statements a plan was compiled for. What fails to compile — a text
-    /// that does not parse or bind, a statement the role rejects — is
-    /// neither.
+    /// (hits, misses) so far: lookups a cached plan answered, and lookups
+    /// a plan was compiled for. In the front-end that is every `SELECT`,
+    /// bare or under `VERIFY` / `EXPLAIN FLOW` (which render the plan they
+    /// find instead of running it). What fails to compile — a text that
+    /// does not parse or bind, a statement the role rejects — is neither.
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),

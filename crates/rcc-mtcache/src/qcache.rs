@@ -12,33 +12,33 @@
 //! currency bound of the incoming query; otherwise the result is
 //! recomputed through the ordinary C&C-enforcing pipeline.
 //!
+//! Only a `SELECT` is taken — the lexical [`rcc_sql::shape`] check, before
+//! anything runs, so a DML text is refused, never executed. A miss runs the
+//! query through [`MTCache::execute`], and the result's bound is read off
+//! the plan-cache entry that served it: nothing is parsed or bound here.
+//!
 //! Concurrency: a single map lock guards the entries; hit/miss counters
-//! are plain atomics so `stats()` never contends with `execute()`. Each
-//! entry also memoizes the query's tightest bound, so repeat executions of
-//! the same SQL text — hits *and* recomputes — skip the parser and binder
-//! entirely. Capacity is bounded: the least-recently-used entry is evicted
-//! once the map outgrows [`QueryResultCache::capacity`].
+//! are plain atomics so `stats()` never contends with `execute()`.
+//! Capacity is bounded: the least-recently-used entry is evicted once the
+//! map outgrows [`QueryResultCache::capacity`].
 
 use crate::result::QueryResult;
 use crate::server::MTCache;
 use parking_lot::Mutex;
-use rcc_common::{Clock, Duration, Result, Timestamp, Value};
-use rcc_optimizer::bind_select;
-use rcc_sql::{parse_statement, Statement};
+use rcc_common::{Clock, Duration, Error, Result, Timestamp, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Default bound on the number of memoized SQL strings.
+/// Default bound on the number of cached results.
 pub const DEFAULT_QCACHE_CAPACITY: usize = 256;
 
 #[derive(Debug, Clone)]
 struct Entry {
-    /// Memoized tightest currency bound for this SQL text — hits and
-    /// recomputes alike skip the parse/bind pipeline.
+    result: QueryResult,
+    /// Conservative snapshot time of `result`.
+    as_of: Timestamp,
+    /// The query's tightest currency bound: how long `result` may serve.
     bound: Duration,
-    /// The stored result and its conservative snapshot time. `None` for
-    /// bound-0 queries, which are never served from this cache.
-    cached: Option<(QueryResult, Timestamp)>,
     /// Recency stamp for LRU eviction (monotone per cache).
     last_used: u64,
 }
@@ -65,8 +65,8 @@ impl QueryResultCache {
         QueryResultCache::default()
     }
 
-    /// An empty cache bounded to `capacity` distinct SQL strings
-    /// (clamped to at least 1).
+    /// An empty cache bounded to `capacity` results (clamped to at least
+    /// 1).
     pub fn with_capacity(capacity: usize) -> QueryResultCache {
         QueryResultCache {
             entries: Mutex::new(HashMap::new()),
@@ -77,7 +77,7 @@ impl QueryResultCache {
         }
     }
 
-    /// The maximum number of SQL strings this cache memoizes.
+    /// The maximum number of results this cache holds.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -90,13 +90,9 @@ impl QueryResultCache {
         )
     }
 
-    /// Number of cached results (bound-only memo entries don't count).
+    /// Number of cached results.
     pub fn len(&self) -> usize {
-        self.entries
-            .lock()
-            .values()
-            .filter(|e| e.cached.is_some())
-            .count()
+        self.entries.lock().len()
     }
 
     /// True when no results are cached.
@@ -104,7 +100,7 @@ impl QueryResultCache {
         self.len() == 0
     }
 
-    /// Drop every cached result and memoized bound.
+    /// Drop every cached result.
     pub fn clear(&self) {
         self.entries.lock().clear();
     }
@@ -116,49 +112,41 @@ impl QueryResultCache {
     /// Serve `sql` from cache when a stored result still satisfies the
     /// query's tightest currency bound; recompute (and store) otherwise.
     pub fn execute(&self, cache: &MTCache, sql: &str) -> Result<QueryResult> {
+        if rcc_sql::shape(sql, &HashMap::new()).is_none() {
+            return Err(Error::analysis(format!(
+                "result cache only handles queries, got {sql:?}"
+            )));
+        }
         let now = cache.clock().now();
-        // One lock acquisition answers both "is the stored result fresh
-        // enough?" and "do we already know this query's bound?".
-        let memoized_bound = {
-            let mut entries = self.entries.lock();
-            match entries.get_mut(sql) {
-                Some(entry) => {
-                    entry.last_used = self.stamp();
-                    if let Some((result, as_of)) = &entry.cached {
-                        if !entry.bound.is_zero() && now.since(*as_of) <= entry.bound {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            return Ok(result.clone());
-                        }
-                    }
-                    Some(entry.bound)
-                }
-                None => None,
+        if let Some(entry) = self.entries.lock().get_mut(sql) {
+            if now.since(entry.as_of) <= entry.bound {
+                entry.last_used = self.stamp();
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(entry.result.clone());
             }
-        };
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let bound = match memoized_bound {
-            Some(bound) => bound,
-            None => tightest_bound(cache, sql)?,
-        };
         let result = cache.execute(sql)?;
-        // bound-0 queries demand the latest snapshot: memoize the bound so
-        // the next execution skips the parser, but never store the result
-        // (an update may have committed since)
-        let cached = if bound.is_zero() {
-            None
-        } else {
-            Some((result.clone(), conservative_as_of(&result, now)))
+        // The tightest bound across the query's consistency classes. Zero
+        // when it carries no clause: such a query demands the latest
+        // snapshot — the paper's "traditional semantics" default — and its
+        // result is never stored (an update may commit at any moment).
+        let bound = (result.compiled().iter())
+            .flat_map(|c| &c.constraint.classes)
+            .map(|c| c.bound)
+            .min()
+            .unwrap_or(Duration::ZERO);
+        if bound.is_zero() {
+            return Ok(result);
+        }
+        let entry = Entry {
+            result: result.clone(),
+            as_of: conservative_as_of(&result, now),
+            bound,
+            last_used: self.stamp(),
         };
         let mut entries = self.entries.lock();
-        let last_used = self.stamp();
-        entries.insert(
-            sql.to_string(),
-            Entry {
-                bound,
-                cached,
-                last_used,
-            },
-        );
+        entries.insert(sql.to_string(), entry);
         while entries.len() > self.capacity {
             if let Some(oldest) = entries
                 .iter()
@@ -170,29 +158,6 @@ impl QueryResultCache {
         }
         Ok(result)
     }
-}
-
-/// The tightest currency bound across the query's consistency classes
-/// (zero when the query carries no clause — such results are never served
-/// from this cache, matching the paper's "traditional semantics" default).
-fn tightest_bound(cache: &MTCache, sql: &str) -> Result<Duration> {
-    let stmt = parse_statement(sql)?;
-    let select = match stmt {
-        Statement::Select(s) => *s,
-        other => {
-            return Err(rcc_common::Error::analysis(format!(
-                "result cache only handles queries, got {other:?}"
-            )))
-        }
-    };
-    let graph = bind_select(cache.catalog(), &select, &HashMap::new())?;
-    Ok(graph
-        .constraint
-        .classes
-        .iter()
-        .map(|c| c.bound)
-        .min()
-        .unwrap_or(Duration::ZERO))
 }
 
 /// Conservative snapshot time of a computed result: the oldest heartbeat

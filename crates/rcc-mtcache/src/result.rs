@@ -51,16 +51,17 @@ pub struct QueryResult {
 pub(crate) enum PlanExplain {
     /// No plan behind this result (DDL, DML, session statements).
     None,
-    /// Already text: the EXPLAIN ANALYZE printout, or a plan that was
-    /// optimized for this statement only.
+    /// Already text: the EXPLAIN ANALYZE printout.
     Text(String),
-    /// The compiled query that was executed, and the statement-slot values
-    /// it was executed with.
+    /// The compiled query that was executed (or, for `VERIFY` and `EXPLAIN
+    /// FLOW`, would have been), and the statement-slot values it was
+    /// executed with.
     Plan(Arc<CompiledQuery>, Arc<Vec<Value>>),
 }
 
 impl QueryResult {
-    /// A result with no rows and no plan (DDL, session statements).
+    /// A result with no rows and no plan (DDL, session statements), and the
+    /// base the diagnostic results fill in.
     pub(crate) fn empty() -> QueryResult {
         QueryResult {
             schema: Schema::empty(),
@@ -117,6 +118,15 @@ impl QueryResult {
             PlanExplain::Plan(compiled, slots) => {
                 compiled.optimized.plan.with_slots(slots).explain()
             }
+        }
+    }
+
+    /// The plan-cache entry the result was served from or rendered from;
+    /// `None` for a result of no cached plan.
+    pub(crate) fn compiled(&self) -> Option<&CompiledQuery> {
+        match &self.explain {
+            PlanExplain::Plan(compiled, _) => Some(compiled),
+            _ => None,
         }
     }
 

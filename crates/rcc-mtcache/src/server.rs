@@ -9,8 +9,8 @@ use parking_lot::{Mutex, RwLock};
 use rcc_backend::{MasterDb, TableChange};
 use rcc_catalog::{CachedViewDef, Catalog, CurrencyRegion, TableMeta};
 use rcc_common::{
-    AgentId, Clock, Column, Duration, Error, RegionId, Result, Row, ScanPool, Schema, SimClock,
-    TableId, Timestamp, Value,
+    AgentId, Clock, Column, DataType, Duration, Error, RegionId, Result, Row, ScanPool, Schema,
+    SimClock, TableId, Timestamp, Value,
 };
 use rcc_executor::GuardObservation;
 use rcc_executor::{
@@ -24,14 +24,16 @@ use rcc_obs::{
     DEFAULT_STALENESS_BUCKETS,
 };
 use rcc_optimizer::cost::column_ranges;
-use rcc_optimizer::optimize::{Optimized, PlanChoice};
+use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::{
-    bind_select, bind_select_slots, optimize, slot_domains, BoundExpr, OptimizerConfig,
+    bind_one_table, bind_select_slots, optimize, slot_domains, BoundExpr, OptimizerConfig,
+    PhysicalPlan,
 };
 use rcc_replication::{DistributionAgent, ReplicationRuntime};
 use rcc_robust::{Verdict, WorkloadReport};
 use rcc_semantics::{summarize_template, TemplateSummary};
 use rcc_sql::ast::TemplateDecl;
+use rcc_sql::lexer::TokenKind;
 use rcc_sql::{
     parse_shape, parse_statement, Expr, SelectItem, SelectStmt, Shape, Statement, TableRef,
 };
@@ -39,10 +41,11 @@ use rcc_storage::{
     DurableStore, KeyRange, RecoveredState, RecoveryStats, RowChange, StorageEngine, SyncPolicy,
     Table, TableStats, WatermarkRecord,
 };
+use rcc_verify::VerifyReport;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -87,8 +90,6 @@ pub struct MTCache {
     /// Worker pool for morsel-driven parallel scans; `None` keeps every
     /// scan on the session thread (the default).
     scan_pool: RwLock<Option<Arc<ScanPool>>>,
-    /// Target logical rows per column batch in the vectorized engine.
-    batch_rows: AtomicUsize,
     /// When set, queries run on the row-at-a-time reference engine instead
     /// of the vectorized one — the A side of batched-vs-row comparisons.
     row_engine: AtomicBool,
@@ -138,27 +139,60 @@ struct PerQueryMetrics {
     phase_seconds: [Histogram; QueryPhase::ALL.len()],
 }
 
-/// A statement after [`MTCache::prepare`]: a `SELECT` split into its shape
-/// and slot values (not parsed: the plan cache may hold its plan), or
-/// anything else, parsed.
+/// A statement after [`MTCache::prepare`]: a `SELECT`, bare or under
+/// `VERIFY` / `EXPLAIN FLOW`, split into its shape and slot values (not
+/// parsed: the plan cache may hold its plan), or anything else, parsed.
 #[derive(Debug)]
 pub(crate) struct Prepared<'a> {
     sql: &'a str,
-    form: Form,
+    form: Form<'a>,
 }
 
 #[derive(Debug)]
-enum Form {
+enum Form<'a> {
     Select(Shape),
-    Parsed { stmt: Statement, parse: StdDuration },
+    /// A diagnostic, the text of its `SELECT`, and that text's shape.
+    Diagnostic(Diagnostic, &'a str, Shape),
+    Parsed {
+        stmt: Statement,
+        parse: StdDuration,
+    },
+}
+
+/// The statements that render the plan a `SELECT` is served instead of
+/// running it.
+#[derive(Debug, Clone, Copy)]
+enum Diagnostic {
+    /// `VERIFY SELECT …`: the plan's proof obligations.
+    Verify,
+    /// `EXPLAIN FLOW SELECT …`: the plan's currency dataflow analysis.
+    Flow,
+}
+
+impl Diagnostic {
+    /// The diagnostic `sql` is, and the text of its `SELECT` — from the
+    /// token after the prefix on, so it is keyed as it would be bare.
+    fn of(sql: &str) -> Option<(Diagnostic, &str)> {
+        let tokens = rcc_sql::lexer::tokenize(sql).ok()?;
+        let keyword = |i: usize| match tokens.get(i).map(|t| &t.kind) {
+            Some(TokenKind::Keyword(k)) => k.as_str(),
+            _ => "",
+        };
+        let (kind, select) = match (keyword(0), keyword(1)) {
+            ("VERIFY", _) => (Diagnostic::Verify, 1),
+            ("EXPLAIN", "FLOW") => (Diagnostic::Flow, 2),
+            _ => return None,
+        };
+        Some((kind, &sql[tokens.get(select)?.pos..]))
+    }
 }
 
 impl Prepared<'_> {
-    /// The parsed statement; `None` for a `SELECT`.
+    /// The parsed statement; `None` for a shaped `SELECT`.
     pub(crate) fn statement(&self) -> Option<&Statement> {
         match &self.form {
-            Form::Select(_) => None,
             Form::Parsed { stmt, .. } => Some(stmt),
+            _ => None,
         }
     }
 }
@@ -188,8 +222,8 @@ struct Compilation {
     compiled: CompiledQuery,
     /// Per statement slot, the values `compiled` is the plan for.
     domains: Vec<KeyRange>,
-    bind: StdDuration,
-    optimize: StdDuration,
+    /// Bind and optimize; the caller fills in the parse.
+    phases: CompilePhases,
 }
 
 /// Snapshot of the durability subsystem for `/healthz` and diagnostics.
@@ -305,7 +339,6 @@ impl MTCache {
             slo_queries: AtomicU64::new(0),
             slo_unsanctioned: AtomicU64::new(0),
             scan_pool: RwLock::new(None),
-            batch_rows: AtomicUsize::new(DEFAULT_BATCH_ROWS),
             row_engine: AtomicBool::new(false),
             elide_guards: AtomicBool::new(false),
             durability,
@@ -499,14 +532,6 @@ impl MTCache {
         *self.scan_pool.write() = pool;
     }
 
-    /// Set the target logical rows per column batch for subsequent
-    /// queries. Values are clamped to at least 1. Safe to call while
-    /// sessions are live — in-flight queries keep the size they started
-    /// with.
-    pub fn set_batch_rows(&self, rows: usize) {
-        self.batch_rows.store(rows.max(1), Ordering::Relaxed);
-    }
-
     /// Route subsequent queries through the row-at-a-time reference engine
     /// (`true`) or the vectorized engine (`false`, the default). The two
     /// produce byte-identical results; the switch exists for differential
@@ -517,11 +542,7 @@ impl MTCache {
 
     /// Dispatch a plan to whichever engine is selected; the answer stays
     /// in batches until a caller asks for rows.
-    fn run_plan(
-        &self,
-        plan: &rcc_optimizer::PhysicalPlan,
-        ctx: &ExecContext,
-    ) -> Result<BatchExecutionResult> {
+    fn run_plan(&self, plan: &PhysicalPlan, ctx: &ExecContext) -> Result<BatchExecutionResult> {
         if !self.row_engine.load(Ordering::Relaxed) {
             return execute_plan_batched(plan, ctx);
         }
@@ -596,11 +617,11 @@ impl MTCache {
         );
         metrics.describe(
             "rcc_plan_cache_hits_total",
-            "SELECTs served by a cached dynamic plan of their shape.",
+            "SELECTs, bare or under VERIFY / EXPLAIN FLOW, that found a cached plan.",
         );
         metrics.describe(
             "rcc_plan_cache_misses_total",
-            "SELECTs a plan had to be parsed, bound and optimized for.",
+            "SELECTs, bare or under VERIFY / EXPLAIN FLOW, a plan was compiled for.",
         );
         metrics.describe(
             "rcc_plan_cache_evictions_total",
@@ -966,19 +987,34 @@ impl MTCache {
             .map(QueryResult::with_rows)
     }
 
-    /// Optimize without executing (EXPLAIN).
+    /// Optimize without executing (EXPLAIN), on the literal path.
     pub fn explain(&self, sql: &str, params: &HashMap<String, Value>) -> Result<Optimized> {
-        let stmt = parse_statement(sql)?;
-        let select = match stmt {
-            Statement::Select(s) => *s,
-            other => {
-                return Err(Error::analysis(format!(
-                    "EXPLAIN expects a query, got {other:?}"
-                )))
-            }
-        };
-        let graph = bind_select(&self.catalog, &select, params)?;
-        optimize(&self.catalog, &graph, &self.config.read())
+        Ok(self.compile_literal(sql, "EXPLAIN", params)?.optimized)
+    }
+
+    /// Statically verify the plan the optimizer would run for `sql` (which
+    /// may carry a leading `VERIFY`), on the literal path. Optimizes but
+    /// never executes; returns the full proof-obligation report.
+    pub fn verify(&self, sql: &str, params: &HashMap<String, Value>) -> Result<VerifyReport> {
+        Ok(self.audit(&self.compile_literal(sql, "VERIFY", params)?))
+    }
+
+    /// The literal path of [`MTCache::explain`] and [`MTCache::verify`]
+    /// (`EXPLAIN ANALYZE` takes it too): `sql` is parsed as it stands and
+    /// compiled for this call alone — its literals bound as literals, never
+    /// looked up, never cached. It is the reference the shape path is held
+    /// to (`tests/golden_plans.rs`, `tests/shape_differential.rs`).
+    fn compile_literal(
+        &self,
+        sql: &str,
+        under: &str,
+        params: &HashMap<String, Value>,
+    ) -> Result<CompiledQuery> {
+        let select = literal_select(sql, under)?;
+        let trace = self.tracer.trace(sql);
+        Ok(self
+            .compile(sql, &select, params, &[], &trace, "direct")?
+            .compiled)
     }
 
     /// Execute a query with per-operator instrumentation and return the
@@ -991,16 +1027,9 @@ impl MTCache {
         sql: &str,
         params: &HashMap<String, Value>,
     ) -> Result<QueryResult> {
-        let parse_started = Instant::now();
-        let select = match parse_statement(sql)? {
-            Statement::Select(s) | Statement::ExplainAnalyze(s) => s,
-            other => {
-                return Err(Error::analysis(format!(
-                    "EXPLAIN ANALYZE expects a query, got {other:?}"
-                )))
-            }
-        };
-        let parse = parse_started.elapsed();
+        let started = Instant::now();
+        let select = literal_select(sql, "EXPLAIN ANALYZE")?;
+        let parse = started.elapsed();
         self.execute_analyzed(sql, &select, parse, params, &HashMap::new(), "direct")
     }
 
@@ -1008,24 +1037,29 @@ impl MTCache {
     /// `MTCache::execute*` alike. A `SELECT` is split into its shape — the
     /// plan-cache key — and its slot values by one lexical pass
     /// ([`rcc_sql::shape`]); it is parsed only if the cache has no plan for
-    /// them. Only `SELECT`s have a shape, so only compiled `SELECT`s ever
-    /// enter the cache: `BEGIN`/`END TIMEORDERED`, DML, DDL and the
-    /// diagnostic statements are parsed here, once, from the text as it
-    /// stands, and the `Statement` is handed down.
+    /// them. So is the `SELECT` of a `VERIFY` or `EXPLAIN FLOW`: those
+    /// render the entry the bare `SELECT` is served, found or compiled the
+    /// same way. Only `SELECT`s have a shape, so only compiled `SELECT`s
+    /// ever enter the cache: `BEGIN`/`END TIMEORDERED`, DML, DDL, `LINT`,
+    /// `SHOW` and `EXPLAIN ANALYZE` are parsed here, once, from the text as
+    /// it stands, and the `Statement` is handed down.
     pub(crate) fn prepare<'a>(
         &self,
         sql: &'a str,
         params: &HashMap<String, Value>,
     ) -> Result<Prepared<'a>> {
-        let form = match rcc_sql::shape(sql, params) {
-            Some(shape) => Form::Select(shape),
+        let shaped = rcc_sql::shape(sql, params).map(Form::Select).or_else(|| {
+            let (kind, select) = Diagnostic::of(sql)?;
+            let shape = rcc_sql::shape(select, params)?;
+            Some(Form::Diagnostic(kind, select, shape))
+        });
+        let form = match shaped {
+            Some(form) => form,
             None => {
                 let parse_started = Instant::now();
                 let stmt = parse_statement(sql)?;
-                Form::Parsed {
-                    stmt,
-                    parse: parse_started.elapsed(),
-                }
+                let parse = parse_started.elapsed();
+                Form::Parsed { stmt, parse }
             }
         };
         Ok(Prepared { sql, form })
@@ -1044,12 +1078,15 @@ impl MTCache {
             Form::Select(shape) => {
                 return self.execute_select(sql, shape, params, floors, policy, session);
             }
+            Form::Diagnostic(kind, select, shape) => {
+                return self.execute_diagnostic(sql, kind, select, shape, params, session);
+            }
             Form::Parsed { stmt, parse } => (stmt, parse),
         };
         match stmt {
-            Statement::Select(_) => Err(Error::internal(
-                "a SELECT is prepared as its shape, never parsed from its text",
-            )),
+            Statement::Select(_) | Statement::Verify(_) | Statement::ExplainFlow(_) => Err(
+                Error::internal("a SELECT, bare or under a diagnostic, is prepared as its shape"),
+            ),
             Statement::ExplainAnalyze(select) => {
                 self.execute_analyzed(sql, &select, parse, params, floors, session)
             }
@@ -1062,8 +1099,8 @@ impl MTCache {
                 table,
                 assignments,
                 filter,
-            } => self.execute_update(&table, &assignments, filter.as_ref()),
-            Statement::Delete { table, filter } => self.execute_delete(&table, filter.as_ref()),
+            } => self.execute_dml(&table, Some(assignments), filter),
+            Statement::Delete { table, filter } => self.execute_dml(&table, None, filter),
             Statement::CreateTable {
                 name,
                 columns,
@@ -1097,9 +1134,7 @@ impl MTCache {
             Statement::BeginTimeordered | Statement::EndTimeordered => Err(Error::analysis(
                 "BEGIN/END TIMEORDERED requires a session; use MTCache::session()",
             )),
-            Statement::Verify(select) => self.execute_verify(&select, params),
             Statement::Lint(select) => Ok(self.execute_lint(&select)),
-            Statement::ExplainFlow(select) => self.execute_explain_flow(&select, params),
             Statement::ShowEvents => Ok(self.show_events()),
             Statement::ShowTrace => Ok(self.show_trace()),
             Statement::CreateTemplate(decl) => self.create_template(&decl, session),
@@ -1164,13 +1199,13 @@ impl MTCache {
     /// summary counts the verdict was derived from.
     fn audit_templates(&self) -> QueryResult {
         let schema = Schema::new(vec![
-            Column::new("template", rcc_common::DataType::Str),
-            Column::new("verdict", rcc_common::DataType::Str),
-            Column::new("witness", rcc_common::DataType::Str),
-            Column::new("statements", rcc_common::DataType::Int),
-            Column::new("relaxed_reads", rcc_common::DataType::Int),
-            Column::new("writes", rcc_common::DataType::Int),
-            Column::new("line", rcc_common::DataType::Int),
+            Column::new("template", DataType::Str),
+            Column::new("verdict", DataType::Str),
+            Column::new("witness", DataType::Str),
+            Column::new("statements", DataType::Int),
+            Column::new("relaxed_reads", DataType::Int),
+            Column::new("writes", DataType::Int),
+            Column::new("line", DataType::Int),
         ]);
         let report = self.robust_report.read();
         let rows = report
@@ -1197,16 +1232,8 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
-            batches: Vec::new(),
-            plan_choice: PlanChoice::BackendLocal,
-            explain: PlanExplain::None,
-            est_cost: 0.0,
-            guards: Vec::new(),
-            used_remote: false,
             warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
+            ..QueryResult::empty()
         }
     }
 
@@ -1221,13 +1248,13 @@ impl MTCache {
     /// first.
     fn show_events(&self) -> QueryResult {
         let schema = Schema::new(vec![
-            Column::new("seq", rcc_common::DataType::Int),
-            Column::new("at_ms", rcc_common::DataType::Int),
-            Column::new("kind", rcc_common::DataType::Str),
-            Column::new("cause", rcc_common::DataType::Str),
-            Column::new("policy", rcc_common::DataType::Str),
-            Column::new("session", rcc_common::DataType::Str),
-            Column::new("trace_id", rcc_common::DataType::Int),
+            Column::new("seq", DataType::Int),
+            Column::new("at_ms", DataType::Int),
+            Column::new("kind", DataType::Str),
+            Column::new("cause", DataType::Str),
+            Column::new("policy", DataType::Str),
+            Column::new("session", DataType::Str),
+            Column::new("trace_id", DataType::Int),
         ]);
         let events = self.journal.recent(usize::MAX);
         let warnings = vec![format!(
@@ -1252,16 +1279,8 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
-            batches: Vec::new(),
-            plan_choice: PlanChoice::BackendLocal,
-            explain: PlanExplain::None,
-            est_cost: 0.0,
-            guards: Vec::new(),
-            used_remote: false,
             warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
+            ..QueryResult::empty()
         }
     }
 
@@ -1269,10 +1288,10 @@ impl MTCache {
     /// set (start-ordered), with the trace header in the warnings.
     fn show_trace(&self) -> QueryResult {
         let schema = Schema::new(vec![
-            Column::new("span", rcc_common::DataType::Str),
-            Column::new("depth", rcc_common::DataType::Int),
-            Column::new("start_us", rcc_common::DataType::Int),
-            Column::new("elapsed_us", rcc_common::DataType::Int),
+            Column::new("span", DataType::Str),
+            Column::new("depth", DataType::Int),
+            Column::new("start_us", DataType::Int),
+            Column::new("elapsed_us", DataType::Int),
         ]);
         let (rows, warnings) = match self.tracer.recent(1).pop() {
             Some(trace) => {
@@ -1302,16 +1321,8 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
-            batches: Vec::new(),
-            plan_choice: PlanChoice::BackendLocal,
-            explain: PlanExplain::None,
-            est_cost: 0.0,
-            guards: Vec::new(),
-            used_remote: false,
             warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
+            ..QueryResult::empty()
         }
     }
 
@@ -1319,18 +1330,8 @@ impl MTCache {
     /// the diagnostics as a result set (one row per finding). Never binds,
     /// optimizes, or executes — a clean statement returns zero rows.
     fn execute_lint(&self, select: &SelectStmt) -> QueryResult {
-        let diags = rcc_lint::lint_select(&self.catalog, select);
-        for d in &diags {
-            self.metrics
-                .counter("rcc_lint_diagnostics_total", &[("code", d.code)])
-                .inc();
-        }
-        let schema = Schema::new(vec![
-            Column::new("code", rcc_common::DataType::Str),
-            Column::new("position", rcc_common::DataType::Str),
-            Column::new("subject", rcc_common::DataType::Str),
-            Column::new("message", rcc_common::DataType::Str),
-        ]);
+        let diags = self.lint(select);
+        let schema = text_schema(&["code", "position", "subject", "message"]);
         let rows = diags
             .iter()
             .map(|d| {
@@ -1350,182 +1351,75 @@ impl MTCache {
         QueryResult {
             schema,
             rows,
-            batches: Vec::new(),
-            plan_choice: PlanChoice::BackendLocal,
-            explain: PlanExplain::None,
-            est_cost: 0.0,
-            guards: Vec::new(),
-            used_remote: false,
             warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
+            ..QueryResult::empty()
         }
     }
 
-    /// Statically verify the plan the optimizer would run for `sql` (which
-    /// may carry a leading `VERIFY`). Optimizes but never executes; returns
-    /// the full proof-obligation report.
-    pub fn verify(
+    /// `VERIFY` / `EXPLAIN FLOW` of the `SELECT` text `select` (`sql` is the
+    /// whole statement): the plan-cache entry the bare `SELECT` is served —
+    /// a hit, or compiled and cached now exactly as its first execution
+    /// would — rendered instead of run. The result's plan choice, cost and
+    /// `plan_explain()` are those of the served `SELECT`.
+    fn execute_diagnostic(
         &self,
         sql: &str,
+        kind: Diagnostic,
+        select: &str,
+        shape: Shape,
         params: &HashMap<String, Value>,
-    ) -> Result<rcc_verify::VerifyReport> {
-        let select = match parse_statement(sql)? {
-            Statement::Select(s) | Statement::Verify(s) => s,
-            other => {
-                return Err(Error::analysis(format!(
-                    "VERIFY expects a query, got {other:?}"
-                )))
+        session: &str,
+    ) -> Result<QueryResult> {
+        let trace = self.tracer.trace(sql);
+        let (compiled, _) = self.lookup(select, &shape, params, &trace, session)?;
+        let slots = Arc::new(shape.values);
+        let rendered = match kind {
+            Diagnostic::Verify => verify_rows(&self.audit(&compiled)),
+            Diagnostic::Flow => {
+                flow_rows(&compiled.flow, &compiled.optimized.plan.with_slots(&slots))
             }
         };
-        let graph = bind_select(&self.catalog, &select, params)?;
-        let optimized = optimize(&self.catalog, &graph, &self.config.read())?;
-        let report = rcc_verify::verify_plan(&self.catalog, &graph.constraint, &optimized.plan);
+        Ok(QueryResult {
+            plan_choice: compiled.optimized.choice,
+            est_cost: compiled.optimized.cost,
+            explain: PlanExplain::Plan(compiled, slots),
+            ..rendered
+        })
+    }
+
+    /// The currency-clause lint of `select`, each diagnostic counted by
+    /// code — at compile time and by `LINT` alike.
+    fn lint(&self, select: &SelectStmt) -> Vec<rcc_lint::Diagnostic> {
+        let diags = rcc_lint::lint_select(&self.catalog, select);
+        for d in &diags {
+            let code = [("code", d.code)];
+            self.metrics
+                .counter("rcc_lint_diagnostics_total", &code)
+                .inc();
+        }
+        diags
+    }
+
+    /// Statically check that `compiled`'s plan delivers its query's currency
+    /// clause, and count the audit: the report of [`MTCache::verify`], of
+    /// the `VERIFY` statement and of the debug-build audit of every
+    /// compile.
+    fn audit(&self, compiled: &CompiledQuery) -> VerifyReport {
+        let plan = &compiled.optimized.plan;
+        let report = rcc_verify::verify_plan(&self.catalog, &compiled.constraint, plan);
         self.metrics.counter("rcc_verify_audits_total", &[]).inc();
         if !report.ok() {
             self.metrics.counter("rcc_verify_failures_total", &[]).inc();
         }
-        Ok(report)
-    }
-
-    /// `VERIFY SELECT ...`: optimize, statically check plan conformance,
-    /// and return the proof obligations as a result set (one row per
-    /// obligation) with the plan in `plan_explain`.
-    fn execute_verify(
-        &self,
-        select: &SelectStmt,
-        params: &HashMap<String, Value>,
-    ) -> Result<QueryResult> {
-        let graph = bind_select(&self.catalog, select, params)?;
-        let optimized = optimize(&self.catalog, &graph, &self.config.read())?;
-        let report = rcc_verify::verify_plan(&self.catalog, &graph.constraint, &optimized.plan);
-        self.metrics.counter("rcc_verify_audits_total", &[]).inc();
-        if !report.ok() {
-            self.metrics.counter("rcc_verify_failures_total", &[]).inc();
-        }
-        let schema = Schema::new(vec![
-            Column::new("obligation", rcc_common::DataType::Str),
-            Column::new("subject", rcc_common::DataType::Str),
-            Column::new("status", rcc_common::DataType::Str),
-        ]);
-        let rows = report
-            .obligations
-            .iter()
-            .map(|o| {
-                Row::new(vec![
-                    Value::Str(o.kind.name().to_string()),
-                    Value::Str(o.subject.clone()),
-                    Value::Str(match &o.status {
-                        rcc_verify::ObligationStatus::Proved => "proved".to_string(),
-                        rcc_verify::ObligationStatus::Violated(why) => {
-                            format!("VIOLATED: {why}")
-                        }
-                    }),
-                ])
-            })
-            .collect();
-        let violations = report.violations().len();
-        let warnings = if violations == 0 {
-            vec![format!(
-                "plan verified: {} proof obligations proved over {} world(s)",
-                report.obligations.len(),
-                report.worlds
-            )]
-        } else {
-            vec![format!(
-                "plan REJECTED: {violations} of {} proof obligations violated",
-                report.obligations.len()
-            )]
-        };
-        Ok(QueryResult {
-            schema,
-            rows,
-            batches: Vec::new(),
-            plan_choice: optimized.choice,
-            explain: PlanExplain::Text(optimized.plan.explain()),
-            est_cost: optimized.cost,
-            guards: Vec::new(),
-            used_remote: false,
-            warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
-        })
-    }
-
-    /// `EXPLAIN FLOW SELECT ...`: optimize, run the currency dataflow
-    /// analysis, and report one row per plan node — operator, delivered
-    /// staleness interval with its consistency groups, guard verdict, and
-    /// elision decision.
-    fn execute_explain_flow(
-        &self,
-        select: &SelectStmt,
-        params: &HashMap<String, Value>,
-    ) -> Result<QueryResult> {
-        let graph = bind_select(&self.catalog, select, params)?;
-        let optimized = optimize(&self.catalog, &graph, &self.config.read())?;
-        let analysis = rcc_flow::analyze(&self.catalog, &optimized.plan);
-        let elided = rcc_flow::elide(&optimized.plan, &analysis);
-        let schema = Schema::new(vec![
-            Column::new("operator", rcc_common::DataType::Str),
-            Column::new("interval", rcc_common::DataType::Str),
-            Column::new("verdict", rcc_common::DataType::Str),
-            Column::new("decision", rcc_common::DataType::Str),
-        ]);
-        let rows =
-            analysis
-                .nodes
-                .iter()
-                .map(|n| {
-                    Row::new(vec![
-                        Value::Str(format!("{}{}", "  ".repeat(n.depth), n.label)),
-                        Value::Str(format!("{} {}", n.interval, n.groups)),
-                        Value::Str(
-                            n.verdict
-                                .as_ref()
-                                .map(|v| v.label())
-                                .unwrap_or_else(|| "-".to_string()),
-                        ),
-                        Value::Str(n.decision.map(|d| d.label().to_string()).unwrap_or_else(
-                            || {
-                                if n.verdict.is_some() {
-                                    "keep".to_string()
-                                } else {
-                                    "-".to_string()
-                                }
-                            },
-                        )),
-                    ])
-                })
-                .collect();
-        let warnings = vec![format!(
-            "flow: root interval {}, {} guard(s), {} elidable",
-            analysis.root().interval,
-            analysis.guards.len(),
-            elided.elided.len()
-        )];
-        Ok(QueryResult {
-            schema,
-            rows,
-            batches: Vec::new(),
-            plan_choice: optimized.choice,
-            explain: PlanExplain::Text(optimized.plan.explain()),
-            est_cost: optimized.cost,
-            guards: Vec::new(),
-            used_remote: false,
-            warnings,
-            timings: Default::default(),
-            tables: Vec::new(),
-            stats: Default::default(),
-        })
+        report
     }
 
     /// Compile the dynamic plan for a parsed `SELECT`, tracing and timing
-    /// the bind and optimize steps. `slots` are the statement's slot values
-    /// when `select` was parsed from its shape (none otherwise); the plan
-    /// comes with the domain of each slot it is valid for. The caller
-    /// decides whether the result enters the plan cache.
+    /// the bind and optimize steps: the front-end's one compile, of the
+    /// shape path's misses and of the literal path. `slots` are the
+    /// statement's slot values when `select` was parsed from its shape (none
+    /// otherwise); the plan comes with the domain of each slot it is valid
+    /// for. The caller decides whether the result enters the plan cache.
     fn compile(
         &self,
         sql: &str,
@@ -1535,17 +1429,12 @@ impl MTCache {
         trace: &TraceHandle,
         session: &str,
     ) -> Result<Compilation> {
-        // Compile-time currency-clause lint: one AST walk on the cache-miss
-        // path only. Diagnostics never fail the query — they ride along as
+        // Compile-time currency-clause lint: one AST walk per compile, never
+        // on a plan-cache hit. Diagnostics never fail the query — they ride along as
         // warnings on every result served from this plan, and bump the
         // per-code counter so absurd clauses show up in the metrics.
         let span = trace.span("lint");
-        let lint_diags = rcc_lint::lint_select(&self.catalog, select);
-        for d in &lint_diags {
-            self.metrics
-                .counter("rcc_lint_diagnostics_total", &[("code", d.code)])
-                .inc();
-        }
+        let lint_diags = self.lint(select);
         if !lint_diags.is_empty() {
             let codes: Vec<&str> = lint_diags.iter().map(|d| d.code).collect();
             self.journal.record(
@@ -1557,12 +1446,8 @@ impl MTCache {
                 trace.id(),
             );
         }
-        let lint = if lint_diags.is_empty() {
-            Vec::new()
-        } else {
-            let warning = |d| LintWarning::new(d, sql, params);
-            lint_diags.iter().map(warning).collect()
-        };
+        let warning = |d| LintWarning::new(d, sql, params);
+        let lint = lint_diags.iter().map(warning).collect();
         drop(span);
         let span = trace.span("bind");
         let started = Instant::now();
@@ -1576,29 +1461,12 @@ impl MTCache {
         let domains = slot_domains(&self.catalog, &graph);
         let optimize = started.elapsed();
         drop(span);
-        // Post-optimize conformance audit (debug builds): before a freshly
-        // compiled plan enters the plan cache, statically prove it delivers
-        // the query's currency clause. An independent re-derivation — see
-        // `rcc-verify` — so an optimizer property bug cannot vouch for
-        // itself. Cache hits skip this; invalidation forces re-audit.
-        #[cfg(debug_assertions)]
-        {
-            let report = rcc_verify::verify_plan(&self.catalog, &graph.constraint, &optimized.plan);
-            self.metrics.counter("rcc_verify_audits_total", &[]).inc();
-            if !report.ok() {
-                self.metrics.counter("rcc_verify_failures_total", &[]).inc();
-                return Err(Error::analysis(format!(
-                    "plan conformance audit failed for {sql:?}:\n{}",
-                    report.render()
-                )));
-            }
-        }
         // Currency dataflow analysis: per-node staleness intervals and one
-        // certificate per guard, computed on every compile (EXPLAIN FLOW
-        // and the verifier read it). The guard-elided copy of the plan is
-        // built only where something reads it: to be stored, when the
-        // toggle is on and at least one guard was certified away, or to be
-        // audited.
+        // certificate per guard, computed on every compile and kept with
+        // the plan, which is what EXPLAIN FLOW renders. The guard-elided
+        // copy of the plan is derived from it only where something reads
+        // that copy: to be stored, when the toggle is on and at least one
+        // guard was certified away, or to be audited.
         let flow = rcc_flow::analyze(&self.catalog, &optimized.plan);
         let store = self.elide_guards.load(Ordering::SeqCst);
         let elided = if store || cfg!(debug_assertions) {
@@ -1630,17 +1498,38 @@ impl MTCache {
         } else {
             None
         };
+        let compiled = CompiledQuery {
+            optimized,
+            constraint: graph.constraint,
+            tables,
+            lint,
+            flow,
+            elided,
+        };
+        // Post-optimize conformance audit (debug builds): before a freshly
+        // compiled plan enters the plan cache, statically prove it delivers
+        // the query's currency clause. An independent re-derivation — see
+        // `rcc-verify` — so an optimizer property bug cannot vouch for
+        // itself. Cache hits skip this; invalidation forces re-audit.
+        #[cfg(debug_assertions)]
+        {
+            let report = self.audit(&compiled);
+            if !report.ok() {
+                return Err(Error::analysis(format!(
+                    "plan conformance audit failed for {sql:?}:\n{}",
+                    report.render()
+                )));
+            }
+        }
         Ok(Compilation {
-            compiled: CompiledQuery {
-                optimized,
-                tables,
-                lint,
-                flow,
-                elided,
-            },
+            compiled,
             domains,
-            bind,
-            optimize,
+            phases: CompilePhases {
+                plan_cache_hit: false,
+                parse: StdDuration::ZERO,
+                bind,
+                optimize,
+            },
         })
     }
 
@@ -1696,6 +1585,42 @@ impl MTCache {
         stats
     }
 
+    /// The plan-cache entry of the `SELECT` text `sql` — the variant of its
+    /// shape that holds its slot values, or one compiled for them now and
+    /// cached beside the others — and what producing it cost. The one
+    /// lookup of a `SELECT`, whether it is then run or, under `VERIFY` /
+    /// `EXPLAIN FLOW`, rendered.
+    fn lookup(
+        &self,
+        sql: &str,
+        shape: &Shape,
+        params: &HashMap<String, Value>,
+        trace: &TraceHandle,
+        session: &str,
+    ) -> Result<(Arc<CompiledQuery>, CompilePhases)> {
+        // "re-optimization only if a view's consistency properties change":
+        // the compiled dynamic plan is reused until the catalog epoch moves
+        let mut phases = CompilePhases::HIT;
+        let (compiled, _) = self
+            .plan_cache
+            .find_or_compile(&shape.key, &shape.values, || {
+                let parse_started = Instant::now();
+                let select = parse_shape(sql, params)?;
+                let parse = parse_started.elapsed();
+                let c = self.compile(sql, &select, params, &shape.values, trace, session)?;
+                if let Some(elided) = &c.compiled.elided {
+                    // counted where the elided twin becomes servable
+                    self.query_metrics
+                        .guards_elided
+                        .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
+                        .add(elided.certs.len() as u64);
+                }
+                phases = CompilePhases { parse, ..c.phases };
+                Ok((c.compiled, c.domains))
+            })?;
+        Ok((compiled, phases))
+    }
+
     /// Execute a `SELECT`: with the plan the cache holds for its shape and
     /// slot values, or else with one compiled for them now — and cached as
     /// a variant of the shape.
@@ -1709,31 +1634,7 @@ impl MTCache {
         session: &str,
     ) -> Result<QueryResult> {
         let trace = self.tracer.trace(sql);
-        // "re-optimization only if a view's consistency properties change":
-        // the compiled dynamic plan is reused until the catalog epoch moves
-        let mut phases = CompilePhases::HIT;
-        let (compiled, _) = self
-            .plan_cache
-            .find_or_compile(&shape.key, &shape.values, || {
-                let parse_started = Instant::now();
-                let select = parse_shape(sql, params)?;
-                let parse = parse_started.elapsed();
-                let c = self.compile(sql, &select, params, &shape.values, &trace, session)?;
-                if let Some(elided) = &c.compiled.elided {
-                    // counted where the elided twin becomes servable
-                    self.query_metrics
-                        .guards_elided
-                        .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
-                        .add(elided.certs.len() as u64);
-                }
-                phases = CompilePhases {
-                    plan_cache_hit: false,
-                    parse,
-                    bind: c.bind,
-                    optimize: c.optimize,
-                };
-                Ok((c.compiled, c.domains))
-            })?;
+        let (compiled, phases) = self.lookup(sql, &shape, params, &trace, session)?;
         let optimized = &compiled.optimized;
         let slots = Arc::new(shape.values);
         let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
@@ -1750,153 +1651,119 @@ impl MTCache {
         let exec_span = trace.span("execute");
         let exec = self.run_plan(plan, &ctx);
         drop(exec_span);
-        match exec {
+        let degrade = |msg: String| {
+            let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
+            self.degrade_unreachable(&trace, &optimized.plan, ctx, policy, &msg, session)
+                .map(|(ctx, result)| (ctx, result, true))
+        };
+        let (ctx, result, degraded) = match exec {
             Ok(result) => {
                 if cfg!(debug_assertions) {
                     if let Some(e) = elided {
                         self.recheck_elided_certs(&e.certs);
                     }
                 }
-                let guards = ctx.take_observations();
-                self.record_delivered(&guards, false);
-                let stats = self.finish_stats(
-                    trace.id(),
-                    phases,
-                    &ctx.meter,
-                    result.timings.total(),
-                    result.row_count() as u64,
-                );
-                Ok(QueryResult {
-                    schema: result.schema,
-                    rows: Vec::new(),
-                    batches: result.batches,
-                    plan_choice: optimized.choice,
-                    est_cost: optimized.cost,
-                    guards,
-                    // this query's own meter: other sessions' remote
-                    // branches are none of its business
-                    used_remote: ctx.meter.remote_queries.load(Ordering::Relaxed) > 0,
-                    // worded at compile time, pointed into this text
-                    warnings: (compiled.lint.iter())
-                        .map(|w| w.for_text(sql, params))
-                        .collect(),
-                    timings: result.timings,
-                    tables: compiled.tables.clone(),
-                    stats,
-                    explain: PlanExplain::Plan(compiled, slots),
-                })
+                (ctx, result, false)
             }
             // the remote branch could not be served: either the link was
             // administratively down before execution started (the remote
             // slot was None → Error::Remote), or a real transport timed
             // out / failed every retry mid-call (Error::Unavailable). Both
             // degrade per the session's violation policy.
-            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => self
-                .degrade_unreachable(
-                    &trace, compiled, slots, floors, policy, phases, &msg, session,
+            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => {
+                degrade(msg)?
+            }
+            Err(Error::Unavailable(msg)) => degrade(msg)?,
+            Err(e) => return Err(e),
+        };
+        let guards = ctx.take_observations();
+        self.record_delivered(&guards, degraded);
+        let warnings = if degraded {
+            let now = self.clock.now();
+            let stale = |g: &GuardObservation| match g.heartbeat {
+                Some(hb) => format!(
+                    "served region {} data that is up to {} stale (policy: ServeStale)",
+                    g.region,
+                    now.since(hb)
                 ),
-            Err(Error::Unavailable(msg)) => self.degrade_unreachable(
-                &trace, compiled, slots, floors, policy, phases, &msg, session,
-            ),
-            Err(e) => Err(e),
-        }
+                None => format!(
+                    "served region {} data of unknown staleness (no heartbeat)",
+                    g.region
+                ),
+            };
+            guards.iter().map(stale).collect()
+        } else {
+            // worded at compile time, pointed into this text
+            let lint = compiled.lint.iter();
+            lint.map(|w| w.for_text(sql, params)).collect()
+        };
+        let stats = self.finish_stats(
+            trace.id(),
+            phases,
+            &ctx.meter,
+            result.timings.total(),
+            result.row_count() as u64,
+        );
+        Ok(QueryResult {
+            schema: result.schema,
+            rows: Vec::new(),
+            batches: result.batches,
+            plan_choice: optimized.choice,
+            est_cost: optimized.cost,
+            guards,
+            // this query's own meter: other sessions' remote
+            // branches are none of its business
+            used_remote: ctx.meter.remote_queries.load(Ordering::Relaxed) > 0,
+            warnings,
+            timings: result.timings,
+            tables: compiled.tables.clone(),
+            stats,
+            explain: PlanExplain::Plan(compiled, slots),
+        })
     }
 
     /// The back-end could not answer a remote branch. Apply the violation
-    /// policy: `Reject` fails the query; `ServeStale` re-executes with
-    /// guards forced local and attaches a staleness warning per guard.
-    #[allow(clippy::too_many_arguments)]
+    /// policy: `Reject` fails the query; `ServeStale` re-executes `plan`
+    /// (the guarded plan) under `ctx` with guards forced local, for the
+    /// caller to serve flagged as stale.
     fn degrade_unreachable(
         &self,
         trace: &TraceHandle,
-        compiled: Arc<CompiledQuery>,
-        slots: Arc<Vec<Value>>,
-        floors: &HashMap<RegionId, Timestamp>,
+        plan: &PhysicalPlan,
+        mut ctx: ExecContext,
         policy: ViolationPolicy,
-        phases: CompilePhases,
         msg: &str,
         session: &str,
-    ) -> Result<QueryResult> {
-        match policy {
-            ViolationPolicy::Reject => {
-                self.metrics
-                    .counter("rcc_policy_degradations_total", &[("policy", "reject")])
-                    .inc();
-                self.journal.record(
-                    self.clock.now().millis(),
-                    EventKind::Violation,
-                    format!("back-end unreachable: {msg}"),
-                    "reject",
-                    session,
-                    trace.id(),
-                );
-                Err(Error::CurrencyViolation(format!(
-                    "local data too stale for the query's currency bound and the \
-                     back-end is unreachable ({msg})"
-                )))
-            }
-            ViolationPolicy::ServeStale => {
-                self.journal.record(
-                    self.clock.now().millis(),
-                    EventKind::Degradation,
-                    format!("back-end unreachable: {msg}"),
-                    "serve_stale",
-                    session,
-                    trace.id(),
-                );
-                let optimized = &compiled.optimized;
-                let mut ctx2 = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
-                ctx2.force_local = true;
-                let stale_span = trace.span("execute_stale");
-                let result = self.run_plan(&optimized.plan, &ctx2)?;
-                drop(stale_span);
-                let guards = ctx2.take_observations();
-                self.record_delivered(&guards, true);
-                let now = self.clock.now();
-                let warnings = guards
-                    .iter()
-                    .map(|g| match g.heartbeat {
-                        Some(hb) => format!(
-                            "served region {} data that is up to {} stale (policy: ServeStale)",
-                            g.region,
-                            now.since(hb)
-                        ),
-                        None => format!(
-                            "served region {} data of unknown staleness (no heartbeat)",
-                            g.region
-                        ),
-                    })
-                    .collect();
-                self.metrics.counter("rcc_stale_served_total", &[]).inc();
-                self.metrics
-                    .counter(
-                        "rcc_policy_degradations_total",
-                        &[("policy", "serve_stale")],
-                    )
-                    .inc();
-                let stats = self.finish_stats(
-                    trace.id(),
-                    phases,
-                    &ctx2.meter,
-                    result.timings.total(),
-                    result.row_count() as u64,
-                );
-                Ok(QueryResult {
-                    schema: result.schema,
-                    rows: Vec::new(),
-                    batches: result.batches,
-                    plan_choice: optimized.choice,
-                    est_cost: optimized.cost,
-                    guards,
-                    used_remote: ctx2.meter.remote_queries.load(Ordering::Relaxed) > 0,
-                    warnings,
-                    timings: result.timings,
-                    tables: compiled.tables.clone(),
-                    stats,
-                    explain: PlanExplain::Plan(compiled, slots),
-                })
-            }
+    ) -> Result<(ExecContext, BatchExecutionResult)> {
+        let cause = format!("back-end unreachable: {msg}");
+        let now = self.clock.now().millis();
+        if policy == ViolationPolicy::Reject {
+            self.metrics
+                .counter("rcc_policy_degradations_total", &[("policy", "reject")])
+                .inc();
+            let kind = EventKind::Violation;
+            self.journal
+                .record(now, kind, cause, "reject", session, trace.id());
+            return Err(Error::CurrencyViolation(format!(
+                "local data too stale for the query's currency bound and the \
+                 back-end is unreachable ({msg})"
+            )));
         }
+        let kind = EventKind::Degradation;
+        self.journal
+            .record(now, kind, cause, "serve_stale", session, trace.id());
+        ctx.force_local = true;
+        let stale_span = trace.span("execute_stale");
+        let result = self.run_plan(plan, &ctx)?;
+        drop(stale_span);
+        self.metrics.counter("rcc_stale_served_total", &[]).inc();
+        self.metrics
+            .counter(
+                "rcc_policy_degradations_total",
+                &[("policy", "serve_stale")],
+            )
+            .inc();
+        Ok((ctx, result))
     }
 
     /// `EXPLAIN ANALYZE SELECT ...`: compile, execute with per-operator
@@ -1916,17 +1783,9 @@ impl MTCache {
     ) -> Result<QueryResult> {
         let trace = self.tracer.trace(sql);
         let Compilation {
-            compiled,
-            bind,
-            optimize,
-            ..
+            compiled, phases, ..
         } = self.compile(sql, select, params, &[], &trace, session)?;
-        let phases = CompilePhases {
-            plan_cache_hit: false,
-            parse,
-            bind,
-            optimize,
-        };
+        let phases = CompilePhases { parse, ..phases };
         let optimized = &compiled.optimized;
         let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::default());
         let exec_span = trace.span("execute");
@@ -1942,25 +1801,25 @@ impl MTCache {
             analyzed.elapsed,
             analyzed.rows.len() as u64,
         );
-        let explain = PlanExplain::Text(analyzed.render());
         let timings = rcc_executor::PhaseTimings {
-            setup: StdDuration::ZERO,
             run: analyzed.elapsed,
-            shutdown: StdDuration::ZERO,
+            ..Default::default()
         };
         Ok(QueryResult {
+            explain: PlanExplain::Text(analyzed.render()),
             schema: analyzed.schema,
             rows: analyzed.rows,
-            batches: Vec::new(),
             plan_choice: optimized.choice,
             est_cost: optimized.cost,
             guards,
             used_remote,
-            warnings: Vec::new(),
+            warnings: (compiled.lint.iter())
+                .map(|w| w.for_text(sql, params))
+                .collect(),
             timings,
             tables: compiled.tables,
             stats,
-            explain,
+            ..QueryResult::empty()
         })
     }
 
@@ -2119,7 +1978,7 @@ impl MTCache {
             metrics: Some(Arc::clone(&self.exec_metrics)),
             scan_pool: self.scan_pool.read().clone(),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            batch_rows: self.batch_rows.load(Ordering::Relaxed).max(1),
+            batch_rows: DEFAULT_BATCH_ROWS,
             trace,
             slots,
         }
@@ -2156,72 +2015,69 @@ impl MTCache {
                 RowChange::Insert(Row::new(values)),
             ));
         }
-        let n = changes.len();
-        self.master.execute_txn(changes)?;
-        let mut r = QueryResult::empty();
-        r.warnings
-            .push(format!("{n} row(s) inserted (forwarded to back-end)"));
-        Ok(r)
+        self.forward(changes, "inserted")
     }
 
-    fn execute_update(
+    /// `UPDATE table SET assignments WHERE filter`, or with no assignments
+    /// `DELETE FROM table WHERE filter`, forwarded to the back-end as one
+    /// transaction. The assignment expressions and `WHERE` bind as the
+    /// one-table `SELECT assignments FROM table WHERE filter`.
+    fn execute_dml(
         &self,
         table: &str,
-        assignments: &[(String, Expr)],
-        filter: Option<&Expr>,
+        assignments: Option<Vec<(String, Expr)>>,
+        filter: Option<Expr>,
     ) -> Result<QueryResult> {
         let meta = self.catalog.table(table)?;
-        let schema = meta.schema.clone().with_qualifier(&meta.name);
-        let predicate = filter.map(|f| bind_table_expr(&meta, f)).transpose()?;
-        let assigns: Vec<(usize, BoundExpr)> = assignments
-            .iter()
-            .map(|(c, e)| Ok((meta.schema.resolve(None, c)?, bind_table_expr(&meta, e)?)))
+        let delete = assignments.is_none();
+        let (targets, exprs): (Vec<_>, Vec<_>) =
+            assignments.unwrap_or_default().into_iter().unzip();
+        let ordinals: Vec<usize> = (targets.iter())
+            .map(|c| meta.schema.resolve(None, c))
             .collect::<Result<_>>()?;
+        let select = SelectStmt {
+            projections: (exprs.into_iter())
+                .map(|expr| SelectItem::Expr { expr, alias: None })
+                .collect(),
+            from: vec![TableRef::Named {
+                name: meta.name.clone(),
+                alias: None,
+            }],
+            filter,
+            ..SelectStmt::empty()
+        };
+        let (graph, conjuncts) = bind_one_table(&self.catalog, &select, &HashMap::new())?;
+        let schema = graph.operands[0].schema();
         let now = self.clock.now().millis();
         let t = self.master.table(&meta.name)?.snapshot();
         let mut changes = Vec::new();
-        for row in dml_targets(&meta, &t, predicate.as_ref(), &schema, now)? {
-            let mut new_values = row.values().to_vec();
-            for (ord, e) in &assigns {
-                new_values[*ord] = e.eval(row, &schema, now)?;
-            }
-            changes.push(TableChange::new(
-                meta.name.clone(),
-                RowChange::Update {
-                    key: t.key_of(row),
-                    row: Row::new(new_values),
-                },
-            ));
+        for row in dml_targets(&meta, &t, &conjuncts, &schema, now)? {
+            let key = t.key_of(row);
+            let change = if delete {
+                RowChange::Delete { key }
+            } else {
+                let mut values = row.values().to_vec();
+                for (ord, (e, _)) in ordinals.iter().zip(&graph.projections) {
+                    values[*ord] = e.eval(row, &schema, now)?;
+                }
+                let row = Row::new(values);
+                RowChange::Update { key, row }
+            };
+            changes.push(TableChange::new(meta.name.clone(), change));
         }
-        let n = changes.len();
-        if !changes.is_empty() {
-            self.master.execute_txn(changes)?;
-        }
-        let mut r = QueryResult::empty();
-        r.warnings
-            .push(format!("{n} row(s) updated (forwarded to back-end)"));
-        Ok(r)
+        self.forward(changes, if delete { "deleted" } else { "updated" })
     }
 
-    fn execute_delete(&self, table: &str, filter: Option<&Expr>) -> Result<QueryResult> {
-        let meta = self.catalog.table(table)?;
-        let schema = meta.schema.clone().with_qualifier(&meta.name);
-        let predicate = filter.map(|f| bind_table_expr(&meta, f)).transpose()?;
-        let now = self.clock.now().millis();
-        let t = self.master.table(&meta.name)?.snapshot();
-        let changes: Vec<TableChange> = dml_targets(&meta, &t, predicate.as_ref(), &schema, now)?
-            .into_iter()
-            .map(|row| {
-                TableChange::new(meta.name.clone(), RowChange::Delete { key: t.key_of(row) })
-            })
-            .collect();
+    /// Forward a DML statement's row changes to the back-end as one
+    /// transaction (none for no changes), saying how many rows were `done`.
+    fn forward(&self, changes: Vec<TableChange>, done: &str) -> Result<QueryResult> {
         let n = changes.len();
-        if !changes.is_empty() {
+        if n > 0 {
             self.master.execute_txn(changes)?;
         }
         let mut r = QueryResult::empty();
         r.warnings
-            .push(format!("{n} row(s) deleted (forwarded to back-end)"));
+            .push(format!("{n} row(s) {done} (forwarded to back-end)"));
         Ok(r)
     }
 
@@ -2279,14 +2135,11 @@ impl MTCache {
         let region = self.catalog.region_by_name(region_name)?;
         // shape: single base table, plain column projections, optional
         // single-column range predicate
-        let (table_name, alias) = match query.from.as_slice() {
-            [TableRef::Named { name, alias }] => (name.clone(), alias.clone()),
-            _ => {
-                return Err(Error::analysis(
-                    "cached views must select from exactly one base table",
-                ))
-            }
-        };
+        if !matches!(query.from.as_slice(), [TableRef::Named { .. }]) {
+            return Err(Error::analysis(
+                "cached views must select from exactly one base table",
+            ));
+        }
         if query.distinct
             || !query.group_by.is_empty()
             || query.having.is_some()
@@ -2298,32 +2151,18 @@ impl MTCache {
                 "cached views are projections/selections of one base table",
             ));
         }
-        let meta = self.catalog.table(&table_name)?;
-        let binding = alias.unwrap_or_else(|| meta.name.clone());
-
-        let mut columns: Vec<String> = Vec::new();
-        for item in &query.projections {
-            match item {
-                SelectItem::Wildcard => {
-                    columns.extend(meta.schema.columns().iter().map(|c| c.name.clone()))
+        let (graph, conjuncts) = bind_one_table(&self.catalog, query, &HashMap::new())?;
+        let meta = Arc::clone(&graph.operands[0].table);
+        let columns = (graph.projections.iter())
+            .map(|(expr, output)| match expr {
+                BoundExpr::Column { name, .. } if name.eq_ignore_ascii_case(output) => {
+                    Ok(name.clone())
                 }
-                SelectItem::QualifiedWildcard(q) if q.eq_ignore_ascii_case(&binding) => {
-                    columns.extend(meta.schema.columns().iter().map(|c| c.name.clone()))
-                }
-                SelectItem::Expr {
-                    expr: Expr::Column { name, .. },
-                    alias: None,
-                } => {
-                    meta.schema.resolve(None, name)?;
-                    columns.push(name.clone());
-                }
-                other => {
-                    return Err(Error::analysis(format!(
-                        "cached view projections must be plain columns, got {other:?}"
-                    )))
-                }
-            }
-        }
+                other => Err(Error::analysis(format!(
+                    "cached view projections must be plain columns, got {other:?} AS {output}"
+                ))),
+            })
+            .collect::<Result<Vec<String>>>()?;
         for key_col in &meta.key {
             if !columns.iter().any(|c| c.eq_ignore_ascii_case(key_col)) {
                 return Err(Error::Config(format!(
@@ -2332,28 +2171,25 @@ impl MTCache {
             }
         }
 
-        let predicate = match &query.filter {
-            None => None,
-            Some(f) => {
-                let bound = bind_table_expr_with_binding(&meta, &binding, f)?;
-                let conjuncts = split_conjuncts(&bound);
-                let ranges = column_ranges(&conjuncts);
-                if ranges.len() != 1 || ranges.len() != conjuncts.len() {
-                    return Err(Error::analysis(
-                        "cached view predicates must be a range over one column",
-                    ));
-                }
-                let (col, range) = ranges.into_iter().next().expect("checked len");
-                if !columns.iter().any(|c| c.eq_ignore_ascii_case(&col)) {
-                    return Err(Error::Config(format!(
-                        "cached view {name} predicate column {col} must be retained"
-                    )));
-                }
-                Some(rcc_catalog::ViewPredicate {
-                    column: col,
-                    range: range.range,
-                })
+        let predicate = if conjuncts.is_empty() {
+            None
+        } else {
+            let ranges = column_ranges(&conjuncts);
+            if ranges.len() != 1 || ranges.len() != conjuncts.len() {
+                return Err(Error::analysis(
+                    "cached view predicates must be a range over one column",
+                ));
             }
+            let (col, range) = ranges.into_iter().next().expect("checked len");
+            if !columns.iter().any(|c| c.eq_ignore_ascii_case(&col)) {
+                return Err(Error::Config(format!(
+                    "cached view {name} predicate column {col} must be retained"
+                )));
+            }
+            Some(rcc_catalog::ViewPredicate {
+                column: col,
+                range: range.range,
+            })
         };
 
         let schema = Schema::new(
@@ -2438,6 +2274,19 @@ impl MTCache {
     }
 }
 
+/// The `SELECT` of `sql` parsed as it stands: the bare query, or the query
+/// under `under` (`VERIFY`, `EXPLAIN ANALYZE`; `EXPLAIN` takes no prefix).
+fn literal_select(sql: &str, under: &str) -> Result<Box<SelectStmt>> {
+    match parse_statement(sql)? {
+        Statement::Select(s) => Ok(s),
+        Statement::Verify(s) if under == "VERIFY" => Ok(s),
+        Statement::ExplainAnalyze(s) if under == "EXPLAIN ANALYZE" => Ok(s),
+        other => Err(Error::analysis(format!(
+            "{under} expects a query, got {other:?}"
+        ))),
+    }
+}
+
 /// Evaluate a constant expression (INSERT VALUES).
 fn eval_const(e: &Expr) -> Result<Value> {
     match e {
@@ -2456,77 +2305,93 @@ fn eval_const(e: &Expr) -> Result<Value> {
     }
 }
 
-/// Bind an expression against one table's schema, qualifying columns by
-/// the table name (used by DML and view-definition predicates).
-fn bind_table_expr(meta: &TableMeta, e: &Expr) -> Result<BoundExpr> {
-    bind_table_expr_with_binding(meta, &meta.name.clone(), e)
+/// The schema of a diagnostic result whose columns all hold text.
+fn text_schema(names: &[&str]) -> Schema {
+    Schema::new(
+        names
+            .iter()
+            .map(|n| Column::new(*n, DataType::Str))
+            .collect(),
+    )
 }
 
-fn bind_table_expr_with_binding(meta: &TableMeta, binding: &str, e: &Expr) -> Result<BoundExpr> {
-    match e {
-        Expr::Column { qualifier, name } => {
-            if let Some(q) = qualifier {
-                if !q.eq_ignore_ascii_case(binding) && !q.eq_ignore_ascii_case(&meta.name) {
-                    return Err(Error::Analysis(format!("unknown table alias '{q}'")));
-                }
-            }
-            meta.schema
-                .resolve(None, name)
-                .map_err(|_| Error::Analysis(format!("unknown column '{name}'")))?;
-            Ok(BoundExpr::col(&meta.name, name))
-        }
-        Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-        Expr::Parameter(p) => Err(Error::Analysis(format!("unbound parameter ${p}"))),
-        Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
-            left: Box::new(bind_table_expr_with_binding(meta, binding, left)?),
-            op: *op,
-            right: Box::new(bind_table_expr_with_binding(meta, binding, right)?),
-        }),
-        Expr::Unary { op, expr } => Ok(BoundExpr::Unary {
-            op: *op,
-            expr: Box::new(bind_table_expr_with_binding(meta, binding, expr)?),
-        }),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Ok(BoundExpr::Between {
-            expr: Box::new(bind_table_expr_with_binding(meta, binding, expr)?),
-            low: Box::new(bind_table_expr_with_binding(meta, binding, low)?),
-            high: Box::new(bind_table_expr_with_binding(meta, binding, high)?),
-            negated: *negated,
-        }),
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Ok(BoundExpr::InList {
-            expr: Box::new(bind_table_expr_with_binding(meta, binding, expr)?),
-            list: list
-                .iter()
-                .map(|e| bind_table_expr_with_binding(meta, binding, e))
-                .collect::<Result<_>>()?,
-            negated: *negated,
-        }),
-        Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-            expr: Box::new(bind_table_expr_with_binding(meta, binding, expr)?),
-            negated: *negated,
-        }),
-        Expr::Function { name, args, .. }
-            if name.eq_ignore_ascii_case("getdate") && args.is_empty() =>
-        {
-            Ok(BoundExpr::GetDate)
-        }
-        other => Err(Error::analysis(format!("unsupported expression {other:?}"))),
+/// `VERIFY`'s rows: one per proof obligation of `report`.
+fn verify_rows(report: &VerifyReport) -> QueryResult {
+    let schema = text_schema(&["obligation", "subject", "status"]);
+    let rows = report
+        .obligations
+        .iter()
+        .map(|o| {
+            Row::new(vec![
+                Value::Str(o.kind.name().to_string()),
+                Value::Str(o.subject.clone()),
+                Value::Str(match &o.status {
+                    rcc_verify::ObligationStatus::Proved => "proved".to_string(),
+                    rcc_verify::ObligationStatus::Violated(why) => format!("VIOLATED: {why}"),
+                }),
+            ])
+        })
+        .collect();
+    let (n, worlds) = (report.obligations.len(), report.worlds);
+    let warning = match report.violations().len() {
+        0 => format!("plan verified: {n} proof obligations proved over {worlds} world(s)"),
+        violated => format!("plan REJECTED: {violated} of {n} proof obligations violated"),
+    };
+    QueryResult {
+        schema,
+        rows,
+        warnings: vec![warning],
+        ..QueryResult::empty()
     }
 }
 
-/// The clustered key a DML predicate pins: `Some` when its conjuncts equate
-/// every key column of `meta` with a literal of that column's own type, so
-/// at most one row can qualify.
-fn pinned_key(meta: &TableMeta, predicate: &BoundExpr) -> Option<Vec<Value>> {
-    let ranges = column_ranges(&split_conjuncts(predicate));
+/// `EXPLAIN FLOW`'s rows: one per plan node of `flow` — operator, delivered
+/// staleness interval with its consistency groups, guard verdict, and
+/// elision decision. The operators are labelled from `plan`, the analyzed
+/// plan with the statement's slot values in place, walked in the
+/// analysis' pre-order.
+fn flow_rows(flow: &rcc_flow::FlowAnalysis, plan: &PhysicalPlan) -> QueryResult {
+    let schema = text_schema(&["operator", "interval", "verdict", "decision"]);
+    let mut labels = Vec::with_capacity(flow.nodes.len());
+    let mut pending = vec![plan];
+    while let Some(node) = pending.pop() {
+        labels.push(node.node_label());
+        pending.extend(node.children().into_iter().rev());
+    }
+    let rows = (flow.nodes.iter().zip(labels))
+        .map(|(n, label)| {
+            let decision = match (n.decision, &n.verdict) {
+                (Some(d), _) => d.label(),
+                (None, Some(_)) => "keep",
+                (None, None) => "-",
+            };
+            Row::new(vec![
+                Value::Str(format!("{}{label}", "  ".repeat(n.depth))),
+                Value::Str(format!("{} {}", n.interval, n.groups)),
+                Value::Str(n.verdict.as_ref().map_or_else(|| "-".into(), |v| v.label())),
+                Value::Str(decision.to_string()),
+            ])
+        })
+        .collect();
+    let warnings = vec![format!(
+        "flow: root interval {}, {} guard(s), {} elidable",
+        flow.root().interval,
+        flow.guards.len(),
+        flow.elidable()
+    )];
+    QueryResult {
+        schema,
+        rows,
+        warnings,
+        ..QueryResult::empty()
+    }
+}
+
+/// The clustered key a DML statement's conjuncts pin: `Some` when they
+/// equate every key column of `meta` with a literal of that column's own
+/// type, so at most one row can qualify.
+fn pinned_key(meta: &TableMeta, conjuncts: &[BoundExpr]) -> Option<Vec<Value>> {
+    let ranges = column_ranges(conjuncts);
     meta.key
         .iter()
         .map(|col| {
@@ -2544,51 +2409,29 @@ fn pinned_key(meta: &TableMeta, predicate: &BoundExpr) -> Option<Vec<Value>> {
         .collect()
 }
 
-/// The rows of master table `t` an UPDATE or DELETE selects. A predicate
-/// that pins the whole clustered key is answered by one `Table::get`, with
-/// the predicate (and so any residual conjunct) evaluated on that row
-/// alone; everything else scans.
+/// The rows of master table `t` an UPDATE or DELETE with these `WHERE`
+/// conjuncts selects. Conjuncts that pin the whole clustered key are
+/// answered by one `Table::get`, with every conjunct (and so any residual
+/// one) evaluated on that row alone; everything else scans.
 fn dml_targets<'t>(
     meta: &TableMeta,
     t: &'t Table,
-    predicate: Option<&BoundExpr>,
+    conjuncts: &[BoundExpr],
     schema: &Schema,
     now: i64,
 ) -> Result<Vec<&'t Row>> {
-    let Some(p) = predicate else {
+    let Some(predicate) = BoundExpr::and_all(conjuncts.to_vec()) else {
         return Ok(t.iter().collect());
     };
+    let rows: Box<dyn Iterator<Item = &Row>> = match pinned_key(meta, conjuncts) {
+        Some(key) => Box::new(t.get(&key).into_iter()),
+        None => Box::new(t.iter()),
+    };
     let mut hits = Vec::new();
-    match pinned_key(meta, p) {
-        Some(key) => {
-            if let Some(row) = t.get(&key) {
-                if p.eval_predicate(row, schema, now)? {
-                    hits.push(row);
-                }
-            }
-        }
-        None => {
-            for row in t.iter() {
-                if p.eval_predicate(row, schema, now)? {
-                    hits.push(row);
-                }
-            }
+    for row in rows {
+        if predicate.eval_predicate(row, schema, now)? {
+            hits.push(row);
         }
     }
     Ok(hits)
-}
-
-fn split_conjuncts(e: &BoundExpr) -> Vec<BoundExpr> {
-    match e {
-        BoundExpr::Binary {
-            left,
-            op: rcc_sql::BinaryOp::And,
-            right,
-        } => {
-            let mut out = split_conjuncts(left);
-            out.extend(split_conjuncts(right));
-            out
-        }
-        other => vec![other.clone()],
-    }
 }

@@ -2,7 +2,7 @@
 //! (including `CREATE REGION`), forwarded DML semantics, and the
 //! query-result cache.
 
-use rcc_common::{Duration, Error, Value};
+use rcc_common::{Clock, Duration, Error, Value};
 use rcc_mtcache::{MTCache, QueryResultCache};
 
 #[test]
@@ -171,6 +171,84 @@ fn key_pinned_dml_seeks_one_row() {
 }
 
 #[test]
+fn dml_and_view_definitions_bind_through_the_select_binder() {
+    let cache = MTCache::new();
+    for stmt in [
+        "CREATE TABLE t (a INT, b INT, v INT, ts TIMESTAMP, PRIMARY KEY (a))",
+        "INSERT INTO t (a, b, v) VALUES (1, 10, -1), (2, 20, 0), (3, 30, 1), (4, 40, 2)",
+        "CREATE REGION r INTERVAL 5 SEC DELAY 1 SEC",
+    ] {
+        cache.execute(stmt).unwrap();
+    }
+    cache.advance(Duration::from_secs(5)).unwrap();
+    let affected = |sql: &str| {
+        let r = cache.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        r.warnings[0]
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse::<usize>()
+            .unwrap()
+    };
+    // GETDATE(), IS NULL, a constant conjunct
+    let now = cache.clock().now().millis();
+    assert_eq!(
+        affected("UPDATE t SET ts = GETDATE() WHERE ts IS NULL AND 1 = 1"),
+        4
+    );
+    // a table-qualified column, BETWEEN, unary minus
+    assert_eq!(
+        affected("UPDATE t SET v = -v WHERE t.b BETWEEN 15 AND 35"),
+        2
+    );
+    // an IN list
+    assert_eq!(
+        affected("DELETE FROM t WHERE a IN (1, 4) AND ts IS NOT NULL"),
+        2
+    );
+    let rows = cache.execute("SELECT a, v, ts FROM t ORDER BY 1").unwrap();
+    let rows: Vec<&[Value]> = rows.rows.iter().map(|r| r.values()).collect();
+    assert_eq!(
+        rows,
+        [
+            [Value::Int(2), Value::Int(0), Value::Timestamp(now)],
+            [Value::Int(3), Value::Int(-1), Value::Timestamp(now)],
+        ]
+    );
+    // a pinned key still reads the one row: the scan divides by row 2's 0
+    assert!(cache
+        .execute("UPDATE t SET v = 7 WHERE 10 / v < 0")
+        .is_err());
+    assert_eq!(affected("UPDATE t SET v = 7 WHERE 10 / v < 0 AND a = 3"), 1);
+
+    // a view predicate over an alias-qualified column
+    cache
+        .execute("CREATE CACHED VIEW t_v REGION r AS SELECT x.a, x.v FROM t x WHERE x.a < 3")
+        .unwrap();
+    let predicate = cache.catalog().view("t_v").unwrap().predicate.clone();
+    let predicate = predicate.expect("a range predicate");
+    assert_eq!(predicate.column, "a");
+    assert!(predicate.range.contains(&Value::Int(2)) && !predicate.range.contains(&Value::Int(3)));
+
+    // typed errors, no panics
+    for bad in [
+        "UPDATE t SET v = 1 WHERE zz = 1",
+        "UPDATE t SET v = 1 WHERE x.a = 1",
+        "DELETE FROM t WHERE a = $p",
+        "UPDATE t SET v = COUNT(*)",
+        "DELETE FROM t WHERE COUNT(*) > 1",
+        "UPDATE t SET v = 1 WHERE a IN (SELECT a FROM t)",
+        "DELETE FROM t WHERE a IN (SELECT b FROM t)",
+        "CREATE CACHED VIEW t_w REGION r AS SELECT a, v FROM t x WHERE t.a < 3",
+        "CREATE CACHED VIEW t_w REGION r AS SELECT a, v FROM t WHERE a IN (SELECT b FROM t)",
+    ] {
+        let err = cache.execute(bad).unwrap_err();
+        assert!(matches!(err, Error::Analysis(_)), "{bad}: {err:?}");
+    }
+    assert_eq!(cache.execute("SELECT a FROM t").unwrap().rows.len(), 2);
+}
+
+#[test]
 fn create_index_makes_backend_range_queries_cheap() {
     let cache = MTCache::new();
     cache
@@ -322,7 +400,7 @@ fn qcache_memoizes_bound_across_expiry() {
     let q = "SELECT a FROM t WHERE a = 1 CURRENCY BOUND 30 SEC ON (t)";
     let r1 = qc.execute(&cache, q).unwrap();
     // let the stored result expire: recompute must go through the full
-    // pipeline again (a miss) but reuse the memoized bound
+    // pipeline again (a miss), whose plan-cache entry gives the bound anew
     cache.advance(Duration::from_secs(60)).unwrap();
     let r2 = qc.execute(&cache, q).unwrap();
     assert_eq!(qc.stats(), (0, 2), "expired entry recomputes");
@@ -330,6 +408,10 @@ fn qcache_memoizes_bound_across_expiry() {
     // and a prompt re-execution is a hit again
     qc.execute(&cache, q).unwrap();
     assert_eq!(qc.stats(), (1, 2));
+    // what is not a query is refused before anything runs
+    assert!(qc.execute(&cache, "DELETE FROM t").is_err());
+    assert_eq!(qc.stats(), (1, 2));
+    assert_eq!(cache.execute("SELECT a FROM t").unwrap().rows.len(), 1);
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! The statement path: plan-cache lookup → parse → compile. A text found
 //! in the plan cache at the current epoch is a compiled `SELECT` and goes
 //! straight to execution — nothing is parsed; anything else is parsed
-//! exactly once. One path for sessions and for `MTCache::execute*`.
+//! exactly once. `VERIFY` and `EXPLAIN FLOW` look their `SELECT` up the
+//! same way and render what it finds. One path for sessions and for
+//! `MTCache::execute*`.
 
 use rcc_common::{Duration, Value};
 use rcc_mtcache::paper::{paper_setup, warm_up};
@@ -89,7 +91,6 @@ fn only_selects_are_looked_up_and_only_selects_are_cached() {
         assert!(!session.is_timeordered());
         session.execute("UPDATE t SET v = 70 WHERE a = 7").unwrap();
         session.execute(&format!("LINT {Q}")).unwrap();
-        session.execute(&format!("EXPLAIN FLOW {Q}")).unwrap();
         session.execute(&format!("EXPLAIN ANALYZE {Q}")).unwrap();
         session.execute("SHOW EVENTS").unwrap();
         assert!(session.execute("SELEC nonsense").is_err());
@@ -104,6 +105,20 @@ fn only_selects_are_looked_up_and_only_selects_are_cached() {
         entries,
         "and none of them is cached"
     );
+    // VERIFY and EXPLAIN FLOW look their SELECT's shape up: Q's is cached
+    for prefix in ["VERIFY", "explain -- the served plan\n FLOW"] {
+        session.execute(&format!("{prefix} {Q}")).unwrap();
+    }
+    let (hits, misses) = stats;
+    assert_eq!(cache.plan_cache().stats(), (hits + 2, misses));
+    assert_eq!(cache.plan_cache().len(), entries);
+    // a shape that is not compiles under VERIFY, as its SELECT would, and
+    // the SELECT then finds it
+    let other = "SELECT v FROM t WHERE a = 8 AND v > 0 CURRENCY BOUND 30 SEC ON (t)";
+    session.execute(&format!("VERIFY {other}")).unwrap();
+    assert_eq!(cache.plan_cache().stats(), (hits + 2, misses + 1));
+    assert_eq!(cache.plan_cache().len(), entries + 1);
+    assert!(session.execute(other).unwrap().stats.plan_cache_hit);
     // outside a session the brackets are still refused, every time
     for _ in 0..2 {
         assert!(cache.execute("BEGIN TIMEORDERED").is_err());
@@ -202,6 +217,46 @@ fn explain_analyze_works_through_a_session() {
     assert!(cache
         .explain_analyze("DELETE FROM t", &HashMap::new())
         .is_err());
+}
+
+#[test]
+fn verify_and_explain_flow_render_the_variant_that_is_served() {
+    let cache = paper_setup(0.002, 11).unwrap();
+    warm_up(&cache).unwrap();
+    let q = |balance: &str| {
+        format!(
+            "SELECT c_custkey FROM customer WHERE c_acctbal < {balance} \
+             CURRENCY BOUND 30 SEC ON (customer)"
+        )
+    };
+    // the variant is compiled for 1000.0 and serves 1000.5, whose own
+    // compile would have estimated otherwise
+    assert!(!cache.execute(&q("1000.0")).unwrap().stats.plan_cache_hit);
+    let served = cache.execute(&q("1000.5")).unwrap();
+    assert!(served.stats.plan_cache_hit);
+    let literal = cache.explain(&q("1000.5"), &HashMap::new()).unwrap();
+    assert_ne!(literal.cost, served.est_cost, "estimates of 1000.0");
+
+    let (hits, misses) = cache.plan_cache().stats();
+    let entries = cache.plan_cache().len();
+    for prefix in ["VERIFY", "EXPLAIN FLOW"] {
+        let r = cache.execute(&format!("{prefix} {}", q("1000.5"))).unwrap();
+        assert!(!r.rows.is_empty(), "{prefix}");
+        assert_eq!(r.est_cost, served.est_cost, "{prefix}");
+        assert_eq!(r.plan_choice, served.plan_choice, "{prefix}");
+        assert_eq!(r.plan_explain(), served.plan_explain(), "{prefix}");
+    }
+    // EXPLAIN FLOW labels its operators with this statement's values
+    let flow = cache
+        .execute(&format!("EXPLAIN FLOW {}", q("1000.5")))
+        .unwrap();
+    let operators: Vec<String> = flow.rows.iter().map(|r| r.get(0).to_string()).collect();
+    assert!(
+        operators.iter().any(|o| o.contains("c_acctbal < 1000.5)")),
+        "{operators:?}"
+    );
+    assert_eq!(cache.plan_cache().stats(), (hits + 3, misses), "three hits");
+    assert_eq!(cache.plan_cache().len(), entries, "and no entry added");
 }
 
 /// A served plan's rendering with its slot annotations — ` {?0=17}` after a

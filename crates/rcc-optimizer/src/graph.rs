@@ -288,6 +288,35 @@ pub fn bind_select_slots(
     binder.bind_top(stmt)
 }
 
+/// [`bind_select`] for a statement over one base table that aggregates
+/// nothing — how UPDATE / DELETE and a cached view's definition bind, each
+/// put as such a `SELECT`. Returns the graph and its `WHERE` conjuncts: the
+/// operand's filters, then the constant ones (`1 = 1`), which the binder
+/// keeps as residuals. A second operand (an `IN (SELECT …)` or `EXISTS`
+/// decorrelates into one), a join edge or an aggregate is an error.
+pub fn bind_one_table(
+    catalog: &Catalog,
+    stmt: &SelectStmt,
+    params: &HashMap<String, Value>,
+) -> Result<(QueryGraph, Vec<BoundExpr>)> {
+    let graph = bind_select(catalog, stmt, params)?;
+    if graph.operands.len() != 1 || !graph.edges.is_empty() {
+        return Err(Error::analysis(
+            "subqueries are not supported here: the statement reads one table",
+        ));
+    }
+    if graph.aggregate.is_some() {
+        return Err(Error::analysis("aggregates are not supported here"));
+    }
+    let conjuncts = graph.operands[0]
+        .filters
+        .iter()
+        .chain(&graph.residuals)
+        .cloned()
+        .collect();
+    Ok((graph, conjuncts))
+}
+
 impl<'a> Binder<'a> {
     fn bind_top(&mut self, stmt: &SelectStmt) -> Result<QueryGraph> {
         self.scopes.push(ScopeFrame::default());

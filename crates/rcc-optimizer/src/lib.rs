@@ -43,7 +43,7 @@ pub mod viewmatch;
 
 pub use constraint::{CCClass, CCConstraint, OperandId};
 pub use expr::{AggCall, AggFunc, BoundExpr};
-pub use graph::{bind_select, bind_select_slots, JoinEdge, Operand, QueryGraph};
+pub use graph::{bind_one_table, bind_select, bind_select_slots, JoinEdge, Operand, QueryGraph};
 pub use optimize::{optimize, OptimizerConfig, PlanChoice, Role};
 pub use ordering::{delivered_order, OrderProp};
 pub use physical::{CurrencyGuard, PhysicalPlan};

@@ -1,10 +1,12 @@
 //! End-to-end Layer-1 lint surfaces: the `LINT` statement, the
-//! compile-time hook that attaches diagnostics as result warnings, and the
-//! per-code diagnostics counter.
+//! compile-time hook that attaches diagnostics as result warnings (served
+//! and `EXPLAIN ANALYZE` results alike), and the per-code diagnostics
+//! counter.
 
 use rcc_common::Value;
 use rcc_mtcache::paper::{paper_setup, warm_up};
-use rcc_mtcache::MTCache;
+use rcc_mtcache::{MTCache, QueryResult};
+use std::collections::HashMap;
 
 fn rig() -> MTCache {
     let cache = paper_setup(0.001, 7).unwrap();
@@ -126,6 +128,26 @@ fn a_warning_served_from_a_cached_shape_points_into_the_text_at_hand() {
     let (hits, misses) = before.1;
     assert_eq!(cache.plan_cache().stats(), (hits + 3, misses + 1));
     assert_eq!(counted(&cache), before.0 + 1);
+}
+
+#[test]
+fn explain_analyze_carries_the_lint_warnings_of_the_plain_select() {
+    let cache = rig();
+    // the clause on a line of its own stands at the same line:col under
+    // the prefix
+    let sql = "SELECT c_acctbal FROM customer WHERE c_custkey = 5\n\
+               CURRENCY BOUND 0 SEC ON (customer)";
+    let lint = |r: QueryResult| -> Vec<String> {
+        let lint = r.warnings.into_iter().filter(|w| w.starts_with("lint:"));
+        lint.collect()
+    };
+    let plain = lint(cache.execute(sql).unwrap());
+    assert!(plain.iter().any(|w| w.contains("L005")), "{plain:?}");
+    let analyzed = cache.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    assert!(analyzed.plan_explain().contains("actual rows="));
+    assert_eq!(lint(analyzed), plain);
+    let structured = cache.explain_analyze(sql, &HashMap::new()).unwrap();
+    assert_eq!(lint(structured), plain);
 }
 
 #[test]
