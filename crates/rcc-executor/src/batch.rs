@@ -68,7 +68,8 @@ impl Batch {
     /// Transpose row-major rows into a dense batch of `width` columns.
     pub fn from_rows(width: usize, rows: Vec<Row>) -> Batch {
         let n = rows.len();
-        let mut columns = vec![Column::with_capacity(n); width];
+        // one `with_capacity` each: a cloned column keeps none of its room
+        let mut columns: Vec<Column> = (0..width).map(|_| Column::with_capacity(n)).collect();
         for row in &rows {
             for (c, col) in columns.iter_mut().enumerate() {
                 col.push_value(row.values().get(c).unwrap_or(&Value::Null));

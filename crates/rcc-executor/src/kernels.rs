@@ -353,7 +353,9 @@ impl Verdicts for Truths {
 }
 
 /// Put `verdict(k)` for every row of the list, unknown on a row where an
-/// operand is NULL — `verdict` is not called there.
+/// operand is NULL. `verdict` must be pure and total: it is called on
+/// every row, NULL ones included (their cells are placeholders), so the
+/// loop carries no branch on which rows are NULL.
 #[inline]
 fn verdicts(
     n: usize,
@@ -361,8 +363,12 @@ fn verdicts(
     out: &mut impl Verdicts,
     verdict: impl Fn(usize) -> Option<bool>,
 ) {
-    for k in 0..n {
-        out.put(k, if null_at(valid, k) { None } else { verdict(k) });
+    match valid {
+        None => (0..n).for_each(|k| out.put(k, verdict(k))),
+        Some(valid) => {
+            let valid = &valid[..n];
+            (0..n).for_each(|k| out.put(k, verdict(k).filter(|_| valid[k])))
+        }
     }
 }
 
@@ -495,12 +501,18 @@ impl PhysExpr {
             }
             PhysExpr::IsNull { expr, negated } => {
                 let v = expr.eval_rows(columns, rows, n, now)?;
+                let negated = *negated;
                 v.column().map(|col| {
-                    let idx = v.idx(rows);
-                    bool_column(n, |k| {
-                        let null = col.is_null(idx.map_or(k, |idx| idx[k] as usize));
-                        Some(null != *negated)
-                    })
+                    let truths = match (col.data(), valid_rows(&[&v], rows)) {
+                        (ColumnData::Any(cells), _) => {
+                            let idx = v.idx(rows);
+                            let at = |k| &cells[idx.map_or(k, |idx| idx[k] as usize)];
+                            (0..n).map(|k| at(k).is_null() != negated).collect()
+                        }
+                        (_, None) => vec![negated; n],
+                        (_, Some(valid)) => valid.iter().map(|&valid| valid == negated).collect(),
+                    };
+                    dense(ColumnData::Bool(truths), None)
                 })
             }
             PhysExpr::Col(_) | PhysExpr::Lit(_) | PhysExpr::GetDate => None,
@@ -645,8 +657,10 @@ fn between(
     n: usize,
     out: &mut impl Verdicts,
 ) -> bool {
+    // `&`, not `&&`: both orderings are at hand, and a short circuit would
+    // branch on the data
     let inside = |below: Ordering, above: Ordering| {
-        Some((below != Ordering::Less && above != Ordering::Greater) != negated)
+        Some(((below != Ordering::Less) & (above != Ordering::Greater)) != negated)
     };
     let valid = || valid_rows(&[v, lo, hi], rows);
     if let (Some((ka, a)), Some((kb, b)), Some((kc, c))) =
@@ -694,11 +708,9 @@ fn in_list(
         })
         .collect::<Option<_>>()?;
     let saw_null = literals.iter().any(Operand::is_null_scalar);
-    let found = |hit: bool| match (hit, saw_null) {
-        (true, _) => Some(!negated),
-        (false, true) => None,
-        (false, false) => Some(negated),
-    };
+    // a miss is unknown when the list holds a NULL; the list is walked
+    // whole, with `|`, so no row branches on where it matched
+    let found = |hit: bool| (hit | !saw_null).then_some(hit != negated);
     let items = || literals.iter().filter(|item| !item.is_null_scalar());
     let valid = valid_rows(&[v], rows);
     let valid = valid.as_deref();
@@ -711,7 +723,7 @@ fn in_list(
             })
             .collect::<Option<_>>()?;
         shape!(&a, x => verdicts(n, valid, &mut truths, |k| {
-            found(wanted.iter().any(|w| x.at(k).total_cmp(w) == Ordering::Equal))
+            found(wanted.iter().fold(false, |hit, w| hit | x.at(k).total_cmp(w).is_eq()))
         }));
     } else if let Some(a) = v.strs(rows) {
         let wanted: Vec<&str> = items()
@@ -720,7 +732,9 @@ fn in_list(
                 Lane::Cells(_) => None,
             })
             .collect::<Option<_>>()?;
-        shape!(&a, x => verdicts(n, valid, &mut truths, |k| found(wanted.contains(&x.at(k)))));
+        shape!(&a, x => verdicts(n, valid, &mut truths, |k| {
+            found(wanted.iter().fold(false, |hit, w| hit | (*w == x.at(k))))
+        }));
     } else {
         return None;
     }

@@ -43,7 +43,7 @@ fn any_value() -> impl Strategy<Value = Value> {
         Just(Value::Int(BIG)),
         (-3i64..4).prop_map(|i| Value::Float(i as f64 / 2.0)),
         prop_oneof![Just(f64::NAN), Just(-0.0), Just(f64::INFINITY)].prop_map(Value::Float),
-        "[ab\0]{0,2}".prop_map(Value::Str),
+        "[ab\0é日]{0,2}".prop_map(Value::Str),
         (0u8..2).prop_map(|b| Value::Bool(b == 1)),
         (-3i64..4).prop_map(Value::Timestamp),
     ]
@@ -276,18 +276,47 @@ proptest! {
     }
 
     /// `encode_batches` writes what `encode_result` writes for the same
-    /// rows, for every column variant and through selection vectors.
+    /// rows — for every column variant, through selection vectors, over
+    /// several batches and over zero-width ones — and `decode_result` reads
+    /// the rows back.
     #[test]
-    fn batch_encoding_is_row_encoding(first in any_batch(), second in any_batch()) {
-        let schema = Schema::new(vec![
-            SchemaColumn::new("a", DataType::Int),
-            SchemaColumn::new("b", DataType::Str),
-            SchemaColumn::new("c", DataType::Float),
-        ]);
-        let rows: Vec<Row> = first.to_rows().into_iter().chain(second.to_rows()).collect();
-        let batches = [first, second];
-        prop_assert_eq!(wire::encode_batches(&schema, &batches), wire::encode_result(&schema, &rows));
+    fn batch_encoding_is_row_encoding(result in any_result()) {
+        let (schema, batches) = result;
+        let rows: Vec<Row> = batches.iter().flat_map(Batch::to_rows).collect();
+        let encoded = wire::encode_batches(&schema, &batches);
+        prop_assert_eq!(&encoded, &wire::encode_result(&schema, &rows));
+        let (decoded_schema, decoded) = wire::decode_result(encoded).expect("well-formed");
+        prop_assert_eq!(decoded_schema.len(), schema.len());
+        prop_assert_eq!(decoded.len(), rows.len());
+        for (a, b) in decoded.iter().zip(&rows) {
+            prop_assert!(all_identical(a.values(), b.values()), "{:?} came back as {:?}", b, a);
+        }
     }
+}
+
+/// One result's schema and batches: up to four three-column batches, or up
+/// to three zero-width ones (`SELECT` without `FROM`), some of them empty.
+fn any_result() -> impl Strategy<Value = (Schema, Vec<Batch>)> {
+    let three = Schema::new(vec![
+        SchemaColumn::new("a", DataType::Int),
+        SchemaColumn::new("b", DataType::Str),
+        SchemaColumn::new("c", DataType::Float),
+    ]);
+    (
+        0u8..5,
+        proptest::collection::vec(any_batch(), 0..5),
+        proptest::collection::vec(0usize..4, 0..4),
+    )
+        .prop_map(move |(pick, batches, zero_width)| match pick {
+            0 => (
+                Schema::empty(),
+                zero_width
+                    .into_iter()
+                    .map(|n| Batch::from_columns(vec![], n))
+                    .collect(),
+            ),
+            _ => (three.clone(), batches),
+        })
 }
 
 // ----------------------------------------------------- typed comparisons
@@ -340,39 +369,49 @@ fn edge_cells() -> impl Strategy<Value = Vec<Value>> {
     ]
 }
 
+/// A literal bound: an edge value, or now and then NULL.
+fn edge_bound() -> impl Strategy<Value = Value> {
+    prop_oneof![edge_value(), edge_value(), edge_value(), Just(Value::Null)]
+}
+
 proptest! {
     #![proptest_config(cases(4096))]
 
-    /// The typed comparison and BETWEEN loops order as `eval` does — by
-    /// `f64::total_cmp` — on edge values against `Int` and `Float` literal
-    /// bounds, with NULL cells, with and without a selection vector: the
+    /// The typed comparison, BETWEEN and NOT BETWEEN loops order as `eval`
+    /// does — by `f64::total_cmp` — on edge values (NaN, ±0.0, integers
+    /// past 2⁵³) against `Int`, `Float` and NULL literal bounds, with NULL
+    /// cells, over a selection vector and over a resumed chunk's rows: the
     /// same survivors and the same cells.
     #[test]
     fn typed_comparisons_order_as_rows_do(
         cells in edge_cells(),
-        lo in edge_value(),
-        hi in edge_value(),
+        lo in edge_bound(),
+        hi in edge_bound(),
         op in 0usize..6,
         mask in proptest::option::of(proptest::collection::vec(0u8..2, 8..=8)),
+        from in 0usize..8,
     ) {
         let n = cells.len();
-        let mut batch = Batch::new(vec![cells], n);
-        if let Some(mask) = mask {
-            batch = batch.with_sel((0..n as u32).filter(|&i| mask[i as usize] == 1).collect());
-        }
+        let dense = Batch::new(vec![cells], n);
+        let batch = match mask {
+            Some(mask) => dense.clone().with_sel((0..n as u32).filter(|&i| mask[i as usize] == 1).collect()),
+            None => dense.clone(),
+        };
         let comparisons = [BinaryOp::Eq, BinaryOp::NotEq, BinaryOp::Lt, BinaryOp::LtEq, BinaryOp::Gt, BinaryOp::GtEq];
-        let (col, lo_lit) = (|| PhysExpr::Col(0), PhysExpr::Lit(lo.clone()));
+        let (col, lo_lit, hi_lit) = (|| Box::new(PhysExpr::Col(0)), Box::new(PhysExpr::Lit(lo)), Box::new(PhysExpr::Lit(hi)));
+        let between = |expr, low, high, negated| PhysExpr::Between { expr, low, high, negated };
         let exprs = [
-            PhysExpr::Binary { left: Box::new(col()), op: comparisons[op], right: Box::new(lo_lit.clone()) },
-            PhysExpr::Binary { left: Box::new(lo_lit.clone()), op: comparisons[op], right: Box::new(col()) },
-            PhysExpr::Between {
-                expr: Box::new(col()),
-                low: Box::new(lo_lit),
-                high: Box::new(PhysExpr::Lit(hi.clone())),
-                negated: op % 2 == 1,
-            },
+            PhysExpr::Binary { left: col(), op: comparisons[op], right: lo_lit.clone() },
+            PhysExpr::Binary { left: lo_lit.clone(), op: comparisons[op], right: col() },
+            between(col(), lo_lit.clone(), hi_lit.clone(), false),
+            between(col(), lo_lit.clone(), hi_lit.clone(), true),
+            // the column as a bound
+            between(lo_lit, col(), hi_lit, op % 2 == 1),
         ];
         let rows = batch.to_rows();
+        let dense_rows = dense.to_rows();
+        // a chunk resumed at physical row `from`
+        let resumed: Vec<u32> = (from.min(n) as u32..n as u32).collect();
         for expr in &exprs {
             let by_row: Vec<Value> = rows.iter().map(|r| expr.eval(r.values(), NOW).expect("numbers compare")).collect();
             let want: Vec<u32> = (0..batch.len())
@@ -382,6 +421,13 @@ proptest! {
             prop_assert_eq!(expr.select(&batch, NOW).expect("numbers compare"), want, "{:?} on {:?}", expr, batch);
             let column = expr.eval_column(&batch, NOW).expect("numbers compare").to_values();
             prop_assert!(all_identical(&column, &by_row), "{:?} on {:?}: {:?} vs {:?}", expr, batch, column, by_row);
+            let want: Vec<u32> = resumed
+                .iter()
+                .copied()
+                .filter(|&p| matches!(expr.eval(dense_rows[p as usize].values(), NOW), Ok(Value::Bool(true))))
+                .collect();
+            let got = expr.select_rows(&[&dense.columns[0]], Some(&resumed), resumed.len(), NOW);
+            prop_assert_eq!(got.expect("numbers compare"), want, "{:?} on {:?} from row {}", expr, dense, from);
         }
     }
 }
@@ -449,15 +495,45 @@ fn engines_agree(
     }
 }
 
+/// Group keys for the integer window: mostly `Int`s of a small domain
+/// (nation keys), some the same values as `Float`s or `Timestamp`s, NULLs,
+/// and keys the window must grow to or refuse — 4 096 either side of the
+/// domain, negative ones, and ±2⁵³.
+fn window_keys() -> impl Strategy<Value = Vec<Value>> {
+    let far = [
+        4095i64,
+        4096,
+        4120,
+        -4071,
+        -4072,
+        -4096,
+        -3,
+        1 << 53,
+        (1 << 53) - 1,
+        -(1 << 53),
+        1 - (1 << 53),
+    ];
+    let key = (0u8..18, 0i64..25, 0..far.len()).prop_map(move |(pick, k, i)| match pick {
+        0..=11 => Value::Int(k),
+        12 => Value::Float(k as f64),
+        13 => Value::Timestamp(k),
+        14 => Value::Null,
+        _ => Value::Int(far[i]),
+    });
+    proptest::collection::vec(key, 8..=8)
+}
+
 proptest! {
     #![proptest_config(cases(1024))]
 
     /// The typed hash aggregate is the row engine's: NULL and mixed-type
-    /// group keys, Int and Float `SUM` in one column, `MIN`/`MAX` over
-    /// strings, a global aggregate over no rows, HAVING — across batches.
+    /// group keys, integer keys the group-id window takes, grows for,
+    /// refuses or meets mixed with floats, Int and Float `SUM` in one
+    /// column, `MIN`/`MAX` over strings, a global aggregate over no rows,
+    /// HAVING — across batches.
     #[test]
     fn typed_aggregate_is_the_row_aggregate(
-        groups in any_cells(8),
+        groups in prop_oneof![any_cells(8), window_keys()],
         values in any_cells(8),
         rows in 0usize..9,
         first_key in 0i64..10,

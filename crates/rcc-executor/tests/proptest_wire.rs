@@ -1,12 +1,14 @@
 //! Property tests for the remote-result wire format: any schema/row
-//! combination must round-trip bit-exactly, every proper prefix of a
-//! payload must be rejected as truncated, and trailing garbage must be
-//! detected.
+//! combination must round-trip bit-exactly, the batch encoder must write
+//! the row encoder's bytes, every proper prefix of a payload must be
+//! rejected as truncated, and trailing garbage must be detected.
+//! `PROPTEST_CASES` sets the case count (CI raises it).
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use rcc_common::{Column, DataType, Row, Schema, Value};
-use rcc_executor::wire::{decode_result, encode_result};
+use rcc_executor::wire::{decode_result, encode_batches, encode_result};
+use rcc_executor::Batch;
 
 fn dt(code: u8) -> DataType {
     match code % 5 {
@@ -34,8 +36,6 @@ fn make_value(t: DataType, sel: u8, i: i64, s: &str) -> Value {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
-
     #[test]
     fn random_results_roundtrip_and_reject_corruption(
         types in prop::collection::vec(0u8..5, 1..6),
@@ -70,6 +70,8 @@ proptest! {
             .collect();
 
         let bytes = encode_result(&schema, &rows);
+        let batch = Batch::from_rows(schema.len(), rows.clone());
+        prop_assert_eq!(&encode_batches(&schema, &[batch]), &bytes);
 
         // 1. bit-exact round trip
         let decoded = decode_result(bytes.clone());
