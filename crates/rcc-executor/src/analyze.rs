@@ -1,24 +1,23 @@
 //! EXPLAIN ANALYZE support.
 //!
-//! [`execute_plan_analyzed`] builds the operator tree
-//! [`crate::build::build_operator`] builds, with every node wrapped in a
-//! metering shim that counts produced rows and accumulates wall time across
-//! open/next/close. Reports come back in **pre-order** (parent before
+//! [`execute_plan_analyzed`] creates the operator tree an execution of the
+//! prepared plan creates ([`crate::Executable`]), with every node wrapped
+//! in a metering shim that counts produced rows and accumulates wall time
+//! across open/next/close. Reports come back in **pre-order** (parent before
 //! children), matching the indentation of `PhysicalPlan::explain`, so a
 //! SwitchUnion's untouched branch still appears — marked `never executed`
 //! — which is exactly what the paper's "the other inputs are not touched"
 //! claim looks like in an ANALYZE printout.
 
-use crate::build::build_wrapped;
+use crate::build::Executable;
 use crate::context::ExecContext;
 use crate::ops::{BoxedOp, Operator};
 use rcc_common::{Result, Row, Schema};
 use rcc_optimizer::PhysicalPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-operator atomics shared between the metering shim and the report.
+/// Per-operator atomics the metering shim counts into and the report reads.
 #[derive(Debug, Default)]
 struct NodeMeter {
     rows: AtomicU64,
@@ -29,7 +28,8 @@ struct NodeMeter {
 /// Post-execution measurements for one operator in the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpReport {
-    /// One-line operator label (same text as `PhysicalPlan::explain`).
+    /// One-line operator label (same text as `PhysicalPlan::explain`; slots
+    /// show the values the plan was compiled for).
     pub label: String,
     /// Nesting depth in the plan tree (0 = root).
     pub depth: usize,
@@ -78,7 +78,7 @@ pub struct AnalyzedExecution {
     pub rows: Vec<Row>,
     /// Per-operator reports in pre-order.
     pub reports: Vec<OpReport>,
-    /// Total wall time (build + open + drain + close).
+    /// Total wall time (prepare + open + drain + close).
     pub elapsed: Duration,
 }
 
@@ -95,12 +95,12 @@ impl AnalyzedExecution {
 }
 
 /// Metering shim around one operator.
-struct MeteredOp {
-    inner: BoxedOp,
-    meter: Arc<NodeMeter>,
+struct MeteredOp<'a> {
+    inner: BoxedOp<'a>,
+    meter: &'a NodeMeter,
 }
 
-impl Operator for MeteredOp {
+impl Operator for MeteredOp<'_> {
     fn schema(&self) -> &Schema {
         self.inner.schema()
     }
@@ -144,28 +144,38 @@ impl Operator for MeteredOp {
 struct Entry {
     label: String,
     depth: usize,
-    meter: Arc<NodeMeter>,
+    meter: NodeMeter,
 }
 
-/// Execute a plan with per-operator metering and collect the reports.
+/// A report slot per node of `plan` at `depth`, in pre-order — the order an
+/// executable creates its operators in.
+fn entries(plan: &PhysicalPlan, depth: usize, out: &mut Vec<Entry>) {
+    out.push(Entry {
+        label: plan.node_label(),
+        depth,
+        meter: NodeMeter::default(),
+    });
+    for child in plan.children() {
+        entries(child, depth + 1, out);
+    }
+}
+
+/// Prepare and execute a plan with per-operator metering and collect the
+/// reports.
 pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<AnalyzedExecution> {
     let started = Instant::now();
-    // a report slot per node in pre-order, a metering shim around each
-    let mut entries = Vec::new();
-    let mut op = build_wrapped(
-        plan.with_slots(&ctx.slots),
-        0,
-        &mut |node, depth| {
-            let meter = Arc::new(NodeMeter::default());
-            entries.push(Entry {
-                label: node.node_label(),
-                depth,
-                meter: Arc::clone(&meter),
-            });
-            meter
-        },
-        &|meter, inner| Box::new(MeteredOp { inner, meter }),
-    );
+    let executable = Executable::prepare(plan, &ctx.storage)?;
+    #[cfg(debug_assertions)]
+    executable.check_bindings(&ctx.slots);
+    let mut report = Vec::new();
+    entries(plan, 0, &mut report);
+    // a metering shim around every operator
+    let mut op = executable.operator_wrapped(&mut |number, inner| {
+        Box::new(MeteredOp {
+            inner,
+            meter: &report[number].meter,
+        })
+    });
     op.open(ctx)?;
     let schema = op.schema().clone();
     let mut rows = Vec::new();
@@ -173,8 +183,9 @@ pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<A
         rows.extend(batch.into_rows());
     }
     op.close(ctx)?;
+    drop(op);
     let elapsed = started.elapsed();
-    let reports = entries
+    let reports = report
         .into_iter()
         .map(|e| OpReport {
             label: e.label,
@@ -356,7 +367,8 @@ mod tests {
         let sizes: Vec<usize> = batched.batches.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, [256, 256, 256, 256, 256, 256, 256, 208]);
         // one batch per call, from the first call on
-        let mut op = crate::build::build_operator(&scan, &[]);
+        let executable = Executable::prepare(&scan, &ctx.storage).unwrap();
+        let mut op = executable.operator();
         op.open(&ctx).unwrap();
         assert_eq!(op.next_batch(&ctx).unwrap().map(|b| b.len()), Some(256));
         op.close(&ctx).unwrap();

@@ -3,7 +3,7 @@
 //! The batched engine moves data through the operator tree as [`Batch`]es:
 //! one typed [`Column`] per output column, a physical row count, and an
 //! optional **selection vector** so filters can narrow a batch without
-//! copying survivors row-by-row. Expressions are compiled once per operator
+//! copying survivors row-by-row. Expressions are compiled once per plan
 //! into [`PhysExpr`] — a mirror of [`rcc_optimizer::BoundExpr`] whose column
 //! references are pre-resolved to ordinals. A `PhysExpr` is evaluated two
 //! ways: a row at a time over `&[Value]` ([`PhysExpr::eval`] and its
@@ -14,6 +14,7 @@
 //! [`crate::kernels`]), which is held to the row form cell for cell.
 
 use rcc_common::{Error, Result, Row, Schema, Value};
+use rcc_optimizer::expr::slot_value;
 use rcc_optimizer::BoundExpr;
 use rcc_sql::{BinaryOp, UnaryOp};
 use rcc_storage::column::Column;
@@ -163,16 +164,26 @@ impl Batch {
 
 /// A [`BoundExpr`] with every column reference resolved to an ordinal.
 ///
-/// Compiled once per operator open; evaluation then mirrors
-/// `BoundExpr::eval` exactly (three-valued logic, NULL propagation,
-/// checked integer arithmetic, timestamp arithmetic) minus the per-row
-/// `Schema::resolve` string comparisons.
-#[derive(Debug, Clone)]
+/// Compiled once per plan, when it is prepared for execution
+/// ([`crate::Executable`]); an execution binds its slot values into it
+/// ([`PhysExpr::bind`]). Evaluation mirrors `BoundExpr::eval` exactly
+/// (three-valued logic, NULL propagation, checked integer arithmetic,
+/// timestamp arithmetic) minus the per-row `Schema::resolve` string
+/// comparisons.
+#[derive(Debug, Clone, PartialEq)]
 pub enum PhysExpr {
     /// Column reference by output ordinal.
     Col(usize),
     /// Literal.
     Lit(Value),
+    /// A statement slot: a constant that holds `value` until an execution
+    /// binds its own ([`PhysExpr::bind`]).
+    Slot {
+        /// Slot number: index into the execution's value vector.
+        index: u32,
+        /// The value the plan was compiled for.
+        value: Value,
+    },
     /// Binary operation.
     Binary {
         /// Left operand.
@@ -227,7 +238,11 @@ impl PhysExpr {
             BoundExpr::Column { qualifier, name } => {
                 PhysExpr::Col(schema.resolve(Some(qualifier), name)?)
             }
-            BoundExpr::Literal(v) | BoundExpr::Slot { value: v, .. } => PhysExpr::Lit(v.clone()),
+            BoundExpr::Literal(v) => PhysExpr::Lit(v.clone()),
+            BoundExpr::Slot { index, value } => PhysExpr::Slot {
+                index: *index,
+                value: value.clone(),
+            },
             BoundExpr::GetDate => PhysExpr::GetDate,
             BoundExpr::Binary { left, op, right } => PhysExpr::Binary {
                 left: Box::new(PhysExpr::compile(left, schema)?),
@@ -278,19 +293,49 @@ impl PhysExpr {
     /// Scans compile the residual against their *output* schema, then remap
     /// it into *stored* ordinals so the predicate runs directly against
     /// stored rows — rejected rows are never projected or copied.
-    pub fn remap(self, mapping: &[usize]) -> PhysExpr {
+    pub fn remap(&self, mapping: &[usize]) -> PhysExpr {
+        self.map_leaves(&|leaf| match leaf {
+            PhysExpr::Col(i) => Some(PhysExpr::Col(mapping[*i])),
+            _ => None,
+        })
+    }
+
+    /// The expression as an execution with value vector `slots` evaluates
+    /// it: every slot holding its value there, resolved by
+    /// [`slot_value`] as `BoundExpr::with_slots` resolves it. Borrowed when
+    /// the expression holds no slot or no values are given.
+    pub fn bind(&self, slots: &[Value]) -> Cow<'_, PhysExpr> {
+        if slots.is_empty() || !self.holds_slot() {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(self.map_leaves(&|leaf| match leaf {
+            PhysExpr::Slot { index, value } => Some(PhysExpr::Slot {
+                index: *index,
+                value: slot_value(slots, *index, value).clone(),
+            }),
+            _ => None,
+        }))
+    }
+
+    fn holds_slot(&self) -> bool {
+        self.any_leaf(&|leaf| matches!(leaf, PhysExpr::Slot { .. }))
+    }
+
+    /// A copy in which every leaf `f` maps is replaced by its image.
+    fn map_leaves(&self, f: &impl Fn(&PhysExpr) -> Option<PhysExpr>) -> PhysExpr {
+        let sub = |e: &PhysExpr| Box::new(e.map_leaves(f));
         match self {
-            PhysExpr::Col(i) => PhysExpr::Col(mapping[i]),
-            PhysExpr::Lit(v) => PhysExpr::Lit(v),
-            PhysExpr::GetDate => PhysExpr::GetDate,
+            PhysExpr::Col(_) | PhysExpr::Lit(_) | PhysExpr::Slot { .. } | PhysExpr::GetDate => {
+                f(self).unwrap_or_else(|| self.clone())
+            }
             PhysExpr::Binary { left, op, right } => PhysExpr::Binary {
-                left: Box::new(left.remap(mapping)),
-                op,
-                right: Box::new(right.remap(mapping)),
+                left: sub(left),
+                op: *op,
+                right: sub(right),
             },
             PhysExpr::Unary { op, expr } => PhysExpr::Unary {
-                op,
-                expr: Box::new(expr.remap(mapping)),
+                op: *op,
+                expr: sub(expr),
             },
             PhysExpr::Between {
                 expr,
@@ -298,24 +343,41 @@ impl PhysExpr {
                 high,
                 negated,
             } => PhysExpr::Between {
-                expr: Box::new(expr.remap(mapping)),
-                low: Box::new(low.remap(mapping)),
-                high: Box::new(high.remap(mapping)),
-                negated,
+                expr: sub(expr),
+                low: sub(low),
+                high: sub(high),
+                negated: *negated,
             },
             PhysExpr::InList {
                 expr,
                 list,
                 negated,
             } => PhysExpr::InList {
-                expr: Box::new(expr.remap(mapping)),
-                list: list.into_iter().map(|e| e.remap(mapping)).collect(),
-                negated,
+                expr: sub(expr),
+                list: list.iter().map(|e| e.map_leaves(f)).collect(),
+                negated: *negated,
             },
             PhysExpr::IsNull { expr, negated } => PhysExpr::IsNull {
-                expr: Box::new(expr.remap(mapping)),
-                negated,
+                expr: sub(expr),
+                negated: *negated,
             },
+        }
+    }
+
+    /// Does `f` hold for any leaf of the expression?
+    fn any_leaf(&self, f: &impl Fn(&PhysExpr) -> bool) -> bool {
+        match self {
+            PhysExpr::Col(_) | PhysExpr::Lit(_) | PhysExpr::Slot { .. } | PhysExpr::GetDate => {
+                f(self)
+            }
+            PhysExpr::Binary { left, right, .. } => left.any_leaf(f) || right.any_leaf(f),
+            PhysExpr::Unary { expr, .. } | PhysExpr::IsNull { expr, .. } => expr.any_leaf(f),
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => expr.any_leaf(f) || low.any_leaf(f) || high.any_leaf(f),
+            PhysExpr::InList { expr, list, .. } => {
+                expr.any_leaf(f) || list.iter().any(|e| e.any_leaf(f))
+            }
         }
     }
 
@@ -332,18 +394,7 @@ impl PhysExpr {
     /// Does any part of the expression read a column? An expression that
     /// reads none has one value for every row of a batch.
     pub fn reads_column(&self) -> bool {
-        match self {
-            PhysExpr::Col(_) => true,
-            PhysExpr::Lit(_) | PhysExpr::GetDate => false,
-            PhysExpr::Binary { left, right, .. } => left.reads_column() || right.reads_column(),
-            PhysExpr::Unary { expr, .. } | PhysExpr::IsNull { expr, .. } => expr.reads_column(),
-            PhysExpr::Between {
-                expr, low, high, ..
-            } => expr.reads_column() || low.reads_column() || high.reads_column(),
-            PhysExpr::InList { expr, list, .. } => {
-                expr.reads_column() || list.iter().any(PhysExpr::reads_column)
-            }
-        }
+        self.any_leaf(&|leaf| matches!(leaf, PhysExpr::Col(_)))
     }
 
     /// Evaluate against one row. Semantics are identical to
@@ -353,7 +404,7 @@ impl PhysExpr {
     pub fn eval(&self, row: &[Value], now_millis: i64) -> Result<Value> {
         match self {
             PhysExpr::Col(i) => Ok(row[*i].clone()),
-            PhysExpr::Lit(v) => Ok(v.clone()),
+            PhysExpr::Lit(v) | PhysExpr::Slot { value: v, .. } => Ok(v.clone()),
             PhysExpr::GetDate => Ok(Value::Timestamp(now_millis)),
             PhysExpr::Unary { op, expr } => negate(*op, expr.eval(row, now_millis)?),
             PhysExpr::Binary { left, op, right }
@@ -375,7 +426,7 @@ impl PhysExpr {
     fn cell<'a>(&'a self, row: &'a [Value], now_millis: i64) -> Result<Cow<'a, Value>> {
         match self {
             PhysExpr::Col(i) => Ok(Cow::Borrowed(&row[*i])),
-            PhysExpr::Lit(v) => Ok(Cow::Borrowed(v)),
+            PhysExpr::Lit(v) | PhysExpr::Slot { value: v, .. } => Ok(Cow::Borrowed(v)),
             other => other.eval(row, now_millis).map(Cow::Owned),
         }
     }
@@ -451,6 +502,15 @@ impl PhysExpr {
     /// Evaluate as a predicate (SQL truthiness: TRUE passes).
     pub fn eval_predicate(&self, row: &[Value], now_millis: i64) -> Result<bool> {
         Ok(self.truth(row, now_millis)? == Some(true))
+    }
+}
+
+/// [`PhysExpr::bind`] of every expression of `exprs`: the list itself when
+/// none holds a slot.
+pub(crate) fn bind_all<'a>(exprs: &'a [PhysExpr], slots: &[Value]) -> Cow<'a, [PhysExpr]> {
+    match slots.is_empty() || !exprs.iter().any(PhysExpr::holds_slot) {
+        true => Cow::Borrowed(exprs),
+        false => Cow::Owned(exprs.iter().map(|e| e.bind(slots).into_owned()).collect()),
     }
 }
 

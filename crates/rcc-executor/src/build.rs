@@ -1,17 +1,29 @@
-//! Plan-to-operator translation and the phased execution driver.
+//! Plan preparation and the phased execution driver.
+//!
+//! A plan is prepared for execution once ([`Executable::prepare`]): names
+//! are resolved, expressions compiled and output schemas derived into an
+//! immutable tree that any number of executions, on any number of threads,
+//! create their operators from. An execution binds its statement-slot
+//! values where an operator reads them — a seek range at scan open, an
+//! expression's slot leaves at operator open, shipped SQL when a remote
+//! branch opens — so running a prepared plan copies none of it.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, PhysExpr};
 use crate::context::ExecContext;
 use crate::ops::*;
-use rcc_common::{Result, Row, Schema, Value};
-use rcc_optimizer::PhysicalPlan;
+use rcc_common::{Result, Row, Schema};
+use rcc_optimizer::graph::JoinKind;
+use rcc_optimizer::physical::{AccessPath, SqlText};
+use rcc_optimizer::{CurrencyGuard, PhysicalPlan};
+use rcc_storage::StorageEngine;
 use std::time::Instant;
 
 /// Elapsed wall time per execution phase — the breakdown the paper's
 /// Table 4.5 reports (setup plan / run plan / shutdown plan).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Instantiating the executable tree and opening the root.
+    /// Creating the operator tree and opening the root (and, for a plan
+    /// executed without having been prepared, preparing it).
     pub setup: std::time::Duration,
     /// Producing all rows.
     pub run: std::time::Duration,
@@ -37,91 +49,577 @@ pub struct ExecutionResult {
     pub timings: PhaseTimings,
 }
 
-/// Translate a physical plan into an operator tree for an execution whose
-/// statement-slot values are `slots` (empty: the values the plan was
-/// compiled for). The plan is copied once, every slot — in an expression, a
-/// seek range, shipped SQL — with the execution's value in it
-/// ([`PhysicalPlan::with_slots`], the one place that knows where a plan
-/// holds slots), and the copy is taken apart into operators, which never see
-/// a slot.
-pub fn build_operator(plan: &PhysicalPlan, slots: &[Value]) -> BoxedOp {
-    build_wrapped(plan.with_slots(slots), 0, &mut |_, _| (), &|(), op| op)
+/// A physical plan prepared for execution: per operator, what depends only
+/// on the plan and the catalog — a scan's stored-column mapping and its
+/// residual in both ordinal spaces, compiled projections, join and group
+/// keys and HAVING, output schemas, and where each statement slot stands
+/// (seek-range ends, expression leaves, spans of shipped SQL). Immutable,
+/// so one executable serves concurrent executions; each creates its
+/// operators from it ([`Executable::operator`]), and they own only
+/// execution state.
+#[derive(Debug)]
+pub struct Executable {
+    root: Node,
+    /// The plan prepared: debug builds hold every execution's bindings to
+    /// it ([`PhysicalPlan::with_slots`] is the reference).
+    #[cfg(debug_assertions)]
+    plan: PhysicalPlan,
 }
 
-/// [`build_operator`] of a plan whose slots are resolved, with a hook
-/// around every node: `enter` sees each plan node in pre-order (a parent
-/// before its children, at its `depth`) and hands back a token; `wrap` gets
-/// that token with the node's finished operator and returns what the parent
-/// is built over. EXPLAIN ANALYZE meters every operator this way without a
-/// second plan walk.
-pub(crate) fn build_wrapped<T>(
-    plan: PhysicalPlan,
-    depth: usize,
-    enter: &mut dyn FnMut(&PhysicalPlan, usize) -> T,
-    wrap: &dyn Fn(T, BoxedOp) -> BoxedOp,
-) -> BoxedOp {
-    let token = enter(&plan, depth);
-    let mut child = |plan: Box<PhysicalPlan>| build_wrapped(*plan, depth + 1, enter, wrap);
-    let op: BoxedOp = match plan {
-        PhysicalPlan::OneRow => Box::new(OneRowOp::new()),
-        PhysicalPlan::LocalScan(n) => {
-            Box::new(LocalScanOp::new(n.object, n.schema, n.access, n.residual))
-        }
-        PhysicalPlan::RemoteQuery(n) => Box::new(RemoteQueryOp::new(n.sql.into(), n.schema)),
-        PhysicalPlan::SwitchUnion {
-            guard,
-            local,
-            remote,
-        } => Box::new(SwitchUnionOp::new(guard, child(local), child(remote))),
-        PhysicalPlan::Filter { input, predicate } => {
-            Box::new(FilterOp::new(child(input), predicate))
-        }
-        PhysicalPlan::Project { input, exprs } => Box::new(ProjectOp::new(child(input), exprs)),
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-        } => Box::new(HashJoinOp::new(
-            child(left),
-            child(right),
-            left_keys,
-            right_keys,
-            kind,
-        )),
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            kind,
-        } => {
-            debug_assert_eq!(kind, rcc_optimizer::graph::JoinKind::Inner);
-            Box::new(MergeJoinOp::new(
-                child(left),
-                child(right),
+/// One prepared plan node. Nodes whose output schema is their input's keep
+/// none of their own.
+#[derive(Debug)]
+pub(crate) enum Node {
+    OneRow(Schema),
+    LocalScan {
+        scan: ScanPlan,
+        access: AccessPath,
+    },
+    RemoteQuery {
+        sql: SqlText,
+        schema: Schema,
+    },
+    SwitchUnion {
+        guard: CurrencyGuard,
+        local: Box<Node>,
+        remote: Box<Node>,
+    },
+    Filter {
+        input: Box<Node>,
+        predicate: PhysExpr,
+    },
+    Project {
+        input: Box<Node>,
+        exprs: Vec<PhysExpr>,
+        schema: Schema,
+    },
+    HashJoin {
+        left: Box<Node>,
+        right: Box<Node>,
+        left_keys: Vec<PhysExpr>,
+        right_keys: Vec<PhysExpr>,
+        kind: JoinKind,
+        schema: Schema,
+    },
+    MergeJoin {
+        left: Box<Node>,
+        right: Box<Node>,
+        left_key: PhysExpr,
+        right_key: PhysExpr,
+        schema: Schema,
+    },
+    IndexNLJoin {
+        outer: Box<Node>,
+        outer_key: PhysExpr,
+        inner: InnerPlan,
+        kind: JoinKind,
+        schema: Schema,
+    },
+    HashAggregate {
+        input: Box<Node>,
+        aggregate: AggregatePlan,
+    },
+    Sort {
+        input: Box<Node>,
+        keys: Vec<(usize, bool)>,
+    },
+    Limit {
+        input: Box<Node>,
+        n: u64,
+    },
+    Distinct {
+        input: Box<Node>,
+    },
+}
+
+/// What wraps each operator as it is created: its node's pre-order number
+/// (a parent before its children) and the operator, in; what the parent is
+/// built over, out.
+pub(crate) type Wrap<'w, 'a> = &'w mut dyn FnMut(usize, BoxedOp<'a>) -> BoxedOp<'a>;
+
+impl Node {
+    fn prepare(plan: &PhysicalPlan, storage: &StorageEngine) -> Result<Node> {
+        let sub = |plan: &PhysicalPlan| Node::prepare(plan, storage).map(Box::new);
+        let join = |left: &Node, right: &Schema, kind| match kind {
+            JoinKind::Inner => left.schema().join(right),
+            JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
+        };
+        Ok(match plan {
+            PhysicalPlan::OneRow => Node::OneRow(Schema::empty()),
+            PhysicalPlan::LocalScan(n) => Node::LocalScan {
+                scan: ScanPlan::prepare(&n.object, &n.schema, n.residual.as_ref(), storage)?,
+                access: n.access.clone(),
+            },
+            PhysicalPlan::RemoteQuery(n) => Node::RemoteQuery {
+                sql: n.sql.clone(),
+                schema: n.schema.clone(),
+            },
+            PhysicalPlan::SwitchUnion {
+                guard,
+                local,
+                remote,
+            } => Node::SwitchUnion {
+                guard: guard.clone(),
+                local: sub(local)?,
+                remote: sub(remote)?,
+            },
+            PhysicalPlan::Filter { input, predicate } => {
+                let input = sub(input)?;
+                let predicate = PhysExpr::compile(predicate, input.schema())?;
+                Node::Filter { input, predicate }
+            }
+            PhysicalPlan::Project { input, exprs } => {
+                let input = sub(input)?;
+                let schema = project_schema(exprs, input.schema());
+                let exprs = (exprs.iter())
+                    .map(|(e, _)| PhysExpr::compile(e, input.schema()))
+                    .collect::<Result<_>>()?;
+                Node::Project {
+                    input,
+                    exprs,
+                    schema,
+                }
+            }
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                kind,
+            } => {
+                let (left, right) = (sub(left)?, sub(right)?);
+                Node::HashJoin {
+                    left_keys: PhysExpr::compile_all(left_keys, left.schema())?,
+                    right_keys: PhysExpr::compile_all(right_keys, right.schema())?,
+                    schema: join(&left, right.schema(), *kind),
+                    kind: *kind,
+                    left,
+                    right,
+                }
+            }
+            PhysicalPlan::MergeJoin {
+                left,
+                right,
                 left_key,
                 right_key,
-            ))
+                kind,
+            } => {
+                debug_assert_eq!(*kind, JoinKind::Inner);
+                let (left, right) = (sub(left)?, sub(right)?);
+                Node::MergeJoin {
+                    left_key: PhysExpr::compile(left_key, left.schema())?,
+                    right_key: PhysExpr::compile(right_key, right.schema())?,
+                    schema: join(&left, right.schema(), JoinKind::Inner),
+                    left,
+                    right,
+                }
+            }
+            PhysicalPlan::IndexNLJoin {
+                outer,
+                outer_key,
+                inner,
+                kind,
+            } => {
+                let outer = sub(outer)?;
+                Node::IndexNLJoin {
+                    outer_key: PhysExpr::compile(outer_key, outer.schema())?,
+                    inner: InnerPlan::prepare(inner, storage)?,
+                    schema: join(&outer, &inner.schema, *kind),
+                    kind: *kind,
+                    outer,
+                }
+            }
+            PhysicalPlan::HashAggregate {
+                input,
+                group_by,
+                aggs,
+                having,
+            } => {
+                let input = sub(input)?;
+                let aggregate =
+                    AggregatePlan::prepare(group_by, aggs, having.as_ref(), input.schema())?;
+                Node::HashAggregate { input, aggregate }
+            }
+            PhysicalPlan::Sort { input, keys } => Node::Sort {
+                input: sub(input)?,
+                keys: keys.clone(),
+            },
+            PhysicalPlan::Limit { input, n } => Node::Limit {
+                input: sub(input)?,
+                n: *n,
+            },
+            PhysicalPlan::Distinct { input } => Node::Distinct { input: sub(input)? },
+        })
+    }
+
+    /// The output schema the node's operator is created with (a remote
+    /// query's columns are retyped as the back-end reports them once open).
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            Node::OneRow(schema)
+            | Node::RemoteQuery { schema, .. }
+            | Node::Project { schema, .. }
+            | Node::HashJoin { schema, .. }
+            | Node::MergeJoin { schema, .. }
+            | Node::IndexNLJoin { schema, .. } => schema,
+            Node::LocalScan { scan, .. } => &scan.schema,
+            Node::HashAggregate { aggregate, .. } => &aggregate.schema,
+            Node::SwitchUnion { local: input, .. }
+            | Node::Filter { input, .. }
+            | Node::Sort { input, .. }
+            | Node::Limit { input, .. }
+            | Node::Distinct { input } => input.schema(),
         }
-        PhysicalPlan::IndexNLJoin {
-            outer,
-            outer_key,
-            inner,
-            kind,
-        } => Box::new(IndexNLJoinOp::new(child(outer), outer_key, inner, kind)),
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-            having,
-        } => Box::new(HashAggregateOp::new(child(input), group_by, aggs, having)),
-        PhysicalPlan::Sort { input, keys } => Box::new(SortOp::new(child(input), keys)),
-        PhysicalPlan::Limit { input, n } => Box::new(LimitOp::new(child(input), n)),
-        PhysicalPlan::Distinct { input } => Box::new(DistinctOp::new(child(input))),
-    };
-    wrap(token, op)
+    }
+
+    /// The operators of this subtree, created in pre-order from `next` on,
+    /// each passed through `wrap`.
+    fn instantiate<'a>(&'a self, next: &mut usize, wrap: Wrap<'_, 'a>) -> BoxedOp<'a> {
+        let number = *next;
+        *next += 1;
+        let op: BoxedOp<'a> = {
+            let mut child = |node: &'a Node| node.instantiate(next, wrap);
+            match self {
+                Node::OneRow(schema) => Box::new(OneRowOp::new(schema)),
+                Node::LocalScan { scan, access } => Box::new(LocalScanOp::new(scan, access)),
+                Node::RemoteQuery { sql, schema } => Box::new(RemoteQueryOp::new(sql, schema)),
+                Node::SwitchUnion {
+                    guard,
+                    local,
+                    remote,
+                } => Box::new(SwitchUnionOp::new(guard, child(local), child(remote))),
+                Node::Filter { input, predicate } => {
+                    Box::new(FilterOp::new(child(input), predicate))
+                }
+                Node::Project {
+                    input,
+                    exprs,
+                    schema,
+                } => Box::new(ProjectOp::new(child(input), exprs, schema)),
+                Node::HashJoin {
+                    left,
+                    right,
+                    left_keys,
+                    right_keys,
+                    kind,
+                    schema,
+                } => Box::new(HashJoinOp::new(
+                    child(left),
+                    child(right),
+                    left_keys,
+                    right_keys,
+                    *kind,
+                    schema,
+                )),
+                Node::MergeJoin {
+                    left,
+                    right,
+                    left_key,
+                    right_key,
+                    schema,
+                } => Box::new(MergeJoinOp::new(
+                    child(left),
+                    child(right),
+                    left_key,
+                    right_key,
+                    schema,
+                )),
+                Node::IndexNLJoin {
+                    outer,
+                    outer_key,
+                    inner,
+                    kind,
+                    schema,
+                } => Box::new(IndexNLJoinOp::new(
+                    child(outer),
+                    outer_key,
+                    inner,
+                    *kind,
+                    schema,
+                )),
+                Node::HashAggregate { input, aggregate } => {
+                    Box::new(HashAggregateOp::new(child(input), aggregate))
+                }
+                Node::Sort { input, keys } => Box::new(SortOp::new(child(input), keys)),
+                Node::Limit { input, n } => Box::new(LimitOp::new(child(input), *n)),
+                Node::Distinct { input } => Box::new(DistinctOp::new(child(input))),
+            }
+        };
+        wrap(number, op)
+    }
+}
+
+impl Executable {
+    /// Prepare `plan` for execution against the objects `storage` holds.
+    /// Fails where an operator would fail to compile an expression; a scan
+    /// of an object that is not stored (yet) fails when it is opened, as
+    /// does one whose object is stored under another schema by then (it
+    /// is mapped again at open).
+    pub fn prepare(plan: &PhysicalPlan, storage: &StorageEngine) -> Result<Executable> {
+        Ok(Executable {
+            root: Node::prepare(plan, storage)?,
+            #[cfg(debug_assertions)]
+            plan: plan.clone(),
+        })
+    }
+
+    /// A fresh operator tree for one execution.
+    pub fn operator(&self) -> BoxedOp<'_> {
+        self.operator_wrapped(&mut |_, op| op)
+    }
+
+    /// [`Executable::operator`], each operator passed through `wrap` as it
+    /// is created: EXPLAIN ANALYZE meters every operator this way.
+    pub(crate) fn operator_wrapped<'a>(&'a self, wrap: Wrap<'_, 'a>) -> BoxedOp<'a> {
+        self.root.instantiate(&mut 0, wrap)
+    }
+
+    /// Execute to completion under `ctx`, with per-phase timing, keeping
+    /// the output columnar. Root batches are counted into
+    /// `rcc_batch_produced_total` and their cardinalities observed in the
+    /// `rcc_batch_rows_per_batch` histogram.
+    pub fn execute(&self, ctx: &ExecContext) -> Result<BatchExecutionResult> {
+        self.run(ctx, Instant::now())
+    }
+
+    /// [`Executable::execute`], its setup phase timed from `t0`.
+    fn run(&self, ctx: &ExecContext, t0: Instant) -> Result<BatchExecutionResult> {
+        use std::sync::atomic::Ordering;
+        #[cfg(debug_assertions)]
+        self.check_bindings(&ctx.slots);
+        let mut op = self.operator();
+        op.open(ctx)?;
+        let t1 = Instant::now();
+
+        let schema = op.schema().clone();
+        let mut batches = Vec::new();
+        while let Some(batch) = op.next_batch(ctx)? {
+            ctx.counters
+                .batches_produced
+                .fetch_add(1, Ordering::Relaxed);
+            if let Some(metrics) = ctx.metrics.as_deref() {
+                metrics.batch_rows().observe(batch.len() as f64);
+            }
+            batches.push(batch);
+        }
+        let t2 = Instant::now();
+
+        op.close(ctx)?;
+        let t3 = Instant::now();
+
+        Ok(BatchExecutionResult {
+            schema,
+            batches,
+            timings: PhaseTimings {
+                setup: t1 - t0,
+                run: t2 - t1,
+                shutdown: t3 - t2,
+            },
+        })
+    }
+}
+
+/// The reference check: an execution binds its slot values where the
+/// prepared plan records them, and [`PhysicalPlan::with_slots`] is the
+/// definition of where a plan holds slots. Debug builds hold the two to
+/// each other on every execution.
+#[cfg(debug_assertions)]
+mod mirror {
+    use super::*;
+    use rcc_common::Value;
+    use rcc_optimizer::BoundExpr;
+
+    impl Executable {
+        /// Panic unless every seek range, expression slot and shipped text
+        /// this executable binds for `slots` is what the plan's
+        /// `with_slots(slots)` holds there.
+        pub(crate) fn check_bindings(&self, slots: &[Value]) {
+            self.root.mirror(&self.plan.with_slots(slots), slots);
+        }
+    }
+
+    /// Each of `bound`, bound to `slots`, is its `reference` compiled over
+    /// `schema` (or both are absent).
+    fn exprs<'b, 'r>(
+        bound: impl IntoIterator<Item = Option<&'b PhysExpr>>,
+        reference: impl IntoIterator<Item = Option<&'r BoundExpr>>,
+        schema: &Schema,
+        slots: &[Value],
+    ) {
+        let bind = |e: &PhysExpr| e.bind(slots).into_owned();
+        let compile = |e: &BoundExpr| PhysExpr::compile(e, schema).expect("compiled once");
+        let bound: Vec<_> = bound.into_iter().map(|e| e.map(bind)).collect();
+        let reference: Vec<_> = reference.into_iter().map(|e| e.map(compile)).collect();
+        assert_eq!(bound, reference, "a slot bound unlike with_slots");
+    }
+
+    /// The expressions of a list of named ones.
+    fn named(exprs: &[(BoundExpr, String)]) -> impl Iterator<Item = Option<&BoundExpr>> {
+        exprs.iter().map(|(e, _)| Some(e))
+    }
+
+    /// A scan's residual, in both ordinal spaces.
+    fn scan(scan: &ScanPlan, reference: Option<&BoundExpr>, slots: &[Value]) {
+        exprs([scan.residual.as_ref()], [reference], &scan.schema, slots);
+        if let (Some(stored), Some(reference)) = (&scan.stored, reference) {
+            let compiled = PhysExpr::compile(reference, &scan.schema).expect("compiled once");
+            let bound = stored.residual.as_ref().map(|e| e.bind(slots).into_owned());
+            assert_eq!(
+                bound,
+                Some(compiled.remap(&stored.mapping)),
+                "a slot bound unlike with_slots"
+            );
+        }
+    }
+
+    impl Node {
+        pub(super) fn mirror(&self, reference: &PhysicalPlan, slots: &[Value]) {
+            let children = reference.children();
+            match (self, reference) {
+                (Node::LocalScan { scan: s, access }, PhysicalPlan::LocalScan(n)) => {
+                    // the reference's range holds its values already
+                    assert_eq!(
+                        seek(access, slots),
+                        seek(&n.access, &[]),
+                        "a seek range bound unlike with_slots"
+                    );
+                    scan(s, n.residual.as_ref(), slots);
+                }
+                (Node::RemoteQuery { sql, .. }, PhysicalPlan::RemoteQuery(n)) => {
+                    assert_eq!(
+                        sql.render(slots),
+                        *n.sql,
+                        "shipped text bound unlike with_slots"
+                    );
+                }
+                (Node::Filter { input, predicate }, PhysicalPlan::Filter { predicate: p, .. }) => {
+                    exprs([Some(predicate)], [Some(p)], input.schema(), slots);
+                }
+                (
+                    Node::Project {
+                        input, exprs: e, ..
+                    },
+                    PhysicalPlan::Project { exprs: p, .. },
+                ) => {
+                    exprs(e.iter().map(Some), named(p), input.schema(), slots);
+                }
+                (
+                    Node::HashJoin {
+                        left,
+                        right,
+                        left_keys,
+                        right_keys,
+                        ..
+                    },
+                    PhysicalPlan::HashJoin {
+                        left_keys: l,
+                        right_keys: r,
+                        ..
+                    },
+                ) => {
+                    exprs(
+                        left_keys.iter().map(Some),
+                        l.iter().map(Some),
+                        left.schema(),
+                        slots,
+                    );
+                    exprs(
+                        right_keys.iter().map(Some),
+                        r.iter().map(Some),
+                        right.schema(),
+                        slots,
+                    );
+                }
+                (
+                    Node::MergeJoin {
+                        left,
+                        right,
+                        left_key,
+                        right_key,
+                        ..
+                    },
+                    PhysicalPlan::MergeJoin {
+                        left_key: l,
+                        right_key: r,
+                        ..
+                    },
+                ) => {
+                    exprs([Some(left_key)], [Some(l)], left.schema(), slots);
+                    exprs([Some(right_key)], [Some(r)], right.schema(), slots);
+                }
+                (
+                    Node::IndexNLJoin {
+                        outer,
+                        outer_key,
+                        inner,
+                        ..
+                    },
+                    PhysicalPlan::IndexNLJoin {
+                        outer_key: k,
+                        inner: a,
+                        ..
+                    },
+                ) => {
+                    exprs([Some(outer_key)], [Some(k)], outer.schema(), slots);
+                    scan(&inner.scan, a.residual.as_ref(), slots);
+                    let shipped = inner.access.remote_sql.as_ref().map(|s| s.render(slots));
+                    let reference = a.remote_sql.as_ref().map(|s| s.to_string());
+                    assert_eq!(shipped, reference, "shipped text bound unlike with_slots");
+                }
+                (
+                    Node::HashAggregate {
+                        input,
+                        aggregate: g,
+                    },
+                    PhysicalPlan::HashAggregate {
+                        group_by,
+                        aggs,
+                        having,
+                        ..
+                    },
+                ) => {
+                    let args = g.aggs.iter().map(|(_, arg)| arg.as_ref());
+                    let keys_and_args = g.group_by.iter().map(Some).chain(args);
+                    let reference = named(group_by).chain(aggs.iter().map(|a| a.arg.as_ref()));
+                    exprs(keys_and_args, reference, input.schema(), slots);
+                    exprs([g.having.as_ref()], [having.as_ref()], &g.schema, slots);
+                }
+                (Node::OneRow(_), PhysicalPlan::OneRow)
+                | (Node::SwitchUnion { .. }, PhysicalPlan::SwitchUnion { .. })
+                | (Node::Sort { .. }, PhysicalPlan::Sort { .. })
+                | (Node::Limit { .. }, PhysicalPlan::Limit { .. })
+                | (Node::Distinct { .. }, PhysicalPlan::Distinct { .. }) => {}
+                (node, plan) => panic!("an executable of another plan: {node:?} for {plan:?}"),
+            }
+            let inputs = self.inputs();
+            assert_eq!(
+                inputs.len(),
+                children.len(),
+                "an executable of another plan"
+            );
+            for (input, child) in inputs.into_iter().zip(children) {
+                input.mirror(child, slots);
+            }
+        }
+
+        /// The node's inputs, in [`PhysicalPlan::children`] order.
+        fn inputs(&self) -> Vec<&Node> {
+            match self {
+                Node::OneRow(_) | Node::LocalScan { .. } | Node::RemoteQuery { .. } => Vec::new(),
+                Node::SwitchUnion { local, remote, .. } => vec![local, remote],
+                Node::HashJoin { left, right, .. } | Node::MergeJoin { left, right, .. } => {
+                    vec![left, right]
+                }
+                Node::IndexNLJoin { outer: input, .. }
+                | Node::Filter { input, .. }
+                | Node::Project { input, .. }
+                | Node::HashAggregate { input, .. }
+                | Node::Sort { input, .. }
+                | Node::Limit { input, .. }
+                | Node::Distinct { input } => vec![input],
+            }
+        }
+    }
 }
 
 /// A completed query in columnar form: schema, batches and per-phase
@@ -153,45 +651,16 @@ impl BatchExecutionResult {
     }
 }
 
-/// Execute a plan to completion with per-phase timing, keeping the output
-/// columnar. Root batches are counted into `rcc_batch_produced_total` and
-/// their cardinalities observed in the `rcc_batch_rows_per_batch`
-/// histogram.
+/// Prepare `plan` and execute it to completion with per-phase timing,
+/// keeping the output columnar ([`Executable::execute`]). The setup phase
+/// includes the preparation, which a caller executing one plan many times
+/// pays once by holding the [`Executable`].
 pub fn execute_plan_batched(
     plan: &PhysicalPlan,
     ctx: &ExecContext,
 ) -> Result<BatchExecutionResult> {
-    use std::sync::atomic::Ordering;
     let t0 = Instant::now();
-    let mut op = build_operator(plan, &ctx.slots);
-    op.open(ctx)?;
-    let t1 = Instant::now();
-
-    let schema = op.schema().clone();
-    let mut batches = Vec::new();
-    while let Some(batch) = op.next_batch(ctx)? {
-        ctx.counters
-            .batches_produced
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(metrics) = ctx.metrics.as_deref() {
-            metrics.batch_rows().observe(batch.len() as f64);
-        }
-        batches.push(batch);
-    }
-    let t2 = Instant::now();
-
-    op.close(ctx)?;
-    let t3 = Instant::now();
-
-    Ok(BatchExecutionResult {
-        schema,
-        batches,
-        timings: PhaseTimings {
-            setup: t1 - t0,
-            run: t2 - t1,
-            shutdown: t3 - t2,
-        },
-    })
+    Executable::prepare(plan, &ctx.storage)?.run(ctx, t0)
 }
 
 /// Execute a plan to completion with per-phase timing, materializing the

@@ -256,8 +256,9 @@ impl ExecMetrics {
 }
 
 /// Per-query accumulators feeding `QueryStats` phase timings: nanoseconds
-/// spent in guard evaluation and remote shipping, plus remote volume.
-/// A fresh meter is attached to each query's [`ExecContext`].
+/// spent in guard evaluation and remote shipping, plus remote volume, and
+/// the query's guard observations. A fresh meter is attached to each
+/// query's [`ExecContext`].
 #[derive(Debug, Default)]
 pub struct QueryMeter {
     /// Nanoseconds spent evaluating currency guards.
@@ -271,6 +272,8 @@ pub struct QueryMeter {
     pub remote_queries: AtomicU64,
     /// Wire-payload bytes received from the back-end.
     pub bytes_shipped: AtomicU64,
+    /// Guard evaluations observed while executing, in plan order.
+    pub observations: Mutex<Vec<GuardObservation>>,
 }
 
 impl QueryMeter {
@@ -322,13 +325,12 @@ pub struct ExecContext {
     /// requires `heartbeat ≥ floor[R]` so later queries in a TIMEORDERED
     /// session never read older data than earlier ones (paper Sec. 2.3).
     pub timeline_floor: Arc<HashMap<RegionId, Timestamp>>,
-    /// Guard evaluations observed while executing, in plan order.
-    pub observations: Arc<Mutex<Vec<GuardObservation>>>,
     /// When true, currency guards pass unconditionally (the `ServeStale`
     /// violation policy: return possibly stale data, flagged via the
     /// recorded observations). Never set on the normal path.
     pub force_local: bool,
-    /// Per-query phase accumulators (guard/remote time, bytes).
+    /// Per-query accumulators (guard/remote time, bytes, guard
+    /// observations).
     pub meter: Arc<QueryMeter>,
     /// Guard-staleness and batch histograms; `None` outside a metered
     /// server (e.g. unit tests, back-end execution).
@@ -373,7 +375,6 @@ impl ExecContext {
             clock,
             counters: Arc::new(ExecCounters::default()),
             timeline_floor: Arc::new(HashMap::new()),
-            observations: Arc::new(Mutex::new(Vec::new())),
             force_local: false,
             meter: Arc::new(QueryMeter::default()),
             metrics: None,
@@ -411,7 +412,7 @@ impl ExecContext {
 
     /// Drain the observations recorded so far.
     pub fn take_observations(&self) -> Vec<GuardObservation> {
-        std::mem::take(&mut self.observations.lock())
+        std::mem::take(&mut self.meter.observations.lock())
     }
 
     /// Record a guard outcome. The log is bounded by [`MAX_OBSERVATIONS`];
@@ -426,7 +427,7 @@ impl ExecContext {
                 .remote_branches
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let mut log = self.observations.lock();
+        let mut log = self.meter.observations.lock();
         if log.len() < MAX_OBSERVATIONS {
             log.push(obs);
         } else {
@@ -494,7 +495,7 @@ mod tests {
                 bound: Duration::ZERO,
             });
         }
-        assert_eq!(ctx.observations.lock().len(), MAX_OBSERVATIONS);
+        assert_eq!(ctx.meter.observations.lock().len(), MAX_OBSERVATIONS);
         assert_eq!(
             ctx.counters.observations_dropped.load(Ordering::Relaxed),
             10
@@ -512,7 +513,7 @@ mod tests {
             chose_local: true,
             bound: Duration::ZERO,
         });
-        assert_eq!(ctx.observations.lock().len(), 1);
+        assert_eq!(ctx.meter.observations.lock().len(), 1);
     }
 
     #[test]

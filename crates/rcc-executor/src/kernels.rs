@@ -515,7 +515,7 @@ impl PhysExpr {
                     dense(ColumnData::Bool(truths), None)
                 })
             }
-            PhysExpr::Col(_) | PhysExpr::Lit(_) | PhysExpr::GetDate => None,
+            PhysExpr::Col(_) | PhysExpr::Lit(_) | PhysExpr::Slot { .. } | PhysExpr::GetDate => None,
         };
         match fast {
             Some(operand) => Ok(operand),
@@ -703,7 +703,7 @@ fn in_list(
     let literals: Vec<Operand<'static>> = list
         .iter()
         .map(|item| match item {
-            PhysExpr::Lit(v) => Some(Operand::Scalar(v.clone())),
+            PhysExpr::Lit(v) | PhysExpr::Slot { value: v, .. } => Some(Operand::Scalar(v.clone())),
             _ => None,
         })
         .collect::<Option<_>>()?;

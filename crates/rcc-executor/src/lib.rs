@@ -4,17 +4,17 @@
 //! Interprets [`rcc_optimizer::PhysicalPlan`] trees with batched volcano
 //! operators: `open`/`next_batch`/`close`, where each pull yields a
 //! [`Batch`] of typed [`Column`]s of up to [`DEFAULT_BATCH_ROWS`] rows,
-//! narrowed by selection vectors instead of row copies. Expressions are
-//! compiled once per operator open into ordinal form ([`PhysExpr`]) and run
-//! a column at a time ([`kernels`]), so the hot path carries no name
-//! resolution, no boxed [`rcc_common::Value`] per cell and no `Row`
-//! allocation. The original row-at-a-time engine is preserved in
+//! narrowed by selection vectors instead of row copies. A plan is prepared
+//! for execution once ([`Executable`]): expressions are compiled into
+//! ordinal form ([`PhysExpr`]) and run a column at a time ([`kernels`]), so
+//! an execution resolves no names and the hot path carries no boxed
+//! [`rcc_common::Value`] per cell and no `Row` allocation. The original row-at-a-time engine is preserved in
 //! [`rowref`] as the differential oracle — the batched engine is held
 //! byte-identical to it on the wire.
 //!
 //! The three phases are instrumented separately because the paper's
 //! guard-overhead experiment (Tables 4.4/4.5) breaks elapsed time down
-//! into **setup** (instantiating the executable tree), **run** (producing
+//! into **setup** (instantiating the operator tree), **run** (producing
 //! rows) and **shutdown** (closing the tree).
 //!
 //! The star of the show is the [`ops::SwitchUnionOp`]: when opened it
@@ -38,7 +38,7 @@ pub mod wire;
 pub use analyze::{execute_plan_analyzed, AnalyzedExecution, OpReport};
 pub use batch::{Batch, PhysExpr, DEFAULT_BATCH_ROWS};
 pub use build::{
-    build_operator, execute_plan, execute_plan_batched, BatchExecutionResult, ExecutionResult,
+    execute_plan, execute_plan_batched, BatchExecutionResult, Executable, ExecutionResult,
     PhaseTimings,
 };
 pub use context::{

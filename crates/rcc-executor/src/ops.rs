@@ -1,10 +1,14 @@
 //! The physical operators — vectorized batch edition.
 //!
-//! Every operator follows the batched volcano discipline: `open` acquires
-//! resources, compiles its expressions to ordinals ([`PhysExpr`]) and
-//! computes what its strategy cannot stream (hash tables, guard decisions,
-//! aggregates, sorts); `next_batch` yields a [`Batch`] of typed columns of
-//! up to `ctx.batch_rows` logical rows at a time; `close` releases.
+//! Every operator is created from a plan prepared for execution
+//! ([`crate::Executable`]) and borrows what the preparation resolved — its
+//! expressions compiled to ordinals ([`PhysExpr`]), its output schema, a
+//! scan's stored-column mapping — owning only execution state. It follows
+//! the batched volcano discipline: `open` acquires resources, binds the
+//! execution's slot values where it reads them and computes what its
+//! strategy cannot stream (hash tables, guard decisions, aggregates,
+//! sorts); `next_batch` yields a [`Batch`] of typed columns of up to
+//! `ctx.batch_rows` logical rows at a time; `close` releases.
 //! Operators never return an empty batch — exhaustion is `None` — so
 //! consumers can loop on `next_batch` without special-casing zero rows.
 //!
@@ -22,17 +26,17 @@
 //! [`crate::rowref`], the differential oracle this engine is held
 //! byte-identical to.
 
-use crate::batch::{Batch, PhysExpr};
+use crate::batch::{bind_all, Batch, PhysExpr};
 use crate::context::{ExecContext, ExecCounters};
 use crate::groups::GroupTable;
 use crate::guard::evaluate_guard;
 use rcc_common::{DataType, Error, Result, Row, Schema, Value};
 use rcc_optimizer::graph::JoinKind;
-use rcc_optimizer::physical::{AccessPath, InnerAccess};
+use rcc_optimizer::physical::{AccessPath, InnerAccess, SqlText};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard};
 use rcc_sql::{BinaryOp, UnaryOp};
 use rcc_storage::column::{Column, ColumnData, ValueRef};
-use rcc_storage::{KeyRange, Run, ScanCursor, Table, TableSnapshot};
+use rcc_storage::{KeyRange, Run, ScanCursor, StorageEngine, Table, TableSnapshot};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
@@ -50,8 +54,8 @@ pub trait Operator: Send {
     fn close(&mut self, ctx: &ExecContext) -> Result<()>;
 }
 
-/// Boxed operator tree node.
-pub type BoxedOp = Box<dyn Operator>;
+/// Boxed operator tree node, borrowing the executable it was created from.
+pub type BoxedOp<'a> = Box<dyn Operator + 'a>;
 
 fn now_millis(ctx: &ExecContext) -> i64 {
     ctx.clock.now().millis()
@@ -155,22 +159,18 @@ pub(crate) fn aggregate_schema(
 
 /// A remote result's schema as the plan names it, typed as the back-end
 /// reported it when the two line up (a fully remote plan's schema is
-/// typed by the binder's placeholder, the back-end's by its operators).
-pub(crate) fn adopt_remote_types(planned: &Schema, reported: &Schema) -> Schema {
-    if planned.len() != reported.len() {
-        return planned.clone();
+/// typed by the binder's placeholder, the back-end's by its operators);
+/// `None` when that is the planned schema itself.
+pub(crate) fn adopt_remote_types(planned: &Schema, reported: &Schema) -> Option<Schema> {
+    let pairs = || planned.columns().iter().zip(reported.columns());
+    if planned.len() != reported.len() || pairs().all(|(p, r)| p.data_type == r.data_type) {
+        return None;
     }
-    Schema::new(
-        planned
-            .columns()
-            .iter()
-            .zip(reported.columns())
-            .map(|(p, r)| rcc_common::Column {
-                data_type: r.data_type,
-                ..p.clone()
-            })
-            .collect(),
-    )
+    let adopted = pairs().map(|(p, r)| rcc_common::Column {
+        data_type: r.data_type,
+        ..p.clone()
+    });
+    Some(Schema::new(adopted.collect()))
 }
 
 /// Split buffered rows into dense batches of `target` logical rows.
@@ -215,30 +215,24 @@ fn logical_column<'a>(expr: &PhysExpr, batch: &'a Batch, now: i64) -> Result<Cow
 // ----------------------------------------------------------------- OneRow
 
 /// Emits a single zero-width batch of cardinality one.
-pub struct OneRowOp {
-    schema: Schema,
+pub struct OneRowOp<'a> {
+    schema: &'a Schema,
     done: bool,
 }
 
-impl OneRowOp {
-    /// Build.
-    pub fn new() -> OneRowOp {
+impl<'a> OneRowOp<'a> {
+    /// Build; `schema` is the empty schema.
+    pub(crate) fn new(schema: &'a Schema) -> OneRowOp<'a> {
         OneRowOp {
-            schema: Schema::empty(),
+            schema,
             done: false,
         }
     }
 }
 
-impl Default for OneRowOp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Operator for OneRowOp {
+impl Operator for OneRowOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.schema
     }
     fn open(&mut self, _ctx: &ExecContext) -> Result<()> {
         self.done = false;
@@ -259,16 +253,116 @@ impl Operator for OneRowOp {
 
 // -------------------------------------------------------------- LocalScan
 
-/// Scan of a local storage object with access-path pushdown.
-pub struct LocalScanOp {
+/// What a scan of a stored object needs that depends only on its plan and
+/// the catalog: the object, the output schema, the residual compiled over
+/// that schema (slots unbound) and, resolved against the object's stored
+/// schema, how stored rows map to output rows.
+#[derive(Debug)]
+pub(crate) struct ScanPlan {
     object: String,
-    schema: Schema,
-    access: AccessPath,
-    residual: Option<BoundExpr>,
-    state: ScanState,
+    pub(crate) schema: Schema,
+    /// The residual in output ordinals, for an image read through the
+    /// mapping.
+    pub(crate) residual: Option<PhysExpr>,
+    /// `None` when the object was not stored when the scan was prepared.
+    pub(crate) stored: Option<StoredShape>,
 }
 
-enum ScanState {
+/// How a scan's output is cut out of one stored schema.
+#[derive(Debug)]
+pub(crate) struct StoredShape {
+    /// The stored schema this shape was resolved against.
+    schema: Schema,
+    /// Output column `c` is stored column `mapping[c]`.
+    pub(crate) mapping: Vec<usize>,
+    /// The residual in stored ordinals, for the row walk.
+    pub(crate) residual: Option<PhysExpr>,
+}
+
+impl StoredShape {
+    /// Map a scan producing `output` (with `residual` over it) onto rows
+    /// stored as `stored`, by column name.
+    fn resolve(output: &Schema, residual: Option<&PhysExpr>, stored: &Schema) -> Result<Self> {
+        let mapping: Vec<usize> = (output.columns().iter())
+            .map(|c| stored.resolve(None, &c.name))
+            .collect::<Result<_>>()?;
+        Ok(StoredShape {
+            schema: stored.clone(),
+            residual: residual.map(|p| p.remap(&mapping)),
+            mapping,
+        })
+    }
+}
+
+impl ScanPlan {
+    /// Prepare a scan of `object` producing `schema`, `residual` over it,
+    /// against `storage` as it is now.
+    pub(crate) fn prepare(
+        object: &str,
+        schema: &Schema,
+        residual: Option<&BoundExpr>,
+        storage: &StorageEngine,
+    ) -> Result<ScanPlan> {
+        let residual = residual.map(|p| PhysExpr::compile(p, schema)).transpose()?;
+        // a scan that cannot be mapped now fails where it always did: at open
+        let stored = (storage.table(object).ok()).and_then(|t| {
+            StoredShape::resolve(schema, residual.as_ref(), t.snapshot().schema()).ok()
+        });
+        Ok(ScanPlan {
+            object: object.to_string(),
+            schema: schema.clone(),
+            residual,
+            stored,
+        })
+    }
+
+    /// The kernel of one execution over `table`, its residuals bound to
+    /// `slots`. A table whose stored schema is not the one the scan was
+    /// prepared against is mapped now.
+    fn kernel(&self, table: &Table, slots: &[Value], now: i64) -> Result<ScanKernel<'_>> {
+        let image_residual = self.residual.as_ref().map(|p| p.bind(slots));
+        Ok(match &self.stored {
+            Some(stored) if stored.schema == *table.schema() => ScanKernel {
+                mapping: Cow::Borrowed(&stored.mapping),
+                residual: stored.residual.as_ref().map(|p| p.bind(slots)),
+                image_residual,
+                now,
+            },
+            _ => {
+                let stored =
+                    StoredShape::resolve(&self.schema, self.residual.as_ref(), table.schema())?;
+                ScanKernel {
+                    mapping: Cow::Owned(stored.mapping),
+                    residual: (stored.residual).map(|p| Cow::Owned(p.bind(slots).into_owned())),
+                    image_residual,
+                    now,
+                }
+            }
+        })
+    }
+}
+
+/// The key range an execution with value vector `slots` scans along
+/// `access`, and through which index (`None`: the clustered key).
+pub(crate) fn seek<'a>(
+    access: &'a AccessPath,
+    slots: &[Value],
+) -> (Option<&'a str>, Cow<'a, KeyRange>) {
+    match access {
+        AccessPath::FullScan => (None, Cow::Owned(KeyRange::all())),
+        AccessPath::ClusteredRange { range, .. } => (None, range.bind(slots)),
+        AccessPath::IndexRange { index, range, .. } => (Some(index), range.bind(slots)),
+    }
+}
+
+/// Scan of a local storage object with access-path pushdown.
+pub struct LocalScanOp<'a> {
+    scan: &'a ScanPlan,
+    access: &'a AccessPath,
+    state: ScanState<'a>,
+}
+
+enum ScanState<'a> {
     /// Not opened yet (or closed).
     Idle,
     /// Serial: a cursor over the snapshot pinned at open; each
@@ -276,7 +370,7 @@ enum ScanState {
     Streaming {
         table: TableSnapshot,
         cursor: ScanCursor,
-        kernel: Arc<ScanKernel>,
+        kernel: ScanKernel<'a>,
         /// Rows the previous batch held — the room to give the next one.
         room: usize,
     },
@@ -284,19 +378,12 @@ enum ScanState {
     Scattered(VecDeque<Batch>),
 }
 
-impl LocalScanOp {
-    /// Build from plan-node fields.
-    pub fn new(
-        object: String,
-        schema: Schema,
-        access: AccessPath,
-        residual: Option<BoundExpr>,
-    ) -> LocalScanOp {
+impl<'a> LocalScanOp<'a> {
+    /// Build over a prepared scan.
+    pub(crate) fn new(scan: &'a ScanPlan, access: &'a AccessPath) -> LocalScanOp<'a> {
         LocalScanOp {
-            object,
-            schema,
+            scan,
             access,
-            residual,
             state: ScanState::Idle,
         }
     }
@@ -318,42 +405,29 @@ impl LocalScanOp {
 /// Both cut batches at the same surviving row. If the residual fails on an
 /// image, that chunk is replayed row by row, so a scan fails exactly when
 /// the row walk reaches the failing row — not when a batch, or a `LIMIT`
-/// above it, stops before. One kernel is shared (via `Arc`) by the serial
-/// path and all parallel morsels, so both run identical code — which keeps
-/// them bit-identical.
-struct ScanKernel {
+/// above it, stops before. The serial path and all parallel morsels run
+/// one kernel (the morsels an owned copy shared via `Arc`), so both run
+/// identical code — which keeps them bit-identical.
+struct ScanKernel<'a> {
     /// Output column `c` is stored column `mapping[c]`.
-    mapping: Vec<usize>,
+    mapping: Cow<'a, [usize]>,
     /// Residual in stored ordinals, for the row walk.
-    residual: Option<PhysExpr>,
+    residual: Option<Cow<'a, PhysExpr>>,
     /// Residual in output ordinals, for an image read through `mapping`.
-    image_residual: Option<PhysExpr>,
+    image_residual: Option<Cow<'a, PhysExpr>>,
     now: i64,
 }
 
-impl ScanKernel {
-    /// Compile for a scan producing `schema` (with `residual` over it) out
-    /// of `table`'s stored rows.
-    fn new(
-        schema: &Schema,
-        residual: Option<&BoundExpr>,
-        table: &Table,
-        now: i64,
-    ) -> Result<ScanKernel> {
-        // map output columns to stored ordinals by name
-        let mapping: Vec<usize> = schema
-            .columns()
-            .iter()
-            .map(|c| table.schema().resolve(None, &c.name))
-            .collect::<Result<_>>()?;
-        let image_residual = residual.map(|p| PhysExpr::compile(p, schema)).transpose()?;
-        let residual = image_residual.clone().map(|p| p.remap(&mapping));
-        Ok(ScanKernel {
-            mapping,
-            residual,
-            image_residual,
-            now,
-        })
+impl ScanKernel<'_> {
+    /// A copy that borrows nothing, for the pool's workers.
+    fn detached(&self) -> ScanKernel<'static> {
+        let owned = |p: &Option<Cow<'_, PhysExpr>>| p.as_deref().cloned().map(Cow::Owned);
+        ScanKernel {
+            mapping: Cow::Owned(self.mapping.to_vec()),
+            residual: owned(&self.residual),
+            image_residual: owned(&self.image_residual),
+            now: self.now,
+        }
     }
 
     fn fresh_cols(&self, room: usize) -> Vec<Column> {
@@ -370,7 +444,7 @@ impl ScanKernel {
                 return Ok(false);
             }
         }
-        for (col, &from) in cols.iter_mut().zip(&self.mapping) {
+        for (col, &from) in cols.iter_mut().zip(self.mapping.iter()) {
             col.push_value(row.get(from));
         }
         Ok(true)
@@ -487,7 +561,7 @@ fn count_parallel_scan(ctx: &ExecContext, morsels: usize) {
 }
 
 /// The morsel batches a pool returned, in morsel order, empty ones dropped.
-fn scattered(batches: Vec<Result<Option<Batch>>>) -> Result<ScanState> {
+fn scattered(batches: Vec<Result<Option<Batch>>>) -> Result<ScanState<'static>> {
     let batches: Result<Vec<Option<Batch>>> = batches.into_iter().collect();
     Ok(ScanState::Scattered(
         batches?.into_iter().flatten().collect(),
@@ -506,8 +580,8 @@ fn scatter_clustered(
     ctx: &ExecContext,
     table: &TableSnapshot,
     range: &KeyRange,
-    kernel: &Arc<ScanKernel>,
-) -> Result<Option<ScanState>> {
+    kernel: &ScanKernel<'_>,
+) -> Result<Option<ScanState<'static>>> {
     let Some(pool) = scan_pool(ctx) else {
         return Ok(None);
     };
@@ -525,7 +599,7 @@ fn scatter_clustered(
         .collect();
     // One shared fill closure: the snapshot, range and kernel are captured
     // once behind the Arc, not cloned per morsel.
-    let (table, range, kernel) = (Arc::clone(table), range.clone(), Arc::clone(kernel));
+    let (table, range, kernel) = (Arc::clone(table), range.clone(), kernel.detached());
     let counters = Arc::clone(&ctx.counters);
     let fill = Arc::new(move |(start, end): MorselBounds| {
         let mut cursor = table.scan_cursor(&range, start.as_deref(), end.as_deref());
@@ -544,8 +618,8 @@ fn scatter_index(
     table: &TableSnapshot,
     index: &str,
     range: &KeyRange,
-    kernel: &Arc<ScanKernel>,
-) -> Result<Option<ScanState>> {
+    kernel: &ScanKernel<'_>,
+) -> Result<Option<ScanState<'static>>> {
     let Some(pool) = scan_pool(ctx) else {
         return Ok(None);
     };
@@ -556,7 +630,7 @@ fn scatter_index(
     }
     let chunks: Vec<Vec<Vec<Value>>> = pks.chunks(morsel_rows).map(|c| c.to_vec()).collect();
     count_parallel_scan(ctx, chunks.len());
-    let (table, kernel) = (Arc::clone(table), Arc::clone(kernel));
+    let (table, kernel) = (Arc::clone(table), kernel.detached());
     let fill = Arc::new(move |chunk: Vec<Vec<Value>>| {
         let mut cols = kernel.fresh_cols(chunk.len());
         let mut n = 0usize;
@@ -568,30 +642,20 @@ fn scatter_index(
     scattered(pool.scatter_map(chunks, fill)).map(Some)
 }
 
-impl Operator for LocalScanOp {
+impl Operator for LocalScanOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.scan.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         // One immutable snapshot for the whole scan: no lock is held while
         // scanning, and a concurrent refresh publish cannot tear the view.
-        let table: TableSnapshot = ctx.storage.table(&self.object)?.snapshot();
-        let kernel = Arc::new(ScanKernel::new(
-            &self.schema,
-            self.residual.as_ref(),
-            &table,
-            now_millis(ctx),
-        )?);
-        let all = KeyRange::all();
-        let (index, range) = match &self.access {
-            AccessPath::FullScan => (None, &all),
-            AccessPath::ClusteredRange { range, .. } => (None, &range.range),
-            AccessPath::IndexRange { index, range, .. } => (Some(index.as_str()), &range.range),
-        };
+        let table: TableSnapshot = ctx.storage.table(&self.scan.object)?.snapshot();
+        let kernel = self.scan.kernel(&table, &ctx.slots, now_millis(ctx))?;
+        let (index, range) = seek(self.access, &ctx.slots);
         let parallel = match index {
-            None => scatter_clustered(ctx, &table, range, &kernel)?,
-            Some(index) => scatter_index(ctx, &table, index, range, &kernel)?,
+            None => scatter_clustered(ctx, &table, &range, &kernel)?,
+            Some(index) => scatter_index(ctx, &table, index, &range, &kernel)?,
         };
         self.state = match parallel {
             Some(state) => state,
@@ -600,8 +664,8 @@ impl Operator for LocalScanOp {
                     .serial_scans
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let cursor = match index {
-                    None => table.scan_cursor(range, None, None),
-                    Some(index) => table.index_cursor(index, range)?,
+                    None => table.scan_cursor(&range, None, None),
+                    Some(index) => table.index_cursor(index, &range)?,
                 };
                 ScanState::Streaming {
                     table,
@@ -642,30 +706,31 @@ impl Operator for LocalScanOp {
 // ------------------------------------------------------------ RemoteQuery
 
 /// Ships SQL to the back-end and streams the returned rows as batches.
-pub struct RemoteQueryOp {
-    sql: String,
-    schema: Schema,
+pub struct RemoteQueryOp<'a> {
+    sql: &'a SqlText,
+    /// The planned schema, typed as the back-end reported it once open.
+    schema: Cow<'a, Schema>,
     buffer: VecDeque<Batch>,
 }
 
-impl RemoteQueryOp {
-    /// Build.
-    pub fn new(sql: String, schema: Schema) -> RemoteQueryOp {
+impl<'a> RemoteQueryOp<'a> {
+    /// Build; the text is rendered with the execution's values at open.
+    pub(crate) fn new(sql: &'a SqlText, schema: &'a Schema) -> RemoteQueryOp<'a> {
         RemoteQueryOp {
             sql,
-            schema,
+            schema: Cow::Borrowed(schema),
             buffer: VecDeque::new(),
         }
     }
 }
 
-impl Operator for RemoteQueryOp {
+impl Operator for RemoteQueryOp<'_> {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        let (reported, rows) = ship_remote(ctx, &self.sql)?;
+        let (reported, rows) = ship_remote(ctx, &self.sql.render(&ctx.slots))?;
         for row in &rows {
             if row.len() != self.schema.len() {
                 return Err(Error::Remote(format!(
@@ -675,7 +740,9 @@ impl Operator for RemoteQueryOp {
                 )));
             }
         }
-        self.schema = adopt_remote_types(&self.schema, &reported);
+        if let Some(adopted) = adopt_remote_types(&self.schema, &reported) {
+            self.schema = Cow::Owned(adopted);
+        }
         self.buffer = rows_to_batches(self.schema.len(), rows, ctx.batch_rows);
         Ok(())
     }
@@ -697,17 +764,21 @@ impl Operator for RemoteQueryOp {
 /// branch and the other input is never touched. Batching amortizes the
 /// guard further: one evaluation now covers thousands of rows instead of
 /// being revisited per row of bookkeeping.
-pub struct SwitchUnionOp {
-    guard: CurrencyGuard,
-    local: BoxedOp,
-    remote: BoxedOp,
+pub struct SwitchUnionOp<'a> {
+    guard: &'a CurrencyGuard,
+    local: BoxedOp<'a>,
+    remote: BoxedOp<'a>,
     use_local: bool,
     opened: bool,
 }
 
-impl SwitchUnionOp {
+impl<'a> SwitchUnionOp<'a> {
     /// Build.
-    pub fn new(guard: CurrencyGuard, local: BoxedOp, remote: BoxedOp) -> SwitchUnionOp {
+    pub(crate) fn new(
+        guard: &'a CurrencyGuard,
+        local: BoxedOp<'a>,
+        remote: BoxedOp<'a>,
+    ) -> SwitchUnionOp<'a> {
         SwitchUnionOp {
             guard,
             local,
@@ -718,13 +789,13 @@ impl SwitchUnionOp {
     }
 }
 
-impl Operator for SwitchUnionOp {
+impl Operator for SwitchUnionOp<'_> {
     fn schema(&self) -> &Schema {
         self.local.schema()
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.use_local = evaluate_guard(ctx, &self.guard)?;
+        self.use_local = evaluate_guard(ctx, self.guard)?;
         self.opened = true;
         if self.use_local {
             self.local.open(ctx)
@@ -758,40 +829,37 @@ impl Operator for SwitchUnionOp {
 
 /// Predicate filter: narrows each input batch with a selection vector —
 /// survivors are never copied.
-pub struct FilterOp {
-    input: BoxedOp,
-    predicate: BoundExpr,
-    compiled: Option<PhysExpr>,
+pub struct FilterOp<'a> {
+    input: BoxedOp<'a>,
+    prepared: &'a PhysExpr,
+    /// `prepared` with the execution's slot values, bound at open.
+    predicate: Cow<'a, PhysExpr>,
 }
 
-impl FilterOp {
+impl<'a> FilterOp<'a> {
     /// Build.
-    pub fn new(input: BoxedOp, predicate: BoundExpr) -> FilterOp {
+    pub(crate) fn new(input: BoxedOp<'a>, predicate: &'a PhysExpr) -> FilterOp<'a> {
         FilterOp {
             input,
-            predicate,
-            compiled: None,
+            prepared: predicate,
+            predicate: Cow::Borrowed(predicate),
         }
     }
 }
 
-impl Operator for FilterOp {
+impl Operator for FilterOp<'_> {
     fn schema(&self) -> &Schema {
         self.input.schema()
     }
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         self.input.open(ctx)?;
-        self.compiled = Some(PhysExpr::compile(&self.predicate, self.input.schema())?);
+        self.predicate = self.prepared.bind(&ctx.slots);
         Ok(())
     }
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
-        let predicate = self
-            .compiled
-            .as_ref()
-            .ok_or_else(|| Error::internal("Filter next_batch before open"))?;
         while let Some(batch) = self.input.next_batch(ctx)? {
-            let sel = predicate.select(&batch, now)?;
+            let sel = self.predicate.select(&batch, now)?;
             if let Some(metrics) = ctx.metrics.as_deref() {
                 metrics
                     .batch_selectivity()
@@ -804,7 +872,6 @@ impl Operator for FilterOp {
         Ok(None)
     }
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.compiled = None;
         self.input.close(ctx)
     }
 }
@@ -814,33 +881,37 @@ impl Operator for FilterOp {
 /// Expression projection over whole batches. Bare-column outputs move or
 /// gather the input column wholesale; computed outputs are evaluated a
 /// column at a time.
-pub struct ProjectOp {
-    input: BoxedOp,
-    exprs: Vec<BoundExpr>,
-    compiled: Vec<PhysExpr>,
-    schema: Schema,
+pub struct ProjectOp<'a> {
+    input: BoxedOp<'a>,
+    prepared: &'a [PhysExpr],
+    /// `prepared` with the execution's slot values, bound at open.
+    compiled: Cow<'a, [PhysExpr]>,
+    schema: &'a Schema,
 }
 
-impl ProjectOp {
-    /// Build; `exprs` paired with output names.
-    pub fn new(input: BoxedOp, exprs: Vec<(BoundExpr, String)>) -> ProjectOp {
-        let schema = project_schema(&exprs, input.schema());
+impl<'a> ProjectOp<'a> {
+    /// Build; `schema` is the projection's output.
+    pub(crate) fn new(
+        input: BoxedOp<'a>,
+        exprs: &'a [PhysExpr],
+        schema: &'a Schema,
+    ) -> ProjectOp<'a> {
         ProjectOp {
             input,
-            exprs: exprs.into_iter().map(|(e, _)| e).collect(),
-            compiled: Vec::new(),
+            prepared: exprs,
+            compiled: Cow::Borrowed(exprs),
             schema,
         }
     }
 }
 
-impl Operator for ProjectOp {
+impl Operator for ProjectOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.schema
     }
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         self.input.open(ctx)?;
-        self.compiled = PhysExpr::compile_all(&self.exprs, self.input.schema())?;
+        self.compiled = bind_all(self.prepared, &ctx.slots);
         Ok(())
     }
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
@@ -877,7 +948,6 @@ impl Operator for ProjectOp {
         Ok(Some(Batch::from_columns(columns, n)))
     }
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.compiled.clear();
         self.input.close(ctx)
     }
 }
@@ -887,14 +957,15 @@ impl Operator for ProjectOp {
 /// Hash join: builds on the right input, probes with whole left batches.
 /// Semi/anti joins narrow the left batch with a selection vector; inner
 /// joins gather the matching left and build rows column by column.
-pub struct HashJoinOp {
-    left: BoxedOp,
-    right: BoxedOp,
-    left_keys: Vec<BoundExpr>,
-    right_keys: Vec<BoundExpr>,
-    compiled_left: Vec<PhysExpr>,
+pub struct HashJoinOp<'a> {
+    left: BoxedOp<'a>,
+    right: BoxedOp<'a>,
+    left_keys: &'a [PhysExpr],
+    right_keys: &'a [PhysExpr],
+    /// `left_keys` with the execution's slot values, bound at open.
+    compiled_left: Cow<'a, [PhysExpr]>,
     kind: JoinKind,
-    schema: Schema,
+    schema: &'a Schema,
     /// Every build row, in arrival order.
     build: Vec<Column>,
     /// Build keys, numbered; `matches[g]` lists the build rows of key `g`.
@@ -902,25 +973,22 @@ pub struct HashJoinOp {
     matches: Vec<Vec<u32>>,
 }
 
-impl HashJoinOp {
-    /// Build.
-    pub fn new(
-        left: BoxedOp,
-        right: BoxedOp,
-        left_keys: Vec<BoundExpr>,
-        right_keys: Vec<BoundExpr>,
+impl<'a> HashJoinOp<'a> {
+    /// Build; `schema` is the join's output.
+    pub(crate) fn new(
+        left: BoxedOp<'a>,
+        right: BoxedOp<'a>,
+        left_keys: &'a [PhysExpr],
+        right_keys: &'a [PhysExpr],
         kind: JoinKind,
-    ) -> HashJoinOp {
-        let schema = match kind {
-            JoinKind::Inner => left.schema().join(right.schema()),
-            JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
-        };
+        schema: &'a Schema,
+    ) -> HashJoinOp<'a> {
         HashJoinOp {
             left,
             right,
             left_keys,
             right_keys,
-            compiled_left: Vec::new(),
+            compiled_left: Cow::Borrowed(left_keys),
             kind,
             schema,
             build: Vec::new(),
@@ -952,15 +1020,15 @@ fn any_null(parts: &[&Column], row: usize) -> bool {
     parts.iter().any(|c| c.is_null(row))
 }
 
-impl Operator for HashJoinOp {
+impl Operator for HashJoinOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         let now = now_millis(ctx);
         self.right.open(ctx)?;
-        let right_keys = PhysExpr::compile_all(&self.right_keys, self.right.schema())?;
+        let right_keys = bind_all(self.right_keys, &ctx.slots);
         self.build = vec![Column::new(); self.right.schema().len()];
         self.keys = GroupTable::new(right_keys.len());
         self.matches.clear();
@@ -984,7 +1052,7 @@ impl Operator for HashJoinOp {
         }
         self.right.close(ctx)?;
         self.left.open(ctx)?;
-        self.compiled_left = PhysExpr::compile_all(&self.left_keys, self.left.schema())?;
+        self.compiled_left = bind_all(self.left_keys, &ctx.slots);
         Ok(())
     }
 
@@ -1025,7 +1093,6 @@ impl Operator for HashJoinOp {
         self.build.clear();
         self.keys = GroupTable::default();
         self.matches.clear();
-        self.compiled_left.clear();
         self.left.close(ctx)
     }
 }
@@ -1034,14 +1101,14 @@ impl Operator for HashJoinOp {
 
 /// Pulls rows one at a time off a batched input — the streaming shim merge
 /// join needs for its lookahead discipline.
-struct RowStream {
-    op: BoxedOp,
+struct RowStream<'a> {
+    op: BoxedOp<'a>,
     batch: Option<Batch>,
     idx: usize,
 }
 
-impl RowStream {
-    fn new(op: BoxedOp) -> RowStream {
+impl<'a> RowStream<'a> {
+    fn new(op: BoxedOp<'a>) -> RowStream<'a> {
         RowStream {
             op,
             batch: None,
@@ -1077,14 +1144,14 @@ impl RowStream {
 /// group. Inner joins only — the optimizer routes semi/anti joins through
 /// the hash path. Works a row at a time, as its lookahead discipline
 /// does; output rows are re-batched at `ctx.batch_rows`.
-pub struct MergeJoinOp {
-    left: RowStream,
-    right: RowStream,
-    left_key: BoundExpr,
-    right_key: BoundExpr,
-    compiled_left: Option<PhysExpr>,
-    compiled_right: Option<PhysExpr>,
-    schema: Schema,
+pub struct MergeJoinOp<'a> {
+    left: RowStream<'a>,
+    right: RowStream<'a>,
+    prepared: (&'a PhysExpr, &'a PhysExpr),
+    /// The keys with the execution's slot values, bound at open.
+    left_key: Cow<'a, PhysExpr>,
+    right_key: Cow<'a, PhysExpr>,
+    schema: &'a Schema,
     /// current right-hand duplicate group and its key
     right_group: Vec<Row>,
     right_group_key: Option<Value>,
@@ -1095,22 +1162,21 @@ pub struct MergeJoinOp {
     right_done: bool,
 }
 
-impl MergeJoinOp {
-    /// Build.
-    pub fn new(
-        left: BoxedOp,
-        right: BoxedOp,
-        left_key: BoundExpr,
-        right_key: BoundExpr,
-    ) -> MergeJoinOp {
-        let schema = left.schema().join(right.schema());
+impl<'a> MergeJoinOp<'a> {
+    /// Build; `schema` is the join's output.
+    pub(crate) fn new(
+        left: BoxedOp<'a>,
+        right: BoxedOp<'a>,
+        left_key: &'a PhysExpr,
+        right_key: &'a PhysExpr,
+        schema: &'a Schema,
+    ) -> MergeJoinOp<'a> {
         MergeJoinOp {
             left: RowStream::new(left),
             right: RowStream::new(right),
-            left_key,
-            right_key,
-            compiled_left: None,
-            compiled_right: None,
+            prepared: (left_key, right_key),
+            left_key: Cow::Borrowed(left_key),
+            right_key: Cow::Borrowed(right_key),
             schema,
             right_group: Vec::new(),
             right_group_key: None,
@@ -1140,10 +1206,7 @@ impl MergeJoinOp {
     /// when the group's key equals `key`.
     fn align_right_group(&mut self, ctx: &ExecContext, key: &Value) -> Result<bool> {
         let now = now_millis(ctx);
-        let right_key = self
-            .compiled_right
-            .clone()
-            .ok_or_else(|| Error::internal("MergeJoin next before open"))?;
+        let right_key = self.right_key.clone();
         loop {
             if let Some(gk) = &self.right_group_key {
                 match gk.total_cmp(key) {
@@ -1183,10 +1246,7 @@ impl MergeJoinOp {
     /// One output row of the merge, or `None` when the join is drained.
     fn next_joined_row(&mut self, ctx: &ExecContext) -> Result<Option<Row>> {
         let now = now_millis(ctx);
-        let left_key = self
-            .compiled_left
-            .clone()
-            .ok_or_else(|| Error::internal("MergeJoin next before open"))?;
+        let left_key = self.left_key.clone();
         loop {
             // emit the remainder of the current (left row × right group)
             if let Some((row, idx)) = &mut self.left_current {
@@ -1212,9 +1272,9 @@ impl MergeJoinOp {
     }
 }
 
-impl Operator for MergeJoinOp {
+impl Operator for MergeJoinOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
@@ -1225,8 +1285,8 @@ impl Operator for MergeJoinOp {
         self.right_done = false;
         self.left.op.open(ctx)?;
         self.right.op.open(ctx)?;
-        self.compiled_left = Some(PhysExpr::compile(&self.left_key, self.left.op.schema())?);
-        self.compiled_right = Some(PhysExpr::compile(&self.right_key, self.right.op.schema())?);
+        self.left_key = self.prepared.0.bind(&ctx.slots);
+        self.right_key = self.prepared.1.bind(&ctx.slots);
         Ok(())
     }
 
@@ -1255,12 +1315,38 @@ impl Operator for MergeJoinOp {
 
 // ------------------------------------------------------------ IndexNLJoin
 
-enum InnerMode {
+/// The inner side of an index nested-loop join, prepared once: the access
+/// as planned, the local object it seeks mapped and filtered as a scan,
+/// and where a remotely fetched inner row holds its seek key.
+#[derive(Debug)]
+pub(crate) struct InnerPlan {
+    pub(crate) access: InnerAccess,
+    pub(crate) scan: ScanPlan,
+    seek: usize,
+}
+
+impl InnerPlan {
+    /// Prepare `access` against `storage` as it is now.
+    pub(crate) fn prepare(access: &InnerAccess, storage: &StorageEngine) -> Result<InnerPlan> {
+        Ok(InnerPlan {
+            scan: ScanPlan::prepare(
+                &access.object,
+                &access.schema,
+                access.residual.as_ref(),
+                storage,
+            )?,
+            seek: access.schema.resolve(None, &access.seek_col)?,
+            access: access.clone(),
+        })
+    }
+}
+
+enum InnerMode<'a> {
     /// Seek the local object per outer row, against one immutable snapshot
     /// pinned at open — every seek of the join sees the same table state,
     /// and no lock is held across the join. The kernel maps and filters
     /// the stored inner rows.
-    Local(TableSnapshot, ScanKernel),
+    Local(TableSnapshot, ScanKernel<'a>),
     /// The guard failed: inner rows were fetched remotely and hashed.
     Hashed(HashMap<Value, Vec<Row>>),
     /// Not opened yet (or closed).
@@ -1271,32 +1357,30 @@ enum InnerMode {
 /// one whole outer batch per `next_batch` call. Semi/anti joins narrow the
 /// outer batch with a selection vector; inner joins append each probe's
 /// matches to typed inner columns and gather the outer ones to match.
-pub struct IndexNLJoinOp {
-    outer: BoxedOp,
-    outer_key: BoundExpr,
-    compiled_key: Option<PhysExpr>,
-    inner: InnerAccess,
+pub struct IndexNLJoinOp<'a> {
+    outer: BoxedOp<'a>,
+    prepared: &'a PhysExpr,
+    /// The outer key with the execution's slot values, bound at open.
+    outer_key: Cow<'a, PhysExpr>,
+    inner: &'a InnerPlan,
     kind: JoinKind,
-    schema: Schema,
-    mode: InnerMode,
+    schema: &'a Schema,
+    mode: InnerMode<'a>,
 }
 
-impl IndexNLJoinOp {
-    /// Build.
-    pub fn new(
-        outer: BoxedOp,
-        outer_key: BoundExpr,
-        inner: InnerAccess,
+impl<'a> IndexNLJoinOp<'a> {
+    /// Build; `schema` is the join's output.
+    pub(crate) fn new(
+        outer: BoxedOp<'a>,
+        outer_key: &'a PhysExpr,
+        inner: &'a InnerPlan,
         kind: JoinKind,
-    ) -> IndexNLJoinOp {
-        let schema = match kind {
-            JoinKind::Inner => outer.schema().join(&inner.schema),
-            JoinKind::Semi | JoinKind::Anti => outer.schema().clone(),
-        };
+        schema: &'a Schema,
+    ) -> IndexNLJoinOp<'a> {
         IndexNLJoinOp {
             outer,
-            outer_key,
-            compiled_key: None,
+            prepared: outer_key,
+            outer_key: Cow::Borrowed(outer_key),
             inner,
             kind,
             schema,
@@ -1313,7 +1397,7 @@ impl IndexNLJoinOp {
         match &self.mode {
             InnerMode::Local(table, kernel) => {
                 let range = KeyRange::eq(key.to_value());
-                let mut cursor = match &self.inner.use_index {
+                let mut cursor = match &self.inner.access.use_index {
                     Some(ix) => table.index_cursor(ix, &range)?,
                     None => table.scan_cursor(&range, None, None),
                 };
@@ -1336,40 +1420,35 @@ impl IndexNLJoinOp {
     }
 }
 
-impl Operator for IndexNLJoinOp {
+impl Operator for IndexNLJoinOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        self.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        let use_local = if self.inner.force_remote {
+        let access = &self.inner.access;
+        let use_local = if access.force_remote {
             false
         } else {
-            match &self.inner.guard {
+            match &access.guard {
                 Some(g) => evaluate_guard(ctx, g)?,
                 None => true,
             }
         };
         if use_local {
-            let table = ctx.storage.table(&self.inner.object)?.snapshot();
-            let kernel = ScanKernel::new(
-                &self.inner.schema,
-                self.inner.residual.as_ref(),
-                &table,
-                now_millis(ctx),
-            )?;
+            let table = ctx.storage.table(&access.object)?.snapshot();
+            let kernel = self
+                .inner
+                .scan
+                .kernel(&table, &ctx.slots, now_millis(ctx))?;
             self.mode = InnerMode::Local(table, kernel);
         } else {
-            let sql = self
-                .inner
-                .remote_sql
-                .as_ref()
+            let sql = (access.remote_sql.as_ref())
                 .ok_or_else(|| Error::internal("guarded NL inner without a remote fallback"))?;
-            let (_, rows) = ship_remote(ctx, sql)?;
-            let seek_ord = self.inner.schema.resolve(None, &self.inner.seek_col)?;
+            let (_, rows) = ship_remote(ctx, &sql.render(&ctx.slots))?;
             let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
             for row in rows {
-                let k = row.get(seek_ord).clone();
+                let k = row.get(self.inner.seek).clone();
                 if !k.is_null() {
                     map.entry(k).or_default().push(row);
                 }
@@ -1377,19 +1456,15 @@ impl Operator for IndexNLJoinOp {
             self.mode = InnerMode::Hashed(map);
         }
         self.outer.open(ctx)?;
-        self.compiled_key = Some(PhysExpr::compile(&self.outer_key, self.outer.schema())?);
+        self.outer_key = self.prepared.bind(&ctx.slots);
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
-        let width = self.inner.schema.len();
+        let width = self.inner.scan.schema.len();
         while let Some(batch) = self.outer.next_batch(ctx)? {
-            let outer_key = self
-                .compiled_key
-                .as_ref()
-                .ok_or_else(|| Error::internal("IndexNLJoin next before open"))?;
-            let keys = logical_column(outer_key, &batch, now)?;
+            let keys = logical_column(&self.outer_key, &batch, now)?;
             match self.kind {
                 JoinKind::Inner => {
                     let mut inner_cols = vec![Column::new(); width];
@@ -1425,7 +1500,6 @@ impl Operator for IndexNLJoinOp {
 
     fn close(&mut self, ctx: &ExecContext) -> Result<()> {
         self.mode = InnerMode::Idle;
-        self.compiled_key = None;
         self.outer.close(ctx)
     }
 }
@@ -1584,64 +1658,80 @@ fn add_numbers(sums: &mut [Sum], groups: &[u32], arg: &Column) -> Result<()> {
     Ok(())
 }
 
+/// An aggregation as a plan holds it, its expressions compiled: group keys
+/// and aggregate arguments over the input, HAVING over the output.
+#[derive(Debug)]
+pub(crate) struct AggregatePlan {
+    pub(crate) group_by: Vec<PhysExpr>,
+    pub(crate) aggs: Vec<(AggFunc, Option<PhysExpr>)>,
+    pub(crate) having: Option<PhysExpr>,
+    /// Group keys, then aggregates.
+    pub(crate) schema: Schema,
+}
+
+impl AggregatePlan {
+    /// Compile an aggregation over rows of `input`.
+    pub(crate) fn prepare(
+        group_by: &[(BoundExpr, String)],
+        aggs: &[AggCall],
+        having: Option<&BoundExpr>,
+        input: &Schema,
+    ) -> Result<AggregatePlan> {
+        let schema = aggregate_schema(group_by, aggs, input);
+        let compile = |e: &BoundExpr| PhysExpr::compile(e, input);
+        Ok(AggregatePlan {
+            group_by: group_by
+                .iter()
+                .map(|(e, _)| compile(e))
+                .collect::<Result<_>>()?,
+            aggs: (aggs.iter())
+                .map(|a| Ok((a.func, a.arg.as_ref().map(compile).transpose()?)))
+                .collect::<Result<_>>()?,
+            having: having.map(|h| PhysExpr::compile(h, &schema)).transpose()?,
+            schema,
+        })
+    }
+}
+
 /// Hash aggregation with HAVING, consuming whole input batches: group keys
 /// are numbered by a [`GroupTable`], each aggregate keeps one vector slot
 /// per group, and the result is assembled as columns.
-pub struct HashAggregateOp {
-    input: BoxedOp,
-    group_by: Vec<BoundExpr>,
-    aggs: Vec<AggCall>,
-    having: Option<BoundExpr>,
-    schema: Schema,
+pub struct HashAggregateOp<'a> {
+    input: BoxedOp<'a>,
+    plan: &'a AggregatePlan,
     results: VecDeque<Batch>,
 }
 
-impl HashAggregateOp {
+impl<'a> HashAggregateOp<'a> {
     /// Build.
-    pub fn new(
-        input: BoxedOp,
-        group_by: Vec<(BoundExpr, String)>,
-        aggs: Vec<AggCall>,
-        having: Option<BoundExpr>,
-    ) -> HashAggregateOp {
-        let schema = aggregate_schema(&group_by, &aggs, input.schema());
+    pub(crate) fn new(input: BoxedOp<'a>, plan: &'a AggregatePlan) -> HashAggregateOp<'a> {
         HashAggregateOp {
             input,
-            group_by: group_by.into_iter().map(|(e, _)| e).collect(),
-            aggs,
-            having,
-            schema,
+            plan,
             results: VecDeque::new(),
         }
     }
 }
 
-impl Operator for HashAggregateOp {
+impl Operator for HashAggregateOp<'_> {
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.plan.schema
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
         self.input.open(ctx)?;
         let now = now_millis(ctx);
-        let in_schema = self.input.schema();
-        let group_by = PhysExpr::compile_all(&self.group_by, in_schema)?;
-        let args: Vec<Option<PhysExpr>> = self
-            .aggs
-            .iter()
-            .map(|a| {
-                a.arg
-                    .as_ref()
-                    .map(|e| PhysExpr::compile(e, in_schema))
-                    .transpose()
-            })
-            .collect::<Result<_>>()?;
+        let group_by = bind_all(&self.plan.group_by, &ctx.slots);
+        let args: Vec<Option<Cow<'_, PhysExpr>>> = (self.plan.aggs.iter())
+            .map(|(_, arg)| arg.as_ref().map(|e| e.bind(&ctx.slots)))
+            .collect();
         // groups are numbered in first-seen order, which is the output order;
         // without GROUP BY there is the one group, rows or no rows
         let global = group_by.is_empty();
         let mut table = GroupTable::new(group_by.len());
-        let mut accumulators: Vec<Accumulator> =
-            self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
+        let mut accumulators: Vec<Accumulator> = (self.plan.aggs.iter())
+            .map(|&(func, _)| Accumulator::new(func))
+            .collect();
         while let Some(batch) = self.input.next_batch(ctx)? {
             let parts = key_columns(&group_by, &batch, now)?;
             let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
@@ -1667,8 +1757,8 @@ impl Operator for HashAggregateOp {
             columns.push(acc.finish());
         }
         let result = Batch::from_columns(columns, groups);
-        let keep: Vec<u32> = match &self.having {
-            Some(h) => PhysExpr::compile(h, &self.schema)?.select(&result, now)?,
+        let keep: Vec<u32> = match &self.plan.having {
+            Some(h) => h.bind(&ctx.slots).select(&result, now)?,
             None => (0..groups as u32).collect(),
         };
         self.results = gather_batches(&result.columns, &keep, ctx.batch_rows);
@@ -1689,15 +1779,15 @@ impl Operator for HashAggregateOp {
 
 /// Full sort on output ordinals: drains the input into one set of columns,
 /// sorts a permutation of its rows, then gathers batches in that order.
-pub struct SortOp {
-    input: BoxedOp,
-    keys: Vec<(usize, bool)>,
+pub struct SortOp<'a> {
+    input: BoxedOp<'a>,
+    keys: &'a [(usize, bool)],
     buffer: VecDeque<Batch>,
 }
 
-impl SortOp {
+impl<'a> SortOp<'a> {
     /// Build.
-    pub fn new(input: BoxedOp, keys: Vec<(usize, bool)>) -> SortOp {
+    pub(crate) fn new(input: BoxedOp<'a>, keys: &'a [(usize, bool)]) -> SortOp<'a> {
         SortOp {
             input,
             keys,
@@ -1706,7 +1796,7 @@ impl SortOp {
     }
 }
 
-impl Operator for SortOp {
+impl Operator for SortOp<'_> {
     fn schema(&self) -> &Schema {
         self.input.schema()
     }
@@ -1724,7 +1814,7 @@ impl Operator for SortOp {
         let mut order: Vec<u32> = (0..rows as u32).collect();
         // stable, so rows that tie keep their input order
         order.sort_by(|&a, &b| {
-            for &(ord, asc) in &self.keys {
+            for &(ord, asc) in self.keys {
                 let col = &columns[ord];
                 let cmp = col.get(a as usize).total_cmp(col.get(b as usize));
                 let cmp = if asc { cmp } else { cmp.reverse() };
@@ -1747,15 +1837,15 @@ impl Operator for SortOp {
 }
 
 /// LIMIT n: truncates the batch that crosses the limit.
-pub struct LimitOp {
-    input: BoxedOp,
+pub struct LimitOp<'a> {
+    input: BoxedOp<'a>,
     n: u64,
     produced: u64,
 }
 
-impl LimitOp {
+impl<'a> LimitOp<'a> {
     /// Build.
-    pub fn new(input: BoxedOp, n: u64) -> LimitOp {
+    pub(crate) fn new(input: BoxedOp<'a>, n: u64) -> LimitOp<'a> {
         LimitOp {
             input,
             n,
@@ -1764,7 +1854,7 @@ impl LimitOp {
     }
 }
 
-impl Operator for LimitOp {
+impl Operator for LimitOp<'_> {
     fn schema(&self) -> &Schema {
         self.input.schema()
     }
@@ -1795,14 +1885,14 @@ impl Operator for LimitOp {
 
 /// DISTINCT over whole rows, narrowing each batch to its first-seen rows
 /// with a selection vector.
-pub struct DistinctOp {
-    input: BoxedOp,
+pub struct DistinctOp<'a> {
+    input: BoxedOp<'a>,
     seen: GroupTable,
 }
 
-impl DistinctOp {
+impl<'a> DistinctOp<'a> {
     /// Build.
-    pub fn new(input: BoxedOp) -> DistinctOp {
+    pub(crate) fn new(input: BoxedOp<'a>) -> DistinctOp<'a> {
         DistinctOp {
             input,
             seen: GroupTable::default(),
@@ -1810,7 +1900,7 @@ impl DistinctOp {
     }
 }
 
-impl Operator for DistinctOp {
+impl Operator for DistinctOp<'_> {
     fn schema(&self) -> &Schema {
         self.input.schema()
     }
@@ -1848,7 +1938,7 @@ mod tests {
     #[test]
     fn every_column_of_a_fresh_scan_batch_has_room() {
         let kernel = ScanKernel {
-            mapping: vec![2, 0, 1],
+            mapping: Cow::Owned(vec![2, 0, 1]),
             residual: None,
             image_residual: None,
             now: 0,

@@ -352,7 +352,9 @@ impl RowOperator for RemoteQueryOp {
                 )));
             }
         }
-        self.schema = adopt_remote_types(&self.schema, &reported);
+        if let Some(adopted) = adopt_remote_types(&self.schema, &reported) {
+            self.schema = adopted;
+        }
         self.buffer = rows.into();
         Ok(())
     }

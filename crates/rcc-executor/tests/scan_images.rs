@@ -4,9 +4,8 @@
 //! exactly where the row walk would meet one.
 
 use rcc_common::{Column as SchemaColumn, DataType, Error, Row, Schema, SimClock, Value};
-use rcc_executor::ops::{LocalScanOp, Operator};
 use rcc_executor::rowref::execute_plan_rows;
-use rcc_executor::{execute_plan, ExecContext};
+use rcc_executor::{execute_plan, ExecContext, Executable};
 use rcc_optimizer::physical::{AccessPath, LocalScanNode};
 use rcc_optimizer::{BoundExpr, PhysicalPlan};
 use rcc_sql::BinaryOp;
@@ -84,7 +83,9 @@ fn batches_are_cut_where_the_row_walk_cuts_them() {
     for range in &ranges {
         for residual in [None, Some(on_d(BinaryOp::Gt, 0))] {
             let images_before = image_runs(&ctx);
-            let mut op = LocalScanOp::new("t".into(), schema(), access(range), residual.clone());
+            let plan = scan(range, residual.clone());
+            let executable = Executable::prepare(&plan, &ctx.storage).expect("prepare");
+            let mut op = executable.operator();
             op.open(&ctx).expect("open");
             let (mut sizes, mut rows) = (Vec::new(), Vec::new());
             while let Some(batch) = op.next_batch(&ctx).expect("next") {
@@ -92,9 +93,7 @@ fn batches_are_cut_where_the_row_walk_cuts_them() {
                 rows.extend(batch.to_rows());
             }
             op.close(&ctx).expect("close");
-            let walked = execute_plan_rows(&scan(range, residual.clone()), &ctx)
-                .expect("row engine")
-                .rows;
+            let walked = execute_plan_rows(&plan, &ctx).expect("row engine").rows;
             assert_eq!(rows, walked, "{range:?} {residual:?}");
             // every batch but the last holds exactly `batch_rows` survivors
             let (last, full) = sizes.split_last().expect("rows survive");

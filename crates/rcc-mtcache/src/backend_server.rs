@@ -10,7 +10,9 @@
 //! before. Only a statement that passed both rejections (not a `SELECT`,
 //! carries a currency clause) is ever inserted, so a hit cannot skip a
 //! check the miss path makes; validity is [`Catalog::version`], which
-//! every DDL and `ANALYZE` on the shared catalog moves.
+//! every DDL and `ANALYZE` on the shared catalog moves. An entry holds its
+//! plan prepared for execution ([`Executable`]), so a hit binds the text's
+//! values and runs.
 
 use crate::plan_cache::PlanCache;
 use bytes::Bytes;
@@ -18,7 +20,7 @@ use parking_lot::Mutex;
 use rcc_backend::MasterDb;
 use rcc_catalog::Catalog;
 use rcc_common::{Error, NetworkModel, Result, Row, Schema};
-use rcc_executor::{ExecContext, RemoteService};
+use rcc_executor::{ExecContext, Executable, QueryMeter, RemoteService};
 use rcc_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use rcc_optimizer::optimize::Optimized;
 use rcc_optimizer::{bind_select_slots, optimize, slot_domains, OptimizerConfig};
@@ -37,12 +39,24 @@ pub struct BackendServer {
     catalog: Arc<Catalog>,
     config: OptimizerConfig,
     /// Plans of the shipped statements, keyed by their shape.
-    plans: Arc<PlanCache<Optimized>>,
+    plans: Arc<PlanCache<BackendPlan>>,
+    /// What every request's execution context shares: the master's
+    /// storage and clock, counters, no timeline floors.
+    base_ctx: ExecContext,
     /// Who pays for the round trip: simulated latency knobs, or a real
     /// transport (in which case no artificial delay is ever injected).
     network: Mutex<NetworkModel>,
     /// Remote-latency and wire-byte metrics, once a registry is attached.
     metrics: OnceLock<BackendMetrics>,
+}
+
+/// A shipped statement's plan, as the back-end's plan cache holds it.
+#[derive(Debug)]
+pub struct BackendPlan {
+    /// The optimizer's output.
+    pub optimized: Optimized,
+    /// `optimized.plan`, prepared for execution.
+    pub executable: Executable,
 }
 
 /// Handles of the metrics every remote call touches, resolved from the
@@ -103,9 +117,15 @@ impl BackendServer {
     /// Wrap a master database.
     pub fn new(master: Arc<MasterDb>) -> BackendServer {
         let catalog = Arc::clone(master.catalog());
+        let base_ctx = ExecContext::new(
+            Arc::clone(master.storage()),
+            None,
+            Arc::clone(master.clock()),
+        );
         BackendServer {
             master,
             plans: Arc::new(PlanCache::new(Arc::clone(&catalog))),
+            base_ctx,
             catalog,
             config: OptimizerConfig::backend(),
             network: Mutex::new(NetworkModel::default()),
@@ -188,7 +208,7 @@ impl BackendServer {
     }
 
     /// The cache of shipped statements' plans.
-    pub fn plan_cache(&self) -> &Arc<PlanCache<Optimized>> {
+    pub fn plan_cache(&self) -> &Arc<PlanCache<BackendPlan>> {
         &self.plans
     }
 
@@ -266,18 +286,15 @@ impl BackendServer {
                 "back-end remote interface only accepts SELECT, got {other:?}"
             )));
         };
-        let (optimized, _) = self.plans.find_or_compile(&shape.key, &shape.values, || {
+        let (plan, _) = self.plans.find_or_compile(&shape.key, &shape.values, || {
             self.compile(sql, &shape, phases)
         })?;
-        let mut ctx = ExecContext::new(
-            Arc::clone(self.master.storage()),
-            None,
-            Arc::clone(self.master.clock()),
-        );
-        ctx.slots = Arc::new(shape.values);
-        let result = phases.run("backend:execute", || {
-            rcc_executor::execute_plan_batched(&optimized.plan, &ctx)
-        })?;
+        let ctx = ExecContext {
+            meter: Arc::new(QueryMeter::default()),
+            slots: Arc::new(shape.values),
+            ..self.base_ctx.clone()
+        };
+        let result = phases.run("backend:execute", || plan.executable.execute(&ctx))?;
         // results really travel through the wire format, so the latency
         // model and byte accounting see true serialized sizes; batches are
         // serialized straight from their column buffers
@@ -294,14 +311,14 @@ impl BackendServer {
     }
 
     /// The miss path: parse, reject what the remote interface does not
-    /// take, plan for the statement's slot values and say for which values
-    /// the plan holds.
+    /// take, plan for the statement's slot values, prepare the plan and say
+    /// for which values it holds.
     fn compile(
         &self,
         sql: &str,
         shape: &Shape,
         phases: &mut Phases,
-    ) -> Result<(Optimized, Vec<KeyRange>)> {
+    ) -> Result<(BackendPlan, Vec<KeyRange>)> {
         let select = phases.run("backend:parse", || parse_shape(sql, &HashMap::new()))?;
         if select.currency.is_some() {
             return Err(Error::Remote(
@@ -312,7 +329,12 @@ impl BackendServer {
         phases.run("backend:plan", || {
             let graph = bind_select_slots(&self.catalog, &select, &HashMap::new(), &shape.values)?;
             let optimized = optimize(&self.catalog, &graph, &self.config)?;
-            Ok((optimized, slot_domains(&self.catalog, &graph)))
+            let executable = Executable::prepare(&optimized.plan, self.master.storage())?;
+            let plan = BackendPlan {
+                optimized,
+                executable,
+            };
+            Ok((plan, slot_domains(&self.catalog, &graph)))
         })
     }
 }

@@ -39,7 +39,7 @@ pub mod result;
 pub mod server;
 pub mod session;
 
-pub use backend_server::BackendServer;
+pub use backend_server::{BackendPlan, BackendServer};
 pub use plan_cache::PlanCache;
 pub use policy::ViolationPolicy;
 pub use qcache::{QueryResultCache, DEFAULT_QCACHE_CAPACITY};

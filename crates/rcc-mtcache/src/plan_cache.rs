@@ -47,6 +47,7 @@
 use parking_lot::Mutex;
 use rcc_catalog::Catalog;
 use rcc_common::{Result, TableId, Value};
+use rcc_executor::Executable;
 use rcc_flow::{FlowAnalysis, GuardCert};
 use rcc_lint::Diagnostic;
 use rcc_optimizer::optimize::Optimized;
@@ -72,21 +73,26 @@ pub const PLAN_CACHE_CAPACITY: usize = 4096;
 pub struct ElidedPlan {
     /// The plan with statically-decided guards removed/collapsed.
     pub plan: PhysicalPlan,
+    /// `plan`, prepared for execution.
+    pub executable: Arc<Executable>,
     /// One certificate per elided guard.
     pub certs: Vec<GuardCert>,
 }
 
-/// A compiled query: the optimized plan plus the binding-time metadata the
-/// server needs per execution.
+/// A compiled query: the optimized plan, prepared for execution, plus the
+/// binding-time metadata the server needs per execution.
 #[derive(Debug)]
 pub struct CompiledQuery {
     /// The optimizer's output.
     pub optimized: Optimized,
+    /// `optimized.plan`, prepared for execution: what every hit of this
+    /// entry runs, binding its own slot values.
+    pub executable: Arc<Executable>,
     /// The query's currency clause, normalized: what `VERIFY` holds the
     /// plan to, and where a result cache reads its tightest bound.
     pub constraint: CCConstraint,
     /// Base tables the query reads (for timeline-consistency bookkeeping).
-    pub tables: Vec<TableId>,
+    pub tables: Arc<[TableId]>,
     /// Currency-clause lint diagnostics from compile time, attached to
     /// every result served from this plan.
     pub lint: Vec<LintWarning>,

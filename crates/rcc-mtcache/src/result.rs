@@ -3,7 +3,7 @@
 use crate::plan_cache::CompiledQuery;
 use rcc_common::{Row, Schema, TableId, Value};
 use rcc_executor::context::GuardObservation;
-use rcc_executor::{Batch, PhaseTimings};
+use rcc_executor::{Batch, Executable, PhaseTimings};
 use rcc_obs::QueryStats;
 use rcc_optimizer::optimize::PlanChoice;
 use std::sync::Arc;
@@ -36,9 +36,11 @@ pub struct QueryResult {
     /// Setup / run / shutdown wall-time breakdown.
     pub timings: PhaseTimings,
     /// Base tables the query read (for timeline-consistency bookkeeping).
-    pub tables: Vec<TableId>,
+    pub tables: Arc<[TableId]>,
     /// Per-phase statement statistics (parse → remote-ship pipeline).
     pub stats: QueryStats,
+    /// The prepared plan that ran, when a plan-cache entry's did.
+    pub(crate) executed: Option<Arc<Executable>>,
     /// What [`QueryResult::plan_explain`] renders.
     pub(crate) explain: PlanExplain,
 }
@@ -73,8 +75,9 @@ impl QueryResult {
             used_remote: false,
             warnings: Vec::new(),
             timings: Default::default(),
-            tables: Vec::new(),
+            tables: Arc::default(),
             stats: Default::default(),
+            executed: None,
             explain: PlanExplain::None,
         }
     }
@@ -119,6 +122,13 @@ impl QueryResult {
                 compiled.optimized.plan.with_slots(slots).explain()
             }
         }
+    }
+
+    /// The executable that produced this result: the one its plan-cache
+    /// entry was compiled with (the entry's guard-elided twin has its own).
+    /// `None` for a result no cached plan ran.
+    pub fn executable(&self) -> Option<&Arc<Executable>> {
+        self.executed.as_ref()
     }
 
     /// The plan-cache entry the result was served from or rendered from;

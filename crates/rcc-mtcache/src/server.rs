@@ -1,6 +1,6 @@
 //! The MTCache server.
 
-use crate::backend_server::BackendServer;
+use crate::backend_server::{BackendPlan, BackendServer};
 use crate::plan_cache::{CompiledQuery, ElidedPlan, LintWarning, PlanCache};
 use crate::policy::ViolationPolicy;
 use crate::result::{PlanExplain, QueryResult};
@@ -14,8 +14,8 @@ use rcc_common::{
 };
 use rcc_executor::GuardObservation;
 use rcc_executor::{
-    execute_plan_analyzed, execute_plan_batched, execute_plan_rows, Batch, BatchExecutionResult,
-    ExecContext, ExecCounters, ExecMetrics, ExecutionResult, QueryMeter, RemoteService,
+    execute_plan_analyzed, execute_plan_rows, Batch, BatchExecutionResult, ExecContext,
+    ExecCounters, ExecMetrics, Executable, ExecutionResult, QueryMeter, RemoteService,
     DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
 };
 use rcc_obs::{
@@ -93,6 +93,9 @@ pub struct MTCache {
     /// When set, queries run on the row-at-a-time reference engine instead
     /// of the vectorized one — the A side of batched-vs-row comparisons.
     row_engine: AtomicBool,
+    /// The timeline floors of every query of a session without any, shared
+    /// instead of allocated per query.
+    no_floors: Arc<HashMap<RegionId, Timestamp>>,
     /// When set, newly compiled plans also store a guard-elided variant:
     /// guards the dataflow analysis certified as statically decided are
     /// removed (always-pass → local arm, never-pass → remote arm). Off by
@@ -340,6 +343,7 @@ impl MTCache {
             slo_unsanctioned: AtomicU64::new(0),
             scan_pool: RwLock::new(None),
             row_engine: AtomicBool::new(false),
+            no_floors: Arc::default(),
             elide_guards: AtomicBool::new(false),
             durability,
             recovered: Mutex::new(recovered),
@@ -540,11 +544,16 @@ impl MTCache {
         self.row_engine.store(on, Ordering::Relaxed);
     }
 
-    /// Dispatch a plan to whichever engine is selected; the answer stays
-    /// in batches until a caller asks for rows.
-    fn run_plan(&self, plan: &PhysicalPlan, ctx: &ExecContext) -> Result<BatchExecutionResult> {
+    /// Run `plan`, prepared as `executable`, on whichever engine is
+    /// selected; the answer stays in batches until a caller asks for rows.
+    fn run_plan(
+        &self,
+        executable: &Executable,
+        plan: &PhysicalPlan,
+        ctx: &ExecContext,
+    ) -> Result<BatchExecutionResult> {
         if !self.row_engine.load(Ordering::Relaxed) {
-            return execute_plan_batched(plan, ctx);
+            return executable.execute(ctx);
         }
         let ExecutionResult {
             schema,
@@ -565,7 +574,7 @@ impl MTCache {
     fn register_cache_metrics(
         metrics: &Arc<MetricsRegistry>,
         plan_cache: &Arc<PlanCache>,
-        backend_plan_cache: &Arc<PlanCache<Optimized>>,
+        backend_plan_cache: &Arc<PlanCache<BackendPlan>>,
         master: &Arc<MasterDb>,
         cache_storage: &Arc<StorageEngine>,
     ) {
@@ -1454,7 +1463,7 @@ impl MTCache {
         let graph = bind_select_slots(&self.catalog, select, params, slots)?;
         let bind = started.elapsed();
         drop(span);
-        let tables: Vec<TableId> = graph.operands.iter().map(|o| o.table.id).collect();
+        let tables: Arc<[TableId]> = graph.operands.iter().map(|o| o.table.id).collect();
         let span = trace.span("optimize");
         let started = Instant::now();
         let optimized = optimize(&self.catalog, &graph, &self.config.read())?;
@@ -1491,15 +1500,22 @@ impl MTCache {
                     )));
                 }
             }
-            (store && !hypo.elided.is_empty()).then_some(ElidedPlan {
-                plan: hypo.plan,
-                certs: hypo.elided,
-            })
+            match store && !hypo.elided.is_empty() {
+                true => Some(ElidedPlan {
+                    executable: Arc::new(Executable::prepare(&hypo.plan, &self.cache_storage)?),
+                    plan: hypo.plan,
+                    certs: hypo.elided,
+                }),
+                false => None,
+            }
         } else {
             None
         };
+        // prepared once here; every hit of the entry runs it
+        let executable = Arc::new(Executable::prepare(&optimized.plan, &self.cache_storage)?);
         let compiled = CompiledQuery {
             optimized,
+            executable,
             constraint: graph.constraint,
             tables,
             lint,
@@ -1637,7 +1653,7 @@ impl MTCache {
         let (compiled, phases) = self.lookup(sql, &shape, params, &trace, session)?;
         let optimized = &compiled.optimized;
         let slots = Arc::new(shape.values);
-        let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
+        let ctx = self.fresh_ctx(floors, trace.share(), Arc::clone(&slots));
 
         // Serve the guard-elided variant only when the certificates'
         // premises hold for this session: timeline floors can force a
@@ -1646,14 +1662,17 @@ impl MTCache {
         // below re-executes the guarded plan too (forced local is a
         // sanctioned premise break, not a certified one).
         let elided = compiled.elided.as_ref().filter(|_| floors.is_empty());
-        let plan = elided.map(|e| &e.plan).unwrap_or(&optimized.plan);
+        let (plan, executable) = match elided {
+            Some(e) => (&e.plan, &e.executable),
+            None => (&optimized.plan, &compiled.executable),
+        };
 
         let exec_span = trace.span("execute");
-        let exec = self.run_plan(plan, &ctx);
+        let exec = self.run_plan(executable, plan, &ctx);
         drop(exec_span);
         let degrade = |msg: String| {
-            let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::clone(&slots));
-            self.degrade_unreachable(&trace, &optimized.plan, ctx, policy, &msg, session)
+            let ctx = self.fresh_ctx(floors, trace.share(), Arc::clone(&slots));
+            self.degrade_unreachable(&trace, &compiled, ctx, policy, &msg, session)
                 .map(|(ctx, result)| (ctx, result, true))
         };
         let (ctx, result, degraded) = match exec {
@@ -1716,20 +1735,24 @@ impl MTCache {
             used_remote: ctx.meter.remote_queries.load(Ordering::Relaxed) > 0,
             warnings,
             timings: result.timings,
-            tables: compiled.tables.clone(),
+            tables: Arc::clone(&compiled.tables),
             stats,
-            explain: PlanExplain::Plan(compiled, slots),
+            executed: Some(Arc::clone(match degraded {
+                true => &compiled.executable,
+                false => executable,
+            })),
+            explain: PlanExplain::Plan(Arc::clone(&compiled), slots),
         })
     }
 
     /// The back-end could not answer a remote branch. Apply the violation
-    /// policy: `Reject` fails the query; `ServeStale` re-executes `plan`
-    /// (the guarded plan) under `ctx` with guards forced local, for the
-    /// caller to serve flagged as stale.
+    /// policy: `Reject` fails the query; `ServeStale` re-executes the
+    /// guarded plan of `compiled` under `ctx` with guards forced local, for
+    /// the caller to serve flagged as stale.
     fn degrade_unreachable(
         &self,
         trace: &TraceHandle,
-        plan: &PhysicalPlan,
+        compiled: &CompiledQuery,
         mut ctx: ExecContext,
         policy: ViolationPolicy,
         msg: &str,
@@ -1754,7 +1777,8 @@ impl MTCache {
             .record(now, kind, cause, "serve_stale", session, trace.id());
         ctx.force_local = true;
         let stale_span = trace.span("execute_stale");
-        let result = self.run_plan(plan, &ctx)?;
+        let plan = &compiled.optimized.plan;
+        let result = self.run_plan(&compiled.executable, plan, &ctx)?;
         drop(stale_span);
         self.metrics.counter("rcc_stale_served_total", &[]).inc();
         self.metrics
@@ -1787,7 +1811,7 @@ impl MTCache {
         } = self.compile(sql, select, params, &[], &trace, session)?;
         let phases = CompilePhases { parse, ..phases };
         let optimized = &compiled.optimized;
-        let ctx = self.fresh_ctx(floors.clone(), trace.share(), Arc::default());
+        let ctx = self.fresh_ctx(floors, trace.share(), Arc::default());
         let exec_span = trace.span("execute");
         let analyzed = execute_plan_analyzed(&optimized.plan, &ctx)?;
         drop(exec_span);
@@ -1953,7 +1977,7 @@ impl MTCache {
 
     fn fresh_ctx(
         &self,
-        floors: HashMap<RegionId, Timestamp>,
+        floors: &HashMap<RegionId, Timestamp>,
         trace: Option<TraceRef>,
         slots: Arc<Vec<Value>>,
     ) -> ExecContext {
@@ -1971,8 +1995,10 @@ impl MTCache {
             remote,
             clock: Arc::clone(&self.clock_arc),
             counters: Arc::clone(&self.counters),
-            timeline_floor: Arc::new(floors),
-            observations: Arc::new(Mutex::new(Vec::new())),
+            timeline_floor: match floors.is_empty() {
+                true => Arc::clone(&self.no_floors),
+                false => Arc::new(floors.clone()),
+            },
             force_local: false,
             meter: Arc::new(QueryMeter::default()),
             metrics: Some(Arc::clone(&self.exec_metrics)),

@@ -144,9 +144,9 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     };
     let (plan, _) = cached().expect("cached under the shipped text's shape");
     assert!(
-        plan.plan.explain().contains("[scan]"),
+        plan.optimized.plan.explain().contains("[scan]"),
         "{}",
-        plan.plan.explain()
+        plan.optimized.plan.explain()
     );
 
     cache.execute("CREATE INDEX ix_v ON t (v)").unwrap();
@@ -156,9 +156,12 @@ fn create_index_through_the_cache_recompiles_the_shipped_text_with_the_index() {
     assert_eq!(plans.stats(), (hits + 1, misses + 1), "planned again");
     let (plan, _) = cached().unwrap();
     assert!(
-        plan.plan.explain().contains("index ix_v seek on v"),
+        plan.optimized
+            .plan
+            .explain()
+            .contains("index ix_v seek on v"),
         "{}",
-        plan.plan.explain()
+        plan.optimized.plan.explain()
     );
 }
 

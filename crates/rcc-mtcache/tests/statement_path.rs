@@ -7,8 +7,9 @@
 
 use rcc_common::{Duration, Value};
 use rcc_mtcache::paper::{paper_setup, warm_up};
-use rcc_mtcache::MTCache;
+use rcc_mtcache::{MTCache, QueryResult};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 /// Region `r`: interval 10 s, delay 2 s, heartbeat 1 s → envelope 13 s, so
@@ -171,6 +172,71 @@ fn a_cached_select_in_a_timeordered_bracket_ratchets_and_keeps_its_guard() {
         session.execute(Q).unwrap().guards.is_empty(),
         "elided again"
     );
+}
+
+#[test]
+fn a_hit_runs_the_executable_its_entry_was_compiled_with() {
+    let cache = rig();
+    let q = |a: i64| format!("SELECT v FROM t WHERE a = {a} CURRENCY BOUND 30 SEC ON (t)");
+    let executable = |r: &QueryResult| Arc::clone(r.executable().expect("a cached plan ran"));
+    let compiled = cache.execute(&q(7)).unwrap();
+    assert!(!compiled.stats.plan_cache_hit);
+    // two hits with other values run the one executable, each binding its own
+    let (a, b) = (cache.execute(&q(8)).unwrap(), cache.execute(&q(9)).unwrap());
+    assert!(a.stats.plan_cache_hit && b.stats.plan_cache_hit);
+    assert_eq!(
+        (a.rows[0].get(0), b.rows[0].get(0)),
+        (&Value::Int(8), &Value::Int(9))
+    );
+    assert!(Arc::ptr_eq(&executable(&compiled), &executable(&a)));
+    assert!(Arc::ptr_eq(&executable(&a), &executable(&b)));
+
+    // a catalog change replaces it: a cached view created, then dropped
+    let mut held = executable(&a);
+    for change in ["create", "drop"] {
+        let version = cache.catalog().version();
+        match change {
+            "create" => {
+                let view = "CREATE CACHED VIEW t_w REGION r AS SELECT a, v FROM t";
+                cache.execute(view).unwrap();
+            }
+            _ => cache.drop_cached_view("t_w").unwrap(),
+        }
+        assert!(cache.catalog().version() > version, "{change}");
+        let recompiled = cache.execute(&q(8)).unwrap();
+        assert!(!recompiled.stats.plan_cache_hit, "{change}");
+        assert!(!Arc::ptr_eq(&held, &executable(&recompiled)), "{change}");
+        let hit = cache.execute(&q(9)).unwrap();
+        assert!(Arc::ptr_eq(&executable(&recompiled), &executable(&hit)));
+        held = executable(&hit);
+    }
+
+    // the entry's guard-elided twin has an executable of its own
+    cache.set_elide_guards(true);
+    let elided = cache.execute(&q(7)).unwrap();
+    assert!(elided.guards.is_empty(), "the always-pass guard was elided");
+    let twin = executable(&elided);
+    assert!(Arc::ptr_eq(
+        &twin,
+        &executable(&cache.execute(&q(8)).unwrap())
+    ));
+    // a session with a timeline floor runs the same entry's guarded plan
+    let mut session = cache.session();
+    session.execute("BEGIN TIMEORDERED").unwrap();
+    cache.set_region_stalled("r", true);
+    cache.advance(Duration::from_secs(120)).unwrap();
+    let remote = "SELECT v FROM t WHERE a = 7 CURRENCY BOUND 5 SEC ON (t)";
+    assert!(
+        session.execute(remote).unwrap().used_remote,
+        "a floor is set"
+    );
+    cache.set_region_stalled("r", false);
+    cache.advance(Duration::from_secs(30)).unwrap();
+    let guarded = session.execute(&q(9)).unwrap();
+    assert!(guarded.stats.plan_cache_hit);
+    assert_eq!(guarded.guards.len(), 1, "the guarded plan ran");
+    assert_eq!(guarded.rows, b.rows);
+    assert!(!Arc::ptr_eq(&twin, &executable(&guarded)));
 }
 
 #[test]

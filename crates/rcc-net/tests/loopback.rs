@@ -79,6 +79,65 @@ fn concurrent_clients_get_correct_rows_and_counters_add_up() {
     assert_eq!(snap.gauge("rcc_net_connections_open"), Some(0.0));
 }
 
+/// Four connections send hits of one two-table shape, each with its own
+/// keys and residual values: every hit binds its values into the one
+/// executable the plan-cache entry holds. The second half runs with CR1
+/// stalled, so guarded branches go remote and render their shipped text at
+/// open while the other threads bind the same executable.
+#[test]
+fn one_executable_serves_concurrent_sessions_their_own_values() {
+    const HITS: usize = 500;
+    let (cache, server) = rig();
+    let addr = server.addr();
+    let body = |k: usize, u: usize| {
+        format!(
+            "SELECT c.c_name, o.o_totalprice FROM customer c, orders o \
+             WHERE c.c_custkey = o.o_custkey AND c.c_custkey = {k} \
+             AND o.o_totalprice > -{u}"
+        )
+    };
+    let clause = "CURRENCY BOUND 1 MIN ON (c), 1 MIN ON (o)";
+    cache
+        .execute(&format!("{} {clause}", body(1, 1000)))
+        .unwrap();
+    let entries = cache.plan_cache().len();
+    let (_, misses) = cache.plan_cache().stats();
+    let customers = cache.catalog().stats("customer").row_count as usize;
+    let barrier = Barrier::new(N_CLIENTS + 1);
+    std::thread::scope(|scope| {
+        for client in 0..N_CLIENTS {
+            let (cache, barrier) = (&cache, &barrier);
+            scope.spawn(move || {
+                let mut conn = NetClient::connect(addr, &ClientConfig::default()).unwrap();
+                for i in 0..HITS {
+                    if i == HITS / 2 {
+                        barrier.wait(); // CR1 is stalled between these two
+                        barrier.wait();
+                    }
+                    let (k, u) = (
+                        1 + (client * 37 + i * 11) % customers,
+                        1001 + i * 4 + client,
+                    );
+                    let r = conn.query(&format!("{} {clause}", body(k, u))).unwrap();
+                    assert_eq!(r.used_remote, i >= HITS / 2, "hit {i} of client {client}");
+                    let (_, mut expected) = cache.backend().query(&body(k, u)).unwrap();
+                    let mut rows = r.rows;
+                    rows.sort();
+                    expected.sort();
+                    assert_eq!(rows, expected, "c_custkey = {k}, residual -{u}");
+                }
+            });
+        }
+        barrier.wait();
+        cache.set_region_stalled("CR1", true);
+        cache.advance(SimDuration::from_secs(90)).unwrap();
+        barrier.wait();
+    });
+    // every one of them was a hit of the entry compiled above
+    assert_eq!(cache.plan_cache().len(), entries);
+    assert_eq!(cache.plan_cache().stats().1, misses);
+}
+
 #[test]
 fn currency_options_are_isolated_per_connection() {
     let (cache, server) = rig();

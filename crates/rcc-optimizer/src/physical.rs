@@ -17,6 +17,7 @@ use crate::graph::JoinKind;
 use crate::property::DeliveredProperty;
 use rcc_common::{Duration, RegionId, Schema, Value};
 use rcc_storage::KeyRange;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 use std::ops::{Bound, Deref};
@@ -61,8 +62,11 @@ impl SeekRange {
         }
     }
 
-    /// The range an execution with value vector `slots` seeks.
-    pub fn with_slots(&self, slots: &[Value]) -> SeekRange {
+    /// The key range an execution with value vector `slots` seeks: the
+    /// plan's own when no end is a slot's (or no values are given). The one
+    /// place a range end is resolved, for [`SeekRange::with_slots`] and the
+    /// executor's scans alike.
+    pub fn bind(&self, slots: &[Value]) -> Cow<'_, KeyRange> {
         fn end(bound: &Bound<Value>, slot: Option<u32>, slots: &[Value]) -> Bound<Value> {
             match (bound, slot) {
                 (Bound::Included(v), Some(s)) => Bound::Included(slot_value(slots, s, v).clone()),
@@ -70,11 +74,19 @@ impl SeekRange {
                 (bound, _) => bound.clone(),
             }
         }
+        if slots.is_empty() || (self.low_slot, self.high_slot) == (None, None) {
+            return Cow::Borrowed(&self.range);
+        }
+        Cow::Owned(KeyRange {
+            low: end(&self.range.low, self.low_slot, slots),
+            high: end(&self.range.high, self.high_slot, slots),
+        })
+    }
+
+    /// The range an execution with value vector `slots` seeks.
+    pub fn with_slots(&self, slots: &[Value]) -> SeekRange {
         SeekRange {
-            range: KeyRange {
-                low: end(&self.range.low, self.low_slot, slots),
-                high: end(&self.range.high, self.high_slot, slots),
-            },
+            range: self.bind(slots).into_owned(),
             ..*self
         }
     }
@@ -770,9 +782,11 @@ impl PhysicalPlan {
 
     /// The plan as an execution with value vector `slots` runs it: a copy
     /// with every slot — in expressions, seek ranges and shipped SQL —
-    /// holding that execution's value. The one walk that knows where a plan
-    /// holds slots: the executor builds its operators out of this copy, the
-    /// row reference engine is handed it, and EXPLAIN prints it.
+    /// holding that execution's value. The reference definition of where a
+    /// plan holds slots: EXPLAIN prints this copy and the row reference
+    /// engine is handed it; the executor binds a prepared plan's slots
+    /// where it reads them, and debug builds hold every such binding to
+    /// this copy.
     pub fn with_slots(&self, slots: &[Value]) -> PhysicalPlan {
         let sub = |p: &PhysicalPlan| Box::new(p.with_slots(slots));
         let named = |exprs: &[(BoundExpr, String)]| -> Vec<(BoundExpr, String)> {

@@ -254,6 +254,17 @@ impl ColumnData {
         }
     }
 
+    /// Cells the vector has room for without growing.
+    fn capacity(&self) -> usize {
+        match self {
+            ColumnData::Int(d) | ColumnData::Timestamp(d) => d.capacity(),
+            ColumnData::Float(d) => d.capacity(),
+            ColumnData::Bool(d) => d.capacity(),
+            ColumnData::Str(d) => d.ends.capacity(),
+            ColumnData::Any(d) => d.capacity(),
+        }
+    }
+
     fn same_variant(&self, other: &ColumnData) -> bool {
         std::mem::discriminant(self) == std::mem::discriminant(other)
     }
@@ -465,10 +476,7 @@ impl Column {
             self.valid = None;
             return;
         }
-        let room = match &self.data {
-            ColumnData::Int(d) | ColumnData::Timestamp(d) => d.capacity(),
-            _ => len,
-        };
+        let room = self.data.capacity();
         fn filled<T: Clone>(room: usize, len: usize, placeholder: T) -> Vec<T> {
             let mut d = Vec::with_capacity(room);
             d.resize(len, placeholder);
@@ -522,7 +530,8 @@ impl Column {
         }
         let before = self.len();
         if before == 0 && !self.data.same_variant(&other.data) {
-            self.data = other.data.empty(pick.len());
+            // keep the room reserved for the column (`with_capacity`)
+            self.data = other.data.empty(pick.len().max(self.data.capacity()));
             self.valid = None;
         }
         match (&mut self.data, &other.data) {
@@ -683,5 +692,22 @@ mod tests {
         let mut empty = Column::new();
         empty.extend_from(&col, None);
         assert_eq!(empty.to_values(), cells);
+    }
+
+    #[test]
+    fn an_empty_column_keeps_its_room_when_it_takes_another_type() {
+        let floats = Column::from_values((0..33).map(|i| Value::Float(i as f64)).collect());
+        let strs = Column::from_values((0..33).map(|i| Value::from(i.to_string())).collect());
+        for other in [&floats, &strs] {
+            let mut col = Column::with_capacity(2048);
+            col.extend_from(other, None);
+            assert!(col.data().same_variant(other.data()));
+            assert_eq!(col.to_values(), other.to_values());
+            assert!(
+                col.data().capacity() >= 2048,
+                "room for {}",
+                col.data().capacity()
+            );
+        }
     }
 }

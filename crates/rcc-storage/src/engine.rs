@@ -44,9 +44,13 @@ impl StorageEngine {
 
     /// Look up a table by (case-insensitive) name.
     pub fn table(&self, name: &str) -> Result<TableHandle> {
-        self.tables
-            .read()
-            .get(&name.to_ascii_lowercase())
+        let tables = self.tables.read();
+        // names are stored lower-cased; one that already is needs no copy
+        let found = match name.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => tables.get(&name.to_ascii_lowercase()),
+            false => tables.get(name),
+        };
+        found
             .cloned()
             .ok_or_else(|| Error::NotFound(format!("table {name}")))
     }
