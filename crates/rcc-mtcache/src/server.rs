@@ -240,12 +240,6 @@ pub struct DurabilityStatus {
     pub wal_records: u64,
     /// Lifetime fsync count.
     pub wal_fsyncs: u64,
-    /// Buffer-pool frames resident.
-    pub bufpool_frames_in_use: u64,
-    /// Buffer-pool frame budget.
-    pub bufpool_capacity: u64,
-    /// Lifetime buffer-pool evictions.
-    pub bufpool_evictions: u64,
     /// Sim-clock seconds since the last checkpoint (None before the first).
     pub last_checkpoint_age_seconds: Option<f64>,
 }
@@ -461,9 +455,6 @@ impl MTCache {
             wal_bytes: store.wal_bytes(),
             wal_records: store.wal_records(),
             wal_fsyncs: store.wal_fsyncs(),
-            bufpool_frames_in_use: store.bufpool_frames_in_use(),
-            bufpool_capacity: store.bufpool_capacity(),
-            bufpool_evictions: store.bufpool_evictions(),
             last_checkpoint_age_seconds: store
                 .last_checkpoint_ms()
                 .map(|ms| (now_ms.saturating_sub(ms)) as f64 / 1000.0),
@@ -471,7 +462,7 @@ impl MTCache {
     }
 
     /// Describe the durability metric names and mirror the store's WAL and
-    /// buffer-pool counters into the registry via a collector.
+    /// checkpoint counters into the registry via a collector.
     fn register_durability_metrics(
         metrics: &Arc<MetricsRegistry>,
         store: &Arc<DurableStore>,
@@ -490,28 +481,16 @@ impl MTCache {
             "rcc_wal_checkpoint_age_seconds",
             "Simulated seconds since the last completed checkpoint.",
         );
-        metrics.describe(
-            "rcc_bufpool_frames_in_use",
-            "Checkpoint buffer-pool frames currently resident.",
-        );
-        metrics.describe(
-            "rcc_bufpool_evictions_total",
-            "Checkpoint buffer-pool frames evicted (clock second-chance).",
-        );
         let wal_bytes = metrics.gauge("rcc_wal_bytes", &[]);
         let wal_records = metrics.counter("rcc_wal_records_total", &[]);
         let wal_fsyncs = metrics.counter("rcc_wal_fsyncs_total", &[]);
         let ckpt_age = metrics.gauge("rcc_wal_checkpoint_age_seconds", &[]);
-        let frames = metrics.gauge("rcc_bufpool_frames_in_use", &[]);
-        let evictions = metrics.counter("rcc_bufpool_evictions_total", &[]);
         let store = Arc::clone(store);
         let clock = clock.clone();
         metrics.register_collector(move || {
             wal_bytes.set(store.wal_bytes() as f64);
             wal_records.set(store.wal_records());
             wal_fsyncs.set(store.wal_fsyncs());
-            frames.set(store.bufpool_frames_in_use() as f64);
-            evictions.set(store.bufpool_evictions());
             let age = store
                 .last_checkpoint_ms()
                 .map(|ms| (clock.now().millis().saturating_sub(ms)) as f64 / 1000.0);

@@ -31,6 +31,7 @@ use rcc_net::{
 };
 use rcc_storage::SyncPolicy;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -219,15 +220,18 @@ fn run(opts: Options) -> Result<(), String> {
     } else {
         None
     };
-    std::thread::Builder::new()
+    let stop_pump = Arc::new(AtomicBool::new(false));
+    let pump_stopped = Arc::clone(&stop_pump);
+    let pump_thread = std::thread::Builder::new()
         .name("rcc-clock-pump".into())
         .spawn(move || {
             let mut ticks: u64 = 0;
             loop {
                 std::thread::sleep(Duration::from_millis(100));
-                if pump
-                    .advance(rcc_common::Duration::from_millis(100))
-                    .is_err()
+                if pump_stopped.load(Ordering::Relaxed)
+                    || pump
+                        .advance(rcc_common::Duration::from_millis(100))
+                        .is_err()
                 {
                     break;
                 }
@@ -262,6 +266,12 @@ fn run(opts: Options) -> Result<(), String> {
         Some(a) => {
             while !a.stop_requested() {
                 std::thread::sleep(Duration::from_secs(1));
+            }
+            // no heartbeat may commit after the final checkpoint, so the
+            // next start replays nothing
+            stop_pump.store(true, Ordering::Relaxed);
+            if pump_thread.join().is_err() {
+                eprintln!("rccd: clock pump panicked");
             }
             match cache.checkpoint() {
                 Ok(true) => eprintln!("rccd: shutdown checkpoint written"),

@@ -34,14 +34,6 @@ pub const METRICS: &[(&str, &str)] = &[
     ("rcc_batch_rows_per_batch", "Rows per batch at query roots"),
     ("rcc_batch_selectivity", "Filter survival ratio per batch"),
     (
-        "rcc_bufpool_evictions_total",
-        "Checkpoint buffer-pool frame evictions",
-    ),
-    (
-        "rcc_bufpool_frames_in_use",
-        "Checkpoint buffer-pool frames resident",
-    ),
-    (
         "rcc_currency_slack_seconds",
         "Promised bound minus delivered staleness",
     ),

@@ -1,15 +1,15 @@
-//! Durable store: WAL + checkpoint pages behind the in-memory tables.
+//! Durable store: WAL + checkpoint file behind the in-memory tables.
 //!
 //! A data directory holds two files:
 //!
 //! * `wal.log` — the write-ahead log ([`crate::wal`]). Committed
 //!   transactions and replication watermarks are appended here; the sync
 //!   policy decides when they become durable.
-//! * `pages.db` — the latest checkpoint, written page-at-a-time through the
-//!   buffer pool ([`crate::bufpool`]) and published with an atomic rename.
-//!   Page 0 is a header (magic, payload length, CRC); the payload spans the
-//!   remaining pages and captures every table's rows, the replication
-//!   watermarks, the log position, and the simulation clock.
+//! * `pages.db` — the latest checkpoint, written in one pass to a tmp file
+//!   and published with an atomic rename. A 4 KiB header (magic, payload
+//!   length, CRC32, zero padding) precedes the payload, which captures
+//!   every table's rows, the replication watermarks, the log position, and
+//!   the simulation clock. Bytes after the payload are ignored.
 //!
 //! Recovery order on open: read the checkpoint (if any), then scan the WAL,
 //! keeping only commits newer than the checkpoint's transaction id and the
@@ -19,25 +19,25 @@
 //! between the rename and the reset is safe because replay deduplicates by
 //! transaction id.
 
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rcc_common::{Error, Result, Row};
 
-use crate::bufpool::BufferPool;
 use crate::codec::{self, crc32, Reader};
-use crate::pager::{DiskManager, PAGE_SIZE};
 use crate::wal::{CommitRecord, SyncPolicy, Wal, WalRecord, WatermarkRecord};
 
-/// File magic for checkpoint page files.
+/// File magic for checkpoint files.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"RCCCKP01";
 
-/// Default buffer-pool frame budget. Deliberately small: checkpoint
-/// payloads are larger than `budget * PAGE_SIZE`, so every checkpoint
-/// exercises eviction and write-back rather than hiding in cache.
-pub const DEFAULT_FRAME_BUDGET: usize = 8;
+/// Checkpoint header size: magic, payload length (u64 LE), CRC32 of the
+/// payload (u32 LE), zero-padded to 4 KiB — the page-0 layout of older
+/// data directories, which therefore open unchanged.
+const HEADER_LEN: usize = 4096;
 
 const WAL_FILE: &str = "wal.log";
 const PAGES_FILE: &str = "pages.db";
@@ -92,9 +92,6 @@ struct CheckpointData {
 pub struct DurableStore {
     dir: PathBuf,
     wal: Wal,
-    pool: Mutex<Option<Arc<BufferPool>>>,
-    evictions: Arc<AtomicU64>,
-    frame_budget: usize,
     last_checkpoint_ms: AtomicI64,
     checkpoint_mutex: Mutex<()>,
 }
@@ -114,6 +111,15 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> Error {
     Error::Storage(format!("durable {op} {}: {e}", path.display()))
 }
 
+/// fsync `dir`, so a rename or file creation inside it survives a power
+/// cut: syncing a file does not persist its directory entry.
+fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| io_err("fsync dir", dir, e))
+}
+
+/// The whole checkpoint file: header, then the payload.
 fn encode_checkpoint(
     tables: &[(String, Vec<Row>)],
     watermarks: &[WatermarkRecord],
@@ -121,7 +127,7 @@ fn encode_checkpoint(
     next_id: u64,
     clock_ms: i64,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = vec![0u8; HEADER_LEN];
     out.extend_from_slice(&clock_ms.to_le_bytes());
     out.extend_from_slice(&log_len.to_le_bytes());
     out.extend_from_slice(&next_id.to_le_bytes());
@@ -139,6 +145,11 @@ fn encode_checkpoint(
             codec::encode_values(row.values(), &mut out);
         }
     }
+    let payload = &out[HEADER_LEN..];
+    let (len, crc) = (payload.len() as u64, crc32(payload));
+    out[..8].copy_from_slice(CHECKPOINT_MAGIC);
+    out[8..16].copy_from_slice(&len.to_le_bytes());
+    out[16..20].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -188,54 +199,38 @@ fn decode_checkpoint(payload: &[u8]) -> Result<CheckpointData> {
     })
 }
 
-/// Read the checkpoint through a buffer pool; errors mean real corruption
-/// (the rename protocol never exposes a partial file).
-fn read_checkpoint(pool: &BufferPool) -> Result<CheckpointData> {
-    let (magic, payload_len, crc) = pool.with_page(0, |p| {
-        let mut magic = [0u8; 8];
-        magic.copy_from_slice(&p[..8]);
-        let mut len = [0u8; 8];
-        len.copy_from_slice(&p[8..16]);
-        let mut crc = [0u8; 4];
-        crc.copy_from_slice(&p[16..20]);
-        (magic, u64::from_le_bytes(len), u32::from_le_bytes(crc))
-    })?;
-    if &magic != CHECKPOINT_MAGIC {
-        return Err(Error::Storage("checkpoint magic mismatch".into()));
-    }
-    let available = (pool.disk().num_pages().saturating_sub(1)) * PAGE_SIZE as u64;
-    if payload_len > available {
+/// Read the checkpoint file at `path`; errors mean real corruption (the
+/// rename protocol never exposes a partial file).
+fn read_checkpoint(path: &Path) -> Result<CheckpointData> {
+    let bytes = std::fs::read(path).map_err(|e| io_err("read", path, e))?;
+    if bytes.len() < HEADER_LEN {
         return Err(Error::Storage(format!(
-            "checkpoint claims {payload_len} payload bytes, file holds {available}"
+            "checkpoint is {} bytes, shorter than its {HEADER_LEN}-byte header",
+            bytes.len()
         )));
     }
-    let mut payload = Vec::with_capacity(payload_len as usize);
-    let mut remaining = payload_len as usize;
-    let mut page = 1u64;
-    while remaining > 0 {
-        let take = remaining.min(PAGE_SIZE);
-        pool.with_page(page, |p| payload.extend_from_slice(&p[..take]))?;
-        remaining -= take;
-        page += 1;
+    let (header, body) = bytes.split_at(HEADER_LEN);
+    if &header[..8] != CHECKPOINT_MAGIC {
+        return Err(Error::Storage("checkpoint magic mismatch".into()));
     }
-    if crc32(&payload) != crc {
+    let mut r = Reader::new(&header[8..20]);
+    let (payload_len, crc) = (r.u64()?, r.u32()?);
+    if payload_len > body.len() as u64 {
+        return Err(Error::Storage(format!(
+            "checkpoint claims {payload_len} payload bytes, file holds {}",
+            body.len()
+        )));
+    }
+    let payload = &body[..payload_len as usize];
+    if crc32(payload) != crc {
         return Err(Error::Storage("checkpoint payload CRC mismatch".into()));
     }
-    decode_checkpoint(&payload)
+    decode_checkpoint(payload)
 }
 
 impl DurableStore {
-    /// Open a data directory with the default frame budget.
-    pub fn open(dir: &Path, policy: SyncPolicy) -> Result<(Arc<DurableStore>, RecoveredState)> {
-        DurableStore::open_with_budget(dir, policy, DEFAULT_FRAME_BUDGET)
-    }
-
     /// Open a data directory, recovering checkpoint + WAL state.
-    pub fn open_with_budget(
-        dir: &Path,
-        policy: SyncPolicy,
-        frame_budget: usize,
-    ) -> Result<(Arc<DurableStore>, RecoveredState)> {
+    pub fn open(dir: &Path, policy: SyncPolicy) -> Result<(Arc<DurableStore>, RecoveredState)> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("mkdir", dir, e))?;
         // A leftover .tmp means a checkpoint died before its rename; the
         // previous checkpoint (if any) plus the WAL are authoritative.
@@ -244,18 +239,15 @@ impl DurableStore {
             std::fs::remove_file(&tmp).map_err(|e| io_err("rm tmp", &tmp, e))?;
         }
 
-        let evictions = Arc::new(AtomicU64::new(0));
         let pages_path = dir.join(PAGES_FILE);
-        let mut checkpoint = None;
-        let mut pool = None;
-        if pages_path.exists() {
-            let disk = Arc::new(DiskManager::open(&pages_path)?);
-            let p = Arc::new(BufferPool::new(disk, frame_budget, Arc::clone(&evictions)));
-            checkpoint = Some(read_checkpoint(&p)?);
-            pool = Some(p);
-        }
+        let checkpoint = pages_path
+            .exists()
+            .then(|| read_checkpoint(&pages_path))
+            .transpose()?;
 
         let (wal, wal_rec) = Wal::open(&dir.join(WAL_FILE), policy)?;
+        // A newly created wal.log must not vanish with its directory entry.
+        sync_dir(dir)?;
 
         let has_checkpoint = checkpoint.is_some();
         let (tables, base_log_len, next_id, clock_ms, mut watermark_map) = match checkpoint {
@@ -304,9 +296,6 @@ impl DurableStore {
         let store = DurableStore {
             dir: dir.to_path_buf(),
             wal,
-            pool: Mutex::new(pool),
-            evictions,
-            frame_budget,
             last_checkpoint_ms: AtomicI64::new(if has_checkpoint { clock_ms } else { -1 }),
             checkpoint_mutex: Mutex::new(()),
         };
@@ -334,8 +323,10 @@ impl DurableStore {
     }
 
     /// Write a checkpoint: all `tables`, the replication `watermarks`, the
-    /// log position, and the clock. Published atomically; the WAL is reset
-    /// once the new checkpoint is on disk.
+    /// log position, and the clock. Written and fsynced as a tmp file, then
+    /// renamed over the live one and the directory fsynced; only then is
+    /// the WAL reset, so a power cut never leaves a reset WAL beside the
+    /// previous checkpoint.
     pub fn checkpoint(
         &self,
         tables: &[(String, Vec<Row>)],
@@ -345,35 +336,17 @@ impl DurableStore {
         clock_ms: i64,
     ) -> Result<()> {
         let _guard = self.checkpoint_mutex.lock();
-        let payload = encode_checkpoint(tables, watermarks, log_len, next_id, clock_ms);
+        let image = encode_checkpoint(tables, watermarks, log_len, next_id, clock_ms);
         let tmp = self.dir.join(PAGES_TMP);
-        if tmp.exists() {
-            std::fs::remove_file(&tmp).map_err(|e| io_err("rm tmp", &tmp, e))?;
-        }
-        {
-            let disk = Arc::new(DiskManager::open(&tmp)?);
-            let pool = BufferPool::new(disk, self.frame_budget, Arc::clone(&self.evictions));
-            let header_page = pool.allocate_page()?;
-            pool.with_page_mut(header_page, |p| {
-                p[..8].copy_from_slice(CHECKPOINT_MAGIC);
-                p[8..16].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-                p[16..20].copy_from_slice(&crc32(&payload).to_le_bytes());
-            })?;
-            for chunk in payload.chunks(PAGE_SIZE) {
-                let page = pool.allocate_page()?;
-                pool.with_page_mut(page, |p| p[..chunk.len()].copy_from_slice(chunk))?;
-            }
-            pool.flush_all()?;
-        }
+        let mut file = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
+        file.write_all(&image)
+            .map_err(|e| io_err("write", &tmp, e))?;
+        file.sync_all().map_err(|e| io_err("fsync", &tmp, e))?;
+        drop(file);
         let live = self.dir.join(PAGES_FILE);
         std::fs::rename(&tmp, &live).map_err(|e| io_err("rename", &live, e))?;
+        sync_dir(&self.dir)?;
         self.wal.reset()?;
-        let disk = Arc::new(DiskManager::open(&live)?);
-        *self.pool.lock() = Some(Arc::new(BufferPool::new(
-            disk,
-            self.frame_budget,
-            Arc::clone(&self.evictions),
-        )));
         self.last_checkpoint_ms.store(clock_ms, Ordering::Relaxed);
         Ok(())
     }
@@ -401,24 +374,6 @@ impl DurableStore {
     /// Lifetime fsync count.
     pub fn wal_fsyncs(&self) -> u64 {
         self.wal.fsyncs()
-    }
-
-    /// Buffer-pool frames currently resident (0 before any checkpoint).
-    pub fn bufpool_frames_in_use(&self) -> u64 {
-        self.pool
-            .lock()
-            .as_ref()
-            .map_or(0, |p| p.occupancy() as u64)
-    }
-
-    /// Buffer-pool frame budget.
-    pub fn bufpool_capacity(&self) -> u64 {
-        self.frame_budget as u64
-    }
-
-    /// Lifetime buffer-pool evictions across checkpoint pool swaps.
-    pub fn bufpool_evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// Simulation-clock ms of the last checkpoint, or `None` if none.
@@ -500,9 +455,6 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(store.wal_records(), 0, "wal reset by checkpoint");
-            // The payload spans far more pages than the frame budget, so
-            // the checkpoint write itself must have evicted frames.
-            assert!(store.bufpool_evictions() > 0);
             store.append_commit(&commit(2, 300)).unwrap();
         }
         let (store, state) = DurableStore::open(&dir, SyncPolicy::Always).unwrap();

@@ -8,33 +8,29 @@
 //! [`column::Column`]s, built once per chunk and shared by every snapshot
 //! that shares the chunk ([`cowmap`]). Tables execute in memory — the paper's experiments depend only on
 //! *relative* access-path costs and data volumes — while the durability
-//! layer ([`durable`], [`wal`], [`bufpool`], [`pager`], [`codec`]) gives the
-//! back-end an optional disk-backed mode: WAL-before-publish commits,
-//! paged checkpoints behind a buffer pool, and crash recovery that restores
-//! committed tables *and* replication watermarks. This crate (plus
+//! layer ([`durable`], [`wal`], [`codec`]) gives the back-end an optional
+//! disk-backed mode: WAL-before-publish commits, checkpoints written as one
+//! CRC-checked file, and crash recovery that restores committed tables
+//! *and* replication watermarks. This crate (plus
 //! `rcc-bench`) is the only place in the workspace allowed to touch the
 //! filesystem; `workspace-lint` enforces that boundary.
 
-pub mod bufpool;
 pub mod codec;
 pub mod column;
 pub mod cowmap;
 pub mod durable;
 pub mod engine;
 pub mod index;
-pub mod pager;
 pub mod range;
 pub mod snapshot;
 pub mod stats;
 pub mod table;
 pub mod wal;
 
-pub use bufpool::BufferPool;
 pub use cowmap::{CowMap, Run};
 pub use durable::{DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;
-pub use pager::{DiskManager, PAGE_SIZE};
 pub use range::KeyRange;
 pub use snapshot::{TableCell, TableSnapshot, TableWriter};
 pub use stats::{ColumnStats, TableStats};

@@ -139,10 +139,6 @@ fn graceful_checkpoint_truncates_wal_and_restores() {
         let after = cache.durability_status().unwrap();
         assert_eq!(after.wal_records, 0, "checkpoint resets the WAL");
         assert_eq!(after.last_checkpoint_age_seconds, Some(0.0));
-        assert!(
-            after.bufpool_evictions > before.bufpool_evictions,
-            "checkpoint payload exceeds the frame budget, forcing eviction"
-        );
     }
     let cache = paper_setup_durable(0.002, 7, opts(&dir)).unwrap();
     let r = cache
