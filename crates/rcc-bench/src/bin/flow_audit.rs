@@ -128,6 +128,7 @@ fn main() -> ExitCode {
     let mut unsound = 0usize;
     let mut elided_static = 0usize;
     let mut kept_static = 0usize;
+    let mut worlds_max = 0usize;
     let mut rejected = [0usize; rcc_flow::Mutation::ALL.len()];
 
     for (qi, sql) in corpus.iter().enumerate() {
@@ -181,6 +182,7 @@ fn main() -> ExitCode {
             // are conformant only under the healthy-replication premise,
             // which is exactly what the certificate replay above proves.
             let report = verify_plan(&catalog, &graph.constraint, &optimized.plan);
+            worlds_max = worlds_max.max(report.worlds);
             if !report.ok() {
                 unsound += 1;
                 eprintln!("OPTIMIZED PLAN DIVERGES on query {qi} [{mode}]:\n  {sql}");
@@ -297,12 +299,13 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "flow-audit: {} queries, {} plans analyzed, {} guards elided / {} kept \
-         (static), {} certificates unsound, {} mutation rejections {:?}, \
+        "flow-audit: {} queries, {} plans analyzed (max {} worlds/plan), {} guards \
+         elided / {} kept (static), {} certificates unsound, {} mutation rejections {:?}, \
          {} replays, {} mismatches, {} guards elided (dynamic), {} interval \
          violations",
         corpus.len(),
         plans,
+        worlds_max,
         elided_static,
         kept_static,
         unsound,

@@ -349,8 +349,9 @@ impl FlowAnalysis {
     }
 }
 
-/// A deliberate corruption of the analysis, used by mutation tests and
-/// `flow-audit` to prove the verifier rejects unsound certificates.
+/// A deliberate corruption of the analysis, used by mutation tests and the
+/// `flow-audit` sweep (crate `rcc-bench`) to prove the verifier rejects
+/// unsound certificates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
     /// Widen the set of states considered current: leaf intervals collapse

@@ -815,8 +815,8 @@ impl MTCache {
     pub fn set_backend_available(&self, up: bool) {
         let was = self.backend_available.swap(up, Ordering::SeqCst);
         self.config.write().backend_available = up;
-        self.plan_cache.invalidate();
         if was != up {
+            self.plan_cache.invalidate();
             self.journal.record(
                 self.clock.now().millis(),
                 EventKind::Failover,
@@ -1668,9 +1668,7 @@ impl MTCache {
             // slot was None → Error::Remote), or a real transport timed
             // out / failed every retry mid-call (Error::Unavailable). Both
             // degrade per the session's violation policy.
-            Err(Error::Remote(msg)) if !self.backend_available.load(Ordering::SeqCst) => {
-                degrade(msg)?
-            }
+            Err(Error::Remote(msg)) if ctx.remote.is_none() => degrade(msg)?,
             Err(Error::Unavailable(msg)) => degrade(msg)?,
             Err(e) => return Err(e),
         };

@@ -208,6 +208,15 @@ fn timeordered_floors_and_serve_stale_apply_on_a_shape_hit() {
 }
 
 #[test]
+fn marking_an_up_link_up_keeps_the_cached_plans() {
+    let cache = rig();
+    cache.execute(Q).unwrap();
+    cache.set_backend_available(true);
+    let rerun = cache.execute(Q).unwrap();
+    assert!(rerun.stats.plan_cache_hit, "no change, no recompile");
+}
+
+#[test]
 fn cached_plan_results_stay_correct() {
     let cache = rig();
     let first = cache.execute(Q).unwrap();

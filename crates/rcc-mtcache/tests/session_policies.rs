@@ -1,7 +1,9 @@
 //! Session-level violation-policy and display-surface tests.
 
-use rcc_common::Duration;
+use rcc_common::{Duration, Error, Result, Row, Schema};
+use rcc_executor::RemoteService;
 use rcc_mtcache::{MTCache, ViolationPolicy};
+use std::sync::{Arc, Weak};
 
 fn rig() -> MTCache {
     let cache = MTCache::new();
@@ -52,6 +54,41 @@ fn session_serve_stale_policy_applies_to_its_queries() {
         1,
         "lenient session's stale answer must be counted under the serve_stale arm"
     );
+}
+
+/// A back-end whose link is marked down while it fails the call it was
+/// given: the failure is its own, not an outage's.
+#[derive(Debug)]
+struct FailsThenDropsLink(Weak<MTCache>);
+
+impl RemoteService for FailsThenDropsLink {
+    fn execute(&self, _sql: &str) -> Result<(Schema, Vec<Row>)> {
+        if let Some(cache) = self.0.upgrade() {
+            cache.set_backend_available(false);
+        }
+        Err(Error::Remote("corrupt payload".into()))
+    }
+}
+
+#[test]
+fn a_remote_error_is_not_served_stale_when_the_link_drops_mid_statement() {
+    let cache = Arc::new(rig());
+    let remote = FailsThenDropsLink(Arc::downgrade(&cache));
+    cache.set_remote_service(Some(Arc::new(remote)));
+    cache.set_region_stalled("r", true);
+    cache.advance(Duration::from_secs(60)).unwrap();
+
+    let mut lenient = cache.session();
+    lenient.set_policy(ViolationPolicy::ServeStale);
+    // the statement ran with a remote slot, so the back-end's own error
+    // surfaces: degrading is for statements that had no back-end to call
+    match lenient.execute(Q) {
+        Err(Error::Remote(msg)) => assert_eq!(msg, "corrupt payload"),
+        other => panic!(
+            "expected the back-end's error, got {:?}",
+            other.map(|r| r.warnings)
+        ),
+    }
 }
 
 #[test]

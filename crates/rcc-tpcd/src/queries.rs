@@ -1,8 +1,10 @@
 //! Deterministic SELECT-with-currency-clause corpus generator.
 //!
-//! `plan-audit` (crate `rcc-verify`) sweeps the optimizer over a large body
+//! `flow-audit` (crate `rcc-bench`) sweeps the optimizer over a large body
 //! of queries and statically proves every optimized plan conforms to its
-//! currency clause. This module generates that corpus: point lookups, range
+//! currency clause; `tests/golden_plans.rs` pins the plans chosen for it
+//! and `rcc-lint`'s `lint_corpus` test lints it. This module generates that
+//! corpus: point lookups, range
 //! scans, aggregates, and customer⋈orders joins over the paper's Customer /
 //! Orders schema, crossed with every clause shape the grammar supports —
 //! no clause (tight default), single-class single-table, single-class
@@ -115,8 +117,8 @@ fn one_query(rng: &mut StdRng, max_custkey: i64) -> String {
 /// Adversarial corpus for the Layer-1 currency-clause lint (`rcc-lint`):
 /// queries that parse and (mostly) bind fine but carry exactly the listed
 /// diagnostic codes, plus clean controls that must stay diagnostic-free.
-/// Expected code lists are sorted; `lint-audit` asserts exact equality, so
-/// any lint regression — missed or spurious — fails the sweep.
+/// Expected code lists are sorted; `rcc-lint`'s `lint_corpus` test asserts
+/// exact equality, so any lint regression — missed or spurious — fails it.
 ///
 /// Written against the audit catalog (`rcc_verify::rig::audit_catalog`):
 /// Customer keyed on `c_custkey` with index `ix_acctbal(c_acctbal)`,

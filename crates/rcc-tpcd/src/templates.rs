@@ -1,10 +1,10 @@
 //! Deterministic TPC-C-flavored transaction-template corpus.
 //!
-//! `robust-audit` (crate `rcc-verify`) binds these templates against the
-//! audit catalog (Customer keyed on `c_custkey`, Orders keyed on
-//! `(o_custkey, o_orderkey)`), runs the robustness analyzer over the whole
-//! workload, and asserts the exact expected verdict per template — so any
-//! analyzer regression, missed cycle or spurious witness fails the sweep.
+//! `rcc-robust`'s corpus tests bind these templates against Customer
+//! (keyed on `c_custkey`) and Orders (keyed on `(o_custkey, o_orderkey)`),
+//! run the robustness analyzer over the whole workload, and assert the
+//! exact expected verdict per template and that both verdicts appear — so
+//! any analyzer regression, missed cycle or spurious witness fails them.
 //! The mutation corpus then applies the classic robustness-breaking edits
 //! (add a conflicting write, loosen a currency bound, drop a key
 //! predicate) and asserts each one flips its target's verdict.

@@ -29,10 +29,11 @@
 //!    (and every guarded index-join inner) is unconditionally C&C-safe:
 //!    pure back-end reads, no residual guards.
 //!
-//! [`verify_plan`] runs all of them and returns a [`VerifyReport`]; the
-//! `plan-audit` binary sweeps a generated corpus; `rcc-mtcache` runs the
-//! same analysis as a `debug_assertions` audit after every optimization
-//! and surfaces it through the `VERIFY SELECT ...` statement.
+//! [`verify_plan`] runs all of them and returns a [`VerifyReport`];
+//! `flow-audit` (crate `rcc-bench`) sweeps a generated corpus with it;
+//! `rcc-mtcache` runs the same analysis as a `debug_assertions` audit after
+//! every optimization and surfaces it through the `VERIFY SELECT ...`
+//! statement.
 
 pub mod elision;
 pub mod rig;

@@ -1,9 +1,9 @@
 //! A self-contained catalog rig for plan auditing.
 //!
-//! `plan-audit` (and the mutation tests) need a realistic catalog — base
-//! tables with statistics, currency regions, cached-view definitions — but
-//! must not depend on `rcc-mtcache` (which depends on this crate for its
-//! post-optimize audit). This module builds the paper's Table 4.1 shape
+//! `flow-audit`'s static sweep, `rcc-lint`'s corpus test and the mutation
+//! tests need a realistic catalog — base tables with statistics, currency
+//! regions, cached-view definitions — built without `rcc-mtcache` (which
+//! depends on this crate for its post-optimize audit). This module builds the paper's Table 4.1 shape
 //! directly from `rcc-catalog` + `rcc-backend` + `rcc-tpcd`: Customer and
 //! Orders, regions CR1(15, 5) and CR2(10, 5), views `cust_prj` (CR1) and
 //! `orders_prj` (CR2), plus a second customer view `cust_bal` in CR2 so
