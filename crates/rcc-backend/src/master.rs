@@ -5,8 +5,8 @@ use parking_lot::RwLock;
 use rcc_catalog::{Catalog, TableMeta};
 use rcc_common::{Clock, Error, RegionId, Result, Row, Timestamp, TxnId, Value};
 use rcc_storage::{
-    CommitRecord, DurableStore, RowChange, StorageEngine, Table, TableHandle, TableStats,
-    WatermarkRecord,
+    CommitRecord, DurableStore, RowChange, StorageEngine, Table, TableHandle, TableSnapshot,
+    TableStats, WatermarkRecord,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -133,12 +133,7 @@ impl MasterDb {
     pub fn bulk_load(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let handle = self.storage.table(table)?;
         let n = rows.len();
-        handle.update(|t| {
-            for row in rows {
-                t.insert(row)?;
-            }
-            Ok(())
-        })?;
+        handle.update(|t| t.load(rows))?;
         Ok(n)
     }
 
@@ -261,10 +256,7 @@ impl MasterDb {
                 // Replace, don't merge: an upsert over bulk-loaded state
                 // would resurrect rows deleted before the checkpoint.
                 t.truncate();
-                for row in rows {
-                    t.insert(row)?;
-                }
-                Ok(())
+                t.load(rows)
             })?;
         }
         log.base = base_log_len as usize;
@@ -331,12 +323,13 @@ impl MasterDb {
             return Ok(false);
         };
         // Hold the log read lock so the table images, log length, and id
-        // form one consistent cut: no commit can land in between.
+        // form one consistent cut: no commit can land in between. The
+        // images are pinned snapshots, encoded by reference.
         let log = self.log.read();
         let mut tables = Vec::new();
         for name in self.storage.table_names() {
-            let rows = self.storage.table(&name)?.snapshot().collect_all();
-            tables.push((name, rows));
+            let snapshot = self.storage.table(&name)?.snapshot();
+            tables.push((name, snapshot));
         }
         store.checkpoint(
             &tables,
@@ -384,6 +377,15 @@ impl MasterDb {
         log.txns.get(idx..).unwrap_or(&[]).to_vec()
     }
 
+    /// Transactions with absolute index in `[from, to)`, in commit order,
+    /// clamped to what is retained as [`MasterDb::log_since`] is.
+    pub fn log_between(&self, from: usize, to: usize) -> Vec<CommittedTxn> {
+        let log = self.log.read();
+        let from = from.saturating_sub(log.base);
+        let to = to.saturating_sub(log.base).min(log.txns.len());
+        log.txns.get(from..to).unwrap_or(&[]).to_vec()
+    }
+
     /// Transactions with absolute index `>= cursor` whose commit time is at
     /// or before `as_of` — what a distribution agent propagating at time
     /// `t` with delivery delay `d` sees (`as_of = t − d`).
@@ -415,15 +417,16 @@ impl MasterDb {
         Ok(TableStats::compute(&t))
     }
 
-    /// Snapshot (clone) of a master table's current rows, used to populate
-    /// a newly created cached view. Returns the rows plus the log cursor at
-    /// copy time, so the subscribing agent knows where to resume.
-    pub fn snapshot_table(&self, table: &str) -> Result<(Vec<Row>, usize)> {
-        // Hold the log lock so no transaction commits between reading the
-        // rows and reading the cursor — the copy is a consistent snapshot.
+    /// A master table's current snapshot, used to populate a newly created
+    /// cached view, plus the log cursor it stands at, so the subscribing
+    /// agent knows where to resume. Pinning the snapshot is one refcount
+    /// bump: no row is copied, and the log lock is held only for that.
+    pub fn snapshot_table(&self, table: &str) -> Result<(TableSnapshot, usize)> {
+        // Hold the log lock so no transaction commits between pinning the
+        // table and reading the cursor.
         let log = self.log.read();
-        let rows = self.storage.table(table)?.snapshot().collect_all();
-        Ok((rows, log.base + log.txns.len()))
+        let snapshot = self.storage.table(table)?.snapshot();
+        Ok((snapshot, log.base + log.txns.len()))
     }
 }
 
@@ -503,6 +506,11 @@ mod tests {
         assert_eq!(db.log_since(0).len(), 3);
         assert_eq!(db.log_since(2).len(), 1);
         assert_eq!(db.log_since(99).len(), 0);
+        assert_eq!(db.log_between(1, 3), db.log_since(1));
+        assert_eq!(db.log_between(1, 2).len(), 1);
+        assert!(db.log_between(2, 2).is_empty());
+        assert_eq!(db.log_between(2, 99), db.log_since(2), "clamped to the end");
+        assert!(db.log_between(5, 9).is_empty());
     }
 
     #[test]
@@ -549,8 +557,8 @@ mod tests {
     fn snapshot_returns_rows_and_cursor() {
         let (db, _) = setup();
         db.execute_txn(vec![ins(1, 1)]).unwrap();
-        let (rows, cursor) = db.snapshot_table("t").unwrap();
-        assert_eq!(rows.len(), 1);
+        let (snapshot, cursor) = db.snapshot_table("t").unwrap();
+        assert_eq!(snapshot.row_count(), 1);
         assert_eq!(cursor, 1);
         db.execute_txn(vec![ins(2, 2)]).unwrap();
         assert_eq!(db.log_since(cursor).len(), 1);

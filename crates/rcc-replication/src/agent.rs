@@ -1,7 +1,7 @@
 //! Distribution agents.
 
 use rcc_backend::heartbeat::heartbeat_schema;
-use rcc_backend::{MasterDb, HEARTBEAT_TABLE};
+use rcc_backend::{CommittedTxn, MasterDb, HEARTBEAT_TABLE};
 use rcc_catalog::{CachedViewDef, CurrencyRegion, TableMeta};
 use rcc_common::{AgentId, Error, Result, Row, Timestamp, Value};
 use rcc_storage::{RowChange, StorageEngine, Table};
@@ -149,20 +149,27 @@ impl DistributionAgent {
             base_key_ordinals,
         };
 
-        // Populate from a consistent snapshot.
-        let (rows, snapshot_cursor) = self.master.snapshot_table(&base.name)?;
-        for row in rows {
-            if let Some(projected) = project_row(&sub, &row) {
-                table.insert(projected)?;
-            }
-        }
-        self.cache_storage.create_table(table)?;
+        // Populate from the master's pinned snapshot, projected straight
+        // into the view's rows.
+        let (snapshot, snapshot_cursor) = self.master.snapshot_table(&base.name)?;
+        let rows = snapshot
+            .iter()
+            .filter_map(|row| project_row(&sub, row))
+            .collect();
+        table.load(rows)?;
 
-        if self.subscriptions.is_empty() {
-            self.cursor = snapshot_cursor;
+        // Every view of a region stands at one point of the log. Views
+        // already subscribed catch up to the snapshot's cursor before the
+        // new one appears — stalled or not, since the snapshot read the
+        // master — so no view of the region is older than another, and a
+        // later cycle never replays into the new view a change its
+        // snapshot already holds newer.
+        if !self.subscriptions.is_empty() && self.cursor < snapshot_cursor {
+            let txns = self.master.log_between(self.cursor, snapshot_cursor);
+            self.publish(&txns)?;
         }
-        // else: keep the existing cursor; replaying txns the snapshot
-        // already covers is idempotent (upsert/delete by key).
+        self.cursor = snapshot_cursor;
+        self.cache_storage.create_table(table)?;
         self.subscriptions.push(sub);
         Ok(())
     }
@@ -195,16 +202,24 @@ impl DistributionAgent {
         }
         let as_of = now.minus(self.region.update_delay);
         let txns = self.master.log_since_until(self.cursor, as_of);
-        let applied = txns.len();
-        if applied == 0 {
-            self.last_propagation = Some(now);
-            return Ok(0);
-        }
+        self.publish(&txns)?;
+        self.cursor += txns.len();
+        self.last_propagation = Some(now);
+        Ok(txns.len())
+    }
 
+    /// Apply `txns` — the log from the agent's cursor on, in commit order —
+    /// to every subscribed view and the region's heartbeat: staged first
+    /// (pure computation, no locks), then published one copy-on-write
+    /// snapshot per view, the heartbeat last. Leaves the cursor alone.
+    fn publish(&self, txns: &[CommittedTxn]) -> Result<()> {
+        if txns.is_empty() {
+            return Ok(());
+        }
         // Stage: fold every change into per-view op lists, in commit order.
         let mut staged: Vec<Vec<ViewOp>> = vec![Vec::new(); self.subscriptions.len()];
         let mut heartbeat: Option<Row> = None;
-        for txn in &txns {
+        for txn in txns {
             for change in &txn.changes {
                 if change.table == HEARTBEAT_TABLE {
                     self.stage_heartbeat(&change.change, &mut heartbeat)?;
@@ -245,10 +260,7 @@ impl DistributionAgent {
                 .table(&self.region.heartbeat_table_name())?;
             handle.update(|t| t.upsert(row))?;
         }
-
-        self.cursor += applied;
-        self.last_propagation = Some(now);
-        Ok(applied)
+        Ok(())
     }
 
     /// Fold a heartbeat-table change into the staged heartbeat row for this
@@ -415,24 +427,9 @@ mod tests {
         let cache = Arc::new(StorageEngine::new());
         let mut agent =
             DistributionAgent::new(AgentId(1), region, master.clone(), cache.clone()).unwrap();
-        let view_schema = Schema::new(vec![
-            Column::new("id", DataType::Int).with_source(TableId(1)),
-            Column::new("grp", DataType::Int).with_source(TableId(1)),
-        ])
-        .with_qualifier("items_v");
-        let view = Arc::new(CachedViewDef {
-            id: ViewId(1),
-            name: "items_v".into(),
-            region: RegionId(1),
-            base_table: TableId(1),
-            base_table_name: "items".into(),
-            columns: vec!["id".into(), "grp".into()],
-            predicate,
-            schema: view_schema,
-            key_ordinals: vec![0],
-            local_indexes: vec![],
-        });
-        agent.subscribe(view, &meta).unwrap();
+        agent
+            .subscribe(items_view(1, "items_v", predicate), &meta)
+            .unwrap();
         Fixture {
             clock,
             master,
@@ -440,6 +437,27 @@ mod tests {
             agent,
             meta,
         }
+    }
+
+    /// A view of region 1 over `items (id, grp)`, with its own index.
+    fn items_view(id: u32, name: &str, predicate: Option<ViewPredicate>) -> Arc<CachedViewDef> {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int).with_source(TableId(1)),
+            Column::new("grp", DataType::Int).with_source(TableId(1)),
+        ])
+        .with_qualifier(name);
+        Arc::new(CachedViewDef {
+            id: ViewId(id),
+            name: name.into(),
+            region: RegionId(1),
+            base_table: TableId(1),
+            base_table_name: "items".into(),
+            columns: vec!["id".into(), "grp".into()],
+            predicate,
+            schema,
+            key_ordinals: vec![0],
+            local_indexes: vec![(format!("ix_{name}_grp"), "grp".into())],
+        })
     }
 
     fn upd(id: i64, grp: i64) -> TableChange {
@@ -599,6 +617,58 @@ mod tests {
             local_indexes: vec![],
         });
         assert!(agent.subscribe(bad_view, &f.meta).is_err());
+    }
+
+    /// A view subscribed to a region whose agent lags the log: the
+    /// region's views agree on every key at once, and no later cycle takes
+    /// the new view back to a value its snapshot had already moved past.
+    #[test]
+    fn a_second_view_catches_its_region_up_and_never_goes_back() {
+        let mut f = fixture(None);
+        f.master.execute_txn(vec![upd(3, 50)]).unwrap(); // T1 at t = 0
+        f.clock.advance(Duration::from_secs(5));
+        f.master.beat(RegionId(1)).unwrap();
+        f.master.execute_txn(vec![upd(3, 60)]).unwrap(); // T2 at t = 5
+        f.agent
+            .subscribe(items_view(2, "items_w", None), &f.meta)
+            .unwrap();
+        let grp = |view: &str| {
+            let t = f.cache.table(view).unwrap().snapshot();
+            t.get(&[Value::Int(3)]).unwrap().get(1).clone()
+        };
+        let rows = |view: &str| f.cache.table(view).unwrap().snapshot().collect_all();
+        assert_eq!(grp("items_w"), Value::Int(60));
+        assert_eq!(rows("items_v"), rows("items_w"), "one snapshot point");
+        let by_grp = |view: &str| {
+            let t = f.cache.table(view).unwrap().snapshot();
+            t.index_scan(&format!("ix_{view}_grp"), &KeyRange::eq(Value::Int(60)))
+                .unwrap()
+        };
+        assert_eq!(by_grp("items_v"), by_grp("items_w"));
+        assert_eq!(f.agent.cursor(), f.master.log_len());
+        // the catch-up carried the region's heartbeat with it
+        assert_eq!(f.agent.local_heartbeat(), Some(Timestamp(5_000)));
+        // t = 6: with a 2 s delay only T1 would be due — it is applied
+        // already, and replays nothing
+        for secs in [1, 5] {
+            f.clock.advance(Duration::from_secs(secs));
+            assert_eq!(f.agent.propagate(f.clock.now()).unwrap(), 0);
+            assert_eq!(grp("items_w"), Value::Int(60));
+            assert_eq!(grp("items_v"), Value::Int(60));
+        }
+    }
+
+    /// A stalled agent's views still catch up to a new view's snapshot.
+    #[test]
+    fn a_stalled_agent_catches_up_at_subscribe() {
+        let mut f = fixture(None);
+        f.agent.set_stalled(true);
+        f.master.execute_txn(vec![upd(4, 70)]).unwrap();
+        f.agent
+            .subscribe(items_view(2, "items_w", None), &f.meta)
+            .unwrap();
+        let v = f.cache.table("items_v").unwrap().snapshot();
+        assert_eq!(v.get(&[Value::Int(4)]).unwrap().get(1), &Value::Int(70));
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! to its start, a gallop from there to its end, and a walk over whole
 //! chunk slices, with no per-entry bound check. Chunk buffers are sized for
 //! `MAX_CHUNK` entries once and never reallocate, which keeps a bulk load
-//! from scattering outgrown buffers between the rows it allocates.
+//! from scattering outgrown buffers between the rows it allocates. A bulk
+//! fill does not insert entry by entry: [`CowMap::merge_sorted`] moves a
+//! sorted run into full chunks in one pass, keeping every chunk it does
+//! not touch shared.
 //!
 //! Invariants: no chunk is empty, no chunk holds more than `MAX_CHUNK`
 //! entries, keys ascend strictly across the whole spine, and `fences[i]` is
@@ -389,10 +392,20 @@ impl<K: Ord, V> CowMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
+        self.get_key_value(key).map(|(_, v)| v)
+    }
+
+    /// The key as stored and the value stored under `key`.
+    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
         let (chunk, Ok(slot)) = self.locate(key) else {
             return None;
         };
-        Some(&self.chunks[chunk].vals[slot])
+        let chunk = &self.chunks[chunk];
+        Some((&chunk.keys[slot], &chunk.vals[slot]))
     }
 
     /// The one-entry run holding the value stored under `key`. It never
@@ -416,7 +429,123 @@ impl<K: Ord, V> CowMap<K, V> {
     }
 }
 
+/// Packs entries that arrive in ascending key order into full chunks: the
+/// one place [`CowMap::from_sorted`] and [`CowMap::merge_sorted`] build a
+/// spine.
+struct Packer<K, V> {
+    fences: Vec<K>,
+    chunks: Vec<Arc<Chunk<K, V>>>,
+    /// The chunk being filled; sealed when full or when a kept chunk
+    /// follows it.
+    open: Chunk<K, V>,
+    len: usize,
+}
+
+impl<K: Ord + Clone, V> Packer<K, V> {
+    fn new() -> Packer<K, V> {
+        Packer {
+            fences: Vec::new(),
+            chunks: Vec::new(),
+            open: Chunk::new(),
+            len: 0,
+        }
+    }
+
+    /// Append one entry; its key must follow every key packed so far.
+    fn push(&mut self, key: K, val: V) {
+        debug_assert!(
+            self.open
+                .keys
+                .last()
+                .or_else(|| self.chunks.last().and_then(|c| c.keys.last()))
+                .is_none_or(|last| *last < key),
+            "keys must ascend strictly"
+        );
+        if self.open.keys.len() == MAX_CHUNK {
+            self.seal();
+        }
+        self.open.keys.push(key);
+        self.open.vals.push(val);
+        self.len += 1;
+    }
+
+    /// Append a whole chunk as it is — shared, not copied — after sealing
+    /// the open one.
+    fn keep(&mut self, chunk: Arc<Chunk<K, V>>, fence: K) {
+        self.seal();
+        self.len += chunk.keys.len();
+        self.fences.push(fence);
+        self.chunks.push(chunk);
+    }
+
+    fn seal(&mut self) {
+        if !self.open.keys.is_empty() {
+            let chunk = std::mem::replace(&mut self.open, Chunk::new());
+            self.fences.push(chunk.keys[0].clone());
+            self.chunks.push(Arc::new(chunk));
+        }
+    }
+
+    fn finish(mut self) -> CowMap<K, V> {
+        self.seal();
+        CowMap {
+            fences: Arc::new(self.fences),
+            chunks: self.chunks,
+            len: self.len,
+        }
+    }
+}
+
 impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
+    /// A map holding `entries`, whose keys must ascend strictly, built in
+    /// one pass: entries are moved into full chunks in order, with no
+    /// lookup, split or copy — the layout an ascending run of inserts
+    /// leaves, at a fraction of its cost.
+    pub fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> CowMap<K, V> {
+        let mut map = CowMap::new();
+        map.merge_sorted(entries);
+        map
+    }
+
+    /// Add `entries` — keys strictly ascending, none of them in the map —
+    /// in one pass over both. A chunk no new key falls into is kept as it
+    /// is, still shared with every clone of the map; the entries of a chunk
+    /// new keys do fall into (copied first if a clone shares it) are merged
+    /// with them into full chunks.
+    pub fn merge_sorted(&mut self, entries: impl IntoIterator<Item = (K, V)>) {
+        let mut new = entries.into_iter().peekable();
+        let old = std::mem::take(self);
+        let mut out = Packer::new();
+        for (i, chunk) in old.chunks.into_iter().enumerate() {
+            // the new keys this chunk takes: those before the next chunk
+            let next = old.fences.get(i + 1);
+            let here = |key: &K| next.is_none_or(|fence| key < fence);
+            if !new.peek().is_some_and(|(key, _)| here(key)) {
+                out.keep(chunk, old.fences[i].clone());
+                continue;
+            }
+            let Chunk { keys, vals, .. } = Arc::unwrap_or_clone(chunk);
+            let mut kept = keys.into_iter().zip(vals).peekable();
+            loop {
+                let incoming = new.peek().filter(|(key, _)| here(key));
+                let take_new = match (kept.peek(), incoming) {
+                    (None, None) => break,
+                    (Some((a, _)), Some((b, _))) => b < a,
+                    (None, Some(_)) => true,
+                    (Some(_), None) => false,
+                };
+                let next = if take_new { new.next() } else { kept.next() };
+                if let Some((key, val)) = next {
+                    out.push(key, val);
+                }
+            }
+        }
+        for (key, val) in new {
+            out.push(key, val);
+        }
+        *self = out.finish();
+    }
+
     /// The slot for `key`, found in one descent: occupied (read it, replace
     /// its value) or vacant (insert there). Nothing is copied until the
     /// entry is written.
@@ -748,6 +877,91 @@ mod tests {
         // an empty or reversed span yields nothing
         assert!(map.run((span.0, span.0), span.0).is_none());
         assert!(map.run((span.1, span.0), span.1).is_none());
+    }
+
+    // ------------------------------------------------------ sorted loads
+
+    #[test]
+    fn from_sorted_packs_full_chunks() {
+        for n in [0u32, 1, 255, 256, 257, 3 * 256, 1000] {
+            let map = CowMap::from_sorted((0..n).map(|k| (2 * k, k)));
+            let oracle: BTreeMap<u32, u32> = (0..n).map(|k| (2 * k, k)).collect();
+            check(&map, &oracle);
+            assert_eq!(
+                map.chunk_count(),
+                (n as usize).div_ceil(MAX_CHUNK),
+                "n = {n}"
+            );
+            // every chunk but the last is full: what ascending inserts leave
+            let mut inserted = CowMap::new();
+            for k in 0..n {
+                inserted.insert(2 * k, k);
+            }
+            let sizes = |m: &CowMap<u32, u32>| -> Vec<usize> {
+                m.chunks.iter().map(|c| c.keys.len()).collect()
+            };
+            assert_eq!(sizes(&map), sizes(&inserted), "n = {n}");
+            assert!(map.get(&1).is_none());
+        }
+    }
+
+    #[test]
+    fn merge_sorted_keeps_untouched_chunks_shared() {
+        // four full chunks of even keys, 0..2048
+        let mut map = CowMap::from_sorted((0..1024u32).map(|k| (2 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = map.iter().map(|(k, v)| (*k, *v)).collect();
+        let before = map.clone();
+        // odd keys into chunk 1 only, and a run past the end
+        let new: Vec<(u32, u32)> = (600..620)
+            .step_by(2)
+            .map(|k| (k + 1, 0))
+            .chain((3000..3300).map(|k| (k, 1)))
+            .collect();
+        oracle.extend(new.iter().copied());
+        map.merge_sorted(new);
+        check(&map, &oracle);
+        // chunks 0 and 2 are the same allocations; chunk 1 and the last
+        // chunk, which takes every key after it, were copied (a clone
+        // shares them) and merged with their new keys
+        assert_eq!(map.shared_chunks(&before), 2);
+        assert_eq!(before.len(), 1024);
+        assert_eq!(before.get(&601), None);
+        assert_eq!(map.get(&601), Some(&0));
+        // new keys before the first and between chunks, into a map no clone
+        // shares: each lands where an insert would
+        let mut owned = CowMap::from_sorted((10..20u32).map(|k| (10 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = owned.iter().map(|(k, v)| (*k, *v)).collect();
+        let new: Vec<(u32, u32)> = [(1, 1), (5, 5), (101, 0), (155, 0), (999, 9)].into();
+        oracle.extend(new.iter().copied());
+        owned.merge_sorted(new);
+        check(&owned, &oracle);
+        // merging nothing changes nothing
+        let again = owned.clone();
+        owned.merge_sorted(std::iter::empty());
+        check(&owned, &oracle);
+        assert_eq!(owned.shared_chunks(&again), again.chunk_count());
+    }
+
+    #[test]
+    fn merge_sorted_into_a_split_map_matches_btreemap() {
+        // a scrambled insert order leaves half-full chunks; merging a
+        // scrambled-then-sorted set of new keys must still land every key
+        let n = 4 * MAX_CHUNK as u32 + 7;
+        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
+        for k in scrambled(n) {
+            map.insert(3 * k, k);
+            oracle.insert(3 * k, k);
+        }
+        let mut new: Vec<(u32, u32)> = scrambled(n).map(|k| (3 * k + 1, k)).collect();
+        new.sort_unstable();
+        oracle.extend(new.iter().copied());
+        map.merge_sorted(new);
+        check(&map, &oracle);
+        // a write after a merge splits and merges as before
+        for k in scrambled(n).step_by(5) {
+            assert_eq!(map.remove(&(3 * k)), oracle.remove(&(3 * k)));
+        }
+        check(&map, &oracle);
     }
 
     // ------------------------------------------------------- chunk images

@@ -29,6 +29,8 @@ use parking_lot::Mutex;
 use rcc_common::{Error, Result, Row};
 
 use crate::codec::{self, crc32, Reader};
+use crate::snapshot::TableSnapshot;
+use crate::table::Table;
 use crate::wal::{CommitRecord, SyncPolicy, Wal, WalRecord, WatermarkRecord};
 
 /// File magic for checkpoint files.
@@ -119,9 +121,36 @@ fn sync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| io_err("fsync dir", dir, e))
 }
 
+/// The rows a checkpoint writes for one table, read by reference: a
+/// pinned table snapshot, or a list of rows.
+pub trait CheckpointRows {
+    /// How many rows there are.
+    fn row_count(&self) -> usize;
+    /// The rows, in the order they are written.
+    fn rows(&self) -> impl Iterator<Item = &Row>;
+}
+
+impl CheckpointRows for Vec<Row> {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.iter()
+    }
+}
+
+impl CheckpointRows for TableSnapshot {
+    fn row_count(&self) -> usize {
+        Table::row_count(self)
+    }
+    fn rows(&self) -> impl Iterator<Item = &Row> {
+        self.iter()
+    }
+}
+
 /// The whole checkpoint file: header, then the payload.
 fn encode_checkpoint(
-    tables: &[(String, Vec<Row>)],
+    tables: &[(String, impl CheckpointRows)],
     watermarks: &[WatermarkRecord],
     log_len: u64,
     next_id: u64,
@@ -140,8 +169,8 @@ fn encode_checkpoint(
     out.extend_from_slice(&(tables.len() as u32).to_le_bytes());
     for (name, rows) in tables {
         codec::encode_str(name, &mut out);
-        out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
-        for row in rows {
+        out.extend_from_slice(&(rows.row_count() as u32).to_le_bytes());
+        for row in rows.rows() {
             codec::encode_values(row.values(), &mut out);
         }
     }
@@ -329,7 +358,7 @@ impl DurableStore {
     /// previous checkpoint.
     pub fn checkpoint(
         &self,
-        tables: &[(String, Vec<Row>)],
+        tables: &[(String, impl CheckpointRows)],
         watermarks: &[WatermarkRecord],
         log_len: u64,
         next_id: u64,
@@ -473,6 +502,24 @@ mod tests {
     }
 
     #[test]
+    fn a_pinned_snapshot_encodes_as_its_rows_do() {
+        let schema = rcc_common::Schema::new(vec![
+            rcc_common::Column::new("k", rcc_common::DataType::Int),
+            rcc_common::Column::new("s", rcc_common::DataType::Str),
+        ]);
+        let mut table = Table::new("t", schema, vec![0]);
+        let rows: Vec<Row> = (0..700)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Str(format!("row-{i}"))]))
+            .collect();
+        table.load(rows.clone()).unwrap();
+        let snapshot: TableSnapshot = Arc::new(table);
+        assert_eq!(
+            encode_checkpoint(&[("t".to_string(), snapshot)], &[], 3, 2, 1),
+            encode_checkpoint(&[("t".to_string(), rows)], &[], 3, 2, 1)
+        );
+    }
+
+    #[test]
     fn stale_commits_in_wal_are_skipped() {
         let dir = temp_dir("dedupe");
         {
@@ -481,7 +528,8 @@ mod tests {
             store.append_commit(&commit(2, 20)).unwrap();
             // Checkpoint covering both, but crash before wal.reset():
             // simulate by checkpointing then re-appending the same ids.
-            store.checkpoint(&[], &[], 2, 2, 20).unwrap();
+            let no_tables: &[(String, Vec<Row>)] = &[];
+            store.checkpoint(no_tables, &[], 2, 2, 20).unwrap();
             store.append_commit(&commit(1, 10)).unwrap();
             store.append_commit(&commit(2, 20)).unwrap();
             store.append_commit(&commit(3, 30)).unwrap();

@@ -64,6 +64,22 @@ impl SecondaryIndex {
         self.entries.insert(self.entry_of(row, pk), ());
     }
 
+    /// Add the entries of `rows`, each stored at the clustered key its
+    /// `key` columns hold and none indexed yet, in one sorted pass
+    /// ([`CowMap::merge_sorted`]).
+    pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a Row>, key: &[usize]) {
+        let mut entries: Vec<Vec<Value>> = rows
+            .map(|row| {
+                let mut entry = Vec::with_capacity(self.columns.len() + key.len());
+                entry.extend(self.columns.iter().chain(key).map(|&i| row.get(i).clone()));
+                entry
+            })
+            .collect();
+        entries.sort_unstable();
+        self.entries
+            .merge_sorted(entries.into_iter().map(|entry| (entry, ())));
+    }
+
     /// Remove the entry for `row` stored at clustered key `pk`.
     pub fn remove(&mut self, row: &Row, pk: &[Value]) {
         self.entries.remove(self.entry_of(row, pk).as_slice());

@@ -28,7 +28,7 @@ pub mod table;
 pub mod wal;
 
 pub use cowmap::{CowMap, Run};
-pub use durable::{DurableStore, RecoveredState, RecoveryStats};
+pub use durable::{CheckpointRows, DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;
 pub use range::KeyRange;

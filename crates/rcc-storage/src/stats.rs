@@ -9,7 +9,7 @@
 use crate::range::KeyRange;
 use crate::table::Table;
 use rcc_common::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
 /// Number of histogram buckets kept per numeric column.
@@ -147,6 +147,87 @@ impl ColumnStats {
     }
 }
 
+/// Distinct values tracked per column; past this many, a column counts
+/// as all distinct.
+const DISTINCT_CAP: usize = 100_000;
+
+/// One column's running statistics over borrowed cells.
+struct Tally<'a> {
+    min: Option<&'a Value>,
+    max: Option<&'a Value>,
+    nulls: u64,
+    distinct: Distinct<'a>,
+}
+
+/// How a column's distinct values are counted.
+enum Distinct<'a> {
+    /// A sorted column: a value unequal to its predecessor starts a run.
+    Runs {
+        runs: usize,
+        last: Option<&'a Value>,
+    },
+    /// Any other column: the values seen, up to [`DISTINCT_CAP`].
+    Set(HashSet<&'a Value>),
+}
+
+impl<'a> Tally<'a> {
+    fn new(sorted: bool) -> Tally<'a> {
+        Tally {
+            min: None,
+            max: None,
+            nulls: 0,
+            distinct: if sorted {
+                Distinct::Runs {
+                    runs: 0,
+                    last: None,
+                }
+            } else {
+                Distinct::Set(HashSet::new())
+            },
+        }
+    }
+
+    fn add(&mut self, v: &'a Value) {
+        if v.is_null() {
+            self.nulls += 1;
+            return;
+        }
+        if self.min.is_none_or(|m| v < m) {
+            self.min = Some(v);
+        }
+        if self.max.is_none_or(|m| v > m) {
+            self.max = Some(v);
+        }
+        match &mut self.distinct {
+            Distinct::Runs { runs, last } => {
+                if last.is_none_or(|l| l != v) {
+                    *runs += 1;
+                }
+                *last = Some(v);
+            }
+            Distinct::Set(seen) => {
+                if seen.len() < DISTINCT_CAP {
+                    seen.insert(v);
+                }
+            }
+        }
+    }
+
+    /// The distinct count over `n` rows: exact below the cap, every
+    /// non-NULL value at or above it.
+    fn distinct(&self, n: u64) -> u64 {
+        let seen = match &self.distinct {
+            Distinct::Runs { runs, .. } => *runs,
+            Distinct::Set(seen) => seen.len(),
+        };
+        if seen >= DISTINCT_CAP {
+            n.saturating_sub(self.nulls)
+        } else {
+            seen as u64
+        }
+    }
+}
+
 /// Statistics for one table (or materialized view).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableStats {
@@ -159,83 +240,73 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute full statistics by scanning `table`.
+    /// Compute full statistics by scanning `table`: one pass over its
+    /// cells, by reference, for everything but the histograms, and one
+    /// more for every numeric column's histogram at once.
     pub fn compute(table: &Table) -> TableStats {
         let schema = table.schema();
         let ncols = schema.len();
-        let mut mins: Vec<Option<Value>> = vec![None; ncols];
-        let mut maxs: Vec<Option<Value>> = vec![None; ncols];
-        let mut nulls = vec![0u64; ncols];
-        let mut distinct: Vec<std::collections::HashSet<Value>> = (0..ncols)
-            .map(|_| std::collections::HashSet::new())
-            .collect();
+        // the leading clustered-key column arrives sorted: its distinct
+        // values are its runs, counted without hashing
+        let lead = table.key_ordinals()[0];
+        let mut tallies: Vec<Tally<'_>> = (0..ncols).map(|i| Tally::new(i == lead)).collect();
         let mut total_bytes = 0usize;
         let mut n = 0u64;
-
         for row in table.iter() {
             n += 1;
             total_bytes += row.byte_width();
-            for (i, v) in row.values().iter().enumerate() {
-                if v.is_null() {
-                    nulls[i] += 1;
-                    continue;
-                }
-                if mins[i].as_ref().map(|m| v < m).unwrap_or(true) {
-                    mins[i] = Some(v.clone());
-                }
-                if maxs[i].as_ref().map(|m| v > m).unwrap_or(true) {
-                    maxs[i] = Some(v.clone());
-                }
-                // Cap the distinct tracker so giant tables don't blow memory;
-                // beyond the cap we extrapolate as "all distinct".
-                if distinct[i].len() < 100_000 {
-                    distinct[i].insert(v.clone());
-                }
+            for (tally, v) in tallies.iter_mut().zip(row.values()) {
+                tally.add(v);
             }
         }
 
         // Histogram pass for numeric columns.
-        let mut histograms: Vec<Vec<u64>> = vec![Vec::new(); ncols];
-        for i in 0..ncols {
-            let (Some(lo), Some(hi)) = (&mins[i], &maxs[i]) else {
-                continue;
-            };
-            let (Ok(lo), Ok(hi)) = (lo.as_float(), hi.as_float()) else {
-                continue;
-            };
-            if hi > lo {
-                histograms[i] = vec![0u64; HISTOGRAM_BUCKETS];
-                let width = (hi - lo) / HISTOGRAM_BUCKETS as f64;
-                for row in table.iter() {
+        let bounds: Vec<Option<(f64, f64)>> = tallies
+            .iter()
+            .map(|t| {
+                let lo = t.min?.as_float().ok()?;
+                let hi = t.max?.as_float().ok()?;
+                (hi > lo).then_some((lo, hi))
+            })
+            .collect();
+        let mut histograms: Vec<Vec<u64>> = bounds
+            .iter()
+            .map(|b| match b {
+                Some(_) => vec![0u64; HISTOGRAM_BUCKETS],
+                None => Vec::new(),
+            })
+            .collect();
+        let numeric: Vec<(usize, f64, f64)> = bounds
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| b.map(|(lo, hi)| (i, lo, (hi - lo) / HISTOGRAM_BUCKETS as f64)))
+            .collect();
+        if !numeric.is_empty() {
+            for row in table.iter() {
+                for &(i, lo, width) in &numeric {
                     if let Ok(v) = row.get(i).as_float() {
-                        let mut b = ((v - lo) / width) as usize;
-                        if b >= HISTOGRAM_BUCKETS {
-                            b = HISTOGRAM_BUCKETS - 1;
-                        }
+                        let b = (((v - lo) / width) as usize).min(HISTOGRAM_BUCKETS - 1);
                         histograms[i][b] += 1;
                     }
                 }
             }
         }
 
-        let mut columns = HashMap::with_capacity(ncols);
-        for i in 0..ncols {
-            let d = if distinct[i].len() >= 100_000 {
-                n.saturating_sub(nulls[i])
-            } else {
-                distinct[i].len() as u64
-            };
-            columns.insert(
-                schema.column(i).name.clone(),
-                ColumnStats {
-                    min: mins[i].clone(),
-                    max: maxs[i].clone(),
-                    distinct: d,
-                    nulls: nulls[i],
-                    histogram: std::mem::take(&mut histograms[i]),
-                },
-            );
-        }
+        let columns = tallies
+            .into_iter()
+            .zip(histograms)
+            .enumerate()
+            .map(|(i, (tally, histogram))| {
+                let stats = ColumnStats {
+                    min: tally.min.cloned(),
+                    max: tally.max.cloned(),
+                    distinct: tally.distinct(n),
+                    nulls: tally.nulls,
+                    histogram,
+                };
+                (schema.column(i).name.clone(), stats)
+            })
+            .collect();
 
         TableStats {
             row_count: n,

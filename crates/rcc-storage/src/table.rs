@@ -91,6 +91,16 @@ impl PartialEq for ClusterKey {
 
 impl Eq for ClusterKey {}
 
+/// The clustered key of `row` in a table clustered on the columns `key`,
+/// as stored.
+fn cluster_key(key: &[usize], row: &Row) -> ClusterKey {
+    match *key {
+        [i] => ClusterKey::One(row.get(i).clone()),
+        [i, j] => ClusterKey::Two([row.get(i).clone(), row.get(j).clone()]),
+        _ => ClusterKey::Many(key.iter().map(|&i| row.get(i).clone()).collect()),
+    }
+}
+
 /// Store `row` in a vacant clustered-key slot and add its index entries.
 fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, ClusterKey, Row>, row: Row) {
     for ix in indexes {
@@ -160,11 +170,7 @@ impl Table {
 
     /// The clustered key of a row, as stored.
     fn cluster_key(&self, row: &Row) -> ClusterKey {
-        match self.key[..] {
-            [i] => ClusterKey::One(row.get(i).clone()),
-            [i, j] => ClusterKey::Two([row.get(i).clone(), row.get(j).clone()]),
-            _ => ClusterKey::Many(self.key_of(row)),
-        }
+        cluster_key(&self.key, row)
     }
 
     /// Add a secondary index over the given column ordinals. Existing rows
@@ -175,10 +181,76 @@ impl Table {
             return Err(Error::AlreadyExists(format!("index {name}")));
         }
         let mut ix = SecondaryIndex::new(name, columns);
-        for (key, row) in self.rows.iter() {
-            ix.insert(row, key.as_slice());
-        }
+        ix.load(self.iter(), &self.key);
         self.indexes.push(ix);
+        Ok(())
+    }
+
+    /// Add `rows` in one sorted pass: the one way a table is filled in
+    /// bulk. The rows are sorted in place by clustered key (only when an
+    /// O(n) check finds them out of order), moved into full chunks
+    /// ([`CowMap::merge_sorted`], which keeps every chunk no new key falls
+    /// into), and each secondary index is built the same way from its own
+    /// sorted entries. Rows already in the table stay; no row is copied.
+    ///
+    /// Fails, changing nothing, where inserting the rows one at a time
+    /// would fail — a wrong arity, or a clustered key already stored or
+    /// repeated in the batch — with the error `insert` gives that row. A
+    /// batch with more than one such row reports its first wrong-arity row
+    /// unless a duplicate comes before it, and of several duplicates the
+    /// one with the smallest key.
+    pub fn load(&mut self, mut rows: Vec<Row>) -> Result<()> {
+        let arity = match rows.iter().position(|row| row.len() != self.schema.len()) {
+            Some(at) => {
+                let err = self.check_arity(&rows[at]);
+                // only the rows before it can fail first, as duplicates
+                rows.truncate(at);
+                err
+            }
+            None => Ok(()),
+        };
+        let key = &self.key;
+        let order = |a: &Row, b: &Row| {
+            key.iter()
+                .map(|&i| a.get(i))
+                .cmp(key.iter().map(|&i| b.get(i)))
+        };
+        if !rows.is_sorted_by(|a, b| order(a, b).is_le()) {
+            rows.sort_unstable_by(order);
+        }
+        self.check_new_keys(&rows)?;
+        arity?;
+        for ix in &mut self.indexes {
+            ix.load(rows.iter(), &self.key);
+        }
+        let key = &self.key;
+        self.rows
+            .merge_sorted(rows.into_iter().map(|row| (cluster_key(key, &row), row)));
+        Ok(())
+    }
+
+    /// The error `insert` gives the first of `rows` — sorted by clustered
+    /// key — whose key is already stored or is its predecessor's.
+    fn check_new_keys(&self, rows: &[Row]) -> Result<()> {
+        let duplicate = |stored: &[Value]| {
+            Err(Error::Storage(format!(
+                "duplicate clustered key {stored:?} in table {}",
+                self.name
+            )))
+        };
+        for (i, row) in rows.iter().enumerate() {
+            if !self.rows.is_empty() {
+                if let Some((stored, _)) = self.rows.get_key_value(self.key_of(row).as_slice()) {
+                    return duplicate(stored.as_slice());
+                }
+            }
+            let prev = i.checked_sub(1).map(|j| &rows[j]);
+            if let Some(prev) =
+                prev.filter(|prev| self.key.iter().all(|&k| prev.get(k) == row.get(k)))
+            {
+                return duplicate(&self.key_of(prev));
+            }
+        }
         Ok(())
     }
 
