@@ -11,7 +11,7 @@
 use crate::batch::{Batch, PhysExpr};
 use crate::context::ExecContext;
 use crate::ops::*;
-use rcc_common::{Result, Row, Schema};
+use rcc_common::{Error, Result, Row, Schema};
 use rcc_optimizer::graph::JoinKind;
 use rcc_optimizer::physical::{AccessPath, SqlText};
 use rcc_optimizer::{CurrencyGuard, PhysicalPlan};
@@ -142,7 +142,7 @@ impl Node {
         let sub = |plan: &PhysicalPlan| Node::prepare(plan, storage).map(Box::new);
         let join = |left: &Node, right: &Schema, kind| match kind {
             JoinKind::Inner => left.schema().join(right),
-            JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
+            _ => left.schema().clone(),
         };
         Ok(match plan {
             PhysicalPlan::OneRow => Node::OneRow(Schema::empty()),
@@ -204,7 +204,10 @@ impl Node {
                 right_key,
                 kind,
             } => {
-                debug_assert_eq!(*kind, JoinKind::Inner);
+                if *kind != JoinKind::Inner {
+                    // row at a time, it has no semi/anti (nor `NOT IN`) rules
+                    return Err(Error::internal(format!("merge join of kind {kind:?}")));
+                }
                 let (left, right) = (sub(left)?, sub(right)?);
                 Node::MergeJoin {
                     left_key: PhysExpr::compile(left_key, left.schema())?,

@@ -36,7 +36,7 @@ use rcc_optimizer::physical::{AccessPath, InnerAccess, SqlText};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard};
 use rcc_sql::{BinaryOp, UnaryOp};
 use rcc_storage::column::{Column, ColumnData, ValueRef};
-use rcc_storage::{KeyRange, Run, ScanCursor, StorageEngine, Table, TableSnapshot};
+use rcc_storage::{KeyRange, KeySpan, Run, ScanCursor, StorageEngine, Table, TableSnapshot};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
@@ -523,7 +523,7 @@ impl ScanKernel<'_> {
                 break;
             };
             let image: Option<Vec<&Column>> = match run.covers_chunk() {
-                true => self.mapping.iter().map(|&c| run.column(c)).collect(),
+                true => Some(self.mapping.iter().map(|&c| run.column(c)).collect()),
                 false => None,
             };
             let (taken, survived) = match image {
@@ -971,6 +971,8 @@ pub struct HashJoinOp<'a> {
     /// Build keys, numbered; `matches[g]` lists the build rows of key `g`.
     keys: GroupTable,
     matches: Vec<Vec<u32>>,
+    /// Did a build row have a NULL key part? (`NOT IN` asks.)
+    build_null: bool,
 }
 
 impl<'a> HashJoinOp<'a> {
@@ -994,17 +996,20 @@ impl<'a> HashJoinOp<'a> {
             build: Vec::new(),
             keys: GroupTable::default(),
             matches: Vec::new(),
+            build_null: false,
         }
     }
 
-    /// The build rows matching each logical row of a left batch.
-    fn probe(&self, batch: &Batch, now: i64) -> Result<Vec<&[u32]>> {
+    /// The build rows matching each logical row of a left batch; `None`
+    /// for a row whose key has a NULL part.
+    fn probe(&self, batch: &Batch, now: i64) -> Result<Vec<Option<&[u32]>>> {
         let parts = key_columns(&self.compiled_left, batch, now)?;
         let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
         Ok((0..batch.len())
             .map(|k| match self.keys.find(&parts, k) {
-                Some(g) if !any_null(&parts, k) => self.matches[g as usize].as_slice(),
-                _ => &[],
+                _ if any_null(&parts, k) => None,
+                Some(g) => Some(self.matches[g as usize].as_slice()),
+                None => Some(&[][..]),
             })
             .collect())
     }
@@ -1032,12 +1037,15 @@ impl Operator for HashJoinOp<'_> {
         self.build = vec![Column::new(); self.right.schema().len()];
         self.keys = GroupTable::new(right_keys.len());
         self.matches.clear();
+        self.build_null = false;
         let mut built = 0u32;
         while let Some(batch) = self.right.next_batch(ctx)? {
             let parts = key_columns(&right_keys, &batch, now)?;
             let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
             for k in 0..batch.len() {
-                if !any_null(&parts, k) {
+                if any_null(&parts, k) {
+                    self.build_null = true;
+                } else {
                     let g = self.keys.group_of(&parts, k) as usize;
                     if g == self.matches.len() {
                         self.matches.push(Vec::new());
@@ -1058,12 +1066,18 @@ impl Operator for HashJoinOp<'_> {
 
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
+        if self.kind == JoinKind::NullAwareAnti && self.build_null {
+            return Ok(None); // a NULL on the build side: no left row survives
+        }
+        // with no NULL key, a build row is in a key group
+        let build_empty = self.matches.is_empty();
         while let Some(batch) = self.left.next_batch(ctx)? {
             let matches = self.probe(&batch, now)?;
             match self.kind {
                 JoinKind::Inner => {
                     let (mut left_rows, mut build_rows) = (Vec::new(), Vec::new());
                     for (k, ms) in matches.into_iter().enumerate() {
+                        let ms = ms.unwrap_or_default();
                         left_rows.extend(std::iter::repeat_n(batch.phys(k) as u32, ms.len()));
                         build_rows.extend_from_slice(ms);
                     }
@@ -1074,12 +1088,14 @@ impl Operator for HashJoinOp<'_> {
                         return Ok(Some(Batch::from_columns(columns, left_rows.len())));
                     }
                 }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let want_match = self.kind == JoinKind::Semi;
-                    let sel: Vec<u32> = (0..batch.len())
-                        .filter(|&k| matches[k].is_empty() != want_match)
-                        .map(|k| batch.phys(k) as u32)
-                        .collect();
+                kind => {
+                    let mut sel: Vec<u32> = Vec::new();
+                    for (k, ms) in matches.into_iter().enumerate() {
+                        let found = ms.map(|ms| !ms.is_empty());
+                        if survives(kind, found, || Ok(build_empty))? {
+                            sel.push(batch.phys(k) as u32);
+                        }
+                    }
                     if let Some(narrowed) = batch.narrowed(sel) {
                         return Ok(Some(narrowed));
                     }
@@ -1342,10 +1358,10 @@ impl InnerPlan {
 }
 
 enum InnerMode<'a> {
-    /// Seek the local object per outer row, against one immutable snapshot
-    /// pinned at open — every seek of the join sees the same table state,
-    /// and no lock is held across the join. The kernel maps and filters
-    /// the stored inner rows.
+    /// Probe the local object, against one immutable snapshot pinned at
+    /// open — every probe of the join sees the same table state, and no
+    /// lock is held across the join. The kernel maps and filters the
+    /// stored inner rows.
     Local(TableSnapshot, ScanKernel<'a>),
     /// The guard failed: inner rows were fetched remotely and hashed.
     Hashed(HashMap<Value, Vec<Row>>),
@@ -1354,9 +1370,12 @@ enum InnerMode<'a> {
 }
 
 /// Index nested-loop join with an optionally guarded inner side, probing
-/// one whole outer batch per `next_batch` call. Semi/anti joins narrow the
-/// outer batch with a selection vector; inner joins append each probe's
-/// matches to typed inner columns and gather the outer ones to match.
+/// one whole outer batch per `next_batch` call. Over a local inner
+/// clustered on the seek column the batch is one forward pass
+/// (`probe_clustered`); a secondary-index inner is sought key by key,
+/// and a remotely fetched one is hashed. Semi/anti joins narrow the outer
+/// batch with a selection vector; inner joins gather the outer columns to
+/// match the inner ones.
 pub struct IndexNLJoinOp<'a> {
     outer: BoxedOp<'a>,
     prepared: &'a PhysExpr,
@@ -1366,6 +1385,19 @@ pub struct IndexNLJoinOp<'a> {
     kind: JoinKind,
     schema: &'a Schema,
     mode: InnerMode<'a>,
+    /// For `NOT IN`, once known: does the filtered inner side hold a NULL
+    /// seek key, and is it empty?
+    inner_null: Option<bool>,
+    inner_empty: Option<bool>,
+}
+
+/// One outer batch's matches, in outer order and each outer row's in
+/// clustered order: the physical outer row of each match, and the matched
+/// inner rows' columns — none when only existence is asked and there is no
+/// residual to test on them.
+struct Matches {
+    outer: Vec<u32>,
+    inner: Vec<Column>,
 }
 
 impl<'a> IndexNLJoinOp<'a> {
@@ -1385,39 +1417,252 @@ impl<'a> IndexNLJoinOp<'a> {
             kind,
             schema,
             mode: InnerMode::Idle,
+            inner_null: None,
+            inner_empty: None,
         }
     }
 
-    /// Append the inner rows matching `key` to `cols`; returns how many.
-    fn probe(&self, key: ValueRef<'_>, cols: &mut [Column]) -> Result<usize> {
-        if key.is_null() {
-            return Ok(0); // NULL keys never match
-        }
-        let mut found = 0usize;
+    /// The inner rows matching each logical row of `batch`, whose keys are
+    /// `keys`; a NULL key matches nothing. `gather`: append the matches'
+    /// columns.
+    fn matches(
+        &self,
+        batch: &Batch,
+        keys: &Column,
+        gather: bool,
+        ctx: &ExecContext,
+    ) -> Result<Matches> {
+        let width = if gather {
+            self.inner.scan.schema.len()
+        } else {
+            0
+        };
+        let mut m = Matches {
+            outer: Vec::new(),
+            inner: vec![Column::new(); width],
+        };
         match &self.mode {
-            InnerMode::Local(table, kernel) => {
-                let range = KeyRange::eq(key.to_value());
-                let mut cursor = match &self.inner.access.use_index {
-                    Some(ix) => table.index_cursor(ix, &range)?,
-                    None => table.scan_cursor(&range, None, None),
-                };
-                table.scan_next(&mut cursor, |row| {
-                    found += usize::from(kernel.take(row, cols)?);
-                    Ok(true)
-                })?;
-            }
-            InnerMode::Hashed(map) => {
-                for row in map.get(&key.to_value()).into_iter().flatten() {
-                    for (col, v) in cols.iter_mut().zip(row.values()) {
-                        col.push_value(v);
+            InnerMode::Local(table, kernel) => match &self.inner.access.use_index {
+                None => probe_clustered(table, kernel, batch, keys, &mut m, &ctx.counters)?,
+                Some(index) => {
+                    let mut row_runs = 0u64;
+                    for k in (0..batch.len()).filter(|&k| !keys.is_null(k)) {
+                        let range = KeyRange::eq(keys.value(k));
+                        let mut cursor = table.index_cursor(index, &range)?;
+                        while let Some(run) = table.next_run(&mut cursor) {
+                            let (taken, survived) =
+                                kernel.take_rows(run.vals(), usize::MAX, &mut m.inner)?;
+                            let phys = batch.phys(k) as u32;
+                            m.outer.extend(std::iter::repeat_n(phys, survived));
+                            table.advance(&mut cursor, taken);
+                            row_runs += 1;
+                        }
                     }
-                    found += 1;
+                    ctx.counters.count_scan_runs(0, row_runs);
+                }
+            },
+            InnerMode::Hashed(map) => {
+                for k in (0..batch.len()).filter(|&k| !keys.is_null(k)) {
+                    for row in map.get(&keys.value(k)).into_iter().flatten() {
+                        for (col, v) in m.inner.iter_mut().zip(row.values()) {
+                            col.push_value(v);
+                        }
+                        m.outer.push(batch.phys(k) as u32);
+                    }
                 }
             }
             InnerMode::Idle => return Err(Error::internal("IndexNLJoin next before open")),
         }
-        Ok(found)
+        Ok(m)
     }
+
+    /// Does the filtered inner side hold a row whose seek column is NULL?
+    fn inner_holds_null(&mut self, ctx: &ExecContext) -> Result<bool> {
+        if self.inner_null.is_none() {
+            let null = KeyRange::eq(Value::Null);
+            self.inner_null = Some(match &self.inner.access.use_index {
+                None => self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&null, None, None)))?,
+                Some(index) => self.inner_survivor(ctx, |t| t.index_cursor(index, &null))?,
+            });
+        }
+        Ok(self.inner_null == Some(true))
+    }
+
+    /// Is the filtered inner side empty?
+    fn inner_is_empty(&mut self, ctx: &ExecContext) -> Result<bool> {
+        if self.inner_empty.is_none() {
+            let all = KeyRange::all();
+            let found = self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&all, None, None)))?;
+            self.inner_empty = Some(!found);
+        }
+        Ok(self.inner_empty == Some(true))
+    }
+
+    /// Does a row the residual keeps lie on the local inner's `cursor`?
+    /// (A remotely fetched inner answers both questions at open.)
+    fn inner_survivor(
+        &self,
+        ctx: &ExecContext,
+        cursor: impl FnOnce(&Table) -> Result<ScanCursor>,
+    ) -> Result<bool> {
+        let InnerMode::Local(table, kernel) = &self.mode else {
+            return Err(Error::internal("IndexNLJoin inner facts before open"));
+        };
+        let mut cursor = cursor(table)?;
+        Ok(kernel
+            .fill(table, &mut cursor, 1, 0, &ctx.counters)?
+            .is_some())
+    }
+}
+
+/// Are the batch's non-NULL keys in ascending order?
+fn ascending(keys: &Column) -> bool {
+    let mut last: Option<ValueRef<'_>> = None;
+    for k in 0..keys.len() {
+        let key = keys.get(k);
+        if key.is_null() {
+            continue;
+        }
+        if last.is_some_and(|last| last.total_cmp(key).is_gt()) {
+            return false;
+        }
+        last = Some(key);
+    }
+    true
+}
+
+/// Probe a local inner clustered on the seek column with a whole outer
+/// batch: every key's span is found in one forward pass over the table
+/// ([`Table::span_finder`]) — in batch order when the keys ascend, else
+/// in key order and then read back in batch order — and each span's cells
+/// are appended column by column from its chunks' images ([`SpanCopy`]).
+/// The residual
+/// runs once, over all the matches gathered; if it fails, the matches are
+/// replayed a row at a time so the error is the one the first failing
+/// row, in output order, raises.
+fn probe_clustered(
+    table: &Table,
+    kernel: &ScanKernel<'_>,
+    batch: &Batch,
+    keys: &Column,
+    m: &mut Matches,
+    counters: &ExecCounters,
+) -> Result<()> {
+    let residual = kernel.image_residual.as_deref();
+    if residual.is_some() && m.inner.is_empty() {
+        m.inner = kernel.fresh_cols(0);
+    }
+    let mut copy = SpanCopy {
+        table,
+        mapping: &kernel.mapping,
+        pending: KeySpan::EMPTY,
+        runs: 0,
+    };
+    let mut finder = table.span_finder();
+    if ascending(keys) {
+        for k in (0..keys.len()).filter(|&k| !keys.is_null(k)) {
+            copy.read(batch.phys(k), finder.find(keys.get(k)), m);
+        }
+    } else {
+        let mut order: Vec<u32> = (0..keys.len() as u32)
+            .filter(|&k| !keys.is_null(k as usize))
+            .collect();
+        order.sort_by(|&a, &b| keys.get(a as usize).total_cmp(keys.get(b as usize)));
+        let mut spans = vec![KeySpan::EMPTY; keys.len()];
+        for k in order {
+            spans[k as usize] = finder.find(keys.get(k as usize));
+        }
+        for (k, span) in spans.into_iter().enumerate() {
+            copy.read(batch.phys(k), span, m);
+        }
+    }
+    copy.flush(m);
+    counters.count_scan_runs(copy.runs, 0);
+    let Some(residual) = residual else {
+        return Ok(());
+    };
+    let n = m.outer.len();
+    let columns: Vec<&Column> = m.inner.iter().collect();
+    let survivors = match residual.select_rows(&columns, None, n, kernel.now) {
+        Ok(survivors) => survivors,
+        Err(err) => {
+            for i in 0..n {
+                let row: Vec<Value> = columns.iter().map(|c| c.value(i)).collect();
+                residual.eval_predicate(&row, kernel.now)?;
+            }
+            return Err(err);
+        }
+    };
+    if survivors.len() < n {
+        m.outer = survivors.iter().map(|&i| m.outer[i as usize]).collect();
+        m.inner = m.inner.iter().map(|c| c.gather(&survivors)).collect();
+    }
+    Ok(())
+}
+
+/// Appends the inner rows of each outer row's span to a batch's matches,
+/// in outer order. The spans of consecutive keys often lie back to back
+/// (every customer has orders), so a span that starts where the last one
+/// ended only extends it, and the cells of the whole stretch are copied
+/// with one `extend_range` per column and chunk.
+struct SpanCopy<'t> {
+    table: &'t Table,
+    /// Output column `c` is stored column `mapping[c]`.
+    mapping: &'t [usize],
+    /// The stretch read but not copied yet.
+    pending: KeySpan,
+    /// Chunk runs copied, for `rcc_scan_chunks_total{path="image"}`.
+    runs: u64,
+}
+
+impl SpanCopy<'_> {
+    /// The rows of `span` match the outer row `phys`.
+    fn read(&mut self, phys: usize, span: KeySpan, m: &mut Matches) {
+        if m.inner.is_empty() {
+            // existence only
+            if !span.is_empty() {
+                m.outer.push(phys as u32);
+            }
+            return;
+        }
+        let rows = (self.table.span_runs(span))
+            .map(|run| run.vals().len())
+            .sum();
+        m.outer.extend(std::iter::repeat_n(phys as u32, rows));
+        if let Some(both) = self.pending.followed_by(span) {
+            self.pending = both;
+        } else {
+            self.flush(m);
+            self.pending = span;
+        }
+    }
+
+    /// Copy the pending stretch's cells from its chunks' images.
+    fn flush(&mut self, m: &mut Matches) {
+        for run in self.table.span_runs(self.pending) {
+            let cells = run.offset()..run.offset() + run.vals().len();
+            for (col, &c) in m.inner.iter_mut().zip(self.mapping) {
+                col.extend_range(run.column(c), cells.clone());
+            }
+            self.runs += 1;
+        }
+        self.pending = KeySpan::EMPTY;
+    }
+}
+
+/// Does an outer row survive a semi or anti join? `matched`: whether it
+/// found a match, `None` when its key is NULL. Under `NOT IN` a NULL key
+/// survives only an empty inner side; `inner_empty` is asked only then.
+fn survives(
+    kind: JoinKind,
+    matched: Option<bool>,
+    inner_empty: impl FnOnce() -> Result<bool>,
+) -> Result<bool> {
+    Ok(match (kind, matched) {
+        (JoinKind::NullAwareAnti, None) => inner_empty()?,
+        (JoinKind::Semi, matched) => matched == Some(true),
+        (_, matched) => matched != Some(true),
+    })
 }
 
 impl Operator for IndexNLJoinOp<'_> {
@@ -1435,6 +1680,7 @@ impl Operator for IndexNLJoinOp<'_> {
                 None => true,
             }
         };
+        (self.inner_null, self.inner_empty) = (None, None);
         if use_local {
             let table = ctx.storage.table(&access.object)?.snapshot();
             let kernel = self
@@ -1446,11 +1692,13 @@ impl Operator for IndexNLJoinOp<'_> {
             let sql = (access.remote_sql.as_ref())
                 .ok_or_else(|| Error::internal("guarded NL inner without a remote fallback"))?;
             let (_, rows) = ship_remote(ctx, &sql.render(&ctx.slots))?;
+            (self.inner_null, self.inner_empty) = (Some(false), Some(rows.is_empty()));
             let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
             for row in rows {
                 let k = row.get(self.inner.seek).clone();
-                if !k.is_null() {
-                    map.entry(k).or_default().push(row);
+                match k.is_null() {
+                    true => self.inner_null = Some(true),
+                    false => map.entry(k).or_default().push(row),
                 }
             }
             self.mode = InnerMode::Hashed(map);
@@ -1462,30 +1710,33 @@ impl Operator for IndexNLJoinOp<'_> {
 
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         let now = now_millis(ctx);
-        let width = self.inner.scan.schema.len();
+        if self.kind == JoinKind::NullAwareAnti && self.inner_holds_null(ctx)? {
+            return Ok(None); // a NULL on the inner side: no outer row survives
+        }
         while let Some(batch) = self.outer.next_batch(ctx)? {
             let keys = logical_column(&self.outer_key, &batch, now)?;
             match self.kind {
                 JoinKind::Inner => {
-                    let mut inner_cols = vec![Column::new(); width];
-                    let mut outer_rows: Vec<u32> = Vec::new();
-                    for k in 0..batch.len() {
-                        let found = self.probe(keys.get(k), &mut inner_cols)?;
-                        outer_rows.extend(std::iter::repeat_n(batch.phys(k) as u32, found));
-                    }
-                    if !outer_rows.is_empty() {
-                        let outer = batch.columns.iter().map(|c| c.gather(&outer_rows));
-                        let columns = outer.chain(inner_cols).collect();
-                        return Ok(Some(Batch::from_columns(columns, outer_rows.len())));
+                    let m = self.matches(&batch, &keys, true, ctx)?;
+                    if !m.outer.is_empty() {
+                        let outer = batch.columns.iter().map(|c| c.gather(&m.outer));
+                        let columns = outer.chain(m.inner).collect();
+                        return Ok(Some(Batch::from_columns(columns, m.outer.len())));
                     }
                 }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let want_match = self.kind == JoinKind::Semi;
+                kind => {
+                    // existence only: no column to append matches to
+                    let m = self.matches(&batch, &keys, false, ctx)?;
+                    let mut matched = vec![false; batch.rows];
+                    for &r in &m.outer {
+                        matched[r as usize] = true;
+                    }
                     let mut sel: Vec<u32> = Vec::new();
                     for k in 0..batch.len() {
-                        // existence only: no column to append matches to
-                        if (self.probe(keys.get(k), &mut [])? > 0) == want_match {
-                            sel.push(batch.phys(k) as u32);
+                        let r = batch.phys(k);
+                        let found = (!keys.is_null(k)).then_some(matched[r]);
+                        if survives(kind, found, || self.inner_is_empty(ctx))? {
+                            sel.push(r as u32);
                         }
                     }
                     drop(keys);

@@ -517,6 +517,9 @@ struct HashJoinOp {
     kind: JoinKind,
     schema: Schema,
     table: HashMap<Vec<Value>, Vec<Row>>,
+    /// Did the build side have a row, and one with a NULL key part?
+    build_any: bool,
+    build_null: bool,
     pending: VecDeque<Row>,
 }
 
@@ -530,7 +533,7 @@ impl HashJoinOp {
     ) -> HashJoinOp {
         let schema = match kind {
             JoinKind::Inner => left.schema().join(right.schema()),
-            JoinKind::Semi | JoinKind::Anti => left.schema().clone(),
+            _ => left.schema().clone(),
         };
         HashJoinOp {
             left,
@@ -540,6 +543,8 @@ impl HashJoinOp {
             kind,
             schema,
             table: HashMap::new(),
+            build_any: false,
+            build_null: false,
             pending: VecDeque::new(),
         }
     }
@@ -571,9 +576,12 @@ impl RowOperator for HashJoinOp {
         let now = now_millis(ctx);
         self.right.open(ctx)?;
         let right_schema = self.right.schema().clone();
+        (self.build_any, self.build_null) = (false, false);
         while let Some(row) = self.right.next(ctx)? {
-            if let Some(key) = eval_keys(&self.right_keys, &row, &right_schema, now)? {
-                self.table.entry(key).or_default().push(row);
+            self.build_any = true;
+            match eval_keys(&self.right_keys, &row, &right_schema, now)? {
+                Some(key) => self.table.entry(key).or_default().push(row),
+                None => self.build_null = true,
             }
         }
         self.right.close(ctx)?;
@@ -610,6 +618,16 @@ impl RowOperator for HashJoinOp {
                         return Ok(Some(left_row));
                     }
                 }
+                JoinKind::NullAwareAnti => {
+                    let keep = match &key {
+                        _ if self.build_null => false,
+                        None => !self.build_any,
+                        Some(_) => matches.is_none(),
+                    };
+                    if keep {
+                        return Ok(Some(left_row));
+                    }
+                }
             }
         }
         Ok(None)
@@ -633,6 +651,8 @@ struct MergeJoinOp {
     right: BoxedRowOp,
     left_key: BoundExpr,
     right_key: BoundExpr,
+    /// Only `Inner` runs: the merge has no semi/anti rules.
+    kind: JoinKind,
     schema: Schema,
     /// current right-hand duplicate group and its key
     right_group: Vec<Row>,
@@ -650,6 +670,7 @@ impl MergeJoinOp {
         right: BoxedRowOp,
         left_key: BoundExpr,
         right_key: BoundExpr,
+        kind: JoinKind,
     ) -> MergeJoinOp {
         let schema = left.schema().join(right.schema());
         MergeJoinOp {
@@ -657,6 +678,7 @@ impl MergeJoinOp {
             right,
             left_key,
             right_key,
+            kind,
             schema,
             right_group: Vec::new(),
             right_group_key: None,
@@ -730,6 +752,12 @@ impl RowOperator for MergeJoinOp {
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
+        if self.kind != JoinKind::Inner {
+            return Err(Error::internal(format!(
+                "merge join of kind {:?}",
+                self.kind
+            )));
+        }
         self.right_group.clear();
         self.right_group_key = None;
         self.right_pending = None;
@@ -797,6 +825,10 @@ struct IndexNLJoinOp {
     pending: VecDeque<Row>,
     /// precomputed mapping from inner schema to the stored table (local mode)
     mapping: Vec<usize>,
+    /// Does the filtered inner side hold a row, and one with a NULL seek
+    /// key? (`NOT IN` asks.)
+    inner_any: bool,
+    inner_null: bool,
 }
 
 impl IndexNLJoinOp {
@@ -808,7 +840,7 @@ impl IndexNLJoinOp {
     ) -> IndexNLJoinOp {
         let schema = match kind {
             JoinKind::Inner => outer.schema().join(&inner.schema),
-            JoinKind::Semi | JoinKind::Anti => outer.schema().clone(),
+            _ => outer.schema().clone(),
         };
         IndexNLJoinOp {
             outer,
@@ -819,6 +851,8 @@ impl IndexNLJoinOp {
             mode: InnerMode::Idle,
             pending: VecDeque::new(),
             mapping: Vec::new(),
+            inner_any: false,
+            inner_null: false,
         }
     }
 
@@ -828,6 +862,20 @@ impl IndexNLJoinOp {
             Some(ix) => table.index_scan(ix, &range)?,
             None => table.collect_range(&range, |_| true),
         };
+        self.filter_local(ctx, raw)
+    }
+
+    /// Record what `NOT IN` asks of the filtered inner side, `rows`.
+    fn note_inner(&mut self, rows: &[Row]) -> Result<()> {
+        let seek = self.inner.schema.resolve(None, &self.inner.seek_col)?;
+        self.inner_any = !rows.is_empty();
+        self.inner_null = rows.iter().any(|row| row.get(seek).is_null());
+        Ok(())
+    }
+
+    /// Map stored inner rows to the inner schema and keep those the
+    /// residual passes.
+    fn filter_local(&self, ctx: &ExecContext, raw: Vec<Row>) -> Result<Vec<Row>> {
         let now = now_millis(ctx);
         let mut out = Vec::with_capacity(raw.len());
         for row in raw {
@@ -867,6 +915,10 @@ impl RowOperator for IndexNLJoinOp {
                 .iter()
                 .map(|c| table.schema().resolve(None, &c.name))
                 .collect::<Result<_>>()?;
+            if self.kind == JoinKind::NullAwareAnti {
+                let rows = self.filter_local(ctx, table.collect_all())?;
+                self.note_inner(&rows)?;
+            }
             self.mode = InnerMode::Local(table);
         } else {
             let sql = self
@@ -875,6 +927,7 @@ impl RowOperator for IndexNLJoinOp {
                 .as_ref()
                 .ok_or_else(|| Error::internal("guarded NL inner without a remote fallback"))?;
             let (_, rows) = ship_remote(ctx, sql)?;
+            self.note_inner(&rows)?;
             let seek_ord = self.inner.schema.resolve(None, &self.inner.seek_col)?;
             let mut map: HashMap<Value, Vec<Row>> = HashMap::new();
             for row in rows {
@@ -921,6 +974,16 @@ impl RowOperator for IndexNLJoinOp {
                 }
                 JoinKind::Anti => {
                     if matches.is_empty() {
+                        return Ok(Some(outer_row));
+                    }
+                }
+                JoinKind::NullAwareAnti => {
+                    let keep = match key.is_null() {
+                        _ if self.inner_null => false,
+                        true => !self.inner_any,
+                        false => matches.is_empty(),
+                    };
+                    if keep {
                         return Ok(Some(outer_row));
                     }
                 }
@@ -1292,15 +1355,13 @@ pub fn build_row_operator(plan: &PhysicalPlan) -> BoxedRowOp {
             left_key,
             right_key,
             kind,
-        } => {
-            debug_assert_eq!(*kind, JoinKind::Inner);
-            Box::new(MergeJoinOp::new(
-                build_row_operator(left),
-                build_row_operator(right),
-                left_key.clone(),
-                right_key.clone(),
-            ))
-        }
+        } => Box::new(MergeJoinOp::new(
+            build_row_operator(left),
+            build_row_operator(right),
+            left_key.clone(),
+            right_key.clone(),
+            *kind,
+        )),
         PhysicalPlan::IndexNLJoin {
             outer,
             outer_key,

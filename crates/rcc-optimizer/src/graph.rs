@@ -67,8 +67,13 @@ pub enum JoinKind {
     Inner,
     /// Left semi join (EXISTS / IN).
     Semi,
-    /// Left anti join (NOT EXISTS / NOT IN).
+    /// Left anti join (NOT EXISTS).
     Anti,
+    /// Left anti join with `NOT IN`'s NULL rules: an outer row whose key is
+    /// NULL survives only when the right side is empty, and a NULL key on
+    /// the right side drops every outer row without a match — so with one
+    /// there, nothing survives.
+    NullAwareAnti,
 }
 
 /// An equi-join edge between two operands.
@@ -833,7 +838,27 @@ impl<'a> Binder<'a> {
         rewritten.projections = vec![SelectItem::Wildcard];
         let eq = Expr::binary(inner_col, BinaryOp::Eq, probe.clone());
         rewritten.filter = Expr::and_opt(rewritten.filter.take(), Some(eq));
-        self.bind_existential(&rewritten, negated)
+        let (operands, edges, residuals) =
+            (self.operands.len(), self.edges.len(), self.residuals.len());
+        let filters: Vec<usize> = self.operands.iter().map(|o| o.filters.len()).collect();
+        self.bind_existential(&rewritten, negated)?;
+        if !negated {
+            return Ok(());
+        }
+        // `NOT IN` is not `NOT EXISTS` once a NULL is involved: its anti
+        // join is null-aware, which takes one inner set for every outer
+        // row — one table, tied to the outer query by the IN equality alone
+        let correlated = self.edges.len() != edges + 1
+            || self.residuals.len() != residuals
+            || (self.operands.iter().zip(&filters)).any(|(o, &n)| o.filters.len() != n);
+        if self.operands.len() != operands + 1 || correlated {
+            return Err(Error::analysis(
+                "NOT IN subqueries are limited to one table tied to the outer query \
+                 by the IN equality alone",
+            ));
+        }
+        self.edges[edges].kind = JoinKind::NullAwareAnti;
+        Ok(())
     }
 
     // ----------------------------------------------------- expressions
@@ -1098,7 +1123,7 @@ impl<'a> Binder<'a> {
         let edges: Vec<(OperandId, String, OperandId, String)> = self
             .edges
             .iter()
-            .filter(|e| e.kind != JoinKind::Anti)
+            .filter(|e| !matches!(e.kind, JoinKind::Anti | JoinKind::NullAwareAnti))
             .map(|e| (e.left, e.left_col.clone(), e.right, e.right_col.clone()))
             .collect();
         for (l, lc, r, rc) in edges {
@@ -1415,6 +1440,30 @@ mod tests {
         assert_eq!(g.operands.len(), 2);
         assert_eq!(g.edges[0].kind, JoinKind::Semi);
         assert_eq!(g.operands[1].filters.len(), 1);
+    }
+
+    #[test]
+    fn not_in_subquery_is_a_null_aware_anti_join_or_refused() {
+        let g = bind(
+            "SELECT c_name FROM customer WHERE c_custkey NOT IN \
+             (SELECT o_custkey FROM orders WHERE o_totalprice > 100.0)",
+        );
+        assert_eq!(g.edges.len(), 1);
+        assert_eq!(g.edges[0].kind, JoinKind::NullAwareAnti);
+        // an inner set that depends on the outer row, or spans two tables
+        for sql in [
+            "SELECT c_name FROM customer c WHERE c_custkey NOT IN \
+             (SELECT o_custkey FROM orders o WHERE o.o_orderkey = c.c_nationkey)",
+            "SELECT c_name FROM customer c WHERE c_custkey NOT IN \
+             (SELECT o_custkey FROM orders o WHERE o.o_totalprice > c.c_acctbal)",
+            "SELECT c_name FROM customer c WHERE c_custkey NOT IN \
+             (SELECT o_custkey FROM orders o WHERE c.c_acctbal > 0.0)",
+            "SELECT c_name FROM customer c WHERE c_custkey NOT IN \
+             (SELECT o.o_custkey FROM orders o, customer d WHERE o.o_custkey = d.c_custkey)",
+        ] {
+            let err = bind_err(sql);
+            assert!(matches!(err, Error::Analysis(_)), "{sql}: {err}");
+        }
     }
 
     #[test]

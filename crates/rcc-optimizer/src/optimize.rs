@@ -401,7 +401,7 @@ fn join_cardinality(
         return match kind {
             JoinKind::Inner => inner,
             JoinKind::Semi => left_rows,
-            JoinKind::Anti => 1.0,
+            JoinKind::Anti | JoinKind::NullAwareAnti => 1.0,
         };
     }
     match kind {
@@ -411,7 +411,7 @@ fn join_cardinality(
             let p = (right_rows / d_left_max).min(1.0);
             (left_rows * p).max(1.0)
         }
-        JoinKind::Anti => {
+        JoinKind::Anti | JoinKind::NullAwareAnti => {
             let p = (right_rows / d_left_max).min(1.0);
             (left_rows * (1.0 - p)).max(1.0)
         }
@@ -1141,7 +1141,7 @@ impl<'a> Search<'a> {
             rows = match hash_join_kind(graph, &edges, m.scan.operand) {
                 JoinKind::Inner => rows.max(right_rows),
                 JoinKind::Semi => rows * 0.8,
-                JoinKind::Anti => rows * 0.2,
+                JoinKind::Anti | JoinKind::NullAwareAnti => rows * 0.2,
             };
             joined |= 1 << m.scan.operand;
         }

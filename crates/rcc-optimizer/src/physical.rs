@@ -502,13 +502,13 @@ impl PhysicalPlan {
                 left, right, kind, ..
             } => match kind {
                 JoinKind::Inner => left.schema().join(&right.schema()),
-                JoinKind::Semi | JoinKind::Anti => left.schema(),
+                JoinKind::Semi | JoinKind::Anti | JoinKind::NullAwareAnti => left.schema(),
             },
             PhysicalPlan::IndexNLJoin {
                 outer, inner, kind, ..
             } => match kind {
                 JoinKind::Inner => outer.schema().join(&inner.schema),
-                JoinKind::Semi | JoinKind::Anti => outer.schema(),
+                JoinKind::Semi | JoinKind::Anti | JoinKind::NullAwareAnti => outer.schema(),
             },
             PhysicalPlan::HashAggregate { group_by, aggs, .. } => {
                 let mut cols = Vec::new();

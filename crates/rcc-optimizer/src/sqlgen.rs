@@ -173,27 +173,47 @@ pub fn full_query_sql(graph: &QueryGraph) -> (SqlText, Schema) {
             alias: Some(op.binding.clone()),
         });
         let mut inner_conjuncts: Vec<Expr> = op.filters.iter().map(bound_to_ast).collect();
-        let mut negated = false;
+        let (mut negated, mut not_in) = (false, None);
         for edge in graph.edges.iter().filter(|e| e.right == op.id) {
-            inner_conjuncts.push(Expr::binary(
+            let (inner_col, outer_col) = (
                 Expr::Column {
                     qualifier: Some(op.binding.clone()),
                     name: edge.right_col.clone(),
                 },
-                rcc_sql::BinaryOp::Eq,
                 Expr::Column {
                     qualifier: Some(graph.operand(edge.left).binding.clone()),
                     name: edge.left_col.clone(),
                 },
-            ));
-            negated = edge.kind == JoinKind::Anti;
+            );
+            match edge.kind {
+                // the binder ties a NOT IN's table to the outer query by
+                // this one edge; only `NOT IN` itself keeps its NULL rules
+                JoinKind::NullAwareAnti => not_in = Some((outer_col, inner_col)),
+                kind => {
+                    inner_conjuncts.push(Expr::binary(inner_col, rcc_sql::BinaryOp::Eq, outer_col));
+                    negated = kind == JoinKind::Anti;
+                }
+            }
         }
         inner.filter = inner_conjuncts
             .into_iter()
             .reduce(|a, b| Expr::binary(a, rcc_sql::BinaryOp::And, b));
-        conjuncts.push(Expr::Exists {
-            subquery: Box::new(inner),
-            negated,
+        conjuncts.push(match not_in {
+            Some((outer_col, inner_col)) => {
+                inner.projections = vec![SelectItem::Expr {
+                    expr: inner_col,
+                    alias: None,
+                }];
+                Expr::InSubquery {
+                    expr: Box::new(outer_col),
+                    subquery: Box::new(inner),
+                    negated: true,
+                }
+            }
+            None => Expr::Exists {
+                subquery: Box::new(inner),
+                negated,
+            },
         });
     }
     stmt.filter = conjuncts
@@ -388,6 +408,23 @@ mod tests {
         let (sql, _) = full_query_sql(&g);
         assert!(sql.contains("NOT EXISTS"), "{sql}");
         reparses(&sql);
+    }
+
+    #[test]
+    fn full_query_keeps_not_in() {
+        let g = graph(
+            "SELECT c.c_name FROM customer c WHERE c.c_custkey NOT IN \
+             (SELECT s.o_custkey FROM orders s WHERE s.o_totalprice > 5.0)",
+        );
+        let (sql, _) = full_query_sql(&g);
+        assert!(!sql.contains("EXISTS"), "{sql}");
+        assert!(
+            sql.contains("c.c_custkey NOT IN (SELECT s.o_custkey FROM orders s WHERE"),
+            "{sql}"
+        );
+        // and the back-end binds it to the same null-aware join
+        let shipped = graph(&sql.to_string());
+        assert_eq!(shipped.edges[0].kind, JoinKind::NullAwareAnti);
     }
 
     #[test]

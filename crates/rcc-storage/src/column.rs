@@ -509,6 +509,43 @@ impl Column {
         self.append(other, Pick::Range(range));
     }
 
+    /// Where in `cells` — a stretch this column holds in ascending
+    /// [`ValueRef::total_cmp`] order — the first cell ordering above `key`
+    /// stands (`or_equal`), or else the first not below it; `cells.end`
+    /// when there is none. Gallops from `cells.start`, comparing typed
+    /// values when the column holds no NULL and `key` is of its kind:
+    /// an integer key within ±2⁵³ against `i64`s (exactly where
+    /// `total_cmp`'s trip through `f64` orders them the same), any other
+    /// number against numbers through `f64`, a string against strings.
+    pub(crate) fn partition_point(
+        &self,
+        cells: Range<usize>,
+        key: ValueRef<'_>,
+        or_equal: bool,
+    ) -> usize {
+        let below = |o: Ordering| o.is_lt() || (or_equal && o.is_eq());
+        let (from, n) = (cells.start, cells.len());
+        let exact = match key {
+            ValueRef::Int(k) | ValueRef::Timestamp(k) => (k.unsigned_abs() < 1 << 53).then_some(k),
+            _ => None,
+        };
+        from + match (&self.data, &self.valid, exact, key.numeric(), key) {
+            (ColumnData::Int(d) | ColumnData::Timestamp(d), None, Some(k), _, _) => {
+                crate::cowmap::gallop(n, |i| below(d[from + i].cmp(&k)))
+            }
+            (ColumnData::Int(d) | ColumnData::Timestamp(d), None, None, Some(k), _) => {
+                crate::cowmap::gallop(n, |i| below((d[from + i] as f64).total_cmp(&k)))
+            }
+            (ColumnData::Float(d), None, _, Some(k), _) => {
+                crate::cowmap::gallop(n, |i| below(d[from + i].total_cmp(&k)))
+            }
+            (ColumnData::Str(d), None, _, _, ValueRef::Str(k)) => {
+                crate::cowmap::gallop(n, |i| below(d.get(from + i).cmp(k)))
+            }
+            _ => crate::cowmap::gallop(n, |i| below(self.get(from + i).total_cmp(key))),
+        }
+    }
+
     /// The cells at `idx`, in that order, as a new column of the same
     /// variant.
     pub fn gather(&self, idx: &[u32]) -> Column {

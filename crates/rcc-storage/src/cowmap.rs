@@ -38,8 +38,9 @@
 //!
 //! **Chunk images.** A chunk of rows also carries a lazily built,
 //! immutable *image*: its rows' cells copied into one typed [`Column`] per
-//! column, each column made the first time a scan that covers the whole
-//! chunk asks for it ([`Run::column`]). The image belongs to the chunk, so
+//! column, each column made the first time a reader asks for it
+//! ([`Run::column`]) — a scan that covers the whole chunk, or a join that
+//! reads a key's rows out of it. The image belongs to the chunk, so
 //! every clone of the map that shares the chunk shares its image, and it is
 //! freed with the chunk. Every write reaches a chunk through one function
 //! (`chunk_mut`): the copy `Arc::make_mut` takes of a shared chunk starts
@@ -182,13 +183,32 @@ impl<'a, V> Run<'a, V> {
 
 impl<'a> Run<'a, Row> {
     /// Column `ordinal` of the run's *whole chunk*, typed — built the first
-    /// time any scan asks for it — when the span the run was cut from
-    /// covers that chunk; `None` for a chunk the span covers only in part,
-    /// whose rows a scan walks instead. Cell `offset() + i` is `vals()[i]`'s.
-    pub fn column(&self, ordinal: usize) -> Option<&'a Column> {
-        self.covers_chunk
-            .then(|| self.image.column(self.chunk, ordinal))
+    /// time any reader asks for it, so reading it for a run that covers
+    /// only part of its chunk pays for the whole chunk once. Cell
+    /// `offset() + i` is `vals()[i]`'s.
+    pub fn column(&self, ordinal: usize) -> &'a Column {
+        self.image.column(self.chunk, ordinal)
     }
+}
+
+/// How many leading positions of `0..len` satisfy `below`, a predicate
+/// that holds for a prefix of them: galloping from the front, so a prefix
+/// of `p` costs O(log p) tests wherever `len` ends.
+pub(crate) fn gallop(len: usize, mut below: impl FnMut(usize) -> bool) -> usize {
+    let mut width = 1;
+    while width < len && below(width - 1) {
+        width *= 2;
+    }
+    // `below` holds before `lo`; the prefix ends at `hi` at the latest
+    let (mut lo, mut hi) = (width / 2, width.min(len));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match below(mid) {
+            true => lo = mid + 1,
+            false => hi = mid,
+        }
+    }
+    lo
 }
 
 impl<K, V> Default for CowMap<K, V> {
@@ -265,11 +285,7 @@ impl<K, V> CowMap<K, V> {
             return from;
         };
         let keys = &chunk.keys[from.slot..];
-        let mut width = 1;
-        while width < keys.len() && below(&keys[width - 1]) {
-            width *= 2;
-        }
-        let ahead = keys[..width.min(keys.len())].partition_point(&mut below);
+        let ahead = gallop(keys.len(), |i| below(&keys[i]));
         if ahead < keys.len() {
             Cursor {
                 chunk: from.chunk,
@@ -278,6 +294,49 @@ impl<K, V> CowMap<K, V> {
         } else {
             // past this chunk: the span is long, a descent is cheap beside it
             self.seek(below)
+        }
+    }
+
+    /// The partition point of a `below` that holds for a prefix of the
+    /// entries, known to lie at or after `from`, found without a descent
+    /// from the top: whole chunks are skipped by galloping over the fences
+    /// (`fence_below` tests a chunk's first key, which is below when every
+    /// entry of the chunk before it is), and the one chunk the point lies
+    /// in is searched by `ahead`, which answers how many leading entries of
+    /// the run it is handed — that chunk from `from` or from its start on —
+    /// are below.
+    pub fn gallop_from(
+        &self,
+        from: Cursor,
+        mut fence_below: impl FnMut(&K) -> bool,
+        ahead: impl FnOnce(Run<'_, V>) -> usize,
+    ) -> Cursor {
+        let Some(chunk) = self.chunks.get(from.chunk) else {
+            return from;
+        };
+        let later = &self.fences[from.chunk + 1..];
+        let (ci, lo) = match later.first().is_some_and(&mut fence_below) {
+            // the last chunk whose first key is below holds the point
+            true => (
+                from.chunk + gallop(later.len(), |i| fence_below(&later[i])),
+                0,
+            ),
+            false => (from.chunk, from.slot.min(chunk.vals.len())),
+        };
+        let chunk = &self.chunks[ci];
+        let run = Run {
+            chunk: &chunk.vals,
+            image: &chunk.image,
+            lo,
+            hi: chunk.vals.len(),
+            covers_chunk: lo == 0,
+        };
+        match lo + ahead(run) {
+            slot if slot < chunk.vals.len() => Cursor { chunk: ci, slot },
+            _ => Cursor {
+                chunk: ci + 1,
+                slot: 0,
+            },
         }
     }
 
@@ -1002,30 +1061,28 @@ mod tests {
         t
     }
 
-    /// Scan `range` a run at a time, reading every chunk the span covers
-    /// through its image: each image must hold exactly its chunk's cells,
-    /// and the rows walked must be the ones `collect_range` returns.
-    /// Returns how many runs were read through an image.
+    /// Scan `range` a run at a time, reading every run through its chunk's
+    /// image: each image must hold exactly its chunk's cells, and the rows
+    /// walked must be the ones `collect_range` returns. Returns how many
+    /// runs covered their chunk.
     fn image_reads_rows(t: &Table, range: &KeyRange) -> usize {
         let mut cursor = t.scan_cursor(range, None, None);
         let (mut walked, mut imaged) = (Vec::new(), 0);
         while let Some(run) = t.next_run(&mut cursor) {
             let rows = run.vals();
-            if run.covers_chunk() {
-                imaged += 1;
-                for c in 0..t.schema().len() {
-                    let column = run.column(c).expect("a covered chunk has an image");
-                    assert_eq!(column.len(), run.offset() + rows.len(), "column {c}");
-                    for (i, row) in rows.iter().enumerate() {
-                        let (cell, stored) = (column.value(run.offset() + i), row.get(c));
-                        assert!(
-                            cell == *stored && cell.data_type() == stored.data_type(),
-                            "column {c}, row {i}: image {cell:?}, stored {stored:?}"
-                        );
-                    }
+            imaged += usize::from(run.covers_chunk());
+            for c in 0..t.schema().len() {
+                let column = run.column(c);
+                // a covering run reaches its chunk's end; others may stop short
+                let end = run.offset() + rows.len();
+                assert!(column.len() == end || !run.covers_chunk() && column.len() > end);
+                for (i, row) in rows.iter().enumerate() {
+                    let (cell, stored) = (column.value(run.offset() + i), row.get(c));
+                    assert!(
+                        cell == *stored && cell.data_type() == stored.data_type(),
+                        "column {c}, row {i}: image {cell:?}, stored {stored:?}"
+                    );
                 }
-            } else {
-                assert!(run.column(0).is_none(), "a partial chunk reads rows");
             }
             walked.extend_from_slice(rows);
             t.advance(&mut cursor, rows.len());

@@ -1,5 +1,6 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
+use crate::column::ValueRef;
 use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Run, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
@@ -428,8 +429,7 @@ impl Table {
 
     /// Open a resumable scan of the morsel `[start, end)` of `range` in
     /// clustered-key order — the rows [`Table::scan_morsel`] visits, in the
-    /// same order, handed out a stretch at a time by [`Table::next_run`] or
-    /// a row at a time by [`Table::scan_next`].
+    /// same order, handed out a stretch at a time by [`Table::next_run`].
     pub fn scan_cursor(
         &self,
         range: &KeyRange,
@@ -488,26 +488,26 @@ impl Table {
         };
     }
 
-    /// Hand the next rows of a scan to `visit`, by reference and in scan
-    /// order, until it answers `Ok(false)` (that row counts as visited),
-    /// fails, or the scan is exhausted. The cursor then stands after the
-    /// last row visited.
-    pub fn scan_next<F>(&self, cursor: &mut ScanCursor, mut visit: F) -> Result<()>
-    where
-        F: FnMut(&Row) -> Result<bool>,
-    {
-        while let Some(run) = self.next_run(cursor) {
-            let rows = run.vals();
-            for (i, row) in rows.iter().enumerate() {
-                let more = visit(row);
-                if !matches!(more, Ok(true)) {
-                    self.advance(cursor, i + 1);
-                    return more.map(drop);
-                }
-            }
-            self.advance(cursor, rows.len());
+    /// A finder of the rows each of a rising sequence of values leads the
+    /// clustered key with ([`SpanFinder::find`]): what an index
+    /// nested-loop join probes a sorted batch of keys with.
+    pub fn span_finder(&self) -> SpanFinder<'_> {
+        SpanFinder {
+            table: self,
+            at: Cursor::START,
         }
-        Ok(())
+    }
+
+    /// The rows of `span` as one run per storage chunk, in key order. Each
+    /// run reads through its chunk's image ([`Run::column`]), whether it
+    /// covers the chunk or not.
+    pub fn span_runs(&self, span: KeySpan) -> impl Iterator<Item = Run<'_, Row>> {
+        let mut at = span.from;
+        std::iter::from_fn(move || {
+            let run = self.rows.run((span.from, span.to), at)?;
+            at = self.rows.step(at, run.vals().len());
+            Some(run)
+        })
     }
 
     /// Split the rows of `range` into key-ordered morsels of `target_rows`
@@ -598,10 +598,87 @@ impl Table {
     }
 }
 
+/// The rows whose first clustered-key column holds one value, as
+/// [`SpanFinder::find`] locates them; read by [`Table::span_runs`].
+/// Meaningful only for the table state it was found in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySpan {
+    from: Cursor,
+    to: Cursor,
+}
+
+impl KeySpan {
+    /// A span of no row.
+    pub const EMPTY: KeySpan = KeySpan {
+        from: Cursor::START,
+        to: Cursor::START,
+    };
+
+    /// True when the span holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.from >= self.to
+    }
+
+    /// `self` and `next` as one span, when `next` starts where `self`
+    /// ends (or either is empty).
+    pub fn followed_by(self, next: KeySpan) -> Option<KeySpan> {
+        match (self.is_empty(), next.is_empty()) {
+            (true, _) => Some(next),
+            (_, true) => Some(self),
+            _ => (self.to == next.from).then_some(KeySpan {
+                from: self.from,
+                to: next.to,
+            }),
+        }
+    }
+}
+
+/// Finds the spans of a rising sequence of first-clustered-key values in
+/// one forward pass over a table: each search gallops on from where the
+/// previous value's rows start — over the chunk fences to skip whole
+/// chunks, then through the typed image of the first key column inside
+/// the one chunk the rows start (or end) in — so a batch of sorted keys
+/// costs O(log gap) comparisons a key, not two descents from the root.
+/// Made by [`Table::span_finder`].
+#[derive(Debug)]
+pub struct SpanFinder<'t> {
+    table: &'t Table,
+    /// Where the previous value's rows start.
+    at: Cursor,
+}
+
+impl SpanFinder<'_> {
+    /// The rows whose first clustered-key column equals `key` under
+    /// [`Value::total_cmp`] (a NULL finds the rows holding NULL there), in
+    /// clustered order. `key` must not order below the previous call's: a
+    /// search never looks back.
+    pub fn find(&mut self, key: ValueRef<'_>) -> KeySpan {
+        let from = self.partition(self.at, key, false);
+        let to = self.partition(from, key, true);
+        self.at = from;
+        KeySpan { from, to }
+    }
+
+    /// The first position at or after `at` whose first key column orders
+    /// above `key` (`or_equal`), or else not below it.
+    fn partition(&self, at: Cursor, key: ValueRef<'_>, or_equal: bool) -> Cursor {
+        let lead = self.table.key[0];
+        let fence_below = |fence: &ClusterKey| {
+            let o = ValueRef::of(&fence.as_slice()[0]).total_cmp(key);
+            o.is_lt() || (or_equal && o.is_eq())
+        };
+        self.table.rows.gallop_from(at, fence_below, |run| {
+            let from = run.offset();
+            let cells = from..from + run.vals().len();
+            run.column(lead).partition_point(cells, key, or_equal) - from
+        })
+    }
+}
+
 /// Where a resumable scan stands: a span of the clustered row map, or of
 /// one secondary index, of which a prefix has been visited. Made by
 /// [`Table::scan_cursor`] / [`Table::index_cursor`], advanced by
-/// [`Table::advance`] or [`Table::scan_next`].
+/// [`Table::advance`].
 #[derive(Debug, Clone)]
 pub struct ScanCursor {
     /// Position in `Table::indexes` of the index walked; `None` walks the
@@ -890,7 +967,8 @@ mod tests {
     }
 
     /// A cursor scan visits what the one-shot scans return, in their order,
-    /// whatever the stretch handed out per call; a failing visitor stops it.
+    /// whatever the stretch taken per run; a scan stopped after a row
+    /// resumes right after it.
     #[test]
     fn cursor_scans_resume_and_agree_with_one_shot_scans() {
         let schema = Schema::new(vec![
@@ -903,19 +981,15 @@ mod tests {
                 .unwrap();
         }
         t.create_index("ix_grp", vec![1]).unwrap();
+        // take at most `stride` rows of each run handed out
         let drain = |mut cursor: ScanCursor, stride: usize| {
             let mut out = Vec::new();
-            loop {
-                let before = out.len();
-                t.scan_next(&mut cursor, |row| {
-                    out.push(row.clone());
-                    Ok(out.len() - before < stride)
-                })
-                .unwrap();
-                if out.len() == before {
-                    return out;
-                }
+            while let Some(run) = t.next_run(&mut cursor) {
+                let taken = &run.vals()[..run.vals().len().min(stride)];
+                out.extend_from_slice(taken);
+                t.advance(&mut cursor, taken.len());
             }
+            out
         };
         let range = KeyRange::between(Value::Int(100), Value::Int(650));
         let clustered = t.collect_range(&range, |_| true);
@@ -932,9 +1006,13 @@ mod tests {
         let morsel = drain(t.scan_cursor(&range, Some(&start), Some(&end)), 64);
         assert_eq!(morsel, clustered[100..200]);
         assert!(t.index_cursor("nope", &KeyRange::all()).is_err());
+        // the cursor stays until advanced, and resumes after the rows taken
         let mut cursor = t.scan_cursor(&range, None, None);
-        let failed = t.scan_next(&mut cursor, |_| Err(Error::Storage("stop".into())));
-        assert!(failed.is_err());
+        let first = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
+        assert_eq!(first.as_ref(), Some(&clustered[0]));
+        let again = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
+        assert_eq!(again, first);
+        t.advance(&mut cursor, 1);
         assert_eq!(drain(cursor, 1000), clustered[1..]);
     }
 
@@ -1073,5 +1151,64 @@ mod tests {
         let rows = t.collect_range(&KeyRange::greater_than(Value::Int(2)), |_| true);
         assert_eq!(rows.len(), 4);
         assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() == 3));
+    }
+
+    /// The spans a finder walks to, key by key over rising keys, hold the
+    /// rows an equality scan returns: runs shorter than, as long as and
+    /// longer than a chunk, absent keys, repeated keys, NULLs, a key of
+    /// another numeric type, integers past 2⁵³, and a first key column that
+    /// is typed, holds NULLs, mixes types or holds strings.
+    #[test]
+    fn span_finder_agrees_with_equality_scans() {
+        let lengths = [1usize, 3, 300, 7, 600, 256, 2, 513, 40];
+        let lead = |i: usize, kind: u8| match (kind, i) {
+            (1, 0) => Value::Null,
+            (2, 0 | 3 | 6 | 9) => Value::Float(i as f64 * 10.0 + 0.5),
+            (3, _) => Value::Str(format!("k{:03}", i * 10)),
+            (4, _) => Value::Int((1 << 53) + i as i64 * 2),
+            _ => Value::Int(i as i64 * 10),
+        };
+        for kind in 0..5u8 {
+            let schema = Schema::new(vec![
+                Column::new("g", DataType::Int),
+                Column::new("id", DataType::Int),
+            ]);
+            let mut t = Table::new("t", schema, vec![0, 1]);
+            let mut id = 0i64;
+            for (i, &n) in lengths.iter().enumerate() {
+                for _ in 0..n {
+                    t.insert(Row::new(vec![lead(i, kind), Value::Int(id)]))
+                        .unwrap();
+                    id += 1;
+                }
+            }
+            // present keys, absent ones between and around them, repeats
+            let mut keys: Vec<Value> = vec![Value::Null, Value::Int(-5)];
+            for i in 0..lengths.len() + 2 {
+                let key = lead(i, kind);
+                keys.push(match &key {
+                    Value::Int(k) => Value::Int(k + 1),
+                    Value::Float(f) => Value::Float(f + 0.25),
+                    other => Value::Str(format!("{other}~")),
+                });
+                keys.push(key.clone());
+                if i % 2 == 0 {
+                    keys.push(key);
+                }
+            }
+            keys.push(Value::Float(20.0));
+            keys.push(Value::Str("zz".into()));
+            keys.sort();
+            let mut finder = t.span_finder();
+            for key in &keys {
+                let span = finder.find(ValueRef::of(key));
+                let rows: Vec<Row> = (t.span_runs(span))
+                    .flat_map(|run| run.vals().to_vec())
+                    .collect();
+                let expected = t.collect_range(&KeyRange::eq(key.clone()), |_| true);
+                assert_eq!(rows, expected, "kind {kind}, key {key:?}");
+                assert_eq!(span.is_empty(), expected.is_empty());
+            }
+        }
     }
 }

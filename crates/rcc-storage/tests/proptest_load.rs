@@ -150,11 +150,10 @@ fn build(c: &Case) -> (Table, Vec<Row>) {
 
 fn drain(t: &Table, mut cursor: ScanCursor) -> String {
     let mut out = Vec::new();
-    t.scan_next(&mut cursor, |row| {
-        out.push(format!("{row:?}"));
-        Ok(true)
-    })
-    .unwrap();
+    while let Some(run) = t.next_run(&mut cursor) {
+        out.extend(run.vals().iter().map(|row| format!("{row:?}")));
+        t.advance(&mut cursor, run.vals().len());
+    }
     out.join(",")
 }
 

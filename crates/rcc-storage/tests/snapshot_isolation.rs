@@ -46,8 +46,8 @@ fn publish_version(cell: &TableCell, v: i64) {
     .expect("publish");
 }
 
-/// Scan a snapshot — row by row, or through the image of every chunk the
-/// scan covers — and return its version, asserting internal consistency:
+/// Scan a snapshot — row by row, or through the image of every chunk —
+/// and return its version, asserting internal consistency:
 /// a uniform tag and a row count equal to that tag.
 fn observed_version(cell: &TableCell, via_image: bool) -> i64 {
     let snap = cell.snapshot();
@@ -55,7 +55,7 @@ fn observed_version(cell: &TableCell, via_image: bool) -> i64 {
     let mut cursor = snap.scan_cursor(&KeyRange::all(), None, None);
     while let Some(run) = snap.next_run(&mut cursor) {
         let n = run.vals().len();
-        match run.column(1).filter(|_| via_image) {
+        match via_image.then(|| run.column(1)) {
             Some(image) => tags.extend((0..n).map(|i| {
                 let tag = image.value(run.offset() + i).as_int().expect("tag");
                 assert_eq!(tag, run.vals()[i].get(1).as_int().expect("tag"));
