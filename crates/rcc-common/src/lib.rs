@@ -11,7 +11,6 @@
 pub mod error;
 pub mod ids;
 pub mod netmodel;
-pub mod pool;
 pub mod row;
 pub mod time;
 pub mod value;
@@ -19,7 +18,6 @@ pub mod value;
 pub use error::{Error, Result};
 pub use ids::{AgentId, IndexId, RegionId, TableId, TxnId, ViewId};
 pub use netmodel::NetworkModel;
-pub use pool::{default_scan_workers, ScanPool};
 pub use row::{Column, Row, Schema};
 pub use time::{Clock, Duration, SimClock, Timestamp, WallClock};
 pub use value::{DataType, Value};

@@ -1,7 +1,7 @@
 //! Execution context: storage, the remote service, clock, counters.
 
 use parking_lot::Mutex;
-use rcc_common::{Clock, Duration, RegionId, Result, Row, ScanPool, Schema, Timestamp, Value};
+use rcc_common::{Clock, Duration, RegionId, Result, Row, Schema, Timestamp, Value};
 use rcc_obs::{HandlesByKey, Histogram, MetricsRegistry, TraceRef};
 use rcc_storage::StorageEngine;
 use std::collections::HashMap;
@@ -57,12 +57,6 @@ pub struct ExecCounters {
     pub rows_shipped: AtomicU64,
     /// Guard observations discarded because the per-context log was full.
     pub observations_dropped: AtomicU64,
-    /// Scans executed morsel-parallel on the worker pool.
-    pub parallel_scans: AtomicU64,
-    /// Scans executed serially (no pool, or too small to split).
-    pub serial_scans: AtomicU64,
-    /// Total morsels dispatched to the scan pool.
-    pub scan_morsels: AtomicU64,
     /// Column batches delivered at query roots by the batched engine.
     pub batches_produced: AtomicU64,
     /// Chunk runs local scans read through the chunk's typed image.
@@ -80,9 +74,6 @@ impl ExecCounters {
         self.remote_queries.store(0, Ordering::Relaxed);
         self.rows_shipped.store(0, Ordering::Relaxed);
         self.observations_dropped.store(0, Ordering::Relaxed);
-        self.parallel_scans.store(0, Ordering::Relaxed);
-        self.serial_scans.store(0, Ordering::Relaxed);
-        self.scan_morsels.store(0, Ordering::Relaxed);
         self.batches_produced.store(0, Ordering::Relaxed);
         self.scan_image_runs.store(0, Ordering::Relaxed);
         self.scan_row_runs.store(0, Ordering::Relaxed);
@@ -136,18 +127,6 @@ impl ExecCounters {
             "Guard observations discarded because a context log hit its cap.",
         );
         registry.describe(
-            "rcc_scan_parallel_total",
-            "Scans executed morsel-parallel on the worker pool.",
-        );
-        registry.describe(
-            "rcc_scan_serial_total",
-            "Scans executed serially (no pool, or too small to split).",
-        );
-        registry.describe(
-            "rcc_scan_morsels_total",
-            "Morsels dispatched to the scan worker pool.",
-        );
-        registry.describe(
             "rcc_batch_produced_total",
             "Column batches delivered at query roots.",
         );
@@ -161,9 +140,6 @@ impl ExecCounters {
         let queries = registry.counter("rcc_remote_queries_total", &[]);
         let rows = registry.counter("rcc_rows_shipped_total", &[]);
         let dropped = registry.counter("rcc_observations_dropped_total", &[]);
-        let parallel = registry.counter("rcc_scan_parallel_total", &[]);
-        let serial = registry.counter("rcc_scan_serial_total", &[]);
-        let morsels = registry.counter("rcc_scan_morsels_total", &[]);
         let batches = registry.counter("rcc_batch_produced_total", &[]);
         let image_runs = registry.counter("rcc_scan_chunks_total", &[("path", "image")]);
         let row_runs = registry.counter("rcc_scan_chunks_total", &[("path", "rows")]);
@@ -174,9 +150,6 @@ impl ExecCounters {
             queries.set(this.remote_queries.load(Ordering::Relaxed));
             rows.set(this.rows_shipped.load(Ordering::Relaxed));
             dropped.set(this.observations_dropped.load(Ordering::Relaxed));
-            parallel.set(this.parallel_scans.load(Ordering::Relaxed));
-            serial.set(this.serial_scans.load(Ordering::Relaxed));
-            morsels.set(this.scan_morsels.load(Ordering::Relaxed));
             batches.set(this.batches_produced.load(Ordering::Relaxed));
             image_runs.set(this.scan_image_runs.load(Ordering::Relaxed));
             row_runs.set(this.scan_row_runs.load(Ordering::Relaxed));
@@ -194,7 +167,6 @@ pub struct ExecMetrics {
     registry: Arc<MetricsRegistry>,
     batch_rows: OnceLock<Histogram>,
     batch_selectivity: OnceLock<Histogram>,
-    scan_morsels: OnceLock<Histogram>,
     guard_staleness: HandlesByKey<RegionId, Histogram>,
 }
 
@@ -205,7 +177,6 @@ impl ExecMetrics {
             registry,
             batch_rows: OnceLock::new(),
             batch_selectivity: OnceLock::new(),
-            scan_morsels: OnceLock::new(),
             guard_staleness: HandlesByKey::default(),
         }
     }
@@ -228,17 +199,6 @@ impl ExecMetrics {
                 "rcc_batch_selectivity",
                 &[],
                 rcc_obs::DEFAULT_SELECTIVITY_BUCKETS,
-            )
-        })
-    }
-
-    /// `rcc_scan_morsels_per_scan`.
-    pub(crate) fn scan_morsels(&self) -> &Histogram {
-        self.scan_morsels.get_or_init(|| {
-            self.registry.histogram(
-                "rcc_scan_morsels_per_scan",
-                &[],
-                rcc_obs::DEFAULT_MORSEL_BUCKETS,
             )
         })
     }
@@ -335,12 +295,6 @@ pub struct ExecContext {
     /// Guard-staleness and batch histograms; `None` outside a metered
     /// server (e.g. unit tests, back-end execution).
     pub metrics: Option<Arc<ExecMetrics>>,
-    /// Worker pool for morsel-driven parallel scans; `None` ⇒ every scan
-    /// runs serially on the calling thread.
-    pub scan_pool: Option<Arc<ScanPool>>,
-    /// Target rows per morsel when splitting a scan for the pool. Scans
-    /// smaller than two morsels stay serial (splitting them buys nothing).
-    pub morsel_rows: usize,
     /// Target logical rows per [`crate::Batch`] in the batched engine.
     pub batch_rows: usize,
     /// The query's trace, shared down to the remote transport so spans
@@ -352,10 +306,6 @@ pub struct ExecContext {
     /// execution. Empty runs the plan with the values it was compiled for.
     pub slots: Arc<Vec<Value>>,
 }
-
-/// Default morsel granularity: big enough that per-morsel dispatch cost is
-/// noise, small enough that a TPC-D region scan splits across the pool.
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// Cap on the per-context guard-observation log. Sessions that never call
 /// [`ExecContext::take_observations`] stop accumulating here and count
@@ -378,19 +328,9 @@ impl ExecContext {
             force_local: false,
             meter: Arc::new(QueryMeter::default()),
             metrics: None,
-            scan_pool: None,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             batch_rows: crate::batch::DEFAULT_BATCH_ROWS,
             trace: None,
             slots: Arc::default(),
-        }
-    }
-
-    /// Same context executing scans on `pool` (None reverts to serial).
-    pub fn with_scan_pool(&self, pool: Option<Arc<ScanPool>>) -> ExecContext {
-        ExecContext {
-            scan_pool: pool,
-            ..self.clone()
         }
     }
 

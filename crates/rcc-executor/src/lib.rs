@@ -43,7 +43,7 @@ pub use build::{
 };
 pub use context::{
     ExecContext, ExecCounters, ExecMetrics, GuardObservation, QueryMeter, RemoteService,
-    DEFAULT_MORSEL_ROWS, MAX_OBSERVATIONS,
+    MAX_OBSERVATIONS,
 };
 pub use rcc_storage::column::{self, Column, ColumnData, ValueRef};
 pub use rowref::{build_row_operator, execute_plan_rows, RowOperator};

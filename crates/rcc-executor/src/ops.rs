@@ -12,7 +12,7 @@
 //! Operators never return an empty batch — exhaustion is `None` — so
 //! consumers can loop on `next_batch` without special-casing zero rows.
 //!
-//! Scans stream: a serial [`LocalScanOp`] pins a snapshot in `open` and
+//! Scans stream: a [`LocalScanOp`] pins a snapshot in `open` and
 //! fills one batch per `next_batch` from a cursor over it, a storage chunk
 //! at a time — a chunk it covers whole through the chunk's typed image,
 //! the partial ones at its ends by testing the residual on each stored row
@@ -40,7 +40,6 @@ use rcc_storage::{KeyRange, KeySpan, Run, ScanCursor, StorageEngine, Table, Tabl
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 /// The operator interface.
 pub trait Operator: Send {
@@ -365,8 +364,8 @@ pub struct LocalScanOp<'a> {
 enum ScanState<'a> {
     /// Not opened yet (or closed).
     Idle,
-    /// Serial: a cursor over the snapshot pinned at open; each
-    /// `next_batch` fills one batch from it.
+    /// A cursor over the snapshot pinned at open; each `next_batch` fills
+    /// one batch from it.
     Streaming {
         table: TableSnapshot,
         cursor: ScanCursor,
@@ -374,8 +373,6 @@ enum ScanState<'a> {
         /// Rows the previous batch held — the room to give the next one.
         room: usize,
     },
-    /// Parallel: the pool filled one batch per morsel at open.
-    Scattered(VecDeque<Batch>),
 }
 
 impl<'a> LocalScanOp<'a> {
@@ -405,9 +402,7 @@ impl<'a> LocalScanOp<'a> {
 /// Both cut batches at the same surviving row. If the residual fails on an
 /// image, that chunk is replayed row by row, so a scan fails exactly when
 /// the row walk reaches the failing row — not when a batch, or a `LIMIT`
-/// above it, stops before. The serial path and all parallel morsels run
-/// one kernel (the morsels an owned copy shared via `Arc`), so both run
-/// identical code — which keeps them bit-identical.
+/// above it, stops before.
 struct ScanKernel<'a> {
     /// Output column `c` is stored column `mapping[c]`.
     mapping: Cow<'a, [usize]>,
@@ -419,17 +414,6 @@ struct ScanKernel<'a> {
 }
 
 impl ScanKernel<'_> {
-    /// A copy that borrows nothing, for the pool's workers.
-    fn detached(&self) -> ScanKernel<'static> {
-        let owned = |p: &Option<Cow<'_, PhysExpr>>| p.as_deref().cloned().map(Cow::Owned);
-        ScanKernel {
-            mapping: Cow::Owned(self.mapping.to_vec()),
-            residual: owned(&self.residual),
-            image_residual: owned(&self.image_residual),
-            now: self.now,
-        }
-    }
-
     fn fresh_cols(&self, room: usize) -> Vec<Column> {
         // one `with_capacity` each: a cloned column keeps none of its room
         (0..self.mapping.len())
@@ -544,104 +528,6 @@ impl ScanKernel<'_> {
     }
 }
 
-/// The scan pool, when splitting across it can pay.
-fn scan_pool(ctx: &ExecContext) -> Option<&Arc<rcc_common::ScanPool>> {
-    ctx.scan_pool.as_ref().filter(|p| p.size() > 1)
-}
-
-fn count_parallel_scan(ctx: &ExecContext, morsels: usize) {
-    use std::sync::atomic::Ordering;
-    ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
-    ctx.counters
-        .scan_morsels
-        .fetch_add(morsels as u64, Ordering::Relaxed);
-    if let Some(metrics) = ctx.metrics.as_deref() {
-        metrics.scan_morsels().observe(morsels as f64);
-    }
-}
-
-/// The morsel batches a pool returned, in morsel order, empty ones dropped.
-fn scattered(batches: Vec<Result<Option<Batch>>>) -> Result<ScanState<'static>> {
-    let batches: Result<Vec<Option<Batch>>> = batches.into_iter().collect();
-    Ok(ScanState::Scattered(
-        batches?.into_iter().flatten().collect(),
-    ))
-}
-
-/// Inclusive-start / exclusive-end key bounds of one morsel, owned so the
-/// bound vector can be scattered across pool workers.
-type MorselBounds = (Option<Vec<Value>>, Option<Vec<Value>>);
-
-/// Split a clustered-range scan into key-ordered morsels on the context's
-/// pool when that is worthwhile (one batch per morsel). Morsel batches are
-/// concatenated in morsel order, so the logical row stream is exactly what
-/// the serial scan would produce, in the same order.
-fn scatter_clustered(
-    ctx: &ExecContext,
-    table: &TableSnapshot,
-    range: &KeyRange,
-    kernel: &ScanKernel<'_>,
-) -> Result<Option<ScanState<'static>>> {
-    let Some(pool) = scan_pool(ctx) else {
-        return Ok(None);
-    };
-    let plan = table.plan_morsels(range, ctx.morsel_rows.max(1));
-    let morsels = plan.morsel_count();
-    if morsels < 2 {
-        return Ok(None);
-    }
-    count_parallel_scan(ctx, morsels);
-    let bounds: Vec<MorselBounds> = (0..morsels)
-        .map(|i| {
-            let (start, end) = plan.bounds(i);
-            (start.map(|k| k.to_vec()), end.map(|k| k.to_vec()))
-        })
-        .collect();
-    // One shared fill closure: the snapshot, range and kernel are captured
-    // once behind the Arc, not cloned per morsel.
-    let (table, range, kernel) = (Arc::clone(table), range.clone(), kernel.detached());
-    let counters = Arc::clone(&ctx.counters);
-    let fill = Arc::new(move |(start, end): MorselBounds| {
-        let mut cursor = table.scan_cursor(&range, start.as_deref(), end.as_deref());
-        kernel.fill(&table, &mut cursor, usize::MAX, 0, &counters)
-    });
-    scattered(pool.scatter_map(bounds, fill)).map(Some)
-}
-
-/// Split a secondary-index scan across the pool. The ordered clustered-key
-/// list (the result's spine) is resolved serially from the index; the point
-/// lookups are chunked across workers (one batch per chunk) and
-/// re-concatenated in chunk order — same rows, same order as the serial
-/// path.
-fn scatter_index(
-    ctx: &ExecContext,
-    table: &TableSnapshot,
-    index: &str,
-    range: &KeyRange,
-    kernel: &ScanKernel<'_>,
-) -> Result<Option<ScanState<'static>>> {
-    let Some(pool) = scan_pool(ctx) else {
-        return Ok(None);
-    };
-    let morsel_rows = ctx.morsel_rows.max(1);
-    let pks = table.index_pks(index, range)?;
-    if pks.len() < 2 * morsel_rows {
-        return Ok(None);
-    }
-    let chunks: Vec<Vec<Vec<Value>>> = pks.chunks(morsel_rows).map(|c| c.to_vec()).collect();
-    count_parallel_scan(ctx, chunks.len());
-    let (table, kernel) = (Arc::clone(table), kernel.detached());
-    let fill = Arc::new(move |chunk: Vec<Vec<Value>>| {
-        let mut cols = kernel.fresh_cols(chunk.len());
-        let mut n = 0usize;
-        for row in chunk.iter().filter_map(|pk| table.get(pk)) {
-            n += usize::from(kernel.take(row, &mut cols)?);
-        }
-        Ok((n > 0).then(|| Batch::from_columns(cols, n)))
-    });
-    scattered(pool.scatter_map(chunks, fill)).map(Some)
-}
-
 impl Operator for LocalScanOp<'_> {
     fn schema(&self) -> &Schema {
         &self.scan.schema
@@ -653,27 +539,15 @@ impl Operator for LocalScanOp<'_> {
         let table: TableSnapshot = ctx.storage.table(&self.scan.object)?.snapshot();
         let kernel = self.scan.kernel(&table, &ctx.slots, now_millis(ctx))?;
         let (index, range) = seek(self.access, &ctx.slots);
-        let parallel = match index {
-            None => scatter_clustered(ctx, &table, &range, &kernel)?,
-            Some(index) => scatter_index(ctx, &table, index, &range, &kernel)?,
+        let cursor = match index {
+            None => table.scan_cursor(&range),
+            Some(index) => table.index_cursor(index, &range)?,
         };
-        self.state = match parallel {
-            Some(state) => state,
-            None => {
-                ctx.counters
-                    .serial_scans
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let cursor = match index {
-                    None => table.scan_cursor(&range, None, None),
-                    Some(index) => table.index_cursor(index, &range)?,
-                };
-                ScanState::Streaming {
-                    table,
-                    cursor,
-                    kernel,
-                    room: 0,
-                }
-            }
+        self.state = ScanState::Streaming {
+            table,
+            cursor,
+            kernel,
+            room: 0,
         };
         Ok(())
     }
@@ -681,7 +555,6 @@ impl Operator for LocalScanOp<'_> {
     fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
         match &mut self.state {
             ScanState::Idle => Err(Error::internal("LocalScan next_batch before open")),
-            ScanState::Scattered(batches) => Ok(batches.pop_front()),
             ScanState::Streaming {
                 table,
                 cursor,
@@ -1481,7 +1354,7 @@ impl<'a> IndexNLJoinOp<'a> {
         if self.inner_null.is_none() {
             let null = KeyRange::eq(Value::Null);
             self.inner_null = Some(match &self.inner.access.use_index {
-                None => self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&null, None, None)))?,
+                None => self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&null)))?,
                 Some(index) => self.inner_survivor(ctx, |t| t.index_cursor(index, &null))?,
             });
         }
@@ -1492,7 +1365,7 @@ impl<'a> IndexNLJoinOp<'a> {
     fn inner_is_empty(&mut self, ctx: &ExecContext) -> Result<bool> {
         if self.inner_empty.is_none() {
             let all = KeyRange::all();
-            let found = self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&all, None, None)))?;
+            let found = self.inner_survivor(ctx, |t| Ok(t.scan_cursor(&all)))?;
             self.inner_empty = Some(!found);
         }
         Ok(self.inner_empty == Some(true))

@@ -19,7 +19,6 @@ use rcc_optimizer::physical::{AccessPath, InnerAccess};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard, PhysicalPlan};
 use rcc_storage::{KeyRange, Table, TableSnapshot};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The row-at-a-time operator interface.
@@ -108,13 +107,9 @@ impl LocalScanOp {
 }
 
 /// The per-row scan kernel: project a stored row through `mapping`, apply
-/// the residual predicate, and append survivors to `out`. One kernel is
-/// built per scan and cloned into every parallel morsel, so the serial
-/// path and all workers run the identical per-row code — which is what
-/// keeps the two paths bit-identical.
-#[derive(Clone)]
+/// the residual predicate, and append survivors to `out`.
 struct ScanKernel {
-    mapping: Arc<Vec<usize>>,
+    mapping: Vec<usize>,
     schema: Schema,
     residual: Option<BoundExpr>,
     now: i64,
@@ -134,67 +129,12 @@ impl ScanKernel {
     }
 }
 
-/// Run one clustered-range scan over an immutable snapshot, splitting it
-/// into key-ordered morsels on the context's pool when that is worthwhile.
-/// Morsel outputs are concatenated in morsel order, so the returned rows
-/// are exactly what the serial scan would produce, in the same order.
+/// Run one clustered-range scan over an immutable snapshot.
 fn scan_clustered(
-    ctx: &ExecContext,
     table: &TableSnapshot,
     range: &KeyRange,
     kernel: &ScanKernel,
 ) -> Result<Vec<Row>> {
-    use std::sync::atomic::Ordering;
-    if let Some(pool) = ctx.scan_pool.as_ref().filter(|p| p.size() > 1) {
-        let plan = table.plan_morsels(range, ctx.morsel_rows.max(1));
-        let morsels = plan.morsel_count();
-        if morsels >= 2 {
-            ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            ctx.counters
-                .scan_morsels
-                .fetch_add(morsels as u64, Ordering::Relaxed);
-            if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics.scan_morsels().observe(morsels as f64);
-            }
-            let jobs: Vec<_> = (0..morsels)
-                .map(|i| {
-                    let (start, end) = plan.bounds(i);
-                    let start = start.map(|k| k.to_vec());
-                    let end = end.map(|k| k.to_vec());
-                    let table = Arc::clone(table);
-                    let range = range.clone();
-                    let kernel = kernel.clone();
-                    move || -> Result<Vec<Row>> {
-                        let mut out = Vec::new();
-                        let mut err = None;
-                        table.scan_morsel(
-                            &range,
-                            start.as_deref(),
-                            end.as_deref(),
-                            |_| true,
-                            |row| {
-                                if err.is_none() {
-                                    if let Err(e) = kernel.apply(row, &mut out) {
-                                        err = Some(e);
-                                    }
-                                }
-                            },
-                        );
-                        match err {
-                            Some(e) => Err(e),
-                            None => Ok(out),
-                        }
-                    }
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for morsel in pool.scatter(jobs) {
-                merged.extend(morsel?);
-            }
-            return Ok(merged);
-        }
-    }
-    ctx.counters.serial_scans.fetch_add(1, Ordering::Relaxed);
     let mut out = Vec::new();
     let mut err = None;
     table.scan_range(
@@ -214,56 +154,13 @@ fn scan_clustered(
     }
 }
 
-/// Run one secondary-index scan over an immutable snapshot. The ordered
-/// clustered-key list (the result's spine) is resolved serially from the
-/// index; when a pool is available the point lookups are chunked across
-/// workers and re-concatenated in chunk order — same rows, same order as
-/// the serial path.
+/// Run one secondary-index scan over an immutable snapshot.
 fn scan_index(
-    ctx: &ExecContext,
     table: &TableSnapshot,
     index: &str,
     range: &KeyRange,
     kernel: &ScanKernel,
 ) -> Result<Vec<Row>> {
-    use std::sync::atomic::Ordering;
-    let morsel_rows = ctx.morsel_rows.max(1);
-    if let Some(pool) = ctx.scan_pool.as_ref().filter(|p| p.size() > 1) {
-        let pks = table.index_pks(index, range)?;
-        if pks.len() >= 2 * morsel_rows {
-            let chunks: Vec<Vec<Vec<Value>>> =
-                pks.chunks(morsel_rows).map(|c| c.to_vec()).collect();
-            ctx.counters.parallel_scans.fetch_add(1, Ordering::Relaxed);
-            ctx.counters
-                .scan_morsels
-                .fetch_add(chunks.len() as u64, Ordering::Relaxed);
-            if let Some(metrics) = ctx.metrics.as_deref() {
-                metrics.scan_morsels().observe(chunks.len() as f64);
-            }
-            let jobs: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    let table = Arc::clone(table);
-                    let kernel = kernel.clone();
-                    move || -> Result<Vec<Row>> {
-                        let mut out = Vec::new();
-                        for pk in &chunk {
-                            if let Some(row) = table.get(pk) {
-                                kernel.apply(row, &mut out)?;
-                            }
-                        }
-                        Ok(out)
-                    }
-                })
-                .collect();
-            let mut merged = Vec::new();
-            for morsel in pool.scatter(jobs) {
-                merged.extend(morsel?);
-            }
-            return Ok(merged);
-        }
-    }
-    ctx.counters.serial_scans.fetch_add(1, Ordering::Relaxed);
     let mut out = Vec::new();
     for row in table.index_scan(index, range)? {
         kernel.apply(&row, &mut out)?;
@@ -281,13 +178,12 @@ impl RowOperator for LocalScanOp {
         // scanning, and a concurrent refresh publish cannot tear the view.
         let table: TableSnapshot = ctx.storage.table(&self.object)?.snapshot();
         // map output columns to stored ordinals by name
-        let mapping: Arc<Vec<usize>> = Arc::new(
-            self.schema
-                .columns()
-                .iter()
-                .map(|c| table.schema().resolve(None, &c.name))
-                .collect::<Result<_>>()?,
-        );
+        let mapping: Vec<usize> = self
+            .schema
+            .columns()
+            .iter()
+            .map(|c| table.schema().resolve(None, &c.name))
+            .collect::<Result<_>>()?;
         let kernel = ScanKernel {
             mapping,
             schema: self.schema.clone(),
@@ -295,12 +191,10 @@ impl RowOperator for LocalScanOp {
             now: now_millis(ctx),
         };
         let rows = match &self.access {
-            AccessPath::FullScan => scan_clustered(ctx, &table, &KeyRange::all(), &kernel)?,
-            AccessPath::ClusteredRange { range, .. } => {
-                scan_clustered(ctx, &table, range, &kernel)?
-            }
+            AccessPath::FullScan => scan_clustered(&table, &KeyRange::all(), &kernel)?,
+            AccessPath::ClusteredRange { range, .. } => scan_clustered(&table, range, &kernel)?,
             AccessPath::IndexRange { index, range, .. } => {
-                scan_index(ctx, &table, index, range, &kernel)?
+                scan_index(&table, index, range, &kernel)?
             }
         };
         self.buffer = rows.into();

@@ -13,21 +13,35 @@ use rcc_storage::{KeyRange, StorageEngine, Table};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// `t(k INT PRIMARY KEY, d INT)` holding keys `0..n`, loaded in key order
-/// (so every chunk but the last holds 256 rows), `d` set by `d_of`.
+/// `t(k INT PRIMARY KEY, d INT, e INT)` holding keys `0..n`, loaded in
+/// key order (so every chunk but the last holds 256 rows), `d` set by
+/// `d_of`, and `e` the key rotated by `n / 6` ([`rotated`]), indexed by
+/// `ix_e`: that index reaches the keys from `5n / 6` up first, then the
+/// ones below.
 fn ctx_with(n: i64, d_of: impl Fn(i64) -> i64) -> ExecContext {
     let schema = Schema::new(vec![
         SchemaColumn::new("k", DataType::Int),
         SchemaColumn::new("d", DataType::Int),
+        SchemaColumn::new("e", DataType::Int),
     ]);
     let mut table = Table::new("t", schema, vec![0]);
+    table.create_index("ix_e", vec![2]).expect("fresh table");
     for k in 0..n {
-        let row = Row::new(vec![Value::Int(k), Value::Int(d_of(k))]);
+        let row = Row::new(vec![
+            Value::Int(k),
+            Value::Int(d_of(k)),
+            Value::Int(rotated(n, k)),
+        ]);
         table.insert(row).expect("distinct keys");
     }
     let storage = Arc::new(StorageEngine::new());
     storage.create_table(table).expect("fresh engine");
     ExecContext::new(storage, None, Arc::new(SimClock::new()))
+}
+
+/// The `e` of key `k` in a table of `n` keys.
+fn rotated(n: i64, k: i64) -> i64 {
+    (k + n / 6) % n
 }
 
 fn schema() -> Schema {
@@ -44,11 +58,24 @@ fn access(range: &KeyRange) -> AccessPath {
     }
 }
 
+/// A seek of `ix_e` with `range`.
+fn by_e(range: &KeyRange) -> AccessPath {
+    AccessPath::IndexRange {
+        index: "ix_e".into(),
+        column: "e".into(),
+        range: range.clone().into(),
+    }
+}
+
 fn scan(range: &KeyRange, residual: Option<BoundExpr>) -> PhysicalPlan {
+    scan_on(access(range), residual)
+}
+
+fn scan_on(access: AccessPath, residual: Option<BoundExpr>) -> PhysicalPlan {
     PhysicalPlan::LocalScan(LocalScanNode {
         object: "t".into(),
         schema: schema(),
-        access: access(range),
+        access,
         residual,
         operand: 0,
         est_rows: 1.0,
@@ -125,7 +152,6 @@ fn a_failing_residual_errs_where_the_row_walk_would() {
         _ => 1,
     });
     let residual = Some(on_d(BinaryOp::Div, 10));
-    let all = KeyRange::all();
     let survivors = |plan: &PhysicalPlan| execute_plan(plan, &ctx).map(|r| r.rows);
     assert_eq!(
         survivors(&scan(
@@ -136,33 +162,54 @@ fn a_failing_residual_errs_where_the_row_walk_would() {
         .len(),
         2048
     );
-    // a LIMIT the first batch satisfies stops the scan before the failing
-    // row, as the row walk does; the rows agree with the row engine over the
-    // span that ends before it
-    for n in [5, 2048] {
-        let limited = |range: &KeyRange| PhysicalPlan::Limit {
-            input: Box::new(scan(range, residual.clone())),
-            n,
-        };
-        let images_before = image_runs(&ctx);
-        let rows = survivors(&limited(&all)).expect("the scan stops before the failing row");
-        assert!(
-            image_runs(&ctx) > images_before,
-            "chunks read through images"
-        );
-        let walked = execute_plan_rows(&limited(&KeyRange::less_than(Value::Int(bad))), &ctx)
-            .expect("row engine")
-            .rows;
-        assert_eq!(rows, walked, "LIMIT {n}");
-    }
-    // without the LIMIT both engines fail, with the same error
-    let batched = execute_plan(&scan(&all, residual.clone()), &ctx).map(|r| r.rows);
-    let walked = execute_plan_rows(&scan(&all, residual), &ctx).map(|r| r.rows);
-    match (batched, walked) {
-        (Err(Error::Execution(a)), Err(Error::Execution(b))) => {
-            assert_eq!(a, b);
-            assert!(a.contains("division by zero"), "{a}");
+    // the clustered scan, and one along `ix_e`, each with its access over
+    // the rows the row walk reaches before the failing one: in `ix_e`'s
+    // order more than 2 048 survivors come first too
+    let bad_e = rotated(3000, bad);
+    let paths = [
+        (
+            access(&KeyRange::all()),
+            access(&KeyRange::less_than(Value::Int(bad))),
+        ),
+        (
+            by_e(&KeyRange::all()),
+            by_e(&KeyRange::less_than(Value::Int(bad_e))),
+        ),
+    ];
+    for (all, before_bad) in paths {
+        let clustered = matches!(all, AccessPath::ClusteredRange { .. });
+        // a LIMIT the first batch satisfies stops the scan before the
+        // failing row, as the row walk does; the rows agree with the row
+        // engine over the span that ends before it
+        for n in [5, 2048] {
+            let limited = |access: &AccessPath| PhysicalPlan::Limit {
+                input: Box::new(scan_on(access.clone(), residual.clone())),
+                n,
+            };
+            let images_before = image_runs(&ctx);
+            let rows = survivors(&limited(&all)).expect("the scan stops before the failing row");
+            if clustered {
+                assert!(
+                    image_runs(&ctx) > images_before,
+                    "chunks read through images"
+                );
+            }
+            let walked = execute_plan_rows(&limited(&before_bad), &ctx)
+                .expect("row engine")
+                .rows;
+            assert_eq!(rows.len(), n as usize);
+            assert_eq!(rows, walked, "{all:?} LIMIT {n}");
         }
-        other => panic!("{other:?}"),
+        // without the LIMIT both engines fail, with the same error
+        let batched = execute_plan(&scan_on(all.clone(), residual.clone()), &ctx).map(|r| r.rows);
+        let walked =
+            execute_plan_rows(&scan_on(all.clone(), residual.clone()), &ctx).map(|r| r.rows);
+        match (batched, walked) {
+            (Err(Error::Execution(a)), Err(Error::Execution(b))) => {
+                assert_eq!(a, b);
+                assert!(a.contains("division by zero"), "{a}");
+            }
+            other => panic!("{all:?}: {other:?}"),
+        }
     }
 }

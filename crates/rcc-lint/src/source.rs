@@ -7,7 +7,7 @@
 //!   `Table` (`Mutex<Table>` / `RwLock<Table>`): readers must go through
 //!   `TableCell::snapshot()`, the invariant the lock-free snapshot reads
 //!   of PR 4 rest on. Scoped to library sources; `src/bin/` measurement
-//!   rigs (e.g. the deliberate locked-table baseline in `scan_parallel`)
+//!   rigs (e.g. the deliberate locked-table baseline in `scan_engine`)
 //!   are out of scope by construction, not allowlisted.
 //! * **Lock-acquisition order** — a directed graph over `Mutex`/`RwLock`
 //!   *fields*, with an edge A→B whenever B is acquired while a guard on A

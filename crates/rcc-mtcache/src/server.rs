@@ -9,14 +9,14 @@ use parking_lot::{Mutex, RwLock};
 use rcc_backend::{MasterDb, TableChange};
 use rcc_catalog::{CachedViewDef, Catalog, CurrencyRegion, TableMeta};
 use rcc_common::{
-    AgentId, Clock, Column, DataType, Duration, Error, RegionId, Result, Row, ScanPool, Schema,
-    SimClock, TableId, Timestamp, Value,
+    AgentId, Clock, Column, DataType, Duration, Error, RegionId, Result, Row, Schema, SimClock,
+    TableId, Timestamp, Value,
 };
 use rcc_executor::GuardObservation;
 use rcc_executor::{
     execute_plan_analyzed, execute_plan_rows, Batch, BatchExecutionResult, ExecContext,
     ExecCounters, ExecMetrics, Executable, ExecutionResult, QueryMeter, RemoteService,
-    DEFAULT_BATCH_ROWS, DEFAULT_MORSEL_ROWS,
+    DEFAULT_BATCH_ROWS,
 };
 use rcc_obs::{
     Counter, EventJournal, EventKind, Gauge, HandlesByKey, Histogram, MetricsRegistry, QueryPhase,
@@ -87,9 +87,6 @@ pub struct MTCache {
     /// sanctioned policy degradation — the compliance ratio's numerator
     /// complement.
     slo_unsanctioned: AtomicU64,
-    /// Worker pool for morsel-driven parallel scans; `None` keeps every
-    /// scan on the session thread (the default).
-    scan_pool: RwLock<Option<Arc<ScanPool>>>,
     /// When set, queries run on the row-at-a-time reference engine instead
     /// of the vectorized one — the A side of batched-vs-row comparisons.
     row_engine: AtomicBool,
@@ -335,7 +332,6 @@ impl MTCache {
             next_session: AtomicU64::new(0),
             slo_queries: AtomicU64::new(0),
             slo_unsanctioned: AtomicU64::new(0),
-            scan_pool: RwLock::new(None),
             row_engine: AtomicBool::new(false),
             no_floors: Arc::default(),
             elide_guards: AtomicBool::new(false),
@@ -498,23 +494,6 @@ impl MTCache {
         });
     }
 
-    /// Configure morsel-driven parallel scans: `workers > 1` installs a
-    /// shared [`ScanPool`] used by every subsequent query; `workers <= 1`
-    /// restores serial scans. Safe to call while sessions are live — the
-    /// pool is swapped atomically and in-flight queries keep the pool they
-    /// started with.
-    pub fn set_scan_workers(&self, workers: usize) {
-        let pool = if workers > 1 {
-            Some(Arc::new(ScanPool::new(workers)))
-        } else {
-            None
-        };
-        self.metrics
-            .gauge("rcc_scan_workers", &[])
-            .set(workers.max(1) as f64);
-        *self.scan_pool.write() = pool;
-    }
-
     /// Route subsequent queries through the row-at-a-time reference engine
     /// (`true`) or the vectorized engine (`false`, the default). The two
     /// produce byte-identical results; the switch exists for differential
@@ -651,10 +630,6 @@ impl MTCache {
             "rcc_snapshot_publishes_total",
             "Copy-on-write table snapshots published, per store \
              (master back-end vs. cache-side replicas).",
-        );
-        metrics.describe(
-            "rcc_scan_workers",
-            "Configured scan parallelism (1 = serial scans).",
         );
         let cache_publishes =
             metrics.counter("rcc_snapshot_publishes_total", &[("store", "cache")]);
@@ -1979,8 +1954,6 @@ impl MTCache {
             force_local: false,
             meter: Arc::new(QueryMeter::default()),
             metrics: Some(Arc::clone(&self.exec_metrics)),
-            scan_pool: self.scan_pool.read().clone(),
-            morsel_rows: DEFAULT_MORSEL_ROWS,
             batch_rows: DEFAULT_BATCH_ROWS,
             trace,
             slots,

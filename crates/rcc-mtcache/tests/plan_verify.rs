@@ -30,6 +30,7 @@ fn rig() -> MTCache {
     cache
 }
 
+#[cfg(debug_assertions)]
 fn audits(cache: &MTCache) -> u64 {
     cache
         .metrics()

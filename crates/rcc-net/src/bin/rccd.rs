@@ -4,11 +4,13 @@
 //! behind its own TCP listener, rewires the cache's remote branch through
 //! the pooled TCP transport, and serves client sessions on the front-end
 //! port. A wall-clock pump advances the simulated replication clock so
-//! currency-region heartbeats stay live while the process runs.
+//! currency-region heartbeats stay live while the process runs. Each
+//! connection's statements run on its own thread, every scan on that
+//! thread.
 //!
 //! ```text
 //! rccd [--listen ADDR] [--backend-listen ADDR] [--admin-addr ADDR]
-//!      [--scale F] [--seed N] [--max-connections N] [--scan-workers N]
+//!      [--scale F] [--seed N] [--max-connections N]
 //!      [--data-dir PATH] [--wal-sync always|group|never]
 //!      [--checkpoint-secs N]
 //! ```
@@ -42,7 +44,6 @@ struct Options {
     scale: f64,
     seed: u64,
     max_connections: usize,
-    scan_workers: usize,
     data_dir: Option<std::path::PathBuf>,
     wal_sync: SyncPolicy,
     checkpoint_secs: u64,
@@ -57,7 +58,6 @@ impl Default for Options {
             scale: 0.01,
             seed: 42,
             max_connections: NetServerConfig::default().max_connections,
-            scan_workers: rcc_common::default_scan_workers(),
             data_dir: None,
             wal_sync: SyncPolicy::Always,
             checkpoint_secs: 60,
@@ -89,11 +89,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--max-connections: {e}"))?
             }
-            "--scan-workers" => {
-                opts.scan_workers = value("--scan-workers")?
-                    .parse()
-                    .map_err(|e| format!("--scan-workers: {e}"))?
-            }
             "--data-dir" => opts.data_dir = Some(value("--data-dir")?.into()),
             "--wal-sync" => {
                 opts.wal_sync = match value("--wal-sync")?.as_str() {
@@ -116,7 +111,7 @@ fn parse_args() -> Result<Options, String> {
                 println!(
                     "usage: rccd [--listen ADDR] [--backend-listen ADDR] \
                      [--admin-addr ADDR] [--scale F] [--seed N] \
-                     [--max-connections N] [--scan-workers N] \
+                     [--max-connections N] \
                      [--data-dir PATH] [--wal-sync always|group|never] \
                      [--checkpoint-secs N]"
                 );
@@ -171,8 +166,6 @@ fn run(opts: Options) -> Result<(), String> {
         None => paper_setup(opts.scale, opts.seed).map_err(|e| e.to_string())?,
     };
     warm_up(&cache).map_err(|e| e.to_string())?;
-    cache.set_scan_workers(opts.scan_workers);
-    eprintln!("rccd: scan parallelism {}", opts.scan_workers.max(1));
     let cache = Arc::new(cache);
 
     // back-end behind its own listener; this pins NetworkModel::Real

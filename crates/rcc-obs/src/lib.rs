@@ -25,7 +25,7 @@ mod trace;
 pub use events::{Event, EventJournal, EventKind};
 pub use registry::{
     Counter, Gauge, HandlesByKey, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    SnapshotValue, DEFAULT_BATCH_ROWS_BUCKETS, DEFAULT_LATENCY_BUCKETS, DEFAULT_MORSEL_BUCKETS,
+    SnapshotValue, DEFAULT_BATCH_ROWS_BUCKETS, DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SELECTIVITY_BUCKETS, DEFAULT_SLACK_BUCKETS, DEFAULT_STALENESS_BUCKETS,
 };
 pub use stats::{QueryPhase, QueryStats};

@@ -145,17 +145,6 @@ pub const METRICS: &[(&str, &str)] = &[
         "rcc_scan_chunks_total",
         "Storage-chunk runs local scans read, by path (image or rows)",
     ),
-    ("rcc_scan_morsels_per_scan", "Morsels per parallel scan"),
-    (
-        "rcc_scan_morsels_total",
-        "Morsels dispatched to scan workers",
-    ),
-    (
-        "rcc_scan_parallel_total",
-        "Scans executed on the morsel pool",
-    ),
-    ("rcc_scan_serial_total", "Scans executed serially"),
-    ("rcc_scan_workers", "Scan worker threads configured"),
     (
         "rcc_slo_compliance_ratio",
         "Fraction of queries meeting their currency bound or degrading sanctioned",

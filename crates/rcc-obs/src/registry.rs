@@ -24,10 +24,6 @@ pub const DEFAULT_SLACK_BUCKETS: &[f64] = &[
     -600.0, -60.0, -10.0, -5.0, -1.0, 0.0, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0, 3600.0,
 ];
 
-/// Buckets (counts) for morsels-per-scan: how finely parallel scans split.
-pub const DEFAULT_MORSEL_BUCKETS: &[f64] =
-    &[2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0];
-
 /// Buckets (row counts) for batch cardinality: from near-empty trailing
 /// batches up to oversized scan fills.
 pub const DEFAULT_BATCH_ROWS_BUCKETS: &[f64] = &[

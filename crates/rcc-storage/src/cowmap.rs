@@ -1066,7 +1066,7 @@ mod tests {
     /// walked must be the ones `collect_range` returns. Returns how many
     /// runs covered their chunk.
     fn image_reads_rows(t: &Table, range: &KeyRange) -> usize {
-        let mut cursor = t.scan_cursor(range, None, None);
+        let mut cursor = t.scan_cursor(range);
         let (mut walked, mut imaged) = (Vec::new(), 0);
         while let Some(run) = t.next_run(&mut cursor) {
             let rows = run.vals();

@@ -34,5 +34,5 @@ pub use index::SecondaryIndex;
 pub use range::KeyRange;
 pub use snapshot::{TableCell, TableSnapshot, TableWriter};
 pub use stats::{ColumnStats, TableStats};
-pub use table::{KeySpan, MorselPlan, RowChange, ScanCursor, SpanFinder, Table};
+pub use table::{KeySpan, RowChange, ScanCursor, SpanFinder, Table};
 pub use wal::{CommitRecord, SyncPolicy, Wal, WalRecord, WatermarkRecord};

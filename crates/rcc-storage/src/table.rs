@@ -354,71 +354,18 @@ impl Table {
         self.rows.get(key)
     }
 
-    /// The span of the row map holding the entries whose *first* clustered
-    /// key column falls in `range`, clipped to the composite-key morsel
-    /// `[start, end)` (either side `None` = unclipped). Both ends are found
-    /// by seeking, so walking the span compares nothing.
-    fn morsel_span(
-        &self,
-        range: &KeyRange,
-        start: Option<&[Value]>,
-        end: Option<&[Value]>,
-    ) -> (Cursor, Cursor) {
-        let (mut from, mut to) = range.span(&self.rows);
-        if let Some(start) = start {
-            from = from.max(self.rows.seek(|k| k.as_slice() < start));
-        }
-        if let Some(end) = end {
-            to = to.min(self.rows.seek(|k| k.as_slice() < end));
-        }
-        (from, to)
-    }
-
-    /// The one range walk every whole-span scan shares: the entries of
-    /// [`Table::morsel_span`] as one pair of key and row slices per storage
-    /// chunk, in key order.
-    fn morsel_slices(
-        &self,
-        range: &KeyRange,
-        start: Option<&[Value]>,
-        end: Option<&[Value]>,
-    ) -> impl Iterator<Item = (&[ClusterKey], &[Row])> {
-        let (from, to) = self.morsel_span(range, start, end);
-        self.rows.slices(from, to)
-    }
-
     /// Visit every row that falls in `range` on the *first* clustered key
     /// column and passes `filter`; `emit` receives survivors.
     ///
     /// This is the single scan primitive: executors push residual predicates
     /// down as `filter` so only qualifying rows are materialized.
-    pub fn scan_range<F, E>(&self, range: &KeyRange, filter: F, emit: E)
+    pub fn scan_range<F, E>(&self, range: &KeyRange, mut filter: F, mut emit: E)
     where
         F: FnMut(&Row) -> bool,
         E: FnMut(&Row),
     {
-        self.scan_morsel(range, None, None, filter, emit);
-    }
-
-    /// Visit the slice of `range` between two composite-key cut points:
-    /// rows with clustered key in `[start, end)` (either side `None` =
-    /// unbounded). Cut points come from [`Table::plan_morsels`]; scanning
-    /// each morsel of a plan and concatenating the outputs in morsel order
-    /// visits exactly the rows `scan_range` would, in the same order —
-    /// which is what makes parallel morsel scans bit-identical to serial
-    /// execution.
-    pub fn scan_morsel<F, E>(
-        &self,
-        range: &KeyRange,
-        start: Option<&[Value]>,
-        end: Option<&[Value]>,
-        mut filter: F,
-        mut emit: E,
-    ) where
-        F: FnMut(&Row) -> bool,
-        E: FnMut(&Row),
-    {
-        for (_, rows) in self.morsel_slices(range, start, end) {
+        let (from, to) = range.span(&self.rows);
+        for (_, rows) in self.rows.slices(from, to) {
             for row in rows {
                 if filter(row) {
                     emit(row);
@@ -427,16 +374,11 @@ impl Table {
         }
     }
 
-    /// Open a resumable scan of the morsel `[start, end)` of `range` in
-    /// clustered-key order — the rows [`Table::scan_morsel`] visits, in the
-    /// same order, handed out a stretch at a time by [`Table::next_run`].
-    pub fn scan_cursor(
-        &self,
-        range: &KeyRange,
-        start: Option<&[Value]>,
-        end: Option<&[Value]>,
-    ) -> ScanCursor {
-        let span = self.morsel_span(range, start, end);
+    /// Open a resumable scan of `range` in clustered-key order — the rows
+    /// [`Table::scan_range`] visits, in the same order, handed out a
+    /// stretch at a time by [`Table::next_run`].
+    pub fn scan_cursor(&self, range: &KeyRange) -> ScanCursor {
+        let span = range.span(&self.rows);
         ScanCursor {
             index: None,
             span,
@@ -510,27 +452,6 @@ impl Table {
         })
     }
 
-    /// Split the rows of `range` into key-ordered morsels of `target_rows`
-    /// rows each (the last one takes the remainder). The returned plan's
-    /// cut points are actual clustered keys, so morsel `i` covers
-    /// `[cut[i-1], cut[i])` and the morsels partition the range exactly.
-    /// Costs O(chunks + morsels): cut points are read off chunk slices by
-    /// position, no row in between is visited.
-    pub fn plan_morsels(&self, range: &KeyRange, target_rows: usize) -> MorselPlan {
-        let target = target_rows.max(1);
-        let mut splits = Vec::new();
-        // rows from the start of the current slice to the next cut point
-        let mut next_cut = target;
-        for (keys, _) in self.morsel_slices(range, None, None) {
-            while next_cut < keys.len() {
-                splits.push(keys[next_cut].as_slice().to_vec());
-                next_cut += target;
-            }
-            next_cut -= keys.len();
-        }
-        MorselPlan { splits }
-    }
-
     /// Where in `indexes` the secondary index named `index` is.
     fn index_position(&self, index: &str) -> Result<usize> {
         self.indexes
@@ -546,9 +467,7 @@ impl Table {
 
     /// Resolve the clustered keys selected by seeking the secondary index
     /// named `index` with `range`, in index order (then clustered-key
-    /// order). Parallel index scans fetch this list serially — it is the
-    /// ordered spine of the result — then chunk the point lookups across
-    /// workers.
+    /// order): what an index holds, for tests to compare with.
     pub fn index_pks(&self, index: &str, range: &KeyRange) -> Result<Vec<Vec<Value>>> {
         let mut out = Vec::new();
         self.index_named(index)?
@@ -687,39 +606,6 @@ pub struct ScanCursor {
     /// The whole span the scan was opened on, `[start, end)`.
     span: (Cursor, Cursor),
     at: Cursor,
-}
-
-/// How one range scan splits into key-ordered morsels: a sorted list of
-/// composite-key cut points (each an actual clustered key of the table).
-/// Morsel `i` spans `[cut[i-1], cut[i])`; the first morsel starts at the
-/// range's lower bound and the last runs to its upper bound. Produced by
-/// [`Table::plan_morsels`], consumed by [`Table::scan_morsel`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MorselPlan {
-    splits: Vec<Vec<Value>>,
-}
-
-impl MorselPlan {
-    /// Number of morsels in the plan (always ≥ 1).
-    pub fn morsel_count(&self) -> usize {
-        self.splits.len() + 1
-    }
-
-    /// The `[start, end)` composite-key bounds of morsel `i`
-    /// (`None` = unbounded side).
-    ///
-    /// # Panics
-    /// Panics if `i >= morsel_count()`.
-    pub fn bounds(&self, i: usize) -> (Option<&[Value]>, Option<&[Value]>) {
-        assert!(i < self.morsel_count(), "morsel index out of range");
-        let start = if i == 0 {
-            None
-        } else {
-            Some(self.splits[i - 1].as_slice())
-        };
-        let end = self.splits.get(i).map(|k| k.as_slice());
-        (start, end)
-    }
 }
 
 #[cfg(test)]
@@ -912,60 +798,6 @@ mod tests {
             .is_empty());
     }
 
-    #[test]
-    fn morsels_partition_range_bit_identically() {
-        let schema = Schema::new(vec![
-            Column::new("cust", DataType::Int),
-            Column::new("order", DataType::Int),
-        ]);
-        let mut t = Table::new("orders", schema, vec![0, 1]);
-        for c in 1..=40 {
-            for o in 1..=3 {
-                t.insert(Row::new(vec![Value::Int(c), Value::Int(o)]))
-                    .unwrap();
-            }
-        }
-        let ranges = [
-            KeyRange::all(),
-            KeyRange::between(Value::Int(5), Value::Int(30)),
-            KeyRange::greater_than(Value::Int(10)),
-            KeyRange::less_than(Value::Int(3)),
-            KeyRange::eq(Value::Int(7)),
-            KeyRange::between(Value::Int(99), Value::Int(100)), // empty
-        ];
-        for range in &ranges {
-            let serial = t.collect_range(range, |_| true);
-            for target in [1usize, 7, 16, 1000] {
-                let plan = t.plan_morsels(range, target);
-                let mut merged = Vec::new();
-                for i in 0..plan.morsel_count() {
-                    let (start, end) = plan.bounds(i);
-                    t.scan_morsel(range, start, end, |_| true, |r| merged.push(r.clone()));
-                }
-                assert_eq!(merged, serial, "range {range:?} target {target}");
-            }
-        }
-    }
-
-    #[test]
-    fn morsel_sizes_near_target() {
-        let schema = Schema::new(vec![Column::new("id", DataType::Int)]);
-        let mut t = Table::new("t", schema, vec![0]);
-        for i in 0..100 {
-            t.insert(Row::new(vec![Value::Int(i)])).unwrap();
-        }
-        let plan = t.plan_morsels(&KeyRange::all(), 32);
-        assert_eq!(plan.morsel_count(), 4); // 32+32+32+4
-        let mut counts = Vec::new();
-        for i in 0..plan.morsel_count() {
-            let (start, end) = plan.bounds(i);
-            let mut n = 0usize;
-            t.scan_morsel(&KeyRange::all(), start, end, |_| true, |_| n += 1);
-            counts.push(n);
-        }
-        assert_eq!(counts, vec![32, 32, 32, 4]);
-    }
-
     /// A cursor scan visits what the one-shot scans return, in their order,
     /// whatever the stretch taken per run; a scan stopped after a row
     /// resumes right after it.
@@ -997,17 +829,13 @@ mod tests {
         let indexed = t.index_scan("ix_grp", &grp_range).unwrap();
         assert_eq!((clustered.len(), indexed.len()), (551, 300));
         for stride in [1, 5, 256, 10_000] {
-            assert_eq!(drain(t.scan_cursor(&range, None, None), stride), clustered);
+            assert_eq!(drain(t.scan_cursor(&range), stride), clustered);
             let cursor = t.index_cursor("ix_grp", &grp_range).unwrap();
             assert_eq!(drain(cursor, stride), indexed);
         }
-        // clipped to a morsel
-        let (start, end) = ([Value::Int(200)], [Value::Int(300)]);
-        let morsel = drain(t.scan_cursor(&range, Some(&start), Some(&end)), 64);
-        assert_eq!(morsel, clustered[100..200]);
         assert!(t.index_cursor("nope", &KeyRange::all()).is_err());
         // the cursor stays until advanced, and resumes after the rows taken
-        let mut cursor = t.scan_cursor(&range, None, None);
+        let mut cursor = t.scan_cursor(&range);
         let first = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
         assert_eq!(first.as_ref(), Some(&clustered[0]));
         let again = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
@@ -1119,16 +947,14 @@ mod tests {
             high: std::ops::Bound::Excluded(Value::Int(3)),
         };
         assert_eq!(custs(&mid), vec![2; 700]);
-        // morsels over the straddling run still concatenate to the serial scan
-        let serial = t.collect_range(&mid, |_| true);
-        let plan = t.plan_morsels(&mid, 100);
-        assert_eq!(plan.morsel_count(), 7);
-        let mut merged = Vec::new();
-        for i in 0..plan.morsel_count() {
-            let (start, end) = plan.bounds(i);
-            t.scan_morsel(&mid, start, end, |_| true, |r| merged.push(r.clone()));
+        // a cursor over the straddling run resumes in each later chunk
+        let mut cursor = t.scan_cursor(&mid);
+        let mut walked = Vec::new();
+        while let Some(run) = t.next_run(&mut cursor) {
+            walked.extend_from_slice(run.vals());
+            t.advance(&mut cursor, run.vals().len());
         }
-        assert_eq!(merged, serial);
+        assert_eq!(walked, t.collect_range(&mid, |_| true));
     }
 
     #[test]

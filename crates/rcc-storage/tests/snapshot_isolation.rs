@@ -52,7 +52,7 @@ fn publish_version(cell: &TableCell, v: i64) {
 fn observed_version(cell: &TableCell, via_image: bool) -> i64 {
     let snap = cell.snapshot();
     let mut tags = Vec::new();
-    let mut cursor = snap.scan_cursor(&KeyRange::all(), None, None);
+    let mut cursor = snap.scan_cursor(&KeyRange::all());
     while let Some(run) = snap.next_run(&mut cursor) {
         let n = run.vals().len();
         match via_image.then(|| run.column(1)) {
