@@ -9,22 +9,24 @@
 //! Three phases, all deterministic:
 //!
 //! * **Static sweep** — every corpus query is optimized under both
-//!   pull-up modes; the analysis' elided plan must pass the independent
-//!   certificate replay ([`rcc_verify::verify_elision`]) *and* still
-//!   conform to its currency clause ([`rcc_verify::verify_plan`]). Two
+//!   pull-up modes; the analysis' guard decisions must pass the independent
+//!   certificate replay ([`rcc_verify::verify_elision`]) *and* the plan
+//!   must conform to its currency clause ([`rcc_verify::verify_plan`]). Two
 //!   heartbeat-window probe queries (bounds in `(d+f, d+f+hb]`) are
 //!   appended so envelope terms that the fixed corpus bounds skip are
 //!   still exercised.
 //! * **Mutation sweep** — each deliberate corruption in
 //!   [`rcc_flow::Mutation::ALL`] is injected into the analysis; wherever
-//!   the corrupted analysis changes the elided plan, the verifier must
+//!   the corrupted analysis changes the decisions, the verifier must
 //!   reject it, and every mutation must be observed and rejected at least
 //!   once across the corpus.
 //! * **Differential replay** — the corpus runs end-to-end on the paper
 //!   rig with elision off and on; result wire bytes, remote usage, and
 //!   warnings must be identical, at least one guard must actually be
-//!   elided, and the runtime premise cross-check
-//!   (`rcc_flow_interval_violations_total`) must read zero.
+//!   elided, the runtime premise cross-check
+//!   (`rcc_flow_interval_violations_total`) must read zero, and flipping
+//!   elision must cost no plan-cache miss: each pull-up mode's misses are
+//!   its elision-off runs' own.
 
 use rcc_mtcache::paper::{paper_setup, warm_up};
 use rcc_optimizer::{bind_select, optimize, OptimizerConfig};
@@ -164,13 +166,13 @@ fn main() -> ExitCode {
             };
             plans += 1;
 
-            // Honest analysis: the elided plan must replay cleanly and
-            // still conform to the clause.
+            // Honest analysis: the decisions an executable is prepared
+            // with must replay cleanly.
             let flow = rcc_flow::analyze(&catalog, &optimized.plan);
-            let honest = rcc_flow::elide(&optimized.plan, &flow);
-            elided_static += honest.elided.len();
-            kept_static += honest.kept;
-            let obligations = verify_elision(&catalog, &optimized.plan, &flow, &honest.plan);
+            let honest = flow.decided();
+            elided_static += honest.len();
+            kept_static += flow.guards.len() - honest.len();
+            let obligations = verify_elision(&catalog, &optimized.plan, &flow, &honest);
             if !elision_ok(&obligations) {
                 unsound += 1;
                 eprintln!("UNSOUND CERTIFICATE on query {qi} [{mode}]:\n  {sql}");
@@ -178,9 +180,10 @@ fn main() -> ExitCode {
                     eprintln!("  {o}");
                 }
             }
-            // The *unelided* plan must conform to the clause — elided plans
-            // are conformant only under the healthy-replication premise,
-            // which is exactly what the certificate replay above proves.
+            // The plan must conform to the clause with every guard
+            // evaluated — skipping the decided ones conforms only under
+            // the healthy-replication premise, which is exactly what the
+            // certificate replay above proves.
             let report = verify_plan(&catalog, &graph.constraint, &optimized.plan);
             worlds_max = worlds_max.max(report.worlds);
             if !report.ok() {
@@ -190,23 +193,21 @@ fn main() -> ExitCode {
             }
 
             // Mutation sweep: wherever a corrupted analysis differs from
-            // the honest one — in the transformed plan or in the claimed
+            // the honest one — in the decisions or in the claimed
             // certificates — the verifier must catch it.
-            let honest_shape = format!("{:?}", honest.plan);
             let honest_claims = format!("{flow:?}");
             for (mi, m) in rcc_flow::Mutation::ALL.iter().enumerate() {
                 let mflow = rcc_flow::analyze_mutated(&catalog, &optimized.plan, Some(*m));
-                let melided = rcc_flow::elide(&optimized.plan, &mflow);
-                let mutated_shape = format!("{:?}", melided.plan);
-                if mutated_shape == honest_shape && format!("{mflow:?}") == honest_claims {
+                let mutated = mflow.decided();
+                if mutated == honest && format!("{mflow:?}") == honest_claims {
                     continue; // mutation unobservable on this plan
                 }
-                let obs = verify_elision(&catalog, &optimized.plan, &mflow, &melided.plan);
+                let obs = verify_elision(&catalog, &optimized.plan, &mflow, &mutated);
                 if !elision_ok(&obs) {
                     rejected[mi] += 1;
-                } else if mutated_shape != honest_shape {
-                    // The verifier accepted a transform the honest analysis
-                    // would not have produced — a genuine soundness escape.
+                } else if mutated != honest {
+                    // The verifier accepted decisions the honest analysis
+                    // would not have made — a genuine soundness escape.
                     failures += 1;
                     eprintln!(
                         "MUTATION ESCAPE: {} accepted on query {qi} [{mode}]:\n  {sql}",
@@ -249,6 +250,11 @@ fn main() -> ExitCode {
     let mut mismatches = 0usize;
     for pullup in [false, true] {
         cache.set_pullup_switch_union(pullup);
+        // the setting is read per execution: flipping it recompiles
+        // nothing, so the mode's plan-cache misses are the elision-off
+        // runs' own (fewer than the texts where texts share a shape)
+        let (_, misses_before) = cache.plan_cache().stats();
+        let mut off_misses = 0u64;
         for (qi, sql) in dyn_corpus.iter().enumerate() {
             cache.set_elide_guards(false);
             let off = cache.execute(sql);
@@ -257,6 +263,7 @@ fn main() -> ExitCode {
             replayed += 1;
             match (off, on) {
                 (Ok(off), Ok(on)) => {
+                    off_misses += u64::from(!off.stats.plan_cache_hit);
                     let off_bytes = rcc_executor::wire::encode_result(&off.schema, &off.rows);
                     let on_bytes = rcc_executor::wire::encode_result(&on.schema, &on.rows);
                     if off_bytes != on_bytes
@@ -284,6 +291,15 @@ fn main() -> ExitCode {
                     );
                 }
             }
+        }
+        let misses = cache.plan_cache().stats().1 - misses_before;
+        if misses != off_misses {
+            failures += 1;
+            eprintln!(
+                "{misses} plan-cache misses replaying {} texts [pullup={pullup}], \
+                 {off_misses} of them with elision off: toggling elision must not recompile",
+                dyn_corpus.len()
+            );
         }
     }
     let snap = cache.metrics().snapshot();
@@ -319,7 +335,7 @@ fn main() -> ExitCode {
     if failures == 0 && unsound == 0 && mismatches == 0 {
         println!(
             "flow-audit: every elision certificate is sound, every mutation is \
-             rejected, and elided plans are byte-identical on the wire"
+             rejected, and elided runs are byte-identical on the wire"
         );
         ExitCode::SUCCESS
     } else {

@@ -429,7 +429,7 @@ fn run_closed(
 
 /// Re-run the closed workload over the wire with certified guard elision
 /// enabled, under elision's premise (both regions healthy). Returns the
-/// number of guards elided at compile time and the runtime premise
+/// number of guards its executions skipped and the runtime premise
 /// cross-check count (which must be zero).
 fn elision_epilogue(
     cache: &Arc<rcc_mtcache::MTCache>,

@@ -1,6 +1,6 @@
 //! EXPLAIN ANALYZE support.
 //!
-//! [`execute_plan_analyzed`] creates the operator tree an execution of the
+//! [`execute_plan_analyzed`] creates the operator tree any execution of a
 //! prepared plan creates ([`crate::Executable`]), with every node wrapped
 //! in a metering shim that counts produced rows and accumulates wall time
 //! across open/next/close. Reports come back in **pre-order** (parent before
@@ -78,7 +78,7 @@ pub struct AnalyzedExecution {
     pub rows: Vec<Row>,
     /// Per-operator reports in pre-order.
     pub reports: Vec<OpReport>,
-    /// Total wall time (prepare + open + drain + close).
+    /// Total wall time (open + drain + close).
     pub elapsed: Duration,
 }
 
@@ -160,11 +160,15 @@ fn entries(plan: &PhysicalPlan, depth: usize, out: &mut Vec<Entry>) {
     }
 }
 
-/// Prepare and execute a plan with per-operator metering and collect the
-/// reports.
-pub fn execute_plan_analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<AnalyzedExecution> {
+/// Execute a prepared plan with per-operator metering and collect the
+/// reports. `plan` is the plan `executable` was prepared from; it only
+/// labels the reports.
+pub fn execute_plan_analyzed(
+    executable: &Executable,
+    plan: &PhysicalPlan,
+    ctx: &ExecContext,
+) -> Result<AnalyzedExecution> {
     let started = Instant::now();
-    let executable = Executable::prepare(plan, &ctx.storage)?;
     #[cfg(debug_assertions)]
     executable.check_bindings(&ctx.slots);
     let mut report = Vec::new();
@@ -240,6 +244,12 @@ mod tests {
         )
     }
 
+    /// `plan` prepared, then run metered.
+    fn analyzed(plan: &PhysicalPlan, ctx: &ExecContext) -> AnalyzedExecution {
+        let executable = Executable::prepare(plan, &ctx.storage, &[]).unwrap();
+        execute_plan_analyzed(&executable, plan, ctx).unwrap()
+    }
+
     fn scan() -> PhysicalPlan {
         PhysicalPlan::LocalScan(LocalScanNode {
             object: "items".into(),
@@ -265,7 +275,7 @@ mod tests {
                 BoundExpr::Literal(Value::Int(0)),
             ),
         };
-        let out = execute_plan_analyzed(&plan, &ctx).unwrap();
+        let out = analyzed(&plan, &ctx);
         assert_eq!(out.rows.len(), 4);
         assert_eq!(out.reports.len(), 2);
         assert!(out.reports[0].label.starts_with("Filter"));
@@ -307,7 +317,7 @@ mod tests {
                 BoundExpr::Literal(Value::Int(0)),
             ),
         };
-        let out = execute_plan_analyzed(&plan, &ctx).unwrap();
+        let out = analyzed(&plan, &ctx);
         let reference = crate::rowref::execute_plan_rows(&plan, &ctx).unwrap();
         assert_eq!(out.rows, reference.rows);
         assert_eq!(out.reports[0].rows, reference.rows.len() as u64);
@@ -357,7 +367,7 @@ mod tests {
             input: Box::new(scan.clone()),
             predicate: grp_is(1),
         };
-        let out = execute_plan_analyzed(&plan, &ctx).unwrap();
+        let out = analyzed(&plan, &ctx);
         assert_eq!(out.rows.len(), 1000);
         assert_eq!((out.reports[0].rows, out.reports[1].rows), (1000, 2000));
         assert!(out.reports[1].elapsed > Duration::ZERO);
@@ -367,7 +377,7 @@ mod tests {
         let sizes: Vec<usize> = batched.batches.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, [256, 256, 256, 256, 256, 256, 256, 208]);
         // one batch per call, from the first call on
-        let executable = Executable::prepare(&scan, &ctx.storage).unwrap();
+        let executable = Executable::prepare(&scan, &ctx.storage, &[]).unwrap();
         let mut op = executable.operator();
         op.open(&ctx).unwrap();
         assert_eq!(op.next_batch(&ctx).unwrap().map(|b| b.len()), Some(256));
@@ -391,7 +401,7 @@ mod tests {
                 est_rows: 10.0,
             })),
         };
-        let out = execute_plan_analyzed(&plan, &ctx).unwrap();
+        let out = analyzed(&plan, &ctx);
         assert_eq!(out.rows.len(), 10);
         // guard is fresh → local executed, remote untouched
         assert!(out.reports[1].executed);

@@ -81,6 +81,9 @@ pub(crate) enum Node {
     },
     SwitchUnion {
         guard: CurrencyGuard,
+        /// The guard's certified decision: (this node's number, takes the
+        /// local arm).
+        decided: Option<(usize, bool)>,
         local: Box<Node>,
         remote: Box<Node>,
     },
@@ -138,8 +141,28 @@ pub(crate) enum Node {
 pub(crate) type Wrap<'w, 'a> = &'w mut dyn FnMut(usize, BoxedOp<'a>) -> BoxedOp<'a>;
 
 impl Node {
-    fn prepare(plan: &PhysicalPlan, storage: &StorageEngine) -> Result<Node> {
-        let sub = |plan: &PhysicalPlan| Node::prepare(plan, storage).map(Box::new);
+    /// Prepare `plan`, whose root has pre-order number `*next`, advancing
+    /// `next` past its subtree. `decided` holds certified guard decisions
+    /// by node number ([`Executable::prepare`]).
+    fn prepare(
+        plan: &PhysicalPlan,
+        storage: &StorageEngine,
+        decided: &[(usize, bool)],
+        next: &mut usize,
+    ) -> Result<Node> {
+        let number = *next;
+        *next += 1;
+        let decision = decided.iter().find(|(n, _)| *n == number).copied();
+        let bears_guard = match plan {
+            PhysicalPlan::SwitchUnion { .. } => true,
+            PhysicalPlan::IndexNLJoin { inner, .. } => inner.guard.is_some() && !inner.force_remote,
+            _ => false,
+        };
+        if decision.is_some() && !bears_guard {
+            return Err(misplaced(number));
+        }
+        let mut sub =
+            |plan: &PhysicalPlan| Node::prepare(plan, storage, decided, next).map(Box::new);
         let join = |left: &Node, right: &Schema, kind| match kind {
             JoinKind::Inner => left.schema().join(right),
             _ => left.schema().clone(),
@@ -160,6 +183,7 @@ impl Node {
                 remote,
             } => Node::SwitchUnion {
                 guard: guard.clone(),
+                decided: decision,
                 local: sub(local)?,
                 remote: sub(remote)?,
             },
@@ -226,7 +250,7 @@ impl Node {
                 let outer = sub(outer)?;
                 Node::IndexNLJoin {
                     outer_key: PhysExpr::compile(outer_key, outer.schema())?,
-                    inner: InnerPlan::prepare(inner, storage)?,
+                    inner: InnerPlan::prepare(inner, decision, storage)?,
                     schema: join(&outer, &inner.schema, *kind),
                     kind: *kind,
                     outer,
@@ -288,9 +312,15 @@ impl Node {
                 Node::RemoteQuery { sql, schema } => Box::new(RemoteQueryOp::new(sql, schema)),
                 Node::SwitchUnion {
                     guard,
+                    decided,
                     local,
                     remote,
-                } => Box::new(SwitchUnionOp::new(guard, child(local), child(remote))),
+                } => Box::new(SwitchUnionOp::new(
+                    guard,
+                    *decided,
+                    child(local),
+                    child(remote),
+                )),
                 Node::Filter { input, predicate } => {
                     Box::new(FilterOp::new(child(input), predicate))
                 }
@@ -358,9 +388,26 @@ impl Executable {
     /// of an object that is not stored (yet) fails when it is opened, as
     /// does one whose object is stored under another schema by then (it
     /// is mapped again at open).
-    pub fn prepare(plan: &PhysicalPlan, storage: &StorageEngine) -> Result<Executable> {
+    ///
+    /// `decided` lists the guards whose outcome was certified ahead of
+    /// time, each as the pre-order number of its node (a parent before its
+    /// children, a SwitchUnion's local arm before its remote one) and
+    /// whether it takes the local arm. An execution running certified
+    /// guards ([`crate::GuardMode::Certified`]) opens that arm without
+    /// evaluating the guard. A number that names no SwitchUnion and no
+    /// guarded index-join inner is refused.
+    pub fn prepare(
+        plan: &PhysicalPlan,
+        storage: &StorageEngine,
+        decided: &[(usize, bool)],
+    ) -> Result<Executable> {
+        let mut next = 0;
+        let root = Node::prepare(plan, storage, decided, &mut next)?;
+        if let Some(&(number, _)) = decided.iter().find(|(n, _)| *n >= next) {
+            return Err(misplaced(number));
+        }
         Ok(Executable {
-            root: Node::prepare(plan, storage)?,
+            root,
             #[cfg(debug_assertions)]
             plan: plan.clone(),
         })
@@ -625,6 +672,13 @@ mod mirror {
     }
 }
 
+/// The error of a certified decision for a node that bears no guard.
+fn misplaced(number: usize) -> Error {
+    Error::internal(format!(
+        "a certified guard decision for plan node {number}, which bears no guard"
+    ))
+}
+
 /// A completed query in columnar form: schema, batches and per-phase
 /// timings. [`wire::encode_batches`](crate::wire::encode_batches)
 /// serializes this directly, without ever materializing [`Row`]s.
@@ -663,7 +717,7 @@ pub fn execute_plan_batched(
     ctx: &ExecContext,
 ) -> Result<BatchExecutionResult> {
     let t0 = Instant::now();
-    Executable::prepare(plan, &ctx.storage)?.run(ctx, t0)
+    Executable::prepare(plan, &ctx.storage, &[])?.run(ctx, t0)
 }
 
 /// Execute a plan to completion with per-phase timing, materializing the
@@ -685,6 +739,7 @@ pub fn execute_plan(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<ExecutionR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::GuardMode;
     use parking_lot::Mutex;
     use rcc_common::{Column, DataType, Duration, Error, RegionId, SimClock, Timestamp, Value};
     use rcc_optimizer::graph::JoinKind;
@@ -804,22 +859,8 @@ mod tests {
     fn switch_union_takes_local_when_fresh() {
         let remote = Arc::new(FakeRemote::default());
         let (ctx, _) = ctx_with_items(Some(remote.clone()));
-        let plan = PhysicalPlan::SwitchUnion {
-            guard: CurrencyGuard {
-                region: RegionId(1),
-                heartbeat_table: "heartbeat_cr1".into(),
-                bound: Duration::from_secs(10),
-            },
-            local: Box::new(scan(AccessPath::FullScan, None)),
-            remote: Box::new(PhysicalPlan::RemoteQuery(RemoteQueryNode {
-                sql: "SELECT id, grp FROM items".into(),
-                schema: items_schema("t"),
-                operands: [0].into_iter().collect(),
-                est_rows: 10.0,
-            })),
-        };
         // hb=95s, now=100s, bound=10s → local
-        assert_eq!(run(&plan, &ctx).len(), 10);
+        assert_eq!(run(&switch_plan(), &ctx).len(), 10);
         assert!(
             remote.calls.lock().is_empty(),
             "remote branch must not be touched"
@@ -835,21 +876,7 @@ mod tests {
             .push(Row::new(vec![Value::Int(99), Value::Int(0)]));
         let (ctx, clock) = ctx_with_items(Some(remote.clone()));
         clock.advance(Duration::from_secs(60)); // hb 95s now ancient
-        let plan = PhysicalPlan::SwitchUnion {
-            guard: CurrencyGuard {
-                region: RegionId(1),
-                heartbeat_table: "heartbeat_cr1".into(),
-                bound: Duration::from_secs(10),
-            },
-            local: Box::new(scan(AccessPath::FullScan, None)),
-            remote: Box::new(PhysicalPlan::RemoteQuery(RemoteQueryNode {
-                sql: "SELECT id, grp FROM items".into(),
-                schema: items_schema("t"),
-                operands: [0].into_iter().collect(),
-                est_rows: 1.0,
-            })),
-        };
-        let rows = run(&plan, &ctx);
+        let rows = run(&switch_plan(), &ctx);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].get(0), &Value::Int(99));
         assert_eq!(remote.calls.lock().len(), 1);
@@ -934,7 +961,38 @@ mod tests {
             .push(Row::new(vec![Value::Int(77), Value::Int(0)]));
         let (ctx, clock) = ctx_with_items(Some(remote.clone()));
         clock.advance(Duration::from_secs(60)); // guard will fail
-        let plan = PhysicalPlan::IndexNLJoin {
+                                                // remote returned one row with grp 0; outer row id 0 has grp 0 → 1 match
+        let rows = run(&guarded_join_plan(), &ctx);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(remote.calls.lock().len(), 1);
+    }
+
+    /// The guard of the test region: heartbeat_cr1, bound 10 s.
+    fn guard() -> CurrencyGuard {
+        CurrencyGuard {
+            region: RegionId(1),
+            heartbeat_table: "heartbeat_cr1".into(),
+            bound: Duration::from_secs(10),
+        }
+    }
+
+    /// A guarded choice between scanning `items` and shipping the scan.
+    fn switch_plan() -> PhysicalPlan {
+        PhysicalPlan::SwitchUnion {
+            guard: guard(),
+            local: Box::new(scan(AccessPath::FullScan, None)),
+            remote: Box::new(PhysicalPlan::RemoteQuery(RemoteQueryNode {
+                sql: "SELECT id, grp FROM items".into(),
+                schema: items_schema("t"),
+                operands: [0].into_iter().collect(),
+                est_rows: 10.0,
+            })),
+        }
+    }
+
+    /// Item 0 joined on `grp` to a guarded inner over `items`.
+    fn guarded_join_plan() -> PhysicalPlan {
+        PhysicalPlan::IndexNLJoin {
             outer: Box::new(PhysicalPlan::LocalScan(LocalScanNode {
                 object: "items".into(),
                 schema: items_schema("t"),
@@ -953,22 +1011,83 @@ mod tests {
                 seek_col: "grp".into(),
                 use_index: Some("ix_grp".into()),
                 residual: None,
-                guard: Some(CurrencyGuard {
-                    region: RegionId(1),
-                    heartbeat_table: "heartbeat_cr1".into(),
-                    bound: Duration::from_secs(10),
-                }),
+                guard: Some(guard()),
                 remote_sql: Some("SELECT u.grp, u.id FROM items u".into()),
                 operand: 1,
                 est_rows_per_probe: 3.3,
                 force_remote: false,
             },
             kind: JoinKind::Inner,
+        }
+    }
+
+    /// `plan` prepared with `decided` and run under `mode`: its row count,
+    /// guards evaluated (each observed, a skipped one not) and guard nodes
+    /// skipped.
+    fn run_as(
+        plan: &PhysicalPlan,
+        decided: &[(usize, bool)],
+        ctx: &ExecContext,
+        mode: GuardMode,
+    ) -> (usize, u64, Vec<usize>) {
+        let ctx = ExecContext {
+            guard_mode: mode,
+            meter: Arc::default(),
+            ..ctx.clone()
         };
-        // remote returned one row with grp 0; outer row id 0 has grp 0 → 1 match
-        let rows = run(&plan, &ctx);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(remote.calls.lock().len(), 1);
+        let executable = Executable::prepare(plan, &ctx.storage, decided).unwrap();
+        let rows = executable.execute(&ctx).unwrap().row_count();
+        let evals = ctx.meter.guard_eval_count();
+        assert_eq!(ctx.take_observations().len() as u64, evals);
+        (rows, evals, ctx.meter.take_elided())
+    }
+
+    #[test]
+    fn a_certified_guard_opens_its_decided_arm_unevaluated() {
+        use GuardMode::*;
+        let remote = Arc::new(FakeRemote::default());
+        let row = Row::new(vec![Value::Int(99), Value::Int(0)]);
+        remote.rows.lock().push(row);
+        let (ctx, clock) = ctx_with_items(Some(remote.clone()));
+        // the heartbeat is fresh, so the guard passes; the decision says
+        // remote, so only a skipped guard goes remote: (rows, evals, skips)
+        for (decided, mode, run) in [
+            (&[(0, false)][..], Evaluate, (10, 1, vec![])),
+            (&[(0, false)], Certified, (1, 0, vec![0])),
+            (&[(0, false)], ForceLocal, (10, 1, vec![])),
+            (&[], Certified, (10, 1, vec![])),
+        ] {
+            assert_eq!(run_as(&switch_plan(), decided, &ctx, mode), run, "{mode:?}");
+        }
+        // a stale heartbeat fails the inner's guard; the decision says local
+        clock.advance(Duration::from_secs(60));
+        for (mode, run) in [(Evaluate, (1, 1, vec![])), (Certified, (4, 0, vec![0]))] {
+            assert_eq!(run_as(&guarded_join_plan(), &[(0, true)], &ctx, mode), run);
+        }
+        assert_eq!(remote.calls.lock().len(), 2);
+    }
+
+    #[test]
+    fn a_misplaced_decision_is_refused() {
+        let (ctx, _) = ctx_with_items(None);
+        for plan in [switch_plan(), guarded_join_plan()] {
+            for local in [true, false] {
+                assert!(Executable::prepare(&plan, &ctx.storage, &[(0, local)]).is_ok());
+                // shifted by one: node 1 is a scan, which bears no guard
+                let err = Executable::prepare(&plan, &ctx.storage, &[(1, local)]).unwrap_err();
+                assert!(matches!(err, Error::Internal(_)), "{err:?}");
+                assert!(err.to_string().contains("bears no guard"), "{err}");
+            }
+            // past the last node
+            let past = plan.node_count();
+            assert!(Executable::prepare(&plan, &ctx.storage, &[(past, true)]).is_err());
+        }
+        // an inner that always ships has no guard to decide
+        let mut plan = guarded_join_plan();
+        if let PhysicalPlan::IndexNLJoin { inner, .. } = &mut plan {
+            inner.force_remote = true;
+        }
+        assert!(Executable::prepare(&plan, &ctx.storage, &[(0, true)]).is_err());
     }
 
     #[test]

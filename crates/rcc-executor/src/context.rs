@@ -226,6 +226,9 @@ pub struct QueryMeter {
     /// Currency guards evaluated (the count behind `guard_nanos`); guard
     /// elision shows up here as evaluations that no longer happen.
     pub guard_evals: AtomicU64,
+    /// The guards this execution skipped, their outcome certified
+    /// ([`GuardMode::Certified`]): the pre-order numbers of their nodes.
+    pub elided: Mutex<Vec<usize>>,
     /// Nanoseconds spent in remote round trips (including decode).
     pub remote_nanos: AtomicU64,
     /// Remote sub-queries issued.
@@ -245,6 +248,11 @@ impl QueryMeter {
     /// Number of guard evaluations recorded.
     pub fn guard_eval_count(&self) -> u64 {
         self.guard_evals.load(Ordering::Relaxed)
+    }
+
+    /// Drain the node numbers of the guards skipped so far.
+    pub fn take_elided(&self) -> Vec<usize> {
+        std::mem::take(&mut self.elided.lock())
     }
 
     /// Nanoseconds→`Duration` helper for the remote-ship total.
@@ -269,6 +277,24 @@ pub struct GuardObservation {
     pub bound: Duration,
 }
 
+/// How an execution runs the currency guards of its plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuardMode {
+    /// Every guard that is reached is evaluated.
+    Evaluate,
+    /// A guard whose outcome the currency dataflow analysis certified is
+    /// not evaluated: its node opens the arm its decision names
+    /// ([`crate::Executable::prepare`]). Sound only under the
+    /// certificates' premises (healthy replication, no timeline floors).
+    /// The row reference engine holds no decisions and evaluates every
+    /// guard.
+    Certified,
+    /// Every guard that is reached passes (the `ServeStale` violation
+    /// policy: return possibly stale data, flagged via the recorded
+    /// observations). Never set on the normal path.
+    ForceLocal,
+}
+
 /// Everything an operator needs at run time.
 #[derive(Debug, Clone)]
 pub struct ExecContext {
@@ -285,10 +311,8 @@ pub struct ExecContext {
     /// requires `heartbeat ≥ floor[R]` so later queries in a TIMEORDERED
     /// session never read older data than earlier ones (paper Sec. 2.3).
     pub timeline_floor: Arc<HashMap<RegionId, Timestamp>>,
-    /// When true, currency guards pass unconditionally (the `ServeStale`
-    /// violation policy: return possibly stale data, flagged via the
-    /// recorded observations). Never set on the normal path.
-    pub force_local: bool,
+    /// How this execution runs its currency guards.
+    pub guard_mode: GuardMode,
     /// Per-query accumulators (guard/remote time, bytes, guard
     /// observations).
     pub meter: Arc<QueryMeter>,
@@ -325,7 +349,7 @@ impl ExecContext {
             clock,
             counters: Arc::new(ExecCounters::default()),
             timeline_floor: Arc::new(HashMap::new()),
-            force_local: false,
+            guard_mode: GuardMode::Evaluate,
             meter: Arc::new(QueryMeter::default()),
             metrics: None,
             batch_rows: crate::batch::DEFAULT_BATCH_ROWS,

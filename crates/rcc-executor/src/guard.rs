@@ -1,6 +1,6 @@
 //! Currency-guard evaluation.
 
-use crate::context::{ExecContext, GuardObservation};
+use crate::context::{ExecContext, GuardMode, GuardObservation};
 use rcc_common::{Result, Timestamp, Value};
 use rcc_optimizer::CurrencyGuard;
 use std::sync::atomic::Ordering;
@@ -36,7 +36,7 @@ pub fn evaluate_guard(ctx: &ExecContext, guard: &CurrencyGuard) -> Result<bool> 
             .guard_staleness(guard.region, region_label(guard))
             .observe(now.since(ts).as_secs_f64());
     }
-    let chose_local = if ctx.force_local {
+    let chose_local = if ctx.guard_mode == GuardMode::ForceLocal {
         // ServeStale policy: take the local branch regardless; the recorded
         // observation below is how callers learn the bound may be violated.
         true
@@ -65,6 +65,26 @@ pub fn evaluate_guard(ctx: &ExecContext, guard: &CurrencyGuard) -> Result<bool> 
         .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
     ctx.meter.guard_evals.fetch_add(1, Ordering::Relaxed);
     Ok(chose_local)
+}
+
+/// Whether a guard-bearing node opens its local arm. `decided` is the
+/// node's certified decision, if it has one: its pre-order number and
+/// whether it takes the local arm. An execution running certified guards
+/// takes a decided node's arm without evaluating the guard, and records
+/// no observation, only the node in [`crate::QueryMeter::elided`]; every
+/// other guard is evaluated ([`evaluate_guard`]).
+pub(crate) fn choose_local(
+    ctx: &ExecContext,
+    guard: &CurrencyGuard,
+    decided: Option<(usize, bool)>,
+) -> Result<bool> {
+    match decided {
+        Some((node, local)) if ctx.guard_mode == GuardMode::Certified => {
+            ctx.meter.elided.lock().push(node);
+            Ok(local)
+        }
+        _ => evaluate_guard(ctx, guard),
+    }
 }
 
 /// Read the region's local heartbeat timestamp, if present. Reads the

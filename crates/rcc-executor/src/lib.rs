@@ -20,7 +20,10 @@
 //! The star of the show is the [`ops::SwitchUnionOp`]: when opened it
 //! evaluates its *currency guard* — a point lookup in the region's local
 //! heartbeat table, `ts > getdate() − B` — and then opens exactly one of
-//! its branches; "the other inputs are not touched" (paper Sec. 3).
+//! its branches; "the other inputs are not touched" (paper Sec. 3). A
+//! guard whose outcome was certified at compile time is not evaluated by
+//! an execution that runs certified ([`GuardMode::Certified`]): its node
+//! opens the arm the decision names.
 //! Branch decisions are counted in [`context::ExecCounters`], which is what
 //! the workload-shift experiment (Fig. 4.2) measures.
 
@@ -42,7 +45,7 @@ pub use build::{
     PhaseTimings,
 };
 pub use context::{
-    ExecContext, ExecCounters, ExecMetrics, GuardObservation, QueryMeter, RemoteService,
+    ExecContext, ExecCounters, ExecMetrics, GuardMode, GuardObservation, QueryMeter, RemoteService,
     MAX_OBSERVATIONS,
 };
 pub use rcc_storage::column::{self, Column, ColumnData, ValueRef};

@@ -29,7 +29,7 @@
 use crate::batch::{bind_all, Batch, PhysExpr};
 use crate::context::{ExecContext, ExecCounters};
 use crate::groups::GroupTable;
-use crate::guard::evaluate_guard;
+use crate::guard::choose_local;
 use rcc_common::{DataType, Error, Result, Row, Schema, Value};
 use rcc_optimizer::graph::JoinKind;
 use rcc_optimizer::physical::{AccessPath, InnerAccess, SqlText};
@@ -636,9 +636,13 @@ impl Operator for RemoteQueryOp<'_> {
 /// evaluated **once** at open; all batches then come from the chosen
 /// branch and the other input is never touched. Batching amortizes the
 /// guard further: one evaluation now covers thousands of rows instead of
-/// being revisited per row of bookkeeping.
+/// being revisited per row of bookkeeping. A certified guard is not
+/// evaluated at all by an execution that runs certified guards: the
+/// decision picks the branch.
 pub struct SwitchUnionOp<'a> {
     guard: &'a CurrencyGuard,
+    /// The guard's certified decision: (node number, takes the local arm).
+    decided: Option<(usize, bool)>,
     local: BoxedOp<'a>,
     remote: BoxedOp<'a>,
     use_local: bool,
@@ -649,11 +653,13 @@ impl<'a> SwitchUnionOp<'a> {
     /// Build.
     pub(crate) fn new(
         guard: &'a CurrencyGuard,
+        decided: Option<(usize, bool)>,
         local: BoxedOp<'a>,
         remote: BoxedOp<'a>,
     ) -> SwitchUnionOp<'a> {
         SwitchUnionOp {
             guard,
+            decided,
             local,
             remote,
             use_local: false,
@@ -668,7 +674,7 @@ impl Operator for SwitchUnionOp<'_> {
     }
 
     fn open(&mut self, ctx: &ExecContext) -> Result<()> {
-        self.use_local = evaluate_guard(ctx, self.guard)?;
+        self.use_local = choose_local(ctx, self.guard, self.decided)?;
         self.opened = true;
         if self.use_local {
             self.local.open(ctx)
@@ -1212,12 +1218,21 @@ pub(crate) struct InnerPlan {
     pub(crate) access: InnerAccess,
     pub(crate) scan: ScanPlan,
     seek: usize,
+    /// The guard's certified decision: (the join's node number, takes the
+    /// local inner).
+    decided: Option<(usize, bool)>,
 }
 
 impl InnerPlan {
-    /// Prepare `access` against `storage` as it is now.
-    pub(crate) fn prepare(access: &InnerAccess, storage: &StorageEngine) -> Result<InnerPlan> {
+    /// Prepare `access`, whose guard is `decided` if certified, against
+    /// `storage` as it is now.
+    pub(crate) fn prepare(
+        access: &InnerAccess,
+        decided: Option<(usize, bool)>,
+        storage: &StorageEngine,
+    ) -> Result<InnerPlan> {
         Ok(InnerPlan {
+            decided,
             scan: ScanPlan::prepare(
                 &access.object,
                 &access.schema,
@@ -1549,7 +1564,7 @@ impl Operator for IndexNLJoinOp<'_> {
             false
         } else {
             match &access.guard {
-                Some(g) => evaluate_guard(ctx, g)?,
+                Some(g) => choose_local(ctx, g, self.inner.decided)?,
                 None => true,
             }
         };

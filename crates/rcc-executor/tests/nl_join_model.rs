@@ -399,7 +399,7 @@ proptest! {
         let ctx = context(&case);
         let expected = nested_loop(&case, &outer_input(&case, &ctx), &rows_of(&ctx, "inner"));
         let plan = plan(&case);
-        let executable = Executable::prepare(&plan, &ctx.storage).expect("prepare");
+        let executable = Executable::prepare(&plan, &ctx.storage, &[]).expect("prepare");
         let mut op = executable.operator();
         op.open(&ctx).expect("open");
         let next_id = rows_of(&ctx, "inner").len() as i64;

@@ -111,7 +111,7 @@ fn batches_are_cut_where_the_row_walk_cuts_them() {
         for residual in [None, Some(on_d(BinaryOp::Gt, 0))] {
             let images_before = image_runs(&ctx);
             let plan = scan(range, residual.clone());
-            let executable = Executable::prepare(&plan, &ctx.storage).expect("prepare");
+            let executable = Executable::prepare(&plan, &ctx.storage, &[]).expect("prepare");
             let mut op = executable.operator();
             op.open(&ctx).expect("open");
             let (mut sizes, mut rows) = (Vec::new(), Vec::new());

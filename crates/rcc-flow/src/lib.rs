@@ -29,19 +29,21 @@
 //! The premises are: (1) replication is healthy — no stalled agent, so the
 //! heartbeat ceiling holds; (2) the session imposes no timeline floors;
 //! (3) the query is not running in forced-local (serve-stale) degradation.
-//! The execution layer only serves an elided plan when (2) and (3) hold,
-//! and the runtime cross-check (`rcc_flow_interval_violations_total`)
+//! The execution layer only skips a certified guard when (2) and (3)
+//! hold, and the runtime cross-check (`rcc_flow_interval_violations_total`)
 //! exists precisely to catch (1) breaking.
 //!
 //! # Certified elision
 //!
-//! [`elide`] consumes an analysis and rewrites the plan: `AlwaysPass`
-//! SwitchUnions collapse to their local branch, `NeverPass` ones to their
-//! remote branch, and guarded index-join inners drop their guard in the
-//! same way. Each elision carries its [`GuardCert`] so `rcc-verify` can
-//! replay the arithmetic from the catalog alone and reject a corrupted
-//! analysis ([`Mutation`] enumerates the corruptions the test suite must
-//! prove are caught).
+//! The plan is not rewritten: [`FlowAnalysis::decided`] lists each decided
+//! guard's node and arm — `AlwaysPass` takes the local branch, `NeverPass`
+//! the remote one, a guarded index-join inner is read locally or shipped
+//! the same way — and the one prepared executable skips those guards in
+//! executions that run certified. [`elide`] lists the certificates of the
+//! guards such an execution can reach. Each decision carries its
+//! [`GuardCert`] so `rcc-verify` can replay the arithmetic from the
+//! catalog alone and reject a corrupted analysis ([`Mutation`] enumerates
+//! the corruptions the test suite must prove are caught).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -340,12 +342,16 @@ impl FlowAnalysis {
         &self.nodes[0]
     }
 
-    /// Guards whose decision removes the runtime check.
-    pub fn elidable(&self) -> usize {
-        self.guards
-            .iter()
-            .filter(|g| g.decision != Decision::Keep)
-            .count()
+    /// Every guard whose decision removes the runtime check, as the
+    /// pre-order number of its node and whether it takes the local arm:
+    /// what an executable is prepared with to skip those checks.
+    pub fn decided(&self) -> Vec<(usize, bool)> {
+        let decided = |g: &GuardCert| match g.decision {
+            Decision::ElideLocal => Some((g.node, true)),
+            Decision::CollapseRemote => Some((g.node, false)),
+            Decision::Keep => None,
+        };
+        self.guards.iter().filter_map(decided).collect()
     }
 }
 
@@ -750,157 +756,53 @@ fn render_groups(ops: &BTreeMap<OperandId, OpFact>) -> String {
         .join(" ")
 }
 
-/// The elided plan plus the certificates that justify each removal.
+/// The certificates of the guards an elision skips.
 #[derive(Debug, Clone)]
 pub struct Elided {
-    /// The transformed plan.
-    pub plan: PhysicalPlan,
-    /// Certificates of the guards that were removed (decision != Keep).
+    /// Certificates of the decided guards (decision != Keep) an execution
+    /// can reach: a guard inside an arm that another decided guard drops
+    /// is never reached, so it is not among them.
     pub elided: Vec<GuardCert>,
-    /// Number of guards kept.
-    pub kept: usize,
 }
 
-/// Apply the analysis' elision decisions: collapse `AlwaysPass`
-/// SwitchUnions to their local branch, `NeverPass` ones to their remote
-/// branch, and strip or harden guarded index-join inners the same way.
-/// The transform walks the plan in the analysis' pre-order so certificates
-/// pair with their sites by node index.
+/// The guards an execution of `plan` skips when it runs certified: for
+/// every `AlwaysPass` guard the local arm, for every `NeverPass` one the
+/// remote arm is the only one opened (a guarded index-join inner is read
+/// locally or shipped the same way), so the guards of the other arm are
+/// never reached. The walk follows the analysis' pre-order, so
+/// certificates pair with their sites by node index.
 pub fn elide(plan: &PhysicalPlan, analysis: &FlowAnalysis) -> Elided {
     let by_node: BTreeMap<usize, &GuardCert> =
         analysis.guards.iter().map(|g| (g.node, g)).collect();
-    let mut counter = 0usize;
     let mut elided = Vec::new();
-    let mut kept = 0usize;
-    let plan = rewrite(plan, &by_node, &mut counter, &mut elided, &mut kept);
-    Elided { plan, elided, kept }
+    reach(plan, &by_node, &mut 0, &mut elided);
+    Elided { elided }
 }
 
-fn rewrite(
+fn reach(
     plan: &PhysicalPlan,
     certs: &BTreeMap<usize, &GuardCert>,
     counter: &mut usize,
     elided: &mut Vec<GuardCert>,
-    kept: &mut usize,
-) -> PhysicalPlan {
+) {
     let my = *counter;
     *counter += 1;
-    match plan {
-        PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) | PhysicalPlan::RemoteQuery(_) => {
-            plan.clone()
+    let decision = certs.get(&my).map(|cert| cert.decision);
+    if let Some(cert) = certs.get(&my).filter(|c| c.decision != Decision::Keep) {
+        elided.push((*cert).clone());
+    }
+    for (arm, child) in plan.children().into_iter().enumerate() {
+        // a decided SwitchUnion opens one arm: the local (first) one or
+        // the remote one
+        let dropped = match (plan, decision) {
+            (PhysicalPlan::SwitchUnion { .. }, Some(Decision::ElideLocal)) => arm == 1,
+            (PhysicalPlan::SwitchUnion { .. }, Some(Decision::CollapseRemote)) => arm == 0,
+            _ => false,
+        };
+        match dropped {
+            true => *counter += child.node_count(),
+            false => reach(child, certs, counter, elided),
         }
-        PhysicalPlan::SwitchUnion {
-            guard,
-            local,
-            remote,
-        } => match certs.get(&my).map(|c| (*c).clone()) {
-            Some(cert) if cert.decision == Decision::ElideLocal => {
-                elided.push(cert);
-                let out = rewrite(local, certs, counter, elided, kept);
-                *counter += remote.node_count();
-                out
-            }
-            Some(cert) if cert.decision == Decision::CollapseRemote => {
-                elided.push(cert);
-                *counter += local.node_count();
-                rewrite(remote, certs, counter, elided, kept)
-            }
-            _ => {
-                *kept += 1;
-                PhysicalPlan::SwitchUnion {
-                    guard: guard.clone(),
-                    local: Box::new(rewrite(local, certs, counter, elided, kept)),
-                    remote: Box::new(rewrite(remote, certs, counter, elided, kept)),
-                }
-            }
-        },
-        PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-            predicate: predicate.clone(),
-        },
-        PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-            exprs: exprs.clone(),
-        },
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            kind,
-        } => PhysicalPlan::HashJoin {
-            left: Box::new(rewrite(left, certs, counter, elided, kept)),
-            right: Box::new(rewrite(right, certs, counter, elided, kept)),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            kind: *kind,
-        },
-        PhysicalPlan::MergeJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-            kind,
-        } => PhysicalPlan::MergeJoin {
-            left: Box::new(rewrite(left, certs, counter, elided, kept)),
-            right: Box::new(rewrite(right, certs, counter, elided, kept)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-            kind: *kind,
-        },
-        PhysicalPlan::IndexNLJoin {
-            outer,
-            outer_key,
-            inner,
-            kind,
-        } => {
-            let new_outer = Box::new(rewrite(outer, certs, counter, elided, kept));
-            let mut new_inner = inner.clone();
-            if inner.guard.is_some() {
-                match certs.get(&my).map(|c| (*c).clone()) {
-                    Some(cert) if cert.decision == Decision::ElideLocal => {
-                        elided.push(cert);
-                        new_inner.guard = None;
-                    }
-                    Some(cert) if cert.decision == Decision::CollapseRemote => {
-                        elided.push(cert);
-                        new_inner.guard = None;
-                        new_inner.force_remote = true;
-                    }
-                    _ => {
-                        *kept += 1;
-                    }
-                }
-            }
-            PhysicalPlan::IndexNLJoin {
-                outer: new_outer,
-                outer_key: outer_key.clone(),
-                inner: new_inner,
-                kind: *kind,
-            }
-        }
-        PhysicalPlan::HashAggregate {
-            input,
-            group_by,
-            aggs,
-            having,
-        } => PhysicalPlan::HashAggregate {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-            having: having.clone(),
-        },
-        PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-            keys: keys.clone(),
-        },
-        PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-            n: *n,
-        },
-        PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-            input: Box::new(rewrite(input, certs, counter, elided, kept)),
-        },
     }
 }
 
@@ -1074,8 +976,7 @@ mod tests {
         assert_eq!(analysis.root().interval.lo, Duration::from_secs(5));
         let elided = elide(&plan, &analysis);
         assert_eq!(elided.elided.len(), 1);
-        assert_eq!(elided.kept, 0);
-        assert!(matches!(elided.plan, PhysicalPlan::LocalScan(_)));
+        assert_eq!(analysis.decided(), [(0, true)]);
     }
 
     #[test]
@@ -1086,8 +987,7 @@ mod tests {
         assert_eq!(analysis.guards[0].verdict, GuardVerdict::NeverPass);
         let elided = elide(&plan, &analysis);
         assert_eq!(elided.elided.len(), 1);
-        assert!(matches!(elided.plan, PhysicalPlan::RemoteQuery(_)));
-        assert_eq!(elided.plan.explain(), remote(&[0]).explain());
+        assert_eq!(analysis.decided(), [(0, false)]);
     }
 
     #[test]
@@ -1107,8 +1007,7 @@ mod tests {
         assert_eq!(root.groups, "mixed:{0}");
         let elided = elide(&plan, &analysis);
         assert_eq!(elided.elided.len(), 0);
-        assert_eq!(elided.kept, 1);
-        assert_eq!(elided.plan.explain(), plan.explain());
+        assert!(analysis.decided().is_empty());
     }
 
     #[test]
@@ -1151,13 +1050,14 @@ mod tests {
         assert_eq!(analysis.guards.len(), 2);
         let elided = elide(&plan, &analysis);
         assert_eq!(elided.elided.len(), 2);
-        match &elided.plan {
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                assert!(matches!(**left, PhysicalPlan::LocalScan(_)));
-                assert!(matches!(**right, PhysicalPlan::RemoteQuery(_)));
-            }
-            other => panic!("unexpected plan {}", other.explain()),
-        }
+        // pre-order: join, SU, its scan, its remote, SU, its scan, ...
+        assert_eq!(analysis.decided(), [(1, true), (4, false)]);
+        // a guard inside an arm a decided guard drops is never reached
+        let nested = su(RegionId(1), 30, scan("cust_prj", 0), plan);
+        let analysis = analyze(&catalog, &nested);
+        assert_eq!(analysis.decided().len(), 3);
+        let elided = elide(&nested, &analysis);
+        assert_eq!(elided.elided.len(), 1);
     }
 
     #[test]
@@ -1252,12 +1152,6 @@ mod tests {
         assert_eq!(analysis.guards[0].decision, Decision::ElideLocal);
         let elided = elide(&plan, &analysis);
         assert_eq!(elided.elided.len(), 1);
-        match &elided.plan {
-            PhysicalPlan::IndexNLJoin { inner, .. } => {
-                assert!(inner.guard.is_none());
-                assert!(!inner.force_remote);
-            }
-            other => panic!("unexpected plan {}", other.explain()),
-        }
+        assert_eq!(analysis.decided(), [(0, true)]);
     }
 }

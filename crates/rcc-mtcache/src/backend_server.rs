@@ -329,7 +329,8 @@ impl BackendServer {
         phases.run("backend:plan", || {
             let graph = bind_select_slots(&self.catalog, &select, &HashMap::new(), &shape.values)?;
             let optimized = optimize(&self.catalog, &graph, &self.config)?;
-            let executable = Executable::prepare(&optimized.plan, self.master.storage())?;
+            // a back-end plan reads the master: it bears no guard to decide
+            let executable = Executable::prepare(&optimized.plan, self.master.storage(), &[])?;
             let plan = BackendPlan {
                 optimized,
                 executable,

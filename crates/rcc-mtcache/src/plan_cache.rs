@@ -48,10 +48,10 @@ use parking_lot::Mutex;
 use rcc_catalog::Catalog;
 use rcc_common::{Result, TableId, Value};
 use rcc_executor::Executable;
-use rcc_flow::{FlowAnalysis, GuardCert};
+use rcc_flow::FlowAnalysis;
 use rcc_lint::Diagnostic;
 use rcc_optimizer::optimize::Optimized;
-use rcc_optimizer::{CCConstraint, PhysicalPlan};
+use rcc_optimizer::CCConstraint;
 use rcc_sql::Anchor;
 use rcc_storage::KeyRange;
 use std::collections::hash_map::RandomState;
@@ -66,27 +66,16 @@ use std::sync::Arc;
 /// times the largest warm working set of any workload or test.
 pub const PLAN_CACHE_CAPACITY: usize = 4096;
 
-/// The guard-elided alternative of a compiled plan, plus the certificates
-/// that justify each removed guard (replayed by `rcc-verify` and by the
-/// debug-build runtime cross-check).
-#[derive(Debug)]
-pub struct ElidedPlan {
-    /// The plan with statically-decided guards removed/collapsed.
-    pub plan: PhysicalPlan,
-    /// `plan`, prepared for execution.
-    pub executable: Arc<Executable>,
-    /// One certificate per elided guard.
-    pub certs: Vec<GuardCert>,
-}
-
 /// A compiled query: the optimized plan, prepared for execution, plus the
 /// binding-time metadata the server needs per execution.
 #[derive(Debug)]
 pub struct CompiledQuery {
     /// The optimizer's output.
     pub optimized: Optimized,
-    /// `optimized.plan`, prepared for execution: what every hit of this
-    /// entry runs, binding its own slot values.
+    /// `optimized.plan`, prepared for execution with the guard decisions
+    /// `flow` certified: what every hit of this entry runs, binding its
+    /// own slot values, and skipping the decided guards when the execution
+    /// runs certified (guard elision on, no timeline floors).
     pub executable: Arc<Executable>,
     /// The query's currency clause, normalized: what `VERIFY` holds the
     /// plan to, and where a result cache reads its tightest bound.
@@ -99,10 +88,6 @@ pub struct CompiledQuery {
     /// Currency dataflow analysis of the optimized plan (per-node
     /// delivered-staleness certificates).
     pub flow: FlowAnalysis,
-    /// Present when guard elision is enabled and the analysis certified at
-    /// least one removal. Served only for sessions with no timeline floors
-    /// and no forced-local degradation — the certificates' premises.
-    pub elided: Option<ElidedPlan>,
 }
 
 /// A lint diagnostic of a compilation, as results report it. The plan

@@ -39,8 +39,6 @@ pub struct QueryResult {
     pub tables: Arc<[TableId]>,
     /// Per-phase statement statistics (parse → remote-ship pipeline).
     pub stats: QueryStats,
-    /// The prepared plan that ran, when a plan-cache entry's did.
-    pub(crate) executed: Option<Arc<Executable>>,
     /// What [`QueryResult::plan_explain`] renders.
     pub(crate) explain: PlanExplain,
 }
@@ -77,7 +75,6 @@ impl QueryResult {
             timings: Default::default(),
             tables: Arc::default(),
             stats: Default::default(),
-            executed: None,
             explain: PlanExplain::None,
         }
     }
@@ -124,11 +121,12 @@ impl QueryResult {
         }
     }
 
-    /// The executable that produced this result: the one its plan-cache
-    /// entry was compiled with (the entry's guard-elided twin has its own).
-    /// `None` for a result no cached plan ran.
+    /// The one executable of the plan-cache entry behind this result: the
+    /// one that ran, whether its guards were evaluated, skipped as
+    /// certified or forced local (for `VERIFY` and `EXPLAIN FLOW`, the one
+    /// that would run). `None` for a result of no cached plan.
     pub fn executable(&self) -> Option<&Arc<Executable>> {
-        self.executed.as_ref()
+        self.compiled().map(|compiled| &compiled.executable)
     }
 
     /// The plan-cache entry the result was served from or rendered from;

@@ -1,7 +1,7 @@
 //! The MTCache server.
 
 use crate::backend_server::{BackendPlan, BackendServer};
-use crate::plan_cache::{CompiledQuery, ElidedPlan, LintWarning, PlanCache};
+use crate::plan_cache::{CompiledQuery, LintWarning, PlanCache};
 use crate::policy::ViolationPolicy;
 use crate::result::{PlanExplain, QueryResult};
 use crate::session::Session;
@@ -15,7 +15,7 @@ use rcc_common::{
 use rcc_executor::GuardObservation;
 use rcc_executor::{
     execute_plan_analyzed, execute_plan_rows, Batch, BatchExecutionResult, ExecContext,
-    ExecCounters, ExecMetrics, Executable, ExecutionResult, QueryMeter, RemoteService,
+    ExecCounters, ExecMetrics, Executable, ExecutionResult, GuardMode, QueryMeter, RemoteService,
     DEFAULT_BATCH_ROWS,
 };
 use rcc_obs::{
@@ -93,10 +93,10 @@ pub struct MTCache {
     /// The timeline floors of every query of a session without any, shared
     /// instead of allocated per query.
     no_floors: Arc<HashMap<RegionId, Timestamp>>,
-    /// When set, newly compiled plans also store a guard-elided variant:
-    /// guards the dataflow analysis certified as statically decided are
-    /// removed (always-pass → local arm, never-pass → remote arm). Off by
-    /// default; flipping it invalidates the plan cache.
+    /// When set, an execution of a session without timeline floors skips
+    /// the guards the dataflow analysis certified as statically decided
+    /// (always-pass → local arm, never-pass → remote arm). Off by default;
+    /// read per execution.
     elide_guards: AtomicBool,
     /// Durable store behind the master (None = classic in-memory rig).
     durability: Option<Arc<DurableStore>>,
@@ -125,7 +125,7 @@ struct QueryMetrics {
     per_query: OnceLock<PerQueryMetrics>,
     /// `rcc_slo_queries_total`, `rcc_slo_compliance_ratio`.
     slo: OnceLock<(Counter, Gauge)>,
-    /// `rcc_flow_guards_elided_total`.
+    /// `rcc_flow_guards_elided_total`, counted per execution.
     guards_elided: OnceLock<Counter>,
     /// `rcc_delivered_staleness_seconds`, `rcc_currency_slack_seconds`.
     regions: HandlesByKey<RegionId, (Histogram, Histogram)>,
@@ -690,8 +690,8 @@ impl MTCache {
         );
         metrics.describe(
             "rcc_flow_guards_elided_total",
-            "Currency guards removed at compile time by the certified \
-             dataflow elision pass (set_elide_guards).",
+            "Currency guards executions skipped because the dataflow \
+             analysis certified their outcome (guard elision).",
         );
         metrics.describe(
             "rcc_flow_interval_violations_total",
@@ -813,14 +813,14 @@ impl MTCache {
         self.plan_cache.invalidate();
     }
 
-    /// Enable/disable certified guard elision. When on, compiling a query
-    /// also stores a variant with every statically-decided currency guard
-    /// removed, served to sessions whose state matches the certificates'
-    /// premises (no timeline floors, no forced-local degradation).
-    /// Invalidates the plan cache so the toggle takes effect immediately.
+    /// Enable/disable certified guard elision. When on, an execution whose
+    /// session state matches the certificates' premises (no timeline
+    /// floors, no forced-local degradation) skips every statically decided
+    /// currency guard of its plan and opens the arm the decision names.
+    /// Read per execution: the cached plans stay, and the next execution
+    /// follows the setting.
     pub fn set_elide_guards(&self, on: bool) {
         self.elide_guards.store(on, Ordering::SeqCst);
-        self.plan_cache.invalidate();
     }
 
     /// Replace the optimizer's cost constants (for ablations).
@@ -1426,47 +1426,33 @@ impl MTCache {
         drop(span);
         // Currency dataflow analysis: per-node staleness intervals and one
         // certificate per guard, computed on every compile and kept with
-        // the plan, which is what EXPLAIN FLOW renders. The guard-elided
-        // copy of the plan is derived from it only where something reads
-        // that copy: to be stored, when the toggle is on and at least one
-        // guard was certified away, or to be audited.
+        // the plan, which is what EXPLAIN FLOW renders. The guards it
+        // decided are marked in the one executable, which skips them in
+        // executions that run certified.
         let flow = rcc_flow::analyze(&self.catalog, &optimized.plan);
-        let store = self.elide_guards.load(Ordering::SeqCst);
-        let elided = if store || cfg!(debug_assertions) {
-            let hypo = rcc_flow::elide(&optimized.plan, &flow);
-            // Debug builds audit every hypothetical elision — toggle on or
-            // off — with the independent replay in `rcc-verify`, so an
-            // analysis bug surfaces on the first compile, not on the first
-            // elided serve.
-            #[cfg(debug_assertions)]
-            {
-                let obligations =
-                    rcc_verify::verify_elision(&self.catalog, &optimized.plan, &flow, &hypo.plan);
-                if !rcc_verify::elision_ok(&obligations) {
-                    let failed: Vec<String> = obligations
-                        .iter()
-                        .filter(|o| !o.status.is_proved())
-                        .map(|o| o.to_string())
-                        .collect();
-                    return Err(Error::analysis(format!(
-                        "guard-elision audit failed for {sql:?}:\n{}",
-                        failed.join("\n")
-                    )));
-                }
+        let decided = flow.decided();
+        // Debug builds audit the decisions with the independent replay in
+        // `rcc-verify`, toggle on or off, so an analysis bug surfaces on
+        // the first compile, not on the first elided serve.
+        #[cfg(debug_assertions)]
+        {
+            let obligations =
+                rcc_verify::verify_elision(&self.catalog, &optimized.plan, &flow, &decided);
+            if !rcc_verify::elision_ok(&obligations) {
+                let failed: Vec<String> = obligations
+                    .iter()
+                    .filter(|o| !o.status.is_proved())
+                    .map(|o| o.to_string())
+                    .collect();
+                return Err(Error::analysis(format!(
+                    "guard-elision audit failed for {sql:?}:\n{}",
+                    failed.join("\n")
+                )));
             }
-            match store && !hypo.elided.is_empty() {
-                true => Some(ElidedPlan {
-                    executable: Arc::new(Executable::prepare(&hypo.plan, &self.cache_storage)?),
-                    plan: hypo.plan,
-                    certs: hypo.elided,
-                }),
-                false => None,
-            }
-        } else {
-            None
-        };
+        }
         // prepared once here; every hit of the entry runs it
-        let executable = Arc::new(Executable::prepare(&optimized.plan, &self.cache_storage)?);
+        let executable = Executable::prepare(&optimized.plan, &self.cache_storage, &decided)?;
+        let executable = Arc::new(executable);
         let compiled = CompiledQuery {
             optimized,
             executable,
@@ -1474,7 +1460,6 @@ impl MTCache {
             tables,
             lint,
             flow,
-            elided,
         };
         // Post-optimize conformance audit (debug builds): before a freshly
         // compiled plan enters the plan cache, statically prove it delivers
@@ -1578,13 +1563,6 @@ impl MTCache {
                 let select = parse_shape(sql, params)?;
                 let parse = parse_started.elapsed();
                 let c = self.compile(sql, &select, params, &shape.values, trace, session)?;
-                if let Some(elided) = &c.compiled.elided {
-                    // counted where the elided twin becomes servable
-                    self.query_metrics
-                        .guards_elided
-                        .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
-                        .add(elided.certs.len() as u64);
-                }
                 phases = CompilePhases { parse, ..c.phases };
                 Ok((c.compiled, c.domains))
             })?;
@@ -1607,23 +1585,26 @@ impl MTCache {
         let (compiled, phases) = self.lookup(sql, &shape, params, &trace, session)?;
         let optimized = &compiled.optimized;
         let slots = Arc::new(shape.values);
-        let ctx = self.fresh_ctx(floors, trace.share(), Arc::clone(&slots));
-
-        // Serve the guard-elided variant only when the certificates'
-        // premises hold for this session: timeline floors can force a
-        // branch past a heartbeat the static analysis trusted, so floored
-        // sessions always run the full guarded plan. The degradation path
-        // below re-executes the guarded plan too (forced local is a
-        // sanctioned premise break, not a certified one).
-        let elided = compiled.elided.as_ref().filter(|_| floors.is_empty());
-        let (plan, executable) = match elided {
-            Some(e) => (&e.plan, &e.executable),
-            None => (&optimized.plan, &compiled.executable),
-        };
+        let mut ctx = self.fresh_ctx(floors, trace.share(), Arc::clone(&slots));
+        // Skip the certified guards only when the certificates' premises
+        // hold for this session: timeline floors can force a branch past a
+        // heartbeat the static analysis trusted, so floored sessions
+        // evaluate every guard. The degradation path below forces them
+        // local instead (a sanctioned premise break, not a certified one).
+        if self.elide_guards.load(Ordering::Relaxed) && floors.is_empty() {
+            ctx.guard_mode = GuardMode::Certified;
+        }
 
         let exec_span = trace.span("execute");
-        let exec = self.run_plan(executable, plan, &ctx);
+        let exec = self.run_plan(&compiled.executable, &optimized.plan, &ctx);
         drop(exec_span);
+        let elided = ctx.meter.take_elided();
+        if !elided.is_empty() {
+            self.query_metrics
+                .guards_elided
+                .get_or_init(|| self.metrics.counter("rcc_flow_guards_elided_total", &[]))
+                .add(elided.len() as u64);
+        }
         let degrade = |msg: String| {
             let ctx = self.fresh_ctx(floors, trace.share(), Arc::clone(&slots));
             self.degrade_unreachable(&trace, &compiled, ctx, policy, &msg, session)
@@ -1632,9 +1613,7 @@ impl MTCache {
         let (ctx, result, degraded) = match exec {
             Ok(result) => {
                 if cfg!(debug_assertions) {
-                    if let Some(e) = elided {
-                        self.recheck_elided_certs(&e.certs);
-                    }
+                    self.recheck_elided_certs(&compiled.flow, &elided);
                 }
                 (ctx, result, false)
             }
@@ -1689,17 +1668,13 @@ impl MTCache {
             timings: result.timings,
             tables: Arc::clone(&compiled.tables),
             stats,
-            executed: Some(Arc::clone(match degraded {
-                true => &compiled.executable,
-                false => executable,
-            })),
             explain: PlanExplain::Plan(Arc::clone(&compiled), slots),
         })
     }
 
     /// The back-end could not answer a remote branch. Apply the violation
     /// policy: `Reject` fails the query; `ServeStale` re-executes the
-    /// guarded plan of `compiled` under `ctx` with guards forced local, for
+    /// plan of `compiled` under `ctx` with every guard forced local, for
     /// the caller to serve flagged as stale.
     fn degrade_unreachable(
         &self,
@@ -1727,10 +1702,9 @@ impl MTCache {
         let kind = EventKind::Degradation;
         self.journal
             .record(now, kind, cause, "serve_stale", session, trace.id());
-        ctx.force_local = true;
+        ctx.guard_mode = GuardMode::ForceLocal;
         let stale_span = trace.span("execute_stale");
-        let plan = &compiled.optimized.plan;
-        let result = self.run_plan(&compiled.executable, plan, &ctx)?;
+        let result = self.run_plan(&compiled.executable, &compiled.optimized.plan, &ctx)?;
         drop(stale_span);
         self.metrics.counter("rcc_stale_served_total", &[]).inc();
         self.metrics
@@ -1765,7 +1739,7 @@ impl MTCache {
         let optimized = &compiled.optimized;
         let ctx = self.fresh_ctx(floors, trace.share(), Arc::default());
         let exec_span = trace.span("execute");
-        let analyzed = execute_plan_analyzed(&optimized.plan, &ctx)?;
+        let analyzed = execute_plan_analyzed(&compiled.executable, &optimized.plan, &ctx)?;
         drop(exec_span);
         let guards = ctx.take_observations();
         self.record_delivered(&guards, false);
@@ -1811,16 +1785,17 @@ impl MTCache {
     /// Slack = bound − delivered. A query violates the SLO when any guard's
     /// slack goes negative; `sanctioned` says whether that happened under
     /// an explicit policy degradation (`ServeStale`) rather than silently.
-    /// Debug-build runtime cross-check of guard elision: replay every
-    /// certificate whose guard was removed from the served plan against
-    /// the live heartbeat it would have read. Under the certificates'
-    /// premises (healthy replication, no floors, no forced-local serving)
-    /// an always-pass guard's heartbeat must still sit inside the bound;
-    /// an escape increments `rcc_flow_interval_violations_total`, which
-    /// the benches assert stays zero.
-    fn recheck_elided_certs(&self, certs: &[rcc_flow::GuardCert]) {
+    /// Debug-build runtime cross-check of guard elision: replay the
+    /// certificate of every guard the execution skipped (the nodes
+    /// `elided`) against the live heartbeat it would have read. Under the
+    /// certificates' premises (healthy replication, no floors, no
+    /// forced-local serving) an always-pass guard's heartbeat must still
+    /// sit inside the bound; an escape increments
+    /// `rcc_flow_interval_violations_total`, which the benches assert
+    /// stays zero.
+    fn recheck_elided_certs(&self, flow: &rcc_flow::FlowAnalysis, elided: &[usize]) {
         let now = self.clock.now();
-        for cert in certs {
+        for cert in flow.guards.iter().filter(|c| elided.contains(&c.node)) {
             if cert.decision != rcc_flow::Decision::ElideLocal {
                 // collapsed-remote arms serve back-end-current data; there
                 // is no staleness claim to recheck
@@ -1951,7 +1926,7 @@ impl MTCache {
                 true => Arc::clone(&self.no_floors),
                 false => Arc::new(floors.clone()),
             },
-            force_local: false,
+            guard_mode: GuardMode::Evaluate,
             meter: Arc::new(QueryMeter::default()),
             metrics: Some(Arc::clone(&self.exec_metrics)),
             batch_rows: DEFAULT_BATCH_ROWS,
@@ -2353,7 +2328,7 @@ fn flow_rows(flow: &rcc_flow::FlowAnalysis, plan: &PhysicalPlan) -> QueryResult 
         "flow: root interval {}, {} guard(s), {} elidable",
         flow.root().interval,
         flow.guards.len(),
-        flow.elidable()
+        flow.decided().len()
     )];
     QueryResult {
         schema,

@@ -1,13 +1,17 @@
 //! Certified guard elision end-to-end.
 //!
-//! With `set_elide_guards(true)`, plans whose currency guards the dataflow
-//! analysis proves statically decided are served without those guards —
-//! and the observable behaviour (rows, remote usage) must be identical to
-//! the guarded plan, because elision only removes checks whose outcome was
-//! already certain. `EXPLAIN FLOW` exposes the per-node analysis.
+//! With `set_elide_guards(true)`, executions skip the currency guards the
+//! dataflow analysis proves statically decided — and the observable
+//! behaviour (rows, remote usage) must be identical to evaluating them,
+//! because elision only skips checks whose outcome was already certain.
+//! The setting is read per execution: a plan-cache entry holds one plan
+//! and one executable for either setting. `EXPLAIN FLOW` exposes the
+//! per-node analysis.
 
-use rcc_common::{Duration, Value};
-use rcc_mtcache::MTCache;
+use rcc_common::{Duration, Error, Result, Row, Schema, Value};
+use rcc_executor::RemoteService;
+use rcc_mtcache::{MTCache, QueryResult, ViolationPolicy};
+use std::sync::Arc;
 
 /// Region `r`: update interval 10 s, delay 2 s, heartbeat 1 s →
 /// healthy-replication envelope H = 13 s. Bounds above 13 s always pass,
@@ -102,25 +106,101 @@ fn contingent_guard_survives_elision() {
 }
 
 #[test]
-fn toggling_elision_invalidates_cached_plans() {
+fn toggling_elision_takes_effect_on_the_next_hit() {
     let cache = rig();
     const Q: &str = "SELECT v FROM t WHERE a = 7 CURRENCY BOUND 30 SEC ON (t)";
     cache.execute(Q).unwrap();
     let r = cache.execute(Q).unwrap();
     assert!(r.stats.plan_cache_hit, "steady state: plan reused");
 
-    // The toggle must invalidate: the very next execution recompiles and
-    // serves the elided plan (no guard observations).
+    // The setting is read per execution: the very next one is a hit of
+    // the same entry and skips the guard (no guard observations).
     cache.set_elide_guards(true);
     let r = cache.execute(Q).unwrap();
-    assert!(!r.stats.plan_cache_hit, "toggle must force a recompile");
+    assert!(r.stats.plan_cache_hit, "a toggle recompiles nothing");
     assert!(r.guards.is_empty());
 
     // ... and back off again.
     cache.set_elide_guards(false);
     let r = cache.execute(Q).unwrap();
-    assert!(!r.stats.plan_cache_hit);
+    assert!(r.stats.plan_cache_hit);
     assert_eq!(r.guards.len(), 1);
+}
+
+/// A back-end whose every call fails as an unreachable one does, so a
+/// statement that goes remote degrades under its session's policy.
+#[derive(Debug)]
+struct Unreachable;
+
+impl RemoteService for Unreachable {
+    fn execute(&self, _sql: &str) -> Result<(Schema, Vec<Row>)> {
+        Err(Error::Unavailable("link down".into()))
+    }
+}
+
+#[test]
+fn one_entry_serves_every_guard_mode() {
+    let cache = rig();
+    const Q: &str = "SELECT v FROM t WHERE a = 7 CURRENCY BOUND 30 SEC ON (t)";
+    let first = cache.execute(Q).unwrap();
+    let entry = Arc::clone(first.executable().expect("a cached plan ran"));
+    assert_eq!(first.guards.len(), 1);
+    // each run is a hit of the one entry's one executable, answers as the
+    // first did, and evaluates its guard exactly when it does not skip it
+    let check = |run: &mut dyn FnMut() -> QueryResult, elide: bool, skipped: bool, what: &str| {
+        cache.set_elide_guards(elide);
+        let before = elided_total(&cache);
+        let r = run();
+        assert!(r.stats.plan_cache_hit, "{what}");
+        assert!(Arc::ptr_eq(r.executable().unwrap(), &entry), "{what}");
+        assert_eq!(r.rows, first.rows, "{what}");
+        assert_eq!(r.guards.len(), usize::from(!skipped), "{what}");
+        assert_eq!(elided_total(&cache) - before, u64::from(skipped), "{what}");
+        r
+    };
+    let mut plain = || cache.execute(Q).unwrap();
+    check(&mut plain, true, true, "elision on");
+    check(&mut plain, false, false, "elision off");
+    check(&mut plain, true, true, "elision on again");
+
+    let mut timeline = cache.session();
+    timeline.execute("BEGIN TIMEORDERED").unwrap();
+    let mut in_bracket = |elide, skipped, what| {
+        check(&mut || timeline.execute(Q).unwrap(), elide, skipped, what);
+    };
+    in_bracket(true, true, "a bracket without floors");
+    in_bracket(false, false, "a bracket, elision off");
+    in_bracket(true, false, "a floor keeps the guard");
+    assert!(!timeline.floors().is_empty(), "the guard set a floor");
+    let mut other = cache.session();
+    check(
+        &mut || other.execute(Q).unwrap(),
+        true,
+        true,
+        "another session",
+    );
+
+    // a stalled region fails the guard, the back-end is unreachable, and
+    // the session serves the local rows stale: the guard is forced local
+    cache.set_remote_service(Some(Arc::new(Unreachable)));
+    cache.set_region_stalled("r", true);
+    cache.advance(Duration::from_secs(60)).unwrap();
+    let mut lenient = cache.session();
+    lenient.set_policy(ViolationPolicy::ServeStale);
+    let stale = check(&mut || lenient.execute(Q).unwrap(), false, false, "stale");
+    assert!(stale.guards[0].chose_local, "forced local");
+    assert!(
+        stale.warnings[0].contains("ServeStale"),
+        "{:?}",
+        stale.warnings
+    );
+
+    assert_eq!(cache.plan_cache().stats().1, 1, "one compile in all");
+    assert_eq!(
+        violations(&cache),
+        0,
+        "no certified guard was skipped stale"
+    );
 }
 
 #[test]

@@ -140,7 +140,7 @@ fn a_cached_select_in_a_timeordered_bracket_ratchets_and_keeps_its_guard() {
     let first = session.execute(Q).unwrap();
     assert!(first.stats.plan_cache_hit, "served from the cached entry");
     assert_eq!(first.stats.parse, StdDuration::ZERO);
-    // no floor yet, so the elided twin was still allowed; it observed no
+    // no floor yet, so the guard was still skipped; it observed no
     // heartbeat, so it set none either. A remote read sets one (a 5 s
     // bound is contingent: its guard stays, and fails on a stalled region)
     assert!(first.guards.is_empty() && session.floors().is_empty());
@@ -159,7 +159,7 @@ fn a_cached_select_in_a_timeordered_bracket_ratchets_and_keeps_its_guard() {
     assert_eq!(
         third.guards.len(),
         1,
-        "with floors the guarded plan runs, not the elided twin"
+        "with floors the guard is evaluated, not skipped"
     );
     assert!(third.guards[0].chose_local);
     let raised = *session.floors().values().next().unwrap();
@@ -211,16 +211,13 @@ fn a_hit_runs_the_executable_its_entry_was_compiled_with() {
         held = executable(&hit);
     }
 
-    // the entry's guard-elided twin has an executable of its own
+    // a run that skips the always-pass guard runs the same executable
     cache.set_elide_guards(true);
     let elided = cache.execute(&q(7)).unwrap();
+    assert!(elided.stats.plan_cache_hit);
     assert!(elided.guards.is_empty(), "the always-pass guard was elided");
-    let twin = executable(&elided);
-    assert!(Arc::ptr_eq(
-        &twin,
-        &executable(&cache.execute(&q(8)).unwrap())
-    ));
-    // a session with a timeline floor runs the same entry's guarded plan
+    assert!(Arc::ptr_eq(&held, &executable(&elided)));
+    // and so does a session with a timeline floor, which evaluates it
     let mut session = cache.session();
     session.execute("BEGIN TIMEORDERED").unwrap();
     cache.set_region_stalled("r", true);
@@ -236,7 +233,7 @@ fn a_hit_runs_the_executable_its_entry_was_compiled_with() {
     assert!(guarded.stats.plan_cache_hit);
     assert_eq!(guarded.guards.len(), 1, "the guarded plan ran");
     assert_eq!(guarded.rows, b.rows);
-    assert!(!Arc::ptr_eq(&twin, &executable(&guarded)));
+    assert!(Arc::ptr_eq(&held, &executable(&guarded)));
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! The sixth proof obligation: **elision-certified**.
 //!
-//! `rcc-flow` elides currency guards whose verdict it can prove statically.
-//! This module is the independent auditor of that transform. It deliberately
-//! re-implements the certificate arithmetic and the rewrite from scratch —
-//! sharing no code with `rcc_flow::analyze`/`rcc_flow::elide` — so a bug
-//! (or a test mutation) in the analysis cannot also blind the check:
+//! `rcc-flow` certifies currency guards whose verdict it can prove
+//! statically, and an executable is prepared with those decisions, so an
+//! execution that runs certified skips the guards. This module is the
+//! independent auditor of the decisions. It deliberately re-implements the
+//! certificate arithmetic and the walk over guard sites from scratch —
+//! sharing no code with `rcc_flow::analyze` — so a bug (or a test mutation)
+//! in the analysis cannot also blind the check:
 //!
-//! 1. **certificate replay** — for every guard site in the unelided plan,
+//! 1. **certificate replay** — for every guard site in the plan,
 //!    the recorded [`GuardCert`] must match the catalog (region, heartbeat
 //!    table, bound, envelope terms) and its verdict must equal the verdict
 //!    recomputed here from the catalog alone (`NeverPass` iff `B == 0` or
@@ -14,12 +16,12 @@
 //! 2. **interval soundness** — every local-scan leaf's claimed interval
 //!    must contain the honest healthy-replication interval `[d, d+f+hb]`
 //!    (a narrower claim is an unsound certificate);
-//! 3. **structure replay** — applying the certified decisions with this
-//!    module's own rewriter must reproduce the elided plan byte-for-byte
-//!    (by EXPLAIN rendering);
-//! 4. **maximality** — every guard *surviving* in the elided plan must be
-//!    independently contingent: a surviving statically-dead guard means the
-//!    elision was sound but not maximal.
+//! 3. **decision replay** — the decisions the executable is prepared with
+//!    must be exactly the certified ones, numbered by this module's own
+//!    pre-order walk, each taking the arm its decision names;
+//! 4. **maximality** — every guard *not* decided must be independently
+//!    contingent: an undecided statically-dead guard means the elision was
+//!    sound but not maximal.
 
 use crate::{Obligation, ObligationKind, ObligationStatus};
 use rcc_catalog::Catalog;
@@ -111,99 +113,6 @@ fn collect_sites<'a>(
     }
 }
 
-/// This module's own rewriter: apply the certified decisions to the
-/// unelided plan. Written independently of `rcc_flow::elide`.
-fn replay_rewrite(
-    plan: &PhysicalPlan,
-    decisions: &BTreeMap<usize, Decision>,
-    counter: &mut usize,
-) -> PhysicalPlan {
-    let my = *counter;
-    *counter += 1;
-    match plan {
-        PhysicalPlan::SwitchUnion {
-            guard,
-            local,
-            remote,
-        } => match decisions.get(&my).copied().unwrap_or(Decision::Keep) {
-            Decision::ElideLocal => {
-                let out = replay_rewrite(local, decisions, counter);
-                *counter += remote.node_count();
-                out
-            }
-            Decision::CollapseRemote => {
-                *counter += local.node_count();
-                replay_rewrite(remote, decisions, counter)
-            }
-            Decision::Keep => PhysicalPlan::SwitchUnion {
-                guard: guard.clone(),
-                local: Box::new(replay_rewrite(local, decisions, counter)),
-                remote: Box::new(replay_rewrite(remote, decisions, counter)),
-            },
-        },
-        PhysicalPlan::IndexNLJoin {
-            outer,
-            outer_key,
-            inner,
-            kind,
-        } => {
-            let outer = Box::new(replay_rewrite(outer, decisions, counter));
-            let mut inner = inner.clone();
-            if inner.guard.is_some() {
-                match decisions.get(&my).copied().unwrap_or(Decision::Keep) {
-                    Decision::ElideLocal => inner.guard = None,
-                    Decision::CollapseRemote => {
-                        inner.guard = None;
-                        inner.force_remote = true;
-                    }
-                    Decision::Keep => {}
-                }
-            }
-            PhysicalPlan::IndexNLJoin {
-                outer,
-                outer_key: outer_key.clone(),
-                inner,
-                kind: *kind,
-            }
-        }
-        // Every other operator keeps its shape; rebuild it around the
-        // rewritten children via the generic clone-and-patch below.
-        other => {
-            let mut out = other.clone();
-            patch_children(&mut out, decisions, counter);
-            out
-        }
-    }
-}
-
-/// Rewrite the children of a non-guard-bearing operator in place.
-fn patch_children(
-    plan: &mut PhysicalPlan,
-    decisions: &BTreeMap<usize, Decision>,
-    counter: &mut usize,
-) {
-    match plan {
-        PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) | PhysicalPlan::RemoteQuery(_) => {}
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Distinct { input } => {
-            **input = replay_rewrite(input, decisions, counter);
-        }
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::MergeJoin { left, right, .. } => {
-            **left = replay_rewrite(left, decisions, counter);
-            **right = replay_rewrite(right, decisions, counter);
-        }
-        // Guard-bearing operators are handled in `replay_rewrite` directly.
-        PhysicalPlan::SwitchUnion { .. } | PhysicalPlan::IndexNLJoin { .. } => {
-            unreachable!("guard-bearing operators are rewritten in replay_rewrite")
-        }
-    }
-}
-
 fn violated(subject: impl Into<String>, why: impl Into<String>) -> Obligation {
     Obligation {
         kind: ObligationKind::ElisionCertified,
@@ -220,22 +129,23 @@ fn proved(subject: impl Into<String>) -> Obligation {
     }
 }
 
-/// Verify that `elided` is exactly the plan obtained by applying the
-/// analysis' certified decisions to `unelided`, that every certificate
+/// Verify that `decided` — what an executable of `plan` is prepared with:
+/// (pre-order node number, takes the local arm) per skipped guard — is
+/// exactly the analysis' certified decisions, that every certificate
 /// replays from the catalog, and that the elision is maximal. Returns one
 /// obligation per guard site plus one for interval soundness and one for
-/// the structural replay.
+/// the decision replay.
 pub fn verify_elision(
     catalog: &Catalog,
-    unelided: &PhysicalPlan,
+    plan: &PhysicalPlan,
     analysis: &FlowAnalysis,
-    elided: &PhysicalPlan,
+    decided: &[(usize, bool)],
 ) -> Vec<Obligation> {
     let mut out = Vec::new();
     let mut counter = 0usize;
     let mut guard_sites = Vec::new();
     let mut leaf_sites = Vec::new();
-    collect_sites(unelided, &mut counter, &mut guard_sites, &mut leaf_sites);
+    collect_sites(plan, &mut counter, &mut guard_sites, &mut leaf_sites);
 
     let certs: BTreeMap<usize, &GuardCert> = analysis.guards.iter().map(|g| (g.node, g)).collect();
 
@@ -358,42 +268,44 @@ pub fn verify_elision(
         out.push(proved("leaf intervals contain the healthy envelope"));
     }
 
-    // 3. structure replay with this module's own rewriter.
-    let decisions: BTreeMap<usize, Decision> = analysis
-        .guards
-        .iter()
-        .map(|g| (g.node, g.decision))
+    // 3. decision replay: the executable's decisions are the certified
+    // ones at this walk's guard sites.
+    let certified: Vec<(usize, bool)> = (guard_sites.iter())
+        .filter_map(|site| match certs.get(&site.node)?.decision {
+            Decision::ElideLocal => Some((site.node, true)),
+            Decision::CollapseRemote => Some((site.node, false)),
+            Decision::Keep => None,
+        })
         .collect();
-    let mut counter = 0usize;
-    let replayed_plan = replay_rewrite(unelided, &decisions, &mut counter);
-    if replayed_plan.explain() == elided.explain() {
-        out.push(proved("elided plan structure replays"));
+    let mut replayed = decided.to_vec();
+    replayed.sort_unstable();
+    if replayed == certified {
+        out.push(proved("decided guards replay"));
     } else {
         out.push(violated(
-            "elided plan structure",
-            "independent replay of the certified decisions yields a different plan",
+            "decided guards",
+            format!("the executable decides {decided:?}, the certificates {certified:?}"),
         ));
     }
 
-    // 4. maximality: every surviving guard must be contingent on its own.
-    let mut counter = 0usize;
-    let mut surviving = Vec::new();
-    let mut survivor_leaves = Vec::new();
-    collect_sites(elided, &mut counter, &mut surviving, &mut survivor_leaves);
-    for site in &surviving {
+    // 4. maximality: every undecided guard must be contingent on its own.
+    for site in guard_sites
+        .iter()
+        .filter(|s| !decided.iter().any(|d| d.0 == s.node))
+    {
         let subject = format!(
-            "surviving guard on {} (bound {})",
-            site.guard.heartbeat_table, site.guard.bound
+            "undecided guard on {} (bound {}) @node {}",
+            site.guard.heartbeat_table, site.guard.bound, site.node
         );
         match replay_verdict(catalog, site.guard) {
             None | Some(Replayed::Contingent) => out.push(proved(&subject)),
             Some(Replayed::AlwaysPass) => out.push(violated(
                 &subject,
-                "statically always-satisfied guard survives; elision is not maximal",
+                "statically always-satisfied guard is evaluated; elision is not maximal",
             )),
             Some(Replayed::NeverPass) => out.push(violated(
                 &subject,
-                "statically unreachable local branch survives; elision is not maximal",
+                "statically unreachable local branch is kept; elision is not maximal",
             )),
         }
     }
@@ -428,7 +340,7 @@ mod tests {
     use super::*;
     use crate::rig;
     use rcc_common::{Column, DataType, RegionId, Schema};
-    use rcc_flow::{analyze, analyze_mutated, elide, Mutation};
+    use rcc_flow::{analyze, analyze_mutated, Mutation};
     use rcc_optimizer::physical::{AccessPath, LocalScanNode, RemoteQueryNode};
     use std::collections::BTreeSet;
 
@@ -476,8 +388,7 @@ mod tests {
         for bound in [30, 10, 2] {
             let plan = su(RegionId(1), bound, scan("cust_prj", 0), remote(&[0]));
             let analysis = analyze(&catalog, &plan);
-            let elided = elide(&plan, &analysis);
-            let obs = verify_elision(&catalog, &plan, &analysis, &elided.plan);
+            let obs = verify_elision(&catalog, &plan, &analysis, &analysis.decided());
             assert!(
                 elision_ok(&obs),
                 "bound {bound}: {:?}",
@@ -502,8 +413,7 @@ mod tests {
             };
             let plan = su(RegionId(2), bound, scan("orders_prj", 0), remote(&[0]));
             let analysis = analyze_mutated(&catalog, &plan, Some(mutation));
-            let elided = elide(&plan, &analysis);
-            let obs = verify_elision(&catalog, &plan, &analysis, &elided.plan);
+            let obs = verify_elision(&catalog, &plan, &analysis, &analysis.decided());
             assert!(
                 !elision_ok(&obs),
                 "mutation {} must be rejected",
@@ -517,8 +427,8 @@ mod tests {
         let (catalog, _m) = rig::audit_catalog(0.005, 7).expect("rig");
         let plan = su(RegionId(1), 30, scan("cust_prj", 0), remote(&[0]));
         let analysis = analyze(&catalog, &plan);
-        // Lie: pretend nothing was elided — the original plan survives.
-        let obs = verify_elision(&catalog, &plan, &analysis, &plan);
+        // Lie: pretend nothing was decided — the guard is evaluated.
+        let obs = verify_elision(&catalog, &plan, &analysis, &[]);
         assert!(!elision_ok(&obs));
         assert!(obs.iter().any(|o| matches!(
             &o.status,
@@ -527,12 +437,20 @@ mod tests {
     }
 
     #[test]
-    fn foreign_elided_plan_fails_structure_replay() {
+    fn foreign_decisions_fail_decision_replay() {
         let (catalog, _m) = rig::audit_catalog(0.005, 7).expect("rig");
         let plan = su(RegionId(1), 10, scan("cust_prj", 0), remote(&[0]));
         let analysis = analyze(&catalog, &plan);
-        // Keep decision, but hand the verifier a collapsed plan.
-        let obs = verify_elision(&catalog, &plan, &analysis, &remote(&[0]));
+        // Keep decision, but hand the verifier a collapsed guard, or one
+        // numbered for the node after it.
+        for decided in [(0, false), (1, true)] {
+            let obs = verify_elision(&catalog, &plan, &analysis, &[decided]);
+            assert!(!elision_ok(&obs), "{decided:?}");
+        }
+        // CR1 H = 22s: a 30s guard is decided local, not remote
+        let plan = su(RegionId(1), 30, scan("cust_prj", 0), remote(&[0]));
+        let analysis = analyze(&catalog, &plan);
+        let obs = verify_elision(&catalog, &plan, &analysis, &[(0, false)]);
         assert!(!elision_ok(&obs));
     }
 

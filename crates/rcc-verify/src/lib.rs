@@ -66,9 +66,9 @@ pub enum ObligationKind {
     GuardDominatesLocal,
     /// The remote fallback branch is unconditionally C&C-safe.
     RemoteFallbackSafe,
-    /// Guard elision is maximal-but-sound: every elided guard carries a
+    /// Guard elision is maximal-but-sound: every decided guard carries a
     /// certificate whose arithmetic replays from the catalog, and every
-    /// surviving guard is independently contingent (see [`verify_elision`]).
+    /// undecided guard is independently contingent (see [`verify_elision`]).
     ElisionCertified,
 }
 
