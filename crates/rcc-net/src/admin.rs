@@ -16,17 +16,21 @@
 //!
 //! Every request bumps `rcc_admin_requests_total{path=...}`; unknown
 //! paths are labelled `other` so the counter's cardinality stays fixed.
+//!
+//! Each request is one connection, served on the crate's one connection
+//! skeleton (`accept.rs`) like the other two listeners: a thread per
+//! connection, reaped at the next accept once finished. Unlike the
+//! front-end it is unbounded; bounding it against hostile peers is
+//! ROADMAP item 4.
 
+use crate::accept::{Acceptor, Service};
 use crate::remote::TcpRemoteService;
-use crate::server::POLL_INTERVAL;
-use parking_lot::Mutex;
 use rcc_mtcache::MTCache;
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Upper bound on an admin request head (request line + headers). Anything
@@ -42,66 +46,35 @@ const TRACES_SHOWN: usize = 16;
 /// The admin HTTP server for one [`MTCache`].
 #[derive(Debug)]
 pub struct AdminServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    acceptor: Acceptor,
     stop_requested: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl AdminServer {
     /// Bind `bind` (e.g. `"127.0.0.1:0"`) and serve the cache's telemetry
-    /// from a background accept thread, one short-lived thread per
-    /// request. Pass the cache's remote transport (when it has one) so
-    /// `/healthz` can report back-end pool occupancy.
+    /// from a background accept thread, one thread per request (each
+    /// request is its own connection). Pass the cache's remote transport
+    /// (when it has one) so `/healthz` can report back-end pool occupancy.
     pub fn spawn(
         cache: Arc<MTCache>,
         remote: Option<Arc<TcpRemoteService>>,
         bind: &str,
     ) -> io::Result<AdminServer> {
-        let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let stop_requested = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let stop_requested = Arc::clone(&stop_requested);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("rcc-admin-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        let cache = Arc::clone(&cache);
-                        let remote = remote.clone();
-                        let stop_requested = Arc::clone(&stop_requested);
-                        if let Ok(handle) = std::thread::Builder::new()
-                            .name("rcc-admin-conn".into())
-                            .spawn(move || {
-                                handle_request(&cache, remote.as_deref(), &stop_requested, stream)
-                            })
-                        {
-                            conns.lock().push(handle);
-                        }
-                    }
-                })?
-        };
+        let admin = Arc::new(Admin {
+            cache,
+            remote,
+            stop_requested: Arc::clone(&stop_requested),
+        });
         Ok(AdminServer {
-            addr,
-            shutdown,
+            acceptor: Acceptor::spawn(bind, "rcc-admin", None, admin)?,
             stop_requested,
-            accept: Some(accept),
-            conns,
         })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Whether a client has asked the hosting process to stop
@@ -114,77 +87,63 @@ impl AdminServer {
 
     /// Stop accepting and join every in-flight request thread.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() {
+        self.acceptor.shutdown();
+    }
+}
+
+/// What the admin endpoint serves a connection with.
+struct Admin {
+    cache: Arc<MTCache>,
+    remote: Option<Arc<TcpRemoteService>>,
+    stop_requested: Arc<AtomicBool>,
+}
+
+impl Service for Admin {
+    fn serve(&self, mut stream: TcpStream, _stop: &AtomicBool) {
+        let (cache, remote) = (&*self.cache, self.remote.as_deref());
+        let Some((method, path)) = read_request_path(&mut stream) else {
+            let _ = write_response(&mut stream, 400, "text/plain", "bad request\n");
             return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        // unblock the accept loop with a throwaway connection
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        for handle in self.conns.lock().drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for AdminServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn handle_request(
-    cache: &MTCache,
-    remote: Option<&TcpRemoteService>,
-    stop_requested: &AtomicBool,
-    mut stream: TcpStream,
-) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let Some((method, path)) = read_request_path(&mut stream) else {
-        let _ = write_response(&mut stream, 400, "text/plain", "bad request\n");
-        return;
-    };
-    let label = match path.as_str() {
-        "/metrics" | "/traces" | "/events" | "/healthz" | "/shutdown" => path.as_str(),
-        _ => "other",
-    };
-    cache
-        .metrics()
-        .counter("rcc_admin_requests_total", &[("path", label)])
-        .inc();
-    let result = match (method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => write_response(
-            &mut stream,
-            200,
-            "text/plain; version=0.0.4",
-            &cache.metrics().render_prometheus(),
-        ),
-        ("GET", "/traces") => write_response(&mut stream, 200, "text/plain", &render_traces(cache)),
-        ("GET", "/events") => {
-            write_response(&mut stream, 200, "application/json", &render_events(cache))
-        }
-        ("GET", "/healthz") => write_response(
-            &mut stream,
-            200,
-            "application/json",
-            &render_health(cache, remote),
-        ),
-        ("POST", "/shutdown") => {
-            stop_requested.store(true, Ordering::SeqCst);
-            write_response(
+        };
+        let label = match path.as_str() {
+            "/metrics" | "/traces" | "/events" | "/healthz" | "/shutdown" => path.as_str(),
+            _ => "other",
+        };
+        cache
+            .metrics()
+            .counter("rcc_admin_requests_total", &[("path", label)])
+            .inc();
+        let _ = match (method.as_str(), path.as_str()) {
+            ("GET", "/metrics") => write_response(
+                &mut stream,
+                200,
+                "text/plain; version=0.0.4",
+                &cache.metrics().render_prometheus(),
+            ),
+            ("GET", "/traces") => {
+                write_response(&mut stream, 200, "text/plain", &render_traces(cache))
+            }
+            ("GET", "/events") => {
+                write_response(&mut stream, 200, "application/json", &render_events(cache))
+            }
+            ("GET", "/healthz") => write_response(
                 &mut stream,
                 200,
                 "application/json",
-                "{\"shutting_down\":true}\n",
-            )
-        }
-        _ => write_response(&mut stream, 404, "text/plain", "not found\n"),
-    };
-    let _ = result;
+                &render_health(cache, remote),
+            ),
+            ("POST", "/shutdown") => {
+                self.stop_requested.store(true, Ordering::SeqCst);
+                write_response(
+                    &mut stream,
+                    200,
+                    "application/json",
+                    "{\"shutting_down\":true}\n",
+                )
+            }
+            _ => write_response(&mut stream, 404, "text/plain", "not found\n"),
+        };
+    }
 }
 
 /// Read the request head (bounded, with a deadline) and return the method

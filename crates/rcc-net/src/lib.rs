@@ -22,6 +22,7 @@
 //! Everything reports into `rcc-obs`: connection gauges, request/latency
 //! histograms, retry/timeout counters, and pool occupancy.
 
+mod accept;
 pub mod admin;
 pub mod backend_net;
 pub mod client;

@@ -1,30 +1,29 @@
 //! The cache front-end: an [`MTCache`] behind a TCP socket.
 //!
-//! Thread-per-connection with a bounded accept pool: at most
+//! Like the back-end and admin listeners it runs on the crate's one
+//! connection skeleton (`accept.rs`): a thread per connection, reaped at
+//! the next accept once finished. It is the only bounded one: at most
 //! [`NetServerConfig::max_connections`] sessions are live at once; excess
 //! connections receive an [`Error::Unavailable`] frame and are closed
 //! immediately (clients see "server busy" instead of an unbounded queue).
+//! Bounding the other two against hostile peers is ROADMAP item 4.
 //! Each connection owns one [`rcc_mtcache::Session`], so currency options
 //! (violation policy, TIMEORDERED brackets) are isolated per client.
 //! Shutdown is graceful: in-flight statements finish, idle connections
 //! notice the stop flag within one poll interval, and every thread is
 //! joined before [`NetServer::shutdown`] returns.
 
+use crate::accept::{serve_frames, Acceptor, Service};
 use crate::frame::{put_result_head, write_frame, FramedStream, Request, Response};
-use parking_lot::Mutex;
 use rcc_common::Error;
 use rcc_executor::wire;
 use rcc_mtcache::{MTCache, QueryResult, ViolationPolicy};
-use rcc_obs::{Counter, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
+use rcc_obs::{Counter, Gauge, Histogram, MetricsRegistry, DEFAULT_LATENCY_BUCKETS};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often blocked reads wake up to check the shutdown flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Tuning for [`NetServer`].
 #[derive(Debug, Clone)]
@@ -49,10 +48,7 @@ impl Default for NetServerConfig {
 /// The TCP front-end server for one [`MTCache`].
 #[derive(Debug)]
 pub struct NetServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
 }
 
 impl NetServer {
@@ -60,113 +56,68 @@ impl NetServer {
     /// background accept thread. Front-end metrics are published to the
     /// cache's own [`MetricsRegistry`].
     pub fn spawn(cache: Arc<MTCache>, bind: &str, cfg: NetServerConfig) -> io::Result<NetServer> {
-        let registry = Arc::clone(cache.metrics());
-        describe_metrics(&registry);
-        let request_metrics = Arc::new(RequestMetrics::new(Arc::clone(&registry)));
-        let listener = TcpListener::bind(bind)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let active = Arc::new(AtomicUsize::new(0));
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("rcc-net-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(mut stream) = stream else { continue };
-                        registry.counter("rcc_net_connections_total", &[]).inc();
-                        if active.load(Ordering::SeqCst) >= cfg.max_connections {
-                            // bounded accept pool: refuse, don't queue
-                            registry
-                                .counter("rcc_net_connections_rejected_total", &[])
-                                .inc();
-                            let busy = Response::Error(Error::Unavailable(format!(
-                                "server busy: {} connections already open",
-                                cfg.max_connections
-                            )));
-                            let _ = write_frame(&mut stream, &busy.encode());
-                            continue;
-                        }
-                        let slot = ActiveSlot::take(&active, &registry);
-                        let cache = Arc::clone(&cache);
-                        let shutdown = Arc::clone(&shutdown);
-                        let metrics = Arc::clone(&request_metrics);
-                        let frame_timeout = cfg.frame_timeout;
-                        if let Ok(handle) = std::thread::Builder::new()
-                            .name("rcc-net-conn".into())
-                            .spawn(move || {
-                                handle_conn(&cache, stream, &shutdown, &metrics, frame_timeout);
-                                drop(slot);
-                            })
-                        {
-                            conns.lock().push(handle);
-                        }
-                    }
-                })?
-        };
+        describe_metrics(cache.metrics());
+        let limit = Some(cfg.max_connections);
+        let front = Arc::new(FrontEnd {
+            metrics: RequestMetrics::new(Arc::clone(cache.metrics())),
+            cache,
+            cfg,
+        });
         Ok(NetServer {
-            addr,
-            shutdown,
-            accept: Some(accept),
-            conns,
+            acceptor: Acceptor::spawn(bind, "rcc-net", limit, front)?,
         })
     }
 
     /// The bound address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Graceful shutdown: stop accepting, let in-flight statements finish,
     /// join every thread.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() {
-            return;
-        }
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-        for handle in self.conns.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.acceptor.shutdown();
     }
 }
 
-impl Drop for NetServer {
+/// What the front-end serves a connection with.
+struct FrontEnd {
+    cache: Arc<MTCache>,
+    metrics: RequestMetrics,
+    cfg: NetServerConfig,
+}
+
+impl Service for FrontEnd {
+    fn serve(&self, stream: TcpStream, stop: &AtomicBool) {
+        let registry = &self.metrics.registry;
+        registry.counter("rcc_net_connections_total", &[]).inc();
+        let open = registry.gauge("rcc_net_connections_open", &[]);
+        open.inc();
+        let _open = OpenConnection(open);
+        serve(self, FramedStream::new(stream), stop);
+    }
+
+    fn refuse(&self, mut stream: TcpStream) {
+        let registry = &self.metrics.registry;
+        registry.counter("rcc_net_connections_total", &[]).inc();
+        registry
+            .counter("rcc_net_connections_rejected_total", &[])
+            .inc();
+        let busy = Response::Error(Error::Unavailable(format!(
+            "server busy: {} connections already open",
+            self.cfg.max_connections
+        )));
+        let _ = write_frame(&mut stream, &busy.encode());
+    }
+}
+
+/// Lowers the `rcc_net_connections_open` gauge when serving a connection
+/// ends, by a panic too.
+struct OpenConnection(Gauge);
+
+impl Drop for OpenConnection {
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// RAII guard for one slot of the bounded accept pool, mirrored into the
-/// `rcc_net_connections_open` gauge.
-struct ActiveSlot {
-    active: Arc<AtomicUsize>,
-    registry: Arc<MetricsRegistry>,
-}
-
-impl ActiveSlot {
-    fn take(active: &Arc<AtomicUsize>, registry: &Arc<MetricsRegistry>) -> ActiveSlot {
-        active.fetch_add(1, Ordering::SeqCst);
-        registry.gauge("rcc_net_connections_open", &[]).inc();
-        ActiveSlot {
-            active: Arc::clone(active),
-            registry: Arc::clone(registry),
-        }
-    }
-}
-
-impl Drop for ActiveSlot {
-    fn drop(&mut self) {
-        self.active.fetch_sub(1, Ordering::SeqCst);
-        self.registry.gauge("rcc_net_connections_open", &[]).dec();
+        self.0.dec();
     }
 }
 
@@ -242,42 +193,16 @@ impl RequestMetrics {
     }
 }
 
-fn handle_conn(
-    cache: &MTCache,
-    stream: TcpStream,
-    shutdown: &AtomicBool,
-    metrics: &RequestMetrics,
-    frame_timeout: Duration,
-) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    serve(
-        cache,
-        FramedStream::new(stream),
-        shutdown,
-        metrics,
-        frame_timeout,
-    );
-}
-
 /// Serve one connection until the peer leaves, the transport fails or the
 /// server shuts down: every response is assembled in the connection's
 /// frame buffer and leaves with one write.
-fn serve<S: Read + Write>(
-    cache: &MTCache,
-    mut conn: FramedStream<S>,
-    shutdown: &AtomicBool,
-    metrics: &RequestMetrics,
-    frame_timeout: Duration,
-) {
+fn serve<S: Read + Write>(front: &FrontEnd, conn: FramedStream<S>, shutdown: &AtomicBool) {
+    let (cache, metrics) = (&front.cache, &front.metrics);
     // per-connection session: currency options and timeline floors are
     // isolated from every other client
     let mut session = cache.session();
-    let stop = || shutdown.load(Ordering::SeqCst);
-    while let Ok(Some(payload)) = conn.read_frame_interruptible(&stop, frame_timeout) {
+    let answer = |payload, out: &mut Vec<u8>| {
         let started = Instant::now();
-        let out = conn.begin_frame();
         let outcome = match Request::decode(payload) {
             Ok(Request::Query { sql }) => {
                 metrics.count(&metrics.query, "query");
@@ -310,12 +235,11 @@ fn serve<S: Read + Write>(
                 .inc();
             Response::Error(e).encode_into(out);
         }
-        let sent = conn.send_frame();
-        metrics.observe_seconds(started);
-        if sent.is_err() {
-            break;
-        }
-    }
+        started
+    };
+    // "read frame to response written": the clock stops after the write
+    let sent = |started| metrics.observe_seconds(started);
+    serve_frames(conn, shutdown, front.cfg.frame_timeout, answer, sent);
 }
 
 /// Append a query's answer to the frame under assembly: its cells go from
@@ -389,8 +313,15 @@ mod tests {
 
     #[test]
     fn request_seconds_covers_the_response_write() {
-        let cache = MTCache::new();
-        let metrics = RequestMetrics::new(Arc::clone(cache.metrics()));
+        let cache = Arc::new(MTCache::new());
+        let front = FrontEnd {
+            metrics: RequestMetrics::new(Arc::clone(cache.metrics())),
+            cache: Arc::clone(&cache),
+            cfg: NetServerConfig {
+                frame_timeout: Duration::from_secs(1),
+                ..NetServerConfig::default()
+            },
+        };
         let write_delay = Duration::from_millis(20);
         let mut requests = Vec::new();
         write_frame(&mut requests, &Request::Ping.encode()).unwrap();
@@ -401,11 +332,9 @@ mod tests {
             responses: Vec::new(),
         };
         serve(
-            &cache,
+            &front,
             FramedStream::new(&mut peer),
             &AtomicBool::new(false),
-            &metrics,
-            Duration::from_secs(1),
         );
         let mut responses = io::Cursor::new(peer.responses);
         let mut next = || crate::frame::read_frame(&mut responses).unwrap();

@@ -44,7 +44,7 @@ pub const METRICS: &[(&str, &str)] = &[
     ("rcc_events_total", "Journal events recorded per kind"),
     (
         "rcc_flow_guards_elided_total",
-        "Currency guards removed at compile time by certified elision",
+        "Currency guard evaluations skipped at run time under certified elision",
     ),
     (
         "rcc_flow_interval_violations_total",
