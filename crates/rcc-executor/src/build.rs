@@ -524,7 +524,6 @@ mod mirror {
 
     impl Node {
         pub(super) fn mirror(&self, reference: &PhysicalPlan, slots: &[Value]) {
-            let children = reference.children();
             match (self, reference) {
                 (Node::LocalScan { scan: s, access }, PhysicalPlan::LocalScan(n)) => {
                     // the reference's range holds its values already
@@ -644,10 +643,10 @@ mod mirror {
             let inputs = self.inputs();
             assert_eq!(
                 inputs.len(),
-                children.len(),
+                reference.children().count(),
                 "an executable of another plan"
             );
-            for (input, child) in inputs.into_iter().zip(children) {
+            for (input, child) in inputs.into_iter().zip(reference.children()) {
                 input.mirror(child, slots);
             }
         }

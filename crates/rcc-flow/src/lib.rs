@@ -791,7 +791,7 @@ fn reach(
     if let Some(cert) = certs.get(&my).filter(|c| c.decision != Decision::Keep) {
         elided.push((*cert).clone());
     }
-    for (arm, child) in plan.children().into_iter().enumerate() {
+    for (arm, child) in plan.children().enumerate() {
         // a decided SwitchUnion opens one arm: the local (first) one or
         // the remote one
         let dropped = match (plan, decision) {

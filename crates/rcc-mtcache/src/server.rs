@@ -2304,11 +2304,7 @@ fn verify_rows(report: &VerifyReport) -> QueryResult {
 fn flow_rows(flow: &rcc_flow::FlowAnalysis, plan: &PhysicalPlan) -> QueryResult {
     let schema = text_schema(&["operator", "interval", "verdict", "decision"]);
     let mut labels = Vec::with_capacity(flow.nodes.len());
-    let mut pending = vec![plan];
-    while let Some(node) = pending.pop() {
-        labels.push(node.node_label());
-        pending.extend(node.children().into_iter().rev());
-    }
+    plan.visit(&mut |node| labels.push(node.node_label()));
     let rows = (flow.nodes.iter().zip(labels))
         .map(|(n, label)| {
             let decision = match (n.decision, &n.verdict) {

@@ -99,9 +99,9 @@ struct Admin {
 }
 
 impl Service for Admin {
-    fn serve(&self, mut stream: TcpStream, _stop: &AtomicBool) {
+    fn serve(&self, mut stream: TcpStream, stop: &AtomicBool) {
         let (cache, remote) = (&*self.cache, self.remote.as_deref());
-        let Some((method, path)) = read_request_path(&mut stream) else {
+        let Some((method, path)) = read_request_path(&mut stream, stop) else {
             let _ = write_response(&mut stream, 400, "text/plain", "bad request\n");
             return;
         };
@@ -147,15 +147,18 @@ impl Service for Admin {
 }
 
 /// Read the request head (bounded, with a deadline) and return the method
-/// and path from the request line, or `None` if the request is malformed.
-/// Only `GET` and `POST` are admitted; routing decides which combinations
-/// exist.
-fn read_request_path(stream: &mut TcpStream) -> Option<(String, String)> {
+/// and path from the request line, or `None` if the request is malformed
+/// or the server stops (`stop`) before it is complete. Only `GET` and
+/// `POST` are admitted; routing decides which combinations exist.
+fn read_request_path(stream: &mut TcpStream, stop: &AtomicBool) -> Option<(String, String)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let started = std::time::Instant::now();
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && !buf.windows(2).any(|w| w == b"\n\n") {
-        if buf.len() > MAX_REQUEST_BYTES || started.elapsed() > REQUEST_TIMEOUT {
+        if buf.len() > MAX_REQUEST_BYTES
+            || started.elapsed() > REQUEST_TIMEOUT
+            || stop.load(Ordering::SeqCst)
+        {
             return None;
         }
         match stream.read(&mut chunk) {
@@ -357,6 +360,21 @@ mod tests {
         }
         reader.read_to_string(&mut body).unwrap();
         (status, body)
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_hold_shutdown() {
+        let mut admin = AdminServer::spawn(Arc::new(MTCache::new()), None, "127.0.0.1:0").unwrap();
+        let _silent = TcpStream::connect(admin.addr()).unwrap();
+        // let the connection's thread start reading
+        std::thread::sleep(Duration::from_millis(200));
+        let started = std::time::Instant::now();
+        admin.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "shutdown waited {took:?} for a client that sends nothing (request timeout {REQUEST_TIMEOUT:?})"
+        );
     }
 
     #[test]

@@ -1456,23 +1456,11 @@ fn classify(plan: &PhysicalPlan, role: Role) -> PlanChoice {
 }
 
 /// Remote leaves that are NOT the fallback branch of a SwitchUnion.
-#[allow(dead_code)]
 fn count_remote_leaves(plan: &PhysicalPlan) -> usize {
     match plan {
-        PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) => 0,
         PhysicalPlan::RemoteQuery(_) => 1,
         PhysicalPlan::SwitchUnion { local, .. } => count_remote_leaves(local),
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. }
-        | PhysicalPlan::Distinct { input } => count_remote_leaves(input),
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::MergeJoin { left, right, .. } => {
-            count_remote_leaves(left) + count_remote_leaves(right)
-        }
-        PhysicalPlan::IndexNLJoin { outer, .. } => count_remote_leaves(outer),
+        _ => plan.children().map(count_remote_leaves).sum(),
     }
 }
 

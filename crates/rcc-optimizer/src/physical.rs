@@ -262,28 +262,6 @@ pub enum AccessPath {
     },
 }
 
-impl AccessPath {
-    /// The path an execution with value vector `slots` takes.
-    pub fn with_slots(&self, slots: &[Value]) -> AccessPath {
-        match self {
-            AccessPath::FullScan => AccessPath::FullScan,
-            AccessPath::ClusteredRange { column, range } => AccessPath::ClusteredRange {
-                column: column.clone(),
-                range: range.with_slots(slots),
-            },
-            AccessPath::IndexRange {
-                index,
-                column,
-                range,
-            } => AccessPath::IndexRange {
-                index: index.clone(),
-                column: column.clone(),
-                range: range.with_slots(slots),
-            },
-        }
-    }
-}
-
 /// The runtime currency check attached to a guarded local access.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurrencyGuard {
@@ -351,24 +329,6 @@ pub struct InnerAccess {
     /// Force the remote (fetch + hash probe) mode unconditionally — used
     /// only by guard-stripped baseline plans in the overhead experiments.
     pub force_remote: bool,
-}
-
-impl InnerAccess {
-    /// The access an execution with value vector `slots` makes.
-    pub fn with_slots(&self, slots: &[Value]) -> InnerAccess {
-        InnerAccess {
-            object: self.object.clone(),
-            schema: self.schema.clone(),
-            seek_col: self.seek_col.clone(),
-            use_index: self.use_index.clone(),
-            residual: self.residual.as_ref().map(|r| r.with_slots(slots)),
-            guard: self.guard.clone(),
-            remote_sql: self.remote_sql.as_ref().map(|s| s.with_slots(slots)),
-            operand: self.operand,
-            est_rows_per_probe: self.est_rows_per_probe,
-            force_remote: self.force_remote,
-        }
-    }
 }
 
 /// A physical query plan.
@@ -476,55 +436,31 @@ pub enum PhysicalPlan {
     },
 }
 
-impl PhysicalPlan {
-    /// Output schema, computed recursively.
-    pub fn schema(&self) -> Schema {
-        use rcc_common::{Column, DataType};
-        match self {
-            PhysicalPlan::OneRow => Schema::empty(),
-            PhysicalPlan::LocalScan(n) => n.schema.clone(),
-            PhysicalPlan::RemoteQuery(n) => n.schema.clone(),
-            PhysicalPlan::SwitchUnion { local, .. } => local.schema(),
+/// Which fields of a node are its children, and in what order: the body of
+/// [`PhysicalPlan::children`] (`$child` = `&PhysicalPlan`) and
+/// [`PhysicalPlan::children_mut`] (`&mut PhysicalPlan`).
+macro_rules! children {
+    ($plan:expr, $child:ty) => {{
+        let (first, second): (Option<$child>, Option<$child>) = match $plan {
+            PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) | PhysicalPlan::RemoteQuery(_) => {
+                (None, None)
+            }
+            PhysicalPlan::SwitchUnion { local, remote, .. } => (Some(local), Some(remote)),
             PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => input.schema(),
-            PhysicalPlan::Project { exprs, .. } => Schema::new(
-                exprs
-                    .iter()
-                    .map(|(_, name)| Column::new(name.clone(), DataType::Int))
-                    .collect(),
-            ),
-            PhysicalPlan::HashJoin {
-                left, right, kind, ..
-            }
-            | PhysicalPlan::MergeJoin {
-                left, right, kind, ..
-            } => match kind {
-                JoinKind::Inner => left.schema().join(&right.schema()),
-                JoinKind::Semi | JoinKind::Anti | JoinKind::NullAwareAnti => left.schema(),
-            },
-            PhysicalPlan::IndexNLJoin {
-                outer, inner, kind, ..
-            } => match kind {
-                JoinKind::Inner => outer.schema().join(&inner.schema),
-                JoinKind::Semi | JoinKind::Anti | JoinKind::NullAwareAnti => outer.schema(),
-            },
-            PhysicalPlan::HashAggregate { group_by, aggs, .. } => {
-                let mut cols = Vec::new();
-                for (_, name) in group_by {
-                    cols.push(Column::new(name.clone(), DataType::Int).with_qualifier("#agg"));
-                }
-                for a in aggs {
-                    cols.push(
-                        Column::new(a.output_name.clone(), DataType::Float).with_qualifier("#agg"),
-                    );
-                }
-                Schema::new(cols)
-            }
-        }
-    }
+            | PhysicalPlan::Distinct { input }
+            | PhysicalPlan::IndexNLJoin { outer: input, .. } => (Some(input), None),
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::MergeJoin { left, right, .. } => (Some(left), Some(right)),
+        };
+        first.into_iter().chain(second)
+    }};
+}
 
+impl PhysicalPlan {
     /// Delivered consistency property (paper Sec. 3.2.2), bottom-up.
     pub fn delivered(&self) -> DeliveredProperty {
         match self {
@@ -577,112 +513,69 @@ impl PhysicalPlan {
     /// All operands contributing rows to this plan.
     pub fn operand_set(&self) -> BTreeSet<OperandId> {
         match self {
-            PhysicalPlan::OneRow => BTreeSet::new(),
-            PhysicalPlan::LocalScan(n) => [n.operand].into_iter().collect(),
+            PhysicalPlan::LocalScan(n) => BTreeSet::from([n.operand]),
             PhysicalPlan::RemoteQuery(n) => n.operands.clone(),
+            // both branches implement the same operands: the local one says
+            // which
             PhysicalPlan::SwitchUnion { local, .. } => local.operand_set(),
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => input.operand_set(),
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                let mut s = left.operand_set();
-                s.extend(right.operand_set());
-                s
-            }
             PhysicalPlan::IndexNLJoin { outer, inner, .. } => {
                 let mut s = outer.operand_set();
                 s.insert(inner.operand);
                 s
             }
+            _ => self
+                .children()
+                .flat_map(PhysicalPlan::operand_set)
+                .collect(),
         }
     }
 
-    /// The node's direct children, in the canonical traversal order
-    /// (SwitchUnion: local then remote; joins: left/outer then right).
-    /// An index-join's inner access is part of the join node, not a child.
-    /// Walking `[self] ++ children (recursively)` yields the pre-order the
-    /// flow analysis and its verifier pair certificates by.
-    pub fn children(&self) -> Vec<&PhysicalPlan> {
-        match self {
-            PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) | PhysicalPlan::RemoteQuery(_) => {
-                Vec::new()
-            }
-            PhysicalPlan::SwitchUnion { local, remote, .. } => vec![local, remote],
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => vec![input],
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => vec![left, right],
-            PhysicalPlan::IndexNLJoin { outer, .. } => vec![outer],
+    /// The node's direct children: SwitchUnion local then remote, joins
+    /// left/outer then right. An index-join's inner access is part of the
+    /// join node, not a child. With [`PhysicalPlan::children_mut`] (one
+    /// definition, `children!`) this is a plan's structure: walking
+    /// `[self] ++ children (recursively)` yields the pre-order every
+    /// plan-node number is counted in — the flow analysis' certificates and
+    /// its verifier, `Executable::prepare`'s guard decisions, EXPLAIN and
+    /// EXPLAIN ANALYZE. A walk that only carries children goes through
+    /// them; one whose arms say what a node *means* matches every variant,
+    /// so a new variant fails to compile there.
+    pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        children!(self, &PhysicalPlan)
+    }
+
+    /// The node's direct children, mutable, in [`PhysicalPlan::children`]
+    /// order.
+    pub fn children_mut(&mut self) -> impl Iterator<Item = &mut PhysicalPlan> {
+        children!(self, &mut PhysicalPlan)
+    }
+
+    /// Visit every node in pre-order ([`PhysicalPlan::children`]).
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a PhysicalPlan)) {
+        f(self);
+        for child in self.children() {
+            child.visit(f);
         }
     }
 
     /// Number of plan nodes (an index-join's inner access counts with its
     /// join node).
     pub fn node_count(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.node_count())
-            .sum::<usize>()
+        1 + self.children().map(PhysicalPlan::node_count).sum::<usize>()
     }
 
-    /// Number of currency guards in the plan.
+    /// Number of currency guards in the plan: one per SwitchUnion and per
+    /// guarded index-join inner.
     pub fn guard_count(&self) -> usize {
-        match self {
-            PhysicalPlan::OneRow => 0,
-            PhysicalPlan::LocalScan(_) => 0,
-            PhysicalPlan::RemoteQuery(_) => 0,
-            PhysicalPlan::SwitchUnion { local, remote, .. } => {
-                1 + local.guard_count() + remote.guard_count()
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => input.guard_count(),
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                left.guard_count() + right.guard_count()
-            }
-            PhysicalPlan::IndexNLJoin { outer, inner, .. } => {
-                outer.guard_count() + usize::from(inner.guard.is_some())
-            }
-        }
-    }
-
-    /// Does any part of the plan reference the back-end (remote branches
-    /// included)?
-    pub fn touches_remote(&self) -> bool {
-        match self {
-            PhysicalPlan::OneRow => false,
-            PhysicalPlan::LocalScan(_) => false,
-            PhysicalPlan::RemoteQuery(_) => true,
-            PhysicalPlan::SwitchUnion { local, remote, .. } => {
-                local.touches_remote() || remote.touches_remote()
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => input.touches_remote(),
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                left.touches_remote() || right.touches_remote()
-            }
-            PhysicalPlan::IndexNLJoin { outer, inner, .. } => {
-                outer.touches_remote() || inner.remote_sql.is_some()
-            }
-        }
+        let mut guards = 0;
+        self.visit(&mut |node| {
+            guards += usize::from(match node {
+                PhysicalPlan::SwitchUnion { .. } => true,
+                PhysicalPlan::IndexNLJoin { inner, .. } => inner.guard.is_some(),
+                _ => false,
+            })
+        });
+        guards
     }
 
     /// Strip every currency guard, keeping the chosen branch — used by the
@@ -691,92 +584,28 @@ impl PhysicalPlan {
     /// keeps local branches (the local baseline); otherwise remote
     /// branches are kept.
     pub fn strip_guards(&self, use_local: bool) -> PhysicalPlan {
+        let mut plan = self.clone();
+        plan.strip_guards_in_place(use_local);
+        plan
+    }
+
+    fn strip_guards_in_place(&mut self, use_local: bool) {
         match self {
             PhysicalPlan::SwitchUnion { local, remote, .. } => {
-                if use_local {
-                    local.strip_guards(use_local)
-                } else {
-                    remote.strip_guards(use_local)
-                }
+                let kept = if use_local { local } else { remote };
+                *self = std::mem::replace(&mut **kept, PhysicalPlan::OneRow);
+                return self.strip_guards_in_place(use_local);
             }
-            PhysicalPlan::OneRow => PhysicalPlan::OneRow,
-            PhysicalPlan::LocalScan(n) => PhysicalPlan::LocalScan(n.clone()),
-            PhysicalPlan::RemoteQuery(n) => PhysicalPlan::RemoteQuery(n.clone()),
-            PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-                input: Box::new(input.strip_guards(use_local)),
-                predicate: predicate.clone(),
-            },
-            PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
-                input: Box::new(input.strip_guards(use_local)),
-                exprs: exprs.clone(),
-            },
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                kind,
-            } => PhysicalPlan::HashJoin {
-                left: Box::new(left.strip_guards(use_local)),
-                right: Box::new(right.strip_guards(use_local)),
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                kind: *kind,
-            },
-            PhysicalPlan::MergeJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-                kind,
-            } => PhysicalPlan::MergeJoin {
-                left: Box::new(left.strip_guards(use_local)),
-                right: Box::new(right.strip_guards(use_local)),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
-                kind: *kind,
-            },
-            PhysicalPlan::IndexNLJoin {
-                outer,
-                outer_key,
-                inner,
-                kind,
-            } => {
-                let mut inner = inner.clone();
-                let had_guard = inner.guard.is_some();
+            PhysicalPlan::IndexNLJoin { inner, .. } => {
+                // the remote baseline always fetches and probes hashed
+                inner.force_remote |=
+                    !use_local && inner.guard.is_some() && inner.remote_sql.is_some();
                 inner.guard = None;
-                if !use_local && had_guard && inner.remote_sql.is_some() {
-                    inner.force_remote = true;
-                }
-                PhysicalPlan::IndexNLJoin {
-                    outer: Box::new(outer.strip_guards(use_local)),
-                    outer_key: outer_key.clone(),
-                    inner,
-                    kind: *kind,
-                }
             }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_by,
-                aggs,
-                having,
-            } => PhysicalPlan::HashAggregate {
-                input: Box::new(input.strip_guards(use_local)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-                having: having.clone(),
-            },
-            PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-                input: Box::new(input.strip_guards(use_local)),
-                keys: keys.clone(),
-            },
-            PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-                input: Box::new(input.strip_guards(use_local)),
-                n: *n,
-            },
-            PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct {
-                input: Box::new(input.strip_guards(use_local)),
-            },
+            _ => {}
+        }
+        for child in self.children_mut() {
+            child.strip_guards_in_place(use_local);
         }
     }
 
@@ -788,106 +617,67 @@ impl PhysicalPlan {
     /// where it reads them, and debug builds hold every such binding to
     /// this copy.
     pub fn with_slots(&self, slots: &[Value]) -> PhysicalPlan {
-        let sub = |p: &PhysicalPlan| Box::new(p.with_slots(slots));
-        let named = |exprs: &[(BoundExpr, String)]| -> Vec<(BoundExpr, String)> {
-            exprs
-                .iter()
-                .map(|(e, n)| (e.with_slots(slots), n.clone()))
-                .collect()
-        };
-        let all = |exprs: &[BoundExpr]| -> Vec<BoundExpr> {
-            exprs.iter().map(|e| e.with_slots(slots)).collect()
-        };
+        let mut plan = self.clone();
+        plan.bind_slots(slots);
+        plan
+    }
+
+    /// [`PhysicalPlan::with_slots`] in place. Every variant is named: one
+    /// that holds an expression, a range or SQL must say how it binds.
+    fn bind_slots(&mut self, slots: &[Value]) {
+        let bind = |e: &mut BoundExpr| *e = e.with_slots(slots);
         match self {
-            PhysicalPlan::OneRow => PhysicalPlan::OneRow,
-            PhysicalPlan::LocalScan(n) => PhysicalPlan::LocalScan(LocalScanNode {
-                object: n.object.clone(),
-                schema: n.schema.clone(),
-                access: n.access.with_slots(slots),
-                residual: n.residual.as_ref().map(|r| r.with_slots(slots)),
-                operand: n.operand,
-                est_rows: n.est_rows,
-            }),
-            PhysicalPlan::RemoteQuery(n) => PhysicalPlan::RemoteQuery(RemoteQueryNode {
-                sql: n.sql.with_slots(slots),
-                schema: n.schema.clone(),
-                operands: n.operands.clone(),
-                est_rows: n.est_rows,
-            }),
-            PhysicalPlan::SwitchUnion {
-                guard,
-                local,
-                remote,
-            } => PhysicalPlan::SwitchUnion {
-                guard: guard.clone(),
-                local: sub(local),
-                remote: sub(remote),
-            },
-            PhysicalPlan::Filter { input, predicate } => PhysicalPlan::Filter {
-                input: sub(input),
-                predicate: predicate.with_slots(slots),
-            },
-            PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
-                input: sub(input),
-                exprs: named(exprs),
-            },
+            PhysicalPlan::LocalScan(n) => {
+                match &mut n.access {
+                    AccessPath::FullScan => {}
+                    AccessPath::ClusteredRange { range, .. }
+                    | AccessPath::IndexRange { range, .. } => *range = range.with_slots(slots),
+                }
+                n.residual.iter_mut().for_each(bind);
+            }
+            PhysicalPlan::RemoteQuery(n) => n.sql = n.sql.with_slots(slots),
+            PhysicalPlan::Filter { predicate, .. } => bind(predicate),
+            PhysicalPlan::Project { exprs, .. } => exprs.iter_mut().for_each(|(e, _)| bind(e)),
             PhysicalPlan::HashJoin {
-                left,
-                right,
                 left_keys,
                 right_keys,
-                kind,
-            } => PhysicalPlan::HashJoin {
-                left: sub(left),
-                right: sub(right),
-                left_keys: all(left_keys),
-                right_keys: all(right_keys),
-                kind: *kind,
-            },
+                ..
+            } => left_keys.iter_mut().chain(right_keys).for_each(bind),
             PhysicalPlan::MergeJoin {
-                left,
-                right,
                 left_key,
                 right_key,
-                kind,
-            } => PhysicalPlan::MergeJoin {
-                left: sub(left),
-                right: sub(right),
-                left_key: left_key.with_slots(slots),
-                right_key: right_key.with_slots(slots),
-                kind: *kind,
-            },
+                ..
+            } => {
+                bind(left_key);
+                bind(right_key);
+            }
             PhysicalPlan::IndexNLJoin {
-                outer,
-                outer_key,
-                inner,
-                kind,
-            } => PhysicalPlan::IndexNLJoin {
-                outer: sub(outer),
-                outer_key: outer_key.with_slots(slots),
-                inner: inner.with_slots(slots),
-                kind: *kind,
-            },
+                outer_key, inner, ..
+            } => {
+                bind(outer_key);
+                inner.residual.iter_mut().for_each(bind);
+                if let Some(sql) = &mut inner.remote_sql {
+                    *sql = sql.with_slots(slots);
+                }
+            }
             PhysicalPlan::HashAggregate {
-                input,
                 group_by,
                 aggs,
                 having,
-            } => PhysicalPlan::HashAggregate {
-                input: sub(input),
-                group_by: named(group_by),
-                aggs: aggs.iter().map(|a| a.with_slots(slots)).collect(),
-                having: having.as_ref().map(|h| h.with_slots(slots)),
-            },
-            PhysicalPlan::Sort { input, keys } => PhysicalPlan::Sort {
-                input: sub(input),
-                keys: keys.clone(),
-            },
-            PhysicalPlan::Limit { input, n } => PhysicalPlan::Limit {
-                input: sub(input),
-                n: *n,
-            },
-            PhysicalPlan::Distinct { input } => PhysicalPlan::Distinct { input: sub(input) },
+                ..
+            } => {
+                group_by.iter_mut().for_each(|(e, _)| bind(e));
+                aggs.iter_mut().for_each(|a| *a = a.with_slots(slots));
+                having.iter_mut().for_each(bind);
+            }
+            PhysicalPlan::OneRow
+            | PhysicalPlan::SwitchUnion { .. }
+            | PhysicalPlan::Sort { .. }
+            | PhysicalPlan::Limit { .. }
+            | PhysicalPlan::Distinct { .. } => {}
+        }
+        for child in self.children_mut() {
+            child.bind_slots(slots);
         }
     }
 
@@ -1013,30 +803,9 @@ impl PhysicalPlan {
     }
 
     fn explain_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        let _ = writeln!(out, "{pad}{}", self.node_label());
-        match self {
-            PhysicalPlan::OneRow | PhysicalPlan::LocalScan(_) | PhysicalPlan::RemoteQuery(_) => {}
-            PhysicalPlan::SwitchUnion { local, remote, .. } => {
-                local.explain_into(out, depth + 1);
-                remote.explain_into(out, depth + 1);
-            }
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            PhysicalPlan::IndexNLJoin { outer, .. } => {
-                outer.explain_into(out, depth + 1);
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. }
-            | PhysicalPlan::Distinct { input } => {
-                input.explain_into(out, depth + 1);
-            }
+        let _ = writeln!(out, "{}{}", "  ".repeat(depth), self.node_label());
+        for child in self.children() {
+            child.explain_into(out, depth + 1);
         }
     }
 }
@@ -1155,9 +924,7 @@ mod tests {
             kind: JoinKind::Inner,
         };
         assert_eq!(plan.guard_count(), 2);
-        assert!(plan.touches_remote());
         assert_eq!(remote(&[0]).guard_count(), 0);
-        assert!(!scan(0).touches_remote());
     }
 
     #[test]
@@ -1180,37 +947,135 @@ mod tests {
     }
 
     #[test]
-    fn semi_join_schema_is_left_only() {
-        let plan = PhysicalPlan::HashJoin {
-            left: Box::new(scan(0)),
-            right: Box::new(scan(1)),
-            left_keys: vec![],
-            right_keys: vec![],
-            kind: JoinKind::Semi,
-        };
-        assert_eq!(plan.schema().len(), 1);
-        let inner_plan = PhysicalPlan::HashJoin {
-            left: Box::new(scan(0)),
-            right: Box::new(scan(1)),
-            left_keys: vec![],
-            right_keys: vec![],
-            kind: JoinKind::Inner,
-        };
-        assert_eq!(inner_plan.schema().len(), 2);
-    }
-
-    #[test]
     fn strip_guards_keeps_chosen_branch() {
         let plan = PhysicalPlan::Limit {
             input: Box::new(guarded(0, 1)),
             n: 5,
         };
-        let local = plan.strip_guards(true);
-        assert_eq!(local.guard_count(), 0);
-        assert!(!local.touches_remote());
-        let remote = plan.strip_guards(false);
-        assert_eq!(remote.guard_count(), 0);
-        assert!(remote.touches_remote());
+        let kept = |branch| PhysicalPlan::Limit {
+            input: Box::new(branch),
+            n: 5,
+        };
+        assert_eq!(plan.strip_guards(true), kept(scan(0)));
+        assert_eq!(plan.strip_guards(false), kept(remote(&[0])));
+    }
+
+    /// Every variant at least once, with a guarded SwitchUnion and an index
+    /// join whose inner is guarded and can fetch remotely.
+    fn every_variant() -> PhysicalPlan {
+        let id = |q: &str| BoundExpr::col(q, "id");
+        let boxed = Box::new;
+        let inner = InnerAccess {
+            object: "v2".into(),
+            schema: Schema::new(vec![Column::new("id", DataType::Int).with_qualifier("u")]),
+            seek_col: "id".into(),
+            use_index: None,
+            residual: None,
+            guard: Some(guard(2)),
+            remote_sql: Some("SELECT id FROM u".into()),
+            operand: 2,
+            est_rows_per_probe: 1.0,
+            force_remote: false,
+        };
+        let mut far = remote(&[3]);
+        if let PhysicalPlan::RemoteQuery(n) = &mut far {
+            n.sql = "SELECT 3 x".into();
+        }
+        let join = PhysicalPlan::HashJoin {
+            left: boxed(PhysicalPlan::MergeJoin {
+                left: boxed(PhysicalPlan::IndexNLJoin {
+                    outer: boxed(guarded(0, 1)),
+                    outer_key: id("t"),
+                    inner,
+                    kind: JoinKind::Inner,
+                }),
+                right: boxed(PhysicalPlan::OneRow),
+                left_key: id("t"),
+                right_key: id("t"),
+                kind: JoinKind::Inner,
+            }),
+            right: boxed(far),
+            left_keys: vec![id("t")],
+            right_keys: vec![id("x")],
+            kind: JoinKind::Inner,
+        };
+        let aggregate = PhysicalPlan::HashAggregate {
+            input: boxed(PhysicalPlan::Filter {
+                input: boxed(join),
+                predicate: id("t"),
+            }),
+            group_by: vec![(id("t"), "id".into())],
+            aggs: vec![],
+            having: None,
+        };
+        PhysicalPlan::Limit {
+            input: boxed(PhysicalPlan::Distinct {
+                input: boxed(PhysicalPlan::Sort {
+                    input: boxed(PhysicalPlan::Project {
+                        input: boxed(aggregate),
+                        exprs: vec![(id("#agg"), "id".into())],
+                    }),
+                    keys: vec![(0, true)],
+                }),
+            }),
+            n: 5,
+        }
+    }
+
+    #[test]
+    fn the_structural_walk_visits_every_node_once_in_pre_order() {
+        const PRE_ORDER: [&str; 14] = [
+            "Limit 5",
+            "Distinct",
+            "Sort [#0]",
+            "Project [id]",
+            "HashAggregate by [id]",
+            "Filter t.id",
+            "HashJoin[Inner]",
+            "MergeJoin[Inner]",
+            "IndexNLJoin[Inner] t.id -> v2.id [guard: heartbeat_cr2",
+            "SwitchUnion [guard: heartbeat_cr1",
+            "LocalScan v0",
+            "RemoteQuery (~100 rows): SELECT 1 x",
+            "OneRow",
+            "RemoteQuery (~100 rows): SELECT 3 x",
+        ];
+        fn by_children_mut(plan: &mut PhysicalPlan, out: &mut Vec<String>) {
+            out.push(plan.node_label());
+            for child in plan.children_mut() {
+                by_children_mut(child, out);
+            }
+        }
+        let mut plan = every_variant();
+        // `visit` is the pre-order walk over `children`
+        let (mut visited, mut walked_mut) = (vec![], vec![]);
+        plan.visit(&mut |node| visited.push(node.node_label()));
+        by_children_mut(&mut plan, &mut walked_mut);
+        for labels in [&visited, &walked_mut] {
+            assert_eq!(labels.len(), PRE_ORDER.len(), "{labels:#?}");
+            for (label, expected) in labels.iter().zip(PRE_ORDER) {
+                assert!(label.starts_with(expected), "{label} is not {expected}");
+            }
+        }
+        assert_eq!(plan.node_count(), PRE_ORDER.len());
+        assert_eq!(plan.guard_count(), 2);
+        assert_eq!(plan.operand_set(), [0, 2, 3].into_iter().collect());
+
+        // stripping drops the SwitchUnion and the branch not kept, and the
+        // index join's guard; the remote baseline fetches its inner
+        for (use_local, leaf) in [(true, PRE_ORDER[10]), (false, PRE_ORDER[11])] {
+            let stripped = plan.strip_guards(use_local);
+            assert_eq!(stripped.guard_count(), 0);
+            let mut labels = vec![];
+            stripped.visit(&mut |node| labels.push(node.node_label()));
+            assert_eq!(labels.len(), PRE_ORDER.len() - 2);
+            assert!(labels[9].starts_with(leaf), "{labels:#?}");
+            stripped.visit(&mut |node| {
+                if let PhysicalPlan::IndexNLJoin { inner, .. } = node {
+                    assert_eq!(inner.force_remote, !use_local);
+                }
+            });
+        }
     }
 
     #[test]

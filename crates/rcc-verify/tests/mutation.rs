@@ -49,31 +49,17 @@ fn mutate_switch_unions(
         f: &mut dyn FnMut(&mut rcc_optimizer::CurrencyGuard, &mut PhysicalPlan, &mut PhysicalPlan),
         hits: &mut usize,
     ) {
-        match plan {
-            PhysicalPlan::SwitchUnion {
-                guard,
-                local,
-                remote,
-            } => {
-                *hits += 1;
-                f(guard, local, remote);
-                visit(local, f, hits);
-                visit(remote, f, hits);
-            }
-            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                visit(input, f, hits)
-            }
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::MergeJoin { left, right, .. } => {
-                visit(left, f, hits);
-                visit(right, f, hits);
-            }
-            PhysicalPlan::IndexNLJoin { outer, .. } => visit(outer, f, hits),
-            PhysicalPlan::HashAggregate { input, .. } => visit(input, f, hits),
-            PhysicalPlan::Sort { input, .. } | PhysicalPlan::Limit { input, .. } => {
-                visit(input, f, hits)
-            }
-            _ => {}
+        if let PhysicalPlan::SwitchUnion {
+            guard,
+            local,
+            remote,
+        } = plan
+        {
+            *hits += 1;
+            f(guard, local, remote);
+        }
+        for child in plan.children_mut() {
+            visit(child, f, hits);
         }
     }
 }
@@ -83,20 +69,7 @@ fn mutate_switch_unions(
 fn find_local_scan(plan: &PhysicalPlan) -> Option<LocalScanNode> {
     match plan {
         PhysicalPlan::LocalScan(n) => Some(n.clone()),
-        PhysicalPlan::SwitchUnion { local, remote, .. } => {
-            find_local_scan(local).or_else(|| find_local_scan(remote))
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. } => find_local_scan(input),
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::MergeJoin { left, right, .. } => {
-            find_local_scan(left).or_else(|| find_local_scan(right))
-        }
-        PhysicalPlan::IndexNLJoin { outer, .. } => find_local_scan(outer),
-        _ => None,
+        _ => plan.children().find_map(find_local_scan),
     }
 }
 
@@ -198,4 +171,23 @@ fn dropped_guard_is_caught() {
         .violations()
         .iter()
         .any(|o| o.kind == ObligationKind::BoundSatisfiable));
+}
+
+#[test]
+fn loosened_guard_under_distinct_is_caught() {
+    // `Distinct` is the root here: the walk must reach the guard under it
+    let distinct = GUARDED_POINT.replacen("SELECT", "SELECT DISTINCT", 1);
+    for pullup in [false, true] {
+        let (catalog, constraint, mut plan) = optimize_sql(&distinct, pullup);
+        assert!(matches!(plan, PhysicalPlan::Distinct { .. }), "{plan:?}");
+        assert!(verify_plan(&catalog, &constraint, &plan).ok());
+        mutate_switch_unions(&mut plan, &mut |guard, _, _| {
+            guard.bound = Duration::from_secs(600);
+        });
+        let report = verify_plan(&catalog, &constraint, &plan);
+        assert!(report
+            .violations()
+            .iter()
+            .any(|o| o.kind == ObligationKind::BoundSatisfiable));
+    }
 }
