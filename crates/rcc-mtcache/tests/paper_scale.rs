@@ -7,9 +7,11 @@
 //! cargo test --release -p rcc-mtcache --test paper_scale -- --ignored --nocapture
 //! ```
 //!
-//! It prints how long the rig took to build.
+//! It prints how long the rig took to build, and how long
+//! `TableStats::compute` (ANALYZE) takes on each of its four tables.
 
 use rcc_mtcache::paper::{paper_setup, warm_up};
+use rcc_storage::TableStats;
 use rcc_tpcd::TpcdGenerator;
 use std::time::Instant;
 
@@ -34,6 +36,24 @@ fn the_paper_scale_rig_builds_and_serves_locally() {
     assert!((1_450_000..1_550_000).contains(&orders), "{orders} orders");
     assert_eq!(count("cust_prj", cache.cache_storage()), customers);
     assert_eq!(count("orders_prj", cache.cache_storage()), orders);
+    // ANALYZE at the paper's scale: the statistics every boot computes
+    for (table, storage) in [
+        ("customer", cache.master().storage()),
+        ("orders", cache.master().storage()),
+        ("cust_prj", cache.cache_storage()),
+        ("orders_prj", cache.cache_storage()),
+    ] {
+        let snapshot = storage.table(table).unwrap().snapshot();
+        let started = Instant::now();
+        let stats = TableStats::compute(&snapshot);
+        let took = started.elapsed().as_secs_f64();
+        assert_eq!(stats.row_count, snapshot.row_count() as u64);
+        println!(
+            "TableStats::compute({table}): {:.1} ms, {:.0} rows/s",
+            took * 1e3,
+            stats.row_count as f64 / took
+        );
+    }
     // the peak resident set, where the platform reports it
     if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
         if let Some(hwm) = status.lines().find(|l| l.starts_with("VmHWM")) {

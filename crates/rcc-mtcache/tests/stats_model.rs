@@ -1,12 +1,16 @@
 //! `TableStats::compute` against a model written here, field by field:
 //! min and max as the first smallest and largest non-NULL cell in
 //! clustered order, NULL counts, the distinct count from a `BTreeSet`
-//! under `Value`'s `Eq` (every non-NULL cell once the column reaches the
-//! 100 000-value cap), equi-width histograms of numeric columns, and the
-//! average row width. Covered: columns that cross the cap (the leading
-//! key column and another), one just under it, NULLs, a column mixing Int
-//! and Float values that are equal under `Eq`, strings, random small
-//! tables, and the four tables of the paper rig at scale 0.01 — `customer`
+//! under `Value`'s `Eq` (every non-NULL cell once a column other than the
+//! leading clustered-key column reaches the 100 000-value cap),
+//! equi-width histograms of numeric columns, and the average row width.
+//! Covered: columns that cross the cap (the leading key column, with and
+//! without repeats, and others, at the first compaction of their numbers
+//! and only at the end), one just under it, NULLs, a column
+//! mixing Int and Float values that are equal under `Eq`, strings, the
+//! cells where `Eq` and the numbers' natural order part (`-0.0` and `0.0`,
+//! NaN, Ints that round to one `f64`), random small tables of every type,
+//! and the four tables of the paper rig at scale 0.01 — `customer`
 //! and `orders` at the back-end, the views `cust_prj` and `orders_prj` at
 //! the cache — through the statistics the catalog holds for them.
 
@@ -19,8 +23,10 @@ use std::collections::BTreeSet;
 const CAP: usize = 100_000;
 const BUCKETS: usize = 64;
 
-/// The statistics of column `i`, computed naively.
-fn model_column(table: &Table, i: usize) -> ColumnStats {
+/// The statistics of column `i`, computed naively. The leading clustered
+/// key column (`lead`) is counted exactly at any size; every other column
+/// counts as all distinct once it reaches the cap.
+fn model_column(table: &Table, i: usize, lead: bool) -> ColumnStats {
     let cells: Vec<&Value> = table.iter().map(|row| row.get(i)).collect();
     let present: Vec<&Value> = cells.iter().copied().filter(|v| !v.is_null()).collect();
     let mut min: Option<&Value> = None;
@@ -34,7 +40,7 @@ fn model_column(table: &Table, i: usize) -> ColumnStats {
         }
     }
     let distinct: BTreeSet<&Value> = present.iter().copied().collect();
-    let distinct = if distinct.len() >= CAP {
+    let distinct = if distinct.len() >= CAP && !lead {
         present.len() as u64
     } else {
         distinct.len() as u64
@@ -92,7 +98,8 @@ fn assert_stats_match_model(stats: &TableStats, table: &Table) {
     assert_eq!(stats.columns.len(), table.schema().len());
     for i in 0..table.schema().len() {
         let name = &table.schema().column(i).name;
-        let (got, want) = (stats.column(name), model_column(table, i));
+        let lead = i == table.key_ordinals()[0];
+        let (got, want) = (stats.column(name), model_column(table, i, lead));
         let at = format!("{}.{name}", table.name());
         assert!(
             same(&got.min, &want.min),
@@ -123,23 +130,34 @@ fn int_schema(names: &[&str]) -> Schema {
 
 #[test]
 fn columns_across_the_distinct_cap_nulls_mixed_types_and_strings() {
-    let n: i64 = 120_000;
-    let schema = int_schema(&["k", "big", "under", "sparse", "mixed", "name"]);
+    // more rows than the 200 000 numbers `compute` holds before it sorts
+    // and deduplicates them, so some columns are compacted mid-pass
+    let n: i64 = 260_000;
+    let schema = int_schema(&["k", "big", "under", "late", "sparse", "mixed", "name"]);
     let mut t = Table::new("synthetic", schema, vec![0]);
     t.load(
         (0..n)
             .map(|i| {
                 Row::new(vec![
-                    // the leading key column: 120 000 runs, past the cap
+                    // the leading key column: 260 000 runs, past the cap
                     Value::Int(i),
-                    // 110 000 distinct values, repeated: past the cap, so
-                    // the count is every non-NULL cell, not the set's size
+                    // 110 000 distinct values, repeated: past the cap (at
+                    // the first compaction), so the count is every
+                    // non-NULL cell, not the set's size
                     match i % 97 {
                         0 => Value::Null,
                         _ => Value::Int((i * 7919) % 110_000),
                     },
-                    // 99 999 distinct values: just under the cap
+                    // 99 999 distinct values: just under the cap, across
+                    // a compaction
                     Value::Int(i % 99_999),
+                    // 50 000 distinct numbers, then 60 000 strings: the
+                    // classes' counts add up past the cap only at the end
+                    if i < 200_000 {
+                        Value::Int(i % 50_000)
+                    } else {
+                        Value::Str(format!("s{i}"))
+                    },
                     // mostly NULL
                     match i % 10 {
                         0 => Value::Int(i / 10 % 500),
@@ -164,6 +182,7 @@ fn columns_across_the_distinct_cap_nulls_mixed_types_and_strings() {
     let big_nulls = stats.column("big").nulls;
     assert_eq!(stats.column("big").distinct, n as u64 - big_nulls);
     assert_eq!(stats.column("under").distinct, 99_999);
+    assert_eq!(stats.column("late").distinct, n as u64);
     assert_eq!(stats.column("mixed").distinct, 100);
 }
 
@@ -182,6 +201,56 @@ fn a_leading_key_column_with_repeats_and_nulls() {
     });
     t.load(rows.collect()).unwrap();
     assert_matches_model(&t);
+}
+
+#[test]
+fn a_leading_key_column_past_the_cap_keeps_its_exact_count() {
+    // 120 000 runs of two rows each: a run count is exact and needs no
+    // memory bound, so the cap does not turn it into one per row
+    let runs: i64 = 120_000;
+    let mut t = Table::new("pairs", int_schema(&["grp", "seq"]), vec![0, 1]);
+    t.load(
+        (0..2 * runs)
+            .map(|i| Row::new(vec![Value::Int(i / 2), Value::Int(i % 2)]))
+            .collect(),
+    )
+    .unwrap();
+    assert_matches_model(&t);
+    assert_eq!(TableStats::compute(&t).column("grp").distinct, runs as u64);
+}
+
+#[test]
+fn cells_where_eq_and_the_numbers_natural_order_part() {
+    let mut t = Table::new("edges", int_schema(&["k", "big", "zero", "ts"]), vec![0]);
+    let two53 = 1i64 << 53;
+    t.load(
+        (0..4i64)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i),
+                    // 2^53 + 1 rounds to 2^53 as an f64: equal under Eq
+                    Value::Int(two53 + i % 2),
+                    // -0.0 and 0.0 are not: f64::total_cmp orders them
+                    Value::Float(if i % 2 == 0 { 0.0 } else { -0.0 }),
+                    Value::Timestamp(100 + i),
+                ])
+            })
+            .collect(),
+    )
+    .unwrap();
+    assert_matches_model(&t);
+    let stats = TableStats::compute(&t);
+    assert_eq!(stats.column("big").distinct, 1);
+    let zero = stats.column("zero");
+    assert_eq!(zero.distinct, 2);
+    let Some(Value::Float(min)) = zero.min else {
+        panic!("{:?}", zero.min)
+    };
+    assert!(min == 0.0 && min.is_sign_negative(), "{min}");
+    let ts = stats.column("ts");
+    assert_eq!(ts.min, Some(Value::Timestamp(100)));
+    assert_eq!(ts.max, Some(Value::Timestamp(103)));
+    assert!(ts.histogram.is_empty());
 }
 
 #[test]
@@ -208,6 +277,12 @@ fn cell() -> impl Strategy<Value = Value> {
         (0i64..6).prop_map(|x| Value::Str(format!("s{x}"))),
         (0i64..5).prop_map(Value::Timestamp),
         Just(Value::Bool(true)),
+        Just(Value::Bool(false)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        // equal under Eq: both are 2^53 as an f64
+        Just(Value::Int(1 << 53)),
+        Just(Value::Int((1 << 53) + 1)),
     ]
 }
 

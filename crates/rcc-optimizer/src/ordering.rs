@@ -34,7 +34,8 @@ impl OrderProp {
 /// The ordering a plan delivers, or `None` when no order is guaranteed.
 ///
 /// Conservative by construction:
-/// * local scans deliver their access path's key order (BTree iteration);
+/// * local range scans deliver their access path's key order (BTree
+///   iteration); full scans claim none;
 /// * filters and limits preserve their input's order;
 /// * projections preserve it only if the ordered column survives;
 /// * merge joins deliver the left input's order;
@@ -58,23 +59,17 @@ pub fn delivered_order(plan: &PhysicalPlan) -> Option<OrderProp> {
     }
 }
 
-/// The order a local scan delivers: its access path's key order.
+/// The order a local scan delivers: its access path's key order. A full
+/// scan iterates in clustered order too, but the scan node does not record
+/// the clustered key, so it claims none.
 pub fn scan_order(n: &LocalScanNode) -> Option<OrderProp> {
     let column = match &n.access {
-        AccessPath::FullScan => leading_key_column(n)?,
+        AccessPath::FullScan => return None,
         AccessPath::ClusteredRange { column, .. } => column.clone(),
         AccessPath::IndexRange { column, .. } => column.clone(),
     };
     let qualifier = n.schema.columns().first()?.qualifier.clone()?;
     Some(OrderProp { qualifier, column })
-}
-
-/// Leading clustered-key column of a scanned object: full scans of BTree
-/// tables iterate in clustered order, but the scan node itself does not
-/// record the key — infer it only when the access path names it. For full
-/// scans we cannot know the key column here, so no order is claimed.
-fn leading_key_column(_n: &LocalScanNode) -> Option<String> {
-    None
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use crate::range::KeyRange;
 use crate::table::Table;
-use rcc_common::Value;
+use rcc_common::{DataType, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
@@ -147,78 +147,178 @@ impl ColumnStats {
     }
 }
 
-/// Distinct values tracked per column; past this many, a column counts
-/// as all distinct.
+/// Distinct values counted exactly per column; at or past this many, a
+/// column counts as all distinct. The leading clustered-key column's count
+/// (its runs) is exact at any size.
 const DISTINCT_CAP: usize = 100_000;
 
-/// One column's running statistics over borrowed cells.
+/// A column's numeric bit patterns are sorted and deduplicated whenever
+/// this many have gathered, so at most this many are held at once.
+const COMPACT_AT: usize = 2 * DISTINCT_CAP;
+
+/// The smallest and largest cell of one class of values (the classes
+/// `Value`'s order ranks: booleans, numbers, strings), each with the key it
+/// orders by and the first cell, in clustered order, that reached it.
+struct Extremes<'a, K> {
+    min: Option<(K, &'a Value)>,
+    max: Option<(K, &'a Value)>,
+}
+
+impl<'a, K: Copy> Extremes<'a, K> {
+    const NONE: Self = Extremes {
+        min: None,
+        max: None,
+    };
+
+    fn add(&mut self, k: K, v: &'a Value, less: impl Fn(K, K) -> bool) {
+        if self.min.is_none_or(|(m, _)| less(k, m)) {
+            self.min = Some((k, v));
+        }
+        if self.max.is_none_or(|(m, _)| less(m, k)) {
+            self.max = Some((k, v));
+        }
+    }
+}
+
+/// One column's running statistics over borrowed cells, dispatched once
+/// per cell on its type.
 struct Tally<'a> {
-    min: Option<&'a Value>,
-    max: Option<&'a Value>,
     nulls: u64,
+    bools: Extremes<'a, bool>,
+    /// `Int`, `Float` and `Timestamp` cells, keyed by their value as `f64`
+    /// under `f64::total_cmp` — exactly how `Value` orders them.
+    numbers: Extremes<'a, f64>,
+    strings: Extremes<'a, &'a str>,
     distinct: Distinct<'a>,
 }
 
 /// How a column's distinct values are counted.
 enum Distinct<'a> {
     /// A sorted column: a value unequal to its predecessor starts a run.
-    Runs {
-        runs: usize,
-        last: Option<&'a Value>,
+    Runs { runs: u64, last: Option<&'a Value> },
+    /// Any other column, below [`DISTINCT_CAP`] distinct values so far.
+    /// Numbers are kept as `f64` bit patterns: two are equal under
+    /// `Value`'s `Eq` exactly when their bit patterns are, so sorting
+    /// counts them with no hashing. Strings go in a set under the standard
+    /// keyed hasher; booleans are counted from their extremes.
+    Seen {
+        numbers: Vec<u64>,
+        strings: HashSet<&'a str>,
     },
-    /// Any other column: the values seen, up to [`DISTINCT_CAP`].
-    Set(HashSet<&'a Value>),
+    /// Any other column that reached [`DISTINCT_CAP`].
+    Capped,
 }
 
 impl<'a> Tally<'a> {
-    fn new(sorted: bool) -> Tally<'a> {
+    /// `numeric_rows`: how many numeric cells to make room for at once.
+    fn new(sorted: bool, numeric_rows: usize) -> Tally<'a> {
         Tally {
-            min: None,
-            max: None,
             nulls: 0,
+            bools: Extremes::NONE,
+            numbers: Extremes::NONE,
+            strings: Extremes::NONE,
             distinct: if sorted {
                 Distinct::Runs {
                     runs: 0,
                     last: None,
                 }
             } else {
-                Distinct::Set(HashSet::new())
+                Distinct::Seen {
+                    numbers: Vec::with_capacity(numeric_rows.min(COMPACT_AT)),
+                    strings: HashSet::new(),
+                }
             },
         }
     }
 
     fn add(&mut self, v: &'a Value) {
-        if v.is_null() {
-            self.nulls += 1;
-            return;
-        }
-        if self.min.is_none_or(|m| v < m) {
-            self.min = Some(v);
-        }
-        if self.max.is_none_or(|m| v > m) {
-            self.max = Some(v);
-        }
-        match &mut self.distinct {
-            Distinct::Runs { runs, last } => {
-                if last.is_none_or(|l| l != v) {
-                    *runs += 1;
-                }
-                *last = Some(v);
+        match v {
+            Value::Null => {
+                self.nulls += 1;
+                return;
             }
-            Distinct::Set(seen) => {
-                if seen.len() < DISTINCT_CAP {
-                    seen.insert(v);
+            Value::Int(i) => self.number(*i as f64, v),
+            Value::Float(f) => self.number(*f, v),
+            Value::Timestamp(t) => self.number(*t as f64, v),
+            Value::Bool(b) => self.bools.add(*b, v, |a, b| a.lt(&b)),
+            Value::Str(s) => {
+                self.strings.add(s, v, |a, b| a < b);
+                if let Distinct::Seen { strings, .. } = &mut self.distinct {
+                    strings.insert(s);
+                    if strings.len() >= DISTINCT_CAP {
+                        self.distinct = Distinct::Capped;
+                    }
+                }
+            }
+        }
+        if let Distinct::Runs { runs, last } = &mut self.distinct {
+            if last.is_none_or(|l| l != v) {
+                *runs += 1;
+            }
+            *last = Some(v);
+        }
+    }
+
+    /// A numeric cell `v` of value `x`.
+    fn number(&mut self, x: f64, v: &'a Value) {
+        self.numbers.add(x, v, |a, b| a.total_cmp(&b).is_lt());
+        if let Distinct::Seen { numbers, .. } = &mut self.distinct {
+            numbers.push(x.to_bits());
+            if numbers.len() == COMPACT_AT {
+                numbers.sort_unstable();
+                numbers.dedup();
+                if numbers.len() >= DISTINCT_CAP {
+                    self.distinct = Distinct::Capped;
                 }
             }
         }
     }
 
-    /// The distinct count over `n` rows: exact below the cap, every
-    /// non-NULL value at or above it.
-    fn distinct(&self, n: u64) -> u64 {
-        let seen = match &self.distinct {
-            Distinct::Runs { runs, .. } => *runs,
-            Distinct::Set(seen) => seen.len(),
+    /// The smallest non-NULL cell: classes rank booleans, then numbers,
+    /// then strings.
+    fn min(&self) -> Option<&'a Value> {
+        let bools = self.bools.min.map(|(_, v)| v);
+        bools
+            .or(self.numbers.min.map(|(_, v)| v))
+            .or(self.strings.min.map(|(_, v)| v))
+    }
+
+    /// The largest non-NULL cell.
+    fn max(&self) -> Option<&'a Value> {
+        let strings = self.strings.max.map(|(_, v)| v);
+        strings
+            .or(self.numbers.max.map(|(_, v)| v))
+            .or(self.bools.max.map(|(_, v)| v))
+    }
+
+    /// The histogram's range: `[min, max]` when both are `Int` or `Float`
+    /// cells and differ.
+    fn histogram_bounds(&self) -> Option<(f64, f64)> {
+        let lo = self.min()?.as_float().ok()?;
+        let hi = self.max()?.as_float().ok()?;
+        (hi > lo).then_some((lo, hi))
+    }
+
+    /// The distinct count over `n` rows. A sorted column's runs are exact;
+    /// any other column's count is exact below the cap and every non-NULL
+    /// value at or above it. Values of different classes are never equal,
+    /// so the classes' counts add up.
+    fn distinct(self, n: u64) -> u64 {
+        let seen = match self.distinct {
+            Distinct::Runs { runs, .. } => return runs,
+            Distinct::Seen {
+                mut numbers,
+                strings,
+            } => {
+                numbers.sort_unstable();
+                numbers.dedup();
+                let bools = match (self.bools.min, self.bools.max) {
+                    (Some((lo, _)), Some((hi, _))) => 1 + usize::from(lo != hi),
+                    _ => 0,
+                };
+                numbers.len() + strings.len() + bools
+            }
+            Distinct::Capped => DISTINCT_CAP,
         };
         if seen >= DISTINCT_CAP {
             n.saturating_sub(self.nulls)
@@ -241,15 +341,25 @@ pub struct TableStats {
 
 impl TableStats {
     /// Compute full statistics by scanning `table`: one pass over its
-    /// cells, by reference, for everything but the histograms, and one
+    /// cells, by reference, dispatching once per cell on its type, and one
     /// more for every numeric column's histogram at once.
     pub fn compute(table: &Table) -> TableStats {
         let schema = table.schema();
-        let ncols = schema.len();
         // the leading clustered-key column arrives sorted: its distinct
         // values are its runs, counted without hashing
         let lead = table.key_ordinals()[0];
-        let mut tallies: Vec<Tally<'_>> = (0..ncols).map(|i| Tally::new(i == lead)).collect();
+        let mut tallies: Vec<Tally<'_>> = schema
+            .columns()
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let numeric = matches!(
+                    c.data_type,
+                    DataType::Int | DataType::Float | DataType::Timestamp
+                );
+                Tally::new(i == lead, if numeric { table.row_count() } else { 0 })
+            })
+            .collect();
         let mut total_bytes = 0usize;
         let mut n = 0u64;
         for row in table.iter() {
@@ -260,34 +370,29 @@ impl TableStats {
             }
         }
 
-        // Histogram pass for numeric columns.
-        let bounds: Vec<Option<(f64, f64)>> = tallies
-            .iter()
-            .map(|t| {
-                let lo = t.min?.as_float().ok()?;
-                let hi = t.max?.as_float().ok()?;
-                (hi > lo).then_some((lo, hi))
-            })
-            .collect();
-        let mut histograms: Vec<Vec<u64>> = bounds
-            .iter()
-            .map(|b| match b {
-                Some(_) => vec![0u64; HISTOGRAM_BUCKETS],
-                None => Vec::new(),
-            })
-            .collect();
-        let numeric: Vec<(usize, f64, f64)> = bounds
+        // Histogram pass for numeric columns: `Int` and `Float` cells.
+        let numeric: Vec<(usize, f64, f64)> = tallies
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| b.map(|(lo, hi)| (i, lo, (hi - lo) / HISTOGRAM_BUCKETS as f64)))
+            .filter_map(|(i, t)| {
+                let (lo, hi) = t.histogram_bounds()?;
+                Some((i, lo, (hi - lo) / HISTOGRAM_BUCKETS as f64))
+            })
             .collect();
+        let mut histograms = vec![Vec::new(); tallies.len()];
+        for &(i, ..) in &numeric {
+            histograms[i] = vec![0u64; HISTOGRAM_BUCKETS];
+        }
         if !numeric.is_empty() {
             for row in table.iter() {
                 for &(i, lo, width) in &numeric {
-                    if let Ok(v) = row.get(i).as_float() {
-                        let b = (((v - lo) / width) as usize).min(HISTOGRAM_BUCKETS - 1);
-                        histograms[i][b] += 1;
-                    }
+                    let x = match row.get(i) {
+                        Value::Int(v) => *v as f64,
+                        Value::Float(v) => *v,
+                        _ => continue,
+                    };
+                    let b = (((x - lo) / width) as usize).min(HISTOGRAM_BUCKETS - 1);
+                    histograms[i][b] += 1;
                 }
             }
         }
@@ -298,11 +403,11 @@ impl TableStats {
             .enumerate()
             .map(|(i, (tally, histogram))| {
                 let stats = ColumnStats {
-                    min: tally.min.cloned(),
-                    max: tally.max.cloned(),
-                    distinct: tally.distinct(n),
+                    min: tally.min().cloned(),
+                    max: tally.max().cloned(),
                     nulls: tally.nulls,
                     histogram,
+                    distinct: tally.distinct(n),
                 };
                 (schema.column(i).name.clone(), stats)
             })
