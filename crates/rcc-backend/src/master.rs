@@ -67,7 +67,9 @@ pub struct MasterDb {
 /// keep working because every index below is offset by it.
 #[derive(Debug, Default)]
 struct LogState {
-    txns: Vec<CommittedTxn>,
+    /// Each transaction once: the committer, the log and every agent that
+    /// reads it share the one allocation.
+    txns: Vec<Arc<CommittedTxn>>,
     next_id: u64,
     base: usize,
 }
@@ -140,8 +142,9 @@ impl MasterDb {
     /// Execute and commit an update transaction: apply every change to the
     /// master tables (all-or-nothing is approximated by validating targets
     /// first) and append it to the replication log with the next id and the
-    /// current clock time.
-    pub fn execute_txn(&self, changes: Vec<TableChange>) -> Result<CommittedTxn> {
+    /// current clock time. The transaction returned is the one the log
+    /// holds.
+    pub fn execute_txn(&self, changes: Vec<TableChange>) -> Result<Arc<CommittedTxn>> {
         if changes.is_empty() {
             return Err(Error::Execution("empty transaction".into()));
         }
@@ -212,12 +215,12 @@ impl MasterDb {
             })?;
         }
         log.next_id = id;
-        let txn = CommittedTxn {
+        let txn = Arc::new(CommittedTxn {
             id: TxnId(id),
             commit_time,
             changes,
-        };
-        log.txns.push(txn.clone());
+        });
+        log.txns.push(Arc::clone(&txn));
         drop(log);
         if let Some((store, lsn)) = pending_sync {
             store.sync_commit(lsn)?;
@@ -290,11 +293,11 @@ impl MasterDb {
                 })?;
             }
             log.next_id = rec.id;
-            log.txns.push(CommittedTxn {
+            log.txns.push(Arc::new(CommittedTxn {
                 id: TxnId(rec.id),
                 commit_time: Timestamp(rec.commit_ms),
                 changes,
-            });
+            }));
         }
         Ok(commits.len())
     }
@@ -343,7 +346,7 @@ impl MasterDb {
 
     /// Beat the heart of `region`: set its heartbeat row to the current
     /// time, as an ordinary logged transaction (so it replicates).
-    pub fn beat(&self, region: RegionId) -> Result<CommittedTxn> {
+    pub fn beat(&self, region: RegionId) -> Result<Arc<CommittedTxn>> {
         let now = self.clock.now();
         let row = Row::new(vec![
             Value::Int(region.raw() as i64),
@@ -365,13 +368,14 @@ impl MasterDb {
         log.base + log.txns.len()
     }
 
-    /// Transactions with absolute index `>= cursor`, in commit order.
-    /// Agents track a cursor; the returned slice index becomes the new
-    /// cursor. Cursors below the log base (possible after recovery from a
-    /// checkpoint) yield everything still retained — the retained suffix is
-    /// exactly what a checkpoint-restored table image does not yet include,
-    /// and replication applies are idempotent anyway.
-    pub fn log_since(&self, cursor: usize) -> Vec<CommittedTxn> {
+    /// Transactions with absolute index `>= cursor`, in commit order, each
+    /// shared with the log rather than copied. Agents track a cursor; the
+    /// returned slice index becomes the new cursor. Cursors below the log
+    /// base (possible after recovery from a checkpoint) yield everything
+    /// still retained — the retained suffix is exactly what a
+    /// checkpoint-restored table image does not yet include, and
+    /// replication applies are idempotent anyway.
+    pub fn log_since(&self, cursor: usize) -> Vec<Arc<CommittedTxn>> {
         let log = self.log.read();
         let idx = cursor.saturating_sub(log.base);
         log.txns.get(idx..).unwrap_or(&[]).to_vec()
@@ -379,7 +383,7 @@ impl MasterDb {
 
     /// Transactions with absolute index in `[from, to)`, in commit order,
     /// clamped to what is retained as [`MasterDb::log_since`] is.
-    pub fn log_between(&self, from: usize, to: usize) -> Vec<CommittedTxn> {
+    pub fn log_between(&self, from: usize, to: usize) -> Vec<Arc<CommittedTxn>> {
         let log = self.log.read();
         let from = from.saturating_sub(log.base);
         let to = to.saturating_sub(log.base).min(log.txns.len());
@@ -389,7 +393,7 @@ impl MasterDb {
     /// Transactions with absolute index `>= cursor` whose commit time is at
     /// or before `as_of` — what a distribution agent propagating at time
     /// `t` with delivery delay `d` sees (`as_of = t − d`).
-    pub fn log_since_until(&self, cursor: usize, as_of: Timestamp) -> Vec<CommittedTxn> {
+    pub fn log_since_until(&self, cursor: usize, as_of: Timestamp) -> Vec<Arc<CommittedTxn>> {
         let log = self.log.read();
         let idx = cursor.saturating_sub(log.base);
         log.txns

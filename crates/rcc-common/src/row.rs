@@ -198,15 +198,20 @@ impl fmt::Display for Schema {
 }
 
 /// A tuple of values. Rows are schema-less; interpretation is positional.
+/// A row never grows, so it holds its cells as a boxed slice: a pointer
+/// and a length, no capacity word.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Row {
-    values: Vec<Value>,
+    values: Box<[Value]>,
 }
 
 impl Row {
-    /// Build a row from values.
+    /// Build a row from values. Free when `values` is exactly as long as
+    /// its capacity; a longer buffer is shrunk (reallocated) first.
     pub fn new(values: Vec<Value>) -> Self {
-        Row { values }
+        Row {
+            values: values.into_boxed_slice(),
+        }
     }
 
     /// Values in order.
@@ -249,7 +254,7 @@ impl Row {
 
     /// Consume into values.
     pub fn into_values(self) -> Vec<Value> {
-        self.values
+        self.values.into_vec()
     }
 }
 
@@ -268,7 +273,9 @@ impl fmt::Display for Row {
 
 impl FromIterator<Value> for Row {
     fn from_iter<T: IntoIterator<Item = Value>>(iter: T) -> Self {
-        Row::new(iter.into_iter().collect())
+        Row {
+            values: iter.into_iter().collect(),
+        }
     }
 }
 

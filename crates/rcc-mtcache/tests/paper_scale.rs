@@ -1,7 +1,7 @@
 //! The paper's rig at its own scale (Sec. 4: 150 000 customers and
 //! 1 500 000 orders at the back-end, both views at the cache): it builds,
 //! and a guarded point read is served from the local view. Ignored by
-//! default — it holds about 650 MiB and wants a release build:
+//! default — it holds about 450 MiB (VmHWM) and wants a release build:
 //!
 //! ```text
 //! cargo test --release -p rcc-mtcache --test paper_scale -- --ignored --nocapture
@@ -16,7 +16,7 @@ use rcc_tpcd::TpcdGenerator;
 use std::time::Instant;
 
 #[test]
-#[ignore = "paper scale: about 650 MiB, run in release"]
+#[ignore = "paper scale: about 450 MiB, run in release"]
 fn the_paper_scale_rig_builds_and_serves_locally() {
     let started = Instant::now();
     let cache = paper_setup(1.0, 42).unwrap();

@@ -212,7 +212,7 @@ impl DistributionAgent {
     /// to every subscribed view and the region's heartbeat: staged first
     /// (pure computation, no locks), then published one copy-on-write
     /// snapshot per view, the heartbeat last. Leaves the cursor alone.
-    fn publish(&self, txns: &[CommittedTxn]) -> Result<()> {
+    fn publish(&self, txns: &[Arc<CommittedTxn>]) -> Result<()> {
         if txns.is_empty() {
             return Ok(());
         }

@@ -2,11 +2,14 @@
 //! clones until written.
 //!
 //! [`CowMap`] is the row container behind [`crate::Table`] and
-//! [`crate::SecondaryIndex`]. Entries live in key order in chunks of at
-//! most `MAX_CHUNK` entries, each chunk behind an `Arc`, under a flat
-//! spine: the chunk pointers plus a *fence* vector holding every chunk's
-//! first key, itself behind an `Arc`. That shape is chosen for the
-//! copy-on-write snapshot protocol of [`crate::snapshot`]:
+//! [`crate::SecondaryIndex`]. It stores each entry once: an entry carries
+//! its own key, and the map orders entries through a [`KeyOrder`] it holds
+//! — a table's rows by their clustered-key cells, an index's entries whole.
+//! Entries live in key order in chunks of at most `MAX_CHUNK` entries, each
+//! chunk behind an `Arc`, under a flat spine: the chunk pointers plus a
+//! *fence* vector holding an owned copy of every chunk's first key, itself
+//! behind an `Arc`. That shape is chosen for the copy-on-write snapshot
+//! protocol of [`crate::snapshot`]:
 //!
 //! * **clone** is one refcount bump per chunk (and one for the fences) —
 //!   O(chunks), no entry is copied;
@@ -17,13 +20,12 @@
 //!   the very front of a chunk;
 //! * **dropping** a clone frees only the chunks no other clone shares.
 //!
-//! A lookup is two binary searches over contiguous key arrays: the fences
-//! (which stay cache-resident, and spare a pointer chase into each probed
-//! chunk), then the one chunk's keys — values live in a parallel array so
-//! they do not dilute the searched cache lines, and a scan walks them
-//! densely. Positions are exposed as [`Cursor`]s so a range scan is a seek
-//! to its start, a gallop from there to its end, and a walk over whole
-//! chunk slices, with no per-entry bound check. Chunk buffers are sized for
+//! A lookup is two binary searches: over the fences (which stay
+//! cache-resident, and spare a pointer chase into each probed chunk), then
+//! over the one chunk's entries, comparing the key cells each entry holds.
+//! Positions are exposed as [`Cursor`]s so a range scan is a seek to its
+//! start, a gallop from there to its end, and a walk over whole chunk
+//! slices, with no per-entry bound check. Chunk buffers are sized for
 //! `MAX_CHUNK` entries once and never reallocate, which keeps a bulk load
 //! from scattering outgrown buffers between the rows it allocates. A bulk
 //! fill does not insert entry by entry: [`CowMap::merge_sorted`] moves a
@@ -51,6 +53,7 @@
 use crate::column::Column;
 use rcc_common::Row;
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// Most entries a chunk holds. A write copies one chunk, a clone bumps one
@@ -60,11 +63,35 @@ const MAX_CHUNK: usize = 256;
 /// A removal that leaves a chunk smaller than this merges it away.
 const MIN_CHUNK: usize = MAX_CHUNK / 4;
 
-/// One run of entries: `keys[i]` maps to `vals[i]`, keys ascending.
+/// How a [`CowMap`] orders its entries: by a key each entry holds. The
+/// map stores no key apart from its entries but the chunk fences.
+///
+/// `cmp_key(e, &fence(f))` must order as `cmp(e, f)`, and ordering the
+/// leads of two keys must never contradict ordering the keys.
+pub trait KeyOrder<T> {
+    /// A key, as a lookup names it.
+    type Key: Ord + ?Sized;
+    /// An owned key, as a chunk fence holds it.
+    type Fence: Borrow<Self::Key> + Clone;
+    /// A key's first component: what a range seek partitions on.
+    type Lead: ?Sized;
+
+    /// How `entry`'s key orders against `key`.
+    fn cmp_key(&self, entry: &T, key: &Self::Key) -> Ordering;
+    /// How the keys of two entries order.
+    fn cmp(&self, a: &T, b: &T) -> Ordering;
+    /// An owned copy of `entry`'s key: a chunk's fence.
+    fn fence(&self, entry: &T) -> Self::Fence;
+    /// The first component of `entry`'s key.
+    fn lead<'a>(&self, entry: &'a T) -> &'a Self::Lead;
+    /// The first component of `key`.
+    fn key_lead<'a>(&self, key: &'a Self::Key) -> &'a Self::Lead;
+}
+
+/// One run of entries, keys ascending.
 #[derive(Debug)]
-struct Chunk<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
+struct Chunk<T> {
+    entries: Vec<T>,
     image: Image,
 }
 
@@ -84,23 +111,21 @@ impl Image {
     }
 }
 
-impl<K, V> Chunk<K, V> {
-    /// An empty chunk with room for `MAX_CHUNK` entries. Sizing the buffers
+impl<T> Chunk<T> {
+    /// An empty chunk with room for `MAX_CHUNK` entries. Sizing the buffer
     /// once means a chunk never reallocates as it fills, so a bulk load
     /// leaves no trail of outgrown buffers between the rows it allocates.
-    fn new() -> Chunk<K, V> {
+    fn new() -> Chunk<T> {
         Chunk {
-            keys: Vec::with_capacity(MAX_CHUNK),
-            vals: Vec::with_capacity(MAX_CHUNK),
+            entries: Vec::with_capacity(MAX_CHUNK),
             image: Image::default(),
         }
     }
 
     /// Move the entries from `at` on into a new chunk.
-    fn split_off(&mut self, at: usize) -> Chunk<K, V> {
+    fn split_off(&mut self, at: usize) -> Chunk<T> {
         let mut tail = Chunk::new();
-        tail.keys.extend(self.keys.drain(at..));
-        tail.vals.extend(self.vals.drain(at..));
+        tail.entries.extend(self.entries.drain(at..));
         tail
     }
 }
@@ -109,31 +134,50 @@ impl<K, V> Chunk<K, V> {
 /// map shares is copied first (the copy starts without an image); one this
 /// map owns alone is written in place, so its image — about to go stale —
 /// is dropped.
-fn chunk_mut<K: Clone, V: Clone>(chunk: &mut Arc<Chunk<K, V>>) -> &mut Chunk<K, V> {
+fn chunk_mut<T: Clone>(chunk: &mut Arc<Chunk<T>>) -> &mut Chunk<T> {
     let chunk = Arc::make_mut(chunk);
     chunk.image = Image::default();
     chunk
 }
 
-/// The copy `Arc::make_mut` takes before a write; full-sized like every
-/// chunk, since an insert is as likely to follow as a replace. The image
-/// is not copied.
-impl<K: Clone, V: Clone> Clone for Chunk<K, V> {
+/// The copy `Arc::make_mut` takes before a write: the entries only, in a
+/// full-sized buffer like every chunk's, since an insert is as likely to
+/// follow as a replace. The image is not copied.
+impl<T: Clone> Clone for Chunk<T> {
     fn clone(&self) -> Self {
         let mut copy = Chunk::new();
-        copy.keys.extend_from_slice(&self.keys);
-        copy.vals.extend_from_slice(&self.vals);
+        copy.entries.extend_from_slice(&self.entries);
         copy
     }
 }
 
 /// A persistent ordered map whose clones share storage chunk by chunk.
-#[derive(Debug, Clone)]
-pub struct CowMap<K, V> {
+pub struct CowMap<T, O: KeyOrder<T>> {
+    order: O,
     /// First key of each chunk.
-    fences: Arc<Vec<K>>,
-    chunks: Vec<Arc<Chunk<K, V>>>,
+    fences: Arc<Vec<O::Fence>>,
+    chunks: Vec<Arc<Chunk<T>>>,
     len: usize,
+}
+
+impl<T, O: KeyOrder<T> + Clone> Clone for CowMap<T, O> {
+    fn clone(&self) -> Self {
+        CowMap {
+            order: self.order.clone(),
+            fences: Arc::clone(&self.fences),
+            chunks: self.chunks.clone(),
+            len: self.len,
+        }
+    }
+}
+
+impl<T, O: KeyOrder<T>> std::fmt::Debug for CowMap<T, O> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CowMap")
+            .field("len", &self.len)
+            .field("chunks", &self.chunks.len())
+            .finish()
+    }
 }
 
 /// A position in a [`CowMap`]: before some entry, or at the end. Cursors
@@ -150,21 +194,21 @@ impl Cursor {
     pub const START: Cursor = Cursor { chunk: 0, slot: 0 };
 }
 
-/// Consecutive values of one chunk, as a scan takes them: made by
+/// Consecutive entries of one chunk, as a scan takes them: made by
 /// [`CowMap::run`].
 #[derive(Debug, Clone, Copy)]
-pub struct Run<'a, V> {
-    /// Every value of the chunk; the run is `chunk[lo..hi]`.
-    chunk: &'a [V],
+pub struct Run<'a, T> {
+    /// Every entry of the chunk; the run is `chunk[lo..hi]`.
+    chunk: &'a [T],
     image: &'a Image,
     lo: usize,
     hi: usize,
     covers_chunk: bool,
 }
 
-impl<'a, V> Run<'a, V> {
-    /// The run's values, in key order.
-    pub fn vals(&self) -> &'a [V] {
+impl<'a, T> Run<'a, T> {
+    /// The run's entries, in key order.
+    pub fn vals(&self) -> &'a [T] {
         &self.chunk[self.lo..self.hi]
     }
 
@@ -211,20 +255,20 @@ pub(crate) fn gallop(len: usize, mut below: impl FnMut(usize) -> bool) -> usize 
     lo
 }
 
-impl<K, V> Default for CowMap<K, V> {
-    fn default() -> Self {
+impl<T, O: KeyOrder<T>> CowMap<T, O> {
+    /// An empty map ordered by `order`.
+    pub fn new(order: O) -> Self {
         CowMap {
+            order,
             fences: Arc::new(Vec::new()),
             chunks: Vec::new(),
             len: 0,
         }
     }
-}
 
-impl<K, V> CowMap<K, V> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
+    /// The order the map keeps its entries in.
+    pub fn order(&self) -> &O {
+        &self.order
     }
 
     /// Number of entries.
@@ -239,14 +283,14 @@ impl<K, V> CowMap<K, V> {
 
     /// Remove every entry (chunks shared with other clones live on there).
     pub fn clear(&mut self) {
-        *self = Self::default();
+        self.fences = Arc::new(Vec::new());
+        self.chunks.clear();
+        self.len = 0;
     }
 
     /// All entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.chunks
-            .iter()
-            .flat_map(|c| c.keys.iter().zip(c.vals.iter()))
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.chunks.iter().flat_map(|c| c.entries.iter())
     }
 
     /// The position after the last entry.
@@ -257,18 +301,23 @@ impl<K, V> CowMap<K, V> {
         }
     }
 
-    /// The position of the first entry whose key is not `below`. `below`
-    /// must hold for a (possibly empty) prefix of the keys in order and for
-    /// no key after it — a partition point, found in O(log) comparisons.
-    pub fn seek(&self, mut below: impl FnMut(&K) -> bool) -> Cursor {
+    /// The position of the first entry whose key's lead is not `below`.
+    /// `below` must hold for a (possibly empty) prefix of the leads in
+    /// order and for no lead after it — a partition point, found in
+    /// O(log) comparisons.
+    pub fn seek(&self, mut below: impl FnMut(&O::Lead) -> bool) -> Cursor {
+        let order = &self.order;
         // the partition point lies in the last chunk whose first key is
         // below, or right after it
-        let Some(chunk) = self.fences.partition_point(&mut below).checked_sub(1) else {
+        let Some(chunk) = (self.fences)
+            .partition_point(|f| below(order.key_lead(f.borrow())))
+            .checked_sub(1)
+        else {
             return Cursor::START;
         };
-        let keys = &self.chunks[chunk].keys;
-        match keys.partition_point(below) {
-            slot if slot < keys.len() => Cursor { chunk, slot },
+        let entries = &self.chunks[chunk].entries;
+        match entries.partition_point(|e| below(order.lead(e))) {
+            slot if slot < entries.len() => Cursor { chunk, slot },
             _ => Cursor {
                 chunk: chunk + 1,
                 slot: 0,
@@ -280,13 +329,13 @@ impl<K, V> CowMap<K, V> {
     /// `from`: gallops forward from there, so finding the end of a short
     /// span costs O(log span) comparisons on keys next to the ones just
     /// visited instead of a second descent from the top.
-    pub fn seek_from(&self, from: Cursor, mut below: impl FnMut(&K) -> bool) -> Cursor {
+    pub fn seek_from(&self, from: Cursor, mut below: impl FnMut(&O::Lead) -> bool) -> Cursor {
         let Some(chunk) = self.chunks.get(from.chunk) else {
             return from;
         };
-        let keys = &chunk.keys[from.slot..];
-        let ahead = gallop(keys.len(), |i| below(&keys[i]));
-        if ahead < keys.len() {
+        let entries = &chunk.entries[from.slot..];
+        let ahead = gallop(entries.len(), |i| below(self.order.lead(&entries[i])));
+        if ahead < entries.len() {
             Cursor {
                 chunk: from.chunk,
                 slot: from.slot + ahead,
@@ -300,39 +349,40 @@ impl<K, V> CowMap<K, V> {
     /// The partition point of a `below` that holds for a prefix of the
     /// entries, known to lie at or after `from`, found without a descent
     /// from the top: whole chunks are skipped by galloping over the fences
-    /// (`fence_below` tests a chunk's first key, which is below when every
-    /// entry of the chunk before it is), and the one chunk the point lies
-    /// in is searched by `ahead`, which answers how many leading entries of
-    /// the run it is handed — that chunk from `from` or from its start on —
-    /// are below.
+    /// (`fence_below` tests the lead of a chunk's first key, which is
+    /// below when every entry of the chunk before it is), and the one chunk
+    /// the point lies in is searched by `ahead`, which answers how many
+    /// leading entries of the run it is handed — that chunk from `from` or
+    /// from its start on — are below.
     pub fn gallop_from(
         &self,
         from: Cursor,
-        mut fence_below: impl FnMut(&K) -> bool,
-        ahead: impl FnOnce(Run<'_, V>) -> usize,
+        mut fence_below: impl FnMut(&O::Lead) -> bool,
+        ahead: impl FnOnce(Run<'_, T>) -> usize,
     ) -> Cursor {
         let Some(chunk) = self.chunks.get(from.chunk) else {
             return from;
         };
         let later = &self.fences[from.chunk + 1..];
+        let mut fence_below = |f: &O::Fence| fence_below(self.order.key_lead(f.borrow()));
         let (ci, lo) = match later.first().is_some_and(&mut fence_below) {
             // the last chunk whose first key is below holds the point
             true => (
                 from.chunk + gallop(later.len(), |i| fence_below(&later[i])),
                 0,
             ),
-            false => (from.chunk, from.slot.min(chunk.vals.len())),
+            false => (from.chunk, from.slot.min(chunk.entries.len())),
         };
         let chunk = &self.chunks[ci];
         let run = Run {
-            chunk: &chunk.vals,
+            chunk: &chunk.entries,
             image: &chunk.image,
             lo,
-            hi: chunk.vals.len(),
+            hi: chunk.entries.len(),
             covers_chunk: lo == 0,
         };
         match lo + ahead(run) {
-            slot if slot < chunk.vals.len() => Cursor { chunk: ci, slot },
+            slot if slot < chunk.entries.len() => Cursor { chunk: ci, slot },
             _ => Cursor {
                 chunk: ci + 1,
                 slot: 0,
@@ -340,20 +390,19 @@ impl<K, V> CowMap<K, V> {
         }
     }
 
-    /// The entries in `[from, to)` in key order, as one pair of parallel
-    /// key and value slices per chunk. Empty when `from >= to`.
-    pub fn slices(&self, from: Cursor, to: Cursor) -> impl Iterator<Item = (&[K], &[V])> {
+    /// The entries in `[from, to)` in key order, as one slice per chunk.
+    /// Empty when `from >= to`.
+    pub fn slices(&self, from: Cursor, to: Cursor) -> impl Iterator<Item = &[T]> {
         let stop = self.chunks.len().min(to.chunk + 1);
         (from.chunk..stop).filter_map(move |ci| {
-            let chunk = &self.chunks[ci];
+            let entries = &self.chunks[ci].entries;
             let lo = if ci == from.chunk { from.slot } else { 0 };
             let hi = if ci == to.chunk {
                 to.slot
             } else {
-                chunk.keys.len()
+                entries.len()
             };
-            let keys = chunk.keys.get(lo..hi).filter(|s| !s.is_empty())?;
-            Some((keys, &chunk.vals[lo..hi]))
+            entries.get(lo..hi).filter(|s| !s.is_empty())
         })
     }
 
@@ -361,7 +410,7 @@ impl<K, V> CowMap<K, V> {
     /// `None` once `at` has reached the span's end. The run *covers* its
     /// chunk when `span` holds every entry of that chunk — however much of
     /// it a resumed scan has taken already.
-    pub fn run(&self, span: (Cursor, Cursor), at: Cursor) -> Option<Run<'_, V>> {
+    pub fn run(&self, span: (Cursor, Cursor), at: Cursor) -> Option<Run<'_, T>> {
         let (start, end) = span;
         if at >= end {
             return None;
@@ -370,12 +419,12 @@ impl<K, V> CowMap<K, V> {
         // clamped, so a cursor from another map state cannot index out of
         // bounds
         let hi = if at.chunk == end.chunk {
-            end.slot.min(chunk.vals.len())
+            end.slot.min(chunk.entries.len())
         } else {
-            chunk.vals.len()
+            chunk.entries.len()
         };
         (at.slot < hi).then(|| Run {
-            chunk: &chunk.vals,
+            chunk: &chunk.entries,
             image: &chunk.image,
             lo: at.slot,
             hi,
@@ -393,7 +442,7 @@ impl<K, V> CowMap<K, V> {
     pub fn step(&self, at: Cursor, n: usize) -> Cursor {
         let slot = at.slot + n;
         match self.chunks.get(at.chunk) {
-            Some(chunk) if slot < chunk.keys.len() => Cursor {
+            Some(chunk) if slot < chunk.entries.len() => Cursor {
                 chunk: at.chunk,
                 slot,
             },
@@ -404,9 +453,9 @@ impl<K, V> CowMap<K, V> {
         }
     }
 
-    /// The key of the entry at `at`, if there is one.
-    pub fn key_at(&self, at: Cursor) -> Option<&K> {
-        self.chunks.get(at.chunk)?.keys.get(at.slot)
+    /// The entry at `at`, if there is one.
+    pub fn entry_at(&self, at: Cursor) -> Option<&T> {
+        self.chunks.get(at.chunk)?.entries.get(at.slot)
     }
 
     /// Number of chunks in the spine.
@@ -416,70 +465,64 @@ impl<K, V> CowMap<K, V> {
 
     /// How many of this map's chunks are the same allocation as a chunk of
     /// `other` — what a clone followed by writes still shares.
-    pub fn shared_chunks(&self, other: &CowMap<K, V>) -> usize {
+    pub fn shared_chunks(&self, other: &CowMap<T, O>) -> usize {
         self.chunks
             .iter()
             .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
             .count()
     }
-}
 
-impl<K: Ord, V> CowMap<K, V> {
-    /// The chunk `key` belongs to (the last one starting at or before it;
+    /// The chunk a key belongs to (the last one starting at or before it;
     /// the first one for a key before every fence) and where in it: `Ok`
     /// with the slot holding the key, `Err` with the slot it would take.
-    /// An empty map answers chunk 0, which does not exist yet.
-    fn locate<Q>(&self, key: &Q) -> (usize, Result<usize, usize>)
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
+    /// `fence_at_or_before` tests a fence against the key, `cmp` orders an
+    /// entry's key against it. An empty map answers chunk 0, which does
+    /// not exist yet.
+    fn locate(
+        &self,
+        fence_at_or_before: impl FnMut(&O::Fence) -> bool,
+        cmp: impl FnMut(&T) -> Ordering,
+    ) -> (usize, Result<usize, usize>) {
         let chunk = self
             .fences
-            .partition_point(|f| f.borrow() <= key)
+            .partition_point(fence_at_or_before)
             .saturating_sub(1);
         let slot = match self.chunks.get(chunk) {
-            Some(c) => c.keys.binary_search_by(|k| k.borrow().cmp(key)),
+            Some(c) => c.entries.binary_search_by(cmp),
             None => Err(0),
         };
         (chunk, slot)
     }
 
-    /// The value stored under `key`.
-    pub fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.get_key_value(key).map(|(_, v)| v)
+    /// Where the entry keyed `key` is, or would go.
+    fn locate_key(&self, key: &O::Key) -> (usize, Result<usize, usize>) {
+        self.locate(|f| f.borrow() <= key, |e| self.order.cmp_key(e, key))
     }
 
-    /// The key as stored and the value stored under `key`.
-    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(&K, &V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (chunk, Ok(slot)) = self.locate(key) else {
+    /// Where an entry keyed as `like` is, or would go.
+    fn locate_like(&self, like: &T) -> (usize, Result<usize, usize>) {
+        let order = &self.order;
+        let fence_at_or_before = |f: &O::Fence| order.cmp_key(like, f.borrow()).is_ge();
+        self.locate(fence_at_or_before, |e| order.cmp(e, like))
+    }
+
+    /// The entry stored under `key`.
+    pub fn get(&self, key: &O::Key) -> Option<&T> {
+        let (chunk, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
-        let chunk = &self.chunks[chunk];
-        Some((&chunk.keys[slot], &chunk.vals[slot]))
+        Some(&self.chunks[chunk].entries[slot])
     }
 
-    /// The one-entry run holding the value stored under `key`. It never
+    /// The one-entry run holding the entry stored under `key`. It never
     /// covers its chunk: a lookup reads one row.
-    pub fn run_of<Q>(&self, key: &Q) -> Option<Run<'_, V>>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (chunk, Ok(slot)) = self.locate(key) else {
+    pub fn run_of(&self, key: &O::Key) -> Option<Run<'_, T>> {
+        let (chunk, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
         let chunk = &self.chunks[chunk];
         Some(Run {
-            chunk: &chunk.vals,
+            chunk: &chunk.entries,
             image: &chunk.image,
             lo: slot,
             hi: slot + 1,
@@ -491,18 +534,20 @@ impl<K: Ord, V> CowMap<K, V> {
 /// Packs entries that arrive in ascending key order into full chunks: the
 /// one place [`CowMap::from_sorted`] and [`CowMap::merge_sorted`] build a
 /// spine.
-struct Packer<K, V> {
-    fences: Vec<K>,
-    chunks: Vec<Arc<Chunk<K, V>>>,
+struct Packer<'o, T, O: KeyOrder<T>> {
+    order: &'o O,
+    fences: Vec<O::Fence>,
+    chunks: Vec<Arc<Chunk<T>>>,
     /// The chunk being filled; sealed when full or when a kept chunk
     /// follows it.
-    open: Chunk<K, V>,
+    open: Chunk<T>,
     len: usize,
 }
 
-impl<K: Ord + Clone, V> Packer<K, V> {
-    fn new() -> Packer<K, V> {
+impl<'o, T, O: KeyOrder<T>> Packer<'o, T, O> {
+    fn new(order: &'o O) -> Packer<'o, T, O> {
         Packer {
+            order,
             fences: Vec::new(),
             chunks: Vec::new(),
             open: Chunk::new(),
@@ -511,57 +556,45 @@ impl<K: Ord + Clone, V> Packer<K, V> {
     }
 
     /// Append one entry; its key must follow every key packed so far.
-    fn push(&mut self, key: K, val: V) {
+    fn push(&mut self, entry: T) {
         debug_assert!(
-            self.open
-                .keys
-                .last()
-                .or_else(|| self.chunks.last().and_then(|c| c.keys.last()))
-                .is_none_or(|last| *last < key),
+            (self.open.entries.last())
+                .or_else(|| self.chunks.last().and_then(|c| c.entries.last()))
+                .is_none_or(|last| self.order.cmp(last, &entry).is_lt()),
             "keys must ascend strictly"
         );
-        if self.open.keys.len() == MAX_CHUNK {
+        if self.open.entries.len() == MAX_CHUNK {
             self.seal();
         }
-        self.open.keys.push(key);
-        self.open.vals.push(val);
+        self.open.entries.push(entry);
         self.len += 1;
     }
 
     /// Append a whole chunk as it is — shared, not copied — after sealing
     /// the open one.
-    fn keep(&mut self, chunk: Arc<Chunk<K, V>>, fence: K) {
+    fn keep(&mut self, chunk: Arc<Chunk<T>>, fence: O::Fence) {
         self.seal();
-        self.len += chunk.keys.len();
+        self.len += chunk.entries.len();
         self.fences.push(fence);
         self.chunks.push(chunk);
     }
 
     fn seal(&mut self) {
-        if !self.open.keys.is_empty() {
+        if !self.open.entries.is_empty() {
             let chunk = std::mem::replace(&mut self.open, Chunk::new());
-            self.fences.push(chunk.keys[0].clone());
+            self.fences.push(self.order.fence(&chunk.entries[0]));
             self.chunks.push(Arc::new(chunk));
-        }
-    }
-
-    fn finish(mut self) -> CowMap<K, V> {
-        self.seal();
-        CowMap {
-            fences: Arc::new(self.fences),
-            chunks: self.chunks,
-            len: self.len,
         }
     }
 }
 
-impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
-    /// A map holding `entries`, whose keys must ascend strictly, built in
-    /// one pass: entries are moved into full chunks in order, with no
-    /// lookup, split or copy — the layout an ascending run of inserts
-    /// leaves, at a fraction of its cost.
-    pub fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> CowMap<K, V> {
-        let mut map = CowMap::new();
+impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
+    /// A map ordered by `order` holding `entries`, whose keys must ascend
+    /// strictly, built in one pass: entries are moved into full chunks in
+    /// order, with no lookup, split or copy — the layout an ascending run
+    /// of inserts leaves, at a fraction of its cost.
+    pub fn from_sorted(order: O, entries: impl IntoIterator<Item = T>) -> CowMap<T, O> {
+        let mut map = CowMap::new(order);
         map.merge_sorted(entries);
         map
     }
@@ -571,45 +604,55 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
     /// is, still shared with every clone of the map; the entries of a chunk
     /// new keys do fall into (copied first if a clone shares it) are merged
     /// with them into full chunks.
-    pub fn merge_sorted(&mut self, entries: impl IntoIterator<Item = (K, V)>) {
+    pub fn merge_sorted(&mut self, entries: impl IntoIterator<Item = T>) {
         let mut new = entries.into_iter().peekable();
-        let old = std::mem::take(self);
-        let mut out = Packer::new();
-        for (i, chunk) in old.chunks.into_iter().enumerate() {
+        let fences = std::mem::take(&mut self.fences);
+        let chunks = std::mem::take(&mut self.chunks);
+        let order = &self.order;
+        let mut out = Packer::new(order);
+        for (i, chunk) in chunks.into_iter().enumerate() {
             // the new keys this chunk takes: those before the next chunk
-            let next = old.fences.get(i + 1);
-            let here = |key: &K| next.is_none_or(|fence| key < fence);
-            if !new.peek().is_some_and(|(key, _)| here(key)) {
-                out.keep(chunk, old.fences[i].clone());
+            let next = fences.get(i + 1);
+            let here = |entry: &T| next.is_none_or(|f| order.cmp_key(entry, f.borrow()).is_lt());
+            if !new.peek().is_some_and(here) {
+                out.keep(chunk, fences[i].clone());
                 continue;
             }
-            let Chunk { keys, vals, .. } = Arc::unwrap_or_clone(chunk);
-            let mut kept = keys.into_iter().zip(vals).peekable();
+            let mut kept = Arc::unwrap_or_clone(chunk).entries.into_iter().peekable();
             loop {
-                let incoming = new.peek().filter(|(key, _)| here(key));
+                let incoming = new.peek().filter(|entry| here(entry));
                 let take_new = match (kept.peek(), incoming) {
                     (None, None) => break,
-                    (Some((a, _)), Some((b, _))) => b < a,
+                    (Some(a), Some(b)) => order.cmp(b, a).is_lt(),
                     (None, Some(_)) => true,
                     (Some(_), None) => false,
                 };
                 let next = if take_new { new.next() } else { kept.next() };
-                if let Some((key, val)) = next {
-                    out.push(key, val);
+                if let Some(entry) = next {
+                    out.push(entry);
                 }
             }
         }
-        for (key, val) in new {
-            out.push(key, val);
+        for entry in new {
+            out.push(entry);
         }
-        *self = out.finish();
+        out.seal();
+        let Packer {
+            fences,
+            chunks,
+            len,
+            ..
+        } = out;
+        self.fences = Arc::new(fences);
+        self.chunks = chunks;
+        self.len = len;
     }
 
-    /// The slot for `key`, found in one descent: occupied (read it, replace
-    /// its value) or vacant (insert there). Nothing is copied until the
-    /// entry is written.
-    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
-        match self.locate(&key) {
+    /// The slot for an entry keyed as `like`, found in one descent:
+    /// occupied (read it, replace it) or vacant (insert there). Nothing is
+    /// copied until the slot is written.
+    pub fn entry(&mut self, like: &T) -> Entry<'_, T, O> {
+        match self.locate_like(like) {
             (chunk, Ok(slot)) => Entry::Occupied(OccupiedEntry {
                 map: self,
                 at: Cursor { chunk, slot },
@@ -617,36 +660,31 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
             (chunk, Err(slot)) => Entry::Vacant(VacantEntry {
                 map: self,
                 at: Cursor { chunk, slot },
-                key,
             }),
         }
     }
 
-    /// Insert or replace; returns the value previously stored under `key`.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        match self.entry(key) {
-            Entry::Occupied(mut e) => Some(e.insert(value)),
-            Entry::Vacant(e) => {
-                e.insert(value);
+    /// Insert, or replace the entry with the same key; returns the entry
+    /// replaced.
+    pub fn insert(&mut self, entry: T) -> Option<T> {
+        match self.entry(&entry) {
+            Entry::Occupied(mut slot) => Some(slot.insert(entry)),
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
                 None
             }
         }
     }
 
-    /// Remove `key`; returns its value if it was present.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (ci, Ok(slot)) = self.locate(key) else {
+    /// Remove the entry keyed `key`, and return it if it was present.
+    pub fn remove(&mut self, key: &O::Key) -> Option<T> {
+        let (ci, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
         let chunk = chunk_mut(&mut self.chunks[ci]);
-        chunk.keys.remove(slot);
-        let value = chunk.vals.remove(slot);
+        let entry = chunk.entries.remove(slot);
         self.len -= 1;
-        match chunk.keys.first() {
+        match chunk.entries.first() {
             None => {
                 // a tail chunk that never filled up, or the last one left
                 self.chunks.remove(ci);
@@ -654,14 +692,14 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
             }
             Some(first) => {
                 if slot == 0 {
-                    Arc::make_mut(&mut self.fences)[ci] = first.clone();
+                    Arc::make_mut(&mut self.fences)[ci] = self.order.fence(first);
                 }
-                if chunk.keys.len() < MIN_CHUNK && self.chunks.len() > 1 {
+                if chunk.entries.len() < MIN_CHUNK && self.chunks.len() > 1 {
                     self.merge_small(ci);
                 }
             }
         }
-        Some(value)
+        Some(entry)
     }
 
     /// Fold the under-filled chunk `ci` into a neighbour, re-splitting if
@@ -673,89 +711,76 @@ impl<K: Ord + Clone, V: Clone> CowMap<K, V> {
         let fences = Arc::make_mut(&mut self.fences);
         fences.remove(left + 1);
         let merged = chunk_mut(&mut self.chunks[left]);
-        merged.keys.extend(right.keys);
-        merged.vals.extend(right.vals);
-        if merged.keys.len() > MAX_CHUNK {
-            let tail = merged.split_off(merged.keys.len() / 2);
-            fences.insert(left + 1, tail.keys[0].clone());
+        merged.entries.extend(right.entries);
+        if merged.entries.len() > MAX_CHUNK {
+            let tail = merged.split_off(merged.entries.len() / 2);
+            fences.insert(left + 1, self.order.fence(&tail.entries[0]));
             self.chunks.insert(left + 1, Arc::new(tail));
         }
     }
 }
 
 /// A slot of a [`CowMap`] located by [`CowMap::entry`].
-#[derive(Debug)]
-pub enum Entry<'a, K, V> {
-    /// The key is present.
-    Occupied(OccupiedEntry<'a, K, V>),
-    /// The key is absent; this is where it would go.
-    Vacant(VacantEntry<'a, K, V>),
+pub enum Entry<'a, T, O: KeyOrder<T>> {
+    /// An entry with the key is present.
+    Occupied(OccupiedEntry<'a, T, O>),
+    /// No entry has the key; this is where it would go.
+    Vacant(VacantEntry<'a, T, O>),
 }
 
-/// An entry whose key is present in the map.
-#[derive(Debug)]
-pub struct OccupiedEntry<'a, K, V> {
-    map: &'a mut CowMap<K, V>,
+/// A slot holding an entry with the key looked up.
+pub struct OccupiedEntry<'a, T, O: KeyOrder<T>> {
+    map: &'a mut CowMap<T, O>,
     at: Cursor,
 }
 
-impl<K: Clone, V: Clone> OccupiedEntry<'_, K, V> {
-    /// The stored key.
-    pub fn key(&self) -> &K {
-        &self.map.chunks[self.at.chunk].keys[self.at.slot]
+impl<T: Clone, O: KeyOrder<T>> OccupiedEntry<'_, T, O> {
+    /// The stored entry.
+    pub fn get(&self) -> &T {
+        &self.map.chunks[self.at.chunk].entries[self.at.slot]
     }
 
-    /// The stored value.
-    pub fn get(&self) -> &V {
-        &self.map.chunks[self.at.chunk].vals[self.at.slot]
-    }
-
-    /// Replace the stored value, returning the old one. Copies the chunk
-    /// first if another clone of the map shares it.
-    pub fn insert(&mut self, value: V) -> V {
+    /// Replace the stored entry by `entry`, which must hold the same key,
+    /// and return the old one. Copies the chunk first if another clone of
+    /// the map shares it.
+    pub fn insert(&mut self, entry: T) -> T {
+        debug_assert!(self.map.order.cmp(self.get(), &entry).is_eq());
         let chunk = chunk_mut(&mut self.map.chunks[self.at.chunk]);
-        std::mem::replace(&mut chunk.vals[self.at.slot], value)
+        std::mem::replace(&mut chunk.entries[self.at.slot], entry)
     }
 }
 
-/// An entry whose key is absent from the map.
-#[derive(Debug)]
-pub struct VacantEntry<'a, K, V> {
-    map: &'a mut CowMap<K, V>,
+/// A slot no entry with the key looked up holds.
+pub struct VacantEntry<'a, T, O: KeyOrder<T>> {
+    map: &'a mut CowMap<T, O>,
     at: Cursor,
-    key: K,
 }
 
-impl<K: Clone, V: Clone> VacantEntry<'_, K, V> {
-    /// The key that would be inserted.
-    pub fn key(&self) -> &K {
-        &self.key
-    }
-
-    /// Insert `value` under the entry's key.
-    pub fn insert(self, value: V) {
-        let VacantEntry { map, at, key } = self;
+impl<T: Clone, O: KeyOrder<T>> VacantEntry<'_, T, O> {
+    /// Insert `entry`, which must hold the key the slot was looked up with.
+    pub fn insert(self, entry: T) {
+        let VacantEntry { map, at } = self;
         let (mut ci, mut slot) = (at.chunk, at.slot);
         let full = map
             .chunks
             .get(ci)
-            .is_some_and(|c| c.keys.len() == MAX_CHUNK);
+            .is_some_and(|c| c.entries.len() == MAX_CHUNK);
         let past_last = slot == MAX_CHUNK && ci + 1 == map.chunks.len();
         if map.chunks.is_empty() || (full && past_last) {
             // The first entry of all, or one past a full last chunk: start
             // a new chunk — splitting would leave every chunk of an
             // ascending bulk load half empty.
-            Arc::make_mut(&mut map.fences).push(key.clone());
+            Arc::make_mut(&mut map.fences).push(map.order.fence(&entry));
             let mut chunk = Chunk::new();
-            chunk.keys.push(key);
-            chunk.vals.push(value);
+            chunk.entries.push(entry);
             map.chunks.push(Arc::new(chunk));
             map.len += 1;
             return;
         }
         if full {
             let tail = chunk_mut(&mut map.chunks[ci]).split_off(MAX_CHUNK / 2);
-            Arc::make_mut(&mut map.fences).insert(ci + 1, tail.keys[0].clone());
+            let fence = map.order.fence(&tail.entries[0]);
+            Arc::make_mut(&mut map.fences).insert(ci + 1, fence);
             map.chunks.insert(ci + 1, Arc::new(tail));
             if slot > MAX_CHUNK / 2 {
                 ci += 1;
@@ -764,11 +789,10 @@ impl<K: Clone, V: Clone> VacantEntry<'_, K, V> {
         }
         if slot == 0 {
             // smaller than every key of the map: the first chunk's new fence
-            Arc::make_mut(&mut map.fences)[ci] = key.clone();
+            Arc::make_mut(&mut map.fences)[ci] = map.order.fence(&entry);
         }
         let chunk = chunk_mut(&mut map.chunks[ci]);
-        chunk.keys.insert(slot, key);
-        chunk.vals.insert(slot, value);
+        chunk.entries.insert(slot, entry);
         map.len += 1;
     }
 }
@@ -778,14 +802,58 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    fn check(map: &CowMap<u32, u32>, oracle: &BTreeMap<u32, u32>) {
+    /// `(key, value)` entries ordered by their key, which the entry holds
+    /// as a table's row holds its clustered-key cells.
+    #[derive(Debug, Clone, Copy)]
+    struct ByKey;
+
+    impl KeyOrder<(u32, u32)> for ByKey {
+        type Key = u32;
+        type Fence = u32;
+        type Lead = u32;
+        fn cmp_key(&self, entry: &(u32, u32), key: &u32) -> Ordering {
+            entry.0.cmp(key)
+        }
+        fn cmp(&self, a: &(u32, u32), b: &(u32, u32)) -> Ordering {
+            a.0.cmp(&b.0)
+        }
+        fn fence(&self, entry: &(u32, u32)) -> u32 {
+            entry.0
+        }
+        fn lead<'a>(&self, entry: &'a (u32, u32)) -> &'a u32 {
+            &entry.0
+        }
+        fn key_lead<'a>(&self, key: &'a u32) -> &'a u32 {
+            key
+        }
+    }
+
+    type Map = CowMap<(u32, u32), ByKey>;
+
+    fn new_map() -> Map {
+        CowMap::new(ByKey)
+    }
+
+    /// `BTreeMap::insert`'s answer: the value replaced.
+    fn put(map: &mut Map, k: u32, v: u32) -> Option<u32> {
+        map.insert((k, v)).map(|(_, v)| v)
+    }
+
+    fn value(map: &Map, k: u32) -> Option<u32> {
+        map.get(&k).map(|&(_, v)| v)
+    }
+
+    fn take(map: &mut Map, k: u32) -> Option<u32> {
+        map.remove(&k).map(|(_, v)| v)
+    }
+
+    fn check(map: &Map, oracle: &BTreeMap<u32, u32>) {
         assert_eq!(map.len(), oracle.len());
-        assert!(map.iter().eq(oracle.iter()));
+        assert!(map.iter().copied().eq(oracle.iter().map(|(&k, &v)| (k, v))));
         assert_eq!(map.fences.len(), map.chunks.len());
         for (fence, c) in map.fences.iter().zip(&map.chunks) {
-            assert!(!c.keys.is_empty() && c.keys.len() <= MAX_CHUNK);
-            assert_eq!(c.keys.len(), c.vals.len());
-            assert_eq!(fence, &c.keys[0]);
+            assert!(!c.entries.is_empty() && c.entries.len() <= MAX_CHUNK);
+            assert_eq!(*fence, c.entries[0].0);
         }
     }
 
@@ -796,18 +864,18 @@ mod tests {
 
     #[test]
     fn ascending_load_fills_chunks() {
-        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
+        let (mut map, mut oracle) = (new_map(), BTreeMap::new());
         let n = 3 * MAX_CHUNK as u32;
         for k in 0..n {
-            assert_eq!(map.insert(k, k), oracle.insert(k, k));
+            assert_eq!(put(&mut map, k, k), oracle.insert(k, k));
         }
         assert_eq!(map.chunk_count(), 3);
-        assert_eq!(map.get(&300), Some(&300));
-        assert_eq!(map.get(&9999), None);
+        assert_eq!(value(&map, 300), Some(300));
+        assert_eq!(value(&map, 9999), None);
         // one past a full last chunk opens a new chunk; emptying it drops it
-        map.insert(n, n);
+        map.insert((n, n));
         assert_eq!(map.chunk_count(), 4);
-        assert_eq!(map.remove(&n), Some(n));
+        assert_eq!(take(&mut map, n), Some(n));
         assert_eq!(map.chunk_count(), 3);
         check(&map, &oracle);
     }
@@ -815,71 +883,71 @@ mod tests {
     #[test]
     fn random_inserts_and_removes_match_btreemap() {
         let n = 5 * MAX_CHUNK as u32 + 3;
-        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
-        assert_eq!(map.get(&0), None);
-        assert_eq!(map.remove(&0), None);
+        let (mut map, mut oracle) = (new_map(), BTreeMap::new());
+        assert_eq!(value(&map, 0), None);
+        assert_eq!(take(&mut map, 0), None);
         assert_eq!(map.seek(|_| true), map.end());
         for k in scrambled(n) {
-            assert_eq!(map.insert(k, k + 1), oracle.insert(k, k + 1));
+            assert_eq!(put(&mut map, k, k + 1), oracle.insert(k, k + 1));
         }
         check(&map, &oracle);
         assert!(map.chunk_count() >= 5, "the load crossed split boundaries");
         // replace in place
         for k in (0..n).step_by(3) {
-            assert_eq!(map.insert(k, 0), oracle.insert(k, 0));
+            assert_eq!(put(&mut map, k, 0), oracle.insert(k, 0));
         }
         check(&map, &oracle);
         let chunks_full = map.chunk_count();
         // drain in a scrambled order, through every merge, down to empty
         for (i, k) in scrambled(n).enumerate() {
-            assert_eq!(map.remove(&k), oracle.remove(&k));
-            assert_eq!(map.remove(&k), None);
+            assert_eq!(take(&mut map, k), oracle.remove(&k));
+            assert_eq!(take(&mut map, k), None);
             if i % 97 == 0 {
                 check(&map, &oracle);
             }
         }
         check(&map, &oracle);
         assert!(chunks_full > 1 && map.chunk_count() == 0 && map.is_empty());
-        assert_eq!(map.get(&0), None);
-        assert_eq!(map.remove(&0), None);
+        assert_eq!(value(&map, 0), None);
+        assert_eq!(take(&mut map, 0), None);
     }
 
     #[test]
     fn writes_leave_other_clones_untouched() {
-        let mut map = CowMap::new();
+        let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert(k * 2, k);
+            map.insert((k * 2, k));
         }
         let before = map.clone();
         assert_eq!(before.shared_chunks(&map), map.chunk_count());
-        map.insert(400, 9999); // replace
-        map.insert(401, 1); // new key
-        map.remove(&1200);
-        assert_eq!(before.get(&400), Some(&200));
-        assert_eq!(before.get(&401), None);
-        assert_eq!(before.get(&1200), Some(&600));
+        map.insert((400, 9999)); // replace
+        map.insert((401, 1)); // new key
+        take(&mut map, 1200);
+        assert_eq!(value(&before, 400), Some(200));
+        assert_eq!(value(&before, 401), None);
+        assert_eq!(value(&before, 1200), Some(600));
         assert_eq!(before.len(), 1000);
-        assert_eq!(map.get(&400), Some(&9999));
-        assert_eq!(map.get(&401), Some(&1));
-        assert_eq!(map.get(&1200), None);
+        assert_eq!(value(&map, 400), Some(9999));
+        assert_eq!(value(&map, 401), Some(1));
+        assert_eq!(value(&map, 1200), None);
         // 400/401 landed in (and split) the first chunk, 1200 in the third
         assert_eq!((map.chunk_count(), map.shared_chunks(&before)), (5, 2));
         // an entry that is looked up but not written copies nothing
         let mut reader = before.clone();
-        assert!(matches!(reader.entry(400), Entry::Occupied(_)));
-        assert!(matches!(reader.entry(401), Entry::Vacant(_)));
+        assert!(matches!(reader.entry(&(400, 0)), Entry::Occupied(_)));
+        assert!(matches!(reader.entry(&(401, 0)), Entry::Vacant(_)));
         assert_eq!(reader.shared_chunks(&before), before.chunk_count());
     }
 
     #[test]
     fn seek_and_slices_walk_ranges_across_chunks() {
-        let mut map = CowMap::new();
+        let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert(k, ());
+            map.insert((k, 0));
         }
         let keys = |from, to| -> Vec<u32> {
             map.slices(from, to)
-                .flat_map(|(keys, _)| keys.iter().copied())
+                .flat_map(|entries| entries.iter().map(|&(k, _)| k))
                 .collect()
         };
         let (lo, hi) = (MAX_CHUNK as u32 - 3, 2 * MAX_CHUNK as u32 + 5);
@@ -906,9 +974,9 @@ mod tests {
 
     #[test]
     fn walk_resumes_where_it_stopped() {
-        let mut map = CowMap::new();
+        let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert(k, k);
+            map.insert((k, k));
         }
         let (lo, hi) = (MAX_CHUNK as u32 - 3, 3 * MAX_CHUNK as u32 + 5);
         let span = (map.seek(|k| *k < lo), map.seek(|k| *k <= hi));
@@ -922,7 +990,7 @@ mod tests {
             while let Some(run) = map.run(span, at) {
                 assert_eq!(run.offset(), at.slot);
                 let take = run.vals().len().min(stride);
-                seen.extend_from_slice(&run.vals()[..take]);
+                seen.extend(run.vals()[..take].iter().map(|&(_, v)| v));
                 if run.covers_chunk && covered.last() != Some(&at.chunk) {
                     covered.push(at.chunk);
                 }
@@ -931,8 +999,8 @@ mod tests {
             assert_eq!(seen, (lo..=hi).collect::<Vec<_>>(), "stride {stride}");
             assert_eq!(covered, [1, 2], "stride {stride}");
         }
-        assert_eq!(map.key_at(span.0), Some(&lo));
-        assert_eq!(map.key_at(map.end()), None);
+        assert_eq!(map.entry_at(span.0), Some(&(lo, lo)));
+        assert_eq!(map.entry_at(map.end()), None);
         // an empty or reversed span yields nothing
         assert!(map.run((span.0, span.0), span.0).is_none());
         assert!(map.run((span.1, span.0), span.1).is_none());
@@ -943,7 +1011,7 @@ mod tests {
     #[test]
     fn from_sorted_packs_full_chunks() {
         for n in [0u32, 1, 255, 256, 257, 3 * 256, 1000] {
-            let map = CowMap::from_sorted((0..n).map(|k| (2 * k, k)));
+            let map = CowMap::from_sorted(ByKey, (0..n).map(|k| (2 * k, k)));
             let oracle: BTreeMap<u32, u32> = (0..n).map(|k| (2 * k, k)).collect();
             check(&map, &oracle);
             assert_eq!(
@@ -952,13 +1020,12 @@ mod tests {
                 "n = {n}"
             );
             // every chunk but the last is full: what ascending inserts leave
-            let mut inserted = CowMap::new();
+            let mut inserted = new_map();
             for k in 0..n {
-                inserted.insert(2 * k, k);
+                inserted.insert((2 * k, k));
             }
-            let sizes = |m: &CowMap<u32, u32>| -> Vec<usize> {
-                m.chunks.iter().map(|c| c.keys.len()).collect()
-            };
+            let sizes =
+                |m: &Map| -> Vec<usize> { m.chunks.iter().map(|c| c.entries.len()).collect() };
             assert_eq!(sizes(&map), sizes(&inserted), "n = {n}");
             assert!(map.get(&1).is_none());
         }
@@ -967,8 +1034,8 @@ mod tests {
     #[test]
     fn merge_sorted_keeps_untouched_chunks_shared() {
         // four full chunks of even keys, 0..2048
-        let mut map = CowMap::from_sorted((0..1024u32).map(|k| (2 * k, k)));
-        let mut oracle: BTreeMap<u32, u32> = map.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut map = CowMap::from_sorted(ByKey, (0..1024u32).map(|k| (2 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = map.iter().copied().collect();
         let before = map.clone();
         // odd keys into chunk 1 only, and a run past the end
         let new: Vec<(u32, u32)> = (600..620)
@@ -984,12 +1051,12 @@ mod tests {
         // shares them) and merged with their new keys
         assert_eq!(map.shared_chunks(&before), 2);
         assert_eq!(before.len(), 1024);
-        assert_eq!(before.get(&601), None);
-        assert_eq!(map.get(&601), Some(&0));
+        assert_eq!(value(&before, 601), None);
+        assert_eq!(value(&map, 601), Some(0));
         // new keys before the first and between chunks, into a map no clone
         // shares: each lands where an insert would
-        let mut owned = CowMap::from_sorted((10..20u32).map(|k| (10 * k, k)));
-        let mut oracle: BTreeMap<u32, u32> = owned.iter().map(|(k, v)| (*k, *v)).collect();
+        let mut owned = CowMap::from_sorted(ByKey, (10..20u32).map(|k| (10 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = owned.iter().copied().collect();
         let new: Vec<(u32, u32)> = [(1, 1), (5, 5), (101, 0), (155, 0), (999, 9)].into();
         oracle.extend(new.iter().copied());
         owned.merge_sorted(new);
@@ -1006,9 +1073,9 @@ mod tests {
         // a scrambled insert order leaves half-full chunks; merging a
         // scrambled-then-sorted set of new keys must still land every key
         let n = 4 * MAX_CHUNK as u32 + 7;
-        let (mut map, mut oracle) = (CowMap::new(), BTreeMap::new());
+        let (mut map, mut oracle) = (new_map(), BTreeMap::new());
         for k in scrambled(n) {
-            map.insert(3 * k, k);
+            map.insert((3 * k, k));
             oracle.insert(3 * k, k);
         }
         let mut new: Vec<(u32, u32)> = scrambled(n).map(|k| (3 * k + 1, k)).collect();
@@ -1018,7 +1085,7 @@ mod tests {
         check(&map, &oracle);
         // a write after a merge splits and merges as before
         for k in scrambled(n).step_by(5) {
-            assert_eq!(map.remove(&(3 * k)), oracle.remove(&(3 * k)));
+            assert_eq!(take(&mut map, 3 * k), oracle.remove(&(3 * k)));
         }
         check(&map, &oracle);
     }

@@ -1,8 +1,9 @@
 //! Secondary indexes.
 
-use crate::cowmap::{CowMap, Cursor};
+use crate::cowmap::{CowMap, Cursor, KeyOrder};
 use crate::range::KeyRange;
 use rcc_common::{Row, Value};
+use std::cmp::Ordering;
 
 /// A secondary index: an ordered set of (index-key ++ clustered-key)
 /// entries. Including the clustered key in the entry makes duplicate index
@@ -12,23 +13,61 @@ use rcc_common::{Row, Value};
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     name: String,
-    /// Ordinals (into the table schema) of the indexed columns.
-    columns: Vec<usize>,
+    /// Ordinals (into the table schema) of the indexed columns, then of the
+    /// table's clustered-key columns: the cells an entry holds, in order.
+    ordinals: Vec<usize>,
+    /// How many of `ordinals` are indexed columns.
+    width: usize,
     /// Index key values followed by the clustered key values.
-    entries: CowMap<Vec<Value>, ()>,
+    entries: CowMap<Box<[Value]>, WholeEntry>,
+}
+
+/// An index entry's key is the whole entry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WholeEntry;
+
+impl KeyOrder<Box<[Value]>> for WholeEntry {
+    type Key = [Value];
+    type Fence = Box<[Value]>;
+    type Lead = Value;
+
+    fn cmp_key(&self, entry: &Box<[Value]>, key: &[Value]) -> Ordering {
+        (**entry).cmp(key)
+    }
+
+    fn cmp(&self, a: &Box<[Value]>, b: &Box<[Value]>) -> Ordering {
+        a.cmp(b)
+    }
+
+    fn fence(&self, entry: &Box<[Value]>) -> Box<[Value]> {
+        entry.clone()
+    }
+
+    fn lead<'a>(&self, entry: &'a Box<[Value]>) -> &'a Value {
+        &entry[0]
+    }
+
+    fn key_lead<'a>(&self, key: &'a [Value]) -> &'a Value {
+        &key[0]
+    }
 }
 
 impl SecondaryIndex {
-    /// Create an empty index over the given column ordinals.
+    /// Create an empty index over the column ordinals `columns` of a table
+    /// clustered on the ordinals `key`.
     ///
     /// # Panics
     /// Panics if `columns` is empty.
-    pub fn new(name: impl Into<String>, columns: Vec<usize>) -> SecondaryIndex {
+    pub fn new(name: impl Into<String>, columns: Vec<usize>, key: &[usize]) -> SecondaryIndex {
         assert!(!columns.is_empty(), "an index needs at least one column");
+        let width = columns.len();
+        let mut ordinals = columns;
+        ordinals.extend_from_slice(key);
         SecondaryIndex {
             name: name.into(),
-            columns,
-            entries: CowMap::new(),
+            ordinals,
+            width,
+            entries: CowMap::new(WholeEntry),
         }
     }
 
@@ -39,7 +78,7 @@ impl SecondaryIndex {
 
     /// Indexed column ordinals.
     pub fn columns(&self) -> &[usize] {
-        &self.columns
+        &self.ordinals[..self.width]
     }
 
     /// Number of entries (== table row count once synced).
@@ -52,45 +91,36 @@ impl SecondaryIndex {
         self.entries.is_empty()
     }
 
-    fn entry_of(&self, row: &Row, pk: &[Value]) -> Vec<Value> {
-        let mut entry = Vec::with_capacity(self.columns.len() + pk.len());
-        entry.extend(self.columns.iter().map(|&i| row.get(i).clone()));
-        entry.extend_from_slice(pk);
-        entry
+    /// The entry of `row`: its indexed cells, then its clustered key.
+    fn entry_of(&self, row: &Row) -> Box<[Value]> {
+        self.ordinals.iter().map(|&i| row.get(i).clone()).collect()
     }
 
-    /// Add an entry for `row` stored at clustered key `pk`.
-    pub fn insert(&mut self, row: &Row, pk: &[Value]) {
-        self.entries.insert(self.entry_of(row, pk), ());
+    /// Add the entry of `row`.
+    pub fn insert(&mut self, row: &Row) {
+        self.entries.insert(self.entry_of(row));
     }
 
-    /// Add the entries of `rows`, each stored at the clustered key its
-    /// `key` columns hold and none indexed yet, in one sorted pass
+    /// Add the entries of `rows`, none indexed yet, in one sorted pass
     /// ([`CowMap::merge_sorted`]).
-    pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a Row>, key: &[usize]) {
-        let mut entries: Vec<Vec<Value>> = rows
-            .map(|row| {
-                let mut entry = Vec::with_capacity(self.columns.len() + key.len());
-                entry.extend(self.columns.iter().chain(key).map(|&i| row.get(i).clone()));
-                entry
-            })
-            .collect();
+    pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a Row>) {
+        let mut entries: Vec<Box<[Value]>> = rows.map(|row| self.entry_of(row)).collect();
         entries.sort_unstable();
-        self.entries
-            .merge_sorted(entries.into_iter().map(|entry| (entry, ())));
+        self.entries.merge_sorted(entries);
     }
 
-    /// Remove the entry for `row` stored at clustered key `pk`.
-    pub fn remove(&mut self, row: &Row, pk: &[Value]) {
-        self.entries.remove(self.entry_of(row, pk).as_slice());
+    /// Remove the entry of `row`.
+    pub fn remove(&mut self, row: &Row) {
+        self.entries.remove(&self.entry_of(row));
     }
 
-    /// Re-point the entry at `pk` from `old` to `new`. A no-op — no chunk
-    /// is copied — when no indexed column differs between the two rows.
-    pub fn replace(&mut self, old: &Row, new: &Row, pk: &[Value]) {
-        if self.columns.iter().any(|&i| old.get(i) != new.get(i)) {
-            self.remove(old, pk);
-            self.insert(new, pk);
+    /// Re-point the entry of the row stored as `old` to `new`, which has
+    /// the same clustered key. A no-op — no chunk is copied — when no
+    /// indexed column differs between the two rows.
+    pub fn replace(&mut self, old: &Row, new: &Row) {
+        if self.columns().iter().any(|&i| old.get(i) != new.get(i)) {
+            self.remove(old);
+            self.insert(new);
         }
     }
 
@@ -106,9 +136,9 @@ impl SecondaryIndex {
         E: FnMut(&[Value]),
     {
         let (from, to) = range.span(&self.entries);
-        for (entries, _) in self.entries.slices(from, to) {
+        for entries in self.entries.slices(from, to) {
             for entry in entries {
-                emit(&entry[self.columns.len()..]);
+                emit(&entry[self.width..]);
             }
         }
     }
@@ -120,8 +150,8 @@ impl SecondaryIndex {
 
     /// The clustered key of the entry at `at`, if there is one.
     pub(crate) fn pk_at(&self, at: Cursor) -> Option<&[Value]> {
-        let entry = self.entries.key_at(at)?;
-        Some(&entry[self.columns.len()..])
+        let entry = self.entries.entry_at(at)?;
+        Some(&entry[self.width..])
     }
 
     /// The position after the entry at `at`.
@@ -132,12 +162,12 @@ impl SecondaryIndex {
     /// Estimate of entries in `range` (exact here, since we can count).
     pub fn count_in(&self, range: &KeyRange) -> usize {
         let (from, to) = range.span(&self.entries);
-        self.entries.slices(from, to).map(|(e, _)| e.len()).sum()
+        self.entries.slices(from, to).map(<[_]>::len).sum()
     }
 
     /// The entry container, for structural-sharing assertions.
     #[cfg(test)]
-    pub(crate) fn entries(&self) -> &CowMap<Vec<Value>, ()> {
+    pub(crate) fn entries(&self) -> &CowMap<Box<[Value]>, WholeEntry> {
         &self.entries
     }
 }
@@ -153,9 +183,9 @@ mod tests {
 
     fn sample() -> SecondaryIndex {
         // index on column 1 (v); clustered key = column 0 (k)
-        let mut ix = SecondaryIndex::new("ix", vec![1]);
+        let mut ix = SecondaryIndex::new("ix", vec![1], &[0]);
         for (k, v) in [(1, 30), (2, 10), (3, 20), (4, 10)] {
-            ix.insert(&row(k, v), &[Value::Int(k)]);
+            ix.insert(&row(k, v));
         }
         ix
     }
@@ -184,7 +214,7 @@ mod tests {
     #[test]
     fn remove_specific_entry() {
         let mut ix = sample();
-        ix.remove(&row(4, 10), &[Value::Int(4)]);
+        ix.remove(&row(4, 10));
         assert_eq!(ix.count_in(&KeyRange::eq(Value::Int(10))), 1);
         assert_eq!(ix.len(), 3);
     }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 //! In-memory table storage for the RCC mini-DBMS.
 //!
@@ -27,7 +28,7 @@ pub mod stats;
 pub mod table;
 pub mod wal;
 
-pub use cowmap::{CowMap, Run};
+pub use cowmap::{CowMap, KeyOrder, Run};
 pub use durable::{CheckpointRows, DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;

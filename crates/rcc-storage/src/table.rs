@@ -1,11 +1,10 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
 use crate::column::ValueRef;
-use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Run, VacantEntry};
+use crate::cowmap::{CowMap, Cursor, Entry, KeyOrder, OccupiedEntry, Run, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 
 /// A logged change to a single row, the unit shipped through the
@@ -38,74 +37,57 @@ pub enum RowChange {
 pub struct Table {
     name: String,
     schema: Schema,
-    /// Ordinals of the clustered key columns, in key order.
-    key: Vec<usize>,
-    rows: CowMap<ClusterKey, Row>,
+    rows: CowMap<Row, Clustered>,
     indexes: Vec<SecondaryIndex>,
 }
 
-/// A clustered key as the row map stores it. Tables are clustered on one
-/// or two columns as a rule; keeping those values inline saves an
-/// allocation per row and a pointer chase per comparison in every seek.
-/// Orders exactly as the `[Value]` slice it borrows as, which is what
-/// lookups are made with.
+/// A table's row order: by the clustered-key cells each row holds,
+/// compared in place in key order — the order of the `[Value]` slice a
+/// lookup names a key by. No key is stored apart from its row but the
+/// chunk fences.
 #[derive(Debug, Clone)]
-enum ClusterKey {
-    One(Value),
-    Two([Value; 2]),
-    Many(Vec<Value>),
+struct Clustered {
+    /// Ordinals of the clustered key columns, in key order.
+    key: Box<[usize]>,
 }
 
-impl ClusterKey {
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            ClusterKey::One(v) => std::slice::from_ref(v),
-            ClusterKey::Two(vs) => vs,
-            ClusterKey::Many(vs) => vs,
-        }
+impl Clustered {
+    /// The clustered-key cells of `row`, in key order.
+    fn cells<'r>(&'r self, row: &'r Row) -> impl Iterator<Item = &'r Value> {
+        self.key.iter().map(|&i| row.get(i))
     }
 }
 
-impl Borrow<[Value]> for ClusterKey {
-    fn borrow(&self) -> &[Value] {
-        self.as_slice()
+impl KeyOrder<Row> for Clustered {
+    type Key = [Value];
+    type Fence = Box<[Value]>;
+    type Lead = Value;
+
+    fn cmp_key(&self, row: &Row, key: &[Value]) -> Ordering {
+        self.cells(row).cmp(key)
+    }
+
+    fn cmp(&self, a: &Row, b: &Row) -> Ordering {
+        self.cells(a).cmp(self.cells(b))
+    }
+
+    fn fence(&self, row: &Row) -> Box<[Value]> {
+        self.cells(row).cloned().collect()
+    }
+
+    fn lead<'a>(&self, row: &'a Row) -> &'a Value {
+        row.get(self.key[0])
+    }
+
+    fn key_lead<'a>(&self, key: &'a [Value]) -> &'a Value {
+        &key[0]
     }
 }
 
-impl Ord for ClusterKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.as_slice().cmp(other.as_slice())
-    }
-}
-
-impl PartialOrd for ClusterKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for ClusterKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for ClusterKey {}
-
-/// The clustered key of `row` in a table clustered on the columns `key`,
-/// as stored.
-fn cluster_key(key: &[usize], row: &Row) -> ClusterKey {
-    match *key {
-        [i] => ClusterKey::One(row.get(i).clone()),
-        [i, j] => ClusterKey::Two([row.get(i).clone(), row.get(j).clone()]),
-        _ => ClusterKey::Many(key.iter().map(|&i| row.get(i).clone()).collect()),
-    }
-}
-
-/// Store `row` in a vacant clustered-key slot and add its index entries.
-fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, ClusterKey, Row>, row: Row) {
+/// Store `row` in a vacant slot and add its index entries.
+fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, Row, Clustered>, row: Row) {
     for ix in indexes {
-        ix.insert(&row, slot.key().as_slice());
+        ix.insert(&row);
     }
     slot.insert(row);
 }
@@ -114,11 +96,11 @@ fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, ClusterKey, R
 /// of its columns differs between the old and the new row.
 fn replace_at(
     indexes: &mut [SecondaryIndex],
-    mut slot: OccupiedEntry<'_, ClusterKey, Row>,
+    mut slot: OccupiedEntry<'_, Row, Clustered>,
     row: Row,
 ) {
     for ix in indexes {
-        ix.replace(slot.get(), &row, slot.key().as_slice());
+        ix.replace(slot.get(), &row);
     }
     slot.insert(row);
 }
@@ -138,8 +120,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            key,
-            rows: CowMap::new(),
+            rows: CowMap::new(Clustered { key: key.into() }),
             indexes: Vec::new(),
         }
     }
@@ -156,7 +137,7 @@ impl Table {
 
     /// Clustered key column ordinals.
     pub fn key_ordinals(&self) -> &[usize] {
-        &self.key
+        &self.rows.order().key
     }
 
     /// Number of rows.
@@ -166,12 +147,7 @@ impl Table {
 
     /// Extract the clustered key of a row.
     pub fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.key.iter().map(|&i| row.get(i).clone()).collect()
-    }
-
-    /// The clustered key of a row, as stored.
-    fn cluster_key(&self, row: &Row) -> ClusterKey {
-        cluster_key(&self.key, row)
+        self.rows.order().cells(row).cloned().collect()
     }
 
     /// Add a secondary index over the given column ordinals. Existing rows
@@ -181,8 +157,8 @@ impl Table {
         if self.indexes.iter().any(|ix| ix.name() == name) {
             return Err(Error::AlreadyExists(format!("index {name}")));
         }
-        let mut ix = SecondaryIndex::new(name, columns);
-        ix.load(self.iter(), &self.key);
+        let mut ix = SecondaryIndex::new(name, columns, self.key_ordinals());
+        ix.load(self.iter());
         self.indexes.push(ix);
         Ok(())
     }
@@ -210,49 +186,46 @@ impl Table {
             }
             None => Ok(()),
         };
-        let key = &self.key;
-        let order = |a: &Row, b: &Row| {
-            key.iter()
-                .map(|&i| a.get(i))
-                .cmp(key.iter().map(|&i| b.get(i)))
-        };
-        if !rows.is_sorted_by(|a, b| order(a, b).is_le()) {
-            rows.sort_unstable_by(order);
+        let order = self.rows.order();
+        if !rows.is_sorted_by(|a, b| order.cmp(a, b).is_le()) {
+            rows.sort_unstable_by(|a, b| order.cmp(a, b));
         }
         self.check_new_keys(&rows)?;
         arity?;
         for ix in &mut self.indexes {
-            ix.load(rows.iter(), &self.key);
+            ix.load(rows.iter());
         }
-        let key = &self.key;
-        self.rows
-            .merge_sorted(rows.into_iter().map(|row| (cluster_key(key, &row), row)));
+        self.rows.merge_sorted(rows);
         Ok(())
     }
 
     /// The error `insert` gives the first of `rows` — sorted by clustered
     /// key — whose key is already stored or is its predecessor's.
     fn check_new_keys(&self, rows: &[Row]) -> Result<()> {
-        let duplicate = |stored: &[Value]| {
-            Err(Error::Storage(format!(
-                "duplicate clustered key {stored:?} in table {}",
-                self.name
-            )))
-        };
         for (i, row) in rows.iter().enumerate() {
-            if !self.rows.is_empty() {
-                if let Some((stored, _)) = self.rows.get_key_value(self.key_of(row).as_slice()) {
-                    return duplicate(stored.as_slice());
-                }
+            if !self.rows.is_empty() && self.rows.get(&self.key_of(row)).is_some() {
+                return Err(self.duplicate(row));
             }
             let prev = i.checked_sub(1).map(|j| &rows[j]);
-            if let Some(prev) =
-                prev.filter(|prev| self.key.iter().all(|&k| prev.get(k) == row.get(k)))
-            {
-                return duplicate(&self.key_of(prev));
+            if let Some(prev) = prev.filter(|prev| self.rows.order().cmp(prev, row).is_eq()) {
+                return Err(self.duplicate(prev));
             }
         }
         Ok(())
+    }
+
+    /// The error inserting a row keyed as `row` gives: it names the key as
+    /// stored, or as `row` holds it when no row is stored there.
+    fn duplicate(&self, row: &Row) -> Error {
+        let key = self.key_of(row);
+        let stored = self
+            .rows
+            .get(&key)
+            .map_or(key, |stored| self.key_of(stored));
+        Error::Storage(format!(
+            "duplicate clustered key {stored:?} in table {}",
+            self.name
+        ))
     }
 
     /// All secondary indexes.
@@ -282,13 +255,8 @@ impl Table {
     /// Insert a row; errors on duplicate clustered key.
     pub fn insert(&mut self, row: Row) -> Result<()> {
         self.check_arity(&row)?;
-        let key = self.cluster_key(&row);
-        match self.rows.entry(key) {
-            Entry::Occupied(slot) => Err(Error::Storage(format!(
-                "duplicate clustered key {:?} in table {}",
-                slot.key().as_slice(),
-                self.name
-            ))),
+        match self.rows.entry(&row) {
+            Entry::Occupied(_) => Err(self.duplicate(&row)),
             Entry::Vacant(slot) => {
                 insert_at(&mut self.indexes, slot, row);
                 Ok(())
@@ -299,8 +267,7 @@ impl Table {
     /// Insert or replace by clustered key (used by replication apply).
     pub fn upsert(&mut self, row: Row) -> Result<()> {
         self.check_arity(&row)?;
-        let key = self.cluster_key(&row);
-        match self.rows.entry(key) {
+        match self.rows.entry(&row) {
             Entry::Occupied(slot) => replace_at(&mut self.indexes, slot, row),
             Entry::Vacant(slot) => insert_at(&mut self.indexes, slot, row),
         }
@@ -311,7 +278,7 @@ impl Table {
     pub fn delete(&mut self, key: &[Value]) -> Option<Row> {
         let old = self.rows.remove(key)?;
         for ix in &mut self.indexes {
-            ix.remove(&old, key);
+            ix.remove(&old);
         }
         Some(old)
     }
@@ -320,13 +287,12 @@ impl Table {
     /// `key`; enforced).
     pub fn update(&mut self, key: &[Value], row: Row) -> Result<()> {
         self.check_arity(&row)?;
-        let row_key = self.cluster_key(&row);
-        if row_key.as_slice() != key {
+        if self.rows.order().cmp_key(&row, key).is_ne() {
             return Err(Error::Storage(
                 "update row's key columns do not match the target key".into(),
             ));
         }
-        match self.rows.entry(row_key) {
+        match self.rows.entry(&row) {
             Entry::Occupied(slot) => {
                 replace_at(&mut self.indexes, slot, row);
                 Ok(())
@@ -365,7 +331,7 @@ impl Table {
         E: FnMut(&Row),
     {
         let (from, to) = range.span(&self.rows);
-        for (_, rows) in self.rows.slices(from, to) {
+        for rows in self.rows.slices(from, to) {
             for row in rows {
                 if filter(row) {
                     emit(row);
@@ -505,7 +471,7 @@ impl Table {
 
     /// Iterate all rows in clustered order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.iter().map(|(_, row)| row)
+        self.rows.iter()
     }
 
     /// Remove all rows (keeps schema and index definitions).
@@ -581,9 +547,9 @@ impl SpanFinder<'_> {
     /// The first position at or after `at` whose first key column orders
     /// above `key` (`or_equal`), or else not below it.
     fn partition(&self, at: Cursor, key: ValueRef<'_>, or_equal: bool) -> Cursor {
-        let lead = self.table.key[0];
-        let fence_below = |fence: &ClusterKey| {
-            let o = ValueRef::of(&fence.as_slice()[0]).total_cmp(key);
+        let lead = self.table.key_ordinals()[0];
+        let fence_below = |fence: &Value| {
+            let o = ValueRef::of(fence).total_cmp(key);
             o.is_lt() || (or_equal && o.is_eq())
         };
         self.table.rows.gallop_from(at, fence_below, |run| {
@@ -892,7 +858,7 @@ mod tests {
         t.update(&[Value::Int(12_345)], row(12_345, -1.0)).unwrap();
 
         /// Chunks of the old snapshot the new one no longer shares.
-        fn unshared<K, V>(now: &CowMap<K, V>, then: &CowMap<K, V>) -> usize {
+        fn unshared<T, O: KeyOrder<T>>(now: &CowMap<T, O>, then: &CowMap<T, O>) -> usize {
             then.chunk_count() - then.shared_chunks(now)
         }
         assert!(unshared(&t.rows, &before.rows) <= 2);
