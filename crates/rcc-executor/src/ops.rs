@@ -451,7 +451,7 @@ impl ScanKernel<'_> {
     /// whole, read through the chunk's image, whose columns are `image`.
     fn take_image(
         &self,
-        run: &Run<'_, Row>,
+        run: &Run<'_>,
         image: &[&Column],
         room: usize,
         cols: &mut [Column],
@@ -1662,35 +1662,6 @@ enum Accumulator {
     },
 }
 
-/// Which group each logical row of a batch feeds.
-#[derive(Clone, Copy)]
-enum Groups<'g> {
-    /// Every one of this many rows feeds group 0: an aggregate without
-    /// GROUP BY.
-    One(usize),
-    /// Row `k` feeds group `ids[k]`.
-    Ids(&'g [u32]),
-}
-
-impl Groups<'_> {
-    /// Number of rows.
-    fn len(self) -> usize {
-        match self {
-            Groups::One(rows) => rows,
-            Groups::Ids(ids) => ids.len(),
-        }
-    }
-
-    /// The group row `k` feeds.
-    #[inline]
-    fn of(self, k: usize) -> usize {
-        match self {
-            Groups::One(_) => 0,
-            Groups::Ids(ids) => ids[k] as usize,
-        }
-    }
-}
-
 /// One group's SUM / AVG so far: the total of its cells in input order,
 /// how many there were, and whether any was a float.
 #[derive(Clone, Copy, Default)]
@@ -1737,23 +1708,19 @@ impl Accumulator {
         }
     }
 
-    /// Feed one batch: `groups` says which group each logical row feeds,
-    /// `arg` is the argument's column (`None`: the call has no argument,
-    /// which only `COUNT(*)` counts). NULLs are skipped.
-    fn update(&mut self, groups: Groups<'_>, arg: Option<&Column>) -> Result<()> {
+    /// Feed one batch: `groups[k]` is the group of logical row `k`, `arg`
+    /// the argument's column (`None`: the call has no argument, which only
+    /// `COUNT(*)` counts). NULLs are skipped.
+    fn update(&mut self, groups: &[u32], arg: Option<&Column>) -> Result<()> {
         match (self, arg) {
             (Accumulator::Count(n), arg) => {
                 // `COUNT(*)`, or a typed column without NULLs: every row counts
                 let nullable = arg.filter(|arg| {
                     arg.validity().is_some() || matches!(arg.data(), ColumnData::Any(_))
                 });
-                match (groups, nullable) {
-                    (Groups::One(rows), None) => n[0] += rows as i64,
-                    (Groups::One(rows), Some(arg)) => {
-                        n[0] += (0..rows).filter(|&k| !arg.is_null(k)).count() as i64
-                    }
-                    (Groups::Ids(ids), None) => ids.iter().for_each(|&g| n[g as usize] += 1),
-                    (Groups::Ids(ids), Some(arg)) => (ids.iter().enumerate())
+                match nullable {
+                    None => groups.iter().for_each(|&g| n[g as usize] += 1),
+                    Some(arg) => (groups.iter().enumerate())
                         .filter(|&(k, _)| !arg.is_null(k))
                         .for_each(|(_, &g)| n[g as usize] += 1),
                 }
@@ -1761,12 +1728,12 @@ impl Accumulator {
             (_, None) => {}
             (Accumulator::Sum { sums, .. }, Some(arg)) => add_numbers(sums, groups, arg)?,
             (Accumulator::Extreme { best, keeps }, Some(arg)) => {
-                for k in 0..groups.len() {
+                for (k, &g) in groups.iter().enumerate() {
                     let cell = arg.get(k);
                     if cell.is_null() {
                         continue;
                     }
-                    let best = &mut best[groups.of(k)];
+                    let best = &mut best[g as usize];
                     let better = match best {
                         Some(b) => cell.total_cmp(ValueRef::of(b)) == *keeps,
                         None => true,
@@ -1803,42 +1770,27 @@ impl Accumulator {
 
 /// Add every non-NULL cell of `arg` to its row's group, as SUM / AVG add,
 /// in row order. A column of integers or floats without NULLs is walked as
-/// the vector it is, its type settled once for the batch, and into a local
-/// total when every row feeds one group. Any other column goes cell by
-/// cell; a cell that is not a number is the type error `Value::as_float`
-/// reports.
-fn add_numbers(sums: &mut [Sum], groups: Groups<'_>, arg: &Column) -> Result<()> {
-    fn add_all(
-        sums: &mut [Sum],
-        groups: Groups<'_>,
-        cells: impl Iterator<Item = f64>,
-        float: bool,
-    ) {
-        match groups {
-            Groups::One(rows) => {
-                let mut sum = sums[0];
-                cells.take(rows).for_each(|x| sum.add(x, float));
-                sums[0] = sum;
-            }
-            Groups::Ids(ids) => {
-                for (&g, x) in ids.iter().zip(cells) {
-                    sums[g as usize].add(x, float);
-                }
-            }
+/// the vector it is, its type settled once for the batch. Any other column
+/// goes cell by cell; a cell that is not a number is the type error
+/// `Value::as_float` reports.
+fn add_numbers(sums: &mut [Sum], groups: &[u32], arg: &Column) -> Result<()> {
+    fn add_all(sums: &mut [Sum], groups: &[u32], cells: impl Iterator<Item = f64>, float: bool) {
+        for (&g, x) in groups.iter().zip(cells) {
+            sums[g as usize].add(x, float);
         }
     }
     match (arg.data(), arg.validity()) {
         (ColumnData::Float(d), None) => add_all(sums, groups, d.iter().copied(), true),
         (ColumnData::Int(d), None) => add_all(sums, groups, d.iter().map(|&i| i as f64), false),
         _ => {
-            for k in 0..groups.len() {
+            for (k, &g) in groups.iter().enumerate() {
                 let (x, float) = match arg.get(k) {
                     ValueRef::Null => continue,
                     ValueRef::Int(i) => (i as f64, false),
                     ValueRef::Float(f) => (f, true),
                     other => (other.to_value().as_float()?, false),
                 };
-                sums[groups.of(k)].add(x, float);
+                sums[g as usize].add(x, float);
             }
         }
     }
@@ -1913,23 +1865,18 @@ impl Operator for HashAggregateOp<'_> {
             .map(|(_, arg)| arg.as_ref().map(|e| e.bind(&ctx.slots)))
             .collect();
         // groups are numbered in first-seen order, which is the output order;
-        // without GROUP BY there is the one group, rows or no rows, and no
-        // row needs a group id
+        // without GROUP BY there is the one group, rows or no rows
         let global = group_by.is_empty();
         let mut table = GroupTable::new(group_by.len());
         let mut accumulators: Vec<Accumulator> = (self.plan.aggs.iter())
             .map(|&(func, _)| Accumulator::new(func))
             .collect();
         while let Some(batch) = self.input.next_batch(ctx)? {
-            let ids;
-            let groups = match global {
-                true => Groups::One(batch.len()),
-                false => {
-                    let parts = key_columns(&group_by, &batch, now)?;
-                    let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
-                    ids = table.group_rows(&parts, batch.len());
-                    Groups::Ids(&ids)
-                }
+            let parts = key_columns(&group_by, &batch, now)?;
+            let parts: Vec<&Column> = parts.iter().map(|c| c.as_ref()).collect();
+            let groups: Vec<u32> = match global {
+                true => vec![0; batch.len()],
+                false => table.group_rows(&parts, batch.len()),
             };
             for (acc, arg) in accumulators.iter_mut().zip(&args) {
                 acc.grow(if global { 1 } else { table.len() });
@@ -1937,7 +1884,7 @@ impl Operator for HashAggregateOp<'_> {
                     .as_ref()
                     .map(|e| logical_column(e, &batch, now))
                     .transpose()?;
-                acc.update(groups, arg.as_deref())?;
+                acc.update(&groups, arg.as_deref())?;
             }
         }
         self.input.close(ctx)?;
@@ -2141,76 +2088,6 @@ mod tests {
                 other => panic!("a fresh column holds no type yet: {other:?}"),
             };
             assert!(room >= 64, "room for {room} cells");
-        }
-    }
-
-    /// An aggregate without GROUP BY feeds its one group without a group id
-    /// per row: every call's result is, to the bit, what feeding each row
-    /// to group 0 by id gives, and what a row-at-a-time model gives — over
-    /// typed columns with and without NULLs and a column of mixed types,
-    /// split into batches.
-    #[test]
-    fn a_global_aggregate_matches_a_row_model() {
-        let cell = |i: i64, kind: i64| match (kind, i % 4) {
-            (1 | 3, 0) => Value::Null,
-            (0 | 1, _) => Value::Int(i * 7 - 40),
-            (4, 1) => Value::Int(i),
-            (4, 2) => Value::Null,
-            _ => Value::Float(i as f64 * 0.1 - 2.3),
-        };
-        let funcs = [
-            AggFunc::Count,
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-        ];
-        for kind in 0..5 {
-            let cells: Vec<Value> = (0..100).map(|i| cell(i, kind)).collect();
-            for func in funcs {
-                for with_arg in [true, false] {
-                    let (mut global, mut by_id) = (Accumulator::new(func), Accumulator::new(func));
-                    global.grow(1);
-                    by_id.grow(1);
-                    for batch in cells.chunks(37) {
-                        let col = Column::from_values(batch.to_vec());
-                        let arg = with_arg.then_some(&col);
-                        global.update(Groups::One(batch.len()), arg).unwrap();
-                        let ids = vec![0; batch.len()];
-                        by_id.update(Groups::Ids(&ids), arg).unwrap();
-                    }
-                    let (got, want) = (global.finish().value(0), by_id.finish().value(0));
-                    let same = match (&got, &want) {
-                        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
-                        (a, b) => a == b && a.data_type() == b.data_type(),
-                    };
-                    assert!(same, "{func:?} kind {kind}: {got:?}, by id {want:?}");
-                    if with_arg || func == AggFunc::Count {
-                        let model = row_model(func, &cells, with_arg);
-                        assert!(
-                            got == model && got.data_type() == model.data_type(),
-                            "{func:?} kind {kind}: {got:?}, model {model:?}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// One aggregate over `cells` a row at a time (`COUNT(*)` when there
-    /// is no argument).
-    fn row_model(func: AggFunc, cells: &[Value], with_arg: bool) -> Value {
-        let present: Vec<&Value> = cells.iter().filter(|v| !with_arg || !v.is_null()).collect();
-        let numbers = || present.iter().map(|v| v.as_float().unwrap());
-        let float = present.iter().any(|v| matches!(v, Value::Float(_)));
-        match (func, present.len()) {
-            (AggFunc::Count, n) => Value::Int(n as i64),
-            (_, 0) => Value::Null,
-            (AggFunc::Sum, _) if float => Value::Float(numbers().fold(0.0, |a, x| a + x)),
-            (AggFunc::Sum, _) => Value::Int(numbers().fold(0.0, |a, x| a + x) as i64),
-            (AggFunc::Avg, n) => Value::Float(numbers().fold(0.0, |a, x| a + x) / n as f64),
-            (AggFunc::Min, _) => present.iter().copied().min().cloned().unwrap(),
-            (AggFunc::Max, _) => present.iter().copied().max().cloned().unwrap(),
         }
     }
 }

@@ -7,11 +7,17 @@
 //! cargo test --release -p rcc-mtcache --test paper_scale -- --ignored --nocapture
 //! ```
 //!
-//! It prints how long the rig took to build, and how long
-//! `TableStats::compute` (ANALYZE) takes on each of its four tables.
+//! It prints how long the rig took to build, how long
+//! `TableStats::compute` (ANALYZE) takes on each of its four tables, and
+//! what a random point read and a random one-key range seek cost on its
+//! largest table. A table stores each clustered key only in its row, so
+//! every probe a lookup makes inside a chunk reads a row; at this scale
+//! those rows are mostly out of cache, and these two figures are where
+//! that shows first.
 
+use rcc_common::Value;
 use rcc_mtcache::paper::{paper_setup, warm_up};
-use rcc_storage::TableStats;
+use rcc_storage::{KeyRange, TableStats};
 use rcc_tpcd::TpcdGenerator;
 use std::time::Instant;
 
@@ -54,6 +60,36 @@ fn the_paper_scale_rig_builds_and_serves_locally() {
             stats.row_count as f64 / took
         );
     }
+    // storage lookups at the paper's scale, keys visited in a scrambled
+    // order so each one lands in a chunk the last one did not
+    let orders_prj = cache
+        .cache_storage()
+        .table("orders_prj")
+        .unwrap()
+        .snapshot();
+    let keys: Vec<Vec<Value>> = (orders_prj.iter().step_by(101))
+        .map(|row| orders_prj.key_of(row))
+        .collect();
+    let scrambled = || (0..keys.len()).map(|i| &keys[i * 7919 % keys.len()]);
+    let started = Instant::now();
+    let found = scrambled()
+        .filter(|key| orders_prj.get(key).is_some())
+        .count();
+    let get_ns = started.elapsed().as_nanos() as f64 / keys.len() as f64;
+    assert_eq!(found, keys.len());
+    let started = Instant::now();
+    let mut rows = 0;
+    for key in scrambled() {
+        let range = KeyRange::eq(key[0].clone());
+        orders_prj.scan_range(&range, |_| true, |_| rows += 1);
+    }
+    let seek_ns = started.elapsed().as_nanos() as f64 / keys.len() as f64;
+    assert!(rows >= keys.len());
+    println!(
+        "orders_prj ({} rows): random point get {get_ns:.0} ns, \
+         random one-key range seek {seek_ns:.0} ns",
+        orders_prj.row_count()
+    );
     // the peak resident set, where the platform reports it
     if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
         if let Some(hwm) = status.lines().find(|l| l.starts_with("VmHWM")) {

@@ -2,9 +2,10 @@
 //! clones until written.
 //!
 //! [`CowMap`] is the row container behind [`crate::Table`] and
-//! [`crate::SecondaryIndex`]. It stores each entry once: an entry carries
-//! its own key, and the map orders entries through a [`KeyOrder`] it holds
-//! — a table's rows by their clustered-key cells, an index's entries whole.
+//! [`crate::SecondaryIndex`]. Its entries are [`Row`]s, each stored once:
+//! a row carries its own key, and the map orders rows by the key cells at
+//! the ordinals it was made with — a table's rows by their clustered-key
+//! cells, an index's entries (also rows) by every cell.
 //! Entries live in key order in chunks of at most `MAX_CHUNK` entries, each
 //! chunk behind an `Arc`, under a flat spine: the chunk pointers plus a
 //! *fence* vector holding an owned copy of every chunk's first key, itself
@@ -51,8 +52,7 @@
 //! Chunks of other maps (the secondary indexes) never build one.
 
 use crate::column::Column;
-use rcc_common::Row;
-use std::borrow::Borrow;
+use rcc_common::{Row, Value};
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -63,35 +63,48 @@ const MAX_CHUNK: usize = 256;
 /// A removal that leaves a chunk smaller than this merges it away.
 const MIN_CHUNK: usize = MAX_CHUNK / 4;
 
-/// How a [`CowMap`] orders its entries: by a key each entry holds. The
-/// map stores no key apart from its entries but the chunk fences.
-///
-/// `cmp_key(e, &fence(f))` must order as `cmp(e, f)`, and ordering the
-/// leads of two keys must never contradict ordering the keys.
-pub trait KeyOrder<T> {
-    /// A key, as a lookup names it.
-    type Key: Ord + ?Sized;
-    /// An owned key, as a chunk fence holds it.
-    type Fence: Borrow<Self::Key> + Clone;
-    /// A key's first component: what a range seek partitions on.
-    type Lead: ?Sized;
+/// How a [`CowMap`] orders its rows: by the key cells each row holds,
+/// compared in place in key order — the order of the `[Value]` slice a
+/// lookup names a key by. A table orders its rows by their clustered-key
+/// cells; a secondary index orders its entries by every cell they hold.
+/// The map stores no key apart from its rows but the chunk fences.
+#[derive(Debug, Clone)]
+pub(crate) struct Clustered {
+    /// Ordinals of the key cells, in key order.
+    pub(crate) key: Box<[usize]>,
+}
 
-    /// How `entry`'s key orders against `key`.
-    fn cmp_key(&self, entry: &T, key: &Self::Key) -> Ordering;
-    /// How the keys of two entries order.
-    fn cmp(&self, a: &T, b: &T) -> Ordering;
-    /// An owned copy of `entry`'s key: a chunk's fence.
-    fn fence(&self, entry: &T) -> Self::Fence;
-    /// The first component of `entry`'s key.
-    fn lead<'a>(&self, entry: &'a T) -> &'a Self::Lead;
-    /// The first component of `key`.
-    fn key_lead<'a>(&self, key: &'a Self::Key) -> &'a Self::Lead;
+impl Clustered {
+    /// The key cells of `row`, in key order.
+    pub(crate) fn cells<'r>(&'r self, row: &'r Row) -> impl Iterator<Item = &'r Value> {
+        self.key.iter().map(|&i| row.get(i))
+    }
+
+    /// How `row`'s key orders against `key`.
+    pub(crate) fn cmp_key(&self, row: &Row, key: &[Value]) -> Ordering {
+        self.cells(row).cmp(key)
+    }
+
+    /// How the keys of two rows order.
+    pub(crate) fn cmp(&self, a: &Row, b: &Row) -> Ordering {
+        self.cells(a).cmp(self.cells(b))
+    }
+
+    /// An owned copy of `row`'s key: a chunk's fence.
+    fn fence(&self, row: &Row) -> Box<[Value]> {
+        self.cells(row).cloned().collect()
+    }
+
+    /// The first cell of `row`'s key: what a range seek partitions on.
+    fn lead<'a>(&self, row: &'a Row) -> &'a Value {
+        row.get(self.key[0])
+    }
 }
 
 /// One run of entries, keys ascending.
 #[derive(Debug)]
-struct Chunk<T> {
-    entries: Vec<T>,
+struct Chunk {
+    entries: Vec<Row>,
     image: Image,
 }
 
@@ -111,11 +124,11 @@ impl Image {
     }
 }
 
-impl<T> Chunk<T> {
+impl Chunk {
     /// An empty chunk with room for `MAX_CHUNK` entries. Sizing the buffer
     /// once means a chunk never reallocates as it fills, so a bulk load
     /// leaves no trail of outgrown buffers between the rows it allocates.
-    fn new() -> Chunk<T> {
+    fn new() -> Chunk {
         Chunk {
             entries: Vec::with_capacity(MAX_CHUNK),
             image: Image::default(),
@@ -123,7 +136,7 @@ impl<T> Chunk<T> {
     }
 
     /// Move the entries from `at` on into a new chunk.
-    fn split_off(&mut self, at: usize) -> Chunk<T> {
+    fn split_off(&mut self, at: usize) -> Chunk {
         let mut tail = Chunk::new();
         tail.entries.extend(self.entries.drain(at..));
         tail
@@ -134,7 +147,7 @@ impl<T> Chunk<T> {
 /// map shares is copied first (the copy starts without an image); one this
 /// map owns alone is written in place, so its image — about to go stale —
 /// is dropped.
-fn chunk_mut<T: Clone>(chunk: &mut Arc<Chunk<T>>) -> &mut Chunk<T> {
+fn chunk_mut(chunk: &mut Arc<Chunk>) -> &mut Chunk {
     let chunk = Arc::make_mut(chunk);
     chunk.image = Image::default();
     chunk
@@ -143,7 +156,7 @@ fn chunk_mut<T: Clone>(chunk: &mut Arc<Chunk<T>>) -> &mut Chunk<T> {
 /// The copy `Arc::make_mut` takes before a write: the entries only, in a
 /// full-sized buffer like every chunk's, since an insert is as likely to
 /// follow as a replace. The image is not copied.
-impl<T: Clone> Clone for Chunk<T> {
+impl Clone for Chunk {
     fn clone(&self) -> Self {
         let mut copy = Chunk::new();
         copy.entries.extend_from_slice(&self.entries);
@@ -151,27 +164,18 @@ impl<T: Clone> Clone for Chunk<T> {
     }
 }
 
-/// A persistent ordered map whose clones share storage chunk by chunk.
-pub struct CowMap<T, O: KeyOrder<T>> {
-    order: O,
+/// A persistent ordered map of rows whose clones share storage chunk by
+/// chunk.
+#[derive(Clone)]
+pub struct CowMap {
+    order: Clustered,
     /// First key of each chunk.
-    fences: Arc<Vec<O::Fence>>,
-    chunks: Vec<Arc<Chunk<T>>>,
+    fences: Arc<Vec<Box<[Value]>>>,
+    chunks: Vec<Arc<Chunk>>,
     len: usize,
 }
 
-impl<T, O: KeyOrder<T> + Clone> Clone for CowMap<T, O> {
-    fn clone(&self) -> Self {
-        CowMap {
-            order: self.order.clone(),
-            fences: Arc::clone(&self.fences),
-            chunks: self.chunks.clone(),
-            len: self.len,
-        }
-    }
-}
-
-impl<T, O: KeyOrder<T>> std::fmt::Debug for CowMap<T, O> {
+impl std::fmt::Debug for CowMap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CowMap")
             .field("len", &self.len)
@@ -197,18 +201,18 @@ impl Cursor {
 /// Consecutive entries of one chunk, as a scan takes them: made by
 /// [`CowMap::run`].
 #[derive(Debug, Clone, Copy)]
-pub struct Run<'a, T> {
+pub struct Run<'a> {
     /// Every entry of the chunk; the run is `chunk[lo..hi]`.
-    chunk: &'a [T],
+    chunk: &'a [Row],
     image: &'a Image,
     lo: usize,
     hi: usize,
     covers_chunk: bool,
 }
 
-impl<'a, T> Run<'a, T> {
+impl<'a> Run<'a> {
     /// The run's entries, in key order.
-    pub fn vals(&self) -> &'a [T] {
+    pub fn vals(&self) -> &'a [Row] {
         &self.chunk[self.lo..self.hi]
     }
 
@@ -223,9 +227,7 @@ impl<'a, T> Run<'a, T> {
     pub fn covers_chunk(&self) -> bool {
         self.covers_chunk
     }
-}
 
-impl<'a> Run<'a, Row> {
     /// Column `ordinal` of the run's *whole chunk*, typed — built the first
     /// time any reader asks for it, so reading it for a run that covers
     /// only part of its chunk pays for the whole chunk once. Cell
@@ -255,19 +257,19 @@ pub(crate) fn gallop(len: usize, mut below: impl FnMut(usize) -> bool) -> usize 
     lo
 }
 
-impl<T, O: KeyOrder<T>> CowMap<T, O> {
-    /// An empty map ordered by `order`.
-    pub fn new(order: O) -> Self {
+impl CowMap {
+    /// An empty map of rows ordered by the cells at the ordinals `key`.
+    pub fn new(key: Vec<usize>) -> Self {
         CowMap {
-            order,
+            order: Clustered { key: key.into() },
             fences: Arc::new(Vec::new()),
             chunks: Vec::new(),
             len: 0,
         }
     }
 
-    /// The order the map keeps its entries in.
-    pub fn order(&self) -> &O {
+    /// The order the map keeps its rows in.
+    pub(crate) fn order(&self) -> &Clustered {
         &self.order
     }
 
@@ -289,7 +291,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     }
 
     /// All entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl Iterator<Item = &Row> {
         self.chunks.iter().flat_map(|c| c.entries.iter())
     }
 
@@ -305,18 +307,17 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     /// `below` must hold for a (possibly empty) prefix of the leads in
     /// order and for no lead after it — a partition point, found in
     /// O(log) comparisons.
-    pub fn seek(&self, mut below: impl FnMut(&O::Lead) -> bool) -> Cursor {
-        let order = &self.order;
+    pub fn seek(&self, mut below: impl FnMut(&Value) -> bool) -> Cursor {
         // the partition point lies in the last chunk whose first key is
         // below, or right after it
         let Some(chunk) = (self.fences)
-            .partition_point(|f| below(order.key_lead(f.borrow())))
+            .partition_point(|f| below(&f[0]))
             .checked_sub(1)
         else {
             return Cursor::START;
         };
         let entries = &self.chunks[chunk].entries;
-        match entries.partition_point(|e| below(order.lead(e))) {
+        match entries.partition_point(|e| below(self.order.lead(e))) {
             slot if slot < entries.len() => Cursor { chunk, slot },
             _ => Cursor {
                 chunk: chunk + 1,
@@ -329,7 +330,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     /// `from`: gallops forward from there, so finding the end of a short
     /// span costs O(log span) comparisons on keys next to the ones just
     /// visited instead of a second descent from the top.
-    pub fn seek_from(&self, from: Cursor, mut below: impl FnMut(&O::Lead) -> bool) -> Cursor {
+    pub fn seek_from(&self, from: Cursor, mut below: impl FnMut(&Value) -> bool) -> Cursor {
         let Some(chunk) = self.chunks.get(from.chunk) else {
             return from;
         };
@@ -357,15 +358,15 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     pub fn gallop_from(
         &self,
         from: Cursor,
-        mut fence_below: impl FnMut(&O::Lead) -> bool,
-        ahead: impl FnOnce(Run<'_, T>) -> usize,
+        mut fence_below: impl FnMut(&Value) -> bool,
+        ahead: impl FnOnce(Run<'_>) -> usize,
     ) -> Cursor {
         let Some(chunk) = self.chunks.get(from.chunk) else {
             return from;
         };
         let later = &self.fences[from.chunk + 1..];
-        let mut fence_below = |f: &O::Fence| fence_below(self.order.key_lead(f.borrow()));
-        let (ci, lo) = match later.first().is_some_and(&mut fence_below) {
+        let mut fence_below = |f: &[Value]| fence_below(&f[0]);
+        let (ci, lo) = match later.first().is_some_and(|f| fence_below(f)) {
             // the last chunk whose first key is below holds the point
             true => (
                 from.chunk + gallop(later.len(), |i| fence_below(&later[i])),
@@ -392,7 +393,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
 
     /// The entries in `[from, to)` in key order, as one slice per chunk.
     /// Empty when `from >= to`.
-    pub fn slices(&self, from: Cursor, to: Cursor) -> impl Iterator<Item = &[T]> {
+    pub fn slices(&self, from: Cursor, to: Cursor) -> impl Iterator<Item = &[Row]> {
         let stop = self.chunks.len().min(to.chunk + 1);
         (from.chunk..stop).filter_map(move |ci| {
             let entries = &self.chunks[ci].entries;
@@ -410,7 +411,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     /// `None` once `at` has reached the span's end. The run *covers* its
     /// chunk when `span` holds every entry of that chunk — however much of
     /// it a resumed scan has taken already.
-    pub fn run(&self, span: (Cursor, Cursor), at: Cursor) -> Option<Run<'_, T>> {
+    pub fn run(&self, span: (Cursor, Cursor), at: Cursor) -> Option<Run<'_>> {
         let (start, end) = span;
         if at >= end {
             return None;
@@ -454,7 +455,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     }
 
     /// The entry at `at`, if there is one.
-    pub fn entry_at(&self, at: Cursor) -> Option<&T> {
+    pub fn entry_at(&self, at: Cursor) -> Option<&Row> {
         self.chunks.get(at.chunk)?.entries.get(at.slot)
     }
 
@@ -465,7 +466,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
 
     /// How many of this map's chunks are the same allocation as a chunk of
     /// `other` — what a clone followed by writes still shares.
-    pub fn shared_chunks(&self, other: &CowMap<T, O>) -> usize {
+    pub fn shared_chunks(&self, other: &CowMap) -> usize {
         self.chunks
             .iter()
             .filter(|c| other.chunks.iter().any(|o| Arc::ptr_eq(c, o)))
@@ -480,12 +481,12 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     /// not exist yet.
     fn locate(
         &self,
-        fence_at_or_before: impl FnMut(&O::Fence) -> bool,
-        cmp: impl FnMut(&T) -> Ordering,
+        mut fence_at_or_before: impl FnMut(&[Value]) -> bool,
+        cmp: impl FnMut(&Row) -> Ordering,
     ) -> (usize, Result<usize, usize>) {
         let chunk = self
             .fences
-            .partition_point(fence_at_or_before)
+            .partition_point(|f| fence_at_or_before(f))
             .saturating_sub(1);
         let slot = match self.chunks.get(chunk) {
             Some(c) => c.entries.binary_search_by(cmp),
@@ -495,19 +496,19 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
     }
 
     /// Where the entry keyed `key` is, or would go.
-    fn locate_key(&self, key: &O::Key) -> (usize, Result<usize, usize>) {
-        self.locate(|f| f.borrow() <= key, |e| self.order.cmp_key(e, key))
+    fn locate_key(&self, key: &[Value]) -> (usize, Result<usize, usize>) {
+        self.locate(|f| f <= key, |e| self.order.cmp_key(e, key))
     }
 
     /// Where an entry keyed as `like` is, or would go.
-    fn locate_like(&self, like: &T) -> (usize, Result<usize, usize>) {
+    fn locate_like(&self, like: &Row) -> (usize, Result<usize, usize>) {
         let order = &self.order;
-        let fence_at_or_before = |f: &O::Fence| order.cmp_key(like, f.borrow()).is_ge();
+        let fence_at_or_before = |f: &[Value]| order.cmp_key(like, f).is_ge();
         self.locate(fence_at_or_before, |e| order.cmp(e, like))
     }
 
     /// The entry stored under `key`.
-    pub fn get(&self, key: &O::Key) -> Option<&T> {
+    pub fn get(&self, key: &[Value]) -> Option<&Row> {
         let (chunk, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
@@ -516,7 +517,7 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
 
     /// The one-entry run holding the entry stored under `key`. It never
     /// covers its chunk: a lookup reads one row.
-    pub fn run_of(&self, key: &O::Key) -> Option<Run<'_, T>> {
+    pub fn run_of(&self, key: &[Value]) -> Option<Run<'_>> {
         let (chunk, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
@@ -534,18 +535,18 @@ impl<T, O: KeyOrder<T>> CowMap<T, O> {
 /// Packs entries that arrive in ascending key order into full chunks: the
 /// one place [`CowMap::from_sorted`] and [`CowMap::merge_sorted`] build a
 /// spine.
-struct Packer<'o, T, O: KeyOrder<T>> {
-    order: &'o O,
-    fences: Vec<O::Fence>,
-    chunks: Vec<Arc<Chunk<T>>>,
+struct Packer<'o> {
+    order: &'o Clustered,
+    fences: Vec<Box<[Value]>>,
+    chunks: Vec<Arc<Chunk>>,
     /// The chunk being filled; sealed when full or when a kept chunk
     /// follows it.
-    open: Chunk<T>,
+    open: Chunk,
     len: usize,
 }
 
-impl<'o, T, O: KeyOrder<T>> Packer<'o, T, O> {
-    fn new(order: &'o O) -> Packer<'o, T, O> {
+impl<'o> Packer<'o> {
+    fn new(order: &'o Clustered) -> Packer<'o> {
         Packer {
             order,
             fences: Vec::new(),
@@ -556,7 +557,7 @@ impl<'o, T, O: KeyOrder<T>> Packer<'o, T, O> {
     }
 
     /// Append one entry; its key must follow every key packed so far.
-    fn push(&mut self, entry: T) {
+    fn push(&mut self, entry: Row) {
         debug_assert!(
             (self.open.entries.last())
                 .or_else(|| self.chunks.last().and_then(|c| c.entries.last()))
@@ -572,7 +573,7 @@ impl<'o, T, O: KeyOrder<T>> Packer<'o, T, O> {
 
     /// Append a whole chunk as it is — shared, not copied — after sealing
     /// the open one.
-    fn keep(&mut self, chunk: Arc<Chunk<T>>, fence: O::Fence) {
+    fn keep(&mut self, chunk: Arc<Chunk>, fence: Box<[Value]>) {
         self.seal();
         self.len += chunk.entries.len();
         self.fences.push(fence);
@@ -588,13 +589,13 @@ impl<'o, T, O: KeyOrder<T>> Packer<'o, T, O> {
     }
 }
 
-impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
-    /// A map ordered by `order` holding `entries`, whose keys must ascend
-    /// strictly, built in one pass: entries are moved into full chunks in
-    /// order, with no lookup, split or copy — the layout an ascending run
-    /// of inserts leaves, at a fraction of its cost.
-    pub fn from_sorted(order: O, entries: impl IntoIterator<Item = T>) -> CowMap<T, O> {
-        let mut map = CowMap::new(order);
+impl CowMap {
+    /// A map ordered by the cells at the ordinals `key` holding `entries`,
+    /// whose keys must ascend strictly, built in one pass: entries are
+    /// moved into full chunks in order, with no lookup, split or copy — the
+    /// layout an ascending run of inserts leaves, at a fraction of its cost.
+    pub fn from_sorted(key: Vec<usize>, entries: impl IntoIterator<Item = Row>) -> CowMap {
+        let mut map = CowMap::new(key);
         map.merge_sorted(entries);
         map
     }
@@ -604,7 +605,7 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
     /// is, still shared with every clone of the map; the entries of a chunk
     /// new keys do fall into (copied first if a clone shares it) are merged
     /// with them into full chunks.
-    pub fn merge_sorted(&mut self, entries: impl IntoIterator<Item = T>) {
+    pub fn merge_sorted(&mut self, entries: impl IntoIterator<Item = Row>) {
         let mut new = entries.into_iter().peekable();
         let fences = std::mem::take(&mut self.fences);
         let chunks = std::mem::take(&mut self.chunks);
@@ -613,7 +614,7 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
         for (i, chunk) in chunks.into_iter().enumerate() {
             // the new keys this chunk takes: those before the next chunk
             let next = fences.get(i + 1);
-            let here = |entry: &T| next.is_none_or(|f| order.cmp_key(entry, f.borrow()).is_lt());
+            let here = |entry: &Row| next.is_none_or(|f| order.cmp_key(entry, f).is_lt());
             if !new.peek().is_some_and(here) {
                 out.keep(chunk, fences[i].clone());
                 continue;
@@ -651,7 +652,7 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
     /// The slot for an entry keyed as `like`, found in one descent:
     /// occupied (read it, replace it) or vacant (insert there). Nothing is
     /// copied until the slot is written.
-    pub fn entry(&mut self, like: &T) -> Entry<'_, T, O> {
+    pub fn entry(&mut self, like: &Row) -> Entry<'_> {
         match self.locate_like(like) {
             (chunk, Ok(slot)) => Entry::Occupied(OccupiedEntry {
                 map: self,
@@ -666,7 +667,7 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
 
     /// Insert, or replace the entry with the same key; returns the entry
     /// replaced.
-    pub fn insert(&mut self, entry: T) -> Option<T> {
+    pub fn insert(&mut self, entry: Row) -> Option<Row> {
         match self.entry(&entry) {
             Entry::Occupied(mut slot) => Some(slot.insert(entry)),
             Entry::Vacant(slot) => {
@@ -677,7 +678,7 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
     }
 
     /// Remove the entry keyed `key`, and return it if it was present.
-    pub fn remove(&mut self, key: &O::Key) -> Option<T> {
+    pub fn remove(&mut self, key: &[Value]) -> Option<Row> {
         let (ci, Ok(slot)) = self.locate_key(key) else {
             return None;
         };
@@ -721,29 +722,29 @@ impl<T: Clone, O: KeyOrder<T>> CowMap<T, O> {
 }
 
 /// A slot of a [`CowMap`] located by [`CowMap::entry`].
-pub enum Entry<'a, T, O: KeyOrder<T>> {
+pub enum Entry<'a> {
     /// An entry with the key is present.
-    Occupied(OccupiedEntry<'a, T, O>),
+    Occupied(OccupiedEntry<'a>),
     /// No entry has the key; this is where it would go.
-    Vacant(VacantEntry<'a, T, O>),
+    Vacant(VacantEntry<'a>),
 }
 
 /// A slot holding an entry with the key looked up.
-pub struct OccupiedEntry<'a, T, O: KeyOrder<T>> {
-    map: &'a mut CowMap<T, O>,
+pub struct OccupiedEntry<'a> {
+    map: &'a mut CowMap,
     at: Cursor,
 }
 
-impl<T: Clone, O: KeyOrder<T>> OccupiedEntry<'_, T, O> {
+impl OccupiedEntry<'_> {
     /// The stored entry.
-    pub fn get(&self) -> &T {
+    pub fn get(&self) -> &Row {
         &self.map.chunks[self.at.chunk].entries[self.at.slot]
     }
 
     /// Replace the stored entry by `entry`, which must hold the same key,
     /// and return the old one. Copies the chunk first if another clone of
     /// the map shares it.
-    pub fn insert(&mut self, entry: T) -> T {
+    pub fn insert(&mut self, entry: Row) -> Row {
         debug_assert!(self.map.order.cmp(self.get(), &entry).is_eq());
         let chunk = chunk_mut(&mut self.map.chunks[self.at.chunk]);
         std::mem::replace(&mut chunk.entries[self.at.slot], entry)
@@ -751,14 +752,14 @@ impl<T: Clone, O: KeyOrder<T>> OccupiedEntry<'_, T, O> {
 }
 
 /// A slot no entry with the key looked up holds.
-pub struct VacantEntry<'a, T, O: KeyOrder<T>> {
-    map: &'a mut CowMap<T, O>,
+pub struct VacantEntry<'a> {
+    map: &'a mut CowMap,
     at: Cursor,
 }
 
-impl<T: Clone, O: KeyOrder<T>> VacantEntry<'_, T, O> {
+impl VacantEntry<'_> {
     /// Insert `entry`, which must hold the key the slot was looked up with.
-    pub fn insert(self, entry: T) {
+    pub fn insert(self, entry: Row) {
         let VacantEntry { map, at } = self;
         let (mut ci, mut slot) = (at.chunk, at.slot);
         let full = map
@@ -802,58 +803,53 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// `(key, value)` entries ordered by their key, which the entry holds
-    /// as a table's row holds its clustered-key cells.
-    #[derive(Debug, Clone, Copy)]
-    struct ByKey;
-
-    impl KeyOrder<(u32, u32)> for ByKey {
-        type Key = u32;
-        type Fence = u32;
-        type Lead = u32;
-        fn cmp_key(&self, entry: &(u32, u32), key: &u32) -> Ordering {
-            entry.0.cmp(key)
-        }
-        fn cmp(&self, a: &(u32, u32), b: &(u32, u32)) -> Ordering {
-            a.0.cmp(&b.0)
-        }
-        fn fence(&self, entry: &(u32, u32)) -> u32 {
-            entry.0
-        }
-        fn lead<'a>(&self, entry: &'a (u32, u32)) -> &'a u32 {
-            &entry.0
-        }
-        fn key_lead<'a>(&self, key: &'a u32) -> &'a u32 {
-            key
-        }
-    }
-
-    type Map = CowMap<(u32, u32), ByKey>;
+    /// The map's tests store `(key, value)` pairs as two-cell rows ordered
+    /// by their first cell, against a `BTreeMap<u32, u32>` oracle.
+    type Map = CowMap;
 
     fn new_map() -> Map {
-        CowMap::new(ByKey)
+        CowMap::new(vec![0])
+    }
+
+    fn pair(k: u32, v: u32) -> Row {
+        Row::new(vec![Value::Int(k.into()), Value::Int(v.into())])
+    }
+
+    fn int(cell: &Value) -> u32 {
+        cell.as_int().unwrap() as u32
+    }
+
+    fn unpair(row: &Row) -> (u32, u32) {
+        (int(row.get(0)), int(row.get(1)))
+    }
+
+    fn key(k: u32) -> [Value; 1] {
+        [Value::Int(k.into())]
     }
 
     /// `BTreeMap::insert`'s answer: the value replaced.
     fn put(map: &mut Map, k: u32, v: u32) -> Option<u32> {
-        map.insert((k, v)).map(|(_, v)| v)
+        map.insert(pair(k, v)).map(|row| unpair(&row).1)
     }
 
     fn value(map: &Map, k: u32) -> Option<u32> {
-        map.get(&k).map(|&(_, v)| v)
+        map.get(&key(k)).map(|row| unpair(row).1)
     }
 
     fn take(map: &mut Map, k: u32) -> Option<u32> {
-        map.remove(&k).map(|(_, v)| v)
+        map.remove(&key(k)).map(|row| unpair(&row).1)
     }
 
     fn check(map: &Map, oracle: &BTreeMap<u32, u32>) {
         assert_eq!(map.len(), oracle.len());
-        assert!(map.iter().copied().eq(oracle.iter().map(|(&k, &v)| (k, v))));
+        assert!(map
+            .iter()
+            .map(unpair)
+            .eq(oracle.iter().map(|(&k, &v)| (k, v))));
         assert_eq!(map.fences.len(), map.chunks.len());
         for (fence, c) in map.fences.iter().zip(&map.chunks) {
             assert!(!c.entries.is_empty() && c.entries.len() <= MAX_CHUNK);
-            assert_eq!(*fence, c.entries[0].0);
+            assert_eq!(**fence, c.entries[0].values()[..1]);
         }
     }
 
@@ -873,7 +869,7 @@ mod tests {
         assert_eq!(value(&map, 300), Some(300));
         assert_eq!(value(&map, 9999), None);
         // one past a full last chunk opens a new chunk; emptying it drops it
-        map.insert((n, n));
+        map.insert(pair(n, n));
         assert_eq!(map.chunk_count(), 4);
         assert_eq!(take(&mut map, n), Some(n));
         assert_eq!(map.chunk_count(), 3);
@@ -916,12 +912,12 @@ mod tests {
     fn writes_leave_other_clones_untouched() {
         let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert((k * 2, k));
+            map.insert(pair(k * 2, k));
         }
         let before = map.clone();
         assert_eq!(before.shared_chunks(&map), map.chunk_count());
-        map.insert((400, 9999)); // replace
-        map.insert((401, 1)); // new key
+        map.insert(pair(400, 9999)); // replace
+        map.insert(pair(401, 1)); // new key
         take(&mut map, 1200);
         assert_eq!(value(&before, 400), Some(200));
         assert_eq!(value(&before, 401), None);
@@ -934,8 +930,8 @@ mod tests {
         assert_eq!((map.chunk_count(), map.shared_chunks(&before)), (5, 2));
         // an entry that is looked up but not written copies nothing
         let mut reader = before.clone();
-        assert!(matches!(reader.entry(&(400, 0)), Entry::Occupied(_)));
-        assert!(matches!(reader.entry(&(401, 0)), Entry::Vacant(_)));
+        assert!(matches!(reader.entry(&pair(400, 0)), Entry::Occupied(_)));
+        assert!(matches!(reader.entry(&pair(401, 0)), Entry::Vacant(_)));
         assert_eq!(reader.shared_chunks(&before), before.chunk_count());
     }
 
@@ -943,30 +939,30 @@ mod tests {
     fn seek_and_slices_walk_ranges_across_chunks() {
         let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert((k, 0));
+            map.insert(pair(k, 0));
         }
         let keys = |from, to| -> Vec<u32> {
             map.slices(from, to)
-                .flat_map(|entries| entries.iter().map(|&(k, _)| k))
+                .flat_map(|entries| entries.iter().map(|row| unpair(row).0))
                 .collect()
         };
         let (lo, hi) = (MAX_CHUNK as u32 - 3, 2 * MAX_CHUNK as u32 + 5);
-        let from = map.seek(|k| *k < lo);
-        let to = map.seek(|k| *k <= hi);
+        let from = map.seek(|k| int(k) < lo);
+        let to = map.seek(|k| int(k) <= hi);
         assert_eq!(keys(from, to), (lo..=hi).collect::<Vec<_>>());
         assert_eq!(keys(Cursor::START, map.end()).len(), 1000);
         assert_eq!(map.seek(|_| true), map.end());
         assert_eq!(map.seek(|_| false), Cursor::START);
         // a cursor on a chunk boundary names the next chunk's first slot
-        let boundary = map.seek(|k| *k < MAX_CHUNK as u32);
+        let boundary = map.seek(|k| int(k) < MAX_CHUNK as u32);
         assert_eq!(boundary, Cursor { chunk: 1, slot: 0 });
         assert_eq!(keys(Cursor::START, boundary).len(), MAX_CHUNK);
         assert!(keys(to, from).is_empty(), "reversed span is empty");
         // galloping from a cursor lands where the descent does
         for hi in [lo, lo + 1, lo + 5, MAX_CHUNK as u32, hi, 998, 999, 5000] {
-            let want = map.seek(|k| *k <= hi);
-            assert_eq!(map.seek_from(from, |k| *k <= hi), want, "to {hi}");
-            assert_eq!(map.seek_from(Cursor::START, |k| *k <= hi), want);
+            let want = map.seek(|k| int(k) <= hi);
+            assert_eq!(map.seek_from(from, |k| int(k) <= hi), want, "to {hi}");
+            assert_eq!(map.seek_from(Cursor::START, |k| int(k) <= hi), want);
         }
         assert_eq!(map.seek_from(map.end(), |_| true), map.end());
         assert!(keys(from, from).is_empty());
@@ -976,10 +972,10 @@ mod tests {
     fn walk_resumes_where_it_stopped() {
         let mut map = new_map();
         for k in 0..1000u32 {
-            map.insert((k, k));
+            map.insert(pair(k, k));
         }
         let (lo, hi) = (MAX_CHUNK as u32 - 3, 3 * MAX_CHUNK as u32 + 5);
-        let span = (map.seek(|k| *k < lo), map.seek(|k| *k <= hi));
+        let span = (map.seek(|k| int(k) < lo), map.seek(|k| int(k) <= hi));
         // any stride, including ones that stop on a chunk's last entry,
         // takes each value of the span exactly once, in order; a run covers
         // its chunk exactly when the span holds all of that chunk, wherever
@@ -990,7 +986,7 @@ mod tests {
             while let Some(run) = map.run(span, at) {
                 assert_eq!(run.offset(), at.slot);
                 let take = run.vals().len().min(stride);
-                seen.extend(run.vals()[..take].iter().map(|&(_, v)| v));
+                seen.extend(run.vals()[..take].iter().map(|row| unpair(row).1));
                 if run.covers_chunk && covered.last() != Some(&at.chunk) {
                     covered.push(at.chunk);
                 }
@@ -999,7 +995,7 @@ mod tests {
             assert_eq!(seen, (lo..=hi).collect::<Vec<_>>(), "stride {stride}");
             assert_eq!(covered, [1, 2], "stride {stride}");
         }
-        assert_eq!(map.entry_at(span.0), Some(&(lo, lo)));
+        assert_eq!(map.entry_at(span.0).map(unpair), Some((lo, lo)));
         assert_eq!(map.entry_at(map.end()), None);
         // an empty or reversed span yields nothing
         assert!(map.run((span.0, span.0), span.0).is_none());
@@ -1011,7 +1007,7 @@ mod tests {
     #[test]
     fn from_sorted_packs_full_chunks() {
         for n in [0u32, 1, 255, 256, 257, 3 * 256, 1000] {
-            let map = CowMap::from_sorted(ByKey, (0..n).map(|k| (2 * k, k)));
+            let map = CowMap::from_sorted(vec![0], (0..n).map(|k| pair(2 * k, k)));
             let oracle: BTreeMap<u32, u32> = (0..n).map(|k| (2 * k, k)).collect();
             check(&map, &oracle);
             assert_eq!(
@@ -1022,20 +1018,20 @@ mod tests {
             // every chunk but the last is full: what ascending inserts leave
             let mut inserted = new_map();
             for k in 0..n {
-                inserted.insert((2 * k, k));
+                inserted.insert(pair(2 * k, k));
             }
             let sizes =
                 |m: &Map| -> Vec<usize> { m.chunks.iter().map(|c| c.entries.len()).collect() };
             assert_eq!(sizes(&map), sizes(&inserted), "n = {n}");
-            assert!(map.get(&1).is_none());
+            assert!(value(&map, 1).is_none());
         }
     }
 
     #[test]
     fn merge_sorted_keeps_untouched_chunks_shared() {
         // four full chunks of even keys, 0..2048
-        let mut map = CowMap::from_sorted(ByKey, (0..1024u32).map(|k| (2 * k, k)));
-        let mut oracle: BTreeMap<u32, u32> = map.iter().copied().collect();
+        let mut map = CowMap::from_sorted(vec![0], (0..1024u32).map(|k| pair(2 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = map.iter().map(unpair).collect();
         let before = map.clone();
         // odd keys into chunk 1 only, and a run past the end
         let new: Vec<(u32, u32)> = (600..620)
@@ -1044,7 +1040,7 @@ mod tests {
             .chain((3000..3300).map(|k| (k, 1)))
             .collect();
         oracle.extend(new.iter().copied());
-        map.merge_sorted(new);
+        map.merge_sorted(new.iter().map(|&(k, v)| pair(k, v)));
         check(&map, &oracle);
         // chunks 0 and 2 are the same allocations; chunk 1 and the last
         // chunk, which takes every key after it, were copied (a clone
@@ -1055,11 +1051,11 @@ mod tests {
         assert_eq!(value(&map, 601), Some(0));
         // new keys before the first and between chunks, into a map no clone
         // shares: each lands where an insert would
-        let mut owned = CowMap::from_sorted(ByKey, (10..20u32).map(|k| (10 * k, k)));
-        let mut oracle: BTreeMap<u32, u32> = owned.iter().copied().collect();
+        let mut owned = CowMap::from_sorted(vec![0], (10..20u32).map(|k| pair(10 * k, k)));
+        let mut oracle: BTreeMap<u32, u32> = owned.iter().map(unpair).collect();
         let new: Vec<(u32, u32)> = [(1, 1), (5, 5), (101, 0), (155, 0), (999, 9)].into();
         oracle.extend(new.iter().copied());
-        owned.merge_sorted(new);
+        owned.merge_sorted(new.iter().map(|&(k, v)| pair(k, v)));
         check(&owned, &oracle);
         // merging nothing changes nothing
         let again = owned.clone();
@@ -1075,13 +1071,13 @@ mod tests {
         let n = 4 * MAX_CHUNK as u32 + 7;
         let (mut map, mut oracle) = (new_map(), BTreeMap::new());
         for k in scrambled(n) {
-            map.insert((3 * k, k));
+            map.insert(pair(3 * k, k));
             oracle.insert(3 * k, k);
         }
         let mut new: Vec<(u32, u32)> = scrambled(n).map(|k| (3 * k + 1, k)).collect();
         new.sort_unstable();
         oracle.extend(new.iter().copied());
-        map.merge_sorted(new);
+        map.merge_sorted(new.iter().map(|&(k, v)| pair(k, v)));
         check(&map, &oracle);
         // a write after a merge splits and merges as before
         for k in scrambled(n).step_by(5) {

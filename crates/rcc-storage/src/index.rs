@@ -1,9 +1,8 @@
 //! Secondary indexes.
 
-use crate::cowmap::{CowMap, Cursor, KeyOrder};
+use crate::cowmap::{CowMap, Cursor};
 use crate::range::KeyRange;
 use rcc_common::{Row, Value};
-use std::cmp::Ordering;
 
 /// A secondary index: an ordered set of (index-key ++ clustered-key)
 /// entries. Including the clustered key in the entry makes duplicate index
@@ -18,38 +17,9 @@ pub struct SecondaryIndex {
     ordinals: Vec<usize>,
     /// How many of `ordinals` are indexed columns.
     width: usize,
-    /// Index key values followed by the clustered key values.
-    entries: CowMap<Box<[Value]>, WholeEntry>,
-}
-
-/// An index entry's key is the whole entry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WholeEntry;
-
-impl KeyOrder<Box<[Value]>> for WholeEntry {
-    type Key = [Value];
-    type Fence = Box<[Value]>;
-    type Lead = Value;
-
-    fn cmp_key(&self, entry: &Box<[Value]>, key: &[Value]) -> Ordering {
-        (**entry).cmp(key)
-    }
-
-    fn cmp(&self, a: &Box<[Value]>, b: &Box<[Value]>) -> Ordering {
-        a.cmp(b)
-    }
-
-    fn fence(&self, entry: &Box<[Value]>) -> Box<[Value]> {
-        entry.clone()
-    }
-
-    fn lead<'a>(&self, entry: &'a Box<[Value]>) -> &'a Value {
-        &entry[0]
-    }
-
-    fn key_lead<'a>(&self, key: &'a [Value]) -> &'a Value {
-        &key[0]
-    }
+    /// Index key values followed by the clustered key values, each entry a
+    /// row ordered by all of its cells.
+    entries: CowMap,
 }
 
 impl SecondaryIndex {
@@ -65,9 +35,9 @@ impl SecondaryIndex {
         ordinals.extend_from_slice(key);
         SecondaryIndex {
             name: name.into(),
+            entries: CowMap::new((0..ordinals.len()).collect()),
             ordinals,
             width,
-            entries: CowMap::new(WholeEntry),
         }
     }
 
@@ -92,7 +62,7 @@ impl SecondaryIndex {
     }
 
     /// The entry of `row`: its indexed cells, then its clustered key.
-    fn entry_of(&self, row: &Row) -> Box<[Value]> {
+    fn entry_of(&self, row: &Row) -> Row {
         self.ordinals.iter().map(|&i| row.get(i).clone()).collect()
     }
 
@@ -104,14 +74,14 @@ impl SecondaryIndex {
     /// Add the entries of `rows`, none indexed yet, in one sorted pass
     /// ([`CowMap::merge_sorted`]).
     pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a Row>) {
-        let mut entries: Vec<Box<[Value]>> = rows.map(|row| self.entry_of(row)).collect();
-        entries.sort_unstable();
+        let mut entries: Vec<Row> = rows.map(|row| self.entry_of(row)).collect();
+        entries.sort_unstable_by(|a, b| a.values().cmp(b.values()));
         self.entries.merge_sorted(entries);
     }
 
     /// Remove the entry of `row`.
     pub fn remove(&mut self, row: &Row) {
-        self.entries.remove(&self.entry_of(row));
+        self.entries.remove(self.entry_of(row).values());
     }
 
     /// Re-point the entry of the row stored as `old` to `new`, which has
@@ -138,7 +108,7 @@ impl SecondaryIndex {
         let (from, to) = range.span(&self.entries);
         for entries in self.entries.slices(from, to) {
             for entry in entries {
-                emit(&entry[self.width..]);
+                emit(&entry.values()[self.width..]);
             }
         }
     }
@@ -151,7 +121,7 @@ impl SecondaryIndex {
     /// The clustered key of the entry at `at`, if there is one.
     pub(crate) fn pk_at(&self, at: Cursor) -> Option<&[Value]> {
         let entry = self.entries.entry_at(at)?;
-        Some(&entry[self.width..])
+        Some(&entry.values()[self.width..])
     }
 
     /// The position after the entry at `at`.
@@ -167,7 +137,7 @@ impl SecondaryIndex {
 
     /// The entry container, for structural-sharing assertions.
     #[cfg(test)]
-    pub(crate) fn entries(&self) -> &CowMap<Box<[Value]>, WholeEntry> {
+    pub(crate) fn entries(&self) -> &CowMap {
         &self.entries
     }
 }

@@ -28,7 +28,7 @@ pub mod stats;
 pub mod table;
 pub mod wal;
 
-pub use cowmap::{CowMap, KeyOrder, Run};
+pub use cowmap::{CowMap, Run};
 pub use durable::{CheckpointRows, DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;

@@ -1,6 +1,6 @@
 //! Key ranges for index seeks.
 
-use crate::cowmap::{CowMap, Cursor, KeyOrder};
+use crate::cowmap::{CowMap, Cursor};
 use rcc_common::Value;
 use std::ops::Bound;
 
@@ -96,10 +96,7 @@ impl KeyRange {
     /// component, so both ends are partition points: a seek for the start
     /// and a gallop from there to the end, no per-entry bound check and no
     /// skip loop for an excluded lower bound.
-    pub(crate) fn span<T, O>(&self, map: &CowMap<T, O>) -> (Cursor, Cursor)
-    where
-        O: KeyOrder<T, Lead = Value>,
-    {
+    pub(crate) fn span(&self, map: &CowMap) -> (Cursor, Cursor) {
         let from = match &self.low {
             Bound::Unbounded => Cursor::START,
             Bound::Included(l) => map.seek(|lead| lead < l),

@@ -1,11 +1,10 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
 use crate::column::ValueRef;
-use crate::cowmap::{CowMap, Cursor, Entry, KeyOrder, OccupiedEntry, Run, VacantEntry};
+use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Run, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
-use std::cmp::Ordering;
 
 /// A logged change to a single row, the unit shipped through the
 /// replication log and applied by distribution agents in commit order.
@@ -37,55 +36,12 @@ pub enum RowChange {
 pub struct Table {
     name: String,
     schema: Schema,
-    rows: CowMap<Row, Clustered>,
+    rows: CowMap,
     indexes: Vec<SecondaryIndex>,
 }
 
-/// A table's row order: by the clustered-key cells each row holds,
-/// compared in place in key order — the order of the `[Value]` slice a
-/// lookup names a key by. No key is stored apart from its row but the
-/// chunk fences.
-#[derive(Debug, Clone)]
-struct Clustered {
-    /// Ordinals of the clustered key columns, in key order.
-    key: Box<[usize]>,
-}
-
-impl Clustered {
-    /// The clustered-key cells of `row`, in key order.
-    fn cells<'r>(&'r self, row: &'r Row) -> impl Iterator<Item = &'r Value> {
-        self.key.iter().map(|&i| row.get(i))
-    }
-}
-
-impl KeyOrder<Row> for Clustered {
-    type Key = [Value];
-    type Fence = Box<[Value]>;
-    type Lead = Value;
-
-    fn cmp_key(&self, row: &Row, key: &[Value]) -> Ordering {
-        self.cells(row).cmp(key)
-    }
-
-    fn cmp(&self, a: &Row, b: &Row) -> Ordering {
-        self.cells(a).cmp(self.cells(b))
-    }
-
-    fn fence(&self, row: &Row) -> Box<[Value]> {
-        self.cells(row).cloned().collect()
-    }
-
-    fn lead<'a>(&self, row: &'a Row) -> &'a Value {
-        row.get(self.key[0])
-    }
-
-    fn key_lead<'a>(&self, key: &'a [Value]) -> &'a Value {
-        &key[0]
-    }
-}
-
 /// Store `row` in a vacant slot and add its index entries.
-fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, Row, Clustered>, row: Row) {
+fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_>, row: Row) {
     for ix in indexes {
         ix.insert(&row);
     }
@@ -94,11 +50,7 @@ fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_, Row, Clustere
 
 /// Replace the row in an occupied slot. An index is touched only when one
 /// of its columns differs between the old and the new row.
-fn replace_at(
-    indexes: &mut [SecondaryIndex],
-    mut slot: OccupiedEntry<'_, Row, Clustered>,
-    row: Row,
-) {
+fn replace_at(indexes: &mut [SecondaryIndex], mut slot: OccupiedEntry<'_>, row: Row) {
     for ix in indexes {
         ix.replace(slot.get(), &row);
     }
@@ -120,7 +72,7 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: CowMap::new(Clustered { key: key.into() }),
+            rows: CowMap::new(key),
             indexes: Vec::new(),
         }
     }
@@ -372,7 +324,7 @@ impl Table {
     /// row by row. The cursor does not move until [`Table::advance`]; it
     /// must come from this same table state — scans hold the snapshot they
     /// opened it on.
-    pub fn next_run(&self, cursor: &mut ScanCursor) -> Option<Run<'_, Row>> {
+    pub fn next_run(&self, cursor: &mut ScanCursor) -> Option<Run<'_>> {
         let Some(ix) = cursor.index.map(|i| &self.indexes[i]) else {
             return self.rows.run(cursor.span, cursor.at);
         };
@@ -409,7 +361,7 @@ impl Table {
     /// The rows of `span` as one run per storage chunk, in key order. Each
     /// run reads through its chunk's image ([`Run::column`]), whether it
     /// covers the chunk or not.
-    pub fn span_runs(&self, span: KeySpan) -> impl Iterator<Item = Run<'_, Row>> {
+    pub fn span_runs(&self, span: KeySpan) -> impl Iterator<Item = Run<'_>> {
         let mut at = span.from;
         std::iter::from_fn(move || {
             let run = self.rows.run((span.from, span.to), at)?;
@@ -858,7 +810,7 @@ mod tests {
         t.update(&[Value::Int(12_345)], row(12_345, -1.0)).unwrap();
 
         /// Chunks of the old snapshot the new one no longer shares.
-        fn unshared<T, O: KeyOrder<T>>(now: &CowMap<T, O>, then: &CowMap<T, O>) -> usize {
+        fn unshared(now: &CowMap, then: &CowMap) -> usize {
             then.chunk_count() - then.shared_chunks(now)
         }
         assert!(unshared(&t.rows, &before.rows) <= 2);

@@ -7,39 +7,30 @@
 
 use proptest::prelude::*;
 use rcc_common::{Column, DataType, Row, Schema, Value};
-use rcc_storage::{CowMap, KeyOrder, KeyRange, Table};
-use std::cmp::Ordering;
+use rcc_storage::{CowMap, KeyRange, Table};
 use std::collections::BTreeMap;
 
-/// `(key, value)` entries ordered by the key each holds: the model's
-/// `BTreeMap<key, value>` as one entry per pair.
-#[derive(Debug, Clone, Copy)]
-struct ByKey;
-
-impl KeyOrder<(u32, u32)> for ByKey {
-    type Key = u32;
-    type Fence = u32;
-    type Lead = u32;
-    fn cmp_key(&self, entry: &(u32, u32), key: &u32) -> Ordering {
-        entry.0.cmp(key)
-    }
-    fn cmp(&self, a: &(u32, u32), b: &(u32, u32)) -> Ordering {
-        a.0.cmp(&b.0)
-    }
-    fn fence(&self, entry: &(u32, u32)) -> u32 {
-        entry.0
-    }
-    fn lead<'a>(&self, entry: &'a (u32, u32)) -> &'a u32 {
-        &entry.0
-    }
-    fn key_lead<'a>(&self, key: &'a u32) -> &'a u32 {
-        key
-    }
+/// The model's `BTreeMap<key, value>` as one two-cell row per pair,
+/// ordered by its first cell.
+fn pair(k: u32, v: u32) -> Row {
+    Row::new(vec![Value::Int(k.into()), Value::Int(v.into())])
 }
 
-/// The model's answers read off entries: the value of each.
-fn value(entry: Option<impl std::borrow::Borrow<(u32, u32)>>) -> Option<u32> {
-    entry.map(|e| e.borrow().1)
+fn key(k: u32) -> [Value; 1] {
+    [Value::Int(k.into())]
+}
+
+fn int(cell: &Value) -> u32 {
+    cell.as_int().unwrap() as u32
+}
+
+fn unpair(row: &Row) -> (u32, u32) {
+    (int(row.get(0)), int(row.get(1)))
+}
+
+/// The model's answers read off rows: the value of each.
+fn value(row: Option<impl std::borrow::Borrow<Row>>) -> Option<u32> {
+    row.map(|row| unpair(row.borrow()).1)
 }
 
 #[derive(Debug, Clone)]
@@ -194,14 +185,14 @@ proptest! {
         remove_share in 1u8..9,
         ops in proptest::collection::vec((0u8..10, 0u32..1400, 0u32..1000), 1..1200),
     ) {
-        let mut map = CowMap::new(ByKey);
+        let mut map = CowMap::new(vec![0]);
         let mut model: BTreeMap<u32, u32> = BTreeMap::new();
         for k in 0..preload {
-            map.insert((2 * k, k));
+            map.insert(pair(2 * k, k));
             model.insert(2 * k, k);
         }
-        let same = |map: &CowMap<(u32, u32), ByKey>, model: &BTreeMap<u32, u32>| {
-            map.iter().copied().eq(model.iter().map(|(&k, &v)| (k, v)))
+        let same = |map: &CowMap, model: &BTreeMap<u32, u32>| {
+            map.iter().map(unpair).eq(model.iter().map(|(&k, &v)| (k, v)))
         };
         let mut cloned = (map.clone(), model.clone());
         for (roll, a, b) in ops {
@@ -210,10 +201,10 @@ proptest! {
                 prop_assert!(same(&cloned.0, &cloned.1), "clone disturbed");
                 cloned = (map.clone(), model.clone());
             } else if roll < remove_share {
-                let key = model.keys().nth(a as usize % model.len().max(1)).copied().unwrap_or(a);
-                prop_assert_eq!(value(map.remove(&key)), model.remove(&key));
+                let k = model.keys().nth(a as usize % model.len().max(1)).copied().unwrap_or(a);
+                prop_assert_eq!(value(map.remove(&key(k))), model.remove(&k));
             } else {
-                prop_assert_eq!(value(map.insert((a, b))), model.insert(a, b));
+                prop_assert_eq!(value(map.insert(pair(a, b))), model.insert(a, b));
             }
             prop_assert_eq!(map.len(), model.len());
             prop_assert!(
@@ -221,13 +212,13 @@ proptest! {
                 "contents diverged at op {:?}",
                 (roll, a, b)
             );
-            prop_assert_eq!(value(map.get(&a)), model.get(&a).copied());
+            prop_assert_eq!(value(map.get(&key(a))), model.get(&a).copied());
             let (lo, hi) = (a, a + b % 400);
-            let (from, to) = (map.seek(|k| *k < lo), map.seek(|k| *k <= hi));
-            prop_assert_eq!(map.seek_from(from, |k| *k <= hi), to);
+            let (from, to) = (map.seek(|k| int(k) < lo), map.seek(|k| int(k) <= hi));
+            prop_assert_eq!(map.seek_from(from, |k| int(k) <= hi), to);
             let got: Vec<(u32, u32)> = map
                 .slices(from, to)
-                .flat_map(|entries| entries.iter().copied())
+                .flat_map(|entries| entries.iter().map(unpair))
                 .collect();
             let want: Vec<(u32, u32)> = model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(got, want, "range [{}, {}]", lo, hi);
