@@ -131,11 +131,12 @@ impl MasterDb {
     /// Bulk-load initial rows into a master table *without* logging — this
     /// models the pre-existing database state (history H0). Views created
     /// later are populated from the current snapshot, so initial data never
-    /// needs to travel through the log.
-    pub fn bulk_load(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
+    /// needs to travel through the log. The rows stream into the table
+    /// ([`rcc_storage::Table::load`]); returns how many were loaded.
+    pub fn bulk_load(&self, table: &str, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         let handle = self.storage.table(table)?;
-        let n = rows.len();
-        handle.update(|t| t.load(rows))?;
+        let mut n = 0;
+        handle.update(|t| t.load(rows.into_iter().inspect(|_| n += 1)))?;
         Ok(n)
     }
 
@@ -164,7 +165,7 @@ impl MasterDb {
         for c in &changes {
             if let RowChange::Insert(row) = &c.change {
                 let t = self.storage.table(&c.table)?.snapshot();
-                if t.get(&t.key_of(row)).is_some() {
+                if t.row(&t.key_of(row)).is_some() {
                     return Err(Error::Storage(format!(
                         "duplicate clustered key in INSERT into {}",
                         c.table
@@ -536,15 +537,15 @@ mod tests {
         let txn = db.beat(RegionId(3)).unwrap();
         assert_eq!(txn.changes.len(), 1);
         let hb = db.table(HEARTBEAT_TABLE).unwrap();
-        let row = hb.snapshot().get(&[Value::Int(3)]).unwrap().clone();
-        assert_eq!(row.get(1), &Value::Timestamp(7_000));
+        let row = hb.snapshot().row(&[Value::Int(3)]).unwrap().to_vec();
+        assert_eq!(row[1], Value::Timestamp(7_000));
         // second beat updates in place
         clock.advance(Duration::from_secs(2));
         db.beat(RegionId(3)).unwrap();
         assert_eq!(hb.snapshot().row_count(), 1);
         assert_eq!(
-            hb.snapshot().get(&[Value::Int(3)]).unwrap().get(1),
-            &Value::Timestamp(9_000)
+            hb.snapshot().row(&[Value::Int(3)]).unwrap()[1],
+            Value::Timestamp(9_000)
         );
     }
 
@@ -630,8 +631,8 @@ mod tests {
             let t = db.table("t").unwrap().snapshot();
             assert_eq!(t.row_count(), 1);
             assert_eq!(
-                t.get(&[Value::Int(2)]).unwrap().get(1),
-                &Value::Int(20),
+                t.row(&[Value::Int(2)]).unwrap()[1],
+                Value::Int(20),
                 "deleted row must not resurrect"
             );
             assert_eq!(clock.now(), Timestamp(5_000), "clock restored from log");

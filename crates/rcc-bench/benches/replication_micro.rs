@@ -4,7 +4,7 @@
 #![allow(missing_docs)]
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rcc_common::{Clock, Duration, Value};
+use rcc_common::{Clock, Duration, Row, Value};
 use rcc_mtcache::MTCache;
 use rcc_tpcd::UpdateWorkload;
 
@@ -77,7 +77,7 @@ fn bench(c: &mut Criterion) {
     // wire codec throughput
     {
         let gen = rcc_tpcd::TpcdGenerator::new(0.01, 42);
-        let rows = gen.customers();
+        let rows: Vec<Row> = gen.customers().collect();
         let schema = rcc_tpcd::customer_meta(rcc_common::TableId(1))
             .schema
             .clone();

@@ -639,7 +639,7 @@ mod tests {
     fn assert_mirrors(e: &BoundExpr) {
         let s = schema();
         let r = row();
-        let reference = e.eval(&r, &s, 1234);
+        let reference = e.eval(r.values(), &s, 1234);
         let compiled = PhysExpr::compile(e, &s).unwrap();
         let via_row = compiled.eval(r.values(), 1234);
         let batch = Batch::from_rows(3, vec![r.clone()]);

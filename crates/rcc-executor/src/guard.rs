@@ -92,8 +92,8 @@ pub(crate) fn choose_local(
 /// replication publishes (a refresh can never expose a torn heartbeat).
 pub fn read_heartbeat(ctx: &ExecContext, guard: &CurrencyGuard) -> Option<Timestamp> {
     let table = ctx.storage.table(&guard.heartbeat_table).ok()?.snapshot();
-    let row = table.get(&[Value::Int(guard.region.raw() as i64)])?;
-    row.get(1).as_int().ok().map(Timestamp)
+    let row = table.row(&[Value::Int(guard.region.raw() as i64)])?;
+    row[1].as_int().ok().map(Timestamp)
 }
 
 #[cfg(test)]

@@ -36,7 +36,9 @@ use rcc_optimizer::physical::{AccessPath, InnerAccess, SqlText};
 use rcc_optimizer::{AggCall, AggFunc, BoundExpr, CurrencyGuard};
 use rcc_sql::{BinaryOp, UnaryOp};
 use rcc_storage::column::{Column, ColumnData, ValueRef};
-use rcc_storage::{KeyRange, KeySpan, Run, ScanCursor, StorageEngine, Table, TableSnapshot};
+use rcc_storage::{
+    KeyRange, KeySpan, RowSlice, Run, ScanCursor, StorageEngine, Table, TableSnapshot,
+};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
@@ -422,21 +424,26 @@ impl ScanKernel<'_> {
     }
 
     /// Append `row`'s mapped columns to `cols` if it passes the residual.
-    fn take(&self, row: &Row, cols: &mut [Column]) -> Result<bool> {
+    fn take(&self, row: &[Value], cols: &mut [Column]) -> Result<bool> {
         if let Some(p) = &self.residual {
-            if !p.eval_predicate(row.values(), self.now)? {
+            if !p.eval_predicate(row, self.now)? {
                 return Ok(false);
             }
         }
         for (col, &from) in cols.iter_mut().zip(self.mapping.iter()) {
-            col.push_value(row.get(from));
+            col.push_value(&row[from]);
         }
         Ok(true)
     }
 
     /// Walk `rows` until `room` of them survived: how many rows were taken
     /// and how many of those survived.
-    fn take_rows(&self, rows: &[Row], room: usize, cols: &mut [Column]) -> Result<(usize, usize)> {
+    fn take_rows(
+        &self,
+        rows: RowSlice<'_>,
+        room: usize,
+        cols: &mut [Column],
+    ) -> Result<(usize, usize)> {
         let mut survived = 0;
         for (i, row) in rows.iter().enumerate() {
             survived += usize::from(self.take(row, cols)?);
@@ -456,7 +463,7 @@ impl ScanKernel<'_> {
         room: usize,
         cols: &mut [Column],
     ) -> Result<(usize, usize)> {
-        let (from, n) = (run.offset(), run.vals().len());
+        let (from, n) = (run.offset(), run.len());
         let survivors = match &self.image_residual {
             None => None,
             Some(p) => {
@@ -465,7 +472,7 @@ impl ScanKernel<'_> {
                     (from > 0).then(|| (from..from + n).map(|i| i as u32).collect());
                 match p.select_rows(image, rows.as_deref(), n, self.now) {
                     Ok(survivors) => Some(survivors),
-                    Err(_) => return self.take_rows(run.vals(), room, cols),
+                    Err(_) => return self.take_rows(run.rows(), room, cols),
                 }
             }
         };
@@ -517,7 +524,7 @@ impl ScanKernel<'_> {
                 }
                 None => {
                     row_runs += 1;
-                    self.take_rows(run.vals(), target - filled, &mut cols)?
+                    self.take_rows(run.rows(), target - filled, &mut cols)?
                 }
             };
             filled += survived;
@@ -1339,7 +1346,7 @@ impl<'a> IndexNLJoinOp<'a> {
                         let mut cursor = table.index_cursor(index, &range)?;
                         while let Some(run) = table.next_run(&mut cursor) {
                             let (taken, survived) =
-                                kernel.take_rows(run.vals(), usize::MAX, &mut m.inner)?;
+                                kernel.take_rows(run.rows(), usize::MAX, &mut m.inner)?;
                             let phys = batch.phys(k) as u32;
                             m.outer.extend(std::iter::repeat_n(phys, survived));
                             table.advance(&mut cursor, taken);
@@ -1513,9 +1520,7 @@ impl SpanCopy<'_> {
             }
             return;
         }
-        let rows = (self.table.span_runs(span))
-            .map(|run| run.vals().len())
-            .sum();
+        let rows = self.table.span_runs(span).map(|run| run.len()).sum();
         m.outer.extend(std::iter::repeat_n(phys as u32, rows));
         if let Some(both) = self.pending.followed_by(span) {
             self.pending = both;
@@ -1528,7 +1533,7 @@ impl SpanCopy<'_> {
     /// Copy the pending stretch's cells from its chunks' images.
     fn flush(&mut self, m: &mut Matches) {
         for run in self.table.span_runs(self.pending) {
-            let cells = run.offset()..run.offset() + run.vals().len();
+            let cells = run.offset()..run.offset() + run.len();
             for (col, &c) in m.inner.iter_mut().zip(self.mapping) {
                 col.extend_range(run.column(c), cells.clone());
             }

@@ -116,10 +116,10 @@ struct ScanKernel {
 }
 
 impl ScanKernel {
-    fn apply(&self, row: &Row, out: &mut Vec<Row>) -> Result<()> {
-        let projected = Row::new(self.mapping.iter().map(|&i| row.get(i).clone()).collect());
+    fn apply(&self, row: &[Value], out: &mut Vec<Row>) -> Result<()> {
+        let projected = Row::new(self.mapping.iter().map(|&i| row[i].clone()).collect());
         let keep = match &self.residual {
-            Some(p) => p.eval_predicate(&projected, &self.schema, self.now)?,
+            Some(p) => p.eval_predicate(projected.values(), &self.schema, self.now)?,
             None => true,
         };
         if keep {
@@ -163,7 +163,7 @@ fn scan_index(
 ) -> Result<Vec<Row>> {
     let mut out = Vec::new();
     for row in table.index_scan(index, range)? {
-        kernel.apply(&row, &mut out)?;
+        kernel.apply(row.values(), &mut out)?;
     }
     Ok(out)
 }
@@ -342,7 +342,7 @@ impl RowOperator for FilterOp {
         let now = now_millis(ctx);
         let schema = self.input.schema().clone();
         while let Some(row) = self.input.next(ctx)? {
-            if self.predicate.eval_predicate(&row, &schema, now)? {
+            if self.predicate.eval_predicate(row.values(), &schema, now)? {
                 return Ok(Some(row));
             }
         }
@@ -388,7 +388,7 @@ impl RowOperator for ProjectOp {
                 let values: Vec<Value> = self
                     .exprs
                     .iter()
-                    .map(|e| e.eval(&row, &in_schema, now))
+                    .map(|e| e.eval(row.values(), &in_schema, now))
                     .collect::<Result<_>>()?;
                 Ok(Some(Row::new(values)))
             }
@@ -452,7 +452,7 @@ fn eval_keys(
 ) -> Result<Option<Vec<Value>>> {
     let mut out = Vec::with_capacity(keys.len());
     for k in keys {
-        let v = k.eval(row, schema, now)?;
+        let v = k.eval(row.values(), schema, now)?;
         if v.is_null() {
             return Ok(None); // NULL keys never match
         }
@@ -623,10 +623,10 @@ impl MergeJoinOp {
                         .unwrap_or(false));
                 }
             };
-            let gk = self.right_key.eval(&first, &right_schema, now)?;
+            let gk = self.right_key.eval(first.values(), &right_schema, now)?;
             let mut group = vec![first];
             while let Some(r) = self.next_right(ctx)? {
-                let k = self.right_key.eval(&r, &right_schema, now)?;
+                let k = self.right_key.eval(r.values(), &right_schema, now)?;
                 if k == gk {
                     group.push(r);
                 } else {
@@ -678,7 +678,7 @@ impl RowOperator for MergeJoinOp {
                 Some(r) => r,
                 None => return Ok(None),
             };
-            let key = self.left_key.eval(&left_row, &left_schema, now)?;
+            let key = self.left_key.eval(left_row.values(), &left_schema, now)?;
             if key.is_null() {
                 continue; // NULL keys never match
             }
@@ -775,7 +775,7 @@ impl IndexNLJoinOp {
         for row in raw {
             let projected = Row::new(self.mapping.iter().map(|&i| row.get(i).clone()).collect());
             let keep = match &self.inner.residual {
-                Some(p) => p.eval_predicate(&projected, &self.inner.schema, now)?,
+                Some(p) => p.eval_predicate(projected.values(), &self.inner.schema, now)?,
                 None => true,
             };
             if keep {
@@ -842,7 +842,9 @@ impl RowOperator for IndexNLJoinOp {
         let now = now_millis(ctx);
         let outer_schema = self.outer.schema().clone();
         while let Some(outer_row) = self.outer.next(ctx)? {
-            let key = self.outer_key.eval(&outer_row, &outer_schema, now)?;
+            let key = self
+                .outer_key
+                .eval(outer_row.values(), &outer_schema, now)?;
             let matches: Vec<Row> = if key.is_null() {
                 Vec::new()
             } else {
@@ -1041,7 +1043,7 @@ impl RowOperator for HashAggregateOp {
             let key: Vec<Value> = self
                 .group_by
                 .iter()
-                .map(|e| e.eval(&row, &in_schema, now))
+                .map(|e| e.eval(row.values(), &in_schema, now))
                 .collect::<Result<_>>()?;
             let states = match groups.get_mut(&key) {
                 Some(s) => s,
@@ -1054,7 +1056,7 @@ impl RowOperator for HashAggregateOp {
             };
             for (call, state) in self.aggs.iter().zip(states.iter_mut()) {
                 let v = match &call.arg {
-                    Some(e) => Some(e.eval(&row, &in_schema, now)?),
+                    Some(e) => Some(e.eval(row.values(), &in_schema, now)?),
                     None => None,
                 };
                 state.update(v)?;
@@ -1076,7 +1078,7 @@ impl RowOperator for HashAggregateOp {
             }
             let row = Row::new(values);
             let keep = match &self.having {
-                Some(h) => h.eval_predicate(&row, &self.schema, now)?,
+                Some(h) => h.eval_predicate(row.values(), &self.schema, now)?,
                 None => true,
             };
             if keep {

@@ -416,7 +416,7 @@ proptest! {
                         Value::Int(1),
                     ]))?;
                     // and drop a run's first row
-                    let first = t.iter().find(|r| r.get(0) == &Value::Int(k)).map(|r| t.key_of(r));
+                    let first = t.rows().find(|r| r[0] == Value::Int(k)).map(|r| t.key_of(r));
                     if let Some(key) = first {
                         t.delete(&key);
                     }

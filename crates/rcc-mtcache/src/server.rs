@@ -897,8 +897,8 @@ impl MTCache {
     }
 
     /// Bulk-load initial rows into a master table (unlogged: models the
-    /// pre-existing database state).
-    pub fn bulk_load(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
+    /// pre-existing database state), streamed as they arrive.
+    pub fn bulk_load(&self, table: &str, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         self.master.bulk_load(table, rows)
     }
 
@@ -1807,8 +1807,8 @@ impl MTCache {
                 .ok()
                 .map(|t| t.snapshot())
                 .and_then(|snap| {
-                    let row = snap.get(&[Value::Int(cert.region.raw() as i64)])?;
-                    row.get(1).as_int().ok().map(Timestamp)
+                    let row = snap.row(&[Value::Int(cert.region.raw() as i64)])?;
+                    row[1].as_int().ok().map(Timestamp)
                 });
             let escaped = match heartbeat {
                 Some(hb) => now.since(hb) >= cert.bound,
@@ -2007,7 +2007,7 @@ impl MTCache {
             let change = if delete {
                 RowChange::Delete { key }
             } else {
-                let mut values = row.values().to_vec();
+                let mut values = row.to_vec();
                 for (ord, (e, _)) in ordinals.iter().zip(&graph.projections) {
                     values[*ord] = e.eval(row, &schema, now)?;
                 }
@@ -2358,7 +2358,7 @@ fn pinned_key(meta: &TableMeta, conjuncts: &[BoundExpr]) -> Option<Vec<Value>> {
 
 /// The rows of master table `t` an UPDATE or DELETE with these `WHERE`
 /// conjuncts selects. Conjuncts that pin the whole clustered key are
-/// answered by one `Table::get`, with every conjunct (and so any residual
+/// answered by one `Table::row`, with every conjunct (and so any residual
 /// one) evaluated on that row alone; everything else scans.
 fn dml_targets<'t>(
     meta: &TableMeta,
@@ -2366,13 +2366,13 @@ fn dml_targets<'t>(
     conjuncts: &[BoundExpr],
     schema: &Schema,
     now: i64,
-) -> Result<Vec<&'t Row>> {
+) -> Result<Vec<&'t [Value]>> {
     let Some(predicate) = BoundExpr::and_all(conjuncts.to_vec()) else {
-        return Ok(t.iter().collect());
+        return Ok(t.rows().collect());
     };
-    let rows: Box<dyn Iterator<Item = &Row>> = match pinned_key(meta, conjuncts) {
-        Some(key) => Box::new(t.get(&key).into_iter()),
-        None => Box::new(t.iter()),
+    let rows: Box<dyn Iterator<Item = &[Value]>> = match pinned_key(meta, conjuncts) {
+        Some(key) => Box::new(t.row(&key).into_iter()),
+        None => Box::new(t.rows()),
     };
     let mut hits = Vec::new();
     for row in rows {

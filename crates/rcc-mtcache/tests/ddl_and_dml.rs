@@ -512,10 +512,7 @@ fn dropping_one_view_leaves_siblings_replicating() {
     // v2 still follows the master
     let v2 = cache.cache_storage().table("v2").unwrap();
     assert_eq!(
-        v2.snapshot()
-            .get(&[rcc_common::Value::Int(1)])
-            .unwrap()
-            .get(1),
-        &Value::Int(77)
+        v2.snapshot().row(&[rcc_common::Value::Int(1)]).unwrap()[1],
+        Value::Int(77)
     );
 }

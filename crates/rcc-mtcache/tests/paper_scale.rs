@@ -1,7 +1,7 @@
 //! The paper's rig at its own scale (Sec. 4: 150 000 customers and
 //! 1 500 000 orders at the back-end, both views at the cache): it builds,
 //! and a guarded point read is served from the local view. Ignored by
-//! default — it holds about 450 MiB (VmHWM) and wants a release build:
+//! default — it holds about 345 MiB (VmHWM) and wants a release build:
 //!
 //! ```text
 //! cargo test --release -p rcc-mtcache --test paper_scale -- --ignored --nocapture
@@ -22,7 +22,7 @@ use rcc_tpcd::TpcdGenerator;
 use std::time::Instant;
 
 #[test]
-#[ignore = "paper scale: about 450 MiB, run in release"]
+#[ignore = "paper scale: about 345 MiB, run in release"]
 fn the_paper_scale_rig_builds_and_serves_locally() {
     let started = Instant::now();
     let cache = paper_setup(1.0, 42).unwrap();
@@ -67,13 +67,13 @@ fn the_paper_scale_rig_builds_and_serves_locally() {
         .table("orders_prj")
         .unwrap()
         .snapshot();
-    let keys: Vec<Vec<Value>> = (orders_prj.iter().step_by(101))
+    let keys: Vec<Vec<Value>> = (orders_prj.rows().step_by(101))
         .map(|row| orders_prj.key_of(row))
         .collect();
     let scrambled = || (0..keys.len()).map(|i| &keys[i * 7919 % keys.len()]);
     let started = Instant::now();
     let found = scrambled()
-        .filter(|key| orders_prj.get(key).is_some())
+        .filter(|key| orders_prj.row(key).is_some())
         .count();
     let get_ns = started.elapsed().as_nanos() as f64 / keys.len() as f64;
     assert_eq!(found, keys.len());

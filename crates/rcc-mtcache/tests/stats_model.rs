@@ -27,7 +27,7 @@ const BUCKETS: usize = 64;
 /// key column (`lead`) is counted exactly at any size; every other column
 /// counts as all distinct once it reaches the cap.
 fn model_column(table: &Table, i: usize, lead: bool) -> ColumnStats {
-    let cells: Vec<&Value> = table.iter().map(|row| row.get(i)).collect();
+    let cells: Vec<&Value> = table.rows().map(|row| &row[i]).collect();
     let present: Vec<&Value> = cells.iter().copied().filter(|v| !v.is_null()).collect();
     let mut min: Option<&Value> = None;
     let mut max: Option<&Value> = None;
@@ -87,7 +87,7 @@ fn assert_matches_model(table: &Table) {
 fn assert_stats_match_model(stats: &TableStats, table: &Table) {
     let n = table.row_count();
     assert_eq!(stats.row_count, n as u64, "{}", table.name());
-    let bytes: usize = table.iter().map(Row::byte_width).sum();
+    let bytes: usize = table.rows().flatten().map(Value::byte_width).sum();
     let avg = if n > 0 { bytes as f64 / n as f64 } else { 0.0 };
     assert_eq!(
         stats.avg_row_bytes.to_bits(),
@@ -135,46 +135,42 @@ fn columns_across_the_distinct_cap_nulls_mixed_types_and_strings() {
     let n: i64 = 260_000;
     let schema = int_schema(&["k", "big", "under", "late", "sparse", "mixed", "name"]);
     let mut t = Table::new("synthetic", schema, vec![0]);
-    t.load(
-        (0..n)
-            .map(|i| {
-                Row::new(vec![
-                    // the leading key column: 260 000 runs, past the cap
-                    Value::Int(i),
-                    // 110 000 distinct values, repeated: past the cap (at
-                    // the first compaction), so the count is every
-                    // non-NULL cell, not the set's size
-                    match i % 97 {
-                        0 => Value::Null,
-                        _ => Value::Int((i * 7919) % 110_000),
-                    },
-                    // 99 999 distinct values: just under the cap, across
-                    // a compaction
-                    Value::Int(i % 99_999),
-                    // 50 000 distinct numbers, then 60 000 strings: the
-                    // classes' counts add up past the cap only at the end
-                    if i < 200_000 {
-                        Value::Int(i % 50_000)
-                    } else {
-                        Value::Str(format!("s{i}"))
-                    },
-                    // mostly NULL
-                    match i % 10 {
-                        0 => Value::Int(i / 10 % 500),
-                        _ => Value::Null,
-                    },
-                    // Int and Float cells that are equal under Eq, with the
-                    // minimum and maximum reached by both types
-                    match i % 3 {
-                        0 => Value::Int(i % 50),
-                        1 => Value::Float((i % 50) as f64),
-                        _ => Value::Float((i % 50) as f64 + 0.5),
-                    },
-                    Value::Str(format!("name{}", i % 4_321)),
-                ])
-            })
-            .collect(),
-    )
+    t.load((0..n).map(|i| {
+        Row::new(vec![
+            // the leading key column: 260 000 runs, past the cap
+            Value::Int(i),
+            // 110 000 distinct values, repeated: past the cap (at
+            // the first compaction), so the count is every
+            // non-NULL cell, not the set's size
+            match i % 97 {
+                0 => Value::Null,
+                _ => Value::Int((i * 7919) % 110_000),
+            },
+            // 99 999 distinct values: just under the cap, across
+            // a compaction
+            Value::Int(i % 99_999),
+            // 50 000 distinct numbers, then 60 000 strings: the
+            // classes' counts add up past the cap only at the end
+            if i < 200_000 {
+                Value::Int(i % 50_000)
+            } else {
+                Value::Str(format!("s{i}"))
+            },
+            // mostly NULL
+            match i % 10 {
+                0 => Value::Int(i / 10 % 500),
+                _ => Value::Null,
+            },
+            // Int and Float cells that are equal under Eq, with the
+            // minimum and maximum reached by both types
+            match i % 3 {
+                0 => Value::Int(i % 50),
+                1 => Value::Float((i % 50) as f64),
+                _ => Value::Float((i % 50) as f64 + 0.5),
+            },
+            Value::Str(format!("name{}", i % 4_321)),
+        ])
+    }))
     .unwrap();
     assert_matches_model(&t);
     let stats = TableStats::compute(&t);
@@ -199,7 +195,7 @@ fn a_leading_key_column_with_repeats_and_nulls() {
         };
         Row::new(vec![grp, Value::Int(i), Value::Int(i % 13)])
     });
-    t.load(rows.collect()).unwrap();
+    t.load(rows).unwrap();
     assert_matches_model(&t);
 }
 
@@ -209,12 +205,8 @@ fn a_leading_key_column_past_the_cap_keeps_its_exact_count() {
     // memory bound, so the cap does not turn it into one per row
     let runs: i64 = 120_000;
     let mut t = Table::new("pairs", int_schema(&["grp", "seq"]), vec![0, 1]);
-    t.load(
-        (0..2 * runs)
-            .map(|i| Row::new(vec![Value::Int(i / 2), Value::Int(i % 2)]))
-            .collect(),
-    )
-    .unwrap();
+    t.load((0..2 * runs).map(|i| Row::new(vec![Value::Int(i / 2), Value::Int(i % 2)])))
+        .unwrap();
     assert_matches_model(&t);
     assert_eq!(TableStats::compute(&t).column("grp").distinct, runs as u64);
 }
@@ -223,20 +215,16 @@ fn a_leading_key_column_past_the_cap_keeps_its_exact_count() {
 fn cells_where_eq_and_the_numbers_natural_order_part() {
     let mut t = Table::new("edges", int_schema(&["k", "big", "zero", "ts"]), vec![0]);
     let two53 = 1i64 << 53;
-    t.load(
-        (0..4i64)
-            .map(|i| {
-                Row::new(vec![
-                    Value::Int(i),
-                    // 2^53 + 1 rounds to 2^53 as an f64: equal under Eq
-                    Value::Int(two53 + i % 2),
-                    // -0.0 and 0.0 are not: f64::total_cmp orders them
-                    Value::Float(if i % 2 == 0 { 0.0 } else { -0.0 }),
-                    Value::Timestamp(100 + i),
-                ])
-            })
-            .collect(),
-    )
+    t.load((0..4i64).map(|i| {
+        Row::new(vec![
+            Value::Int(i),
+            // 2^53 + 1 rounds to 2^53 as an f64: equal under Eq
+            Value::Int(two53 + i % 2),
+            // -0.0 and 0.0 are not: f64::total_cmp orders them
+            Value::Float(if i % 2 == 0 { 0.0 } else { -0.0 }),
+            Value::Timestamp(100 + i),
+        ])
+    }))
     .unwrap();
     assert_matches_model(&t);
     let stats = TableStats::compute(&t);

@@ -6,7 +6,7 @@
 //! columns are qualified the same way. Subqueries are gone — the binder
 //! decorrelates them into semi-joins before expressions reach this form.
 
-use rcc_common::{Error, Result, Row, Schema, Value};
+use rcc_common::{Error, Result, Schema, Value};
 use rcc_sql::{BinaryOp, UnaryOp};
 use std::cmp::Ordering;
 use std::fmt;
@@ -233,11 +233,11 @@ impl BoundExpr {
 
     /// Evaluate against a row described by `schema`. `now_millis` supplies
     /// `GETDATE()`.
-    pub fn eval(&self, row: &Row, schema: &Schema, now_millis: i64) -> Result<Value> {
+    pub fn eval(&self, row: &[Value], schema: &Schema, now_millis: i64) -> Result<Value> {
         match self {
             BoundExpr::Column { qualifier, name } => {
                 let i = schema.resolve(Some(qualifier), name)?;
-                Ok(row.get(i).clone())
+                Ok(row[i].clone())
             }
             BoundExpr::Literal(v) | BoundExpr::Slot { value: v, .. } => Ok(v.clone()),
             BoundExpr::GetDate => Ok(Value::Timestamp(now_millis)),
@@ -315,7 +315,7 @@ impl BoundExpr {
     }
 
     /// Evaluate as a predicate (SQL truthiness: TRUE passes).
-    pub fn eval_predicate(&self, row: &Row, schema: &Schema, now_millis: i64) -> Result<bool> {
+    pub fn eval_predicate(&self, row: &[Value], schema: &Schema, now_millis: i64) -> Result<bool> {
         Ok(self.eval(row, schema, now_millis)?.is_truthy())
     }
 }
@@ -332,7 +332,7 @@ fn eval_binary(
     left: &BoundExpr,
     op: BinaryOp,
     right: &BoundExpr,
-    row: &Row,
+    row: &[Value],
     schema: &Schema,
     now_millis: i64,
 ) -> Result<Value> {
@@ -529,7 +529,7 @@ impl AggCall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcc_common::{Column, DataType};
+    use rcc_common::{Column, DataType, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -544,7 +544,7 @@ mod tests {
     }
 
     fn ev(e: &BoundExpr) -> Value {
-        e.eval(&row(), &schema(), 1234).unwrap()
+        e.eval(row().values(), &schema(), 1234).unwrap()
     }
 
     #[test]
@@ -573,7 +573,7 @@ mod tests {
             BinaryOp::Div,
             BoundExpr::Literal(Value::Int(0)),
         );
-        assert!(div0.eval(&row(), &schema(), 0).is_err());
+        assert!(div0.eval(row().values(), &schema(), 0).is_err());
     }
 
     #[test]
@@ -634,7 +634,7 @@ mod tests {
         // NULL = 1 is NULL, and not truthy
         let cmp = BoundExpr::binary(null, BinaryOp::Eq, BoundExpr::Literal(Value::Int(1)));
         assert_eq!(ev(&cmp), Value::Null);
-        assert!(!cmp.eval_predicate(&row(), &schema(), 0).unwrap());
+        assert!(!cmp.eval_predicate(row().values(), &schema(), 0).unwrap());
     }
 
     #[test]

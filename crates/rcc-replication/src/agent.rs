@@ -4,7 +4,7 @@ use rcc_backend::heartbeat::heartbeat_schema;
 use rcc_backend::{CommittedTxn, MasterDb, HEARTBEAT_TABLE};
 use rcc_catalog::{CachedViewDef, CurrencyRegion, TableMeta};
 use rcc_common::{AgentId, Error, Result, Row, Timestamp, Value};
-use rcc_storage::{RowChange, StorageEngine, Table};
+use rcc_storage::{Projection, RowChange, StorageEngine, Table};
 use std::sync::Arc;
 
 /// One replication subscription: a cached view fed from a master table.
@@ -149,14 +149,10 @@ impl DistributionAgent {
             base_key_ordinals,
         };
 
-        // Populate from the master's pinned snapshot, projected straight
-        // into the view's rows.
+        // Populate from the master's pinned snapshot: each master row's
+        // cells projected straight into the view's chunks.
         let (snapshot, snapshot_cursor) = self.master.snapshot_table(&base.name)?;
-        let rows = snapshot
-            .iter()
-            .filter_map(|row| project_row(&sub, row))
-            .collect();
-        table.load(rows)?;
+        table.load(snapshot.rows().filter_map(|row| project(&sub, row)))?;
 
         // Every view of a region stands at one point of the log. Views
         // already subscribed catch up to the snapshot's cursor before the
@@ -217,8 +213,8 @@ impl DistributionAgent {
             return Ok(());
         }
         // Stage: fold every change into per-view op lists, in commit order.
-        let mut staged: Vec<Vec<ViewOp>> = vec![Vec::new(); self.subscriptions.len()];
-        let mut heartbeat: Option<Row> = None;
+        let mut staged: Vec<Vec<ViewOp<'_>>> = vec![Vec::new(); self.subscriptions.len()];
+        let mut heartbeat: Option<&Row> = None;
         for txn in txns {
             for change in &txn.changes {
                 if change.table == HEARTBEAT_TABLE {
@@ -243,7 +239,7 @@ impl DistributionAgent {
             handle.update(|t| {
                 for op in ops {
                     match op {
-                        ViewOp::Upsert(row) => t.upsert(row.clone())?,
+                        ViewOp::Upsert(row) => t.upsert(*row)?,
                         ViewOp::Delete(key) => {
                             t.delete(key);
                         }
@@ -258,20 +254,24 @@ impl DistributionAgent {
             let handle = self
                 .cache_storage
                 .table(&self.region.heartbeat_table_name())?;
-            handle.update(|t| t.upsert(row))?;
+            handle.update(|t| t.upsert(row.values()))?;
         }
         Ok(())
     }
 
     /// Fold a heartbeat-table change into the staged heartbeat row for this
     /// region (commit order ⇒ the last one wins).
-    fn stage_heartbeat(&self, change: &RowChange, staged: &mut Option<Row>) -> Result<()> {
+    fn stage_heartbeat<'t>(
+        &self,
+        change: &'t RowChange,
+        staged: &mut Option<&'t Row>,
+    ) -> Result<()> {
         let row = match change {
             RowChange::Insert(row) | RowChange::Update { row, .. } => row,
             RowChange::Delete { .. } => return Ok(()),
         };
         if row.get(0).as_int()? == self.region.id.raw() as i64 {
-            *staged = Some(row.clone());
+            *staged = Some(row);
         }
         Ok(())
     }
@@ -307,35 +307,39 @@ impl DistributionAgent {
             .table(&self.region.heartbeat_table_name())
             .ok()?
             .snapshot();
-        let row = t.get(&[Value::Int(self.region.id.raw() as i64)])?;
-        row.get(1).as_int().ok().map(Timestamp)
+        let row = t.row(&[Value::Int(self.region.id.raw() as i64)])?;
+        row[1].as_int().ok().map(Timestamp)
     }
 }
 
 /// A staged view mutation, computed during the staging pass and applied
-/// inside the view's single copy-on-write publish.
+/// inside the view's single copy-on-write publish. An upsert reads the
+/// logged row in place: its view cells are copied straight into the
+/// view's chunk when the op is applied.
 #[derive(Debug, Clone)]
-enum ViewOp {
-    Upsert(Row),
+enum ViewOp<'t> {
+    Upsert(Projection<'t, [Value]>),
     Delete(Vec<Value>),
 }
 
 /// Translate one base-table change into the view op it implies.
-fn stage_view_op(sub: &Subscription, change: &RowChange) -> ViewOp {
+fn stage_view_op<'t>(sub: &'t Subscription, change: &'t RowChange) -> ViewOp<'t> {
     match change {
-        RowChange::Insert(row) | RowChange::Update { row, .. } => match project_row(sub, row) {
-            Some(projected) => ViewOp::Upsert(projected),
-            None => {
-                // Row fell out of the view's selection range (or was never
-                // in it): ensure it is absent.
-                let key: Vec<Value> = sub
-                    .base_key_ordinals
-                    .iter()
-                    .map(|&i| row.get(i).clone())
-                    .collect();
-                ViewOp::Delete(base_key_to_view_key(sub, &key))
+        RowChange::Insert(row) | RowChange::Update { row, .. } => {
+            match project(sub, row.values()) {
+                Some(projected) => ViewOp::Upsert(projected),
+                None => {
+                    // Row fell out of the view's selection range (or was never
+                    // in it): ensure it is absent.
+                    let key: Vec<Value> = sub
+                        .base_key_ordinals
+                        .iter()
+                        .map(|&i| row.get(i).clone())
+                        .collect();
+                    ViewOp::Delete(base_key_to_view_key(sub, &key))
+                }
             }
-        },
+        }
         RowChange::Delete { key } => ViewOp::Delete(base_key_to_view_key(sub, key)),
     }
 }
@@ -361,20 +365,16 @@ fn base_key_to_view_key(sub: &Subscription, base_key: &[Value]) -> Vec<Value> {
         .collect()
 }
 
-/// Project a base-table row through the view definition; `None` when the
-/// row does not satisfy the view's selection predicate.
-fn project_row(sub: &Subscription, row: &Row) -> Option<Row> {
+/// A base-table row through the view definition, read in place (no row
+/// is built); `None` when the row does not satisfy the view's selection
+/// predicate.
+fn project<'r>(sub: &'r Subscription, row: &'r [Value]) -> Option<Projection<'r, [Value]>> {
     if let (Some(ord), Some(pred)) = (sub.predicate_base_ordinal, &sub.view.predicate) {
-        if !pred.range.contains(row.get(ord)) {
+        if !pred.range.contains(&row[ord]) {
             return None;
         }
     }
-    Some(Row::new(
-        sub.base_ordinals
-            .iter()
-            .map(|&i| row.get(i).clone())
-            .collect(),
-    ))
+    Some(Projection::new(row, &sub.base_ordinals))
 }
 
 #[cfg(test)]
@@ -494,8 +494,8 @@ mod tests {
         assert_eq!(f.agent.propagate(f.clock.now()).unwrap(), 1);
         let v = f.cache.table("items_v").unwrap();
         assert_eq!(
-            v.snapshot().get(&[Value::Int(3)]).unwrap().get(1),
-            &Value::Int(99)
+            v.snapshot().row(&[Value::Int(3)]).unwrap()[1],
+            Value::Int(99)
         );
     }
 
@@ -523,8 +523,8 @@ mod tests {
         f.clock.advance(Duration::from_secs(5));
         f.agent.propagate(f.clock.now()).unwrap();
         let v = f.cache.table("items_v").unwrap();
-        assert!(v.snapshot().get(&[Value::Int(0)]).is_none());
-        assert!(v.snapshot().get(&[Value::Int(100)]).is_some());
+        assert!(v.snapshot().row(&[Value::Int(0)]).is_none());
+        assert!(v.snapshot().row(&[Value::Int(100)]).is_some());
         assert_eq!(v.snapshot().row_count(), 10);
     }
 
@@ -552,8 +552,8 @@ mod tests {
             .unwrap();
         f.clock.advance(Duration::from_secs(5));
         f.agent.propagate(f.clock.now()).unwrap();
-        assert!(v.snapshot().get(&[Value::Int(3)]).is_none(), "evicted");
-        assert!(v.snapshot().get(&[Value::Int(200)]).is_some(), "admitted");
+        assert!(v.snapshot().row(&[Value::Int(3)]).is_none(), "evicted");
+        assert!(v.snapshot().row(&[Value::Int(200)]).is_some(), "admitted");
     }
 
     #[test]
@@ -634,7 +634,7 @@ mod tests {
             .unwrap();
         let grp = |view: &str| {
             let t = f.cache.table(view).unwrap().snapshot();
-            t.get(&[Value::Int(3)]).unwrap().get(1).clone()
+            t.row(&[Value::Int(3)]).unwrap()[1].clone()
         };
         let rows = |view: &str| f.cache.table(view).unwrap().snapshot().collect_all();
         assert_eq!(grp("items_w"), Value::Int(60));
@@ -668,7 +668,7 @@ mod tests {
             .subscribe(items_view(2, "items_w", None), &f.meta)
             .unwrap();
         let v = f.cache.table("items_v").unwrap().snapshot();
-        assert_eq!(v.get(&[Value::Int(4)]).unwrap().get(1), &Value::Int(70));
+        assert_eq!(v.row(&[Value::Int(4)]).unwrap()[1], Value::Int(70));
     }
 
     #[test]

@@ -315,8 +315,8 @@ mod tests {
         f.rt.advance_to(Timestamp(10_000)).unwrap();
         let v = f.cache.table("t_v").unwrap();
         assert_eq!(
-            v.snapshot().get(&[Value::Int(1)]).unwrap().get(1),
-            &Value::Int(42)
+            v.snapshot().row(&[Value::Int(1)]).unwrap()[1],
+            Value::Int(42)
         );
     }
 
@@ -328,13 +328,13 @@ mod tests {
         f.rt.advance_to(Timestamp(10_000)).unwrap();
         let v = f.cache.table("t_v").unwrap();
         assert_eq!(
-            v.snapshot().get(&[Value::Int(1)]).unwrap().get(1),
-            &Value::Int(0)
+            v.snapshot().row(&[Value::Int(1)]).unwrap()[1],
+            Value::Int(0)
         );
         f.rt.advance_to(Timestamp(20_000)).unwrap();
         assert_eq!(
-            v.snapshot().get(&[Value::Int(1)]).unwrap().get(1),
-            &Value::Int(7)
+            v.snapshot().row(&[Value::Int(1)]).unwrap()[1],
+            Value::Int(7)
         );
     }
 

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rcc_common::{Error, Result, Row};
+use rcc_common::{Error, Result, Row, Value};
 
 use crate::codec::{self, crc32, Reader};
 use crate::snapshot::TableSnapshot;
@@ -126,16 +126,16 @@ fn sync_dir(dir: &Path) -> Result<()> {
 pub trait CheckpointRows {
     /// How many rows there are.
     fn row_count(&self) -> usize;
-    /// The rows, in the order they are written.
-    fn rows(&self) -> impl Iterator<Item = &Row>;
+    /// The rows' cells, in the order they are written.
+    fn rows(&self) -> impl Iterator<Item = &[Value]>;
 }
 
 impl CheckpointRows for Vec<Row> {
     fn row_count(&self) -> usize {
         self.len()
     }
-    fn rows(&self) -> impl Iterator<Item = &Row> {
-        self.iter()
+    fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        self.iter().map(Row::values)
     }
 }
 
@@ -143,8 +143,8 @@ impl CheckpointRows for TableSnapshot {
     fn row_count(&self) -> usize {
         Table::row_count(self)
     }
-    fn rows(&self) -> impl Iterator<Item = &Row> {
-        self.iter()
+    fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        Table::rows(self)
     }
 }
 
@@ -171,7 +171,7 @@ fn encode_checkpoint(
         codec::encode_str(name, &mut out);
         out.extend_from_slice(&(rows.row_count() as u32).to_le_bytes());
         for row in rows.rows() {
-            codec::encode_values(row.values(), &mut out);
+            codec::encode_values(row, &mut out);
         }
     }
     let payload = &out[HEADER_LEN..];

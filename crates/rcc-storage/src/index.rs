@@ -1,8 +1,8 @@
 //! Secondary indexes.
 
-use crate::cowmap::{CowMap, Cursor};
+use crate::cowmap::{CowMap, Cursor, Projection, RowCells};
 use crate::range::KeyRange;
-use rcc_common::{Row, Value};
+use rcc_common::Value;
 
 /// A secondary index: an ordered set of (index-key ++ clustered-key)
 /// entries. Including the clustered key in the entry makes duplicate index
@@ -18,7 +18,7 @@ pub struct SecondaryIndex {
     /// How many of `ordinals` are indexed columns.
     width: usize,
     /// Index key values followed by the clustered key values, each entry a
-    /// row ordered by all of its cells.
+    /// row ordered by all of its cells, its cells inline in its chunk.
     entries: CowMap,
 }
 
@@ -35,7 +35,7 @@ impl SecondaryIndex {
         ordinals.extend_from_slice(key);
         SecondaryIndex {
             name: name.into(),
-            entries: CowMap::new((0..ordinals.len()).collect()),
+            entries: CowMap::new(ordinals.len(), (0..ordinals.len()).collect()),
             ordinals,
             width,
         }
@@ -61,34 +61,44 @@ impl SecondaryIndex {
         self.entries.is_empty()
     }
 
-    /// The entry of `row`: its indexed cells, then its clustered key.
-    fn entry_of(&self, row: &Row) -> Row {
-        self.ordinals.iter().map(|&i| row.get(i).clone()).collect()
+    /// The entry of `row`: its indexed cells, then its clustered key,
+    /// read in place.
+    fn entry_of<'r, R: RowCells + ?Sized>(&'r self, row: &'r R) -> Projection<'r, R> {
+        Projection::new(row, &self.ordinals)
     }
 
-    /// Add the entry of `row`.
-    pub fn insert(&mut self, row: &Row) {
-        self.entries.insert(self.entry_of(row));
+    /// Add the entry of `row`, its cells copied straight into the index.
+    pub fn insert<R: RowCells + ?Sized>(&mut self, row: &R) {
+        let entry = Projection::new(row, &self.ordinals);
+        self.entries.insert(entry);
     }
 
     /// Add the entries of `rows`, none indexed yet, in one sorted pass
-    /// ([`CowMap::merge_sorted`]).
-    pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a Row>) {
-        let mut entries: Vec<Row> = rows.map(|row| self.entry_of(row)).collect();
-        entries.sort_unstable_by(|a, b| a.values().cmp(b.values()));
+    /// ([`CowMap::merge_sorted`]): the rows are sorted by reference, and
+    /// each entry's cells copied once, into its chunk.
+    pub fn load<'a>(&mut self, rows: impl Iterator<Item = &'a [Value]>) {
+        let mut rows: Vec<&[Value]> = rows.collect();
+        let order = self.entries.order();
+        rows.sort_unstable_by(|a, b| order.cmp(&self.entry_of(*a), &self.entry_of(*b)));
+        let entries = CowMap::from_sorted(
+            self.ordinals.len(),
+            (0..self.ordinals.len()).collect(),
+            rows.into_iter().map(|row| self.entry_of(row)),
+        );
         self.entries.merge_sorted(entries);
     }
 
     /// Remove the entry of `row`.
-    pub fn remove(&mut self, row: &Row) {
-        self.entries.remove(self.entry_of(row).values());
+    pub fn remove<R: RowCells + ?Sized>(&mut self, row: &R) {
+        let entry = Projection::new(row, &self.ordinals);
+        self.entries.remove_like(&entry);
     }
 
     /// Re-point the entry of the row stored as `old` to `new`, which has
     /// the same clustered key. A no-op — no chunk is copied — when no
     /// indexed column differs between the two rows.
-    pub fn replace(&mut self, old: &Row, new: &Row) {
-        if self.columns().iter().any(|&i| old.get(i) != new.get(i)) {
+    pub fn replace<R: RowCells + ?Sized>(&mut self, old: &[Value], new: &R) {
+        if self.columns().iter().any(|&i| old[i] != *new.cell(i)) {
             self.remove(old);
             self.insert(new);
         }
@@ -108,7 +118,7 @@ impl SecondaryIndex {
         let (from, to) = range.span(&self.entries);
         for entries in self.entries.slices(from, to) {
             for entry in entries {
-                emit(&entry.values()[self.width..]);
+                emit(&entry[self.width..]);
             }
         }
     }
@@ -121,7 +131,7 @@ impl SecondaryIndex {
     /// The clustered key of the entry at `at`, if there is one.
     pub(crate) fn pk_at(&self, at: Cursor) -> Option<&[Value]> {
         let entry = self.entries.entry_at(at)?;
-        Some(&entry.values()[self.width..])
+        Some(&entry[self.width..])
     }
 
     /// The position after the entry at `at`.
@@ -132,7 +142,7 @@ impl SecondaryIndex {
     /// Estimate of entries in `range` (exact here, since we can count).
     pub fn count_in(&self, range: &KeyRange) -> usize {
         let (from, to) = range.span(&self.entries);
-        self.entries.slices(from, to).map(<[_]>::len).sum()
+        self.entries.slices(from, to).map(|rows| rows.len()).sum()
     }
 
     /// The entry container, for structural-sharing assertions.

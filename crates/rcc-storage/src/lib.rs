@@ -28,7 +28,7 @@ pub mod stats;
 pub mod table;
 pub mod wal;
 
-pub use cowmap::{CowMap, Run};
+pub use cowmap::{CowMap, Projection, RowCells, RowSlice, Run};
 pub use durable::{CheckpointRows, DurableStore, RecoveredState, RecoveryStats};
 pub use engine::{StorageEngine, TableHandle};
 pub use index::SecondaryIndex;

@@ -362,10 +362,10 @@ impl TableStats {
             .collect();
         let mut total_bytes = 0usize;
         let mut n = 0u64;
-        for row in table.iter() {
+        for row in table.rows() {
             n += 1;
-            total_bytes += row.byte_width();
-            for (tally, v) in tallies.iter_mut().zip(row.values()) {
+            total_bytes += row.iter().map(Value::byte_width).sum::<usize>();
+            for (tally, v) in tallies.iter_mut().zip(row) {
                 tally.add(v);
             }
         }
@@ -384,9 +384,9 @@ impl TableStats {
             histograms[i] = vec![0u64; HISTOGRAM_BUCKETS];
         }
         if !numeric.is_empty() {
-            for row in table.iter() {
+            for row in table.rows() {
                 for &(i, lo, width) in &numeric {
-                    let x = match row.get(i) {
+                    let x = match &row[i] {
                         Value::Int(v) => *v as f64,
                         Value::Float(v) => *v,
                         _ => continue,

@@ -1,7 +1,7 @@
 //! Tables organized by a clustered index over a structurally shared map.
 
 use crate::column::ValueRef;
-use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Run, VacantEntry};
+use crate::cowmap::{CowMap, Cursor, Entry, OccupiedEntry, Packer, RowCells, Run, VacantEntry};
 use crate::index::SecondaryIndex;
 use crate::range::KeyRange;
 use rcc_common::{Error, Result, Row, Schema, Value};
@@ -27,10 +27,12 @@ pub enum RowChange {
 }
 
 /// An in-memory table: rows stored in clustered-key order in a
-/// [`CowMap`], plus any number of secondary indexes kept in sync on every
-/// mutation. Cloning a table shares every row and index chunk with the
-/// original (O(chunks) refcount bumps); a mutation then copies only the
-/// chunks it lands in. That is what makes a [`crate::TableCell`] write cost
+/// [`CowMap`], each row's cells inline in its chunk, plus any number of
+/// secondary indexes kept in sync on every mutation. Rows go in as any
+/// [`RowCells`] (an owned [`Row`] is moved in, borrowed cells are copied)
+/// and come out borrowed, as `&[Value]`. Cloning a table shares every row
+/// and index chunk with the original (O(chunks) refcount bumps); a
+/// mutation then copies only the chunks it lands in. That is what makes a [`crate::TableCell`] write cost
 /// the rows it changes, not the table's size.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -41,7 +43,7 @@ pub struct Table {
 }
 
 /// Store `row` in a vacant slot and add its index entries.
-fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_>, row: Row) {
+fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_>, row: impl RowCells) {
     for ix in indexes {
         ix.insert(&row);
     }
@@ -50,11 +52,11 @@ fn insert_at(indexes: &mut [SecondaryIndex], slot: VacantEntry<'_>, row: Row) {
 
 /// Replace the row in an occupied slot. An index is touched only when one
 /// of its columns differs between the old and the new row.
-fn replace_at(indexes: &mut [SecondaryIndex], mut slot: OccupiedEntry<'_>, row: Row) {
+fn replace_at(indexes: &mut [SecondaryIndex], mut slot: OccupiedEntry<'_>, row: impl RowCells) {
     for ix in indexes {
         ix.replace(slot.get(), &row);
     }
-    slot.insert(row);
+    slot.replace(row);
 }
 
 impl Table {
@@ -71,8 +73,8 @@ impl Table {
         );
         Table {
             name: name.into(),
+            rows: CowMap::new(schema.len(), key),
             schema,
-            rows: CowMap::new(key),
             indexes: Vec::new(),
         }
     }
@@ -98,7 +100,7 @@ impl Table {
     }
 
     /// Extract the clustered key of a row.
-    pub fn key_of(&self, row: &Row) -> Vec<Value> {
+    pub fn key_of(&self, row: &(impl RowCells + ?Sized)) -> Vec<Value> {
         self.rows.order().cells(row).cloned().collect()
     }
 
@@ -110,65 +112,93 @@ impl Table {
             return Err(Error::AlreadyExists(format!("index {name}")));
         }
         let mut ix = SecondaryIndex::new(name, columns, self.key_ordinals());
-        ix.load(self.iter());
+        ix.load(self.rows());
         self.indexes.push(ix);
         Ok(())
     }
 
-    /// Add `rows` in one sorted pass: the one way a table is filled in
-    /// bulk. The rows are sorted in place by clustered key (only when an
-    /// O(n) check finds them out of order), moved into full chunks
+    /// Add `rows` in one pass as they stream in: the one way a table is
+    /// filled in bulk. Each row's cells go straight into full chunks
+    /// (`cowmap::Packer`) while the rows arrive in clustered-key order;
+    /// only a batch that turns out unsorted is gathered and sorted once. Each
+    /// secondary index is built the same way from its own sorted entries,
+    /// and the new chunks are merged into the table
     /// ([`CowMap::merge_sorted`], which keeps every chunk no new key falls
-    /// into), and each secondary index is built the same way from its own
-    /// sorted entries. Rows already in the table stay; no row is copied.
+    /// into). Rows already in the table stay; an owned [`Row`]'s cells are
+    /// moved, borrowed ones copied once.
     ///
     /// Fails, changing nothing, where inserting the rows one at a time
     /// would fail — a wrong arity, or a clustered key already stored or
     /// repeated in the batch — with the error `insert` gives that row. A
     /// batch with more than one such row reports its first wrong-arity row
     /// unless a duplicate comes before it, and of several duplicates the
-    /// one with the smallest key.
-    pub fn load(&mut self, mut rows: Vec<Row>) -> Result<()> {
-        let arity = match rows.iter().position(|row| row.len() != self.schema.len()) {
-            Some(at) => {
-                let err = self.check_arity(&rows[at]);
-                // only the rows before it can fail first, as duplicates
-                rows.truncate(at);
-                err
+    /// one with the smallest key. The rows after the first wrong-arity row
+    /// are not read.
+    pub fn load<R: RowCells>(&mut self, rows: impl IntoIterator<Item = R>) -> Result<()> {
+        let mut arity = Ok(());
+        let new = {
+            // only the rows before a wrong-arity one can fail first, as
+            // duplicates
+            let mut rows = rows
+                .into_iter()
+                .map_while(|row| match self.check_arity(&row) {
+                    Ok(()) => Some(row),
+                    Err(e) => {
+                        arity = Err(e);
+                        None
+                    }
+                });
+            let (order, width) = (self.rows.order(), self.schema.len());
+            let mut packed = Packer::new(order, width);
+            while let Some(row) = rows.next() {
+                if packed
+                    .last()
+                    .is_some_and(|last| order.cmp(last, &row).is_gt())
+                {
+                    // out of order: gather the rest and sort once
+                    let mut all = packed.into_rows();
+                    all.push(row.into_cells().collect());
+                    all.extend(rows.by_ref().map(|row| row.into_cells().collect::<Row>()));
+                    all.sort_unstable_by(|a, b| order.cmp(a, b));
+                    packed = Packer::new(order, width);
+                    for row in all {
+                        packed.push(row.into_cells());
+                    }
+                    break;
+                }
+                packed.push(row.into_cells());
             }
-            None => Ok(()),
+            packed.finish()
         };
-        let order = self.rows.order();
-        if !rows.is_sorted_by(|a, b| order.cmp(a, b).is_le()) {
-            rows.sort_unstable_by(|a, b| order.cmp(a, b));
-        }
-        self.check_new_keys(&rows)?;
+        self.check_new_keys(&new)?;
         arity?;
         for ix in &mut self.indexes {
-            ix.load(rows.iter());
+            ix.load(new.iter());
         }
-        self.rows.merge_sorted(rows);
+        self.rows.merge_sorted(new);
         Ok(())
     }
 
-    /// The error `insert` gives the first of `rows` — sorted by clustered
-    /// key — whose key is already stored or is its predecessor's.
-    fn check_new_keys(&self, rows: &[Row]) -> Result<()> {
-        for (i, row) in rows.iter().enumerate() {
+    /// The error `insert` gives the first of the rows of `new` — packed in
+    /// clustered-key order, equal keys allowed — whose key is already
+    /// stored or is its predecessor's.
+    fn check_new_keys(&self, new: &CowMap) -> Result<()> {
+        let mut prev: Option<&[Value]> = None;
+        for row in new.iter() {
             if !self.rows.is_empty() && self.rows.get(&self.key_of(row)).is_some() {
                 return Err(self.duplicate(row));
             }
-            let prev = i.checked_sub(1).map(|j| &rows[j]);
-            if let Some(prev) = prev.filter(|prev| self.rows.order().cmp(prev, row).is_eq()) {
+            if let Some(prev) = prev.filter(|prev| self.rows.order().cmp(*prev, row).is_eq()) {
                 return Err(self.duplicate(prev));
             }
+            prev = Some(row);
         }
         Ok(())
     }
 
     /// The error inserting a row keyed as `row` gives: it names the key as
     /// stored, or as `row` holds it when no row is stored there.
-    fn duplicate(&self, row: &Row) -> Error {
+    fn duplicate(&self, row: &(impl RowCells + ?Sized)) -> Error {
         let key = self.key_of(row);
         let stored = self
             .rows
@@ -192,20 +222,20 @@ impl Table {
             .find(|ix| ix.columns().first() == Some(&col))
     }
 
-    fn check_arity(&self, row: &Row) -> Result<()> {
-        if row.len() == self.schema.len() {
+    fn check_arity(&self, row: &impl RowCells) -> Result<()> {
+        if row.arity() == self.schema.len() {
             return Ok(());
         }
         Err(Error::Storage(format!(
             "row arity {} does not match schema arity {} for table {}",
-            row.len(),
+            row.arity(),
             self.schema.len(),
             self.name
         )))
     }
 
     /// Insert a row; errors on duplicate clustered key.
-    pub fn insert(&mut self, row: Row) -> Result<()> {
+    pub fn insert(&mut self, row: impl RowCells) -> Result<()> {
         self.check_arity(&row)?;
         match self.rows.entry(&row) {
             Entry::Occupied(_) => Err(self.duplicate(&row)),
@@ -216,8 +246,10 @@ impl Table {
         }
     }
 
-    /// Insert or replace by clustered key (used by replication apply).
-    pub fn upsert(&mut self, row: Row) -> Result<()> {
+    /// Insert or replace by clustered key (used by replication apply,
+    /// which passes the logged row's cells, or a [`crate::Projection`] of
+    /// them for a view, to be copied straight into the chunk).
+    pub fn upsert(&mut self, row: impl RowCells) -> Result<()> {
         self.check_arity(&row)?;
         match self.rows.entry(&row) {
             Entry::Occupied(slot) => replace_at(&mut self.indexes, slot, row),
@@ -237,7 +269,7 @@ impl Table {
 
     /// Replace the row at `key` with `row` (key columns of `row` must match
     /// `key`; enforced).
-    pub fn update(&mut self, key: &[Value], row: Row) -> Result<()> {
+    pub fn update(&mut self, key: &[Value], row: impl RowCells) -> Result<()> {
         self.check_arity(&row)?;
         if self.rows.order().cmp_key(&row, key).is_ne() {
             return Err(Error::Storage(
@@ -255,11 +287,11 @@ impl Table {
 
     /// Apply a logged [`RowChange`]. Replication delivers these in commit
     /// order; apply is idempotent for inserts (they degrade to upserts) so a
-    /// re-delivered batch cannot wedge an agent.
+    /// re-delivered batch cannot wedge an agent. The logged row's cells are
+    /// copied straight into the chunk.
     pub fn apply(&mut self, change: &RowChange) -> Result<()> {
         match change {
-            RowChange::Insert(row) => self.upsert(row.clone()),
-            RowChange::Update { row, .. } => self.upsert(row.clone()),
+            RowChange::Insert(row) | RowChange::Update { row, .. } => self.upsert(row.values()),
             RowChange::Delete { key } => {
                 self.delete(key);
                 Ok(())
@@ -267,9 +299,17 @@ impl Table {
         }
     }
 
-    /// Point lookup by full clustered key.
-    pub fn get(&self, key: &[Value]) -> Option<&Row> {
+    /// Point lookup by full clustered key: the stored row's cells.
+    pub fn row(&self, key: &[Value]) -> Option<&[Value]> {
         self.rows.get(key)
+    }
+
+    /// Point lookup by full clustered key, as an owned-type [`Row`]: read
+    /// off its chunk's row image, which the first such read builds for the
+    /// whole chunk. For callers that keep or clone `Row`s (the benchmark
+    /// package's probes); storage and the executor read [`Table::row`].
+    pub fn get(&self, key: &[Value]) -> Option<&Row> {
+        self.rows.get_row(key)
     }
 
     /// Visit every row that falls in `range` on the *first* clustered key
@@ -279,8 +319,8 @@ impl Table {
     /// down as `filter` so only qualifying rows are materialized.
     pub fn scan_range<F, E>(&self, range: &KeyRange, mut filter: F, mut emit: E)
     where
-        F: FnMut(&Row) -> bool,
-        E: FnMut(&Row),
+        F: FnMut(&[Value]) -> bool,
+        E: FnMut(&[Value]),
     {
         let (from, to) = range.span(&self.rows);
         for rows in self.rows.slices(from, to) {
@@ -365,7 +405,7 @@ impl Table {
         let mut at = span.from;
         std::iter::from_fn(move || {
             let run = self.rows.run((span.from, span.to), at)?;
-            at = self.rows.step(at, run.vals().len());
+            at = self.rows.step(at, run.len());
             Some(run)
         })
     }
@@ -396,17 +436,21 @@ impl Table {
     /// Collect rows in `range` passing `filter` into a vector.
     pub fn collect_range<F>(&self, range: &KeyRange, filter: F) -> Vec<Row>
     where
-        F: FnMut(&Row) -> bool,
+        F: FnMut(&[Value]) -> bool,
     {
         let mut out = Vec::new();
         let mut filter = filter;
-        self.scan_range(range, |r| filter(r), |r| out.push(r.clone()));
+        self.scan_range(
+            range,
+            |r| filter(r),
+            |r| out.push(r.iter().cloned().collect()),
+        );
         out
     }
 
     /// Full-table scan collecting everything.
     pub fn collect_all(&self) -> Vec<Row> {
-        self.iter().cloned().collect()
+        self.rows().map(|r| r.iter().cloned().collect()).collect()
     }
 
     /// Seek a secondary index named `index` with `range`, returning matching
@@ -415,15 +459,23 @@ impl Table {
         let mut out = Vec::new();
         self.index_named(index)?.scan(range, |pk| {
             if let Some(row) = self.rows.get(pk) {
-                out.push(row.clone());
+                out.push(row.iter().cloned().collect());
             }
         });
         Ok(out)
     }
 
-    /// Iterate all rows in clustered order.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
+    /// All rows in clustered order, borrowed.
+    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
         self.rows.iter()
+    }
+
+    /// All rows in clustered order as owned-type [`Row`]s, read off each
+    /// chunk's row image (built by the first such read). For callers that
+    /// keep or clone `Row`s (the benchmark package's probes); storage and
+    /// the executor walk [`Table::rows`].
+    pub fn iter(&self) -> impl Iterator<Item = &Row> {
+        self.rows.iter_rows()
     }
 
     /// Remove all rows (keeps schema and index definitions).
@@ -506,7 +558,7 @@ impl SpanFinder<'_> {
         };
         self.table.rows.gallop_from(at, fence_below, |run| {
             let from = run.offset();
-            let cells = from..from + run.vals().len();
+            let cells = from..from + run.len();
             run.column(lead).partition_point(cells, key, or_equal) - from
         })
     }
@@ -558,8 +610,35 @@ mod tests {
     #[test]
     fn insert_maintains_clustered_order() {
         let t = books();
-        let isbns: Vec<i64> = t.iter().map(|r| r.get(0).as_int().unwrap()).collect();
+        let isbns: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(isbns, vec![1, 2, 3, 4, 5]);
+    }
+
+    /// `get` and `iter` hand out owned-type `Row`s read off each chunk's
+    /// row image: they answer what `row` and `rows` do, before and after a
+    /// write changes the chunk in place (dropping its image) and under a
+    /// snapshot that still shares the old chunk.
+    #[test]
+    fn owned_row_reads_agree_with_borrowed_ones() {
+        let mut t = books();
+        let owned = |t: &Table| -> Vec<Row> { t.iter().cloned().collect() };
+        assert_eq!(owned(&t), t.collect_all());
+        let key = [Value::Int(2)];
+        assert_eq!(t.get(&key).map(Row::values), t.row(&key));
+        let before = t.clone();
+        t.upsert(Row::new(vec![
+            Value::Int(2),
+            Value::from("b2"),
+            Value::Float(2.0),
+        ]))
+        .unwrap();
+        assert_eq!(t.get(&key).map(Row::values), t.row(&key));
+        assert_eq!(t.get(&key).unwrap().get(1), &Value::from("b2"));
+        assert_eq!(before.get(&key).unwrap().get(1), &Value::from("b"));
+        t.delete(&[Value::Int(4)]);
+        assert_eq!(owned(&t), t.collect_all());
+        assert_eq!(owned(&before).len(), 5);
+        assert!(t.get(&[Value::Int(4)]).is_none());
     }
 
     #[test]
@@ -584,9 +663,9 @@ mod tests {
     #[test]
     fn point_lookup() {
         let t = books();
-        let r = t.get(&[Value::Int(3)]).unwrap();
-        assert_eq!(r.get(1).as_str().unwrap(), "c");
-        assert!(t.get(&[Value::Int(99)]).is_none());
+        let r = t.row(&[Value::Int(3)]).unwrap();
+        assert_eq!(r[1].as_str().unwrap(), "c");
+        assert!(t.row(&[Value::Int(99)]).is_none());
     }
 
     #[test]
@@ -603,7 +682,7 @@ mod tests {
     #[test]
     fn scan_filter_pushdown() {
         let t = books();
-        let rows = t.collect_range(&KeyRange::all(), |r| r.get(2).as_float().unwrap() > 25.0);
+        let rows = t.collect_range(&KeyRange::all(), |r| r[2].as_float().unwrap() > 25.0);
         assert_eq!(rows.len(), 3);
     }
 
@@ -615,10 +694,7 @@ mod tests {
             Row::new(vec![Value::Int(2), Value::from("b2"), Value::Float(21.0)]),
         )
         .unwrap();
-        assert_eq!(
-            t.get(&[Value::Int(2)]).unwrap().get(1).as_str().unwrap(),
-            "b2"
-        );
+        assert_eq!(t.row(&[Value::Int(2)]).unwrap()[1].as_str().unwrap(), "b2");
         assert!(t
             .update(
                 &[Value::Int(2)],
@@ -689,11 +765,8 @@ mod tests {
             row: Row::new(vec![Value::Int(10), Value::from("j2"), Value::Float(2.0)]),
         })
         .unwrap();
-        assert_eq!(
-            t.get(&[Value::Int(10)]).unwrap().get(1).as_str().unwrap(),
-            "j2"
-        );
-        assert!(t.get(&[Value::Int(1)]).is_none());
+        assert_eq!(t.row(&[Value::Int(10)]).unwrap()[1].as_str().unwrap(), "j2");
+        assert!(t.row(&[Value::Int(1)]).is_none());
         // idempotent re-delivery
         t.apply(&RowChange::Insert(Row::new(vec![
             Value::Int(10),
@@ -735,9 +808,14 @@ mod tests {
         let drain = |mut cursor: ScanCursor, stride: usize| {
             let mut out = Vec::new();
             while let Some(run) = t.next_run(&mut cursor) {
-                let taken = &run.vals()[..run.vals().len().min(stride)];
-                out.extend_from_slice(taken);
-                t.advance(&mut cursor, taken.len());
+                let taken = run.len().min(stride);
+                out.extend(
+                    run.rows()
+                        .iter()
+                        .take(taken)
+                        .map(|row| row.iter().cloned().collect::<Row>()),
+                );
+                t.advance(&mut cursor, taken);
             }
             out
         };
@@ -754,9 +832,13 @@ mod tests {
         assert!(t.index_cursor("nope", &KeyRange::all()).is_err());
         // the cursor stays until advanced, and resumes after the rows taken
         let mut cursor = t.scan_cursor(&range);
-        let first = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
-        assert_eq!(first.as_ref(), Some(&clustered[0]));
-        let again = t.next_run(&mut cursor).map(|run| run.vals()[0].clone());
+        let first = t
+            .next_run(&mut cursor)
+            .map(|run| run.rows().row(0).to_vec());
+        assert_eq!(first.as_deref(), Some(clustered[0].values()));
+        let again = t
+            .next_run(&mut cursor)
+            .map(|run| run.rows().row(0).to_vec());
         assert_eq!(again, first);
         t.advance(&mut cursor, 1);
         assert_eq!(drain(cursor, 1000), clustered[1..]);
@@ -824,8 +906,8 @@ mod tests {
         assert!((1..=2).contains(&moved), "{moved} ix_bal chunks copied");
         // the old snapshot still reads the old row, through either path
         let key = [Value::Int(12_345)];
-        assert_eq!(before.get(&key).unwrap().get(2), &Value::Float(12_345.0));
-        assert_eq!(t.get(&key).unwrap().get(2), &Value::Float(-1.0));
+        assert_eq!(before.row(&key).unwrap()[2], Value::Float(12_345.0));
+        assert_eq!(t.row(&key).unwrap()[2], Value::Float(-1.0));
         let at = |t: &Table, bal: f64| {
             t.index_pks("ix_bal", &KeyRange::eq(Value::Float(bal)))
                 .unwrap()
@@ -869,8 +951,8 @@ mod tests {
         let mut cursor = t.scan_cursor(&mid);
         let mut walked = Vec::new();
         while let Some(run) = t.next_run(&mut cursor) {
-            walked.extend_from_slice(run.vals());
-            t.advance(&mut cursor, run.vals().len());
+            walked.extend(run.rows().to_rows());
+            t.advance(&mut cursor, run.len());
         }
         assert_eq!(walked, t.collect_range(&mid, |_| true));
     }
@@ -947,7 +1029,7 @@ mod tests {
             for key in &keys {
                 let span = finder.find(ValueRef::of(key));
                 let rows: Vec<Row> = (t.span_runs(span))
-                    .flat_map(|run| run.vals().to_vec())
+                    .flat_map(|run| run.rows().to_rows())
                     .collect();
                 let expected = t.collect_range(&KeyRange::eq(key.clone()), |_| true);
                 assert_eq!(rows, expected, "kind {kind}, key {key:?}");

@@ -4,16 +4,32 @@
 //! equal full-scan filtering. The map under the table, `CowMap`, is driven
 //! against the same oracle through its split and merge boundaries, with
 //! clones taken along the way that later writes must not disturb.
+//!
+//! The case counts follow `PROPTEST_CASES` when it is set.
 
 use proptest::prelude::*;
 use rcc_common::{Column, DataType, Row, Schema, Value};
+use rcc_storage::cowmap::Entry;
 use rcc_storage::{CowMap, KeyRange, Table};
 use std::collections::BTreeMap;
 
-/// The model's `BTreeMap<key, value>` as one two-cell row per pair,
-/// ordered by its first cell.
-fn pair(k: u32, v: u32) -> Row {
-    Row::new(vec![Value::Int(k.into()), Value::Int(v.into())])
+/// `PROPTEST_CASES` when set (CI runs the models at depth), else `quick`:
+/// what plain `cargo test` runs.
+fn cases(quick: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(quick)
+}
+
+/// The map model's rows: three cells, a key, a number and a string, so
+/// a chunk's buffer holds cells that own heap memory.
+fn triple(k: u32, v: u32) -> Row {
+    Row::new(vec![
+        Value::Int(k.into()),
+        Value::Int(v.into()),
+        Value::Str(format!("s{v}")),
+    ])
 }
 
 fn key(k: u32) -> [Value; 1] {
@@ -24,13 +40,20 @@ fn int(cell: &Value) -> u32 {
     cell.as_int().unwrap() as u32
 }
 
-fn unpair(row: &Row) -> (u32, u32) {
-    (int(row.get(0)), int(row.get(1)))
+/// A row's key and value, with its string cell checked against the value.
+fn untriple(row: &[Value]) -> (u32, u32) {
+    let (k, v) = (int(&row[0]), int(&row[1]));
+    let said = match &row[2] {
+        Value::Str(s) => s.strip_prefix('s').and_then(|n| n.parse().ok()),
+        _ => None,
+    };
+    assert_eq!(said, Some(v), "string cell of key {k}: {:?}", row[2]);
+    (k, v)
 }
 
 /// The model's answers read off rows: the value of each.
-fn value(row: Option<impl std::borrow::Borrow<Row>>) -> Option<u32> {
-    row.map(|row| unpair(row.borrow()).1)
+fn value(row: Option<&[Value]>) -> Option<u32> {
+    row.map(|row| untriple(row).1)
 }
 
 #[derive(Debug, Clone)]
@@ -63,7 +86,7 @@ fn table() -> Table {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(128), .. ProptestConfig::default() })]
 
     #[test]
     fn table_agrees_with_btreemap_model(ops in proptest::collection::vec(op(), 1..120)) {
@@ -82,8 +105,8 @@ proptest! {
                 }
                 Op::Get(k) => {
                     let t_val = table
-                        .get(&[Value::Int(k)])
-                        .map(|r| r.get(1).as_int().unwrap());
+                        .row(&[Value::Int(k)])
+                        .map(|r| r[1].as_int().unwrap());
                     prop_assert_eq!(t_val, model.get(&k).copied());
                 }
                 Op::RangeScan(lo, hi) => {
@@ -105,7 +128,7 @@ proptest! {
                         .unwrap();
                     let mut via_filter: Vec<Row> = table
                         .collect_range(&KeyRange::all(), |r| {
-                            let v = r.get(1).as_int().unwrap();
+                            let v = r[1].as_int().unwrap();
                             (lo..=hi).contains(&v)
                         });
                     // index order: (v, k); filter order: k — compare as sets
@@ -173,56 +196,76 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(32), .. ProptestConfig::default() })]
 
-    /// Chunks hold at most 256 entries and merge below 64: an ascending
+    /// Chunks hold at most 256 rows and merge below 64: an ascending
     /// preload of up to 700 keys builds full chunks, insert-heavy cases
     /// split them, and delete-heavy cases (every removal hits a live key)
-    /// drain them through every merge down to empty.
+    /// drain them through every merge down to empty. Writes go in three
+    /// ways — `insert`, an upsert through the entry API, `remove` — while up
+    /// to three snapshots (clones) taken along the way stay live; each must
+    /// still read what the model held when it was taken, string cells
+    /// included, when it is dropped and at the end. Every op checks the
+    /// whole map, a point read and a range of up to 400 keys.
     #[test]
     fn cowmap_agrees_with_btreemap_model(
         preload in 0u32..700,
         remove_share in 1u8..9,
-        ops in proptest::collection::vec((0u8..10, 0u32..1400, 0u32..1000), 1..1200),
+        ops in proptest::collection::vec((0u8..11, 0u32..1400, 0u32..1000), 1..1200),
     ) {
-        let mut map = CowMap::new(vec![0]);
+        let mut map = CowMap::new(3, vec![0]);
         let mut model: BTreeMap<u32, u32> = BTreeMap::new();
         for k in 0..preload {
-            map.insert(pair(2 * k, k));
+            map.insert(triple(2 * k, k));
             model.insert(2 * k, k);
         }
         let same = |map: &CowMap, model: &BTreeMap<u32, u32>| {
-            map.iter().map(unpair).eq(model.iter().map(|(&k, &v)| (k, v)))
+            map.len() == model.len()
+                && map.iter().map(untriple).eq(model.iter().map(|(&k, &v)| (k, v)))
         };
-        let mut cloned = (map.clone(), model.clone());
+        let mut snapshots: Vec<(CowMap, BTreeMap<u32, u32>)> = Vec::new();
         for (roll, a, b) in ops {
-            if roll == 9 {
-                // the clone taken earlier saw none of the writes since
-                prop_assert!(same(&cloned.0, &cloned.1), "clone disturbed");
-                cloned = (map.clone(), model.clone());
+            if roll >= 9 {
+                // a snapshot taken earlier saw none of the writes since
+                if !snapshots.is_empty() && (roll == 10 || snapshots.len() == 3) {
+                    let (snapshot, then) = snapshots.remove(a as usize % snapshots.len());
+                    prop_assert!(same(&snapshot, &then), "snapshot disturbed");
+                }
+                snapshots.push((map.clone(), model.clone()));
             } else if roll < remove_share {
                 let k = model.keys().nth(a as usize % model.len().max(1)).copied().unwrap_or(a);
-                prop_assert_eq!(value(map.remove(&key(k))), model.remove(&k));
+                let removed = map.remove(&key(k));
+                prop_assert_eq!(value(removed.as_ref().map(Row::values)), model.remove(&k));
+            } else if roll % 2 == 0 {
+                let old = map.insert(triple(a, b));
+                prop_assert_eq!(value(old.as_ref().map(Row::values)), model.insert(a, b));
             } else {
-                prop_assert_eq!(value(map.insert(pair(a, b))), model.insert(a, b));
+                let row = triple(a, b);
+                match map.entry(&row) {
+                    Entry::Occupied(mut slot) => {
+                        prop_assert_eq!(untriple(slot.get()).0, a);
+                        slot.replace(row);
+                    }
+                    Entry::Vacant(slot) => slot.insert(row.values()),
+                }
+                model.insert(a, b);
             }
             prop_assert_eq!(map.len(), model.len());
-            prop_assert!(
-                same(&map, &model),
-                "contents diverged at op {:?}",
-                (roll, a, b)
-            );
+            prop_assert!(same(&map, &model), "contents diverged at op {:?}", (roll, a, b));
             prop_assert_eq!(value(map.get(&key(a))), model.get(&a).copied());
             let (lo, hi) = (a, a + b % 400);
             let (from, to) = (map.seek(|k| int(k) < lo), map.seek(|k| int(k) <= hi));
             prop_assert_eq!(map.seek_from(from, |k| int(k) <= hi), to);
             let got: Vec<(u32, u32)> = map
                 .slices(from, to)
-                .flat_map(|entries| entries.iter().map(unpair))
+                .flat_map(|rows| rows.iter().map(untriple).collect::<Vec<_>>())
                 .collect();
             let want: Vec<(u32, u32)> = model.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
             prop_assert_eq!(got, want, "range [{}, {}]", lo, hi);
         }
-        prop_assert!(same(&cloned.0, &cloned.1), "clone disturbed");
+        prop_assert!(same(&map, &model), "contents diverged");
+        for (snapshot, then) in &snapshots {
+            prop_assert!(same(snapshot, then), "snapshot disturbed");
+        }
     }
 }

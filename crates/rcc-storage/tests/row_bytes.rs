@@ -1,11 +1,13 @@
 //! What a stored row costs in memory, counted by a global allocator that
-//! tracks the bytes requested and not yet freed.
+//! tracks the bytes requested and not yet freed, and the allocations made.
 //!
 //! A table of `(Int, Int, Float)` rows clustered on the two `Int`s: each
-//! row's cells are 3 × 24 = 72 bytes, and the chunk slot that points at
-//! them is 16. A clustered key stored apart from its row (two more
-//! `Value`s) would add 48 bytes a row, and again to every chunk a
-//! copy-on-write write copies.
+//! row's cells are 3 × 24 = 72 bytes, stored inline in their chunk's one
+//! cell buffer, so a row costs its cells and a share of its chunk's fence
+//! and spine slot. A row boxed on its own would add a 16-byte chunk slot
+//! and the allocator's header; a clustered key stored apart from its row
+//! (two more `Value`s) would add 48 bytes a row, and again to every chunk
+//! a copy-on-write write copies.
 //!
 //! The file holds one test, so no other test allocates while it counts.
 //! `cargo test --release -p rcc-storage --test row_bytes -- --nocapture`
@@ -16,13 +18,15 @@
 #![allow(unsafe_code)]
 
 use rcc_common::{Column, DataType, Row, Schema, Value};
-use rcc_storage::Table;
+use rcc_storage::{Projection, RowChange, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Bytes allocated and not yet freed, as requested (not as rounded up by
 /// the system allocator).
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Allocations made (a `realloc` counts as one).
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct Counting;
 
@@ -34,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -43,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
         let p = unsafe { System.alloc_zeroed(layout) };
         if !p.is_null() {
             LIVE.fetch_add(layout.size(), Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -59,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
         if !p.is_null() {
             LIVE.fetch_add(new_size, Relaxed);
             LIVE.fetch_sub(layout.size(), Relaxed);
+            ALLOCS.fetch_add(1, Relaxed);
         }
         p
     }
@@ -69,6 +76,10 @@ static GLOBAL: Counting = Counting;
 
 fn live() -> usize {
     LIVE.load(Relaxed)
+}
+
+fn allocs() -> usize {
+    ALLOCS.load(Relaxed)
 }
 
 const ROWS: usize = 100_000;
@@ -87,7 +98,7 @@ fn row(i: i64, x: f64) -> Row {
 }
 
 #[test]
-fn a_stored_row_costs_its_cells_and_one_slot() {
+fn a_stored_row_costs_its_cells() {
     assert_eq!(CELLS, 72);
     let schema = Schema::new(vec![
         Column::new("a", DataType::Int),
@@ -96,33 +107,100 @@ fn a_stored_row_costs_its_cells_and_one_slot() {
     ]);
     let mut table = Table::new("t", schema, vec![0, 1]);
     let empty = live();
-    let rows: Vec<Row> = (0..ROWS as i64).map(|i| row(i, i as f64)).collect();
-    table.load(rows).unwrap();
-    // the loaded rows' vector is gone; the table holds the rows themselves
+    // streamed: each row's cells move into a chunk and its box is freed
+    table
+        .load((0..ROWS as i64).map(|i| row(i, i as f64)))
+        .unwrap();
     let per_row = (live() - empty) as f64 / ROWS as f64;
 
-    // a write under a snapshot copies the one chunk it lands in
+    // a write under a snapshot copies the one chunk it lands in, in one
+    // buffer (plus the chunk's `Arc`)
     let snapshot = table.clone();
     let new = row(ROWS as i64 / 2, -1.0);
-    let before = live();
+    let (before, made) = (live(), allocs());
     table.upsert(new).unwrap();
-    let copied = live() - before;
-    // a chunk slot is one row: a pointer to its cells and their count
-    let chunk_of_rows = CHUNK * (16 + CELLS);
+    let (copied, copy_allocs) = (live() - before, allocs() - made);
+    let chunk_of_cells = CHUNK * CELLS;
+    assert_eq!(snapshot.row_count(), ROWS);
+    let cells = |a: i64, b: i64, x: f64| [Value::Int(a), Value::Int(b), Value::Float(x)];
+    let key = [Value::Int(5_000), Value::Int(0)];
+    assert_eq!(table.row(&key), Some(&cells(5_000, 0, -1.0)[..]));
+    assert_eq!(snapshot.row(&key), Some(&cells(5_000, 0, 50_000.0)[..]));
+    drop(snapshot);
+
+    // so does an insert of a new key under a snapshot: the copy has room
+    // for one more row (the key lands in the last chunk, which is not full)
+    let snapshot = table.clone();
+    let new = row(ROWS as i64, -2.0);
+    let (before, made) = (live(), allocs());
+    table.insert(new).unwrap();
+    let (inserted, insert_allocs) = (live() - before, allocs() - made);
+    let key = [Value::Int(10_000), Value::Int(0)];
+    assert_eq!(table.row(&key), Some(&cells(10_000, 0, -2.0)[..]));
+    assert_eq!(snapshot.row(&key), None);
+    drop(snapshot);
+
+    // replication apply writes the logged row's cells in place: an update
+    // of a row the table owns alone allocates nothing, whether it is the
+    // logged row itself or a projection of a wider logged row
+    let applied = 1_000;
+    let made = allocs();
+    for i in 0..applied {
+        let logged = row(i, i as f64 + 0.5);
+        let key = vec![logged.get(0).clone(), logged.get(1).clone()];
+        let change = RowChange::Update { key, row: logged };
+        let made_here = allocs();
+        table.apply(&change).unwrap();
+        assert_eq!(allocs(), made_here, "applying update {i} allocated");
+    }
+    let wide = Row::new(vec![
+        Value::Float(7.0),
+        Value::Int(3),
+        Value::Int(0),
+        Value::Int(30),
+    ]);
+    let made_here = allocs();
+    table
+        .upsert(Projection::new(wide.values(), &[1, 2, 0]))
+        .unwrap();
+    assert_eq!(allocs(), made_here, "a projected upsert allocated");
+    // the logged rows and their keys are the loop's only allocations
+    let per_applied = (allocs() - made) as f64 / applied as f64;
 
     println!(
         "row_bytes: {per_row:.1} bytes per stored row ({CELLS} of cells); \
-         a one-row write under a snapshot allocated {copied} bytes \
-         (one chunk of rows is {chunk_of_rows})"
+         a one-row write under a snapshot allocated {copied} bytes in \
+         {copy_allocs} allocations, a new key {inserted} bytes in \
+         {insert_allocs} (one chunk of cells is {chunk_of_cells}); \
+         {per_applied:.1} allocations per applied row, all of them the \
+         logged row and key"
     );
-    assert!(per_row <= 96.0, "{per_row:.1} bytes per stored row");
+    assert!(per_row <= 76.0, "{per_row:.1} bytes per stored row");
     assert!(
-        copied <= chunk_of_rows + 256,
-        "a one-row write copied {copied} bytes, more than a chunk of rows"
+        copied <= chunk_of_cells + 256,
+        "a one-row write copied {copied} bytes, more than a chunk of cells"
     );
-    assert_eq!(snapshot.row_count(), ROWS);
+    assert!(
+        copy_allocs <= 2,
+        "a one-row write made {copy_allocs} allocations: the chunk's cells \
+         are not in one buffer"
+    );
+    assert!(
+        inserted <= chunk_of_cells + 256,
+        "a new key under a snapshot copied {inserted} bytes, more than a \
+         chunk of cells"
+    );
+    assert!(
+        insert_allocs <= 2,
+        "a new key under a snapshot made {insert_allocs} allocations: the \
+         chunk was copied more than once"
+    );
     assert_eq!(
-        table.get(&[Value::Int(5_000), Value::Int(0)]),
-        Some(&row(50_000, -1.0))
+        table.row(&[Value::Int(3), Value::Int(0)]),
+        Some(&cells(3, 0, 7.0)[..])
+    );
+    assert_eq!(
+        table.row(&[Value::Int(99), Value::Int(9)]),
+        Some(&cells(99, 9, 999.5)[..])
     );
 }

@@ -54,18 +54,14 @@ fn observed_version(cell: &TableCell, via_image: bool) -> i64 {
     let mut tags = Vec::new();
     let mut cursor = snap.scan_cursor(&KeyRange::all());
     while let Some(run) = snap.next_run(&mut cursor) {
-        let n = run.vals().len();
+        let n = run.len();
         match via_image.then(|| run.column(1)) {
             Some(image) => tags.extend((0..n).map(|i| {
                 let tag = image.value(run.offset() + i).as_int().expect("tag");
-                assert_eq!(tag, run.vals()[i].get(1).as_int().expect("tag"));
+                assert_eq!(tag, run.rows().row(i)[1].as_int().expect("tag"));
                 tag
             })),
-            None => tags.extend(
-                run.vals()
-                    .iter()
-                    .map(|row| row.get(1).as_int().expect("tag")),
-            ),
+            None => tags.extend(run.rows().iter().map(|row| row[1].as_int().expect("tag"))),
         }
         snap.advance(&mut cursor, n);
     }

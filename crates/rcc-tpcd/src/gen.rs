@@ -90,53 +90,56 @@ impl TpcdGenerator {
         (-999.99, 9999.99)
     }
 
-    /// Generate all customer rows in clustered order.
-    pub fn customers(&self) -> Vec<Row> {
+    /// Every customer row in clustered order, generated as it is read.
+    pub fn customers(&self) -> impl Iterator<Item = Row> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = self.customer_count();
-        let mut rows = Vec::with_capacity(n as usize);
-        for k in 1..=n {
+        (1..=self.customer_count()).map(move |k| {
             let acctbal = rng.gen_range(-999.99f64..9999.99);
-            rows.push(Row::new(vec![
+            Row::new(vec![
                 Value::Int(k as i64),
                 Value::Str(format!("Customer#{k:09}")),
                 Value::Int(rng.gen_range(0..25)),
                 Value::Float((acctbal * 100.0).round() / 100.0),
-            ]));
-        }
-        rows
+            ])
+        })
     }
 
-    /// Generate all order rows in clustered order. Per-customer counts are
-    /// drawn uniformly from 5..=15 (mean 10), so the 10-orders-per-customer
-    /// ratio that drives the paper's Q2 plan choice holds in aggregate.
-    pub fn orders(&self) -> Vec<Row> {
+    /// Every order row in clustered order, generated as it is read.
+    /// Per-customer counts are drawn uniformly from 5..=15 (mean 10), so
+    /// the 10-orders-per-customer ratio that drives the paper's Q2 plan
+    /// choice holds in aggregate.
+    pub fn orders(&self) -> impl Iterator<Item = Row> {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
-        let n = self.customer_count();
-        let mut rows = Vec::with_capacity((n * ORDERS_PER_CUSTOMER) as usize);
-        for cust in 1..=n {
-            let count = rng.gen_range(5..=15u64);
-            for ord in 1..=count {
-                let price = rng.gen_range(10.0f64..10_000.0);
-                rows.push(Row::new(vec![
-                    Value::Int(cust as i64),
-                    Value::Int(ord as i64),
-                    Value::Float((price * 100.0).round() / 100.0),
-                    Value::Str(if rng.gen_bool(0.5) { "O" } else { "F" }.to_string()),
-                ]));
+        let customers = self.customer_count();
+        // the customer being generated, its orders so far and its count
+        let (mut cust, mut ord, mut count) = (0u64, 0u64, 0u64);
+        std::iter::from_fn(move || {
+            while ord == count {
+                if cust == customers {
+                    return None;
+                }
+                (cust, ord, count) = (cust + 1, 0, rng.gen_range(5..=15u64));
             }
-        }
-        rows
+            ord += 1;
+            let price = rng.gen_range(10.0f64..10_000.0);
+            Some(Row::new(vec![
+                Value::Int(cust as i64),
+                Value::Int(ord as i64),
+                Value::Float((price * 100.0).round() / 100.0),
+                Value::Str(if rng.gen_bool(0.5) { "O" } else { "F" }.to_string()),
+            ]))
+        })
     }
 
     /// Load both tables into a storage-backed sink (e.g. the master
-    /// database's `bulk_load`); returns (customers, orders) row counts.
+    /// database's `bulk_load`), streaming each table's rows as they are
+    /// generated; returns (customers, orders) row counts.
     pub fn load_into<F>(&self, mut load: F) -> Result<(usize, usize)>
     where
-        F: FnMut(&str, Vec<Row>) -> Result<usize>,
+        F: FnMut(&str, &mut dyn Iterator<Item = Row>) -> Result<usize>,
     {
-        let c = load("customer", self.customers())?;
-        let o = load("orders", self.orders())?;
+        let c = load("customer", &mut self.customers())?;
+        let o = load("orders", &mut self.orders())?;
         Ok((c, o))
     }
 }
@@ -149,19 +152,18 @@ mod tests {
     fn deterministic_generation() {
         let a = TpcdGenerator::new(0.001, 42);
         let b = TpcdGenerator::new(0.001, 42);
-        assert_eq!(a.customers(), b.customers());
-        assert_eq!(a.orders(), b.orders());
+        assert!(a.customers().eq(b.customers()));
+        assert!(a.orders().eq(b.orders()));
         let c = TpcdGenerator::new(0.001, 43);
-        assert_ne!(a.customers(), c.customers());
+        assert!(a.customers().ne(c.customers()));
     }
 
     #[test]
     fn scale_controls_cardinality() {
         let g = TpcdGenerator::new(0.001, 1);
         assert_eq!(g.customer_count(), 150);
-        assert_eq!(g.customers().len(), 150);
-        let orders = g.orders();
-        let ratio = orders.len() as f64 / 150.0;
+        assert_eq!(g.customers().count(), 150);
+        let ratio = g.orders().count() as f64 / 150.0;
         assert!(
             (8.0..=12.0).contains(&ratio),
             "avg orders/customer = {ratio}"
@@ -171,18 +173,17 @@ mod tests {
     #[test]
     fn keys_are_unique_and_clustered() {
         let g = TpcdGenerator::new(0.002, 7);
-        let customers = g.customers();
         let mut prev = 0i64;
-        for row in &customers {
+        for row in g.customers() {
             let k = row.get(0).as_int().unwrap();
             assert!(k > prev, "clustered order");
             prev = k;
         }
-        let orders = g.orders();
-        let mut seen = std::collections::HashSet::new();
-        for row in &orders {
+        let mut prev = (0i64, 0i64);
+        for row in g.orders() {
             let key = (row.get(0).as_int().unwrap(), row.get(1).as_int().unwrap());
-            assert!(seen.insert(key), "duplicate order key {key:?}");
+            assert!(key > prev, "clustered order, no duplicate: {key:?}");
+            prev = key;
         }
     }
 
@@ -223,7 +224,7 @@ mod tests {
         let g = TpcdGenerator::new(0.0005, 1);
         let cm = customer_meta(TableId(1));
         let om = orders_meta(TableId(2));
-        assert!(g.customers().iter().all(|r| r.len() == cm.schema.len()));
-        assert!(g.orders().iter().all(|r| r.len() == om.schema.len()));
+        assert!(g.customers().all(|r| r.len() == cm.schema.len()));
+        assert!(g.orders().all(|r| r.len() == om.schema.len()));
     }
 }
